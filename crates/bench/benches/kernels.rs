@@ -53,23 +53,18 @@ fn bench_engine_lookup(c: &mut Criterion) {
     g.finish();
 }
 
-/// The scalar/SWAR host-kernel twins (DESIGN.md §9) over the same read
-/// batch: packed rolling extraction versus the per-base iterator, and the
-/// branchless majority vote versus the streak-boundary scan. Same group
-/// as the match kernel so one `match_kernel` filter covers the host hot
-/// path end to end.
+/// The host kernels (DESIGN.md §9) over the same read batch: packed
+/// rolling extraction and the branchless majority vote. Same group as the
+/// match kernel so one `match_kernel` filter covers the host hot path end
+/// to end; `kmer_extraction/rolling_100_reads` is the per-base reference.
 fn bench_host_kernels(c: &mut Criterion) {
-    use sieve_core::{vote_reads, HostKernels, HostPipeline, SieveDevice};
+    use sieve_core::{vote_reads, HostPipeline, SieveDevice};
     use sieve_genomics::TaxonId;
     let ds = synth::make_dataset_with(2, 2048, 31, 3);
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 100, 4);
     let total: usize = reads.iter().map(|r| r.kmer_count(31)).sum();
-    let host_for = |kernels: HostKernels| {
-        let config = SieveConfig::type3(8)
-            .with_geometry(Geometry::scaled_medium())
-            .with_host_kernels(kernels);
-        HostPipeline::new(SieveDevice::new(config, ds.entries.clone()).unwrap())
-    };
+    let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
+    let host = HostPipeline::new(SieveDevice::new(config, ds.entries.clone()).unwrap());
     // Vote input: the real pipeline shape — owners grouped per read with
     // a mix of misses, unanimous reads, and contested reads.
     let n_reads = 4096usize;
@@ -90,18 +85,13 @@ fn bench_host_kernels(c: &mut Criterion) {
     }
     let mut g = c.benchmark_group("match_kernel");
     g.throughput(Throughput::Elements(total as u64));
-    for kernels in [HostKernels::Swar, HostKernels::Scalar] {
-        let host = host_for(kernels);
-        g.bench_function(format!("extract_{}", kernels.label()).as_str(), |b| {
-            b.iter(|| std::hint::black_box(host.extract_kmers(&reads)).0.len());
-        });
-    }
+    g.bench_function("extract", |b| {
+        b.iter(|| std::hint::black_box(host.extract_kmers(&reads)).0.len());
+    });
     g.throughput(Throughput::Elements(results.len() as u64));
-    for kernels in [HostKernels::Swar, HostKernels::Scalar] {
-        g.bench_function(format!("vote_{}", kernels.label()).as_str(), |b| {
-            b.iter(|| std::hint::black_box(vote_reads(n_reads, &owners, &results, kernels)).len());
-        });
-    }
+    g.bench_function("vote", |b| {
+        b.iter(|| std::hint::black_box(vote_reads(n_reads, &owners, &results)).len());
+    });
     g.finish();
 }
 

@@ -1,24 +1,21 @@
-//! Criterion micro-benchmarks for the planner's pair sort: the radix
-//! counting pipeline against the comparison sort, across batch sizes and
-//! key distributions. This is the calibration source for the adaptive
-//! cutover's cost constants in `core::radix` (`CMP_NS_X16_PER_KEY_LEVEL`
-//! and friends): rerun `plan_sort` after touching the sort loops and
-//! retune the constants from the ns/key these groups report.
+//! Criterion micro-benchmarks for the planner's pair sort: the production
+//! radix pipeline against an inline comparison sort, across batch sizes
+//! and key distributions. This is the calibration source for the
+//! adaptive cutover's cost constants in `core::radix`
+//! (`CMP_NS_X16_PER_KEY_LEVEL` and friends): rerun `plan_sort` after
+//! touching the sort loops and retune the constants from the ns/key
+//! these groups report.
 //!
 //! Distributions pick the shapes the pipeline special-cases: `uniform`
 //! exercises the full pass plan, `one_giant_bucket` collapses the global
-//! pass's histogram mass onto one segment (the steal queue's worst
-//! case), `pre_sorted` rewards nothing (counting passes are oblivious to
-//! input order — the comparison sort's pattern-defeating pivots are
-//! not), and `duplicate_heavy` narrows the diff window so per-segment
-//! replans skip passes. The `lsd` axis runs with pair narrowing off and
-//! `lsd_narrow` with it on — the spread between them is the measured
-//! value of the 8-byte repack, and the input for retuning the narrowing
-//! rule's byte model alongside the cutover constants.
+//! pass's histogram mass onto one segment (the steal queue's worst case,
+//! sorted on tie-ranked narrow records), `pre_sorted` rewards nothing
+//! (counting passes are oblivious to input order — the comparison sort's
+//! pattern-defeating pivots are not), and `duplicate_heavy` narrows the
+//! diff window so per-segment replans skip passes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sieve_core::sort_bench::SortHarness;
-use sieve_core::SortPolicy;
 
 const SIZES: [usize; 3] = [4 << 10, 64 << 10, 1 << 20];
 
@@ -65,6 +62,19 @@ fn keys(dist: &str, n: usize) -> Vec<u64> {
     }
 }
 
+/// The comparison reference: `(key, id)` pairs with ids in input order,
+/// sorted by `sort_unstable_by_key` — the same total order the radix
+/// pipeline produces — folded like [`SortHarness::run`].
+fn comparison_sort(pairs: &mut Vec<(u64, u32)>, master: &[(u64, u32)]) -> u64 {
+    pairs.clear();
+    pairs.extend_from_slice(master);
+    pairs.sort_unstable_by_key(|&p| p);
+    pairs.iter().enumerate().fold(0u64, |acc, (i, &(key, id))| {
+        acc.wrapping_mul(0x100_0000_01B3)
+            .wrapping_add(key ^ u64::from(id) ^ i as u64)
+    })
+}
+
 fn bench_plan_sort(c: &mut Criterion) {
     for dist in [
         "uniform",
@@ -74,26 +84,21 @@ fn bench_plan_sort(c: &mut Criterion) {
     ] {
         let mut g = c.benchmark_group(format!("plan_sort/{dist}"));
         for n in SIZES {
-            let mut harness = SortHarness::new(&keys(dist, n));
-            // Every axis must agree on the fold of the sorted order — a
+            let keys = keys(dist, n);
+            let mut harness = SortHarness::new(&keys);
+            let master: Vec<(u64, u32)> = keys.iter().zip(0u32..).map(|(&k, i)| (k, i)).collect();
+            let mut pairs = Vec::with_capacity(n);
+            // Both axes must agree on the fold of the sorted order — a
             // cheap cross-check that the bench measures implementations
             // of the same sort.
-            let want = harness.run(SortPolicy::Comparison, 1, true);
-            assert_eq!(harness.run(SortPolicy::Lsd, 1, false), want, "{dist}/{n}");
-            assert_eq!(
-                harness.run(SortPolicy::Lsd, 1, true),
-                want,
-                "{dist}/{n} narrow"
-            );
+            let want = comparison_sort(&mut pairs, &master);
+            assert_eq!(harness.run(1), want, "{dist}/{n}");
             g.throughput(Throughput::Elements(n as u64));
-            g.bench_with_input(BenchmarkId::new("lsd", n), &n, |b, _| {
-                b.iter(|| harness.run(SortPolicy::Lsd, 1, false));
-            });
-            g.bench_with_input(BenchmarkId::new("lsd_narrow", n), &n, |b, _| {
-                b.iter(|| harness.run(SortPolicy::Lsd, 1, true));
+            g.bench_with_input(BenchmarkId::new("radix", n), &n, |b, _| {
+                b.iter(|| harness.run(1));
             });
             g.bench_with_input(BenchmarkId::new("comparison", n), &n, |b, _| {
-                b.iter(|| harness.run(SortPolicy::Comparison, 1, true));
+                b.iter(|| comparison_sort(&mut pairs, &master));
             });
         }
         g.finish();

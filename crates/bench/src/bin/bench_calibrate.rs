@@ -2,7 +2,7 @@
 //! versioned `results/MACHINE.json` that the roofline layer normalizes
 //! against (see DESIGN.md §10).
 //!
-//! Three ceilings per thread count, all counting read + write bytes:
+//! Two ceilings per thread count, both counting read + write bytes:
 //!
 //! * **copy** — a per-thread streaming `copy_from_slice` over buffers far
 //!   larger than L2: the classic STREAM-style upper bound for
@@ -13,11 +13,7 @@
 //!   plain `memcpy` cannot stand in for this: write-combining scatters
 //!   sustain only a fraction of copy bandwidth on any real memory
 //!   system, and gating scatter phases against a copy ceiling would
-//!   misclassify every one of them as compute-bound;
-//! * **scatter8** — the same production sort on 32-bit keys with the
-//!   narrowing knob on, so the global repack engages and the scatter
-//!   moves 8-byte records: the honest ceiling for narrowed passes, which
-//!   pack more records per cache line than the 12-byte probe.
+//!   misclassify every one of them as compute-bound.
 //!
 //! Thread counts 1, 2, 4, and the detected core count (deduplicated,
 //! capped at the detected cores — an oversubscribed calibration measures
@@ -32,7 +28,7 @@ use std::time::Instant;
 use sieve_bench::machine::{self, BandwidthRow, Machine, MACHINE_SCHEMA_VERSION};
 use sieve_bench::table::Table;
 use sieve_core::sort_bench::SortHarness;
-use sieve_core::{obs, prof, SortPolicy};
+use sieve_core::{obs, prof};
 
 const DEFAULT_OUT: &str = "results/MACHINE.json";
 
@@ -113,26 +109,23 @@ fn copy_gbps(threads: usize, words: usize, iters: usize, reps: usize) -> f64 {
 
 /// Sustained radix-scatter bandwidth at `threads`, GB/s: the production
 /// sort's canonical scatter+flush byte charge over its measured
-/// scatter+flush wall, recorded by the same obs/prof plumbing the
-/// pipeline reports through. `mask` shapes the key span and `narrow`
-/// feeds the sort's narrowing knob: full-span keys with narrowing off
-/// probe the 12-byte scatter, 32-bit keys with narrowing on engage the
-/// global repack and probe the 8-byte scatter.
+/// scatter+flush wall on uniform 64-bit keys, recorded by the same
+/// obs/prof plumbing the pipeline reports through.
 #[allow(clippy::cast_precision_loss)]
-fn scatter_probe(threads: usize, n_keys: usize, reps: usize, mask: u64, narrow: bool) -> f64 {
+fn scatter_probe(threads: usize, n_keys: usize, reps: usize) -> f64 {
     let mut state = 0xC0FF_EE00_D15E_A5E5u64;
-    let keys: Vec<u64> = (0..n_keys).map(|_| splitmix64(&mut state) & mask).collect();
+    let keys: Vec<u64> = (0..n_keys).map(|_| splitmix64(&mut state)).collect();
     let mut harness = SortHarness::new(&keys);
     let rec = obs::global();
     let mut samples = Vec::with_capacity(reps);
     let mut sink = 0u64;
     // Warm allocations and caches once, unmeasured.
-    sink ^= harness.run(SortPolicy::Adaptive, threads, narrow);
+    sink ^= harness.run(threads);
     for _ in 0..reps {
         rec.set_enabled(true);
         rec.reset();
         prof::reset();
-        sink ^= harness.run(SortPolicy::Adaptive, threads, narrow);
+        sink ^= harness.run(threads);
         let metrics = rec.snapshot();
         let traffic = prof::snapshot();
         rec.set_enabled(false);
@@ -148,9 +141,6 @@ fn scatter_probe(threads: usize, n_keys: usize, reps: usize, mask: u64, narrow: 
             bytes > 0 && wall > 0,
             "calibration sort must run the radix path"
         );
-        // The probe must measure the element width it claims to.
-        let elem = scatter.bytes_read / scatter.items;
-        assert_eq!(elem, if narrow { 8 } else { 12 }, "probe element width");
         samples.push(bytes as f64 / wall as f64);
     }
     prof::reset();
@@ -192,24 +182,16 @@ fn main() {
         .map(|&threads| BandwidthRow {
             threads,
             copy_gbps: copy_gbps(threads, words, iters, reps),
-            scatter_gbps: scatter_probe(threads, n_keys, reps, u64::MAX, false),
-            scatter8_gbps: Some(scatter_probe(threads, n_keys, reps, 0xFFFF_FFFF, true)),
+            scatter_gbps: scatter_probe(threads, n_keys, reps),
         })
         .collect();
 
-    let mut t = Table::new([
-        "threads",
-        "copy GB/s",
-        "scatter GB/s",
-        "scatter8 GB/s",
-        "scatter/copy",
-    ]);
+    let mut t = Table::new(["threads", "copy GB/s", "scatter GB/s", "scatter/copy"]);
     for r in &rows {
         t.row([
             r.threads.to_string(),
             format!("{:.2}", r.copy_gbps),
             format!("{:.2}", r.scatter_gbps),
-            format!("{:.2}", r.scatter8_gbps.unwrap_or(0.0)),
             format!("{:.2}", r.scatter_gbps / r.copy_gbps),
         ]);
     }

@@ -52,7 +52,7 @@ use std::time::Instant;
 
 use sieve_bench::machine::{self, Machine};
 use sieve_bench::table::Table;
-use sieve_core::{obs, prof, HostKernels, HostPipeline, SieveConfig, SieveDevice};
+use sieve_core::{obs, prof, HostPipeline, SieveConfig, SieveDevice};
 use sieve_dram::Geometry;
 use sieve_genomics::synth;
 
@@ -121,12 +121,6 @@ fn main() {
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| DEFAULT_OUT.to_string());
     let machine_path = arg_value(&args, "--machine").unwrap_or_else(|| DEFAULT_MACHINE.to_string());
     let trace_path = arg_value(&args, "--trace");
-    let kernels = match arg_value(&args, "--kernels").as_deref() {
-        None => HostKernels::default(),
-        Some("swar") => HostKernels::Swar,
-        Some("scalar") => HostKernels::Scalar,
-        Some(other) => panic!("--kernels takes scalar or swar, got {other:?}"),
-    };
 
     let ds = synth::make_dataset_with(16, 8192, 31, 1001);
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), n_reads, 1002);
@@ -138,8 +132,7 @@ fn main() {
         .unwrap_or(detected);
     println!(
         "classify throughput: {n_reads} reads, median of {reps} runs, \
-         {cores} host core(s) ({detected} detected), {} host kernels\n",
-        kernels.label()
+         {cores} host core(s) ({detected} detected)\n"
     );
 
     let mut thread_counts = vec![1usize, 2, 4];
@@ -154,7 +147,6 @@ fn main() {
             let device = SieveDevice::new(
                 SieveConfig::type3(8)
                     .with_geometry(Geometry::scaled_medium())
-                    .with_host_kernels(kernels)
                     .with_threads(threads),
                 ds.entries.clone(),
             )
@@ -421,7 +413,6 @@ fn main() {
                 reps,
                 cores,
                 detected,
-                kernels,
                 mt_threads,
                 &measurements,
                 &snapshot,
@@ -448,7 +439,6 @@ fn render_json(
     reps: usize,
     cores: usize,
     detected: usize,
-    kernels: HostKernels,
     mt_threads: usize,
     measurements: &[Measurement],
     snapshot: &obs::MetricsSnapshot,
@@ -467,7 +457,6 @@ fn render_json(
     s.push_str(&format!("  \"host_cores\": {cores},\n"));
     s.push_str(&format!("  \"host_cores_detected\": {detected},\n"));
     s.push_str("  \"device\": \"T3.8SA\",\n");
-    s.push_str(&format!("  \"host_kernels\": \"{}\",\n", kernels.label()));
     // Where this artifact came from: enough to tell two committed runs
     // apart without trusting the commit that carries them.
     s.push_str("  \"provenance\": {\n");
@@ -509,16 +498,11 @@ fn render_json(
     // table, and the derived roofline rows — one JSON object per line,
     // so check scripts can gate on them with awk.
     match machine_cal.and_then(Machine::calibration) {
-        Some(cal) => {
-            let scatter8 = cal
-                .scatter8_gbps
-                .map_or(String::new(), |v| format!(", \"scatter8_gbps_1t\": {v:.3}"));
-            s.push_str(&format!(
-                "  \"calibration\": {{\"schema_version\": {}, \"copy_gbps_1t\": {:.3}, \
-                 \"scatter_gbps_1t\": {:.3}{}}},\n",
-                cal.version, cal.copy_gbps, cal.scatter_gbps, scatter8
-            ));
-        }
+        Some(cal) => s.push_str(&format!(
+            "  \"calibration\": {{\"schema_version\": {}, \"copy_gbps_1t\": {:.3}, \
+             \"scatter_gbps_1t\": {:.3}}},\n",
+            cal.version, cal.copy_gbps, cal.scatter_gbps
+        )),
         None => s.push_str("  \"calibration\": null,\n"),
     }
     let prof_json = prof_snapshot.to_json().replace('\n', "\n  ");

@@ -18,10 +18,10 @@ use std::process::Command;
 
 use sieve_core::prof;
 
-/// The `MACHINE.json` schema version this crate writes. Version 2 added
-/// the 8-byte-element scatter probe (`scatter8_gbps`); version-1 files
-/// are still accepted, their narrowed-pass ceiling degrading to the
-/// 12-byte scatter number.
+/// The `MACHINE.json` schema version this crate writes. Older version-2
+/// files also carry an 8-byte-element scatter probe (`scatter8_gbps`)
+/// for a narrowed global sort pass that no longer exists; parsers ignore
+/// it, so version-1 and version-2 files read alike.
 pub const MACHINE_SCHEMA_VERSION: u64 = 2;
 
 /// The oldest `MACHINE.json` schema version parsers still accept.
@@ -38,9 +38,6 @@ pub struct BandwidthRow {
     /// Production write-combining radix-scatter bandwidth on uniform
     /// random keys (read + write, canonical byte charge), GB/s.
     pub scatter_gbps: f64,
-    /// The same scatter probe on narrowed 8-byte records (`None` in
-    /// schema-v1 files, which predate the probe).
-    pub scatter8_gbps: Option<f64>,
 }
 
 /// A parsed (or to-be-written) `MACHINE.json`.
@@ -77,16 +74,6 @@ impl Machine {
             .map(|r| r.scatter_gbps)
     }
 
-    /// The single-threaded 8-byte-element scatter bandwidth, if a
-    /// 1-thread row exists and the file carries the probe (schema ≥ 2).
-    #[must_use]
-    pub fn scatter8_gbps_1t(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.threads == 1)
-            .and_then(|r| r.scatter8_gbps)
-    }
-
     /// The [`prof::Calibration`] the roofline derivation consumes: the
     /// single-core peaks (phase walls are summed spans, so the 1-thread
     /// ceiling is the honest denominator). `None` without a 1-thread row.
@@ -96,7 +83,6 @@ impl Machine {
             version: self.schema_version,
             copy_gbps: self.copy_gbps_1t()?,
             scatter_gbps: self.scatter_gbps_1t()?,
-            scatter8_gbps: self.scatter8_gbps_1t(),
         })
     }
 
@@ -122,21 +108,13 @@ impl Machine {
             "  \"scatter_gbps_1t\": {:.3},\n",
             self.scatter_gbps_1t().unwrap_or(0.0)
         ));
-        s.push_str(&format!(
-            "  \"scatter8_gbps_1t\": {:.3},\n",
-            self.scatter8_gbps_1t().unwrap_or(0.0)
-        ));
         s.push_str("  \"bandwidth\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
-            let scatter8 = r
-                .scatter8_gbps
-                .map_or(String::new(), |v| format!(", \"scatter8_gbps\": {v:.3}"));
             s.push_str(&format!(
-                "    {{\"threads\": {}, \"copy_gbps\": {:.3}, \"scatter_gbps\": {:.3}{}}}{}\n",
+                "    {{\"threads\": {}, \"copy_gbps\": {:.3}, \"scatter_gbps\": {:.3}}}{}\n",
                 r.threads,
                 r.copy_gbps,
                 r.scatter_gbps,
-                scatter8,
                 if i + 1 == self.rows.len() { "" } else { "," }
             ));
         }
@@ -173,14 +151,10 @@ impl Machine {
                 .ok_or_else(|| format!("bandwidth row missing copy_gbps: {line}"))?;
             let scatter_gbps = json_f64(line, "scatter_gbps")
                 .ok_or_else(|| format!("bandwidth row missing scatter_gbps: {line}"))?;
-            // Absent on v1 rows (and tolerated on v2: a machine file is a
-            // measurement, not a contract — the ceiling just degrades).
-            let scatter8_gbps = json_f64(line, "scatter8_gbps");
             rows.push(BandwidthRow {
                 threads: usize::try_from(threads).map_err(|e| e.to_string())?,
                 copy_gbps,
                 scatter_gbps,
-                scatter8_gbps,
             });
         }
         let machine = Self {
@@ -290,13 +264,11 @@ mod tests {
                     threads: 1,
                     copy_gbps: 4.125,
                     scatter_gbps: 2.25,
-                    scatter8_gbps: Some(2.75),
                 },
                 BandwidthRow {
                     threads: 4,
                     copy_gbps: 9.5,
                     scatter_gbps: 5.0,
-                    scatter8_gbps: Some(6.125),
                 },
             ],
         }
@@ -311,7 +283,6 @@ mod tests {
         assert_eq!(cal.version, MACHINE_SCHEMA_VERSION);
         assert!((cal.copy_gbps - 4.125).abs() < 1e-9);
         assert!((cal.scatter_gbps - 2.25).abs() < 1e-9);
-        assert!((cal.scatter8_gbps.unwrap() - 2.75).abs() < 1e-9);
     }
 
     #[test]
@@ -319,25 +290,24 @@ mod tests {
         let json = sample().render_json();
         assert!(json.contains("\"copy_gbps_1t\": 4.125,"));
         assert!(json.contains("\"scatter_gbps_1t\": 2.250,"));
-        assert!(json.contains("\"scatter8_gbps_1t\": 2.750,"));
     }
 
     #[test]
-    fn schema_v1_files_still_parse_without_the_probe() {
-        // A literal v1 file: no scatter8_gbps anywhere.
+    fn schema_v1_and_probe_carrying_v2_files_still_parse() {
+        // A literal v1 file, and a v2 file with the retired 8-byte probe.
         let v1 = "{\n  \"schema_version\": 1,\n  \"cpu_model\": \"Old CPU\",\n  \
                   \"host_cores\": 2,\n  \"copy_gbps_1t\": 4.000,\n  \
                   \"scatter_gbps_1t\": 2.000,\n  \"bandwidth\": [\n    \
                   {\"threads\": 1, \"copy_gbps\": 4.000, \"scatter_gbps\": 2.000}\n  ]\n}\n";
-        let m = Machine::parse(v1).unwrap();
-        assert_eq!(m.schema_version, 1);
-        assert_eq!(m.rows[0].scatter8_gbps, None);
-        assert_eq!(m.scatter8_gbps_1t(), None);
-        // The derived calibration degrades: narrowed passes will be
-        // judged against the 12-byte scatter ceiling.
-        let cal = m.calibration().unwrap();
-        assert_eq!(cal.scatter8_gbps, None);
-        assert!((cal.scatter_gbps - 2.0).abs() < 1e-9);
+        let v2 = v1
+            .replace("\"schema_version\": 1", "\"schema_version\": 2")
+            .replace("2.000}", "2.000, \"scatter8_gbps\": 1.500}");
+        for (text, version) in [(v1.to_string(), 1), (v2, 2)] {
+            let m = Machine::parse(&text).unwrap();
+            assert_eq!(m.schema_version, version);
+            let cal = m.calibration().unwrap();
+            assert!((cal.scatter_gbps - 2.0).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -39,94 +39,6 @@ impl DeviceKind {
     }
 }
 
-/// Which implementation of the host-side hot kernels to run: k-mer
-/// extraction, revcomp/canonical packing, the per-read majority vote, and
-/// the merge cursor's key compares.
-///
-/// Both variants are maintained in lockstep: `Scalar` is the readable
-/// per-base reference, `Swar` the 2-bit-packed production path that
-/// processes 32 bases per `u64` (DESIGN.md §9). The two are proven
-/// byte-identical — k-mer streams, vote output, and obs/trace model
-/// streams — by `tests/kernel_equivalence.rs`, so this is a *simulator*
-/// knob, not a modeled device parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HostKernels {
-    /// Per-base reference implementations.
-    Scalar,
-    /// Bit-packed SWAR implementations (the default).
-    #[default]
-    Swar,
-}
-
-impl HostKernels {
-    /// Short lowercase label for logs and bench JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Swar => "swar",
-        }
-    }
-}
-
-/// Which sort pipeline orders the planner's `(k-mer, id)` query pairs.
-///
-/// Both pipelines produce the same stable `(key, id)` order, so — like
-/// [`HostKernels`] — this is a *simulator* knob, not a modeled device
-/// parameter: classification output, reports, and obs/trace model streams
-/// are bit-identical for every value (proven by the sort-policy grids in
-/// `tests/parallel_determinism.rs` and friends). The `SIEVE_SORT`
-/// environment variable (`adaptive` | `lsd` | `comparison`) sets the
-/// default for A/B runs without recompiling; unrecognized values fall
-/// back to [`Self::Adaptive`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SortPolicy {
-    /// Pick per batch with a measured cost model: the LSD pipeline when
-    /// its predicted pass cost beats `n log n` comparisons, otherwise the
-    /// comparison sort (the default; in practice LSD wins above ~1k
-    /// pairs).
-    #[default]
-    Adaptive,
-    /// Always the multi-pass LSD radix pipeline (pass skipping,
-    /// write-combining scatter; DESIGN.md §6).
-    Lsd,
-    /// Always a single comparison sort (`sort_unstable_by_key` on
-    /// `(key, id)`) — the A/B reference path.
-    Comparison,
-}
-
-impl SortPolicy {
-    /// Short lowercase label for logs and bench JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Adaptive => "adaptive",
-            Self::Lsd => "lsd",
-            Self::Comparison => "comparison",
-        }
-    }
-
-    /// The process-wide default: `SIEVE_SORT` if set to a recognized
-    /// label, else [`Self::Adaptive`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("SIEVE_SORT").as_deref() {
-            Ok("lsd") => Self::Lsd,
-            Ok("comparison") => Self::Comparison,
-            _ => Self::Adaptive,
-        }
-    }
-}
-
-/// The process-wide narrowing default: `SIEVE_SORT_NARROW=0` or `=off`
-/// disables it, anything else (including unset) leaves it on.
-fn sort_narrow_from_env() -> bool {
-    !matches!(
-        std::env::var("SIEVE_SORT_NARROW").as_deref(),
-        Ok("0") | Ok("off")
-    )
-}
-
 /// Full configuration of a Sieve device.
 ///
 /// Defaults mirror the paper's reference design: a 32 GB module
@@ -205,25 +117,6 @@ pub struct SieveConfig {
     /// (proven by `tests/parallel_determinism.rs`). This too is a
     /// *simulator* knob, not a modeled device parameter.
     pub dedup: bool,
-    /// Fused plan/match pipeline (default `true`): with more than one
-    /// worker thread, the planner seals each shard task as a borrowed
-    /// slice of the sorted pair buffer and streams the tasks to match
-    /// workers through a [`crate::par::StealQueue`], skipping the
-    /// unfused path's boundary re-scan and per-shard copies. The
-    /// deterministic reduce consumes task results in plan order, so
-    /// output is bit-identical with the knob off (proven by
-    /// `tests/parallel_determinism.rs`). A *simulator* knob, not a
-    /// modeled device parameter.
-    pub fused: bool,
-    /// Work stealing between fused match workers (default `true`): tasks
-    /// are dealt to workers as contiguous owned runs, and a worker whose
-    /// run drains early steals from the heavy end of a neighbour's queue
-    /// stripe instead of idling. Stealing only moves *which worker*
-    /// executes a task — the deterministic reduce consumes outcomes in
-    /// task-id order either way, so output is bit-identical with the
-    /// knob off (proven by `tests/parallel_determinism.rs`). A
-    /// *simulator* knob, not a modeled device parameter.
-    pub steal: bool,
     /// Capacity of the cross-chunk hot-k-mer cache, in entries; `0`
     /// disables it. Streaming classification (`classify_stream`) sees the
     /// same hot k-mers chunk after chunk; the cache replays a k-mer's
@@ -233,24 +126,6 @@ pub struct SieveConfig {
     /// results, reports, and model metrics are bit-identical with the
     /// cache off. A *simulator* knob, not a modeled device parameter.
     pub hot_kmers: usize,
-    /// Host-kernel implementation selection (default [`HostKernels::Swar`]).
-    /// Results, reports, and observability snapshots are bit-identical
-    /// for either value (see [`HostKernels`]).
-    pub host_kernels: HostKernels,
-    /// Which pipeline sorts the planner's query pairs (default
-    /// [`SortPolicy::from_env`], i.e. `SIEVE_SORT` or
-    /// [`SortPolicy::Adaptive`]). Results, reports, and observability
-    /// snapshots are bit-identical for every value (see [`SortPolicy`]).
-    pub sort_policy: SortPolicy,
-    /// Whether the sort pipeline may repack pairs to 8-byte records when
-    /// a diff window fits 32 bits (default `true`, or the
-    /// `SIEVE_SORT_NARROW` environment variable: `0` / `off` disables).
-    /// Like [`Self::sort_policy`] this is a *simulator* knob: narrowing
-    /// only changes the in-flight record layout, so results, reports,
-    /// and observability snapshots are bit-identical either way (proven
-    /// by the narrow grids in `tests/parallel_determinism.rs` and
-    /// friends).
-    pub sort_narrow: bool,
 }
 
 impl SieveConfig {
@@ -293,12 +168,7 @@ impl SieveConfig {
             esp_override: None,
             threads: 0,
             dedup: true,
-            fused: true,
-            steal: true,
             hot_kmers: 1 << 18,
-            host_kernels: HostKernels::Swar,
-            sort_policy: SortPolicy::from_env(),
-            sort_narrow: sort_narrow_from_env(),
         }
     }
 
@@ -356,53 +226,12 @@ impl SieveConfig {
         self
     }
 
-    /// Toggles the fused plan/match pipeline (builder style). Output is
-    /// bit-identical for either value (see [`SieveConfig::fused`]).
-    #[must_use]
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
-        self
-    }
-
-    /// Toggles work stealing between match/sort workers (builder style).
-    /// Output is bit-identical for either value (see
-    /// [`SieveConfig::steal`]).
-    #[must_use]
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
     /// Sets the hot-k-mer cache capacity in entries, `0` to disable
     /// (builder style). Output is bit-identical for every value (see
     /// [`SieveConfig::hot_kmers`]).
     #[must_use]
     pub fn with_hot_kmers(mut self, hot_kmers: usize) -> Self {
         self.hot_kmers = hot_kmers;
-        self
-    }
-
-    /// Selects the host-kernel implementations (builder style). Output is
-    /// bit-identical for either value (see [`HostKernels`]).
-    #[must_use]
-    pub fn with_host_kernels(mut self, host_kernels: HostKernels) -> Self {
-        self.host_kernels = host_kernels;
-        self
-    }
-
-    /// Selects the planner's sort pipeline (builder style). Output is
-    /// bit-identical for every value (see [`SortPolicy`]).
-    #[must_use]
-    pub fn with_sort_policy(mut self, sort_policy: SortPolicy) -> Self {
-        self.sort_policy = sort_policy;
-        self
-    }
-
-    /// Enables or disables adaptive pair narrowing in the sort pipeline
-    /// (builder style). Output is bit-identical for either value.
-    #[must_use]
-    pub fn with_sort_narrow(mut self, sort_narrow: bool) -> Self {
-        self.sort_narrow = sort_narrow;
         self
     }
 
@@ -647,39 +476,12 @@ mod tests {
             .with_etm(false)
             .with_threads(2)
             .with_dedup(false)
-            .with_fused(false)
-            .with_steal(false)
-            .with_hot_kmers(1024)
-            .with_host_kernels(HostKernels::Scalar)
-            .with_sort_policy(SortPolicy::Comparison)
-            .with_sort_narrow(false);
+            .with_hot_kmers(1024);
         assert_eq!(c.k, 21);
         assert!(!c.etm_enabled);
         assert_eq!(c.threads, 2);
         assert!(!c.dedup);
-        assert!(!c.fused);
-        assert!(!c.steal);
         assert_eq!(c.hot_kmers, 1024);
-        assert_eq!(c.host_kernels, HostKernels::Scalar);
-        assert_eq!(c.sort_policy, SortPolicy::Comparison);
-        assert!(!c.sort_narrow);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn host_kernels_default_and_labels() {
-        assert_eq!(SieveConfig::type3(8).host_kernels, HostKernels::Swar);
-        assert_eq!(HostKernels::Swar.label(), "swar");
-        assert_eq!(HostKernels::Scalar.label(), "scalar");
-    }
-
-    #[test]
-    fn sort_policy_default_and_labels() {
-        // The test process does not set SIEVE_SORT, so the env default
-        // resolves to Adaptive.
-        assert_eq!(SortPolicy::default(), SortPolicy::Adaptive);
-        assert_eq!(SortPolicy::Adaptive.label(), "adaptive");
-        assert_eq!(SortPolicy::Lsd.label(), "lsd");
-        assert_eq!(SortPolicy::Comparison.label(), "comparison");
     }
 }

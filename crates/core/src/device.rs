@@ -1,7 +1,7 @@
 //! The public device model: load a reference set, run query batches,
 //! get functional results plus a timing/energy report.
 
-use std::sync::{mpsc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 use sieve_genomics::{Kmer, TaxonId};
 
@@ -42,8 +42,8 @@ fn check_batch_len(n: usize) -> Result<(), SieveError> {
     Ok(())
 }
 
-/// Reusable per-run working memory: dedup tables, radix buffers, the
-/// shard plan, and the match-space result arrays. Checked out of the
+/// Reusable per-run working memory: dedup tables, the plan stage's
+/// buffers, and the match-space result arrays. Checked out of the
 /// device's [`ScratchArena`] at the top of [`SieveDevice::run`] and
 /// returned afterwards, so a streaming host (`classify_stream`) reuses
 /// one allocation set across all its chunks.
@@ -56,17 +56,23 @@ struct RunScratch {
     mult: Vec<u32>,
     /// `uniq_of[i]` = index into `uniq` for query `i`.
     uniq_of: Vec<u32>,
-    /// Radix-sort ping-pong buffers for the planner.
-    pairs: Vec<radix::Pair>,
-    pairs_scratch: Vec<radix::Pair>,
-    /// The sort's count/staging tables (see [`radix::SortScratch`]).
-    sort: radix::SortScratch,
-    plan: ShardPlan,
+    planned: PlanScratch,
     /// Match-space result/work arrays (dedup on; with dedup off the
     /// results scatter straight into the output vector).
     space_results: Vec<Option<TaxonId>>,
     space_work: Vec<QueryWork>,
     loads: Vec<sched::SubLoad>,
+}
+
+/// The plan stage's output and working memory: the `(bits, id)` pairs
+/// (sorted once the stage returns), the sort's ping-pong twin and
+/// count/staging tables, and the shard plan over the sorted pairs.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    pairs: Vec<radix::Pair>,
+    pairs_scratch: Vec<radix::Pair>,
+    sort: radix::SortScratch,
+    shards: ShardPlan,
 }
 
 /// A mutex-guarded pool of [`RunScratch`] sets. One set per *concurrent*
@@ -121,6 +127,21 @@ impl HotCache {
             inner: Mutex::new(cache::KmerCache::new(cap)),
         }
     }
+
+    /// Locks the cache. A run holds the guard across its match fan-out,
+    /// which re-raises a worker's panic on the calling thread, so one
+    /// panic poisons the lock; the next lock then starts over from an
+    /// empty cache instead of trusting (or refusing) the old contents.
+    /// That is always safe: replays are bit-identical to re-matching, so
+    /// an emptied cache only costs speed.
+    fn lock(&self) -> MutexGuard<'_, cache::KmerCache> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            *guard = cache::KmerCache::new(self.cap);
+            self.inner.clear_poison();
+            guard
+        })
+    }
 }
 
 impl Clone for HotCache {
@@ -169,6 +190,82 @@ struct TaskOutcome {
     hits: Vec<(u32, TaxonId)>,
     /// Per-query work in task order; empty unless requested.
     work: Vec<QueryWork>,
+}
+
+/// The match space of one run: the distinct k-mers when dedup is on,
+/// each charged once per occurrence through `mult`, else the batch.
+#[derive(Clone, Copy)]
+struct Space<'r> {
+    queries: &'r [Kmer],
+    /// `mult[g]` = occurrences of `queries[g]` (dedup on).
+    mult: Option<&'r [u32]>,
+}
+
+/// What every stage after dedup reads, fixed for the whole run.
+struct RunCtx<'r> {
+    index: &'r SubarrayIndex,
+    threads: usize,
+    /// The model clock at the run's start, where its model events land.
+    t0: u64,
+    /// Queries in the batch, counting every occurrence.
+    n: usize,
+    type1: bool,
+    space: Space<'r>,
+}
+
+/// Where resolved outcomes accumulate, in match space: cache replays
+/// land here in the plan stage, matched tasks in the reduce.
+struct Accum<'a> {
+    /// Payload per match-space query (`None` = miss).
+    results: &'a mut [Option<TaxonId>],
+    /// Aggregate load per occupied subarray.
+    loads: &'a mut [sched::SubLoad],
+    /// Per-query work in match space (Type-1 only).
+    work: &'a mut Vec<QueryWork>,
+}
+
+/// Rows activated per resolved lookup, tallied for the
+/// `etm_rows_activated` histogram and merged in one step. Row counts are
+/// small (at most 2k plus flush cycles), so the per-query hot loop bumps
+/// one slot of a direct-indexed count array — or skips entirely while
+/// the recorder is off — and the histogram fallback only serves configs
+/// that exceed the array: the deterministic-reduce shape at ~1 ns per
+/// query.
+struct RowsTally {
+    observing: bool,
+    small: [u64; 256],
+    large: obs::LocalHistogram,
+}
+
+impl RowsTally {
+    fn new() -> Self {
+        Self {
+            observing: obs::global().is_enabled(),
+            small: [0; 256],
+            large: obs::LocalHistogram::new(),
+        }
+    }
+
+    /// Counts `m` lookups that each activated `rows` rows.
+    #[inline]
+    fn add(&mut self, rows: u32, m: u64) {
+        if self.observing {
+            match self.small.get_mut(rows as usize) {
+                Some(slot) => *slot += m,
+                None => self.large.record_n(u64::from(rows), m),
+            }
+        }
+    }
+
+    /// Folds the tally into the recorder's histogram.
+    fn merge(mut self) {
+        if self.observing {
+            for (rows, &c) in self.small.iter().enumerate() {
+                self.large.record_n(rows as u64, c);
+            }
+            obs::global().merge_local(obs::HistId::EtmRowsActivated, &self.large);
+        }
+    }
 }
 
 /// A loaded Sieve device.
@@ -260,18 +357,16 @@ impl SieveDevice {
     /// Runs a query batch: deduplicates it to distinct k-mers (unless
     /// [`SieveConfig::dedup`] is off), radix-sorts and boundary-routes
     /// the distinct set into per-subarray shards, resolves the shards —
-    /// split into bounded tasks — functionally on worker threads (with
-    /// [`SieveConfig::fused`], tasks stream to the match workers as
-    /// sealed slices of the sorted batch, skipping the unfused path's
-    /// re-scans), schedules the merged work on the configured design
-    /// point with every duplicate charged its cached outcome's full cost,
-    /// and scatters results back to all occurrences.
+    /// split into bounded tasks — functionally on worker threads,
+    /// schedules the merged work on the configured design point with
+    /// every duplicate charged its cached outcome's full cost, and
+    /// scatters results back to all occurrences.
     ///
     /// The dedup → plan → match → reduce structure is deterministic:
     /// per-query results are scattered back by input index and every
     /// merged quantity is an integer sum, so the output is bit-identical
-    /// for any [`SieveConfig::threads`], [`SieveConfig::dedup`], or
-    /// [`SieveConfig::fused`] setting.
+    /// for any [`SieveConfig::threads`] or [`SieveConfig::dedup`]
+    /// setting.
     ///
     /// # Errors
     ///
@@ -302,471 +397,401 @@ impl SieveDevice {
         Ok(out)
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// One run, stage by stage: dedup → plan (cache probe, pair build,
+    /// sort and route) → match → reduce → expand → schedule. Each stage
+    /// is its own function under its own span; this one threads the
+    /// scratch buffers between them.
     fn run_with(&self, queries: &[Kmer], scratch: &mut RunScratch, use_cache: bool) -> RunOutput {
-        let rec = obs::global();
-        rec.add(obs::CounterId::DeviceRuns, 1);
-        let tr = trace::global();
-        let t0 = tr.model_ps();
+        obs::global().add(obs::CounterId::DeviceRuns, 1);
         let threads = par::effective_threads(self.config.threads);
-        let n = queries.len();
-
+        let t0 = trace::global().model_ps();
         let Some(index) = &self.index else {
-            // Empty device: every query misses in zero time.
-            let report = match self.config.device {
-                DeviceKind::Type1 => sched::simulate_type1(
-                    &self.config,
-                    &self.layout,
-                    queries,
-                    &[],
-                    None,
-                    &ShardPlan::empty(),
-                    &[],
-                    threads,
-                    0,
-                    0,
-                ),
-                _ => sched::simulate_type23(&self.config, &[]),
-            };
-            tr.emit_model("device.run", 0, t0, report.makespan_ps, n as u64, 0);
-            tr.advance_model_ps(report.makespan_ps);
-            return RunOutput {
-                results: vec![None; n],
-                report,
-            };
+            return self.run_empty(queries, threads, t0);
         };
-
         let RunScratch {
-            dedup: dedup_scratch,
+            dedup,
             uniq,
             mult,
             uniq_of,
-            pairs,
-            pairs_scratch,
-            sort,
-            plan,
+            planned,
             space_results,
             space_work,
             loads,
         } = scratch;
-
-        // Dedup: collapse the batch to its distinct k-mers. `mult` then
-        // scales every accounted quantity back to occurrence counts, so
-        // the run's observable output is identical with the knob off —
-        // which is also why dedup may veto itself (returning false) when
-        // its sample probe finds too few duplicates to pay for the build.
-        let dedup_on = self.config.dedup && n > 0 && {
-            let _span = rec.span("device.dedup");
-            dedup::dedup(queries, threads, dedup_scratch, uniq, mult, uniq_of)
-        };
-        let (space_queries, mult): (&[Kmer], Option<&[u32]>) = if dedup_on {
-            (uniq, Some(mult))
-        } else {
-            (queries, None)
-        };
-
-        let type1 = matches!(self.config.device, DeviceKind::Type1);
-        // Row tables: the per-lookup `rows_activated` arithmetic hoisted
-        // out of the match loop. Type-1 row counts come from per-batch
-        // ETM (the scheduler recomputes them), so its functional matching
-        // runs with zero flush; the ESP cap path charges the configured
-        // flush on every design point, exactly as before.
-        let bit_len = 2 * self.config.k;
-        let table = etm::RowTable::new(
-            bit_len,
-            self.config.etm_enabled,
-            if type1 {
-                0
+        let dedup_on = self.dedup_stage(queries, threads, dedup, uniq, mult, uniq_of);
+        let ctx = RunCtx {
+            index,
+            threads,
+            t0,
+            n: queries.len(),
+            type1: matches!(self.config.device, DeviceKind::Type1),
+            space: if dedup_on {
+                Space {
+                    queries: uniq,
+                    mult: Some(mult),
+                }
             } else {
-                self.config.etm_flush_cycles
+                Space {
+                    queries,
+                    mult: None,
+                }
             },
-        );
-        let esp_table = self.config.esp_override.map(|_| {
-            etm::RowTable::new(
-                bit_len,
-                self.config.etm_enabled,
-                self.config.etm_flush_cycles,
-            )
-        });
+        };
 
-        let mut results = vec![None; n];
-        if dedup_on {
-            space_results.clear();
-            space_results.resize(space_queries.len(), None);
-        }
+        let mut results = vec![None; ctx.n];
         // Loads span every occupied subarray: cache replays may land on
         // subarrays the current batch's plan never routes to. The
         // schedulers skip zero-query entries, so the extra length is
         // inert when the cache is off.
         loads.clear();
         loads.resize(index.first_bits().len(), sched::SubLoad::default());
-
+        let mut acc = Accum {
+            // A deduplicated run resolves into the distinct k-mers' table
+            // (expanded to every occurrence below), any other straight
+            // into the output.
+            results: if dedup_on {
+                space_results.clear();
+                space_results.resize(ctx.space.queries.len(), None);
+                &mut space_results[..]
+            } else {
+                &mut results
+            },
+            loads,
+            work: space_work,
+        };
         // The cache serves only the streaming path, and never Type-1
         // (its per-batch ETM recomputes row counts from raw k-mers).
-        let cache_enabled = use_cache && self.config.hot_kmers > 0 && !type1;
-        let mut cache_guard = if cache_enabled {
-            Some(self.cache.inner.lock().expect("cache lock"))
-        } else {
-            None
-        };
-        // Plan: decide cache engagement from a strided sample, probe the
-        // cache if engaged (replayed queries charge their loads here and
-        // skip the device stage), build the `(bits, id)` pairs for the
-        // rest, and — unless the fused pipeline takes over — sort and
-        // route them into the shard plan.
-        let mut cached_queries = 0u64;
-        // OR-fold of `bits ^ first_bits` over the pairs, built while they
-        // are pushed: hands the radix sort its digit window without a
-        // second scan over the keys (`radix::sort_pairs` docs).
-        let mut first_key: Option<u64> = None;
-        let mut spread = 0u64;
-        let (fused, inserting) = {
-            let _span = rec.span("device.plan");
-            let _wall = tr.span("device.plan");
-            pairs.clear();
-            let observing = rec.is_enabled();
-            let engagement = match cache_guard.as_deref_mut() {
-                Some(cache) if !space_queries.is_empty() => {
-                    let stride = (space_queries.len() / cache::ENGAGE_SAMPLE).max(1);
-                    cache.assess(space_queries.iter().step_by(stride).map(|q| q.bits()))
-                }
-                _ => cache::Engagement::Warm,
-            };
-            match cache_guard.as_deref() {
-                Some(cache) if engagement == cache::Engagement::Probe => {
-                    let mut rows_hist = obs::LocalHistogram::new();
-                    let mut small_rows = [0u64; 256];
-                    let target: &mut Vec<Option<TaxonId>> = if dedup_on {
-                        space_results
-                    } else {
-                        &mut results
-                    };
-                    for (g, q) in space_queries.iter().enumerate() {
-                        let bits = q.bits();
-                        let Some(e) = cache.get(bits) else {
-                            spread |= bits ^ *first_key.get_or_insert(bits);
-                            pairs.push(radix::Pair::new(bits, g as u32));
-                            continue;
-                        };
-                        let m = mult.map_or(1u64, |m| u64::from(m[g]));
-                        let hit = e.taxon.is_some();
-                        let load = &mut loads[e.sub as usize];
-                        load.queries += m;
-                        load.rows += u64::from(e.rows) * m;
-                        load.hits += u64::from(hit) * m;
-                        cached_queries += m;
-                        if observing {
-                            let rows = u64::from(e.rows);
-                            if let Some(slot) = small_rows.get_mut(rows as usize) {
-                                *slot += m;
-                            } else {
-                                rows_hist.record_n(rows, m);
-                            }
-                        }
-                        if let Some(taxon) = e.taxon {
-                            target[g] = Some(taxon);
-                        }
-                    }
-                    if observing {
-                        for (rows, &c) in small_rows.iter().enumerate() {
-                            rows_hist.record_n(rows as u64, c);
-                        }
-                        rec.merge_local(obs::HistId::EtmRowsActivated, &rows_hist);
-                    }
-                }
-                _ => {
-                    pairs.extend(space_queries.iter().enumerate().map(|(g, q)| {
-                        let bits = q.bits();
-                        spread |= bits ^ *first_key.get_or_insert(bits);
-                        radix::Pair::new(bits, g as u32)
-                    }));
-                }
-            }
-            if engagement == cache::Engagement::Probe {
-                // Weighted (occurrence) counts: identical with dedup on
-                // or off, and across thread counts.
-                let missed = n as u64 - cached_queries;
-                rec.add(obs::CounterId::CacheHits, cached_queries);
-                rec.add(obs::CounterId::CacheMisses, missed);
-                rec.record(obs::HistId::CacheHitKmers, cached_queries);
-                tr.emit_model("cache.probe", 0, t0, 0, cached_queries, missed);
-            }
-            let inserting = cache_guard
-                .as_deref()
-                .is_some_and(cache::KmerCache::accepts_inserts);
-            let fused = self.config.fused && threads > 1 && !pairs.is_empty();
-            if !fused {
-                let diff = (!pairs.is_empty()).then_some(spread);
-                plan.rebuild(
-                    index,
-                    pairs,
-                    pairs_scratch,
-                    sort,
-                    threads,
-                    diff,
-                    self.config.sort_policy,
-                    self.config.sort_narrow,
-                );
-            }
-            (fused, inserting)
-        };
-        let keep_work = type1 || inserting;
-        rec.add(obs::CounterId::MatchQueries, cached_queries);
-        rec.add(
-            obs::CounterId::MatchHits,
-            loads.iter().map(|l| l.hits).sum::<u64>(),
-        );
-
-        // Match. Fused: the planner sorts and routes the batch, then
-        // seals the sorted array into per-task slices that are dealt to
-        // workers as contiguous owned runs through a work-stealing queue
-        // — tasks stream straight from the plan into matching with zero
-        // copies. Unfused (single thread, knob off, or nothing left to
-        // match): the pre-built plan fans out as an indexed map. Either
-        // way the outcomes land indexed by task id, so the reduce below
-        // is order-identical.
-        let outcomes: Vec<TaskOutcome> = if fused {
-            let _span = rec.span("device.match");
-            let _wall = tr.span("device.match");
-            let (done_tx, done_rx) = mpsc::channel::<(usize, TaskOutcome)>();
-            let task_count;
-            {
-                let tasks = {
-                    let _pspan = rec.span("device.plan");
-                    let _pwall = tr.span("device.plan");
-                    plan.rebuild_tasks(
-                        index,
-                        pairs,
-                        pairs_scratch,
-                        sort,
-                        threads,
-                        Some(spread),
-                        self.config.sort_policy,
-                        self.config.sort_narrow,
-                    )
-                };
-                task_count = tasks.len();
-                // Deal tasks to workers in contiguous runs balanced by
-                // pair count (tasks ascend in key order, so a run is a
-                // contiguous key range — the bucket-ownership shape).
-                let total: usize = tasks.iter().map(|t| t.pairs.len()).sum();
-                let workers = threads.min(task_count.max(1));
-                let mut queue = par::StealQueue::new(workers, self.config.steal);
-                let mut acc = 0usize;
-                let mut owner = 0usize;
-                for task in tasks {
-                    acc += task.pairs.len();
-                    queue.push(owner, task);
-                    while owner + 1 < workers && acc * workers >= total * (owner + 1) {
-                        owner += 1;
-                    }
-                }
-                let queue = &queue;
-                let worker = |wid: usize, done: &mpsc::Sender<(usize, TaskOutcome)>| {
-                    let mut stolen = 0u64;
-                    while let Some((task, was_stolen)) = queue.pop(wid) {
-                        stolen += u64::from(was_stolen);
-                        let out = self.match_pairs(
-                            task.subarray,
-                            task.pairs,
-                            mult,
-                            &table,
-                            esp_table.as_ref(),
-                            keep_work,
-                        );
-                        if done.send((task.idx, out)).is_err() {
-                            break;
-                        }
-                    }
-                    stolen
-                };
-                let stolen: u64 = std::thread::scope(|scope| {
-                    let worker = &worker;
-                    let handles: Vec<_> = (1..workers)
-                        .map(|wid| {
-                            let done = done_tx.clone();
-                            scope.spawn(move || worker(wid, &done))
-                        })
-                        .collect();
-                    let own = worker(0, &done_tx);
-                    own + handles
-                        .into_iter()
-                        .map(|handle| match handle.join() {
-                            Ok(count) => count,
-                            Err(panic) => std::panic::resume_unwind(panic),
-                        })
-                        .sum::<u64>()
-                });
-                if stolen > 0 {
-                    rec.add(obs::CounterId::StealTasks, stolen);
-                }
-                // `queue` (and the sealed task slices) borrow the sorted
-                // pair buffer; this scope releases them so the reduce and
-                // scheduler below can read `pairs` directly.
-            }
-            drop(done_tx);
-            let mut collected: Vec<Option<TaskOutcome>> = Vec::with_capacity(task_count);
-            collected.resize_with(task_count, || None);
-            for (idx, out) in done_rx {
-                debug_assert!(collected[idx].is_none());
-                collected[idx] = Some(out);
-            }
-            collected
-                .into_iter()
-                .map(|o| o.expect("every task resolves exactly once"))
-                .collect()
-        } else {
-            let _span = rec.span("device.match");
-            let _wall = tr.span("device.match");
-            par::map_indexed(threads, plan.task_count(), |t| {
-                let (subarray, range) = plan.task(t);
-                self.match_pairs(
-                    subarray,
-                    &pairs[range],
-                    mult,
-                    &table,
-                    esp_table.as_ref(),
-                    keep_work,
-                )
-            })
-        };
-
-        // Reduce: accumulate loads per subarray (tasks of a split shard
-        // sum), scatter hits by id, feed the cache in task order.
-        {
-            let _span = rec.span("device.reduce");
-            let _wall = tr.span("device.reduce");
-            let tracing = tr.is_enabled();
-            if type1 {
-                space_work.clear();
-                space_work.resize(space_queries.len(), QueryWork::default());
-            }
-            let mut inserted = 0u64;
-            let mut reduce_hits = 0u64;
-            for (t, outcome) in outcomes.into_iter().enumerate() {
-                reduce_hits += outcome.hits.len() as u64;
-                rec.add(obs::CounterId::MatchQueries, outcome.load.queries);
-                rec.add(obs::CounterId::MatchHits, outcome.load.hits);
-                if tracing {
-                    // Each task's deepest lookup is where ETM let the
-                    // whole task stop activating rows — the per-task
-                    // analogue of the paper's ~62 → ~10 claim. Tasks are
-                    // consumed in plan order, so the stream is identical
-                    // for every thread count.
-                    tr.emit_model(
-                        "etm.terminate",
-                        outcome.subarray as u32,
-                        t0,
-                        0,
-                        u64::from(outcome.deepest_rows),
-                        outcome.load.queries,
-                    );
-                }
-                let load = &mut loads[outcome.subarray];
-                load.queries += outcome.load.queries;
-                load.rows += outcome.load.rows;
-                load.hits += outcome.load.hits;
-                let target: &mut [Option<TaxonId>] = if dedup_on {
-                    space_results
-                } else {
-                    &mut results
-                };
-                for &(id, taxon) in &outcome.hits {
-                    target[id as usize] = Some(taxon);
-                }
-                if keep_work {
-                    let (_, range) = plan.task(t);
-                    let task_pairs = &pairs[range];
-                    debug_assert_eq!(task_pairs.len(), outcome.work.len());
-                    if type1 {
-                        for (&p, &w) in task_pairs.iter().zip(&outcome.work) {
-                            space_work[p.id() as usize] = w;
-                        }
-                    }
-                    if inserting {
-                        let cache = cache_guard.as_deref_mut().expect("cache engaged");
-                        let mut hit_iter = outcome.hits.iter();
-                        for (&p, w) in task_pairs.iter().zip(&outcome.work) {
-                            let taxon = if w.hit {
-                                Some(hit_iter.next().expect("hit per flagged query").1)
-                            } else {
-                                None
-                            };
-                            if cache.insert(
-                                p.key(),
-                                cache::Cached {
-                                    sub: outcome.subarray as u32,
-                                    rows: w.rows,
-                                    taxon,
-                                },
-                            ) {
-                                inserted += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            if inserting {
-                rec.add(obs::CounterId::CacheInserts, inserted);
-            }
-            // Reduce rereads each task's hit list and scatters it into
-            // the result table: one read and one write per hit record.
-            let hit_bytes = reduce_hits * std::mem::size_of::<(u32, TaxonId)>() as u64;
-            prof::record(prof::Phase::DeviceReduce, hit_bytes, hit_bytes, reduce_hits);
-            if rec.is_enabled() {
-                // Per-subarray query counts (occurrence-expanded, cache
-                // replays included), recorded in subarray order so the
-                // histogram is independent of the task split and the
-                // thread count. One record per subarray that received
-                // queries, matching the MatchShards counter.
-                let mut shards = 0u64;
-                for load in loads.iter() {
-                    if load.queries > 0 {
-                        shards += 1;
-                        rec.record(obs::HistId::ShardQueries, load.queries);
-                    }
-                }
-                rec.add(obs::CounterId::MatchShards, shards);
-            }
-        }
-        let hits: u64 = loads.iter().map(|l| l.hits).sum();
-
-        // Expand: scatter each distinct k-mer's result to its occurrences.
+        let mut cache =
+            (use_cache && self.config.hot_kmers > 0 && !ctx.type1).then(|| self.cache.lock());
+        let inserting = self.plan_stage(&ctx, cache.as_deref_mut(), &mut acc, planned);
+        let outcomes = self.match_stage(&ctx, planned, ctx.type1 || inserting);
+        let inserts = cache.as_deref_mut().filter(|_| inserting);
+        self.reduce_stage(&ctx, outcomes, inserts, &mut acc, planned);
+        drop(cache);
         if dedup_on {
-            let _span = rec.span("device.expand");
-            let _wall = tr.span("device.expand");
-            let chunk = n.div_ceil(threads).max(1);
-            let space_results: &[Option<TaxonId>] = space_results;
-            let mut items: Vec<(&mut [Option<TaxonId>], &[u32])> = results
-                .chunks_mut(chunk)
-                .zip(uniq_of.chunks(chunk))
-                .collect();
-            par::for_each_mut(threads, &mut items, |(out, uniq_of)| {
-                for (slot, &g) in out.iter_mut().zip(uniq_of.iter()) {
-                    *slot = space_results[g as usize];
-                }
-            });
+            expand_stage(threads, &mut results, space_results, uniq_of);
         }
+        let report = self.schedule_stage(&ctx, loads, space_work, planned);
+        RunOutput { results, report }
+    }
 
+    /// A run against an empty device: every query misses in zero time.
+    fn run_empty(&self, queries: &[Kmer], threads: usize, t0: u64) -> RunOutput {
         let report = match self.config.device {
             DeviceKind::Type1 => sched::simulate_type1(
                 &self.config,
                 &self.layout,
-                space_queries,
-                space_work,
-                mult,
-                plan,
-                pairs,
+                queries,
+                &[],
+                None,
+                &ShardPlan::empty(),
+                &[],
                 threads,
-                n as u64,
+                0,
+                0,
+            ),
+            _ => sched::simulate_type23(&self.config, &[]),
+        };
+        let tr = trace::global();
+        tr.emit_model(
+            "device.run",
+            0,
+            t0,
+            report.makespan_ps,
+            queries.len() as u64,
+            0,
+        );
+        tr.advance_model_ps(report.makespan_ps);
+        RunOutput {
+            results: vec![None; queries.len()],
+            report,
+        }
+    }
+
+    /// Dedup: collapses the batch to its distinct k-mers. `mult` then
+    /// scales every accounted quantity back to occurrence counts, so the
+    /// run's observable output is identical with the knob off — which is
+    /// also why dedup may veto itself (returning false) when its sample
+    /// probe finds too few duplicates to pay for the build.
+    fn dedup_stage(
+        &self,
+        queries: &[Kmer],
+        threads: usize,
+        scratch: &mut dedup::DedupScratch,
+        uniq: &mut Vec<Kmer>,
+        mult: &mut Vec<u32>,
+        uniq_of: &mut Vec<u32>,
+    ) -> bool {
+        self.config.dedup && !queries.is_empty() && {
+            let _span = obs::global().span("device.dedup");
+            dedup::dedup(queries, threads, scratch, uniq, mult, uniq_of)
+        }
+    }
+
+    /// Plan: decides cache engagement from a strided sample, replays the
+    /// cached queries (their loads and results land in `acc` here, and
+    /// they skip the device stages), builds the `(bits, id)` pairs for
+    /// the rest, and sorts and routes them into the shard plan. Returns
+    /// whether the cache takes inserts from this run's outcomes.
+    fn plan_stage(
+        &self,
+        ctx: &RunCtx<'_>,
+        mut cache: Option<&mut cache::KmerCache>,
+        acc: &mut Accum<'_>,
+        planned: &mut PlanScratch,
+    ) -> bool {
+        let rec = obs::global();
+        let tr = trace::global();
+        let _span = rec.span("device.plan");
+        let _wall = tr.span("device.plan");
+        let space = ctx.space;
+        let engagement = match cache.as_deref_mut() {
+            Some(cache) if !space.queries.is_empty() => {
+                let stride = (space.queries.len() / cache::ENGAGE_SAMPLE).max(1);
+                cache.assess(space.queries.iter().step_by(stride).map(|q| q.bits()))
+            }
+            _ => cache::Engagement::Warm,
+        };
+        let probe = cache
+            .as_deref()
+            .filter(|_| engagement == cache::Engagement::Probe);
+        let mut tally = RowsTally::new();
+        let mut cached = 0u64;
+        // Every query the cache does not replay becomes a `(bits, id)`
+        // pair, OR-folding `bits ^ first_bits` on the way: hands the radix
+        // sort its digit window without a second scan over the keys
+        // (`radix::sort_pairs` docs).
+        let (mut first_key, mut spread) = (None, 0u64);
+        let mut pair = |g: usize, bits: u64| {
+            spread |= bits ^ *first_key.get_or_insert(bits);
+            radix::Pair::new(bits, g as u32)
+        };
+        let queries = space.queries.iter().enumerate();
+        planned.pairs.clear();
+        match probe {
+            // Without replays every query is a pair: one exact-size
+            // extend. Pushing each pair instead measured ~1 ms slower per
+            // 700k-pair batch.
+            None => planned
+                .pairs
+                .extend(queries.map(|(g, q)| pair(g, q.bits()))),
+            Some(cache) => {
+                for (g, q) in queries {
+                    let bits = q.bits();
+                    let Some(e) = cache.get(bits) else {
+                        planned.pairs.push(pair(g, bits));
+                        continue;
+                    };
+                    let m = space.mult.map_or(1, |m| u64::from(m[g]));
+                    let load = &mut acc.loads[e.sub as usize];
+                    load.queries += m;
+                    load.rows += u64::from(e.rows) * m;
+                    load.hits += u64::from(e.taxon.is_some()) * m;
+                    cached += m;
+                    tally.add(e.rows, m);
+                    acc.results[g] = e.taxon;
+                }
+            }
+        }
+        tally.merge();
+        if probe.is_some() {
+            // Weighted (occurrence) counts: identical with dedup on or
+            // off, and across thread counts.
+            let missed = ctx.n as u64 - cached;
+            rec.add(obs::CounterId::CacheHits, cached);
+            rec.add(obs::CounterId::CacheMisses, missed);
+            rec.record(obs::HistId::CacheHitKmers, cached);
+            tr.emit_model("cache.probe", 0, ctx.t0, 0, cached, missed);
+        }
+        rec.add(obs::CounterId::MatchQueries, cached);
+        rec.add(
+            obs::CounterId::MatchHits,
+            acc.loads.iter().map(|l| l.hits).sum::<u64>(),
+        );
+        planned.shards.rebuild(
+            ctx.index,
+            &mut planned.pairs,
+            &mut planned.pairs_scratch,
+            &mut planned.sort,
+            ctx.threads,
+            first_key.map(|_| spread),
+        );
+        cache.is_some_and(|cache| cache.accepts_inserts())
+    }
+
+    /// Match: resolves every planned task — the pieces of a split shard
+    /// included — on the worker threads; outcomes come back in task
+    /// order.
+    fn match_stage(
+        &self,
+        ctx: &RunCtx<'_>,
+        planned: &PlanScratch,
+        keep_work: bool,
+    ) -> Vec<TaskOutcome> {
+        let _span = obs::global().span("device.match");
+        let _wall = trace::global().span("device.match");
+        // Row tables: the per-lookup `rows_activated` arithmetic hoisted
+        // out of the match loop. Type-1 row counts come from per-batch
+        // ETM (the scheduler recomputes them), so its functional matching
+        // runs with zero flush; the ESP cap path charges the configured
+        // flush on every design point.
+        let bit_len = 2 * self.config.k;
+        let (etm, flush) = (self.config.etm_enabled, self.config.etm_flush_cycles);
+        let table = etm::RowTable::new(bit_len, etm, if ctx.type1 { 0 } else { flush });
+        let esp_table = self
+            .config
+            .esp_override
+            .map(|_| etm::RowTable::new(bit_len, etm, flush));
+        par::map_indexed(ctx.threads, planned.shards.task_count(), |t| {
+            let (subarray, range) = planned.shards.task(t);
+            self.match_pairs(
+                subarray,
+                &planned.pairs[range],
+                ctx.space.mult,
+                &table,
+                esp_table.as_ref(),
+                keep_work,
+            )
+        })
+    }
+
+    /// Reduce: accumulates loads per subarray (tasks of a split shard
+    /// sum), scatters hits by id, records per-query work for the Type-1
+    /// scheduler, and feeds `inserts` (the cache, when it takes inserts)
+    /// in task order.
+    fn reduce_stage(
+        &self,
+        ctx: &RunCtx<'_>,
+        outcomes: Vec<TaskOutcome>,
+        mut inserts: Option<&mut cache::KmerCache>,
+        acc: &mut Accum<'_>,
+        planned: &PlanScratch,
+    ) {
+        let rec = obs::global();
+        let tr = trace::global();
+        let _span = rec.span("device.reduce");
+        let _wall = tr.span("device.reduce");
+        let tracing = tr.is_enabled();
+        if ctx.type1 {
+            acc.work.clear();
+            acc.work
+                .resize(ctx.space.queries.len(), QueryWork::default());
+        }
+        let mut inserted = 0u64;
+        let mut reduce_hits = 0u64;
+        for (t, outcome) in outcomes.into_iter().enumerate() {
+            reduce_hits += outcome.hits.len() as u64;
+            rec.add(obs::CounterId::MatchQueries, outcome.load.queries);
+            rec.add(obs::CounterId::MatchHits, outcome.load.hits);
+            if tracing {
+                // Each task's deepest lookup is where ETM let the whole
+                // task stop activating rows — the per-task analogue of
+                // the paper's ~62 → ~10 claim. Tasks are consumed in plan
+                // order, so the stream is identical for every thread
+                // count.
+                tr.emit_model(
+                    "etm.terminate",
+                    outcome.subarray as u32,
+                    ctx.t0,
+                    0,
+                    u64::from(outcome.deepest_rows),
+                    outcome.load.queries,
+                );
+            }
+            let load = &mut acc.loads[outcome.subarray];
+            load.queries += outcome.load.queries;
+            load.rows += outcome.load.rows;
+            load.hits += outcome.load.hits;
+            for &(id, taxon) in &outcome.hits {
+                acc.results[id as usize] = Some(taxon);
+            }
+            if outcome.work.is_empty() {
+                continue;
+            }
+            let (_, range) = planned.shards.task(t);
+            let task_pairs = &planned.pairs[range];
+            debug_assert_eq!(task_pairs.len(), outcome.work.len());
+            if ctx.type1 {
+                for (&p, &w) in task_pairs.iter().zip(&outcome.work) {
+                    acc.work[p.id() as usize] = w;
+                }
+            }
+            if let Some(cache) = inserts.as_deref_mut() {
+                let mut hit_iter = outcome.hits.iter();
+                for (&p, w) in task_pairs.iter().zip(&outcome.work) {
+                    let taxon = if w.hit {
+                        Some(hit_iter.next().expect("hit per flagged query").1)
+                    } else {
+                        None
+                    };
+                    let entry = cache::Cached {
+                        sub: outcome.subarray as u32,
+                        rows: w.rows,
+                        taxon,
+                    };
+                    inserted += u64::from(cache.insert(p.key(), entry));
+                }
+            }
+        }
+        if inserts.is_some() {
+            rec.add(obs::CounterId::CacheInserts, inserted);
+        }
+        // Reduce rereads each task's hit list and scatters it into the
+        // result table: one read and one write per hit record.
+        let hit_bytes = reduce_hits * std::mem::size_of::<(u32, TaxonId)>() as u64;
+        prof::record(prof::Phase::DeviceReduce, hit_bytes, hit_bytes, reduce_hits);
+        if rec.is_enabled() {
+            // Per-subarray query counts (occurrence-expanded, cache
+            // replays included), recorded in subarray order so the
+            // histogram is independent of the task split and the thread
+            // count. One record per subarray that received queries,
+            // matching the MatchShards counter.
+            let mut shards = 0u64;
+            for load in acc.loads.iter().filter(|l| l.queries > 0) {
+                shards += 1;
+                rec.record(obs::HistId::ShardQueries, load.queries);
+            }
+            rec.add(obs::CounterId::MatchShards, shards);
+        }
+    }
+
+    /// Schedule: times the merged work on the configured design point,
+    /// emits the run's model interval, and advances the model clock.
+    fn schedule_stage(
+        &self,
+        ctx: &RunCtx<'_>,
+        loads: &[sched::SubLoad],
+        work: &[QueryWork],
+        planned: &PlanScratch,
+    ) -> SimReport {
+        let hits: u64 = loads.iter().map(|l| l.hits).sum();
+        let report = match self.config.device {
+            DeviceKind::Type1 => sched::simulate_type1(
+                &self.config,
+                &self.layout,
+                ctx.space.queries,
+                work,
+                ctx.space.mult,
+                &planned.shards,
+                &planned.pairs,
+                ctx.threads,
+                ctx.n as u64,
                 hits,
             ),
             _ => sched::simulate_type23(&self.config, loads),
         };
         debug_assert_eq!(report.hits, hits);
-        tr.emit_model("device.run", 0, t0, report.makespan_ps, n as u64, hits);
+        let tr = trace::global();
+        tr.emit_model(
+            "device.run",
+            0,
+            ctx.t0,
+            report.makespan_ps,
+            ctx.n as u64,
+            hits,
+        );
         tr.advance_model_ps(report.makespan_ps);
-        RunOutput { results, report }
+        report
     }
 
     /// Resolves one match task: walks the destination subarray's sorted
@@ -784,16 +809,7 @@ impl SieveDevice {
         esp_table: Option<&etm::RowTable>,
         keep_work: bool,
     ) -> TaskOutcome {
-        let rec = obs::global();
-        // Captured once per task: the per-query hot loop then bumps one
-        // slot of a direct-indexed count array (row counts are small —
-        // at most 2k plus flush cycles; the histogram fallback only
-        // exists for configs that could exceed the array) or skips
-        // entirely, folded into a local histogram and merged in one step
-        // below — the deterministic-reduce shape at ~1ns per query.
-        let observing = rec.is_enabled();
-        let mut rows_hist = obs::LocalHistogram::new();
-        let mut small_rows = [0u64; 256];
+        let mut tally = RowsTally::new();
         let mut cursor = engine::MergeCursor::new(self.layout.subarray(subarray));
         let mut load = sched::SubLoad::default();
         let mut deepest_rows = 0u32;
@@ -807,12 +823,7 @@ impl SieveDevice {
                 *key = p.key();
             }
             outcomes.clear();
-            cursor.lookup_block_with(
-                &keys[..block.len()],
-                table,
-                self.config.host_kernels,
-                &mut outcomes,
-            );
+            cursor.lookup_block(&keys[..block.len()], table, &mut outcomes);
             for (&p, outcome) in block.iter().zip(&outcomes) {
                 let id = p.id();
                 let m = mult.map_or(1u64, |m| u64::from(m[id as usize]));
@@ -827,14 +838,7 @@ impl SieveDevice {
                 load.rows += u64::from(rows) * m;
                 load.hits += u64::from(hit) * m;
                 deepest_rows = deepest_rows.max(rows);
-                if observing {
-                    let rows = u64::from(rows);
-                    if let Some(slot) = small_rows.get_mut(rows as usize) {
-                        *slot += m;
-                    } else {
-                        rows_hist.record_n(rows, m);
-                    }
-                }
+                tally.add(rows, m);
                 if let Some((_, taxon)) = outcome.hit {
                     hits.push((id, taxon));
                 }
@@ -843,12 +847,7 @@ impl SieveDevice {
                 }
             }
         }
-        if observing {
-            for (rows, &c) in small_rows.iter().enumerate() {
-                rows_hist.record_n(rows as u64, c);
-            }
-            rec.merge_local(obs::HistId::EtmRowsActivated, &rows_hist);
-        }
+        tally.merge();
         // Canonical match traffic: every task streams its sorted pairs
         // once and emits its hits once, so the per-task charges sum to
         // the same totals no matter how the plan split the shard.
@@ -876,6 +875,27 @@ impl SieveDevice {
         }
         Ok(())
     }
+}
+
+/// Expand: scatters each distinct k-mer's result to its occurrences.
+fn expand_stage(
+    threads: usize,
+    results: &mut [Option<TaxonId>],
+    space_results: &[Option<TaxonId>],
+    uniq_of: &[u32],
+) {
+    let _span = obs::global().span("device.expand");
+    let _wall = trace::global().span("device.expand");
+    let chunk = results.len().div_ceil(threads).max(1);
+    let mut items: Vec<(&mut [Option<TaxonId>], &[u32])> = results
+        .chunks_mut(chunk)
+        .zip(uniq_of.chunks(chunk))
+        .collect();
+    par::for_each_mut(threads, &mut items, |(out, uniq_of)| {
+        for (slot, &g) in out.iter_mut().zip(uniq_of.iter()) {
+            *slot = space_results[g as usize];
+        }
+    });
 }
 
 #[cfg(test)]
@@ -1005,26 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_produce_identical_output() {
-        let ds = dataset();
-        let queries = probes(&ds, 60);
-        for config in [
-            SieveConfig::type1(),
-            SieveConfig::type2(4),
-            SieveConfig::type3(8),
-        ] {
-            let fused = device(config.clone().with_fused(true).with_threads(4))
-                .run(&queries)
-                .unwrap();
-            let unfused = device(config.with_fused(false).with_threads(4))
-                .run(&queries)
-                .unwrap();
-            assert_eq!(fused.results, unfused.results);
-            assert_eq!(fused.report, unfused.report);
-        }
-    }
-
-    #[test]
     fn streamed_cache_replays_are_bit_identical() {
         let ds = dataset();
         let queries = probes(&ds, 60);
@@ -1043,6 +1043,32 @@ mod tests {
         let cached = dev.cache.inner.lock().unwrap().len();
         let _ = dev.run(&queries).unwrap();
         assert_eq!(dev.cache.inner.lock().unwrap().len(), cached);
+    }
+
+    #[test]
+    fn poisoned_cache_lock_restarts_from_an_empty_cache() {
+        let ds = dataset();
+        let queries = probes(&ds, 60);
+        let dev = device(SieveConfig::type3(8));
+        let batch = dev.run(&queries).unwrap();
+        let _ = dev.run_streamed(&queries).unwrap();
+        // A panic while the guard is held — what a match worker's panic
+        // re-raised on the calling thread does — poisons the lock.
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = dev.cache.inner.lock().unwrap();
+            panic!("worker panicked while the cache was held");
+        }));
+        assert!(poisoner.is_err());
+        assert!(dev.cache.inner.is_poisoned());
+        // The next streamed runs recover: the first from an emptied
+        // cache, the second replaying what the first refilled.
+        for _ in 0..2 {
+            let streamed = dev.run_streamed(&queries).unwrap();
+            assert_eq!(streamed.results, batch.results);
+            assert_eq!(streamed.report, batch.report);
+        }
+        assert!(!dev.cache.inner.is_poisoned());
+        assert!(!dev.cache.inner.lock().unwrap().is_empty());
     }
 
     #[test]

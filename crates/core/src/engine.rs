@@ -15,7 +15,6 @@
 
 use sieve_genomics::{Kmer, TaxonId};
 
-use crate::config::HostKernels;
 use crate::etm::{rows_activated, RowActivity, RowTable};
 use crate::layout::SubarrayView;
 
@@ -192,25 +191,9 @@ impl<'a> MergeCursor<'a> {
     ///
     /// Hoisting the entries slice, the empty-subarray check, and the row
     /// arithmetic (via the [`RowTable`]) out of the per-query path is what
-    /// makes this the kernel of choice for the device's match stage. Runs
-    /// the default [`HostKernels::Swar`] key compares; see
-    /// [`MergeCursor::lookup_block_with`].
+    /// makes this the kernel of choice for the device's match stage; the
+    /// miss path's LCP is the branch-free first-diverging-bit formula.
     pub fn lookup_block(&mut self, keys: &[u64], table: &RowTable, out: &mut Vec<MatchOutcome>) {
-        self.lookup_block_with(keys, table, HostKernels::Swar, out);
-    }
-
-    /// [`MergeCursor::lookup_block`] with an explicit kernel selection:
-    /// `kernels` picks the miss-path LCP compare — the branchy reference
-    /// ([`HostKernels::Scalar`]) or the branch-free first-diverging-bit
-    /// formula ([`HostKernels::Swar`]). Outcomes are identical for either
-    /// value (`tests/kernel_equivalence.rs`).
-    pub fn lookup_block_with(
-        &mut self,
-        keys: &[u64],
-        table: &RowTable,
-        kernels: HostKernels,
-        out: &mut Vec<MatchOutcome>,
-    ) {
         let entries = self.subarray.entries();
         let bit_len = table.bit_len();
         if entries.is_empty() {
@@ -247,7 +230,7 @@ impl<'a> MergeCursor<'a> {
                     rows: table.rows(bit_len),
                 });
             } else {
-                let max_lcp = max_lcp_at_insertion_bits(entries, ins, target, bit_len, kernels);
+                let max_lcp = max_lcp_at_insertion_bits(entries, ins, target, bit_len);
                 out.push(MatchOutcome {
                     hit: None,
                     max_lcp,
@@ -302,9 +285,9 @@ fn max_lcp_at_insertion(entries: &[(Kmer, TaxonId)], ins: usize, query: Kmer) ->
 }
 
 /// [`Kmer::lcp_bits`] on raw low-aligned packings of `bit_len` bits —
-/// identical formula, minus the per-call unpacking the blocked kernel has
-/// already hoisted. The scalar twin of [`lcp_bits_u64_swar`].
-#[inline]
+/// identical formula, minus the per-call unpacking. The scalar reference
+/// the twin test holds [`lcp_bits_u64_swar`] to.
+#[cfg(test)]
 fn lcp_bits_u64(a: u64, b: u64, bit_len: usize) -> usize {
     let diff = a ^ b;
     if diff == 0 {
@@ -314,9 +297,9 @@ fn lcp_bits_u64(a: u64, b: u64, bit_len: usize) -> usize {
     }
 }
 
-/// Branch-free [`lcp_bits_u64`]: `leading_zeros` of an all-zero diff is
-/// 64, which makes the same first-diverging-bit formula come out to
-/// `bit_len` exactly — no equality branch on the miss path. Both packings
+/// Branch-free [`Kmer::lcp_bits`] on raw packings: `leading_zeros` of an
+/// all-zero diff is 64, which makes the first-diverging-bit formula come
+/// out to `bit_len` exactly — no equality branch on the miss path. Both packings
 /// are low-aligned, so the diff has no bits above `bit_len` and the
 /// subtraction cannot underflow.
 #[inline]
@@ -324,20 +307,15 @@ fn lcp_bits_u64_swar(a: u64, b: u64, bit_len: usize) -> usize {
     ((a ^ b).leading_zeros() as usize + bit_len) - 64
 }
 
-/// [`max_lcp_at_insertion`] on raw packed bits, with the LCP compare
-/// selected by `kernels` (identical results either way).
+/// [`max_lcp_at_insertion`] on raw packed bits.
 #[inline]
 fn max_lcp_at_insertion_bits(
     entries: &[(Kmer, TaxonId)],
     ins: usize,
     target: u64,
     bit_len: usize,
-    kernels: HostKernels,
 ) -> usize {
-    let lcp = |a: u64| match kernels {
-        HostKernels::Scalar => lcp_bits_u64(a, target, bit_len),
-        HostKernels::Swar => lcp_bits_u64_swar(a, target, bit_len),
-    };
+    let lcp = |a: u64| lcp_bits_u64_swar(a, target, bit_len);
     let mut best = 0;
     if ins > 0 {
         best = best.max(lcp(entries[ins - 1].0.bits()));
@@ -514,29 +492,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn blocked_lookup_kernels_agree() {
-        // Scalar and SWAR key compares must produce identical outcomes,
-        // including the miss path's max_lcp (and therefore rows).
-        let layout = test_layout();
-        let sa = layout.subarray(0);
-        let mut probes: Vec<Kmer> = sa.entries().iter().step_by(37).map(|(k, _)| *k).collect();
-        probes.extend(
-            sa.entries()
-                .iter()
-                .step_by(41)
-                .map(|(k, _)| k.shifted(sieve_genomics::Base::G)),
-        );
-        probes.sort_unstable_by_key(Kmer::bits);
-        let keys: Vec<u64> = probes.iter().map(Kmer::bits).collect();
-        let table = RowTable::new(62, true, 1);
-        let mut scalar = Vec::new();
-        MergeCursor::new(sa).lookup_block_with(&keys, &table, HostKernels::Scalar, &mut scalar);
-        let mut swar = Vec::new();
-        MergeCursor::new(sa).lookup_block_with(&keys, &table, HostKernels::Swar, &mut swar);
-        assert_eq!(scalar, swar);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use std::sync::mpsc;
 
 use sieve_genomics::{pack, DnaSequence, Kmer, TaxonId};
 
-use crate::config::HostKernels;
 use crate::device::SieveDevice;
 use crate::error::SieveError;
 use crate::obs;
@@ -113,7 +112,6 @@ impl HostPipeline {
         owners: &mut Vec<u32>,
     ) {
         let k = self.device.config().k;
-        let kernels = self.device.config().host_kernels;
         let upper: usize = reads.iter().map(|r| (r.len() + 1).saturating_sub(k)).sum();
         kmers.reserve(upper);
         owners.reserve(upper);
@@ -130,7 +128,7 @@ impl HostPipeline {
         let threads = par::effective_threads(self.device.config().threads);
         if threads == 1 || reads.len() < PARALLEL_EXTRACT_READS {
             let mut scratch = pack::Extractor::new();
-            extract_reads(reads, 0, k, kernels, &mut scratch, kmers, owners);
+            extract_reads(reads, 0, k, &mut scratch, kmers, owners);
             let produced = (kmers.len() - before) as u64;
             prof::record(
                 prof::Phase::HostExtract,
@@ -157,7 +155,6 @@ impl HostPipeline {
                 &reads[lo..hi],
                 lo as u32,
                 k,
-                kernels,
                 &mut scratch,
                 &mut chunk_kmers,
                 &mut chunk_owners,
@@ -204,12 +201,7 @@ impl HostPipeline {
         let _span = rec.span("host.vote");
         let _wall = trace::span("host.vote");
         Ok(PipelineOutput {
-            reads: vote_reads(
-                reads.len(),
-                &owners,
-                &run.results,
-                self.device.config().host_kernels,
-            ),
+            reads: vote_reads(reads.len(), &owners, &run.results),
             report: run.report,
         })
     }
@@ -286,12 +278,7 @@ impl HostPipeline {
                 let _wall = trace::span("host.device");
                 self.device.run_streamed(&kmers)?
             };
-            all_reads.extend(vote_reads(
-                chunk.len(),
-                &owners,
-                &run.results,
-                self.device.config().host_kernels,
-            ));
+            all_reads.extend(vote_reads(chunk.len(), &owners, &run.results));
             match merged {
                 None => *merged = Some(run.report),
                 Some(m) => m.accumulate(&run.report),
@@ -357,12 +344,7 @@ impl HostPipeline {
                     let _wall = trace::span("host.device");
                     self.device.run_streamed(&kmers)?
                 };
-                all_reads.extend(vote_reads(
-                    chunk.len(),
-                    &owners,
-                    &run.results,
-                    self.device.config().host_kernels,
-                ));
+                all_reads.extend(vote_reads(chunk.len(), &owners, &run.results));
                 match &mut *merged {
                     None => *merged = Some(run.report),
                     Some(m) => m.accumulate(&run.report),
@@ -387,7 +369,6 @@ impl HostPipeline {
         pairs: &[(DnaSequence, DnaSequence)],
     ) -> Result<PipelineOutput, SieveError> {
         let k = self.device.config().k;
-        let kernels = self.device.config().host_kernels;
         let upper: usize = pairs
             .iter()
             .map(|(m1, m2)| (m1.len() + 1).saturating_sub(k) + (m2.len() + 1).saturating_sub(k))
@@ -401,7 +382,6 @@ impl HostPipeline {
                 std::slice::from_ref(m1),
                 ri,
                 k,
-                kernels,
                 &mut scratch,
                 &mut kmers,
                 &mut owners,
@@ -411,7 +391,6 @@ impl HostPipeline {
                 std::slice::from_ref(&rc),
                 ri,
                 k,
-                kernels,
                 &mut scratch,
                 &mut kmers,
                 &mut owners,
@@ -419,44 +398,29 @@ impl HostPipeline {
         }
         let run = self.device.run(&kmers)?;
         Ok(PipelineOutput {
-            reads: vote_reads(pairs.len(), &owners, &run.results, kernels),
+            reads: vote_reads(pairs.len(), &owners, &run.results),
             report: run.report,
         })
     }
 }
 
 /// Appends the k-mers of `reads` — owner tags starting at `first_owner` —
-/// using the selected kernel implementation. The scalar twin is the
-/// rolling per-base iterator ([`DnaSequence::kmers`]); the SWAR twin packs
-/// each read to 2 bits per base and extracts 32-per-`u64`
-/// ([`pack::Extractor`]), reusing `scratch` across the whole slice. Both
-/// produce identical `(kmers, owners)` streams
-/// (`tests/kernel_equivalence.rs`).
+/// through the SWAR extractor: each read is packed to 2 bits per base and
+/// its windows come out 32 per `u64` ([`pack::Extractor`], reusing
+/// `scratch` across the whole slice). The rolling per-base iterator
+/// ([`DnaSequence::kmers`]) is its scalar reference;
+/// `tests/kernel_equivalence.rs` proves the two streams identical.
 fn extract_reads(
     reads: &[DnaSequence],
     first_owner: u32,
     k: usize,
-    kernels: HostKernels,
     scratch: &mut pack::Extractor,
     kmers: &mut Vec<Kmer>,
     owners: &mut Vec<u32>,
 ) {
-    match kernels {
-        HostKernels::Scalar => {
-            for (ri, read) in reads.iter().enumerate() {
-                let owner = first_owner + ri as u32;
-                for (_, kmer) in read.kmers(k) {
-                    kmers.push(kmer);
-                    owners.push(owner);
-                }
-            }
-        }
-        HostKernels::Swar => {
-            for (ri, read) in reads.iter().enumerate() {
-                let n = scratch.extract_forward_into(read, k, kmers);
-                owners.resize(owners.len() + n, first_owner + ri as u32);
-            }
-        }
+    for (ri, read) in reads.iter().enumerate() {
+        let n = scratch.extract_forward_into(read, k, kmers);
+        owners.resize(owners.len() + n, first_owner + ri as u32);
     }
 }
 
@@ -468,26 +432,28 @@ fn extract_reads(
 /// non-decreasing (k-mers are generated read by read), so each read's
 /// responses form one contiguous run: the hit taxa of a run are gathered
 /// into a reused scratch buffer, sorted, and the winner read off the
-/// longest streak — most votes, ties to the lowest taxon id, exactly the
-/// rule the per-read `HashMap` histograms applied, without any per-read
-/// allocation. `kernels` selects between the streak-boundary scan
-/// ([`HostKernels::Scalar`]) and the branchless conditional-move counter
-/// ([`HostKernels::Swar`]); the two are proven identical by
-/// `tests/kernel_equivalence.rs`.
+/// longest streak by the branchless counter `majority_swar` — most
+/// votes, ties to the lowest taxon id, exactly the rule the per-read
+/// `HashMap` histograms applied, without any per-read allocation.
 ///
-/// Public so benches and differential tests can drive the vote kernels
-/// directly; the pipeline calls it with the device's configured kernels.
+/// Public so benches can drive the vote kernel directly.
 ///
 /// # Panics
 ///
 /// Debug builds panic if `owners` and `results` disagree in length or
 /// `owners` is not non-decreasing.
 #[must_use]
-pub fn vote_reads(
+pub fn vote_reads(n_reads: usize, owners: &[u32], results: &[Option<TaxonId>]) -> Vec<ReadResult> {
+    vote_with(n_reads, owners, results, majority_swar)
+}
+
+/// [`vote_reads`] with the streak counter as a parameter, so the twin
+/// tests can run the scalar reference through the same gather.
+fn vote_with(
     n_reads: usize,
     owners: &[u32],
     results: &[Option<TaxonId>],
-    kernels: HostKernels,
+    majority: impl Fn(&[TaxonId]) -> Option<(usize, TaxonId)>,
 ) -> Vec<ReadResult> {
     debug_assert_eq!(owners.len(), results.len());
     debug_assert!(owners.windows(2).all(|w| w[0] <= w[1]));
@@ -502,10 +468,7 @@ pub fn vote_reads(
         scratch.clear();
         scratch.extend(results[start..pos].iter().flatten());
         scratch.sort_unstable();
-        let best = match kernels {
-            HostKernels::Scalar => majority_scalar(&scratch),
-            HostKernels::Swar => majority_swar(&scratch),
-        };
+        let best = majority(&scratch);
         out.push(ReadResult {
             taxon: best.map(|(_, taxon)| taxon),
             hit_kmers: scratch.len(),
@@ -515,8 +478,9 @@ pub fn vote_reads(
     out
 }
 
-/// The scalar majority twin: scan for streak boundaries, compare streak
-/// lengths at each boundary.
+/// The scalar majority reference: scan for streak boundaries, compare
+/// streak lengths at each boundary.
+#[cfg(test)]
 fn majority_scalar(sorted: &[TaxonId]) -> Option<(usize, TaxonId)> {
     let mut best: Option<(usize, TaxonId)> = None;
     let mut run_start = 0usize;
@@ -534,11 +498,11 @@ fn majority_scalar(sorted: &[TaxonId]) -> Option<(usize, TaxonId)> {
     best
 }
 
-/// The branchless majority twin: every element updates a run counter and
-/// the running best through conditional moves — no streak-boundary branch
-/// for the predictor to miss on hit-dense reads. Ties still resolve to
-/// the lowest taxon: runs arrive in ascending order and only a strictly
-/// longer run displaces the best.
+/// The branchless majority counter: every element updates a run counter
+/// and the running best through conditional moves — no streak-boundary
+/// branch for the predictor to miss on hit-dense reads. Ties still
+/// resolve to the lowest taxon: runs arrive in ascending order and only a
+/// strictly longer run displaces the best.
 fn majority_swar(sorted: &[TaxonId]) -> Option<(usize, TaxonId)> {
     let first = *sorted.first()?;
     let mut prev = first;
@@ -560,6 +524,7 @@ fn majority_swar(sorted: &[TaxonId]) -> Option<(usize, TaxonId)> {
 mod tests {
     use super::*;
     use crate::config::SieveConfig;
+    use proptest::prelude::*;
     use sieve_dram::Geometry;
     use sieve_genomics::synth;
 
@@ -721,5 +686,76 @@ mod tests {
         let out = host.classify_reads(&reads).unwrap();
         assert!(out.report.queries > 0);
         assert!(out.report.makespan_ps > 0);
+    }
+
+    /// Builds a non-decreasing `owners` run plus per-k-mer outcomes from a
+    /// seed: taxon ids are drawn from a small range so ties are common.
+    fn vote_inputs(n_reads: usize, seed: u64) -> (Vec<u32>, Vec<Option<TaxonId>>) {
+        let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(7);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut owners = Vec::new();
+        let mut results = Vec::new();
+        for ri in 0..n_reads {
+            for _ in 0..(next() % 7) {
+                owners.push(ri as u32);
+                let r = next();
+                results.push((r % 3 != 0).then_some(TaxonId((r >> 8) as u32 % 5)));
+            }
+        }
+        (owners, results)
+    }
+
+    #[test]
+    fn vote_twins_agree_over_seeded_runs() {
+        for seed in 0..200u64 {
+            let n_reads = (seed as usize % 9) + 1;
+            let (owners, results) = vote_inputs(n_reads, seed);
+            assert_eq!(
+                vote_with(n_reads, &owners, &results, majority_scalar),
+                vote_reads(n_reads, &owners, &results),
+                "vote diverged at seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn vote_ties_resolve_to_lowest_taxon_in_both_kernels() {
+        // Two-way tie (2 vs 1): both counters must pick taxon 1, and a
+        // read with no hits must stay unclassified.
+        let owners = vec![0, 0, 0, 0, 1];
+        let results = vec![
+            Some(TaxonId(2)),
+            Some(TaxonId(1)),
+            Some(TaxonId(2)),
+            Some(TaxonId(1)),
+            None,
+        ];
+        for majority in [majority_scalar, majority_swar] {
+            let out = vote_with(2, &owners, &results, majority);
+            assert_eq!(out[0].taxon, Some(TaxonId(1)));
+            assert_eq!(out[0].hit_kmers, 4);
+            assert_eq!(out[0].total_kmers, 4);
+            assert_eq!(out[1].taxon, None);
+            assert_eq!(out[1].total_kmers, 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Random vote inputs: run lengths, misses, and heavy taxon ties.
+        #[test]
+        fn prop_vote_twins_agree(n_reads in 1usize..12, seed in any::<u64>()) {
+            let (owners, results) = vote_inputs(n_reads, seed);
+            prop_assert_eq!(
+                vote_with(n_reads, &owners, &results, majority_scalar),
+                vote_reads(n_reads, &owners, &results)
+            );
+        }
     }
 }

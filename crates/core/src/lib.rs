@@ -83,7 +83,7 @@ pub mod xcheck;
 
 pub use api::SieveApi;
 pub use cluster::{ClusterRun, SieveCluster};
-pub use config::{DeviceKind, HostKernels, SieveConfig, SortPolicy};
+pub use config::{DeviceKind, SieveConfig};
 pub use device::{RunOutput, SieveDevice};
 pub use error::SieveError;
 pub use host::{vote_reads, HostPipeline, PipelineOutput, ReadResult};

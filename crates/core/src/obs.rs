@@ -55,10 +55,10 @@ const MAX_SPANS: usize = 32;
 
 /// Identifiers of the built-in pipeline counters. Most are **model
 /// metrics**: deterministic functions of the workload. The exceptions —
-/// [`Self::StealTasks`] (scheduling events) and
-/// [`Self::SortPassesRun`] / [`Self::SortPassesSkipped`] (host sort
-/// implementation detail, varies with the sort policy) — carry the
-/// `wall.` prefix so [`MetricsSnapshot::deterministic`] drops them.
+/// the sort counters ([`Self::SortPassesRun`], [`Self::SortPassesSkipped`],
+/// [`Self::SortNarrowSegments`]: host sort implementation details) —
+/// carry the `wall.` prefix so [`MetricsSnapshot::deterministic`] drops
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterId {
     /// Chunks processed by `classify_stream`.
@@ -91,17 +91,11 @@ pub enum CounterId {
     CacheMisses,
     /// Entries inserted into the hot-k-mer cache.
     CacheInserts,
-    /// Work items a fused-match or bucket-sort worker stole from another
-    /// worker's queue stripe. A **wall metric**: which worker runs a task
-    /// is scheduling-dependent, so the count varies run to run (the work
-    /// itself, and thus every model metric, does not).
-    StealTasks,
     /// Counting passes the radix sort pipeline executed: the global MSD
     /// pass plus every bucket-local LSD pass (segments that take the
     /// comparison cutover contribute none). A **wall metric**: the count
-    /// is a host-implementation detail that depends on the sort policy
-    /// (the comparison path runs zero passes) while the sorted output —
-    /// and every model metric — is identical across policies.
+    /// is a host-implementation detail of how the batch was sorted, not
+    /// of what the device modeled.
     SortPassesRun,
     /// Radix passes dropped by planning because their digit window was
     /// constant — across the whole batch, or across one bucket segment
@@ -109,21 +103,15 @@ pub enum CounterId {
     /// the identity). A **wall metric**, paired with
     /// [`Self::SortPassesRun`].
     SortPassesSkipped,
-    /// Bucket segments the local sort executed on narrowed 8-byte pairs
-    /// (the segment's replanned diff window fit 32 bits, or the whole
-    /// batch was narrowed globally). A **wall metric**: narrowing is a
-    /// host-layout detail behind the `sort_narrow` knob; sorted output
-    /// and every model metric are identical either way.
+    /// Bucket segments the local sort executed on tie-ranked 8-byte
+    /// pairs. A **wall metric**: narrowing is a host-layout detail;
+    /// sorted output and every model metric are identical either way.
     SortNarrowSegments,
-    /// Bucket segments the local sort executed on full-width 12-byte
-    /// pairs. A **wall metric**, paired with
-    /// [`Self::SortNarrowSegments`].
-    SortWideSegments,
 }
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [Self; 19] = [
+    pub const ALL: [Self; 17] = [
         Self::HostChunks,
         Self::HostReads,
         Self::HostKmers,
@@ -138,11 +126,9 @@ impl CounterId {
         Self::CacheHits,
         Self::CacheMisses,
         Self::CacheInserts,
-        Self::StealTasks,
         Self::SortPassesRun,
         Self::SortPassesSkipped,
         Self::SortNarrowSegments,
-        Self::SortWideSegments,
     ];
 
     /// Snapshot/Prometheus name.
@@ -163,11 +149,9 @@ impl CounterId {
             Self::CacheHits => "cache_hits",
             Self::CacheMisses => "cache_misses",
             Self::CacheInserts => "cache_inserts",
-            Self::StealTasks => "wall.steal_tasks",
             Self::SortPassesRun => "wall.sort_passes_run",
             Self::SortPassesSkipped => "wall.sort_passes_skipped",
             Self::SortNarrowSegments => "wall.sort_narrow_segments",
-            Self::SortWideSegments => "wall.sort_wide_segments",
         }
     }
 }
@@ -737,7 +721,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The deterministic subset: drops the wall-clock (`wall.*`) entries
-    /// — span histograms and scheduling counters like `wall.steal_tasks`
+    /// — span histograms and host counters like `wall.sort_passes_run`
     /// — leaving only model metrics, the part that is bit-identical
     /// across simulator thread counts.
     #[must_use]
@@ -840,7 +824,7 @@ impl MetricsSnapshot {
         }
         let mut s = String::new();
         for (name, value) in &self.counters {
-            // Counter names can carry dots too (`wall.steal_tasks`).
+            // Counter names can carry dots too (`wall.sort_passes_run`).
             let name = sanitize(name);
             s.push_str(&format!(
                 "# TYPE sieve_{name} counter\nsieve_{name} {value}\n"
@@ -1030,16 +1014,16 @@ mod tests {
         {
             let _s = r.span("match");
         }
-        r.add(CounterId::StealTasks, 2);
+        r.add(CounterId::SortPassesRun, 2);
         let snap = r.snapshot();
         assert!(snap.histogram("wall.match.ns").is_some());
-        assert_eq!(snap.counter("wall.steal_tasks"), 2);
+        assert_eq!(snap.counter("wall.sort_passes_run"), 2);
         let det = snap.deterministic();
         assert!(det.histogram("wall.match.ns").is_none());
         assert!(det.histogram("etm_rows_activated").is_some());
-        // Scheduling counters are wall metrics: dropped with the spans.
+        // Host counters are wall metrics: dropped with the spans.
         assert!(!det.counters.iter().any(|(n, _)| n.starts_with("wall.")));
-        assert_eq!(det.counter("wall.steal_tasks"), 0);
+        assert_eq!(det.counter("wall.sort_passes_run"), 0);
         let model: Vec<_> = snap
             .counters
             .iter()

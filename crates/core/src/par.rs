@@ -32,29 +32,25 @@ pub(crate) fn host_parallelism() -> usize {
     *CACHED.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// A mutex-striped work queue for the fused match phase and the bucket
-/// sorts: one stripe per worker, filled completely *before* any worker
-/// starts (so an empty pop means "done", never "wait"). A worker pops the
-/// front of its own stripe; once that runs dry and stealing is enabled it
-/// pops the *back* of the other stripes, so a worker that finishes its
-/// owned run early drains the heaviest remainder of a loaded neighbour
-/// instead of idling.
+/// A mutex-striped work queue for the bucket sorts: one stripe per
+/// worker, filled completely *before* any worker starts (so an empty pop
+/// means "done", never "wait"). A worker pops the front of its own
+/// stripe; once that runs dry it pops the *back* of the other stripes, so
+/// a worker that finishes its owned run early drains the heaviest
+/// remainder of a loaded neighbour instead of idling.
 ///
 /// Determinism: the queue only changes *which worker* executes an item,
-/// never the item set; every consumer collects outcomes keyed by task id
-/// (or sorts disjoint slices in place), so output is identical with
-/// stealing on or off, for any interleaving.
+/// never the item set; the consumer sorts disjoint slices in place, so
+/// output is identical for any interleaving.
 pub(crate) struct StealQueue<T> {
     stripes: Vec<Mutex<VecDeque<T>>>,
-    steal: bool,
 }
 
 impl<T> StealQueue<T> {
-    pub(crate) fn new(workers: usize, steal: bool) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         Self {
             stripes: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            steal,
         }
     }
 
@@ -68,25 +64,21 @@ impl<T> StealQueue<T> {
             .push_back(item);
     }
 
-    /// Next item for `worker`; the flag reports whether it was stolen
-    /// from another stripe. `None` means every reachable stripe is empty
-    /// and the worker can exit — with stealing off only the worker's own
-    /// stripe is reachable.
-    pub(crate) fn pop(&self, worker: usize) -> Option<(T, bool)> {
+    /// Next item for `worker`: the front of its own stripe, else the back
+    /// of the first non-empty other stripe. `None` means every stripe is
+    /// empty and the worker can exit.
+    pub(crate) fn pop(&self, worker: usize) -> Option<T> {
         let stripes = self.stripes.len();
         let own = worker % stripes;
         if let Some(item) = self.stripes[own].lock().expect("stripe lock").pop_front() {
-            return Some((item, false));
+            return Some(item);
         }
-        if self.steal {
-            for delta in 1..stripes {
-                let victim = (own + delta) % stripes;
-                if let Some(item) = self.stripes[victim].lock().expect("stripe lock").pop_back() {
-                    return Some((item, true));
-                }
-            }
-        }
-        None
+        (1..stripes).find_map(|delta| {
+            self.stripes[(own + delta) % stripes]
+                .lock()
+                .expect("stripe lock")
+                .pop_back()
+        })
     }
 }
 
@@ -250,48 +242,37 @@ mod tests {
     #[test]
     fn steal_queue_drains_every_item_exactly_once() {
         for workers in [1usize, 2, 4, 8] {
-            for steal in [false, true] {
-                let mut queue = StealQueue::new(workers, steal);
-                for item in 0..37u32 {
-                    queue.push(item as usize % workers, item);
-                }
-                let mut seen: Vec<u32> = Vec::new();
-                for w in 0..workers {
-                    while let Some((item, _stolen)) = queue.pop(w) {
-                        seen.push(item);
-                    }
-                }
-                seen.sort_unstable();
-                assert_eq!(
-                    seen,
-                    (0..37).collect::<Vec<u32>>(),
-                    "workers={workers} steal={steal}"
-                );
+            let mut queue = StealQueue::new(workers);
+            for item in 0..37u32 {
+                queue.push(item as usize % workers, item);
             }
+            let mut seen: Vec<u32> = Vec::new();
+            for w in 0..workers {
+                while let Some(item) = queue.pop(w) {
+                    seen.push(item);
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..37).collect::<Vec<u32>>(), "workers={workers}");
         }
     }
 
     #[test]
-    fn steal_queue_steals_from_the_back_only_when_enabled() {
-        // Worker 1's stripe is empty; with stealing on it takes worker
-        // 0's back item, with stealing off it sees an empty queue.
-        let mut stealing = StealQueue::new(2, true);
+    fn steal_queue_steals_from_the_back() {
+        // Worker 1's stripe is empty, so it takes worker 0's back item
+        // while worker 0 keeps popping its own front.
+        let mut queue = StealQueue::new(2);
         for item in [10u32, 20, 30] {
-            stealing.push(0, item);
+            queue.push(0, item);
         }
-        assert_eq!(stealing.pop(1), Some((30, true)));
-        assert_eq!(stealing.pop(0), Some((10, false)));
-
-        let mut pinned = StealQueue::new(2, false);
-        pinned.push(0, 1u32);
-        assert_eq!(pinned.pop(1), None);
-        assert_eq!(pinned.pop(0), Some((1, false)));
+        assert_eq!(queue.pop(1), Some(30));
+        assert_eq!(queue.pop(0), Some(10));
     }
 
     #[test]
     fn steal_queue_drains_under_concurrent_workers() {
         let workers = 4usize;
-        let mut queue = StealQueue::new(workers, true);
+        let mut queue = StealQueue::new(workers);
         // Forced imbalance: every item lands on stripe 0.
         for item in 0..500u32 {
             queue.push(0, item);
@@ -302,7 +283,7 @@ mod tests {
             for w in 0..workers {
                 let sum = &sum;
                 scope.spawn(move || {
-                    while let Some((item, _)) = queue.pop(w) {
+                    while let Some(item) = queue.pop(w) {
                         sum.fetch_add(u64::from(item), std::sync::atomic::Ordering::Relaxed);
                     }
                 });

@@ -18,18 +18,17 @@
 //! matter how many workers execute it — and from deterministic stream
 //! lengths elsewhere (k-mers extracted, hits produced, transfer sizes).
 //! The contract mirrors the rest of the obs surface: for a fixed
-//! workload, sort policy, and kernel selection, a [`ProfSnapshot`] is
-//! **bit-identical across thread counts** (`tests/prof_determinism.rs`).
+//! workload, a [`ProfSnapshot`] is **bit-identical across thread counts**
+//! (`tests/prof_determinism.rs`).
 //! Parallel execution may *physically* move more bytes (the owned-run
 //! scatter re-scans the source once per worker); the model charges the
 //! canonical sequential traffic, so redundant re-scans show up where they
 //! belong — as a lower achieved-GB/s on the same byte count — rather
 //! than as phantom workload growth. Unlike the deterministic obs
-//! metrics, prof counters *do* vary with the sort policy (the comparison
-//! path runs zero counting passes and is charged zero bytes, because a
-//! comparison sort's traffic is data- and allocator-dependent); that is
-//! why they live here and not in [`crate::obs::CounterId`], whose
-//! snapshots are compared across policies.
+//! metrics, prof counters describe *how* the host sorted, not what the
+//! device modeled: a batch or segment the planner hands to the comparison
+//! sort is charged zero sort bytes, because a comparison sort's traffic is
+//! data- and allocator-dependent.
 //!
 //! The global table is recorded into only while the [`crate::obs`]
 //! recorder or the [`crate::trace`] tracer is enabled (the disabled fast
@@ -68,13 +67,10 @@ pub enum Phase {
     SortScatter,
     /// Write-combining drain of partially filled staging buffers.
     SortFlush,
-    /// Bucket-local LSD passes (per-pass count scan + scatter scan +
-    /// odd-plan pre-copy; narrowed segments charge their fused
-    /// repack/emit forms — see `radix::seg_traffic`).
+    /// Bucket-local passes on tie-ranked 8-byte records (the fused count
+    /// scan, repack, narrow passes, rank gather and fixup — see
+    /// `radix::seg_traffic`).
     SortLocal,
-    /// Whole-batch narrowing of the global narrow path: the up-front
-    /// 12 B → 8 B repack scan plus the 8 B → 12 B widen scan.
-    SortNarrow,
     /// Read → k-mer extraction on the host.
     HostExtract,
     /// Match-phase k-mer stream into the device model and hit stream out.
@@ -87,12 +83,11 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in snapshot order.
-    pub const ALL: [Self; 9] = [
+    pub const ALL: [Self; 8] = [
         Self::SortHist,
         Self::SortScatter,
         Self::SortFlush,
         Self::SortLocal,
-        Self::SortNarrow,
         Self::HostExtract,
         Self::DeviceMatch,
         Self::DeviceReduce,
@@ -108,7 +103,6 @@ impl Phase {
             Self::SortScatter => "sort.scatter",
             Self::SortFlush => "sort.flush",
             Self::SortLocal => "sort.local",
-            Self::SortNarrow => "sort.narrow",
             Self::HostExtract => "host.extract",
             Self::DeviceMatch => "device.match",
             Self::DeviceReduce => "device.reduce",
@@ -124,7 +118,6 @@ impl Phase {
             Self::SortScatter => "prof.sort.scatter.bytes",
             Self::SortFlush => "prof.sort.flush.bytes",
             Self::SortLocal => "prof.sort.local.bytes",
-            Self::SortNarrow => "prof.sort.narrow.bytes",
             Self::HostExtract => "prof.host.extract.bytes",
             Self::DeviceMatch => "prof.device.match.bytes",
             Self::DeviceReduce => "prof.device.reduce.bytes",
@@ -287,12 +280,6 @@ pub struct Calibration {
     pub copy_gbps: f64,
     /// Sustained 1-core radix-scatter bandwidth, GB/s (read + write).
     pub scatter_gbps: f64,
-    /// Sustained 1-core radix-scatter bandwidth on 8-byte elements, GB/s
-    /// (read + write). Narrowed passes move smaller records, so more of
-    /// them fit per cache line and the write-combining buffers turn over
-    /// slower — a measurably different ceiling. `None` on schema-v1
-    /// machine files; narrowed phases then fall back to `scatter_gbps`.
-    pub scatter8_gbps: Option<f64>,
 }
 
 /// Achieved-vs-peak threshold above which a phase is classified
@@ -334,10 +321,8 @@ pub struct RooflineRow {
 /// calibration into roofline rows, one per phase with any traffic.
 ///
 /// The scatter-shaped phases (`sort.scatter`, `sort.flush`) are judged
-/// against [`Calibration::scatter_gbps`] — or, when the phase's traffic
-/// shows ≤ 8 bytes moved per item (a globally narrowed batch) and the
-/// machine file carries it, against [`Calibration::scatter8_gbps`];
-/// every other host phase against [`Calibration::copy_gbps`]; the
+/// against [`Calibration::scatter_gbps`], every other host phase against
+/// [`Calibration::copy_gbps`]; the
 /// simulated PCIe transfer gets no peak (its "wall" is model time, so a
 /// host ceiling would be meaningless).
 #[must_use]
@@ -363,22 +348,7 @@ pub fn roofline_rows(
         };
         let peak_gbps = match (phase, cal) {
             (Phase::PcieTransfer, _) | (_, None) => 0.0,
-            (Phase::SortScatter | Phase::SortFlush, Some(c)) => {
-                // Infer the element width from the charged traffic: a
-                // scatter pass reads and writes each record once, so
-                // bytes-per-side / items is the record size. Narrowed
-                // batches (≤ 8 B) get the 8-byte ceiling when calibrated.
-                let width = t
-                    .bytes_read
-                    .max(t.bytes_written)
-                    .checked_div(t.items)
-                    .unwrap_or(u64::MAX);
-                if width <= 8 {
-                    c.scatter8_gbps.unwrap_or(c.scatter_gbps)
-                } else {
-                    c.scatter_gbps
-                }
-            }
+            (Phase::SortScatter | Phase::SortFlush, Some(c)) => c.scatter_gbps,
             (_, Some(c)) => c.copy_gbps,
         };
         #[allow(clippy::cast_precision_loss)]
@@ -462,7 +432,6 @@ mod tests {
             version: 1,
             copy_gbps: 8.0,
             scatter_gbps: 2.0,
-            scatter8_gbps: None,
         };
         // 16 MB over 8 ms = 2 GB/s = 100% of the scatter peak.
         let prof = snap_with(
@@ -491,48 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn narrow_scatter_rows_use_the_eight_byte_ceiling() {
-        let cal = Calibration {
-            version: 2,
-            copy_gbps: 8.0,
-            scatter_gbps: 2.0,
-            scatter8_gbps: Some(3.0),
-        };
-        // 8 B/item each way: a globally narrowed scatter pass.
-        let narrow = snap_with(
-            Phase::SortScatter,
-            Traffic {
-                bytes_read: 8_000_000,
-                bytes_written: 8_000_000,
-                items: 1_000_000,
-            },
-        );
-        let metrics = wall("wall.sort.scatter.ns", 8_000_000);
-        let rows = roofline_rows(&narrow, &metrics, Some(&cal));
-        assert!((rows[0].peak_gbps - 3.0).abs() < 1e-9);
-
-        // 12 B/item: the wide path keeps the 12-byte ceiling.
-        let wide = snap_with(
-            Phase::SortScatter,
-            Traffic {
-                bytes_read: 12_000_000,
-                bytes_written: 12_000_000,
-                items: 1_000_000,
-            },
-        );
-        let rows = roofline_rows(&wide, &metrics, Some(&cal));
-        assert!((rows[0].peak_gbps - 2.0).abs() < 1e-9);
-
-        // Schema-v1 files (no 8-byte probe) fall back to scatter_gbps.
-        let v1 = Calibration {
-            scatter8_gbps: None,
-            ..cal
-        };
-        let rows = roofline_rows(&narrow, &metrics, Some(&v1));
-        assert!((rows[0].peak_gbps - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn phases_without_calibration_or_wall_are_not_classified() {
         let prof = snap_with(
             Phase::SortHist,
@@ -551,7 +478,6 @@ mod tests {
             version: 1,
             copy_gbps: 8.0,
             scatter_gbps: 2.0,
-            scatter8_gbps: None,
         };
         let rows = roofline_rows(&prof, &wall("wall.other.ns", 5), Some(&cal));
         assert_eq!(rows[0].wall_ns, 0);

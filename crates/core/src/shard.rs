@@ -4,7 +4,7 @@
 //! sorted-partition routing the index table performs in hardware — so
 //! that each shard can be matched and its timeline accounted
 //! independently on a worker thread. Planning is near-linear: the
-//! multi-pass LSD radix pipeline ([`crate::radix`]) fully orders the
+//! radix pipeline ([`crate::radix`]) fully orders the
 //! `(k-mer bits, id)` pairs (skipping constant digit windows, staging
 //! scatters through write-combining buffers), then routing is a handful
 //! of binary searches of the sorted sequence against the index's
@@ -13,21 +13,10 @@
 //! *tasks* so a handful of fat shards cannot cap parallelism: each task
 //! restarts its own forward-only merge cursor at the split boundary.
 //!
-//! [`ShardPlan::rebuild_tasks`] is the fused-pipeline variant: the same
-//! sort and routing, but the batch is then carved into sealed per-task
-//! slices of the sorted array that stream straight into the match
-//! workers — no boundary re-scans, no per-shard copies. (Earlier
-//! revisions deferred per-bucket comparison sorts into the match tasks
-//! to hide their cost; the LSD pipeline removed the per-bucket sorts
-//! entirely, so the fused path is now just `rebuild` + zero-copy task
-//! sealing.) The plan, the sorted array, and the task sequence are
-//! bit-identical between the two entry points.
-//!
 //! The reduce step scatters per-query results back by id and merges
 //! per-subarray resource loads with integer sums, so the run's output is
 //! bit-identical for every thread count.
 
-use crate::config::SortPolicy;
 use crate::index::SubarrayIndex;
 use crate::obs;
 use crate::radix;
@@ -72,15 +61,12 @@ impl ShardPlan {
     /// count/staging tables, both owned by the caller's scratch arena.
     /// `diff` optionally carries the batch's precomputed OR-fold of
     /// `key ^ first_key` (see [`radix::sort_pairs`]) so the sort can
-    /// skip its own scan over the keys; `policy` selects the sort
-    /// pipeline and `narrow` allows it to repack pairs to 8-byte records
-    /// where a diff window fits 32 bits.
+    /// skip its own scan over the keys.
     ///
     /// The sort is stable on k-mer bits whenever ids are assigned in
     /// input order, and the boundary searches are pure functions of the
     /// sorted sequence, so the plan is identical for every `threads`
-    /// value, every `policy`, and either `narrow` setting.
-    #[allow(clippy::too_many_arguments)]
+    /// value.
     pub fn rebuild(
         &mut self,
         index: &SubarrayIndex,
@@ -89,8 +75,6 @@ impl ShardPlan {
         sort: &mut radix::SortScratch,
         threads: usize,
         diff: Option<u64>,
-        policy: SortPolicy,
-        narrow: bool,
     ) {
         self.starts.clear();
         self.subarrays.clear();
@@ -106,7 +90,7 @@ impl ShardPlan {
         {
             let _span = obs::span("shard.sort");
             let _wall = trace::span("shard.sort");
-            radix::sort_pairs(pairs, pairs_scratch, sort, threads, diff, policy, narrow);
+            radix::sort_pairs(pairs, pairs_scratch, sort, threads, diff);
         }
         {
             let _span = obs::span("shard.route");
@@ -114,46 +98,6 @@ impl ShardPlan {
             self.route(index, pairs);
         }
         self.emit_trace();
-    }
-
-    /// [`Self::rebuild`] fused with task dispatch: the identical sort and
-    /// plan, plus the sorted array carved into sealed per-task slices
-    /// that stream straight into the match workers — zero copies, the
-    /// borrow pinning `pairs` until every task is dropped.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rebuild_tasks<'data>(
-        &mut self,
-        index: &SubarrayIndex,
-        pairs: &'data mut Vec<radix::Pair>,
-        pairs_scratch: &mut Vec<radix::Pair>,
-        sort: &mut radix::SortScratch,
-        threads: usize,
-        diff: Option<u64>,
-        policy: SortPolicy,
-        narrow: bool,
-    ) -> Vec<SealedTask<'data>> {
-        self.rebuild(
-            index,
-            pairs,
-            pairs_scratch,
-            sort,
-            threads,
-            diff,
-            policy,
-            narrow,
-        );
-
-        // Shards tile `[0, n)` and tasks tile each shard in order, so the
-        // sealed slices are disjoint and cover the array exactly.
-        self.tasks
-            .iter()
-            .enumerate()
-            .map(|(idx, &(s, t_lo, t_hi))| SealedTask {
-                idx,
-                subarray: self.subarrays[s as usize] as usize,
-                pairs: &pairs[t_lo as usize..t_hi as usize],
-            })
-            .collect()
     }
 
     /// Routes the sorted pair array by boundary: subarray d's shard is
@@ -264,17 +208,6 @@ impl ShardPlan {
     }
 }
 
-/// One sealed match task: a disjoint slice of the sorted pair array,
-/// pinned by task id for the deterministic reduce.
-pub(crate) struct SealedTask<'data> {
-    /// Task id (plan order).
-    pub idx: usize,
-    /// Destination subarray.
-    pub subarray: usize,
-    /// The task's slice of the sorted array, ready to match.
-    pub pairs: &'data [radix::Pair],
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,16 +233,7 @@ mod tests {
         let mut pairs = make_pairs(queries);
         let mut scratch = Vec::new();
         let mut sort = radix::SortScratch::default();
-        plan.rebuild(
-            index,
-            &mut pairs,
-            &mut scratch,
-            &mut sort,
-            threads,
-            None,
-            SortPolicy::Adaptive,
-            true,
-        );
+        plan.rebuild(index, &mut pairs, &mut scratch, &mut sort, threads, None);
         (plan, pairs)
     }
 
@@ -332,32 +256,6 @@ mod tests {
             assert_eq!(plan.starts, base.starts);
             assert_eq!(plan.subarrays, base.subarrays);
             assert_eq!(plan.tasks, base.tasks);
-        }
-    }
-
-    #[test]
-    fn plan_is_sort_policy_independent() {
-        let (index, queries) = plan_inputs();
-        let (base, base_pairs) = build(&index, &queries, 2);
-        for policy in [SortPolicy::Lsd, SortPolicy::Comparison] {
-            let mut plan = ShardPlan::empty();
-            let mut pairs = make_pairs(&queries);
-            let mut scratch = Vec::new();
-            let mut sort = radix::SortScratch::default();
-            plan.rebuild(
-                &index,
-                &mut pairs,
-                &mut scratch,
-                &mut sort,
-                2,
-                None,
-                policy,
-                true,
-            );
-            assert_eq!(pairs, base_pairs, "{policy:?}");
-            assert_eq!(plan.starts, base.starts, "{policy:?}");
-            assert_eq!(plan.subarrays, base.subarrays, "{policy:?}");
-            assert_eq!(plan.tasks, base.tasks, "{policy:?}");
         }
     }
 
@@ -447,106 +345,5 @@ mod tests {
         assert_eq!(plan.subarray_span(), 0);
         assert_eq!(plan.task_count(), 0);
         assert_eq!(ShardPlan::empty().shard_count(), 0);
-    }
-
-    #[test]
-    fn fused_tasks_match_rebuild() {
-        let (index, queries) = plan_inputs();
-        // Cover the LSD path (big), the adaptive comparison path (small),
-        // and a duplicate-heavy batch in one sweep.
-        let mut big: Vec<Kmer> = Vec::new();
-        while big.len() < 3 * TASK_TARGET {
-            big.extend_from_slice(&queries);
-        }
-        let small: Vec<Kmer> = queries.iter().take(100).copied().collect();
-        let dups: Vec<Kmer> = vec![queries[3]; 5_000];
-        for (name, batch) in [("big", &big), ("small", &small), ("dups", &dups)] {
-            for threads in [1usize, 4] {
-                let (want_plan, want_pairs) = build(&index, batch, threads);
-                let mut plan = ShardPlan::empty();
-                let mut pairs = make_pairs(batch);
-                let mut scratch = Vec::new();
-                let mut sort = radix::SortScratch::default();
-                let tasks = plan.rebuild_tasks(
-                    &index,
-                    &mut pairs,
-                    &mut scratch,
-                    &mut sort,
-                    threads,
-                    None,
-                    SortPolicy::Adaptive,
-                    true,
-                );
-                assert_eq!(plan.starts, want_plan.starts, "{name}");
-                assert_eq!(plan.subarrays, want_plan.subarrays, "{name}");
-                assert_eq!(plan.tasks, want_plan.tasks, "{name}");
-                // Every task slice is present, in order, at its plan
-                // offset, already sorted.
-                assert_eq!(tasks.len(), plan.task_count(), "{name}");
-                for (i, task) in tasks.into_iter().enumerate() {
-                    assert_eq!(task.idx, i);
-                    let (want_sub, range) = plan.task(i);
-                    assert_eq!(task.subarray, want_sub, "{name} task {i}");
-                    assert_eq!(
-                        task.pairs, &want_pairs[range],
-                        "{name} threads={threads} task {i}"
-                    );
-                }
-                assert_eq!(pairs, want_pairs, "{name} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_tasks_empty_batch_seals_nothing() {
-        let (index, _) = plan_inputs();
-        let mut plan = ShardPlan::empty();
-        let mut pairs = Vec::new();
-        let mut scratch = Vec::new();
-        let mut sort = radix::SortScratch::default();
-        let tasks = plan.rebuild_tasks(
-            &index,
-            &mut pairs,
-            &mut scratch,
-            &mut sort,
-            2,
-            None,
-            SortPolicy::Adaptive,
-            true,
-        );
-        assert!(tasks.is_empty());
-        assert_eq!(plan.shard_count(), 0);
-    }
-
-    /// A forced-imbalance batch — thousands of copies of a handful of
-    /// keys, so a few giant buckets dwarf the rest — must still seal
-    /// tasks identical to the `rebuild` array (the degenerate shape that
-    /// used to stress the boundary-bucket machinery).
-    #[test]
-    fn fused_tasks_survive_one_giant_bucket() {
-        let (index, queries) = plan_inputs();
-        let mut batch: Vec<Kmer> = vec![queries[7]; 4 * TASK_TARGET];
-        batch.extend(queries.iter().take(50).copied());
-        let (want_plan, want_pairs) = build(&index, &batch, 4);
-        let mut plan = ShardPlan::empty();
-        let mut pairs = make_pairs(&batch);
-        let mut scratch = Vec::new();
-        let mut sort = radix::SortScratch::default();
-        let tasks = plan.rebuild_tasks(
-            &index,
-            &mut pairs,
-            &mut scratch,
-            &mut sort,
-            4,
-            None,
-            SortPolicy::Adaptive,
-            true,
-        );
-        assert_eq!(plan.tasks, want_plan.tasks);
-        for task in tasks {
-            let (_, range) = plan.task(task.idx);
-            assert_eq!(task.pairs, &want_pairs[range]);
-        }
-        assert_eq!(pairs, want_pairs);
     }
 }

@@ -2,30 +2,24 @@
 //!
 //! [`crate::radix`] is deliberately private — nothing outside the planner
 //! should depend on its layout — but the `plan_sort` criterion group
-//! needs to drive the exact production sort (policies, scratch reuse,
-//! thread fan-out) in isolation. This hidden module is that seam: a
-//! harness owning the pipeline's buffers, refilled from a master copy
-//! each iteration so every measurement sorts the same input with warm
+//! needs to drive the exact production sort (scratch reuse, thread
+//! fan-out) in isolation. This hidden module is that seam: a harness
+//! owning the pipeline's buffers, refilled from a master copy each
+//! iteration so every measurement sorts the same input with warm
 //! capacities, exactly like a steady-state device run. Not a public API;
 //! hidden from docs and exempt from stability.
 
-use crate::config::SortPolicy;
 use crate::prof;
 use crate::radix;
 
-/// Analytic traffic prediction for a sort of `keys` under `policy` with
-/// the `narrow` knob — [`crate::radix`]'s planner decisions replayed over
-/// the raw key stream, returning the `(phase, traffic)` charges the
-/// executed sort must report to [`crate::prof`] (order: hist, scatter,
-/// flush, local, narrow — element-width-aware throughout). The
+/// Analytic traffic prediction for a sort of `keys` — [`crate::radix`]'s
+/// planner decisions replayed over the raw key stream, returning the
+/// `(phase, traffic)` charges the executed sort must report to
+/// [`crate::prof`] (order: hist, scatter, flush, local). The
 /// differential seam for `tests/prof_traffic.rs`.
 #[must_use]
-pub fn predict_traffic(
-    keys: &[u64],
-    policy: SortPolicy,
-    narrow: bool,
-) -> [(prof::Phase, prof::Traffic); 5] {
-    radix::predict_traffic(keys, policy, narrow)
+pub fn predict_traffic(keys: &[u64]) -> [(prof::Phase, prof::Traffic); 4] {
+    radix::predict_traffic(keys)
 }
 
 /// Owns one sort's input and scratch buffers across bench iterations.
@@ -55,11 +49,11 @@ impl SortHarness {
         }
     }
 
-    /// Refills the input from the master copy and sorts it under
-    /// `policy` with the given `threads` and `narrow` knobs. Returns a
-    /// fold of the sorted order (so the optimizer cannot discard the
-    /// work; callers can also assert it across policies).
-    pub fn run(&mut self, policy: SortPolicy, threads: usize, narrow: bool) -> u64 {
+    /// Refills the input from the master copy and sorts it with the
+    /// given `threads` knob. Returns a fold of the sorted order (so the
+    /// optimizer cannot discard the work; callers can also assert it
+    /// against a reference sort).
+    pub fn run(&mut self, threads: usize) -> u64 {
         self.pairs.clear();
         self.pairs.extend_from_slice(&self.master);
         radix::sort_pairs(
@@ -68,8 +62,6 @@ impl SortHarness {
             &mut self.sort,
             threads,
             None,
-            policy,
-            narrow,
         );
         self.pairs.iter().enumerate().fold(0u64, |acc, (i, p)| {
             acc.wrapping_mul(0x100_0000_01B3)

@@ -25,7 +25,7 @@
 #     never oversubscribed; baselines predating the span are skipped.
 #   * local sort wall time — the same per-read gate on wall.sort.local.ns
 #     alone (CHECK_MAX_LOCAL_PCT, default 15%): the bucket-local passes
-#     are where the pair-narrowing traffic diet lands, and a whole-sort
+#     are where the tie-ranked narrow segments run, and a whole-sort
 #     gate could hide a local-pass regression behind a histogram or
 #     scatter win. Baselines predating the narrowed pipeline are
 #     skipped. Unlike the whole-sort number, per-read local cost is
@@ -112,16 +112,6 @@ field_1t_compat() {
     fi
     echo "$v"
 }
-# Top-level host-kernels tag ("swar"/"scalar"); baselines that predate
-# the field report n/a and still gate normally (they measured the old
-# scalar-only pipeline, which the throughput margin absorbs).
-host_kernels() {
-    awk -F'"' '/"host_kernels":/ { print $4; exit }' "$1"
-}
-base_kernels=$(host_kernels "$BASELINE")
-fresh_kernels=$(host_kernels "$CHECK_OUT")
-echo "   host kernels: baseline=${base_kernels:-n/a} fresh=${fresh_kernels:-n/a}"
-
 base_rps=$(field_1t_compat "$BASELINE" reads_per_sec)
 fresh_rps=$(field_1t_compat "$CHECK_OUT" reads_per_sec)
 

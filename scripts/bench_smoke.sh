@@ -11,7 +11,7 @@
 #     on any host with >= 2 cores. This is the floor that catches the
 #     planner re-serializing (the pre-parallel-radix regression showed
 #     0.85x here); it guards the streamed path because that is where the
-#     fused sort-in-task planner does the most work per thread.
+#     pipelined extractor overlaps the device the most.
 #   * 4-thread batch speedup — must stay above SMOKE_FLOOR_SPEEDUP_4T
 #     on any host with >= 4 cores.
 #
@@ -63,7 +63,6 @@ cargo run -q --release -p sieve-bench --bin bench_classify -- \
 # The hand-rolled JSON is line-per-row, so awk is enough to pull fields.
 # The ":" in the anchor matters: "host_cores_detected" must not match.
 cores=$(awk -F'[ ,]' '/"host_cores":/ { print $4 }' "$SMOKE_OUT")
-kernels=$(awk -F'"' '/"host_kernels":/ { print $4; exit }' "$SMOKE_OUT")
 # Anchor batch floors on the chunk-0 rows and the streamed floor on the
 # non-zero chunk rows: both row families carry the same thread counts.
 rps_1t=$(awk -F'"reads_per_sec": ' '/"threads": 1, "chunk": 0,/ { split($2, a, ","); print a[1]; exit }' "$SMOKE_OUT")
@@ -72,7 +71,7 @@ speedup_4t=$(awk -F'"speedup_vs_1_thread": ' '/"threads": 4, "chunk": 0,/ { spli
 over_2t=$(awk -F'"oversubscribed": ' '/"threads": 2, "chunk": [1-9]/ { split($2, a, ","); print a[1]; exit }' "$SMOKE_OUT")
 over_4t=$(awk -F'"oversubscribed": ' '/"threads": 4, "chunk": 0,/ { split($2, a, ","); print a[1]; exit }' "$SMOKE_OUT")
 
-echo "   host_cores=${cores} kernels=${kernels:-n/a} 1t=${rps_1t} reads/sec 2t_streamed_speedup=${speedup_2t:-n/a} 4t_speedup=${speedup_4t:-n/a}"
+echo "   host_cores=${cores} 1t=${rps_1t} reads/sec 2t_streamed_speedup=${speedup_2t:-n/a} 4t_speedup=${speedup_4t:-n/a}"
 
 fail=0
 if ! awk -v v="$rps_1t" -v floor="$SMOKE_FLOOR_1T" 'BEGIN { exit !(v >= floor) }'; then

@@ -28,12 +28,23 @@ cargo test -q \
     --test prof_determinism
 
 echo "== tier1: kernel differential suite under overflow checks =="
-# The scalar/SWAR twins (DESIGN.md §9) lean on wrapping-free bit algebra
-# (LCP-from-XOR, mask erosion, rolling shifts); overflow checks turn any
-# silent wrap in that algebra into a test failure. A separate target dir
-# keeps the special RUSTFLAGS from invalidating the main cache.
+# The SWAR kernels and their scalar twins (DESIGN.md §9) lean on
+# wrapping-free bit algebra (LCP-from-XOR, mask erosion, rolling shifts);
+# overflow checks turn any silent wrap in that algebra into a test
+# failure. The extraction and revcomp twins live in kernel_equivalence,
+# the vote and LCP twins next to their scalar references in sieve-core's
+# host and engine modules. A separate target dir keeps the special
+# RUSTFLAGS from invalidating the main cache.
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q --test kernel_equivalence
+RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
+    cargo test -q -p sieve-core --lib -- host::tests engine::tests
+
+echo "== tier1: sievebench tests =="
+# The benchmark is its own package (outside the workspace) built against
+# the public APIs of core/genomics/dram: its tests catch an API change
+# that would break the benchmark.
+cargo test --release --offline --manifest-path sievebench/Cargo.toml
 
 echo "== tier1: bench smoke (throughput floors) =="
 ./scripts/bench_smoke.sh

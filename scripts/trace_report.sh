@@ -51,27 +51,23 @@ echo "== planner sort-phase attribution (wall lane) =="
 # wall clock): "sort.hist" (global top-window histogram), "sort.scatter"
 # (the one full-array MSD counting scatter, write-combining staged),
 # "sort.flush" (partial staging-buffer drains inside the scatter),
-# "sort.local" (every bucket-local LSD/cutover segment sort), and
-# "sort.narrow" (the whole-batch 12 B → 8 B repack and 8 B → 12 B widen
-# scans when the global key window fits 32 bits). Their sum against the
-# enclosing "shard.sort" total shows where planning time goes;
-# sort.flush nests inside sort.scatter, so it is attribution detail,
-# not additional mass. Comparison-policy runs (SIEVE_SORT=comparison)
-# have shard.sort spans but no sort.* phases; sort.narrow only appears
-# when the batch globally narrows (SIEVE_SORT_NARROW not disabled and
-# keys span ≤ 32 bits).
+# and "sort.local" (every bucket segment sort, narrowed or comparison).
+# Their sum against the enclosing "shard.sort" total shows where planning
+# time goes; sort.flush nests inside sort.scatter, so it is attribution
+# detail, not additional mass. A batch small enough for the comparison
+# cutover has a shard.sort span but no sort.* phases.
 awk -F'"name":"' '/"pid":2/ && /"ph":"X"/ {
     split($2, a, "\""); name = a[1]
-    if (name !~ /^(shard\.sort|sort\.(hist|scatter|local|flush|narrow))$/) next
+    if (name !~ /^(shard\.sort|sort\.(hist|scatter|local|flush))$/) next
     split($0, d, /"dur":/); split(d[2], v, "[,}]")
     busy[name] += v[1]; n[name]++
 } END {
     if (!("shard.sort" in busy)) { print "  (no shard.sort spans in this trace)"; exit }
     total = busy["shard.sort"]
-    order = "sort.narrow sort.hist sort.scatter sort.flush sort.local"
+    order = "sort.hist sort.scatter sort.flush sort.local"
     split(order, names, " ")
     printf "  %-14s %12.1f us  (%d spans)\n", "shard.sort", total, n["shard.sort"]
-    for (i = 1; i <= 5; i++) {
+    for (i = 1; i <= 4; i++) {
         name = names[i]
         if (!(name in busy)) continue
         printf "  %-14s %12.1f us  (%d spans, %.1f%% of shard.sort%s)\n", \

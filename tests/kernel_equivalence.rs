@@ -1,25 +1,19 @@
-//! Differential harness for the host kernels (DESIGN.md §9): every SWAR
-//! kernel — packed k-mer extraction, revcomp/canonical, the branchless
-//! majority vote, the merge cursor's key compares — must be byte-identical
-//! to its scalar twin on *every* input, not just typical reads. This file
-//! drives both implementations over adversarial grids (N-density sweeps,
-//! reads straddling the 32-base word boundary, palindromes, empty and
-//! sub-k reads), over seeded random inputs, and through the full pipeline
-//! including the obs/trace model streams.
+//! Differential harness for the host extraction kernels (DESIGN.md §9):
+//! the SWAR k-mer extraction and the word-level revcomp/canonical kernels
+//! must be byte-identical to their scalar references on *every* input,
+//! not just typical reads. This file drives both implementations over
+//! adversarial grids (N-density sweeps, reads straddling the 32-base word
+//! boundary, palindromes, empty and sub-k reads) and over seeded random
+//! inputs. The vote and LCP twins are crate-private, so their tests sit
+//! next to their `#[cfg(test)]` scalar references in sieve-core's
+//! `host.rs` and `engine.rs`.
 //!
-//! tier1.sh additionally runs this binary under
+//! tier1.sh additionally runs this binary and those unit tests under
 //! `RUSTFLAGS="-C overflow-checks=on"` so any shift/mask arithmetic
 //! overflow in the SWAR kernels fails loudly.
-//!
-//! The recorder and tracer are process-wide; the tests that touch them
-//! serialize on a local mutex (this file is its own binary).
-
-use std::sync::Mutex;
 
 use proptest::prelude::*;
-use sieve::core::{obs, trace, vote_reads, HostKernels, HostPipeline, SieveConfig, SieveDevice};
-use sieve::dram::Geometry;
-use sieve::genomics::{pack, synth, DnaSequence, Kmer, TaxonId};
+use sieve::genomics::{pack, DnaSequence, Kmer};
 
 /// The k grid: two odd ks with a middle base (one of them the paper's 31)
 /// and a divisor-of-64 k that keeps windows word-aligned.
@@ -27,9 +21,6 @@ const KS: [usize; 3] = [15, 21, 31];
 
 /// N-density sweep, in percent.
 const DENSITIES: [u32; 4] = [0, 1, 50, 100];
-
-/// Serializes the obs/trace tests around the process-wide globals.
-static GLOBALS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic LCG read: `n_percent` of positions are `N`, the rest a
 /// seeded ACGT stream. Seeds are part of the test vector — see
@@ -56,7 +47,7 @@ fn lcg_read(len: usize, n_percent: u32, seed: u64) -> DnaSequence {
 }
 
 /// The scalar reference extraction: the rolling per-base iterator, read
-/// by read — exactly what `HostKernels::Scalar` runs inside the pipeline.
+/// by read.
 fn scalar_extract(reads: &[DnaSequence], k: usize) -> (Vec<Kmer>, Vec<u32>) {
     let mut kmers = Vec::new();
     let mut owners = Vec::new();
@@ -103,15 +94,6 @@ fn assert_extract_twins(reads: &[DnaSequence], k: usize, label: &str) {
             "canonical extraction diverged: {label}, read {ri}"
         );
     }
-}
-
-fn host_for(ds: &synth::SyntheticDataset, k: usize, kernels: HostKernels) -> HostPipeline {
-    let config = SieveConfig::type3(8)
-        .with_geometry(Geometry::scaled_medium())
-        .with_k(k)
-        .with_host_kernels(kernels)
-        .with_threads(1);
-    HostPipeline::new(SieveDevice::new(config, ds.entries.clone()).expect("dataset fits"))
 }
 
 // ---------------------------------------------------------------------
@@ -290,194 +272,6 @@ fn revcomp_is_an_involution_at_full_width() {
 }
 
 // ---------------------------------------------------------------------
-// Vote kernels
-// ---------------------------------------------------------------------
-
-/// Builds a non-decreasing `owners` run plus per-k-mer outcomes from a
-/// seed: taxon ids are drawn from a small range so ties are common.
-fn vote_inputs(n_reads: usize, seed: u64) -> (Vec<u32>, Vec<Option<TaxonId>>) {
-    let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(7);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut owners = Vec::new();
-    let mut results = Vec::new();
-    for ri in 0..n_reads {
-        for _ in 0..(next() % 7) {
-            owners.push(ri as u32);
-            let r = next();
-            results.push((r % 3 != 0).then_some(TaxonId((r >> 8) as u32 % 5)));
-        }
-    }
-    (owners, results)
-}
-
-#[test]
-fn vote_twins_agree_over_seeded_runs() {
-    for seed in 0..200u64 {
-        let n_reads = (seed as usize % 9) + 1;
-        let (owners, results) = vote_inputs(n_reads, seed);
-        let scalar = vote_reads(n_reads, &owners, &results, HostKernels::Scalar);
-        let swar = vote_reads(n_reads, &owners, &results, HostKernels::Swar);
-        assert_eq!(scalar, swar, "vote diverged at seed {seed}");
-    }
-}
-
-#[test]
-fn vote_ties_resolve_to_lowest_taxon_in_both_kernels() {
-    // Two-way tie (2 vs 1): both kernels must pick taxon 1, and a read
-    // with no hits must stay unclassified.
-    let owners = vec![0, 0, 0, 0, 1];
-    let results = vec![
-        Some(TaxonId(2)),
-        Some(TaxonId(1)),
-        Some(TaxonId(2)),
-        Some(TaxonId(1)),
-        None,
-    ];
-    for kernels in [HostKernels::Scalar, HostKernels::Swar] {
-        let out = vote_reads(2, &owners, &results, kernels);
-        assert_eq!(out[0].taxon, Some(TaxonId(1)), "{}", kernels.label());
-        assert_eq!(out[0].hit_kmers, 4);
-        assert_eq!(out[0].total_kmers, 4);
-        assert_eq!(out[1].taxon, None);
-        assert_eq!(out[1].total_kmers, 1);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Full pipeline, including obs/trace model streams
-// ---------------------------------------------------------------------
-
-/// A read set mixing simulated dataset reads with adversarial LCG reads
-/// (N runs, sub-k lengths, word-boundary lengths).
-fn mixed_reads(ds: &synth::SyntheticDataset, k: usize) -> Vec<DnaSequence> {
-    let (mut reads, _) = synth::simulate_reads(
-        ds,
-        synth::ReadSimConfig {
-            read_len: 90,
-            from_reference: 0.7,
-            error_rate: 0.02,
-            n_rate: 0.01,
-        },
-        24,
-        (k as u64) * 13 + 1,
-    );
-    for &density in &DENSITIES {
-        for &len in &[0usize, 1, k - 1, k, 31, 32, 33, 200] {
-            reads.push(lcg_read(len, density, (len * 31 + density as usize) as u64));
-        }
-    }
-    reads
-}
-
-#[test]
-fn pipeline_outputs_identical_across_kernels() {
-    for &k in &KS {
-        let ds = synth::make_dataset_with(8, 2048, k, 55);
-        let reads = mixed_reads(&ds, k);
-        let scalar = host_for(&ds, k, HostKernels::Scalar)
-            .classify_reads(&reads)
-            .unwrap();
-        let swar = host_for(&ds, k, HostKernels::Swar)
-            .classify_reads(&reads)
-            .unwrap();
-        assert_eq!(scalar.reads, swar.reads, "k={k}: classifications diverged");
-        assert_eq!(scalar.report, swar.report, "k={k}: report diverged");
-        // Streaming path too (serial; the threaded grids live in
-        // tests/parallel_determinism.rs).
-        let s_stream = host_for(&ds, k, HostKernels::Scalar)
-            .classify_stream(&reads, 7)
-            .unwrap();
-        let w_stream = host_for(&ds, k, HostKernels::Swar)
-            .classify_stream(&reads, 7)
-            .unwrap();
-        assert_eq!(s_stream.reads, w_stream.reads, "k={k}: stream diverged");
-        assert_eq!(s_stream.report, w_stream.report);
-    }
-}
-
-#[test]
-fn paired_pipeline_identical_across_kernels() {
-    let ds = synth::make_dataset_with(8, 2048, 31, 55);
-    let config = synth::ReadSimConfig {
-        read_len: 80,
-        from_reference: 1.0,
-        error_rate: 0.02,
-        n_rate: 0.005,
-    };
-    let (pairs, _) = synth::simulate_paired_reads(&ds, config, 250, 30, 17);
-    let scalar = host_for(&ds, 31, HostKernels::Scalar)
-        .classify_pairs(&pairs)
-        .unwrap();
-    let swar = host_for(&ds, 31, HostKernels::Swar)
-        .classify_pairs(&pairs)
-        .unwrap();
-    assert_eq!(scalar.reads, swar.reads);
-    assert_eq!(scalar.report, swar.report);
-}
-
-#[test]
-fn obs_model_snapshot_identical_across_kernels() {
-    let _guard = GLOBALS_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let ds = synth::make_dataset_with(8, 2048, 31, 4242);
-    let reads = mixed_reads(&ds, 31);
-    let rec = obs::global();
-    let snaps: Vec<obs::MetricsSnapshot> = [HostKernels::Scalar, HostKernels::Swar]
-        .iter()
-        .map(|&kernels| {
-            rec.reset();
-            rec.set_enabled(true);
-            host_for(&ds, 31, kernels)
-                .classify_stream(&reads, 11)
-                .unwrap();
-            let snap = rec.snapshot().deterministic();
-            rec.set_enabled(false);
-            rec.reset();
-            snap
-        })
-        .collect();
-    assert_eq!(
-        snaps[0], snaps[1],
-        "deterministic obs snapshot diverged across kernels"
-    );
-}
-
-#[test]
-fn trace_model_stream_identical_across_kernels() {
-    let _guard = GLOBALS_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let ds = synth::make_dataset_with(8, 2048, 31, 4242);
-    let reads = mixed_reads(&ds, 31);
-    let tracer = trace::global();
-    let lines: Vec<String> = [HostKernels::Scalar, HostKernels::Swar]
-        .iter()
-        .map(|&kernels| {
-            tracer.reset();
-            tracer.set_enabled(true);
-            host_for(&ds, 31, kernels)
-                .classify_stream(&reads, 11)
-                .unwrap();
-            let snap = tracer.snapshot();
-            tracer.set_enabled(false);
-            tracer.reset();
-            snap.model_lines()
-        })
-        .collect();
-    assert!(!lines[0].is_empty(), "workload must emit model events");
-    assert_eq!(
-        lines[0], lines[1],
-        "model trace stream diverged across kernels"
-    );
-}
-
-// ---------------------------------------------------------------------
 // Property-based sweeps
 // ---------------------------------------------------------------------
 
@@ -510,15 +304,5 @@ proptest! {
             prop_assert_eq!(swar_extract(reads, k), scalar_extract(reads, k),
                 "k={} len={} density={}% seed={:#x}", k, len, density, seed);
         }
-    }
-
-    /// Random vote inputs: run lengths, misses, and heavy taxon ties.
-    #[test]
-    fn prop_vote_twins_agree(n_reads in 1usize..12, seed in any::<u64>()) {
-        let (owners, results) = vote_inputs(n_reads, seed);
-        prop_assert_eq!(
-            vote_reads(n_reads, &owners, &results, HostKernels::Scalar),
-            vote_reads(n_reads, &owners, &results, HostKernels::Swar)
-        );
     }
 }

@@ -100,101 +100,41 @@ fn seeded_device_runs_snapshot_identically_across_thread_counts() {
     }
 }
 
-/// Work stealing only moves tasks between workers, so the deterministic
-/// snapshot (model counters + histograms, `wall.*` dropped — including
-/// the new `wall.steal_tasks`) must be bit-identical across steal on/off
-/// × the full worker sweep, even on a forced-imbalance batch where one
-/// radix bucket holds nearly everything and stealing genuinely fires.
+/// The planner's parallel stages — histogram, owned-run scatter, and the
+/// work-stealing segment sorts — only move work between workers, so the
+/// deterministic snapshot (model counters + histograms, `wall.*`
+/// dropped) must be bit-identical across the full worker sweep, even on
+/// a forced-imbalance batch where one radix bucket holds nearly
+/// everything.
 #[test]
 fn steal_grid_snapshots_identically_across_worker_counts() {
     let _session = RecorderSession::begin();
     let ds = dataset();
-    let mut queries: Vec<Kmer> = (0..6_000u64)
-        .map(|i| Kmer::from_u64(0x2AAA_0000_0000 | i, 31).unwrap())
+    let mut queries: Vec<Kmer> = (0..20_000u64)
+        .map(|i| {
+            let spread = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24;
+            Kmer::from_u64((0x2AA << 50) | spread, 31).unwrap()
+        })
         .collect();
     queries.extend(ds.entries.iter().map(|&(k, _)| k).take(64));
-    let mut reference: Option<obs::MetricsSnapshot> = None;
-    for steal in [false, true] {
-        for threads in THREAD_SWEEP {
-            obs::global().reset();
-            device(SieveConfig::type3(8).with_steal(steal), threads, &ds)
-                .run(&queries)
-                .unwrap();
-            let snap = obs::global().snapshot().deterministic();
-            assert!(
-                snap.counter("wall.steal_tasks") == 0,
-                "steal accounting leaked into the deterministic view"
-            );
-            match &reference {
-                None => reference = Some(snap),
-                Some(base) => assert_eq!(
-                    &snap, base,
-                    "steal={steal} threads={threads}: deterministic snapshot diverged"
-                ),
-            }
-        }
-    }
-}
-
-/// The host-kernel axis (DESIGN.md §9): scalar and SWAR kernels extract
-/// identical k-mer streams and vote identically, and the planner's sort
-/// policy (adaptive cutover, forced radix, forced comparison) only
-/// reorders work, so the deterministic snapshot of a streamed
-/// classification — host counters, chunk histograms, device model
-/// metrics — must be bit-identical across kernels × sort policy × narrow
-/// × fused × cache × threads {1,2,4}. (The sort's own `wall.sort_passes_*`
-/// and `wall.sort_{narrow,wide}_segments` counters legitimately differ
-/// across policies and the narrowing knob; they are wall-prefixed
-/// exactly so `deterministic()` drops them.)
-#[test]
-fn kernel_grid_snapshots_identically() {
-    let _session = RecorderSession::begin();
-    let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 25, 31);
-    let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 2).cloned().collect();
-    for (fused, hot_kmers) in [(false, 0usize), (true, 1 << 18)] {
-        // Cache counters legitimately differ across the cache axis, so the
-        // reference snapshot is per-(fused, cache) point; only the kernels,
-        // sort-policy, and thread axes must leave it bit-identical.
-        let mut reference: Option<obs::MetricsSnapshot> = None;
-        for policy in [
-            sieve::core::SortPolicy::Adaptive,
-            sieve::core::SortPolicy::Lsd,
-            sieve::core::SortPolicy::Comparison,
-        ] {
-            for narrow in [false, true] {
-                for kernels in [
-                    sieve::core::HostKernels::Scalar,
-                    sieve::core::HostKernels::Swar,
-                ] {
-                    for threads in [1usize, 2, 4] {
-                        obs::global().reset();
-                        let config = SieveConfig::type3(8)
-                            .with_host_kernels(kernels)
-                            .with_fused(fused)
-                            .with_hot_kmers(hot_kmers)
-                            .with_sort_policy(policy)
-                            .with_sort_narrow(narrow);
-                        HostPipeline::new(device(config, threads, &ds))
-                            .classify_stream(&reads, 10)
-                            .unwrap();
-                        let snap = obs::global().snapshot().deterministic();
-                        match &reference {
-                            None => reference = Some(snap),
-                            Some(base) => assert_eq!(
-                                &snap,
-                                base,
-                                "sort={} narrow={narrow} kernels={} fused={fused} \
-                                 hot_kmers={hot_kmers} threads={threads}: \
-                                 deterministic snapshot diverged",
-                                policy.label(),
-                                kernels.label()
-                            ),
-                        }
-                    }
-                }
-            }
-        }
+    let snaps = snapshot_sweep(|threads| {
+        device(SieveConfig::type3(8), threads, &ds)
+            .run(&queries)
+            .unwrap();
+        assert!(
+            obs::global()
+                .snapshot()
+                .counter("wall.sort_narrow_segments")
+                > 0,
+            "the heavy bucket never took the narrowed segment sort"
+        );
+    });
+    for (i, snap) in snaps.iter().enumerate().skip(1) {
+        assert_eq!(
+            snap, &snaps[0],
+            "threads={}: deterministic snapshot diverged",
+            THREAD_SWEEP[i]
+        );
     }
 }
 
@@ -238,8 +178,11 @@ fn snapshot_counters_reflect_the_workload() {
 /// A duplicate-heavy stream must genuinely engage the hot-k-mer cache
 /// (the grid test in parallel_determinism.rs would otherwise pass
 /// vacuously), replayed chunks must still charge the full modeled
-/// quantities, and the deterministic snapshot must stay bit-identical
-/// across thread counts with the cache on.
+/// quantities, and the deterministic snapshot of a streamed
+/// classification — host counters, chunk histograms, device model
+/// metrics — must stay bit-identical across thread counts with the cache
+/// on or off. (The sort's own `wall.sort_*` counters are wall-prefixed
+/// exactly so `deterministic()` drops them.)
 #[test]
 fn cached_streams_engage_and_snapshot_identically() {
     let _session = RecorderSession::begin();
@@ -281,15 +224,17 @@ fn cached_streams_engage_and_snapshot_identically() {
         assert_eq!((a.count, a.sum), (b.count, b.sum), "{hist} diverged");
     }
 
-    let snaps = snapshot_sweep(|threads| {
-        stream(threads, 1 << 18);
-    });
-    for (i, snap) in snaps.iter().enumerate().skip(1) {
-        assert_eq!(
-            snap, &snaps[0],
-            "cached stream threads={}: deterministic snapshot diverged",
-            THREAD_SWEEP[i]
-        );
+    for hot_kmers in [0usize, 1 << 18] {
+        let snaps = snapshot_sweep(|threads| {
+            stream(threads, hot_kmers);
+        });
+        for (i, snap) in snaps.iter().enumerate().skip(1) {
+            assert_eq!(
+                snap, &snaps[0],
+                "hot_kmers={hot_kmers} threads={}: deterministic snapshot diverged",
+                THREAD_SWEEP[i]
+            );
+        }
     }
 }
 

@@ -4,9 +4,7 @@
 //! bit-identical to the sequential run's.
 
 use proptest::prelude::*;
-use sieve::core::{
-    HostKernels, HostPipeline, PipelineOutput, SieveConfig, SieveDevice, SortPolicy,
-};
+use sieve::core::{HostPipeline, PipelineOutput, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, DnaSequence, Kmer};
 
@@ -152,109 +150,78 @@ fn pipelined_stream_matches_serial_for_every_chunk_size() {
     }
 }
 
-/// The device-stage optimization grid — fused plan/match pipeline on or
-/// off, hot-k-mer cache enabled or disabled, scalar or SWAR host
-/// kernels, and every planner sort policy (adaptive cutover, forced
-/// radix, forced comparison) — must be pure optimization: for every
-/// combination and thread count, a streamed run's per-read
+/// The hot-k-mer cache must be a pure optimization: with the cache on or
+/// off and at every thread count, a streamed run's per-read
 /// classifications and full modeled report are bit-identical to the
-/// unfused, uncached, scalar, single-threaded reference. The stream repeats the same reads three times so later
-/// chunks re-present earlier chunks' k-mers and the cache genuinely
-/// engages (the engagement sampler proves it on the first repeated
-/// chunk; device::tests verify the replay path fires on exactly this
-/// shape of stream).
+/// uncached single-threaded reference. The stream repeats the same reads
+/// three times so later chunks re-present earlier chunks' k-mers and the
+/// cache genuinely engages (the engagement sampler proves it on the
+/// first repeated chunk; device::tests verify the replay path fires on
+/// exactly this shape of stream).
 #[test]
-fn fused_and_cache_grid_is_bit_identical_across_thread_counts() {
+fn cache_grid_is_bit_identical_across_thread_counts() {
     let ds = dataset();
     let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
     let reads: Vec<DnaSequence> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
     let chunk = 10;
-    let reference = SieveConfig::type3(8)
-        .with_fused(false)
-        .with_hot_kmers(0)
-        .with_host_kernels(HostKernels::Scalar);
-    let base = HostPipeline::new(device(reference, 1, &ds))
+    let base = HostPipeline::new(device(SieveConfig::type3(8).with_hot_kmers(0), 1, &ds))
         .classify_stream(&reads, chunk)
         .unwrap();
-    // The narrow axis only matters where the radix pipeline can run, so
-    // the comparison policy rides with a single setting.
-    let sort_grid = [
-        (SortPolicy::Adaptive, false),
-        (SortPolicy::Adaptive, true),
-        (SortPolicy::Lsd, false),
-        (SortPolicy::Lsd, true),
-        (SortPolicy::Comparison, true),
-    ];
-    for (policy, narrow) in sort_grid {
-        for kernels in [HostKernels::Scalar, HostKernels::Swar] {
-            for fused in [false, true] {
-                for hot_kmers in [0usize, 1 << 18] {
-                    for steal in [false, true] {
-                        for threads in [1usize, 2, 4] {
-                            let config = SieveConfig::type3(8)
-                                .with_fused(fused)
-                                .with_hot_kmers(hot_kmers)
-                                .with_steal(steal)
-                                .with_host_kernels(kernels)
-                                .with_sort_policy(policy)
-                                .with_sort_narrow(narrow);
-                            let out = HostPipeline::new(device(config, threads, &ds))
-                                .classify_stream(&reads, chunk)
-                                .unwrap();
-                            assert_same_pipeline(
-                                &out,
-                                &base,
-                                &format!(
-                                    "sort={} narrow={narrow} kernels={} fused={fused} \
-                                     hot_kmers={hot_kmers} steal={steal} threads={threads}",
-                                    policy.label(),
-                                    kernels.label()
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
+    for hot_kmers in [0usize, 1 << 18] {
+        for threads in [1usize, 2, 4] {
+            let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
+            let out = HostPipeline::new(device(config, threads, &ds))
+                .classify_stream(&reads, chunk)
+                .unwrap();
+            assert_same_pipeline(
+                &out,
+                &base,
+                &format!("hot_kmers={hot_kmers} threads={threads}"),
+            );
         }
     }
 }
 
-/// The work-stealing planner grid (DESIGN.md §6): steal on/off × worker
-/// counts {1,2,4,8} must be bit-identical to the sequential no-steal
-/// reference — functional results and the full modeled report — on three
-/// adversarial batch shapes:
+/// `count` distinct 31-mers sharing their top 10 bits and spread over the
+/// low 40: past the radix fan-out threshold, one global bucket holds them
+/// all and its segment sorts on tie-ranked narrow records.
+fn giant_bucket(count: u64) -> Vec<Kmer> {
+    (0..count)
+        .map(|i| {
+            let spread = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24;
+            Kmer::from_u64((0x2AA << 50) | spread, 31).unwrap()
+        })
+        .collect()
+}
+
+/// The planner's worker sweep {1,2,4,8} must be bit-identical to the
+/// sequential run — functional results and the full modeled report — on
+/// three adversarial batch shapes:
 ///
-/// * `giant` — thousands of distinct keys differing only in their low
-///   bits, so the radix partition funnels nearly the whole batch into
-///   one bucket (forced imbalance: one worker owns almost everything and
-///   the others can only steal);
-/// * `narrow` — three distinct keys cycled past the radix threshold, so
-///   every multi-worker setting has more workers than occupied buckets;
+/// * `giant` — 20,000 distinct keys in one radix bucket plus a spread
+///   fringe: at threads > 1 the histogram, the owned-run scatter and the
+///   segment sorts fan out (up to the host's cores), and the one heavy
+///   segment leaves the other workers only work they can steal;
+/// * `narrow` — three distinct keys cycled, so every multi-worker
+///   setting has more workers than occupied buckets;
 /// * `mixed` — a spread of stored entries, the balanced common case.
 #[test]
 fn steal_grid_is_bit_identical_across_worker_counts() {
     let ds = dataset();
     let spread: Vec<Kmer> = ds.entries.iter().map(|&(k, _)| k).take(64).collect();
-    let mut giant: Vec<Kmer> = (0..6_000u64)
-        .map(|i| Kmer::from_u64(0x2AAA_0000_0000 | i, 31).unwrap())
-        .collect();
+    let mut giant = giant_bucket(20_000);
     giant.extend(spread.iter().copied());
     let narrow: Vec<Kmer> = spread.iter().take(3).cycle().take(4_096).copied().collect();
     let mixed: Vec<Kmer> = spread.iter().cycle().take(5_000).copied().collect();
     for (name, queries) in [("giant", &giant), ("narrow", &narrow), ("mixed", &mixed)] {
-        let base = device(SieveConfig::type3(8).with_steal(false), 1, &ds)
-            .run(queries)
-            .unwrap();
-        for steal in [false, true] {
-            for fused in [false, true] {
-                for threads in THREAD_SWEEP {
-                    let config = SieveConfig::type3(8).with_fused(fused).with_steal(steal);
-                    let out = device(config, threads, &ds).run(queries).unwrap();
-                    let ctx = format!("{name} steal={steal} fused={fused} threads={threads}");
-                    assert_eq!(out.results, base.results, "{ctx}: results diverged");
-                    assert_eq!(out.report, base.report, "{ctx}: report diverged");
-                }
-            }
+        let base = device(SieveConfig::type3(8), 1, &ds).run(queries).unwrap();
+        for threads in THREAD_SWEEP {
+            let out = device(SieveConfig::type3(8), threads, &ds)
+                .run(queries)
+                .unwrap();
+            let ctx = format!("{name} threads={threads}");
+            assert_eq!(out.results, base.results, "{ctx}: results diverged");
+            assert_eq!(out.report, base.report, "{ctx}: report diverged");
         }
     }
 }

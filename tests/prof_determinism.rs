@@ -1,19 +1,18 @@
 //! Determinism of the roofline traffic layer (DESIGN.md §10): a
 //! [`prof::ProfSnapshot`] is charged analytically from the workload, so
-//! for a fixed workload, sort policy, and kernel selection it must be
-//! **bit-identical across thread counts** — parallel execution may
-//! physically re-scan buffers, but the canonical charge may not move.
-//! Unlike the obs grid (tests/obs_determinism.rs), the *policy* axis is
-//! allowed to change the numbers (a comparison sort is charged zero sort
-//! bytes by design), so references here are held per policy, not
-//! collapsed across it.
+//! for a fixed workload it must be **bit-identical across thread
+//! counts** — parallel execution may physically re-scan buffers, but the
+//! canonical charge may not move. Unlike the obs grid
+//! (tests/obs_determinism.rs), the cache axis is allowed to change the
+//! numbers (a replayed query skips the sort and match it would have been
+//! charged for), so references here are held per cache setting.
 //!
 //! The prof table is process-wide; this file owns it (each integration
 //! test file is its own binary) and serializes on a local mutex.
 
 use std::sync::Mutex;
 
-use sieve::core::{obs, prof, HostKernels, HostPipeline, SieveConfig, SieveDevice, SortPolicy};
+use sieve::core::{obs, prof, HostPipeline, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
 use sieve::genomics::synth;
 
@@ -61,73 +60,6 @@ fn device(config: SieveConfig, threads: usize, ds: &synth::SyntheticDataset) -> 
     .expect("dataset fits the scaled geometry")
 }
 
-/// The full acceptance grid: threads × sort policy × narrowing × host
-/// kernels over a streamed classification. Within each (policy, narrow)
-/// point the traffic table must be bit-identical for every (kernels,
-/// threads) cell — the kernel twins extract identical streams, and
-/// thread count must never move a byte. (The narrow axis gets its own
-/// reference: narrowing legitimately changes the charged element width,
-/// and the prof_traffic differential suite pins each side to its
-/// predictor.)
-#[test]
-fn traffic_grid_is_bit_identical_across_threads_and_kernels() {
-    let _session = RecorderSession::begin();
-    let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 25, 31);
-    let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 2).cloned().collect();
-    let sort_grid = [
-        (SortPolicy::Adaptive, false),
-        (SortPolicy::Adaptive, true),
-        (SortPolicy::Lsd, false),
-        (SortPolicy::Lsd, true),
-        (SortPolicy::Comparison, true),
-    ];
-    for (policy, narrow) in sort_grid {
-        let mut reference: Option<prof::ProfSnapshot> = None;
-        for kernels in [HostKernels::Scalar, HostKernels::Swar] {
-            for threads in [1usize, 2, 4] {
-                obs::global().reset();
-                prof::reset();
-                let config = SieveConfig::type3(8)
-                    .with_host_kernels(kernels)
-                    .with_sort_policy(policy)
-                    .with_sort_narrow(narrow);
-                HostPipeline::new(device(config, threads, &ds))
-                    .classify_stream(&reads, 10)
-                    .unwrap();
-                let snap = prof::snapshot();
-                match &reference {
-                    None => reference = Some(snap),
-                    Some(base) => assert_eq!(
-                        &snap,
-                        base,
-                        "sort={} narrow={narrow} kernels={} threads={threads}: \
-                         traffic snapshot diverged",
-                        policy.label(),
-                        kernels.label()
-                    ),
-                }
-            }
-        }
-        let snap = reference.expect("grid ran");
-        // Non-vacuity, and the documented policy dependence: every cell
-        // extracts and matches; only radix-planned policies charge sort
-        // bytes.
-        assert!(snap.traffic(prof::Phase::HostExtract).items > 0);
-        assert!(snap.traffic(prof::Phase::DeviceMatch).items > 0);
-        let scatter = snap.traffic(prof::Phase::SortScatter).bytes();
-        match policy {
-            SortPolicy::Comparison => assert_eq!(scatter, 0, "comparison sorts are not charged"),
-            // Forced LSD must charge its scatter; Adaptive may
-            // legitimately take the comparison fallback on chunks this
-            // small, so its charge is whatever the cutover picked (the
-            // grid equality above already pinned it).
-            SortPolicy::Lsd => assert!(scatter > 0, "forced LSD never charged a scatter"),
-            SortPolicy::Adaptive => {}
-        }
-    }
-}
-
 /// Raw device batches (no host pipeline) across the full thread sweep,
 /// including oversubscription, with and without the simulated PCIe link:
 /// the whole traffic table — device phases and transfers included — must
@@ -160,31 +92,37 @@ fn device_batches_charge_identically_across_the_sweep() {
     }
 }
 
-/// Streaming with the hot-k-mer cache engaged: replayed chunks change
-/// which code path resolves a query, but the cache is deterministic for
-/// a fixed chunked stream, so the traffic table still may not vary with
-/// the thread count.
+/// The streamed acceptance grid: threads × hot-k-mer cache. With the
+/// cache engaged, replayed chunks change which code path resolves a
+/// query, but the cache is deterministic for a fixed chunked stream, so
+/// the traffic table still may not vary with the thread count.
 #[test]
 fn cached_streams_charge_identically_across_threads() {
     let _session = RecorderSession::begin();
     let ds = dataset();
     let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
     let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
-    let mut reference: Option<prof::ProfSnapshot> = None;
-    for threads in THREAD_SWEEP {
-        obs::global().reset();
-        prof::reset();
-        let config = SieveConfig::type3(8).with_hot_kmers(1 << 18);
-        HostPipeline::new(device(config, threads, &ds))
-            .classify_stream(&reads, 10)
-            .unwrap();
-        let snap = prof::snapshot();
-        match &reference {
-            None => reference = Some(snap),
-            Some(base) => assert_eq!(
-                &snap, base,
-                "cached stream threads={threads}: traffic snapshot diverged"
-            ),
+    for hot_kmers in [0usize, 1 << 18] {
+        let mut reference: Option<prof::ProfSnapshot> = None;
+        for threads in THREAD_SWEEP {
+            obs::global().reset();
+            prof::reset();
+            let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
+            HostPipeline::new(device(config, threads, &ds))
+                .classify_stream(&reads, 10)
+                .unwrap();
+            let snap = prof::snapshot();
+            match &reference {
+                None => reference = Some(snap),
+                Some(base) => assert_eq!(
+                    &snap, base,
+                    "hot_kmers={hot_kmers} threads={threads}: traffic snapshot diverged"
+                ),
+            }
         }
+        // Non-vacuity: every cell extracts and matches.
+        let snap = reference.expect("grid ran");
+        assert!(snap.traffic(prof::Phase::HostExtract).items > 0);
+        assert!(snap.traffic(prof::Phase::DeviceMatch).items > 0);
     }
 }

@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 
-use sieve::core::{obs, prof, sort_bench, HostPipeline, SieveConfig, SieveDevice, SortPolicy};
+use sieve::core::{obs, prof, sort_bench, HostPipeline, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
 use sieve::genomics::synth;
 
@@ -19,10 +19,6 @@ use sieve::genomics::synth;
 /// pair per scan. The differential tests below would fail loudly if the
 /// layout ever drifted from this constant.
 const PAIR_BYTES: u64 = 12;
-
-/// `size_of::<radix::NarrowPair>()` — the repacked 8-byte layout the
-/// pipeline moves when a diff window fits 32 bits and narrowing is on.
-const NARROW_BYTES: u64 = 8;
 
 /// Pairs per write-combining staging line (radix's `STAGE`): each
 /// bucket's trailing `count % STAGE` pairs drain through `sort.flush`.
@@ -57,16 +53,11 @@ impl Drop for RecorderSession<'_> {
 
 /// Runs the production sort over `keys` and returns the prof snapshot
 /// it recorded.
-fn sort_traffic(
-    keys: &[u64],
-    policy: SortPolicy,
-    threads: usize,
-    narrow: bool,
-) -> prof::ProfSnapshot {
+fn sort_traffic(keys: &[u64], threads: usize) -> prof::ProfSnapshot {
     let mut harness = sort_bench::SortHarness::new(keys);
     obs::global().reset();
     prof::reset();
-    harness.run(policy, threads, narrow);
+    harness.run(threads);
     prof::snapshot()
 }
 
@@ -86,63 +77,41 @@ fn splitmix(seed: u64, n: usize) -> Vec<u64> {
 
 /// An 8-bit key span over a batch whose bucket counts are all multiples
 /// of the staging line: one global pass, no flush, no local passes —
-/// every charge is a closed form in `n` alone, at the record width the
-/// `narrow` knob selects (the 8-bit span always fits 32 bits, so the
-/// narrowed run repacks the whole array up front).
+/// every charge is a closed form in `n` alone.
 #[test]
 fn single_pass_uniform_batch_matches_the_closed_form() {
     let _session = RecorderSession::begin();
     // 256 buckets × 160 pairs each; 160 ≡ 0 (mod STAGE) → zero drains.
     let n: u64 = 256 * 160;
     let keys: Vec<u64> = (0..n).map(|i| i % 256).collect();
-    for (narrow, elem) in [(false, PAIR_BYTES), (true, NARROW_BYTES)] {
-        let snap = sort_traffic(&keys, SortPolicy::Lsd, 1, narrow);
-        let full = n * elem;
-        assert_eq!(
-            snap.traffic(prof::Phase::SortHist),
-            prof::Traffic {
-                bytes_read: full,
-                bytes_written: 0,
-                items: n
-            },
-            "narrow={narrow}"
-        );
-        assert_eq!(
-            snap.traffic(prof::Phase::SortScatter),
-            prof::Traffic {
-                bytes_read: full,
-                bytes_written: full,
-                items: n
-            },
-            "narrow={narrow}"
-        );
-        assert_eq!(
-            snap.traffic(prof::Phase::SortFlush),
-            prof::Traffic::default()
-        );
-        // A single planned pass finishes in the global scatter: no local
-        // phase at all.
-        assert_eq!(
-            snap.traffic(prof::Phase::SortLocal),
-            prof::Traffic::default()
-        );
-        // The global repack + widen scans are the narrowed run's only
-        // extra charge: 12 → 8 B down, 8 → 12 B back up, once per pair.
-        let expect_narrow = if narrow {
-            prof::Traffic {
-                bytes_read: n * (PAIR_BYTES + NARROW_BYTES),
-                bytes_written: n * (NARROW_BYTES + PAIR_BYTES),
-                items: 2 * n,
-            }
-        } else {
-            prof::Traffic::default()
-        };
-        assert_eq!(
-            snap.traffic(prof::Phase::SortNarrow),
-            expect_narrow,
-            "narrow={narrow}"
-        );
-    }
+    let snap = sort_traffic(&keys, 1);
+    let full = n * PAIR_BYTES;
+    assert_eq!(
+        snap.traffic(prof::Phase::SortHist),
+        prof::Traffic {
+            bytes_read: full,
+            bytes_written: 0,
+            items: n
+        }
+    );
+    assert_eq!(
+        snap.traffic(prof::Phase::SortScatter),
+        prof::Traffic {
+            bytes_read: full,
+            bytes_written: full,
+            items: n
+        }
+    );
+    assert_eq!(
+        snap.traffic(prof::Phase::SortFlush),
+        prof::Traffic::default()
+    );
+    // A single planned pass finishes in the global scatter: no local
+    // phase at all.
+    assert_eq!(
+        snap.traffic(prof::Phase::SortLocal),
+        prof::Traffic::default()
+    );
 }
 
 /// Appending five more pairs to one bucket makes its count 165 ≡ 5
@@ -157,144 +126,119 @@ fn partial_stage_drains_are_charged_to_flush() {
     let n = keys.len() as u64;
     let drains = 165 % STAGE; // bucket 0 holds 165 pairs now
     assert_eq!(drains, 5);
-    for (narrow, elem) in [(false, PAIR_BYTES), (true, NARROW_BYTES)] {
-        for threads in [1usize, 4] {
-            let snap = sort_traffic(&keys, SortPolicy::Lsd, threads, narrow);
-            assert_eq!(
-                snap.traffic(prof::Phase::SortFlush),
-                prof::Traffic {
-                    bytes_read: 0,
-                    bytes_written: drains * elem,
-                    items: drains
-                },
-                "narrow={narrow} threads={threads}"
-            );
-            assert_eq!(
-                snap.traffic(prof::Phase::SortScatter),
-                prof::Traffic {
-                    bytes_read: n * elem,
-                    bytes_written: (n - drains) * elem,
-                    items: n
-                },
-                "narrow={narrow} threads={threads}"
-            );
-            assert_eq!(snap.traffic(prof::Phase::SortHist).bytes_read, n * elem);
-        }
+    for threads in [1usize, 4] {
+        let snap = sort_traffic(&keys, threads);
+        assert_eq!(
+            snap.traffic(prof::Phase::SortFlush),
+            prof::Traffic {
+                bytes_read: 0,
+                bytes_written: drains * PAIR_BYTES,
+                items: drains
+            },
+            "threads={threads}"
+        );
+        assert_eq!(
+            snap.traffic(prof::Phase::SortScatter),
+            prof::Traffic {
+                bytes_read: n * PAIR_BYTES,
+                bytes_written: (n - drains) * PAIR_BYTES,
+                items: n
+            },
+            "threads={threads}"
+        );
+        assert_eq!(
+            snap.traffic(prof::Phase::SortHist).bytes_read,
+            n * PAIR_BYTES
+        );
     }
 }
 
-/// Degenerate batches and the comparison policy charge nothing: a
-/// comparison sort's traffic is data- and allocator-dependent, so the
-/// model refuses to invent a number for it (see the prof module docs).
+/// Degenerate batches and comparison sorts charge nothing: a comparison
+/// sort's traffic is data- and allocator-dependent, so the model refuses
+/// to invent a number for it (see the prof module docs).
 #[test]
 fn comparison_and_degenerate_batches_charge_nothing() {
     let _session = RecorderSession::begin();
     let zero = prof::ProfSnapshot {
         phases: prof::Phase::ALL.map(|p| (p, prof::Traffic::default())),
     };
-    for narrow in [false, true] {
-        // All keys equal: the stable order is the input order, no
-        // passes (and nothing for the narrowing path to repack).
-        assert_eq!(
-            sort_traffic(&[42u64; 100], SortPolicy::Lsd, 1, narrow),
-            zero
-        );
-        // Single pair: nothing to sort.
-        assert_eq!(sort_traffic(&[7u64], SortPolicy::Lsd, 1, narrow), zero);
-        // Forced comparison sort on a radix-friendly batch.
-        let keys = splitmix(1, 50_000);
-        assert_eq!(sort_traffic(&keys, SortPolicy::Comparison, 1, narrow), zero);
-    }
+    // All keys equal: the stable order is the input order, no passes.
+    assert_eq!(sort_traffic(&[42u64; 100], 1), zero);
+    // Single pair: nothing to sort.
+    assert_eq!(sort_traffic(&[7u64], 1), zero);
+    // A full-span batch below the cutover sorts by comparison as a whole.
+    assert_eq!(sort_traffic(&splitmix(1, 500), 1), zero);
 }
 
 /// The differential gate: for arbitrary key distributions — full-width
-/// multi-pass, narrow-span, and skew-heavy — the executed pipeline's
-/// recorded charges must equal the predictor's replay of the planner
-/// (pass plan, adaptive cutover, per-segment replans), at every thread
-/// count. Each distribution also states what it must exercise, so the
-/// equality cannot pass vacuously.
+/// multi-pass, narrow-span, skew-heavy, and one giant bucket — the
+/// executed pipeline's recorded charges must equal the predictor's replay
+/// of the planner (pass plan, adaptive cutover, per-segment replans), at
+/// every thread count. Each distribution also states what it must
+/// exercise, so the equality cannot pass vacuously.
 #[test]
 fn recorded_traffic_matches_the_differential_predictor() {
     let _session = RecorderSession::begin();
-    let wide = splitmix(2, 60_000); // 64-bit span: multi-pass + local
+    let wide = splitmix(2, 60_000); // 64-bit span: one global pass + segments
     let narrow: Vec<u64> = splitmix(3, 60_000).iter().map(|k| k & 0xF_FFFF).collect();
     let skewed: Vec<u64> = splitmix(4, 60_000)
         .iter()
         .enumerate()
         .map(|(i, &k)| if i % 3 == 0 { k & 0xFFF } else { 1u64 << 40 })
         .collect();
-    for (label, keys) in [("wide", &wide), ("narrow", &narrow), ("skewed", &skewed)] {
-        for policy in [SortPolicy::Adaptive, SortPolicy::Lsd] {
-            for knob in [false, true] {
-                let predicted = sort_bench::predict_traffic(keys, policy, knob);
-                for threads in [1usize, 2, 4] {
-                    let recorded = sort_traffic(keys, policy, threads, knob);
-                    for &(phase, expected) in &predicted {
-                        assert_eq!(
-                            recorded.traffic(phase),
-                            expected,
-                            "{label} {policy:?} narrow={knob} threads={threads}: \
-                             {} diverged from the predictor",
-                            phase.name()
-                        );
-                    }
-                }
+    // ~95% of keys share their top 16 bits and vary in the low 48: the
+    // heavy segment sorts on tie-ranked narrow records, the committed
+    // workload's shape.
+    let giant: Vec<u64> = splitmix(5, 60_000)
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| {
+            if i % 20 == 0 {
+                k
+            } else {
+                (k & 0xFFFF_FFFF_FFFF) | 0x3A00_0000_0000_0000
+            }
+        })
+        .collect();
+    let all = [
+        ("wide", &wide),
+        ("narrow", &narrow),
+        ("skewed", &skewed),
+        ("giant", &giant),
+    ];
+    for (label, keys) in all {
+        let predicted = sort_bench::predict_traffic(keys);
+        for threads in [1usize, 2, 4] {
+            let recorded = sort_traffic(keys, threads);
+            for &(phase, expected) in &predicted {
+                assert_eq!(
+                    recorded.traffic(phase),
+                    expected,
+                    "{label} threads={threads}: {} diverged from the predictor",
+                    phase.name()
+                );
             }
         }
         // Structural invariants of the global pass, on the predictor the
-        // recorded side just matched, at both knob settings: every pair
-        // is written exactly once between scatter and flush, and flush
-        // bytes are whole records of whichever width the planner chose
-        // (12 B, or 8 B when the batch narrowed globally).
-        for knob in [false, true] {
-            let p = sort_bench::predict_traffic(keys, SortPolicy::Lsd, knob);
-            let (hist, scatter, flush, narrowed) = (p[0].1, p[1].1, p[2].1, p[4].1);
-            let n = keys.len() as u64;
-            let elem = hist.bytes_read / n;
-            assert!(
-                elem == PAIR_BYTES || (knob && elem == NARROW_BYTES),
-                "{label}: global pass moves whole records"
-            );
-            assert_eq!(scatter.bytes_written + flush.bytes_written, hist.bytes_read);
-            assert_eq!(flush.bytes_written, flush.items * elem);
-            // The repack + widen scans exist iff the batch narrowed
-            // globally, and then charge exactly one down- and one
-            // up-conversion per pair.
-            if elem == NARROW_BYTES {
-                assert_eq!(narrowed.items, 2 * n, "{label}");
-                assert_eq!(narrowed.bytes_read, n * (PAIR_BYTES + NARROW_BYTES));
-                assert_eq!(narrowed.bytes_written, n * (NARROW_BYTES + PAIR_BYTES));
-            } else {
-                assert_eq!(narrowed, prof::Traffic::default(), "{label}");
-            }
-        }
+        // recorded side just matched: every pair is read once by the
+        // histogram and written exactly once between scatter and flush,
+        // and flush bytes are whole records.
+        let (hist, scatter, flush) = (predicted[0].1, predicted[1].1, predicted[2].1);
+        assert_eq!(hist.bytes_read, keys.len() as u64 * PAIR_BYTES, "{label}");
+        assert_eq!(scatter.bytes_written + flush.bytes_written, hist.bytes_read);
+        assert_eq!(flush.bytes_written, flush.items * PAIR_BYTES);
     }
-    // Non-vacuity: the wide batch must have engaged multi-pass local
-    // sorting, its narrowed run must actually shrink the local charge
-    // (tie-ranked segment repacks — the committed workload's shape), the
-    // narrow batch must narrow globally, and at least one batch must
-    // have partial-line drains.
-    let wide_local = sort_bench::predict_traffic(&wide, SortPolicy::Lsd, false)[3].1;
+    // Non-vacuity: the giant batch must have narrowed its heavy segment
+    // (only narrowed segments charge local bytes), and at least one
+    // batch must have partial-line drains.
+    let giant_local = sort_bench::predict_traffic(&giant)[3].1;
     assert!(
-        wide_local.bytes_read > 0,
-        "wide batch never ran local passes"
+        giant_local.bytes_read > 0,
+        "the giant bucket never took the narrowed segment sort"
     );
-    let wide_local_narrowed = sort_bench::predict_traffic(&wide, SortPolicy::Lsd, true)[3].1;
-    assert!(
-        wide_local_narrowed.bytes_read < wide_local.bytes_read,
-        "narrowing never engaged on the wide batch's local segments"
-    );
-    let narrow_global = sort_bench::predict_traffic(&narrow, SortPolicy::Lsd, true)[4].1;
-    assert!(
-        narrow_global.items > 0,
-        "narrow batch never narrowed globally"
-    );
-    let flush_any = [&wide, &narrow, &skewed].iter().any(|k| {
-        sort_bench::predict_traffic(k, SortPolicy::Lsd, false)[2]
-            .1
-            .items
-            > 0
-    });
+    let flush_any = all
+        .iter()
+        .any(|(_, k)| sort_bench::predict_traffic(k)[2].1.items > 0);
     assert!(flush_any, "no batch exercised the flush charge");
 }
 

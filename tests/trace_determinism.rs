@@ -10,10 +10,7 @@
 
 use std::sync::Mutex;
 
-use sieve::core::{
-    trace, HostKernels, HostPipeline, PcieConfig, SieveCluster, SieveConfig, SieveDevice,
-    SortPolicy,
-};
+use sieve::core::{trace, HostPipeline, PcieConfig, SieveCluster, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, Kmer};
 
@@ -134,151 +131,74 @@ fn stream_model_trace_is_byte_identical_across_thread_counts() {
     assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
 }
 
-/// The fused plan/match pipeline, the hot-k-mer cache, and the planner's
-/// sort policy and narrowing knob must not leak into the model-time event
-/// stream: for every grid point the stream is byte-identical across
-/// thread counts, and every (fused, cache, policy, narrow) point renders
-/// the same bytes (the sort — its `sort.narrow` repack included — emits
-/// only `wall.*` spans, never model events). Since `threads == 1`
-/// always runs the unfused path, the sweep also proves fused and unfused
-/// runs emit the same model events in the same order. The stream repeats
-/// its reads three times so the cache genuinely engages; engagement is
-/// visible as `cache.probe` instants and must appear exactly when the
-/// cache is on.
+/// The hot-k-mer cache must not leak into the model-time event stream
+/// beyond its own `cache.probe` instants: for each cache setting the
+/// stream is byte-identical across thread counts (the sort emits only
+/// `wall.*` spans, never model events). The stream repeats its reads
+/// three times so the cache genuinely engages; engagement is visible as
+/// `cache.probe` instants and must appear exactly when the cache is on.
 #[test]
-fn fused_and_cached_streams_keep_the_model_trace_byte_identical() {
+fn cached_streams_keep_the_model_trace_byte_identical() {
     let _session = TracerSession::begin();
     let ds = dataset();
     let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
     let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
-    // The cache axis legitimately changes the stream (cache.probe
-    // instants), so the cross-point reference is per-cache-setting; the
-    // fused and sort-policy axes must leave those bytes untouched.
-    let mut reference: [Option<String>; 2] = [None, None];
-    let sort_grid = [
-        (SortPolicy::Adaptive, false),
-        (SortPolicy::Adaptive, true),
-        (SortPolicy::Lsd, false),
-        (SortPolicy::Lsd, true),
-        (SortPolicy::Comparison, true),
-    ];
-    for (policy, narrow) in sort_grid {
-        for fused in [false, true] {
-            for (cache_axis, hot_kmers) in [(0usize, 0usize), (1, 1 << 18)] {
-                let runs = model_sweep(|threads| {
-                    let config = SieveConfig::type3(8)
-                        .with_fused(fused)
-                        .with_hot_kmers(hot_kmers)
-                        .with_sort_policy(policy)
-                        .with_sort_narrow(narrow);
-                    HostPipeline::new(device(config, threads, &ds))
-                        .classify_stream(&reads, 10)
-                        .unwrap();
-                });
-                let (base_lines, base_snap) = &runs[0];
-                assert!(!base_lines.is_empty());
-                for (i, (lines, _)) in runs.iter().enumerate().skip(1) {
-                    assert_eq!(
-                        lines,
-                        base_lines,
-                        "sort={} narrow={narrow} fused={fused} hot_kmers={hot_kmers} \
-                         threads={}: model stream diverged",
-                        policy.label(),
-                        THREAD_SWEEP[i]
-                    );
-                }
-                match &reference[cache_axis] {
-                    None => reference[cache_axis] = Some(base_lines.clone()),
-                    Some(base) => assert_eq!(
-                        base_lines,
-                        base,
-                        "sort={} narrow={narrow} fused={fused} hot_kmers={hot_kmers}: \
-                         model stream diverged from the grid reference",
-                        policy.label()
-                    ),
-                }
-                let probes = base_snap
-                    .model
-                    .iter()
-                    .filter(|e| e.name == "cache.probe")
-                    .count();
-                if hot_kmers > 0 {
-                    assert!(
-                        probes > 0,
-                        "fused={fused}: repeated chunks never probed the cache"
-                    );
-                } else {
-                    assert_eq!(probes, 0, "fused={fused}: disabled cache must not probe");
-                }
-            }
+    for hot_kmers in [0usize, 1 << 18] {
+        let runs = model_sweep(|threads| {
+            let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
+            HostPipeline::new(device(config, threads, &ds))
+                .classify_stream(&reads, 10)
+                .unwrap();
+        });
+        let (base_lines, base_snap) = &runs[0];
+        assert!(!base_lines.is_empty());
+        for (i, (lines, _)) in runs.iter().enumerate().skip(1) {
+            assert_eq!(
+                lines, base_lines,
+                "hot_kmers={hot_kmers} threads={}: model stream diverged",
+                THREAD_SWEEP[i]
+            );
+        }
+        let probes = base_snap
+            .model
+            .iter()
+            .filter(|e| e.name == "cache.probe")
+            .count();
+        if hot_kmers > 0 {
+            assert!(probes > 0, "repeated chunks never probed the cache");
+        } else {
+            assert_eq!(probes, 0, "disabled cache must not probe");
         }
     }
 }
 
-/// Work stealing reassigns fused tasks between wall-clock workers but
-/// never touches model time, so the canonical model-stream rendering
-/// must stay byte-identical across steal on/off × worker counts
-/// {1,2,4,8} — including on a forced-imbalance batch (nearly every pair
-/// in one radix bucket) where the stealer genuinely migrates work.
+/// The planner's parallel stages — histogram, owned-run scatter, and the
+/// work-stealing segment sorts — run on wall-clock workers but never
+/// touch model time, so the canonical model-stream rendering must stay
+/// byte-identical across worker counts {1,2,4,8}, including on a
+/// forced-imbalance batch (nearly every pair in one radix bucket).
 #[test]
 fn steal_grid_keeps_the_model_trace_byte_identical() {
     let _session = TracerSession::begin();
     let ds = dataset();
-    let mut queries: Vec<Kmer> = (0..6_000u64)
-        .map(|i| Kmer::from_u64(0x2AAA_0000_0000 | i, 31).unwrap())
+    let mut queries: Vec<Kmer> = (0..20_000u64)
+        .map(|i| {
+            let spread = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24;
+            Kmer::from_u64((0x2AA << 50) | spread, 31).unwrap()
+        })
         .collect();
     queries.extend(ds.entries.iter().map(|&(k, _)| k).take(64));
     let mut reference: Option<String> = None;
-    for steal in [false, true] {
-        for threads in [1usize, 2, 4, 8] {
-            trace::global().reset();
-            device(SieveConfig::type3(8).with_steal(steal), threads, &ds)
-                .run(&queries)
-                .unwrap();
-            let lines = trace::global().snapshot().model_lines();
-            assert!(!lines.is_empty());
-            match &reference {
-                None => reference = Some(lines),
-                Some(base) => assert_eq!(
-                    &lines, base,
-                    "steal={steal} threads={threads}: model stream diverged"
-                ),
-            }
-        }
-    }
-}
-
-/// The SWAR host kernels (packed extraction, branchless vote) change how
-/// k-mers are computed, not which k-mers exist, so the model-time event
-/// stream must be byte-identical across the kernels axis — crossed with
-/// thread counts, where `threads == 1` also covers the unfused path.
-#[test]
-fn kernel_grid_keeps_the_model_trace_byte_identical() {
-    let _session = TracerSession::begin();
-    let ds = dataset();
-    let reads = stream_workload(&ds);
-    let mut reference: Option<String> = None;
-    for kernels in [HostKernels::Scalar, HostKernels::Swar] {
-        for threads in THREAD_SWEEP {
-            trace::global().reset();
-            HostPipeline::new(device(
-                SieveConfig::type3(8).with_host_kernels(kernels),
-                threads,
-                &ds,
-            ))
-            .classify_stream(&reads, 25)
+    for threads in [1usize, 2, 4, 8] {
+        trace::global().reset();
+        device(SieveConfig::type3(8), threads, &ds)
+            .run(&queries)
             .unwrap();
-            let lines = trace::global().snapshot().model_lines();
-            assert!(!lines.is_empty());
-            match &reference {
-                None => reference = Some(lines),
-                Some(base) => assert_eq!(
-                    &lines,
-                    base,
-                    "kernels={} threads={threads}: model stream diverged",
-                    kernels.label()
-                ),
-            }
+        let lines = trace::global().snapshot().model_lines();
+        assert!(!lines.is_empty());
+        match &reference {
+            None => reference = Some(lines),
+            Some(base) => assert_eq!(&lines, base, "threads={threads}: model stream diverged"),
         }
     }
 }
