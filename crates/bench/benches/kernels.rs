@@ -95,45 +95,48 @@ fn bench_host_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// The device match kernel's two shapes over identical radix-sorted
-/// input: one `MergeCursor::lookup` call per query (rows computed live)
-/// versus `lookup_block` over 512-key blocks with the precomputed
-/// [`etm::RowTable`] — the shape `device::run_with` actually uses.
+/// The device match kernel against its reference over one grouped
+/// shard: the queries that route to subarray 0, in arrival order, as the
+/// plan's counting scatter leaves them. `per_query_lookup` binary-searches
+/// the subarray per query with rows computed live ([`engine::lookup`]);
+/// `key_table_512` resolves 512-key blocks through the device's
+/// direct-mapped [`engine::KeyTable`] with the precomputed
+/// [`etm::RowTable`] — the shape `device::match_pairs` actually uses.
 fn bench_match_kernel(c: &mut Criterion) {
     use sieve_core::etm::RowTable;
-    use sieve_genomics::Kmer;
+    use sieve_core::SubarrayIndex;
     const BLOCK: usize = 512;
     let (layout, queries) = setup_layout();
-    let mut keys: Vec<u64> = queries.iter().map(|q| q.bits()).collect();
-    keys.sort_unstable();
-    let kmers: Vec<Kmer> = keys
-        .iter()
-        .map(|&b| Kmer::from_u64(b, 31).unwrap())
+    let index = SubarrayIndex::build(&layout);
+    let shard: Vec<_> = queries
+        .into_iter()
+        .filter(|&q| index.locate(q) == 0)
         .collect();
-    let table = RowTable::new(62, true, 1);
+    let keys: Vec<u64> = shard.iter().map(|q| q.bits()).collect();
+    let sa = layout.subarray(0);
+    let table = engine::KeyTable::new(&layout);
+    let rows = RowTable::new(62, true, 1);
     let mut g = c.benchmark_group("match_kernel");
     g.throughput(Throughput::Elements(keys.len() as u64));
     g.bench_function("per_query_lookup", |b| {
         b.iter(|| {
-            let mut cursor = engine::MergeCursor::new(layout.subarray(0));
-            let mut rows = 0u64;
-            for q in &kmers {
-                rows += u64::from(cursor.lookup(*q, true, 1).rows);
+            let mut total = 0u64;
+            for q in &shard {
+                total += u64::from(engine::lookup(&sa, *q, true, 1).rows);
             }
-            std::hint::black_box(rows)
+            std::hint::black_box(total)
         });
     });
-    g.bench_function("blocked_lookup_512", |b| {
+    g.bench_function("key_table_512", |b| {
         let mut out = Vec::with_capacity(BLOCK);
         b.iter(|| {
-            let mut cursor = engine::MergeCursor::new(layout.subarray(0));
-            let mut rows = 0u64;
+            let mut total = 0u64;
             for block in keys.chunks(BLOCK) {
                 out.clear();
-                cursor.lookup_block(block, &table, &mut out);
-                rows += out.iter().map(|o| u64::from(o.rows)).sum::<u64>();
+                table.lookup_block(&layout, 0, block, &rows, &mut out);
+                total += out.iter().map(|o| u64::from(o.rows)).sum::<u64>();
             }
-            std::hint::black_box(rows)
+            std::hint::black_box(total)
         });
     });
     g.finish();

@@ -2,18 +2,10 @@
 //! versioned `results/MACHINE.json` that the roofline layer normalizes
 //! against (see DESIGN.md §10).
 //!
-//! Two ceilings per thread count, both counting read + write bytes:
-//!
-//! * **copy** — a per-thread streaming `copy_from_slice` over buffers far
-//!   larger than L2: the classic STREAM-style upper bound for
-//!   sequential-traffic phases (extraction, histogram scans);
-//! * **scatter** — the *production* radix sort ([`SortHarness`]) on
-//!   uniform random 64-bit keys, bandwidth taken as the canonical
-//!   scatter+flush byte charge over the measured scatter+flush wall. A
-//!   plain `memcpy` cannot stand in for this: write-combining scatters
-//!   sustain only a fraction of copy bandwidth on any real memory
-//!   system, and gating scatter phases against a copy ceiling would
-//!   misclassify every one of them as compute-bound.
+//! One ceiling per thread count, counting read + write bytes: a
+//! per-thread streaming `copy_from_slice` over buffers far larger than
+//! L2, the classic STREAM-style upper bound every host phase is judged
+//! against.
 //!
 //! Thread counts 1, 2, 4, and the detected core count (deduplicated,
 //! capped at the detected cores — an oversubscribed calibration measures
@@ -27,8 +19,6 @@ use std::time::Instant;
 
 use sieve_bench::machine::{self, BandwidthRow, Machine, MACHINE_SCHEMA_VERSION};
 use sieve_bench::table::Table;
-use sieve_core::sort_bench::SortHarness;
-use sieve_core::{obs, prof};
 
 const DEFAULT_OUT: &str = "results/MACHINE.json";
 
@@ -48,15 +38,6 @@ fn median(samples: &mut [f64]) -> f64 {
     } else {
         (samples[n / 2 - 1] + samples[n / 2]) / 2.0
     }
-}
-
-/// SplitMix64: deterministic uniform keys without an RNG dependency.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Sustained copy bandwidth at `threads`, GB/s. Each worker owns a
@@ -107,58 +88,17 @@ fn copy_gbps(threads: usize, words: usize, iters: usize, reps: usize) -> f64 {
     median(&mut samples)
 }
 
-/// Sustained radix-scatter bandwidth at `threads`, GB/s: the production
-/// sort's canonical scatter+flush byte charge over its measured
-/// scatter+flush wall on uniform 64-bit keys, recorded by the same
-/// obs/prof plumbing the pipeline reports through.
-#[allow(clippy::cast_precision_loss)]
-fn scatter_probe(threads: usize, n_keys: usize, reps: usize) -> f64 {
-    let mut state = 0xC0FF_EE00_D15E_A5E5u64;
-    let keys: Vec<u64> = (0..n_keys).map(|_| splitmix64(&mut state)).collect();
-    let mut harness = SortHarness::new(&keys);
-    let rec = obs::global();
-    let mut samples = Vec::with_capacity(reps);
-    let mut sink = 0u64;
-    // Warm allocations and caches once, unmeasured.
-    sink ^= harness.run(threads);
-    for _ in 0..reps {
-        rec.set_enabled(true);
-        rec.reset();
-        prof::reset();
-        sink ^= harness.run(threads);
-        let metrics = rec.snapshot();
-        let traffic = prof::snapshot();
-        rec.set_enabled(false);
-        rec.reset();
-        let scatter = traffic.traffic(prof::Phase::SortScatter);
-        let bytes = scatter.bytes() + traffic.traffic(prof::Phase::SortFlush).bytes();
-        let wall: u64 = ["wall.sort.scatter.ns", "wall.sort.flush.ns"]
-            .iter()
-            .filter_map(|h| metrics.histogram(h))
-            .map(|h| h.sum)
-            .sum();
-        assert!(
-            bytes > 0 && wall > 0,
-            "calibration sort must run the radix path"
-        );
-        samples.push(bytes as f64 / wall as f64);
-    }
-    prof::reset();
-    std::hint::black_box(sink);
-    median(&mut samples)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| DEFAULT_OUT.to_string());
     // Full: 32 MiB copy buffers (src + dst = 64 MiB, past any L3) × 8
-    // iters, 1 Mi keys, median of 7. Quick: 4 MiB × 4, 256 Ki keys,
-    // median of 3 — CI-fast, same method, ceilings a little cachier.
-    let (words, iters, n_keys, reps) = if quick {
-        (1 << 19, 4, 1 << 18, 3)
+    // iters, median of 7. Quick: 4 MiB × 4, median of 3 — CI-fast, same
+    // method, ceiling a little cachier.
+    let (words, iters, reps) = if quick {
+        (1 << 19, 4, 3)
     } else {
-        (1 << 22, 8, 1 << 20, 7)
+        (1 << 22, 8, 7)
     };
 
     let detected = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -170,11 +110,10 @@ fn main() {
     thread_counts.dedup();
 
     println!(
-        "machine calibration{}: {} cores, {} MiB copy buffers, {} keys, median of {reps}\n",
+        "machine calibration{}: {} cores, {} MiB copy buffers, median of {reps}\n",
         if quick { " (--quick)" } else { "" },
         detected,
         (words * std::mem::size_of::<u64>()) >> 20,
-        n_keys,
     );
 
     let rows: Vec<BandwidthRow> = thread_counts
@@ -182,18 +121,12 @@ fn main() {
         .map(|&threads| BandwidthRow {
             threads,
             copy_gbps: copy_gbps(threads, words, iters, reps),
-            scatter_gbps: scatter_probe(threads, n_keys, reps),
         })
         .collect();
 
-    let mut t = Table::new(["threads", "copy GB/s", "scatter GB/s", "scatter/copy"]);
+    let mut t = Table::new(["threads", "copy GB/s"]);
     for r in &rows {
-        t.row([
-            r.threads.to_string(),
-            format!("{:.2}", r.copy_gbps),
-            format!("{:.2}", r.scatter_gbps),
-            format!("{:.2}", r.scatter_gbps / r.copy_gbps),
-        ]);
+        t.row([r.threads.to_string(), format!("{:.2}", r.copy_gbps)]);
     }
     println!("{}", t.render());
 

@@ -31,7 +31,7 @@
 //!
 //! Since `"schema_version": 2` the JSON also carries `provenance` (git
 //! SHA, rustc, CPU model), the single-thread `prof` traffic table, the
-//! `calibration` peaks read from `results/MACHINE.json` (`--machine PATH`
+//! `calibration` peak read from `results/MACHINE.json` (`--machine PATH`
 //! overrides; missing file → `null` and unclassified rows; unparseable
 //! file → hard error), and the derived `roofline` rows — one object per
 //! line so `scripts/roofline_report.sh` and the bench gates can consume
@@ -276,8 +276,8 @@ fn main() {
     }
     let (_, snapshot, prof_snapshot) = quietest.expect("PROFILE_REPS > 0");
     // And one at the *highest thread count* (same batch workload): its
-    // `wall.shard.sort` relative to the single-thread snapshot above is
-    // the planner-scaling measurement the acceptance gates track.
+    // wall spans against the single-thread snapshot above show how the
+    // match and schedule fan-outs scale.
     let mut quietest_mt: Option<(u64, obs::MetricsSnapshot)> = None;
     for _ in 0..PROFILE_REPS {
         recorder.set_enabled(true);
@@ -499,9 +499,8 @@ fn render_json(
     // so check scripts can gate on them with awk.
     match machine_cal.and_then(Machine::calibration) {
         Some(cal) => s.push_str(&format!(
-            "  \"calibration\": {{\"schema_version\": {}, \"copy_gbps_1t\": {:.3}, \
-             \"scatter_gbps_1t\": {:.3}}},\n",
-            cal.version, cal.copy_gbps, cal.scatter_gbps
+            "  \"calibration\": {{\"schema_version\": {}, \"copy_gbps_1t\": {:.3}}},\n",
+            cal.version, cal.copy_gbps
         )),
         None => s.push_str("  \"calibration\": null,\n"),
     }
@@ -531,8 +530,8 @@ fn render_json(
     s.push_str("  ],\n");
     // Two instrumented runs' full snapshots, reindented: "metrics" is
     // the canonical single-thread batch profile, "metrics_mt" the same
-    // workload at the table's highest thread count (for the
-    // wall.shard.sort scaling gate).
+    // workload at the table's highest thread count (for the per-stage
+    // scaling comparison).
     let metrics = snapshot.to_json().replace('\n', "\n  ");
     s.push_str(&format!("  \"metrics\": {metrics},\n"));
     s.push_str(&format!("  \"metrics_mt_threads\": {mt_threads},\n"));

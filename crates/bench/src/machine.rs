@@ -1,8 +1,8 @@
 //! The machine calibration file (`results/MACHINE.json`) and run
 //! provenance.
 //!
-//! `bench_calibrate` measures the host's sustained copy and radix-scatter
-//! bandwidth and writes them here; `bench_classify` and the check scripts
+//! `bench_calibrate` measures the host's sustained copy bandwidth and
+//! writes it here; `bench_classify` and the check scripts
 //! read them back to normalize achieved phase bandwidth against the
 //! machine's actual ceiling (a roofline fraction travels between machines;
 //! an absolute GB/s does not). The file is versioned: parsers reject a
@@ -18,16 +18,17 @@ use std::process::Command;
 
 use sieve_core::prof;
 
-/// The `MACHINE.json` schema version this crate writes. Older version-2
-/// files also carry an 8-byte-element scatter probe (`scatter8_gbps`)
-/// for a narrowed global sort pass that no longer exists; parsers ignore
-/// it, so version-1 and version-2 files read alike.
-pub const MACHINE_SCHEMA_VERSION: u64 = 2;
+/// The `MACHINE.json` schema version this crate writes. Version 3 keeps
+/// only the copy ceiling; version-1 and version-2 files also carry a
+/// radix-scatter probe (`scatter_gbps`, and `scatter8_gbps` in some
+/// version-2 files) for a plan sort that no longer exists. Parsers ignore
+/// those fields, so every accepted version reads alike.
+pub const MACHINE_SCHEMA_VERSION: u64 = 3;
 
 /// The oldest `MACHINE.json` schema version parsers still accept.
 pub const MACHINE_SCHEMA_MIN_VERSION: u64 = 1;
 
-/// One measured thread count's sustained bandwidths, GB/s counting both
+/// One measured thread count's sustained bandwidth, GB/s counting both
 /// directions (a copy of `b` bytes moves `2b`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthRow {
@@ -35,9 +36,6 @@ pub struct BandwidthRow {
     pub threads: usize,
     /// Streaming copy bandwidth (read + write), GB/s.
     pub copy_gbps: f64,
-    /// Production write-combining radix-scatter bandwidth on uniform
-    /// random keys (read + write, canonical byte charge), GB/s.
-    pub scatter_gbps: f64,
 }
 
 /// A parsed (or to-be-written) `MACHINE.json`.
@@ -65,30 +63,20 @@ impl Machine {
             .map(|r| r.copy_gbps)
     }
 
-    /// The single-threaded scatter bandwidth, if a 1-thread row exists.
-    #[must_use]
-    pub fn scatter_gbps_1t(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.threads == 1)
-            .map(|r| r.scatter_gbps)
-    }
-
     /// The [`prof::Calibration`] the roofline derivation consumes: the
-    /// single-core peaks (phase walls are summed spans, so the 1-thread
+    /// single-core peak (phase walls are summed spans, so the 1-thread
     /// ceiling is the honest denominator). `None` without a 1-thread row.
     #[must_use]
     pub fn calibration(&self) -> Option<prof::Calibration> {
         Some(prof::Calibration {
             version: self.schema_version,
             copy_gbps: self.copy_gbps_1t()?,
-            scatter_gbps: self.scatter_gbps_1t()?,
         })
     }
 
     /// Renders the file (hand-rolled JSON; the workspace builds offline,
-    /// without serde). The 1-thread peaks are lifted to flat top-level
-    /// keys so `awk`-based scripts can grab them without a JSON parser.
+    /// without serde). The 1-thread peak is lifted to a flat top-level
+    /// key so `awk`-based scripts can grab it without a JSON parser.
     #[must_use]
     pub fn render_json(&self) -> String {
         let mut s = String::new();
@@ -104,17 +92,12 @@ impl Machine {
             "  \"copy_gbps_1t\": {:.3},\n",
             self.copy_gbps_1t().unwrap_or(0.0)
         ));
-        s.push_str(&format!(
-            "  \"scatter_gbps_1t\": {:.3},\n",
-            self.scatter_gbps_1t().unwrap_or(0.0)
-        ));
         s.push_str("  \"bandwidth\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"threads\": {}, \"copy_gbps\": {:.3}, \"scatter_gbps\": {:.3}}}{}\n",
+                "    {{\"threads\": {}, \"copy_gbps\": {:.3}}}{}\n",
                 r.threads,
                 r.copy_gbps,
-                r.scatter_gbps,
                 if i + 1 == self.rows.len() { "" } else { "," }
             ));
         }
@@ -129,7 +112,7 @@ impl Machine {
     ///
     /// Returns a human-readable message when the schema version is
     /// missing, outside `[MACHINE_SCHEMA_MIN_VERSION,
-    /// MACHINE_SCHEMA_VERSION]`, or the 1-thread peaks are absent —
+    /// MACHINE_SCHEMA_VERSION]`, or the 1-thread peak is absent —
     /// callers are expected to *fail*, not silently skip gates.
     pub fn parse(text: &str) -> Result<Self, String> {
         let version = json_u64(text, "schema_version")
@@ -149,12 +132,9 @@ impl Machine {
                 json_u64(line, "threads").ok_or_else(|| format!("bad bandwidth row: {line}"))?;
             let copy_gbps = json_f64(line, "copy_gbps")
                 .ok_or_else(|| format!("bandwidth row missing copy_gbps: {line}"))?;
-            let scatter_gbps = json_f64(line, "scatter_gbps")
-                .ok_or_else(|| format!("bandwidth row missing scatter_gbps: {line}"))?;
             rows.push(BandwidthRow {
                 threads: usize::try_from(threads).map_err(|e| e.to_string())?,
                 copy_gbps,
-                scatter_gbps,
             });
         }
         let machine = Self {
@@ -263,12 +243,10 @@ mod tests {
                 BandwidthRow {
                     threads: 1,
                     copy_gbps: 4.125,
-                    scatter_gbps: 2.25,
                 },
                 BandwidthRow {
                     threads: 4,
                     copy_gbps: 9.5,
-                    scatter_gbps: 5.0,
                 },
             ],
         }
@@ -282,19 +260,19 @@ mod tests {
         let cal = parsed.calibration().unwrap();
         assert_eq!(cal.version, MACHINE_SCHEMA_VERSION);
         assert!((cal.copy_gbps - 4.125).abs() < 1e-9);
-        assert!((cal.scatter_gbps - 2.25).abs() < 1e-9);
     }
 
     #[test]
     fn flat_1t_keys_are_awk_greppable() {
         let json = sample().render_json();
         assert!(json.contains("\"copy_gbps_1t\": 4.125,"));
-        assert!(json.contains("\"scatter_gbps_1t\": 2.250,"));
+        assert!(!json.contains("scatter"));
     }
 
     #[test]
-    fn schema_v1_and_probe_carrying_v2_files_still_parse() {
-        // A literal v1 file, and a v2 file with the retired 8-byte probe.
+    fn scatter_carrying_v1_and_v2_files_still_parse() {
+        // A literal v1 file, and a v2 file with the retired 8-byte probe;
+        // both carry the retired radix-scatter probe.
         let v1 = "{\n  \"schema_version\": 1,\n  \"cpu_model\": \"Old CPU\",\n  \
                   \"host_cores\": 2,\n  \"copy_gbps_1t\": 4.000,\n  \
                   \"scatter_gbps_1t\": 2.000,\n  \"bandwidth\": [\n    \
@@ -306,7 +284,7 @@ mod tests {
             let m = Machine::parse(&text).unwrap();
             assert_eq!(m.schema_version, version);
             let cal = m.calibration().unwrap();
-            assert!((cal.scatter_gbps - 2.0).abs() < 1e-9);
+            assert!((cal.copy_gbps - 4.0).abs() < 1e-9);
         }
     }
 

@@ -16,9 +16,8 @@ use crate::layout::DeviceLayout;
 use crate::obs;
 use crate::par;
 use crate::prof;
-use crate::radix;
 use crate::sched;
-use crate::shard::ShardPlan;
+use crate::shard::{Pair, ShardPlan};
 use crate::stats::SimReport;
 use crate::trace;
 
@@ -65,13 +64,12 @@ struct RunScratch {
 }
 
 /// The plan stage's output and working memory: the `(bits, id)` pairs
-/// (sorted once the stage returns), the sort's ping-pong twin and
-/// count/staging tables, and the shard plan over the sorted pairs.
+/// (grouped by subarray once the stage returns), the scatter's
+/// destination buffer, and the shard plan over the grouped pairs.
 #[derive(Debug, Default)]
 struct PlanScratch {
-    pairs: Vec<radix::Pair>,
-    pairs_scratch: Vec<radix::Pair>,
-    sort: radix::SortScratch,
+    pairs: Vec<Pair>,
+    pairs_scratch: Vec<Pair>,
     shards: ShardPlan,
 }
 
@@ -291,12 +289,14 @@ pub struct SieveDevice {
     config: SieveConfig,
     layout: DeviceLayout,
     index: Option<SubarrayIndex>,
+    keys: engine::KeyTable,
     scratch: ScratchArena,
     cache: HotCache,
 }
 
 impl SieveDevice {
-    /// Validates `config`, lays out `entries`, and builds the index table.
+    /// Validates `config`, lays out `entries`, and builds the index table
+    /// and the match stage's key table.
     ///
     /// # Errors
     ///
@@ -305,11 +305,13 @@ impl SieveDevice {
     pub fn new(config: SieveConfig, entries: Vec<(Kmer, TaxonId)>) -> Result<Self, SieveError> {
         let layout = DeviceLayout::build(entries, &config)?;
         let index = (!layout.is_empty()).then(|| SubarrayIndex::build(&layout));
+        let keys = engine::KeyTable::new(&layout);
         let hot_kmers = config.hot_kmers;
         Ok(Self {
             config,
             layout,
             index,
+            keys,
             scratch: ScratchArena::default(),
             cache: HotCache::new(hot_kmers),
         })
@@ -355,8 +357,8 @@ impl SieveDevice {
     }
 
     /// Runs a query batch: deduplicates it to distinct k-mers (unless
-    /// [`SieveConfig::dedup`] is off), radix-sorts and boundary-routes
-    /// the distinct set into per-subarray shards, resolves the shards —
+    /// [`SieveConfig::dedup`] is off), groups the distinct set into
+    /// per-subarray shards by a counting scatter, resolves the shards —
     /// split into bounded tasks — functionally on worker threads,
     /// schedules the merged work on the configured design point with
     /// every duplicate charged its cached outcome's full cost, and
@@ -379,7 +381,7 @@ impl SieveDevice {
 
     /// [`Self::run`] with the cross-chunk hot-k-mer cache engaged: repeat
     /// k-mers replay their cached per-subarray outcome instead of
-    /// re-entering the sort/route/match path. Used by the streaming host
+    /// re-entering the route/group/match path. Used by the streaming host
     /// (`classify_stream`), where consecutive chunks share hot k-mers.
     /// Results and reports are bit-identical to [`Self::run`].
     pub(crate) fn run_streamed(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
@@ -398,7 +400,7 @@ impl SieveDevice {
     }
 
     /// One run, stage by stage: dedup → plan (cache probe, pair build,
-    /// sort and route) → match → reduce → expand → schedule. Each stage
+    /// route and group) → match → reduce → expand → schedule. Each stage
     /// is its own function under its own span; this one threads the
     /// scratch buffers between them.
     fn run_with(&self, queries: &[Kmer], scratch: &mut RunScratch, use_cache: bool) -> RunOutput {
@@ -444,7 +446,7 @@ impl SieveDevice {
         // schedulers skip zero-query entries, so the extra length is
         // inert when the cache is off.
         loads.clear();
-        loads.resize(index.first_bits().len(), sched::SubLoad::default());
+        loads.resize(index.len(), sched::SubLoad::default());
         let mut acc = Accum {
             // A deduplicated run resolves into the distinct k-mers' table
             // (expanded to every occurrence below), any other straight
@@ -531,7 +533,7 @@ impl SieveDevice {
     /// Plan: decides cache engagement from a strided sample, replays the
     /// cached queries (their loads and results land in `acc` here, and
     /// they skip the device stages), builds the `(bits, id)` pairs for
-    /// the rest, and sorts and routes them into the shard plan. Returns
+    /// the rest, and groups them by subarray into the shard plan. Returns
     /// whether the cache takes inserts from this run's outcomes.
     fn plan_stage(
         &self,
@@ -558,14 +560,7 @@ impl SieveDevice {
         let mut tally = RowsTally::new();
         let mut cached = 0u64;
         // Every query the cache does not replay becomes a `(bits, id)`
-        // pair, OR-folding `bits ^ first_bits` on the way: hands the radix
-        // sort its digit window without a second scan over the keys
-        // (`radix::sort_pairs` docs).
-        let (mut first_key, mut spread) = (None, 0u64);
-        let mut pair = |g: usize, bits: u64| {
-            spread |= bits ^ *first_key.get_or_insert(bits);
-            radix::Pair::new(bits, g as u32)
-        };
+        // pair.
         let queries = space.queries.iter().enumerate();
         planned.pairs.clear();
         match probe {
@@ -574,12 +569,12 @@ impl SieveDevice {
             // 700k-pair batch.
             None => planned
                 .pairs
-                .extend(queries.map(|(g, q)| pair(g, q.bits()))),
+                .extend(queries.map(|(g, q)| Pair::new(q.bits(), g as u32))),
             Some(cache) => {
                 for (g, q) in queries {
                     let bits = q.bits();
                     let Some(e) = cache.get(bits) else {
-                        planned.pairs.push(pair(g, bits));
+                        planned.pairs.push(Pair::new(bits, g as u32));
                         continue;
                     };
                     let m = space.mult.map_or(1, |m| u64::from(m[g]));
@@ -608,14 +603,9 @@ impl SieveDevice {
             obs::CounterId::MatchHits,
             acc.loads.iter().map(|l| l.hits).sum::<u64>(),
         );
-        planned.shards.rebuild(
-            ctx.index,
-            &mut planned.pairs,
-            &mut planned.pairs_scratch,
-            &mut planned.sort,
-            ctx.threads,
-            first_key.map(|_| spread),
-        );
+        planned
+            .shards
+            .rebuild(ctx.index, &mut planned.pairs, &mut planned.pairs_scratch);
         cache.is_some_and(|cache| cache.accepts_inserts())
     }
 
@@ -794,23 +784,21 @@ impl SieveDevice {
         report
     }
 
-    /// Resolves one match task: walks the destination subarray's sorted
-    /// entries with a merge cursor over the task's sorted `(bits, id)`
-    /// pairs, in fixed-size blocks ([`MATCH_BLOCK`]) through the blocked
-    /// lookup kernel, producing the task's aggregate load, its hits, and
-    /// (when `keep_work`) per-query work. `mult` (dedup on) charges each
-    /// distinct k-mer's outcome once per occurrence.
+    /// Resolves one match task: looks the task's `(bits, id)` pairs up
+    /// in the destination subarray through the key table, in fixed-size
+    /// blocks ([`MATCH_BLOCK`]), producing the task's aggregate load, its
+    /// hits, and (when `keep_work`) per-query work. `mult` (dedup on)
+    /// charges each distinct k-mer's outcome once per occurrence.
     fn match_pairs(
         &self,
         subarray: usize,
-        task_pairs: &[radix::Pair],
+        task_pairs: &[Pair],
         mult: Option<&[u32]>,
         table: &etm::RowTable,
         esp_table: Option<&etm::RowTable>,
         keep_work: bool,
     ) -> TaskOutcome {
         let mut tally = RowsTally::new();
-        let mut cursor = engine::MergeCursor::new(self.layout.subarray(subarray));
         let mut load = sched::SubLoad::default();
         let mut deepest_rows = 0u32;
         let mut hits = Vec::new();
@@ -823,7 +811,13 @@ impl SieveDevice {
                 *key = p.key();
             }
             outcomes.clear();
-            cursor.lookup_block(&keys[..block.len()], table, &mut outcomes);
+            self.keys.lookup_block(
+                &self.layout,
+                subarray,
+                &keys[..block.len()],
+                table,
+                &mut outcomes,
+            );
             for (&p, outcome) in block.iter().zip(&outcomes) {
                 let id = p.id();
                 let m = mult.map_or(1u64, |m| u64::from(m[id as usize]));
@@ -848,14 +842,19 @@ impl SieveDevice {
             }
         }
         tally.merge();
-        // Canonical match traffic: every task streams its sorted pairs
-        // once and emits its hits once, so the per-task charges sum to
-        // the same totals no matter how the plan split the shard.
+        // Canonical match traffic (DESIGN.md §10): every task streams its
+        // pairs once, each lookup reads its bucket's two offsets and its
+        // two neighbour keys, and each hit reads its payload and emits
+        // one hit record. The per-task charges sum to the same totals no
+        // matter how the plan split the shard.
+        use std::mem::size_of;
+        let lookup_bytes = size_of::<Pair>() + 2 * size_of::<u32>() + 2 * size_of::<u64>();
+        let (n, h) = (task_pairs.len() as u64, hits.len() as u64);
         prof::record(
             prof::Phase::DeviceMatch,
-            task_pairs.len() as u64 * std::mem::size_of::<radix::Pair>() as u64,
-            hits.len() as u64 * std::mem::size_of::<(u32, TaxonId)>() as u64,
-            task_pairs.len() as u64,
+            n * lookup_bytes as u64 + h * size_of::<TaxonId>() as u64,
+            h * size_of::<(u32, TaxonId)>() as u64,
+            n,
         );
         TaskOutcome {
             subarray,

@@ -16,7 +16,7 @@
 use sieve_genomics::{Kmer, TaxonId};
 
 use crate::etm::{rows_activated, RowActivity, RowTable};
-use crate::layout::SubarrayView;
+use crate::layout::{DeviceLayout, SubarrayView};
 
 /// Functional + row-count outcome of one lookup against one subarray.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,163 +108,175 @@ pub fn max_lcp_in_range(
     }
 }
 
-/// Forward-only lookup cursor over one subarray's sorted entries.
+/// Keys a [`Bucketed::lower_bound`] compares from the start of its
+/// bucket before falling back to a binary search of the rest of it.
+const WINDOW: usize = 4;
+
+/// A sorted `u64` key array with a direct-mapped index over the keys' top
+/// `b` bits, `2^b ≥ n`, so a bucket holds about one key: the search
+/// structure behind both the match stage's [`KeyTable`] and the
+/// planner's routing ([`crate::SubarrayIndex::locate`]).
 ///
-/// For queries presented in non-decreasing bit order (as the shard plan
-/// guarantees), each lookup resumes the scan from the previous query's
-/// insertion point — galloping forward, then binary-searching the final
-/// window — which costs O(log gap) instead of O(log n) per query and
-/// touches neighbouring cache lines for consecutive queries. Every
-/// outcome is identical to [`lookup`] on the same subarray: the stored
-/// entries are deduplicated, so the leftmost match the cursor finds is
-/// the same rank a binary search reports.
-#[derive(Debug)]
-pub struct MergeCursor<'a> {
-    subarray: SubarrayView<'a>,
-    /// Insertion point of the previous query: every entry before it
-    /// sorts strictly below every query seen so far.
-    pos: usize,
-    /// Previous query bits, to enforce the non-decreasing contract.
-    last_bits: Option<u64>,
+/// A search reads its bucket's two `u32` offsets and counts the keys
+/// below the query in a fixed [`WINDOW`] from the bucket's start. The
+/// count is branch-free, so consecutive searches overlap in the
+/// pipeline; only a crowded bucket searches on.
+#[derive(Debug, Clone)]
+pub(crate) struct Bucketed {
+    /// The keys in ascending order, then [`WINDOW`] `u64::MAX` sentinels
+    /// so no bucket's window runs off the end (a sentinel never counts
+    /// as below a query).
+    keys: Vec<u64>,
+    /// `starts[b]..starts[b + 1]` holds the keys whose top bits are `b`.
+    starts: Vec<u32>,
+    /// Right shift from a key to its bucket.
+    shift: u32,
 }
 
-impl<'a> MergeCursor<'a> {
-    /// A cursor positioned at the start of `subarray`.
-    #[must_use]
-    pub fn new(subarray: SubarrayView<'a>) -> Self {
-        Self {
-            subarray,
-            pos: 0,
-            last_bits: None,
-        }
-    }
-
-    /// Looks up `query`, which must not sort below any earlier query on
-    /// this cursor. Equivalent to [`lookup`]`(subarray, query, etm, flush)`.
+impl Bucketed {
+    /// Indexes `keys`, which must ascend and be `bit_len`-bit packings:
+    /// one counting pass over the bucket of every key, then an in-place
+    /// prefix sum.
     ///
     /// # Panics
     ///
-    /// Panics if `query.k()` differs from the stored k-mers' k, or (in
-    /// debug builds) if queries arrive out of order.
-    pub fn lookup(&mut self, query: Kmer, etm: bool, flush: u32) -> MatchOutcome {
-        let entries = self.subarray.entries();
-        let bit_len = query.bit_len();
-        if entries.is_empty() {
-            let RowActivity { rows, .. } = rows_activated(0, bit_len, etm, flush);
-            return MatchOutcome {
-                hit: None,
-                max_lcp: 0,
-                rows,
-            };
+    /// Panics if there are more than `u32::MAX` keys.
+    pub(crate) fn new(keys: impl ExactSizeIterator<Item = u64>, bit_len: usize) -> Self {
+        let n = keys.len();
+        assert!(u32::try_from(n).is_ok(), "bucket offsets are u32");
+        let mut sorted = Vec::with_capacity(n + WINDOW);
+        sorted.extend(keys);
+        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "keys must ascend");
+        let bit_len = bit_len as u32;
+        let bucket_bits = n.next_power_of_two().trailing_zeros().clamp(1, bit_len);
+        let shift = bit_len - bucket_bits;
+        let mut starts = vec![0u32; (1 << bucket_bits) + 1];
+        for &key in &sorted {
+            starts[(key >> shift) as usize + 1] += 1;
         }
-        let target = query.bits();
-        debug_assert!(
-            self.last_bits.is_none_or(|prev| prev <= target),
-            "merge cursor requires non-decreasing queries"
-        );
-        self.last_bits = Some(target);
-        let ins = lower_bound_from(entries, self.pos, target);
-        self.pos = ins;
-        if ins < entries.len() && entries[ins].0.bits() == target {
-            let RowActivity { rows, .. } = rows_activated(bit_len, bit_len, etm, flush);
-            MatchOutcome {
-                hit: Some((ins, entries[ins].1)),
-                max_lcp: bit_len,
-                rows,
-            }
-        } else {
-            let max_lcp = max_lcp_at_insertion(entries, ins, query);
-            let RowActivity { rows, .. } = rows_activated(max_lcp, bit_len, etm, flush);
-            MatchOutcome {
-                hit: None,
-                max_lcp,
-                rows,
-            }
+        let mut total = 0;
+        for start in &mut starts {
+            total += *start;
+            *start = total;
+        }
+        sorted.extend([u64::MAX; WINDOW]);
+        Self {
+            keys: sorted,
+            starts,
+            shift,
         }
     }
 
-    /// Looks up a block of queries given as raw packed bits, appending one
-    /// [`MatchOutcome`] per key to `out`. Keys must be non-decreasing and
-    /// continue the cursor's ordering contract, and must be `2k`-bit
-    /// packings matching `table.bit_len()`. Each outcome is identical to
-    /// [`MergeCursor::lookup`] with the ETM setting the table was built for.
-    ///
-    /// Hoisting the entries slice, the empty-subarray check, and the row
-    /// arithmetic (via the [`RowTable`]) out of the per-query path is what
-    /// makes this the kernel of choice for the device's match stage; the
-    /// miss path's LCP is the branch-free first-diverging-bit formula.
-    pub fn lookup_block(&mut self, keys: &[u64], table: &RowTable, out: &mut Vec<MatchOutcome>) {
-        let entries = self.subarray.entries();
-        let bit_len = table.bit_len();
-        if entries.is_empty() {
-            let rows = table.rows(0);
-            for &key in keys {
-                debug_assert!(
-                    self.last_bits.is_none_or(|prev| prev <= key),
-                    "merge cursor requires non-decreasing queries"
-                );
-                self.last_bits = Some(key);
-                out.push(MatchOutcome {
-                    hit: None,
-                    max_lcp: 0,
-                    rows,
-                });
-            }
-            return;
+    /// Number of keys (sentinels excluded).
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len() - WINDOW
+    }
+
+    /// Key `i`.
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> u64 {
+        self.keys[i]
+    }
+
+    /// The index of the first key `≥ target`.
+    #[inline]
+    pub(crate) fn lower_bound(&self, target: u64) -> usize {
+        let bucket = (target >> self.shift) as usize;
+        let (s, e) = (
+            self.starts[bucket] as usize,
+            self.starts[bucket + 1] as usize,
+        );
+        // Keys past the bucket's end sort above the target, so the
+        // window's count is the answer unless the whole window sits
+        // below the target in a bucket that goes on.
+        let ins = s + self.keys[s..s + WINDOW]
+            .iter()
+            .map(|&k| usize::from(k < target))
+            .sum::<usize>();
+        if ins == s + WINDOW && ins < e {
+            ins + self.keys[ins..e].partition_point(|&k| k < target)
+        } else {
+            ins
         }
-        debug_assert_eq!(entries[0].0.bit_len(), bit_len, "table/k mismatch");
-        let mut pos = self.pos;
-        let mut last = self.last_bits;
-        for &target in keys {
-            debug_assert!(
-                last.is_none_or(|prev| prev <= target),
-                "merge cursor requires non-decreasing queries"
-            );
-            last = Some(target);
-            let ins = lower_bound_from(entries, pos, target);
-            pos = ins;
-            if ins < entries.len() && entries[ins].0.bits() == target {
-                out.push(MatchOutcome {
-                    hit: Some((ins, entries[ins].1)),
-                    max_lcp: bit_len,
-                    rows: table.rows(bit_len),
-                });
-            } else {
-                let max_lcp = max_lcp_at_insertion_bits(entries, ins, target, bit_len);
-                out.push(MatchOutcome {
-                    hit: None,
-                    max_lcp,
-                    rows: table.rows(max_lcp),
-                });
-            }
-        }
-        self.pos = pos;
-        self.last_bits = last;
     }
 }
 
-/// First index `>= from` whose entry sorts at or above `target` — the
-/// insertion point of `target` in the whole slice, given that every entry
-/// before `from` sorts strictly below it. Gallops forward from `from`,
-/// then binary-searches the bracketed window, so the cost is logarithmic
-/// in the distance advanced rather than in the slice length.
-fn lower_bound_from(entries: &[(Kmer, TaxonId)], from: usize, target: u64) -> usize {
-    if from >= entries.len() || entries[from].0.bits() >= target {
-        return from;
+/// The match stage's search table over a layout's globally sorted
+/// reference keys, built once when a device loads: a packed `u64` copy
+/// of every key, bucketed by its top bits. Host memory: 8 B per
+/// reference k-mer for the keys plus 4–8 B for the bucket offsets.
+///
+/// A lookup finds the query's insertion point among all the keys, clamps
+/// it to the routed subarray's key range, and takes the max LCP against
+/// the (clamped) neighbours on either side. Clamping the global
+/// insertion point to a contiguous slice of a sorted array gives exactly
+/// the slice-local insertion point, so every outcome equals [`lookup`]
+/// on the same subarray (twin-tested), whatever order the queries arrive
+/// in. The keys are a copy because searching the 24-byte layout entries
+/// instead touches three times the cache lines.
+#[derive(Debug, Clone)]
+pub struct KeyTable {
+    keys: Bucketed,
+}
+
+impl KeyTable {
+    /// Builds the table over `layout`'s entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout holds more than `u32::MAX` references.
+    #[must_use]
+    pub fn new(layout: &DeviceLayout) -> Self {
+        let keys = layout.entries().iter().map(|(k, _)| k.bits());
+        Self {
+            keys: Bucketed::new(keys, 2 * layout.k()),
+        }
     }
-    // Invariant: entries[prev] < target; probe exponentially further.
-    let mut prev = from;
-    let mut step = 1usize;
-    loop {
-        let probe = prev.saturating_add(step);
-        if probe >= entries.len() {
-            return prev + 1 + entries[prev + 1..].partition_point(|(k, _)| k.bits() < target);
+
+    /// Looks up a block of queries given as raw packed bits against
+    /// occupied subarray `subarray` of `layout` (the layout the table was
+    /// built from), appending one [`MatchOutcome`] per key to `out`. The
+    /// keys may arrive in any order and must be `2k`-bit packings
+    /// matching `rows.bit_len()`. Each outcome is identical to
+    /// [`lookup`]`(&layout.subarray(subarray), ..)` with the ETM setting
+    /// the row table was built for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subarray` is not an occupied subarray of `layout`.
+    pub fn lookup_block(
+        &self,
+        layout: &DeviceLayout,
+        subarray: usize,
+        keys: &[u64],
+        rows: &RowTable,
+        out: &mut Vec<MatchOutcome>,
+    ) {
+        let entries = layout.subarray(subarray).entries();
+        let lo = subarray * layout.refs_per_subarray() as usize;
+        let hi = lo + entries.len();
+        let bit_len = rows.bit_len();
+        debug_assert_eq!(2 * layout.k(), bit_len, "row table/k mismatch");
+        for &target in keys {
+            let ins = self.keys.lower_bound(target).clamp(lo, hi);
+            if ins < hi && self.keys.key(ins) == target {
+                out.push(MatchOutcome {
+                    hit: Some((ins - lo, entries[ins - lo].1)),
+                    max_lcp: bit_len,
+                    rows: rows.rows(bit_len),
+                });
+            } else {
+                let lcp = |i: usize| lcp_bits_u64_swar(self.keys.key(i), target, bit_len);
+                let left = if ins > lo { lcp(ins - 1) } else { 0 };
+                let right = if ins < hi { lcp(ins) } else { 0 };
+                let max_lcp = left.max(right);
+                out.push(MatchOutcome {
+                    hit: None,
+                    max_lcp,
+                    rows: rows.rows(max_lcp),
+                });
+            }
         }
-        if entries[probe].0.bits() >= target {
-            return prev + 1 + entries[prev + 1..probe].partition_point(|(k, _)| k.bits() < target);
-        }
-        prev = probe;
-        step <<= 1;
     }
 }
 
@@ -307,30 +319,10 @@ fn lcp_bits_u64_swar(a: u64, b: u64, bit_len: usize) -> usize {
     ((a ^ b).leading_zeros() as usize + bit_len) - 64
 }
 
-/// [`max_lcp_at_insertion`] on raw packed bits.
-#[inline]
-fn max_lcp_at_insertion_bits(
-    entries: &[(Kmer, TaxonId)],
-    ins: usize,
-    target: u64,
-    bit_len: usize,
-) -> usize {
-    let lcp = |a: u64| lcp_bits_u64_swar(a, target, bit_len);
-    let mut best = 0;
-    if ins > 0 {
-        best = best.max(lcp(entries[ins - 1].0.bits()));
-    }
-    if ins < entries.len() {
-        best = best.max(lcp(entries[ins].0.bits()));
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SieveConfig;
-    use crate::layout::DeviceLayout;
     use sieve_dram::Geometry;
     use sieve_genomics::synth;
 
@@ -428,70 +420,109 @@ mod tests {
         assert_eq!(max_lcp_in_range(&sa, 5..5, probe), None);
     }
 
-    #[test]
-    fn merge_cursor_matches_binary_search_lookup() {
-        let layout = test_layout();
-        let sa = layout.subarray(0);
-        // Mix of present k-mers, near-misses, duplicates, and extremes,
-        // sorted as the shard plan would present them.
-        let mut probes: Vec<Kmer> = sa.entries().iter().step_by(53).map(|(k, _)| *k).collect();
-        probes.extend(
-            sa.entries()
-                .iter()
-                .step_by(71)
-                .map(|(k, _)| k.shifted(sieve_genomics::Base::T)),
-        );
-        probes.push(Kmer::from_u64(0, 31).unwrap());
-        probes.push(Kmer::from_u64(u64::MAX >> 2, 31).unwrap());
-        probes.push(probes[0]);
-        probes.sort_unstable_by_key(Kmer::bits);
-        for (etm, flush) in [(true, 1), (true, 0), (false, 1)] {
-            let mut cursor = MergeCursor::new(sa);
-            for probe in &probes {
-                assert_eq!(
-                    cursor.lookup(*probe, etm, flush),
-                    lookup(&sa, *probe, etm, flush),
-                    "probe {probe} etm={etm} flush={flush}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_lookup_matches_per_query_cursor() {
-        let layout = test_layout();
-        let sa = layout.subarray(0);
-        let mut probes: Vec<Kmer> = sa.entries().iter().step_by(53).map(|(k, _)| *k).collect();
-        probes.extend(
-            sa.entries()
-                .iter()
-                .step_by(71)
-                .map(|(k, _)| k.shifted(sieve_genomics::Base::T)),
-        );
-        probes.push(Kmer::from_u64(0, 31).unwrap());
-        probes.push(Kmer::from_u64(u64::MAX >> 2, 31).unwrap());
-        probes.push(probes[0]);
-        probes.sort_unstable_by_key(Kmer::bits);
+    /// Holds [`KeyTable::lookup_block`] to [`lookup`] for every probe
+    /// against every occupied subarray — the one the probe routes to and
+    /// all the others, whose key ranges the clamp must respect — under
+    /// each ETM setting.
+    fn assert_table_twins_lookup(layout: &DeviceLayout, probes: &[Kmer]) {
+        let table = KeyTable::new(layout);
         let keys: Vec<u64> = probes.iter().map(Kmer::bits).collect();
         for (etm, flush) in [(true, 1), (true, 0), (false, 1)] {
-            let table = RowTable::new(62, etm, flush);
-            // Feed the keys in uneven blocks to exercise cursor carry-over.
-            for block in [1usize, 3, 7, keys.len()] {
-                let mut cursor = MergeCursor::new(sa);
-                let mut blocked = Vec::new();
-                for chunk in keys.chunks(block) {
-                    cursor.lookup_block(chunk, &table, &mut blocked);
-                }
-                let mut reference = MergeCursor::new(sa);
-                for (probe, got) in probes.iter().zip(&blocked) {
+            let rows = RowTable::new(2 * layout.k(), etm, flush);
+            for s in 0..layout.occupied_subarrays() {
+                let sa = layout.subarray(s);
+                let mut out = Vec::new();
+                table.lookup_block(layout, s, &keys, &rows, &mut out);
+                assert_eq!(out.len(), probes.len());
+                for (probe, got) in probes.iter().zip(&out) {
                     assert_eq!(
                         *got,
-                        reference.lookup(*probe, etm, flush),
-                        "probe {probe} etm={etm} flush={flush} block={block}"
+                        lookup(&sa, *probe, etm, flush),
+                        "probe {probe} subarray {s} etm={etm} flush={flush}"
                     );
                 }
             }
         }
+    }
+
+    /// Hits, their ±1 near-misses, the k-mers below the first and above
+    /// the last reference, every subarray's first and last key, and the
+    /// keys just inside each gap between consecutive subarrays.
+    fn twin_probes(layout: &DeviceLayout) -> (Vec<Kmer>, usize) {
+        let k = layout.k();
+        let kmer = |bits: u64| Kmer::from_u64(bits, k).ok();
+        let mut probes: Vec<Kmer> = Vec::new();
+        for (key, _) in layout.entries().iter().step_by(29) {
+            probes.push(*key);
+            probes.extend(kmer(key.bits().wrapping_add(1)));
+            probes.extend(kmer(key.bits().wrapping_sub(1)));
+        }
+        probes.extend(kmer(0));
+        probes.extend(kmer(u64::MAX >> (64 - 2 * k)));
+        let views: Vec<SubarrayView<'_>> = layout.subarrays().collect();
+        let mut gaps = 0;
+        for (i, sa) in views.iter().enumerate() {
+            probes.extend([sa.first(), sa.last()]);
+            if let Some(next) = views.get(i + 1) {
+                let (last, first) = (sa.last().bits(), next.first().bits());
+                if first - last > 1 {
+                    gaps += 1;
+                    probes.extend(kmer(last + 1));
+                    probes.extend(kmer(first - 1));
+                }
+            }
+        }
+        (probes, gaps)
+    }
+
+    #[test]
+    fn key_table_twins_lookup() {
+        let ds = synth::make_dataset_with(8, 4096, 31, 7);
+        let config = SieveConfig::type3(4).with_geometry(Geometry::scaled_medium());
+        let layout = DeviceLayout::build(ds.entries, &config).unwrap();
+        assert!(layout.occupied_subarrays() >= 2);
+        let (probes, gaps) = twin_probes(&layout);
+        assert!(gaps > 0, "no gap between consecutive subarrays to probe");
+        assert_table_twins_lookup(&layout, &probes);
+    }
+
+    #[test]
+    fn key_table_twins_lookup_on_a_crowded_bucket() {
+        // Three references in four share their top 20 bits, so one
+        // bucket holds most of the table and its search is a real
+        // binary search rather than a one-key probe.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let entries: Vec<(Kmer, TaxonId)> = (0..12_000u32)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let bits = if i % 4 == 0 {
+                    x >> 2
+                } else {
+                    (0x2_AAAA << 42) | (x & ((1 << 42) - 1))
+                };
+                (Kmer::from_u64(bits, 31).unwrap(), TaxonId(i % 7))
+            })
+            .collect();
+        let config = SieveConfig::type3(4).with_geometry(Geometry::scaled_medium());
+        let layout = DeviceLayout::build(entries, &config).unwrap();
+        assert!(layout.occupied_subarrays() >= 2);
+        let table = KeyTable::new(&layout);
+        let crowd = table
+            .keys
+            .starts
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap();
+        assert!(
+            crowd as usize > layout.len() / 2,
+            "the largest bucket holds only {crowd} of {} keys",
+            layout.len()
+        );
+        let (probes, _) = twin_probes(&layout);
+        assert_table_twins_lookup(&layout, &probes);
     }
 
     #[test]
@@ -519,22 +550,6 @@ mod tests {
                 prev = a;
             }
         }
-    }
-
-    #[test]
-    fn blocked_lookup_on_empty_view_counts_zero_lcp() {
-        let ds = synth::make_dataset_with(4, 2048, 31, 17);
-        let config = SieveConfig::type3(4).with_geometry(Geometry::scaled_medium());
-        let layout = DeviceLayout::build(ds.entries, &config).unwrap();
-        let sa = layout.subarray(layout.occupied_subarrays() - 1);
-        // Build a view with no entries by slicing past the end is not
-        // possible through the public API; instead rely on the documented
-        // empty-subarray branch via an empty keys slice plus a real one.
-        let table = RowTable::new(62, true, 1);
-        let mut cursor = MergeCursor::new(sa);
-        let mut out = Vec::new();
-        cursor.lookup_block(&[], &table, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

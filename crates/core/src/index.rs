@@ -8,6 +8,7 @@
 
 use sieve_genomics::Kmer;
 
+use crate::engine::Bucketed;
 use crate::layout::DeviceLayout;
 
 /// Bytes per index entry: 8 (subarray id) + 2 × 8 (first/last k-mer).
@@ -34,7 +35,9 @@ pub const ENTRY_BYTES: usize = 24;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SubarrayIndex {
-    firsts: Vec<u64>,
+    /// First key per occupied subarray, bucketed so routing a query is a
+    /// bucket probe instead of a binary search over every range.
+    firsts: Bucketed,
     lasts: Vec<u64>,
 }
 
@@ -42,25 +45,23 @@ impl SubarrayIndex {
     /// Builds the table from a device layout.
     #[must_use]
     pub fn build(layout: &DeviceLayout) -> Self {
-        let mut firsts = Vec::with_capacity(layout.occupied_subarrays());
-        let mut lasts = Vec::with_capacity(layout.occupied_subarrays());
-        for sa in layout.subarrays() {
-            firsts.push(sa.first().bits());
-            lasts.push(sa.last().bits());
+        let firsts: Vec<u64> = layout.subarrays().map(|sa| sa.first().bits()).collect();
+        Self {
+            firsts: Bucketed::new(firsts.into_iter(), 2 * layout.k()),
+            lasts: layout.subarrays().map(|sa| sa.last().bits()).collect(),
         }
-        Self { firsts, lasts }
     }
 
     /// Number of indexed subarrays.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.firsts.len()
+        self.lasts.len()
     }
 
     /// Whether the index is empty (no subarray holds data).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.firsts.is_empty()
+        self.lasts.is_empty()
     }
 
     /// Host memory the table occupies, bytes.
@@ -81,18 +82,20 @@ impl SubarrayIndex {
     #[must_use]
     pub fn locate(&self, query: Kmer) -> usize {
         assert!(!self.is_empty(), "cannot route against an empty index");
-        let q = query.bits();
-        // Largest i with firsts[i] <= q; queries below the first range
-        // route to subarray 0.
-        let i = self.firsts.partition_point(|&f| f <= q);
-        i.saturating_sub(1)
+        self.locate_bits(query.bits())
     }
 
-    /// First-k-mer boundary per occupied subarray, for streaming merge-join
-    /// routing: a *sorted* query sequence routes by advancing a single
-    /// pointer over these boundaries instead of binary-searching per query.
-    pub(crate) fn first_bits(&self) -> &[u64] {
-        &self.firsts
+    /// [`Self::locate`] on a raw packed k-mer, for the planner's scatter.
+    /// The largest `i` with `firsts[i] <= q`; queries below the first
+    /// range route to subarray 0.
+    #[inline]
+    pub(crate) fn locate_bits(&self, q: u64) -> usize {
+        let i = self.firsts.lower_bound(q);
+        if i < self.firsts.len() && self.firsts.key(i) == q {
+            i
+        } else {
+            i.saturating_sub(1)
+        }
     }
 
     /// Whether `query` falls inside the located subarray's `[first, last]`
@@ -104,7 +107,7 @@ impl SubarrayIndex {
         }
         let i = self.locate(query);
         let q = query.bits();
-        self.firsts[i] <= q && q <= self.lasts[i]
+        self.firsts.key(i) <= q && q <= self.lasts[i]
     }
 }
 

@@ -70,11 +70,8 @@ pub mod obs;
 mod par;
 mod pcie;
 pub mod prof;
-mod radix;
 mod sched;
 mod shard;
-#[doc(hidden)]
-pub mod sort_bench;
 mod stats;
 pub mod thermal;
 pub mod trace;

@@ -53,12 +53,8 @@ pub const BUCKETS: usize = 64;
 /// back to no-op spans.
 const MAX_SPANS: usize = 32;
 
-/// Identifiers of the built-in pipeline counters. Most are **model
-/// metrics**: deterministic functions of the workload. The exceptions —
-/// the sort counters ([`Self::SortPassesRun`], [`Self::SortPassesSkipped`],
-/// [`Self::SortNarrowSegments`]: host sort implementation details) —
-/// carry the `wall.` prefix so [`MetricsSnapshot::deterministic`] drops
-/// them.
+/// Identifiers of the built-in pipeline counters, all **model metrics**:
+/// deterministic functions of the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterId {
     /// Chunks processed by `classify_stream`.
@@ -91,27 +87,11 @@ pub enum CounterId {
     CacheMisses,
     /// Entries inserted into the hot-k-mer cache.
     CacheInserts,
-    /// Counting passes the radix sort pipeline executed: the global MSD
-    /// pass plus every bucket-local LSD pass (segments that take the
-    /// comparison cutover contribute none). A **wall metric**: the count
-    /// is a host-implementation detail of how the batch was sorted, not
-    /// of what the device modeled.
-    SortPassesRun,
-    /// Radix passes dropped by planning because their digit window was
-    /// constant — across the whole batch, or across one bucket segment
-    /// during its replan (a stable counting pass on a constant digit is
-    /// the identity). A **wall metric**, paired with
-    /// [`Self::SortPassesRun`].
-    SortPassesSkipped,
-    /// Bucket segments the local sort executed on tie-ranked 8-byte
-    /// pairs. A **wall metric**: narrowing is a host-layout detail;
-    /// sorted output and every model metric are identical either way.
-    SortNarrowSegments,
 }
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [Self; 17] = [
+    pub const ALL: [Self; 14] = [
         Self::HostChunks,
         Self::HostReads,
         Self::HostKmers,
@@ -126,9 +106,6 @@ impl CounterId {
         Self::CacheHits,
         Self::CacheMisses,
         Self::CacheInserts,
-        Self::SortPassesRun,
-        Self::SortPassesSkipped,
-        Self::SortNarrowSegments,
     ];
 
     /// Snapshot/Prometheus name.
@@ -149,9 +126,6 @@ impl CounterId {
             Self::CacheHits => "cache_hits",
             Self::CacheMisses => "cache_misses",
             Self::CacheInserts => "cache_inserts",
-            Self::SortPassesRun => "wall.sort_passes_run",
-            Self::SortPassesSkipped => "wall.sort_passes_skipped",
-            Self::SortNarrowSegments => "wall.sort_narrow_segments",
         }
     }
 }
@@ -559,7 +533,7 @@ fn stripe() -> usize {
 /// the dynamic span table. The process-wide instance is [`global`]; tests
 /// and tools can own private instances.
 ///
-/// Counters and built-in histograms are striped [`STRIPES`] ways and each
+/// Counters and built-in histograms are striped `STRIPES` ways and each
 /// thread records into its own stripe; [`Recorder::snapshot`] sums the
 /// stripes. Every merge is an order-independent integer sum (or min/max),
 /// so the striping is invisible in snapshots — it exists purely to keep
@@ -720,19 +694,13 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The deterministic subset: drops the wall-clock (`wall.*`) entries
-    /// — span histograms and host counters like `wall.sort_passes_run`
-    /// — leaving only model metrics, the part that is bit-identical
-    /// across simulator thread counts.
+    /// The deterministic subset: drops the wall-clock span histograms
+    /// (`wall.*`), leaving only model metrics, the part that is
+    /// bit-identical across simulator thread counts.
     #[must_use]
     pub fn deterministic(&self) -> Self {
         Self {
-            counters: self
-                .counters
-                .iter()
-                .filter(|(name, _)| !name.starts_with("wall."))
-                .cloned()
-                .collect(),
+            counters: self.counters.clone(),
             histograms: self
                 .histograms
                 .iter()
@@ -824,7 +792,6 @@ impl MetricsSnapshot {
         }
         let mut s = String::new();
         for (name, value) in &self.counters {
-            // Counter names can carry dots too (`wall.sort_passes_run`).
             let name = sanitize(name);
             s.push_str(&format!(
                 "# TYPE sieve_{name} counter\nsieve_{name} {value}\n"
@@ -1014,23 +981,14 @@ mod tests {
         {
             let _s = r.span("match");
         }
-        r.add(CounterId::SortPassesRun, 2);
+        r.add(CounterId::MatchQueries, 2);
         let snap = r.snapshot();
         assert!(snap.histogram("wall.match.ns").is_some());
-        assert_eq!(snap.counter("wall.sort_passes_run"), 2);
         let det = snap.deterministic();
         assert!(det.histogram("wall.match.ns").is_none());
         assert!(det.histogram("etm_rows_activated").is_some());
-        // Host counters are wall metrics: dropped with the spans.
-        assert!(!det.counters.iter().any(|(n, _)| n.starts_with("wall.")));
-        assert_eq!(det.counter("wall.sort_passes_run"), 0);
-        let model: Vec<_> = snap
-            .counters
-            .iter()
-            .filter(|(n, _)| !n.starts_with("wall."))
-            .cloned()
-            .collect();
-        assert_eq!(det.counters, model);
+        // Every counter is a model metric and survives.
+        assert_eq!(det.counters, snap.counters);
     }
 
     #[test]

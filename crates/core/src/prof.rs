@@ -9,26 +9,19 @@
 //! machine's calibrated ceiling — optimizing instructions is pointless,
 //! only moving fewer bytes helps) or **compute-bound** (far below the
 //! ceiling — the kernel, not the memory system, is the limiter). That is
-//! the question in-memory-accelerator papers settle with a roofline plot,
-//! and the one ROADMAP items about the sort pipeline kept re-asking.
+//! the question in-memory-accelerator papers settle with a roofline plot.
 //!
-//! Traffic is recorded **analytically** wherever the byte count is a pure
-//! function of the workload — e.g. one radix counting pass over `n`
-//! 12-byte [`crate::radix`] pairs reads `12 n` and writes `12 n` no
-//! matter how many workers execute it — and from deterministic stream
-//! lengths elsewhere (k-mers extracted, hits produced, transfer sizes).
-//! The contract mirrors the rest of the obs surface: for a fixed
-//! workload, a [`ProfSnapshot`] is **bit-identical across thread counts**
-//! (`tests/prof_determinism.rs`).
-//! Parallel execution may *physically* move more bytes (the owned-run
-//! scatter re-scans the source once per worker); the model charges the
-//! canonical sequential traffic, so redundant re-scans show up where they
-//! belong — as a lower achieved-GB/s on the same byte count — rather
-//! than as phantom workload growth. Unlike the deterministic obs
-//! metrics, prof counters describe *how* the host sorted, not what the
-//! device modeled: a batch or segment the planner hands to the comparison
-//! sort is charged zero sort bytes, because a comparison sort's traffic is
-//! data- and allocator-dependent.
+//! Traffic is recorded **analytically**, as closed forms in
+//! deterministic stream lengths (pairs planned, k-mers extracted, queries
+//! matched, hits produced, transfer sizes) — e.g. the plan's counting
+//! scatter over `n` 12-byte `(bits, id)` pairs reads `24 n` (histogram
+//! scan + scatter read) and writes `12 n`. The
+//! contract mirrors the rest of the obs surface: for a fixed workload, a
+//! [`ProfSnapshot`] is **bit-identical across thread counts**
+//! (`tests/prof_determinism.rs`). The charges are canonical: they count
+//! the bytes the algorithm must touch, so extra physical traffic (cache
+//! misses, re-reads) shows up where it belongs — as a lower achieved GB/s
+//! on the same byte count — rather than as phantom workload growth.
 //!
 //! The global table is recorded into only while the [`crate::obs`]
 //! recorder or the [`crate::trace`] tracer is enabled (the disabled fast
@@ -43,9 +36,9 @@
 //!
 //! obs::global().set_enabled(true);
 //! prof::reset();
-//! prof::record(prof::Phase::SortHist, 1200, 0, 100);
+//! prof::record(prof::Phase::ShardSort, 2400, 1200, 100);
 //! let snap = prof::snapshot();
-//! assert_eq!(snap.traffic(prof::Phase::SortHist).bytes_read, 1200);
+//! assert_eq!(snap.traffic(prof::Phase::ShardSort).bytes_read, 2400);
 //! obs::global().set_enabled(false);
 //! ```
 
@@ -59,35 +52,25 @@ use crate::trace;
 /// span).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Global radix pass histogram: one streaming read of the pair array.
-    SortHist = 0,
-    /// Global MSD counting scatter: read the pair array, write every pair
-    /// to its bucket (minus the trailing partial-line drains, charged to
-    /// [`Self::SortFlush`]).
-    SortScatter,
-    /// Write-combining drain of partially filled staging buffers.
-    SortFlush,
-    /// Bucket-local passes on tie-ranked 8-byte records (the fused count
-    /// scan, repack, narrow passes, rank gather and fixup — see
-    /// `radix::seg_traffic`).
-    SortLocal,
+    /// The plan's stable counting scatter by destination subarray: a
+    /// histogram scan reads every pair, then the scatter reads every
+    /// pair again and writes it to its shard.
+    ShardSort = 0,
     /// Read → k-mer extraction on the host.
     HostExtract,
-    /// Match-phase k-mer stream into the device model and hit stream out.
+    /// Match-phase k-mer stream into the device model (with the key-table
+    /// reads each lookup makes) and hit stream out.
     DeviceMatch,
     /// Deterministic task-order reduce of per-task hit streams.
     DeviceReduce,
-    /// Simulated PCIe transfers ([`crate::transport`]).
+    /// Simulated PCIe transfers ([`crate::Transport`]).
     PcieTransfer,
 }
 
 impl Phase {
     /// Every phase, in snapshot order.
-    pub const ALL: [Self; 8] = [
-        Self::SortHist,
-        Self::SortScatter,
-        Self::SortFlush,
-        Self::SortLocal,
+    pub const ALL: [Self; 5] = [
+        Self::ShardSort,
         Self::HostExtract,
         Self::DeviceMatch,
         Self::DeviceReduce,
@@ -99,10 +82,7 @@ impl Phase {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Self::SortHist => "sort.hist",
-            Self::SortScatter => "sort.scatter",
-            Self::SortFlush => "sort.flush",
-            Self::SortLocal => "sort.local",
+            Self::ShardSort => "shard.sort",
             Self::HostExtract => "host.extract",
             Self::DeviceMatch => "device.match",
             Self::DeviceReduce => "device.reduce",
@@ -114,10 +94,7 @@ impl Phase {
     #[must_use]
     pub fn counter_name(self) -> &'static str {
         match self {
-            Self::SortHist => "prof.sort.hist.bytes",
-            Self::SortScatter => "prof.sort.scatter.bytes",
-            Self::SortFlush => "prof.sort.flush.bytes",
-            Self::SortLocal => "prof.sort.local.bytes",
+            Self::ShardSort => "prof.shard.sort.bytes",
             Self::HostExtract => "prof.host.extract.bytes",
             Self::DeviceMatch => "prof.device.match.bytes",
             Self::DeviceReduce => "prof.device.reduce.bytes",
@@ -265,21 +242,16 @@ impl ProfSnapshot {
     }
 }
 
-/// A machine's calibrated sustained bandwidths (from
-/// `results/MACHINE.json`, written by `bench_calibrate`), single-core.
-/// `copy_gbps` is a streaming read+write copy; `scatter_gbps` is the
-/// production write-combining radix scatter on uniform random keys — the
-/// honest ceiling for scatter-shaped phases, which no plain `memcpy` can
-/// stand in for (a scatter's partial-line, random-cursor writes sustain a
-/// fraction of copy bandwidth on every real memory system).
+/// A machine's calibrated sustained bandwidth (from
+/// `results/MACHINE.json`, written by `bench_calibrate`), single-core:
+/// a streaming read+write copy, the ceiling every host phase is judged
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// `MACHINE.json` schema version, embedded in reports for provenance.
     pub version: u64,
     /// Sustained 1-core streaming copy bandwidth, GB/s (read + write).
     pub copy_gbps: f64,
-    /// Sustained 1-core radix-scatter bandwidth, GB/s (read + write).
-    pub scatter_gbps: f64,
 }
 
 /// Achieved-vs-peak threshold above which a phase is classified
@@ -320,9 +292,7 @@ pub struct RooflineRow {
 /// Joins a traffic snapshot with its paired wall metrics and an optional
 /// calibration into roofline rows, one per phase with any traffic.
 ///
-/// The scatter-shaped phases (`sort.scatter`, `sort.flush`) are judged
-/// against [`Calibration::scatter_gbps`], every other host phase against
-/// [`Calibration::copy_gbps`]; the
+/// Every host phase is judged against [`Calibration::copy_gbps`]; the
 /// simulated PCIe transfer gets no peak (its "wall" is model time, so a
 /// host ceiling would be meaningless).
 #[must_use]
@@ -348,7 +318,6 @@ pub fn roofline_rows(
         };
         let peak_gbps = match (phase, cal) {
             (Phase::PcieTransfer, _) | (_, None) => 0.0,
-            (Phase::SortScatter | Phase::SortFlush, Some(c)) => c.scatter_gbps,
             (_, Some(c)) => c.copy_gbps,
         };
         #[allow(clippy::cast_precision_loss)]
@@ -421,8 +390,8 @@ mod tests {
     fn disabled_record_is_a_no_op() {
         // Global recorder and tracer are off in the unit binary, so the
         // global table must stay untouched by record().
-        record(Phase::SortHist, 10, 20, 30);
-        let t = snapshot().traffic(Phase::SortHist);
+        record(Phase::ShardSort, 10, 20, 30);
+        let t = snapshot().traffic(Phase::ShardSort);
         assert_eq!(t, Traffic::default());
     }
 
@@ -430,23 +399,22 @@ mod tests {
     fn roofline_classifies_by_fraction_of_peak() {
         let cal = Calibration {
             version: 1,
-            copy_gbps: 8.0,
-            scatter_gbps: 2.0,
+            copy_gbps: 2.0,
         };
-        // 16 MB over 8 ms = 2 GB/s = 100% of the scatter peak.
+        // 16 MB over 8 ms = 2 GB/s = 100% of the copy peak.
         let prof = snap_with(
-            Phase::SortScatter,
+            Phase::ShardSort,
             Traffic {
                 bytes_read: 8_000_000,
                 bytes_written: 8_000_000,
                 items: 500_000,
             },
         );
-        let metrics = wall("wall.sort.scatter.ns", 8_000_000);
+        let metrics = wall("wall.shard.sort.ns", 8_000_000);
         let rows = roofline_rows(&prof, &metrics, Some(&cal));
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
-        assert_eq!(row.phase, "sort.scatter");
+        assert_eq!(row.phase, "shard.sort");
         assert_eq!(row.wall_ns, 8_000_000);
         assert!((row.gbps - 2.0).abs() < 1e-9);
         assert!((row.frac_of_peak - 1.0).abs() < 1e-9);
@@ -454,7 +422,7 @@ mod tests {
         assert!((row.ns_per_item - 16.0).abs() < 1e-9);
 
         // The same traffic over 10× the wall lands at 10% of peak.
-        let metrics = wall("wall.sort.scatter.ns", 80_000_000);
+        let metrics = wall("wall.shard.sort.ns", 80_000_000);
         let rows = roofline_rows(&prof, &metrics, Some(&cal));
         assert_eq!(rows[0].bound, "compute");
     }
@@ -462,7 +430,7 @@ mod tests {
     #[test]
     fn phases_without_calibration_or_wall_are_not_classified() {
         let prof = snap_with(
-            Phase::SortHist,
+            Phase::ShardSort,
             Traffic {
                 bytes_read: 1200,
                 bytes_written: 0,
@@ -470,14 +438,13 @@ mod tests {
             },
         );
         // No calibration: no peak, no bound.
-        let rows = roofline_rows(&prof, &wall("wall.sort.hist.ns", 100), None);
+        let rows = roofline_rows(&prof, &wall("wall.shard.sort.ns", 100), None);
         assert_eq!(rows[0].peak_gbps, 0.0);
         assert_eq!(rows[0].bound, "n/a");
         // No wall sample: no achieved bandwidth either.
         let cal = Calibration {
             version: 1,
             copy_gbps: 8.0,
-            scatter_gbps: 2.0,
         };
         let rows = roofline_rows(&prof, &wall("wall.other.ns", 5), Some(&cal));
         assert_eq!(rows[0].wall_ns, 0);
@@ -518,6 +485,6 @@ mod tests {
         assert!(json.contains(
             "\"host.extract\": {\"bytes_read\": 100, \"bytes_written\": 240, \"items\": 12}"
         ));
-        assert!(!json.contains("sort.hist"));
+        assert!(!json.contains("shard.sort"));
     }
 }

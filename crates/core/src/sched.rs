@@ -28,8 +28,7 @@ use crate::etm;
 use crate::layout::DeviceLayout;
 use crate::obs;
 use crate::par;
-use crate::radix;
-use crate::shard::ShardPlan;
+use crate::shard::{Pair, ShardPlan};
 use crate::stats::SimReport;
 use crate::trace;
 
@@ -313,10 +312,11 @@ struct Type1Partial {
 /// `queries` / `work` / `pairs` are in *match space* — unique k-mers when
 /// the device deduplicates, raw queries otherwise — and `mult` carries
 /// each entry's occurrence count (`None` = all 1). `pairs` is the task's
-/// slice of the plan's sorted `(bits, id)` array; only the ids are
+/// slice of the plan's grouped `(bits, id)` array; only the ids are
 /// consumed here. Every per-query quantity (stream time, reads,
 /// activations, energies) is a pure function of the k-mer, so charging it
-/// `mult` times is exact, not an approximation.
+/// `mult` times is exact, not an approximation, and the task's integer
+/// sums do not depend on the order its queries arrive in.
 fn type1_task(
     config: &SieveConfig,
     layout: &DeviceLayout,
@@ -324,7 +324,7 @@ fn type1_task(
     work: &[QueryWork],
     mult: Option<&[u32]>,
     subarray: usize,
-    pairs: &[radix::Pair],
+    pairs: &[Pair],
 ) -> Type1Partial {
     let comp = ComponentEnergies::paper();
     let timing = &config.timing;
@@ -419,7 +419,7 @@ pub(crate) fn simulate_type1(
     work: &[QueryWork],
     mult: Option<&[u32]>,
     plan: &ShardPlan,
-    pairs: &[radix::Pair],
+    pairs: &[Pair],
     threads: usize,
     total_queries: u64,
     total_hits: u64,

@@ -3,15 +3,19 @@
 //! A run shards its query batch by destination subarray — the same
 //! sorted-partition routing the index table performs in hardware — so
 //! that each shard can be matched and its timeline accounted
-//! independently on a worker thread. Planning is near-linear: the
-//! radix pipeline ([`crate::radix`]) fully orders the
-//! `(k-mer bits, id)` pairs (skipping constant digit windows, staging
-//! scatters through write-combining buffers), then routing is a handful
-//! of binary searches of the sorted sequence against the index's
-//! subarray boundaries (one `partition_point` per occupied subarray,
-//! not a walk over every query). Shards are further split into bounded
-//! *tasks* so a handful of fat shards cannot cap parallelism: each task
-//! restarts its own forward-only merge cursor at the split boundary.
+//! independently on a worker thread. Planning is one stable two-pass
+//! counting scatter on the destination subarray, the host-side shape of
+//! the paper's "one binary search over the `(first, last)` index, then
+//! group per subarray": the histogram pass routes every
+//! `(k-mer bits, id)` pair by [`SubarrayIndex::locate`]'s rule (one
+//! `partition_point` over the subarrays' first keys), a prefix sum turns
+//! the counts into shard offsets, and the scatter pass routes again and
+//! writes each pair to its shard in arrival order. Routing twice costs
+//! less than remembering each pair's destination, whose buffer would
+//! raise the run's peak heap. Nothing needs the queries sorted: the
+//! matcher resolves each one through the device's direct-mapped key
+//! table ([`crate::engine::KeyTable`]). Shards are further split into
+//! bounded *tasks* so a handful of fat shards cannot cap parallelism.
 //!
 //! The reduce step scatters per-query results back by id and merges
 //! per-subarray resource loads with integer sums, so the run's output is
@@ -19,34 +23,70 @@
 
 use crate::index::SubarrayIndex;
 use crate::obs;
-use crate::radix;
+use crate::prof;
 use crate::trace;
 
-/// Target task size: big enough that a merge-cursor restart (one gallop
-/// from the subarray's first entry) amortizes to nothing, small enough
-/// that bench-scale batches produce far more tasks than cores. Fixed —
-/// not derived from the thread count — so the task list, and with it
-/// every per-shard observation, is thread-count independent.
+/// Target task size: small enough that bench-scale batches produce far
+/// more tasks than cores. Fixed — not derived from the thread count — so
+/// the task list, and with it every per-shard observation, is
+/// thread-count independent.
 const TASK_TARGET: usize = 4_096;
 
-/// Queries bucketed by destination (occupied) subarray, split into
+/// A planner record: the 2-bit-packed k-mer value and the query id it
+/// came from, packed to 12 bytes (`#[repr(C, packed(4))]`, `u64` key +
+/// `u32` id; ids fit because `SieveError::BatchTooLarge` caps batches at
+/// `u32::MAX`), so each scatter pass moves a quarter fewer bytes than
+/// the naturally aligned 16-byte tuple. Fields are private because a
+/// packed struct cannot hand out field references; the by-value
+/// accessors copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C, packed(4))]
+pub(crate) struct Pair {
+    key: u64,
+    id: u32,
+}
+
+impl Pair {
+    /// Builds a record.
+    #[inline]
+    pub(crate) fn new(key: u64, id: u32) -> Self {
+        Self { key, id }
+    }
+
+    /// The k-mer bits (routing key).
+    #[inline]
+    pub(crate) fn key(self) -> u64 {
+        self.key
+    }
+
+    /// The query id (scatter target of the reduce).
+    #[inline]
+    pub(crate) fn id(self) -> u32 {
+        self.id
+    }
+}
+
+/// Bytes of one [`Pair`], the unit of the `shard.sort` traffic charge.
+const PAIR_BYTES: u64 = std::mem::size_of::<Pair>() as u64;
+
+/// Queries grouped by destination (occupied) subarray, split into
 /// bounded per-worker tasks.
 ///
 /// The plan does not own the routed queries: it describes contiguous
-/// ranges of the caller's radix-sorted `(k-mer bits, id)` pair array.
-/// Within a shard, pairs are ordered by `(bits, id)`: the matcher can
-/// then walk the subarray's sorted entries with a forward-only merge
-/// cursor ([`crate::engine::MergeCursor`]) instead of an independent
-/// binary search per query.
+/// ranges of the caller's grouped `(k-mer bits, id)` pair array. Within
+/// a shard, pairs keep their arrival order, so ids strictly ascend
+/// whenever the caller assigns them in input order.
 #[derive(Debug, Default)]
 pub(crate) struct ShardPlan {
-    /// Shard `s` covers sorted pairs `starts[s]..starts[s + 1]`.
+    /// Shard `s` covers grouped pairs `starts[s]..starts[s + 1]`.
     starts: Vec<usize>,
     /// Destination subarray of each shard, strictly ascending.
     subarrays: Vec<u32>,
     /// Work units for the match fan-out: `(shard, lo, hi)` positions in
-    /// the sorted pair array. Tasks partition every shard in order.
+    /// the grouped pair array. Tasks partition every shard in order.
     tasks: Vec<(u32, u32, u32)>,
+    /// Per-subarray histogram, then the scatter's write cursors.
+    cursors: Vec<u32>,
 }
 
 impl ShardPlan {
@@ -56,25 +96,16 @@ impl ShardPlan {
     }
 
     /// Rebuilds the plan in place (all buffers reuse their capacity),
-    /// sorting and routing the caller-filled `pairs` through `index`.
-    /// `pairs_scratch` is the sort's ping-pong buffer and `sort` its
-    /// count/staging tables, both owned by the caller's scratch arena.
-    /// `diff` optionally carries the batch's precomputed OR-fold of
-    /// `key ^ first_key` (see [`radix::sort_pairs`]) so the sort can
-    /// skip its own scan over the keys.
-    ///
-    /// The sort is stable on k-mer bits whenever ids are assigned in
-    /// input order, and the boundary searches are pure functions of the
-    /// sorted sequence, so the plan is identical for every `threads`
-    /// value.
+    /// grouping the caller-filled `pairs` by the subarray `index` routes
+    /// them to. `pairs_scratch` is the scatter's destination, owned by
+    /// the caller's scratch arena; the two swap, so the grouped pairs
+    /// end up in `pairs`. The plan is a pure function of the batch and
+    /// the index.
     pub fn rebuild(
         &mut self,
         index: &SubarrayIndex,
-        pairs: &mut Vec<radix::Pair>,
-        pairs_scratch: &mut Vec<radix::Pair>,
-        sort: &mut radix::SortScratch,
-        threads: usize,
-        diff: Option<u64>,
+        pairs: &mut Vec<Pair>,
+        pairs_scratch: &mut Vec<Pair>,
     ) {
         self.starts.clear();
         self.subarrays.clear();
@@ -86,47 +117,51 @@ impl ShardPlan {
         if pairs.is_empty() {
             return;
         }
-
         {
             let _span = obs::span("shard.sort");
             let _wall = trace::span("shard.sort");
-            radix::sort_pairs(pairs, pairs_scratch, sort, threads, diff);
-        }
-        {
-            let _span = obs::span("shard.route");
-            let _wall = trace::span("shard.route");
-            self.route(index, pairs);
+            self.group(index, pairs, pairs_scratch);
         }
         self.emit_trace();
     }
 
-    /// Routes the sorted pair array by boundary: subarray d's shard is
-    /// the sorted range below `firsts[d + 1]` that earlier subarrays did
-    /// not claim (queries below the first range conservatively route to
-    /// subarray 0, exactly like `SubarrayIndex::locate`). One binary
-    /// search per occupied subarray replaces the per-query merge-join
-    /// walk.
-    fn route(&mut self, index: &SubarrayIndex, pairs: &[radix::Pair]) {
-        let firsts = index.first_bits();
+    /// The stable two-pass counting scatter, routing each pair by
+    /// `SubarrayIndex::locate`'s rule in both passes.
+    fn group(&mut self, index: &SubarrayIndex, pairs: &mut Vec<Pair>, scratch: &mut Vec<Pair>) {
         let n = pairs.len();
-        let mut lo = 0usize;
-        for d in 0..firsts.len() {
-            let hi = if d + 1 < firsts.len() {
-                lo + pairs[lo..].partition_point(|p| p.key() < firsts[d + 1])
-            } else {
-                n
-            };
-            if hi > lo {
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.clear();
+        cursors.resize(index.len(), 0);
+        for p in pairs.iter() {
+            cursors[index.locate_bits(p.key())] += 1;
+        }
+        // Exclusive prefix sum: each occupied subarray's count becomes its
+        // shard's first position, the scatter's write cursor.
+        let mut at = 0usize;
+        for (d, cursor) in cursors.iter_mut().enumerate() {
+            let len = *cursor as usize;
+            *cursor = at as u32;
+            if len > 0 {
                 self.subarrays.push(d as u32);
-                self.starts.push(lo);
-                self.split_tasks(lo, hi);
-                lo = hi;
-            }
-            if lo == n {
-                break;
+                self.starts.push(at);
+                self.split_tasks(at, at + len);
+                at += len;
             }
         }
         self.starts.push(n);
+        // Only a grown tail is initialized: the scatter overwrites all n.
+        scratch.resize(n, Pair::default());
+        for &p in pairs.iter() {
+            let cursor = &mut cursors[index.locate_bits(p.key())];
+            scratch[*cursor as usize] = p;
+            *cursor += 1;
+        }
+        std::mem::swap(pairs, scratch);
+        self.cursors = cursors;
+        // The histogram scan reads every pair; the scatter reads and
+        // writes every pair once more.
+        let bytes = n as u64 * PAIR_BYTES;
+        prof::record(prof::Phase::ShardSort, 2 * bytes, bytes, n as u64);
     }
 
     /// Splits shard range `[lo, hi)` into near-equal tasks of at most
@@ -143,8 +178,8 @@ impl ShardPlan {
     }
 
     /// Emits the plan to the model trace in shard/task order. The plan is
-    /// a pure function of the batch (thread-count independent, proven by
-    /// tests below), so emitting it in one place keeps the model stream
+    /// a pure function of the batch (one sequential scatter for every
+    /// thread count), so emitting it in one place keeps the model stream
     /// deterministic even when tasks were dispatched concurrently.
     fn emit_trace(&self) {
         let tr = trace::global();
@@ -174,7 +209,7 @@ impl ShardPlan {
         self.subarrays.len()
     }
 
-    /// Shard `s`: its destination subarray and its range of the sorted
+    /// Shard `s`: its destination subarray and its range of the grouped
     /// pair array.
     #[cfg(test)]
     pub fn shard(&self, s: usize) -> (usize, std::ops::Range<usize>) {
@@ -190,7 +225,7 @@ impl ShardPlan {
         self.tasks.len()
     }
 
-    /// Task `t`: its destination subarray and its range of the sorted
+    /// Task `t`: its destination subarray and its range of the grouped
     /// pair array (a contiguous sub-range of one shard).
     pub fn task(&self, t: usize) -> (usize, std::ops::Range<usize>) {
         let (s, lo, hi) = self.tasks[t];
@@ -216,53 +251,45 @@ mod tests {
     use sieve_dram::Geometry;
     use sieve_genomics::{synth, Kmer};
 
-    fn make_pairs(queries: &[Kmer]) -> Vec<radix::Pair> {
-        queries
+    fn build(index: &SubarrayIndex, queries: &[Kmer]) -> (ShardPlan, Vec<Pair>) {
+        let mut plan = ShardPlan::empty();
+        let mut pairs: Vec<Pair> = queries
             .iter()
             .enumerate()
-            .map(|(i, q)| radix::Pair::new(q.bits(), i as u32))
-            .collect()
-    }
-
-    fn build(
-        index: &SubarrayIndex,
-        queries: &[Kmer],
-        threads: usize,
-    ) -> (ShardPlan, Vec<radix::Pair>) {
-        let mut plan = ShardPlan::empty();
-        let mut pairs = make_pairs(queries);
-        let mut scratch = Vec::new();
-        let mut sort = radix::SortScratch::default();
-        plan.rebuild(index, &mut pairs, &mut scratch, &mut sort, threads, None);
+            .map(|(i, q)| Pair::new(q.bits(), i as u32))
+            .collect();
+        plan.rebuild(index, &mut pairs, &mut Vec::new());
         (plan, pairs)
     }
 
+    /// Every 17th stored k-mer, in a seeded shuffle: arrival order that
+    /// differs from key order, so a scatter that reorders within a shard
+    /// cannot go unnoticed.
     fn plan_inputs() -> (SubarrayIndex, Vec<Kmer>) {
         let ds = synth::make_dataset_with(8, 2048, 31, 5);
         let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
         let layout = DeviceLayout::build(ds.entries.clone(), &config).unwrap();
         let index = SubarrayIndex::build(&layout);
-        let queries: Vec<Kmer> = ds.entries.iter().step_by(17).map(|(k, _)| *k).collect();
-        (index, queries)
-    }
-
-    #[test]
-    fn plan_is_thread_count_independent() {
-        let (index, queries) = plan_inputs();
-        let (base, base_pairs) = build(&index, &queries, 1);
-        for threads in [2, 3, 8] {
-            let (plan, pairs) = build(&index, &queries, threads);
-            assert_eq!(pairs, base_pairs);
-            assert_eq!(plan.starts, base.starts);
-            assert_eq!(plan.subarrays, base.subarrays);
-            assert_eq!(plan.tasks, base.tasks);
+        let mut queries: Vec<Kmer> = ds.entries.iter().step_by(17).map(|(k, _)| *k).collect();
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..queries.len()).rev() {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            queries.swap(i, (s >> 33) as usize % (i + 1));
         }
+        (index, queries)
     }
 
     #[test]
     fn plan_covers_every_query_exactly_once() {
         let (index, queries) = plan_inputs();
-        let (plan, pairs) = build(&index, &queries, 4);
+        assert!(
+            queries.windows(2).any(|w| w[0].bits() > w[1].bits()),
+            "the input must arrive out of key order"
+        );
+        let (plan, pairs) = build(&index, &queries);
+        assert!(plan.shard_count() > 1);
         let mut seen = vec![false; queries.len()];
         for s in 0..plan.shard_count() {
             let (sub, range) = plan.shard(s);
@@ -270,8 +297,8 @@ mod tests {
             let shard_pairs = &pairs[range];
             for window in shard_pairs.windows(2) {
                 assert!(
-                    window[0].key() <= window[1].key(),
-                    "shard not sorted by k-mer bits"
+                    window[0].id() < window[1].id(),
+                    "shard lost the arrival order"
                 );
             }
             for &p in shard_pairs {
@@ -294,7 +321,7 @@ mod tests {
         while big.len() < 3 * TASK_TARGET {
             big.extend_from_slice(&queries);
         }
-        let (plan, _pairs) = build(&index, &big, 4);
+        let (plan, _pairs) = build(&index, &big);
         assert!(plan.task_count() >= plan.shard_count());
         assert!(
             plan.task_count() > plan.shard_count(),
@@ -328,7 +355,7 @@ mod tests {
         // Force duplicates: every query twice, plus an off-range probe.
         let mut dup: Vec<Kmer> = queries.iter().flat_map(|&q| [q, q]).collect();
         dup.push(Kmer::from_u64(0, 31).unwrap());
-        let (plan, pairs) = build(&index, &dup, 2);
+        let (plan, pairs) = build(&index, &dup);
         for s in 0..plan.shard_count() {
             let (sub, range) = plan.shard(s);
             for &p in &pairs[range] {
@@ -338,9 +365,30 @@ mod tests {
     }
 
     #[test]
+    fn rebuilding_reuses_the_plan_without_residue() {
+        let (index, queries) = plan_inputs();
+        let (fresh, fresh_pairs) = build(&index, &queries[..queries.len() / 3]);
+        // A bigger batch first, then the small one on the same buffers.
+        let (mut plan, mut pairs) = build(&index, &queries);
+        let mut scratch = Vec::new();
+        pairs.clear();
+        pairs.extend(
+            queries[..queries.len() / 3]
+                .iter()
+                .enumerate()
+                .map(|(i, q)| Pair::new(q.bits(), i as u32)),
+        );
+        plan.rebuild(&index, &mut pairs, &mut scratch);
+        assert_eq!(pairs, fresh_pairs);
+        assert_eq!(plan.starts, fresh.starts);
+        assert_eq!(plan.subarrays, fresh.subarrays);
+        assert_eq!(plan.tasks, fresh.tasks);
+    }
+
+    #[test]
     fn empty_inputs_make_empty_plans() {
         let (index, _) = plan_inputs();
-        let (plan, _) = build(&index, &[], 4);
+        let (plan, _) = build(&index, &[]);
         assert_eq!(plan.shard_count(), 0);
         assert_eq!(plan.subarray_span(), 0);
         assert_eq!(plan.task_count(), 0);

@@ -17,31 +17,12 @@
 #     message: paired on/off runs of an oversubscribed pipeline measure
 #     scheduler noise, not recorder cost.
 #   * planner sort wall time — the fresh 1-thread snapshot's
-#     wall.shard.sort.ns, normalized per read, must not rise more than
-#     CHECK_MAX_SORT_PCT (default 15%) above the committed baseline's.
-#     This is the gate on the radix sort pipeline specifically, so a
-#     planning regression cannot hide inside the whole-pipeline margin.
-#     Keyed on the single-thread snapshot, which by construction is
-#     never oversubscribed; baselines predating the span are skipped.
-#   * local sort wall time — the same per-read gate on wall.sort.local.ns
-#     alone (CHECK_MAX_LOCAL_PCT, default 15%): the bucket-local passes
-#     are where the tie-ranked narrow segments run, and a whole-sort
-#     gate could hide a local-pass regression behind a histogram or
-#     scatter win. Baselines predating the narrowed pipeline are
-#     skipped. Unlike the whole-sort number, per-read local cost is
-#     workload-size-sensitive (batch size sets segment sizes, which set
-#     the narrowing plan), so CHECK_READS defaults to the baseline's
-#     own read count and this gate is skipped with a message when an
-#     explicit CHECK_READS differs from the baseline's.
-#   * scatter roofline efficiency — the fresh run's sort.scatter phase
-#     must achieve at least CHECK_MIN_SCATTER_FRAC (default 0.4) of the
-#     machine's calibrated scatter peak (results/MACHINE.json, written
-#     by bench_calibrate). Unlike the throughput gates this one is a
-#     same-host ratio, so it is valid on any machine; it catches the
-#     failure mode the absolute gates cannot see — a scatter that still
-#     "passes" timing on fast hardware while having quietly become
-#     compute-bound (extra instructions per pair, dead cache lines).
-#     SKIPPED loudly when no calibration file exists.
+#     wall.shard.sort.ns (the plan's counting scatter by subarray),
+#     normalized per read, must not rise more than CHECK_MAX_SORT_PCT
+#     (default 15%) above the committed baseline's, so a planning
+#     regression cannot hide inside the whole-pipeline margin. Keyed on
+#     the single-thread snapshot, which by construction is never
+#     oversubscribed; baselines predating the span are skipped.
 #
 # The committed baseline was measured on a specific host; on a different
 # machine the throughput comparison is apples-to-oranges, so set
@@ -60,9 +41,6 @@ CHECK_REPS="${CHECK_REPS:-9}"
 CHECK_MAX_LOSS_PCT="${CHECK_MAX_LOSS_PCT:-10}"
 CHECK_MAX_OBS_PCT="${CHECK_MAX_OBS_PCT:-3}"
 CHECK_MAX_SORT_PCT="${CHECK_MAX_SORT_PCT:-15}"
-CHECK_MAX_LOCAL_PCT="${CHECK_MAX_LOCAL_PCT:-15}"
-CHECK_MIN_SCATTER_FRAC="${CHECK_MIN_SCATTER_FRAC:-0.4}"
-MACHINE=results/MACHINE.json
 
 if [[ ! -f "$BASELINE" ]]; then
     echo "bench_check: error — no committed baseline at $BASELINE" >&2
@@ -151,30 +129,6 @@ else
     fi
 fi
 
-# Local-pass gate: same construction as the shard-sort gate, keyed on
-# wall.sort.local.ns so the narrowed bucket passes cannot regress while
-# hiding inside the whole-sort number.
-local_ns() {
-    awk -F'"sum": ' '/"wall.sort.local.ns"/ { split($2, a, "[,}]"); print a[1]; exit }' "$1"
-}
-base_local=$(local_ns "$BASELINE")
-fresh_local=$(local_ns "$CHECK_OUT")
-base_reads=$(reads_of "$BASELINE")
-fresh_reads=$(reads_of "$CHECK_OUT")
-if [[ -z "$base_local" || -z "$fresh_local" ]]; then
-    echo "   local sort: SKIP (baseline or fresh run predates the wall.sort.local.ns span)"
-elif [[ "$base_reads" != "$fresh_reads" ]]; then
-    echo "   local sort: SKIP (fresh ${fresh_reads} reads vs baseline ${base_reads}: per-read local cost is size-sensitive — batch size sets segment sizes and the narrowing plan; rerun with CHECK_READS=${base_reads} to gate)"
-else
-    local_pct=$(awk -v bs="$base_local" -v br="$base_reads" -v fs="$fresh_local" -v fr="$fresh_reads" \
-        'BEGIN { printf "%.1f", ((fs / fr) / (bs / br) - 1) * 100 }')
-    echo "   local sort: baseline=$(awk -v s="$base_local" -v r="$base_reads" 'BEGIN{printf "%.0f", s/r}') fresh=$(awk -v s="$fresh_local" -v r="$fresh_reads" 'BEGIN{printf "%.0f", s/r}') ns/read (delta ${local_pct}%)"
-    if ! awk -v p="$local_pct" -v max="$CHECK_MAX_LOCAL_PCT" 'BEGIN { exit !(p <= max) }'; then
-        echo "bench_check: FAIL — wall.sort.local.ns rose ${local_pct}% per read (> ${CHECK_MAX_LOCAL_PCT}% allowed) vs committed baseline" >&2
-        fail=1
-    fi
-fi
-
 # Each fresh row's obs overhead (the rows are one-per-line, so pull all).
 # Rows the bench marked oversubscribed are skipped explicitly — the flag
 # comes from the artifact itself, not re-derived here.
@@ -194,28 +148,6 @@ done < <(awk '/"obs_overhead_pct"/ {
     split($0, p, /"obs_overhead_pct": /); split(p[2], b, "[,}]")
     print a[1], o, b[1]
 }' "$CHECK_OUT")
-
-# Scatter roofline efficiency: frac_of_peak comes straight from the
-# fresh artifact's roofline rows, which bench_classify computed against
-# this machine's own calibration — a same-host ratio, valid anywhere.
-if [[ ! -f "$MACHINE" ]]; then
-    echo "   scatter efficiency: SKIP — no calibration at $MACHINE (run: cargo run --release -p sieve-bench --bin bench_calibrate)"
-elif grep -q '"calibration": null' "$CHECK_OUT"; then
-    echo "   scatter efficiency: SKIP — fresh run found no usable calibration (regenerate $MACHINE with bench_calibrate)"
-else
-    scatter_frac=$(awk -F'"frac_of_peak": ' '/"phase": "sort.scatter"/ { split($2, a, "[,}]"); print a[1]; exit }' "$CHECK_OUT")
-    scatter_bound=$(awk -F'"bound": "' '/"phase": "sort.scatter"/ { split($2, a, "\""); print a[1]; exit }' "$CHECK_OUT")
-    if [[ -z "$scatter_frac" ]]; then
-        echo "bench_check: FAIL — fresh artifact has no sort.scatter roofline row despite a calibration file" >&2
-        fail=1
-    else
-        echo "   scatter efficiency: ${scatter_frac} of calibrated peak (${scatter_bound}-bound, floor ${CHECK_MIN_SCATTER_FRAC})"
-        if ! awk -v f="$scatter_frac" -v floor="$CHECK_MIN_SCATTER_FRAC" 'BEGIN { exit !(f >= floor) }'; then
-            echo "bench_check: FAIL — sort.scatter achieved only ${scatter_frac} of the calibrated scatter peak (< ${CHECK_MIN_SCATTER_FRAC}): the scatter kernel has gone compute-bound" >&2
-            fail=1
-        fi
-    fi
-fi
 
 if [ "$fail" -ne 0 ]; then
     exit 1

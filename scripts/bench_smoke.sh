@@ -5,13 +5,12 @@
 #
 #   * 1-thread throughput — must stay above SMOKE_FLOOR_1T reads/sec.
 #     The floor is half of the slowest committed full-run baseline
-#     (80,272 reads/sec before the radix-plan + dedup rework), so it
-#     trips on algorithmic regressions, not scheduler noise.
+#     (80,272 reads/sec), so it trips on algorithmic regressions, not
+#     scheduler noise.
 #   * 2-thread streamed speedup — must stay above SMOKE_FLOOR_SPEEDUP_2T
-#     on any host with >= 2 cores. This is the floor that catches the
-#     planner re-serializing (the pre-parallel-radix regression showed
-#     0.85x here); it guards the streamed path because that is where the
-#     pipelined extractor overlaps the device the most.
+#     on any host with >= 2 cores. It guards the streamed path because
+#     that is where the pipelined extractor overlaps the device the
+#     most.
 #   * 4-thread batch speedup — must stay above SMOKE_FLOOR_SPEEDUP_4T
 #     on any host with >= 4 cores.
 #

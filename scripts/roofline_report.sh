@@ -35,14 +35,18 @@ if grep -q '"calibration": null' "$SRC"; then
 else
     awk -F': ' '/^  "calibration": \{/ {
         split($0, c, /"copy_gbps_1t": /);    split(c[2], a, "[,}]")
-        split($0, s, /"scatter_gbps_1t": /); split(s[2], b, "[,}]")
         split($0, v, /"schema_version": /);  split(v[2], d, "[,}]")
-        s8 = ""
+        # Artifacts from before schema v3 also carry retired scatter probes.
+        sc = ""
+        if ($0 ~ /"scatter_gbps_1t": /) {
+            split($0, s, /"scatter_gbps_1t": /); split(s[2], b, "[,}]")
+            sc = sprintf(", scatter %s GB/s", b[1])
+        }
         if ($0 ~ /"scatter8_gbps_1t": /) {
             split($0, e, /"scatter8_gbps_1t": /); split(e[2], f, "[,}]")
-            s8 = sprintf(", scatter8 %s GB/s", f[1])
+            sc = sc sprintf(", scatter8 %s GB/s", f[1])
         }
-        printf "calibration: copy %s GB/s, scatter %s GB/s%s (single-core peaks, MACHINE.json schema v%s)\n", a[1], b[1], s8, d[1]
+        printf "calibration: copy %s GB/s%s (single-core peaks, MACHINE.json schema v%s)\n", a[1], sc, d[1]
         exit
     }' "$SRC"
 fi

@@ -17,6 +17,10 @@ cargo test --workspace -q
 echo "== tier1: doc-tests =="
 cargo test --workspace --doc -q
 
+echo "== tier1: rustdoc (-D warnings) =="
+# Broken intra-doc links (e.g. to a deleted or private item) fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== tier1: observability + hardening test files =="
 cargo test -q \
     --test obs_determinism \

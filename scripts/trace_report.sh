@@ -46,37 +46,6 @@ echo "== heaviest folded stacks (top 12 by weight) =="
 sort -k2 -n -r "$FOLDED" | head -n 12 | awk '{ printf "  %-56s %s\n", $1, $2 }'
 
 echo
-echo "== planner sort-phase attribution (wall lane) =="
-# The radix pipeline brackets each phase in its own wall span (pid 2 =
-# wall clock): "sort.hist" (global top-window histogram), "sort.scatter"
-# (the one full-array MSD counting scatter, write-combining staged),
-# "sort.flush" (partial staging-buffer drains inside the scatter),
-# and "sort.local" (every bucket segment sort, narrowed or comparison).
-# Their sum against the enclosing "shard.sort" total shows where planning
-# time goes; sort.flush nests inside sort.scatter, so it is attribution
-# detail, not additional mass. A batch small enough for the comparison
-# cutover has a shard.sort span but no sort.* phases.
-awk -F'"name":"' '/"pid":2/ && /"ph":"X"/ {
-    split($2, a, "\""); name = a[1]
-    if (name !~ /^(shard\.sort|sort\.(hist|scatter|local|flush))$/) next
-    split($0, d, /"dur":/); split(d[2], v, "[,}]")
-    busy[name] += v[1]; n[name]++
-} END {
-    if (!("shard.sort" in busy)) { print "  (no shard.sort spans in this trace)"; exit }
-    total = busy["shard.sort"]
-    order = "sort.hist sort.scatter sort.flush sort.local"
-    split(order, names, " ")
-    printf "  %-14s %12.1f us  (%d spans)\n", "shard.sort", total, n["shard.sort"]
-    for (i = 1; i <= 4; i++) {
-        name = names[i]
-        if (!(name in busy)) continue
-        printf "  %-14s %12.1f us  (%d spans, %.1f%% of shard.sort%s)\n", \
-            name, busy[name], n[name], 100 * busy[name] / total, \
-            name == "sort.flush" ? ", nested in scatter" : ""
-    }
-}' "$CHROME"
-
-echo
 echo "== timeline mass by domain =="
 # %.0f, not %d: picosecond masses exceed 32-bit printf on mawk.
 awk '{ split($1, p, ";"); mass[p[1]] += $NF }

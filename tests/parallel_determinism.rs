@@ -183,8 +183,8 @@ fn cache_grid_is_bit_identical_across_thread_counts() {
 }
 
 /// `count` distinct 31-mers sharing their top 10 bits and spread over the
-/// low 40: past the radix fan-out threshold, one global bucket holds them
-/// all and its segment sorts on tie-ranked narrow records.
+/// low 40: they all route to one subarray, whose shard the plan splits
+/// into several match tasks.
 fn giant_bucket(count: u64) -> Vec<Kmer> {
     (0..count)
         .map(|i| {
@@ -194,14 +194,13 @@ fn giant_bucket(count: u64) -> Vec<Kmer> {
         .collect()
 }
 
-/// The planner's worker sweep {1,2,4,8} must be bit-identical to the
-/// sequential run — functional results and the full modeled report — on
-/// three adversarial batch shapes:
+/// The worker sweep {1,2,4,8} must be bit-identical to the sequential
+/// run — functional results and the full modeled report — on three
+/// adversarial batch shapes:
 ///
-/// * `giant` — 20,000 distinct keys in one radix bucket plus a spread
-///   fringe: at threads > 1 the histogram, the owned-run scatter and the
-///   segment sorts fan out (up to the host's cores), and the one heavy
-///   segment leaves the other workers only work they can steal;
+/// * `giant` — 20,000 distinct keys in one subarray's shard plus a
+///   spread fringe: at threads > 1 the heavy shard's match tasks spread
+///   over the workers while the fringe's shards stay small;
 /// * `narrow` — three distinct keys cycled, so every multi-worker
 ///   setting has more workers than occupied buckets;
 /// * `mixed` — a spread of stored entries, the balanced common case.

@@ -4,8 +4,8 @@
 //! counts** — parallel execution may physically re-scan buffers, but the
 //! canonical charge may not move. Unlike the obs grid
 //! (tests/obs_determinism.rs), the cache axis is allowed to change the
-//! numbers (a replayed query skips the sort and match it would have been
-//! charged for), so references here are held per cache setting.
+//! numbers (a replayed query skips the scatter and match it would have
+//! been charged for), so references here are held per cache setting.
 //!
 //! The prof table is process-wide; this file owns it (each integration
 //! test file is its own binary) and serializes on a local mutex.

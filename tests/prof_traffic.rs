@@ -1,28 +1,31 @@
 //! Analytic byte-count assertions for the roofline traffic layer
-//! (DESIGN.md §10): the radix sort's recorded charges must equal the
-//! closed forms (12 B per pair per pass-scan, partial-stage drains
-//! charged to `sort.flush`), arbitrary inputs must match the
-//! differential predictor that replays the planner's decisions from the
-//! raw key stream, and the host extract phase must charge exactly its
-//! k-mer stream.
+//! (DESIGN.md §10): the plan's counting scatter and the match stage's
+//! key-table lookups must charge their closed forms on real device
+//! batches, and the host extract phase must charge exactly its k-mer
+//! stream.
 //!
 //! The prof table is process-wide (like the recorder); this file owns
 //! both and serializes its tests on a local mutex.
 
 use std::sync::Mutex;
 
-use sieve::core::{obs, prof, sort_bench, HostPipeline, SieveConfig, SieveDevice};
+use sieve::core::{obs, prof, HostPipeline, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
-use sieve::genomics::synth;
+use sieve::genomics::{synth, Kmer};
 
-/// `size_of::<radix::Pair>()` — the layout the closed forms charge per
-/// pair per scan. The differential tests below would fail loudly if the
-/// layout ever drifted from this constant.
+/// Bytes of one planner `(bits, id)` pair: a `u64` key and a `u32` id,
+/// packed.
 const PAIR_BYTES: u64 = 12;
 
-/// Pairs per write-combining staging line (radix's `STAGE`): each
-/// bucket's trailing `count % STAGE` pairs drain through `sort.flush`.
-const STAGE: u64 = 8;
+/// Bytes one key-table lookup reads besides its pair: its bucket's two
+/// `u32` offsets and its two `u64` neighbour keys.
+const LOOKUP_BYTES: u64 = 24;
+
+/// Bytes of one payload (a `u32` taxon id), read once per hit.
+const PAYLOAD_BYTES: u64 = 4;
+
+/// Bytes of one `(id, taxon)` hit record.
+const HIT_BYTES: u64 = 8;
 
 /// Serializes tests in this binary around the global recorder + table.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -51,195 +54,106 @@ impl Drop for RecorderSession<'_> {
     }
 }
 
-/// Runs the production sort over `keys` and returns the prof snapshot
-/// it recorded.
-fn sort_traffic(keys: &[u64], threads: usize) -> prof::ProfSnapshot {
-    let mut harness = sort_bench::SortHarness::new(keys);
+fn dataset() -> synth::SyntheticDataset {
+    synth::make_dataset_with(8, 2048, 31, 4242)
+}
+
+/// A Type-3 device over `ds` with dedup off, so every query in a batch
+/// is planned and matched once.
+fn device(ds: &synth::SyntheticDataset, threads: usize) -> SieveDevice {
+    SieveDevice::new(
+        SieveConfig::type3(8)
+            .with_geometry(Geometry::scaled_medium())
+            .with_dedup(false)
+            .with_threads(threads),
+        ds.entries.clone(),
+    )
+    .expect("dataset fits the scaled geometry")
+}
+
+/// Runs `queries` on `device` and returns the prof snapshot it recorded
+/// and the run's hit count.
+fn run_traffic(device: &SieveDevice, queries: &[Kmer]) -> (prof::ProfSnapshot, u64) {
     obs::global().reset();
     prof::reset();
-    harness.run(threads);
-    prof::snapshot()
+    let out = device.run(queries).expect("valid batch");
+    (prof::snapshot(), out.report.hits)
 }
 
-/// Deterministic key stream (SplitMix64) without an RNG dependency.
-fn splitmix(seed: u64, n: usize) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        })
-        .collect()
-}
-
-/// An 8-bit key span over a batch whose bucket counts are all multiples
-/// of the staging line: one global pass, no flush, no local passes —
-/// every charge is a closed form in `n` alone.
+/// The plan's counting scatter: a histogram scan reads every pair, the
+/// scatter reads and writes every pair once more — on a real read batch
+/// that spans many subarrays, at every thread count, and nothing at all
+/// for an empty batch.
 #[test]
-fn single_pass_uniform_batch_matches_the_closed_form() {
+fn shard_sort_matches_the_closed_form_on_a_pipeline_batch() {
     let _session = RecorderSession::begin();
-    // 256 buckets × 160 pairs each; 160 ≡ 0 (mod STAGE) → zero drains.
-    let n: u64 = 256 * 160;
-    let keys: Vec<u64> = (0..n).map(|i| i % 256).collect();
-    let snap = sort_traffic(&keys, 1);
-    let full = n * PAIR_BYTES;
-    assert_eq!(
-        snap.traffic(prof::Phase::SortHist),
-        prof::Traffic {
-            bytes_read: full,
-            bytes_written: 0,
-            items: n
-        }
-    );
-    assert_eq!(
-        snap.traffic(prof::Phase::SortScatter),
-        prof::Traffic {
-            bytes_read: full,
-            bytes_written: full,
-            items: n
-        }
-    );
-    assert_eq!(
-        snap.traffic(prof::Phase::SortFlush),
-        prof::Traffic::default()
-    );
-    // A single planned pass finishes in the global scatter: no local
-    // phase at all.
-    assert_eq!(
-        snap.traffic(prof::Phase::SortLocal),
-        prof::Traffic::default()
-    );
-}
-
-/// Appending five more pairs to one bucket makes its count 165 ≡ 5
-/// (mod STAGE): exactly five pairs must move from the scatter's write
-/// charge to the flush phase, regardless of how many workers drained
-/// their private staging lines.
-#[test]
-fn partial_stage_drains_are_charged_to_flush() {
-    let _session = RecorderSession::begin();
-    let mut keys: Vec<u64> = (0..256u64 * 160).map(|i| i % 256).collect();
-    keys.extend([0u64; 5]);
-    let n = keys.len() as u64;
-    let drains = 165 % STAGE; // bucket 0 holds 165 pairs now
-    assert_eq!(drains, 5);
+    let ds = dataset();
+    let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 7);
+    let queries: Vec<Kmer> = reads
+        .iter()
+        .flat_map(|r| r.kmers(31).map(|(_, k)| k))
+        .collect();
+    let n = queries.len() as u64;
     for threads in [1usize, 4] {
-        let snap = sort_traffic(&keys, threads);
+        let (snap, _) = run_traffic(&device(&ds, threads), &queries);
         assert_eq!(
-            snap.traffic(prof::Phase::SortFlush),
+            snap.traffic(prof::Phase::ShardSort),
             prof::Traffic {
-                bytes_read: 0,
-                bytes_written: drains * PAIR_BYTES,
-                items: drains
-            },
-            "threads={threads}"
-        );
-        assert_eq!(
-            snap.traffic(prof::Phase::SortScatter),
-            prof::Traffic {
-                bytes_read: n * PAIR_BYTES,
-                bytes_written: (n - drains) * PAIR_BYTES,
+                bytes_read: 2 * n * PAIR_BYTES,
+                bytes_written: n * PAIR_BYTES,
                 items: n
             },
             "threads={threads}"
         );
-        assert_eq!(
-            snap.traffic(prof::Phase::SortHist).bytes_read,
-            n * PAIR_BYTES
+        assert!(
+            obs::global()
+                .snapshot()
+                .histogram("shard_queries")
+                .is_some_and(|h| h.count > 1),
+            "the batch must spread over several shards"
         );
     }
-}
-
-/// Degenerate batches and comparison sorts charge nothing: a comparison
-/// sort's traffic is data- and allocator-dependent, so the model refuses
-/// to invent a number for it (see the prof module docs).
-#[test]
-fn comparison_and_degenerate_batches_charge_nothing() {
-    let _session = RecorderSession::begin();
-    let zero = prof::ProfSnapshot {
-        phases: prof::Phase::ALL.map(|p| (p, prof::Traffic::default())),
-    };
-    // All keys equal: the stable order is the input order, no passes.
-    assert_eq!(sort_traffic(&[42u64; 100], 1), zero);
-    // Single pair: nothing to sort.
-    assert_eq!(sort_traffic(&[7u64], 1), zero);
-    // A full-span batch below the cutover sorts by comparison as a whole.
-    assert_eq!(sort_traffic(&splitmix(1, 500), 1), zero);
-}
-
-/// The differential gate: for arbitrary key distributions — full-width
-/// multi-pass, narrow-span, skew-heavy, and one giant bucket — the
-/// executed pipeline's recorded charges must equal the predictor's replay
-/// of the planner (pass plan, adaptive cutover, per-segment replans), at
-/// every thread count. Each distribution also states what it must
-/// exercise, so the equality cannot pass vacuously.
-#[test]
-fn recorded_traffic_matches_the_differential_predictor() {
-    let _session = RecorderSession::begin();
-    let wide = splitmix(2, 60_000); // 64-bit span: one global pass + segments
-    let narrow: Vec<u64> = splitmix(3, 60_000).iter().map(|k| k & 0xF_FFFF).collect();
-    let skewed: Vec<u64> = splitmix(4, 60_000)
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| if i % 3 == 0 { k & 0xFFF } else { 1u64 << 40 })
-        .collect();
-    // ~95% of keys share their top 16 bits and vary in the low 48: the
-    // heavy segment sorts on tie-ranked narrow records, the committed
-    // workload's shape.
-    let giant: Vec<u64> = splitmix(5, 60_000)
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| {
-            if i % 20 == 0 {
-                k
-            } else {
-                (k & 0xFFFF_FFFF_FFFF) | 0x3A00_0000_0000_0000
-            }
-        })
-        .collect();
-    let all = [
-        ("wide", &wide),
-        ("narrow", &narrow),
-        ("skewed", &skewed),
-        ("giant", &giant),
-    ];
-    for (label, keys) in all {
-        let predicted = sort_bench::predict_traffic(keys);
-        for threads in [1usize, 2, 4] {
-            let recorded = sort_traffic(keys, threads);
-            for &(phase, expected) in &predicted {
-                assert_eq!(
-                    recorded.traffic(phase),
-                    expected,
-                    "{label} threads={threads}: {} diverged from the predictor",
-                    phase.name()
-                );
-            }
-        }
-        // Structural invariants of the global pass, on the predictor the
-        // recorded side just matched: every pair is read once by the
-        // histogram and written exactly once between scatter and flush,
-        // and flush bytes are whole records.
-        let (hist, scatter, flush) = (predicted[0].1, predicted[1].1, predicted[2].1);
-        assert_eq!(hist.bytes_read, keys.len() as u64 * PAIR_BYTES, "{label}");
-        assert_eq!(scatter.bytes_written + flush.bytes_written, hist.bytes_read);
-        assert_eq!(flush.bytes_written, flush.items * PAIR_BYTES);
-    }
-    // Non-vacuity: the giant batch must have narrowed its heavy segment
-    // (only narrowed segments charge local bytes), and at least one
-    // batch must have partial-line drains.
-    let giant_local = sort_bench::predict_traffic(&giant)[3].1;
-    assert!(
-        giant_local.bytes_read > 0,
-        "the giant bucket never took the narrowed segment sort"
+    let (snap, _) = run_traffic(&device(&ds, 1), &[]);
+    assert_eq!(
+        snap.traffic(prof::Phase::ShardSort),
+        prof::Traffic::default()
     );
-    let flush_any = all
+}
+
+/// The match stage's reference side: every lookup reads its pair, its
+/// bucket's two offsets and its two neighbour keys; every hit also reads
+/// its payload and writes one hit record. Held on a batch whose hit
+/// count is known before it runs.
+#[test]
+fn device_match_charges_its_lookups_and_payloads() {
+    let _session = RecorderSession::begin();
+    let ds = dataset();
+    let stored: Vec<Kmer> = ds.entries.iter().step_by(7).map(|&(k, _)| k).collect();
+    let known: std::collections::HashSet<u64> = ds.entries.iter().map(|(k, _)| k.bits()).collect();
+    // Distinct absent k-mers: the stored ones' low bit flipped, wherever
+    // that lands off the reference set.
+    let absent: Vec<Kmer> = stored
         .iter()
-        .any(|(_, k)| sort_bench::predict_traffic(k)[2].1.items > 0);
-    assert!(flush_any, "no batch exercised the flush charge");
+        .map(|k| Kmer::from_u64(k.bits() ^ 1, 31).unwrap())
+        .filter(|k| !known.contains(&k.bits()))
+        .collect();
+    assert!(!absent.is_empty());
+    let mut queries = stored.clone();
+    queries.extend(absent.iter().copied());
+    let (n, h) = (queries.len() as u64, stored.len() as u64);
+    for threads in [1usize, 4] {
+        let (snap, hits) = run_traffic(&device(&ds, threads), &queries);
+        assert_eq!(hits, h, "threads={threads}");
+        assert_eq!(
+            snap.traffic(prof::Phase::DeviceMatch),
+            prof::Traffic {
+                bytes_read: n * (PAIR_BYTES + LOOKUP_BYTES) + h * PAYLOAD_BYTES,
+                bytes_written: h * HIT_BYTES,
+                items: n
+            },
+            "threads={threads}"
+        );
+    }
 }
 
 /// Host extract must charge exactly its stream: one byte per input
@@ -272,12 +186,19 @@ fn pipeline_phases_charge_their_streams() {
 
     let matched = snap.traffic(prof::Phase::DeviceMatch);
     assert!(matched.items > 0, "no match tasks ran");
-    assert_eq!(matched.bytes_read, matched.items * PAIR_BYTES);
     let reduce = snap.traffic(prof::Phase::DeviceReduce);
     assert_eq!(reduce.bytes_read, reduce.bytes_written);
-    // Match writes and reduce moves the same 8 B hit records.
+    // Match writes and reduce moves the same 8 B hit records, one per
+    // matched hit; each of those hits read its payload.
     assert_eq!(matched.bytes_written, reduce.bytes_written);
-    assert_eq!(reduce.bytes_written, reduce.items * 8);
+    assert_eq!(reduce.bytes_written, reduce.items * HIT_BYTES);
+    assert_eq!(
+        matched.bytes_read,
+        matched.items * (PAIR_BYTES + LOOKUP_BYTES) + reduce.items * PAYLOAD_BYTES
+    );
+    let sorted = snap.traffic(prof::Phase::ShardSort);
+    assert_eq!(sorted.items, matched.items);
+    assert_eq!(sorted.bytes_read, 2 * sorted.bytes_written);
 }
 
 /// The simulated transport link charges its transfer sizes: one record

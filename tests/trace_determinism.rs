@@ -133,8 +133,8 @@ fn stream_model_trace_is_byte_identical_across_thread_counts() {
 
 /// The hot-k-mer cache must not leak into the model-time event stream
 /// beyond its own `cache.probe` instants: for each cache setting the
-/// stream is byte-identical across thread counts (the sort emits only
-/// `wall.*` spans, never model events). The stream repeats its reads
+/// stream is byte-identical across thread counts (the plan's scatter
+/// emits only `wall.*` spans, never model events). The stream repeats its reads
 /// three times so the cache genuinely engages; engagement is visible as
 /// `cache.probe` instants and must appear exactly when the cache is on.
 #[test]
@@ -172,11 +172,10 @@ fn cached_streams_keep_the_model_trace_byte_identical() {
     }
 }
 
-/// The planner's parallel stages — histogram, owned-run scatter, and the
-/// work-stealing segment sorts — run on wall-clock workers but never
-/// touch model time, so the canonical model-stream rendering must stay
-/// byte-identical across worker counts {1,2,4,8}, including on a
-/// forced-imbalance batch (nearly every pair in one radix bucket).
+/// Match tasks run on wall-clock workers but never touch model time, so
+/// the canonical model-stream rendering must stay byte-identical across
+/// worker counts {1,2,4,8}, including on a forced-imbalance batch
+/// (nearly every pair in one subarray's shard).
 #[test]
 fn steal_grid_keeps_the_model_trace_byte_identical() {
     let _session = TracerSession::begin();
