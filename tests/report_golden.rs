@@ -74,6 +74,26 @@ fn type1_report_matches_golden() {
 }
 
 #[test]
+fn type1_no_etm_report_matches_golden() {
+    assert_golden(
+        SieveConfig::type1().with_etm(false),
+        "T1 q=2769 h=174 makespan=88273012510 ideal=88273012510 rows=172026 \
+         rows_no_etm=171678 wr=0 rd=18613926 e_act=344052000000 e_rd=9306963000000 \
+         e_wr=0 e_comp=147180312882 e_static=16948418401920",
+    );
+}
+
+#[test]
+fn type1_esp_report_matches_golden() {
+    assert_golden(
+        SieveConfig::type1().with_esp_override(10),
+        "T1 q=2769 h=174 makespan=4421251489 ideal=4421251489 rows=39678 \
+         rows_no_etm=171678 wr=0 rd=832070 e_act=79356000000 e_rd=416035000000 \
+         e_wr=0 e_comp=6579177490 e_static=848880285888",
+    );
+}
+
+#[test]
 fn type2_report_matches_golden() {
     assert_golden(
         SieveConfig::type2(16),
@@ -104,7 +124,7 @@ fn type3_no_etm_report_matches_golden() {
 }
 
 /// Cross-field invariants the goldens must also satisfy — catches a
-/// *consistently* wrong regeneration (all four lines pasted from a buggy
+/// *consistently* wrong regeneration (every line pasted from a buggy
 /// build would still have to pass these).
 #[test]
 fn golden_reports_are_internally_consistent() {
