@@ -315,7 +315,7 @@ fn lcp_bits_u64(a: u64, b: u64, bit_len: usize) -> usize {
 /// are low-aligned, so the diff has no bits above `bit_len` and the
 /// subtraction cannot underflow.
 #[inline]
-fn lcp_bits_u64_swar(a: u64, b: u64, bit_len: usize) -> usize {
+pub(crate) fn lcp_bits_u64_swar(a: u64, b: u64, bit_len: usize) -> usize {
     ((a ^ b).leading_zeros() as usize + bit_len) - 64
 }
 
