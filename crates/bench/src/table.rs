@@ -105,13 +105,16 @@ impl Table {
         out
     }
 
-    /// Prints the table and writes `results/<name>.csv` relative to the
-    /// workspace root (best-effort; printing is the primary output).
+    /// Prints the table and writes it to `results/<name>.csv` under the
+    /// current directory, creating `results/` if it is missing. Printing
+    /// is the primary output, so a failed write is reported on stderr
+    /// rather than ending the run.
     pub fn emit(&self, name: &str) {
         println!("{}", self.render());
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        if fs::create_dir_all(&dir).is_ok() {
-            let _ = fs::write(dir.join(format!("{name}.csv")), self.to_csv());
+        let dir = Path::new("results");
+        let path = dir.join(format!("{name}.csv"));
+        if let Err(e) = fs::create_dir_all(dir).and_then(|()| fs::write(&path, self.to_csv())) {
+            eprintln!("could not write {}: {e}", path.display());
         }
     }
 }

@@ -322,7 +322,8 @@ impl SieveConfig {
     ///
     /// Returns [`SieveError::InvalidConfig`] if any derived quantity is
     /// degenerate (k out of range, groups that don't fit, regions exceeding
-    /// the subarray, SALP/CB counts exceeding the bank).
+    /// the subarray, SALP/CB counts exceeding the bank, Type-1 rows that
+    /// are not whole 64-column batches or wider than 65,536 columns).
     pub fn validate(&self) -> Result<(), SieveError> {
         if self.k == 0 || self.k > 32 {
             return Err(SieveError::InvalidConfig {
@@ -392,7 +393,19 @@ impl SieveConfig {
                     });
                 }
             }
-            DeviceKind::Type1 => {}
+            DeviceKind::Type1 => {
+                let cols = self.geometry.cols_per_row;
+                let max = crate::sched::TYPE1_MAX_ROW_COLS;
+                if !cols.is_multiple_of(crate::sched::TYPE1_BATCH_COLS) || cols > max {
+                    return Err(SieveError::InvalidConfig {
+                        field: "geometry.cols_per_row",
+                        reason: format!(
+                            "Type-1 rows must be whole 64-column batches, at most {max} \
+                             columns, got {cols}"
+                        ),
+                    });
+                }
+            }
         }
         Ok(())
     }
@@ -459,6 +472,38 @@ mod tests {
         assert!(SieveConfig::type2(3).validate().is_err());
         assert!(SieveConfig::type2(0).validate().is_err());
         SieveConfig::type2(16).validate().unwrap();
+    }
+
+    #[test]
+    fn type1_rows_are_bounded_whole_batches() {
+        // The widest row whose depth tables fit `u16` at the tallest
+        // Region 1 (k = 32), the next power of two, and a partial batch.
+        let t1 = |cols_per_row, etm_segment_len| SieveConfig {
+            etm_segment_len,
+            ..SieveConfig::type1().with_k(32).with_geometry(Geometry {
+                rows_per_subarray: 256,
+                cols_per_row,
+                ..Geometry::scaled_small()
+            })
+        };
+        t1(65_536, 256).validate().unwrap();
+        for (cols, segment) in [(131_072, 256), (1_056, 32)] {
+            let err = t1(cols, segment).validate().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SieveError::InvalidConfig {
+                        field: "geometry.cols_per_row",
+                        ..
+                    }
+                ),
+                "{cols}: {err}"
+            );
+        }
+        // Type-2/3 rows have no batches to bound.
+        let mut t3 = t1(131_072, 256);
+        t3.device = DeviceKind::Type3 { salp: 8 };
+        t3.validate().unwrap();
     }
 
     #[test]

@@ -56,10 +56,9 @@ struct RunScratch {
     /// `uniq_of[i]` = index into `uniq` for query `i`.
     uniq_of: Vec<u32>,
     planned: PlanScratch,
-    /// Match-space result/work arrays (dedup on; with dedup off the
-    /// results scatter straight into the output vector).
+    /// Match-space results (dedup on; with dedup off the results scatter
+    /// straight into the output vector).
     space_results: Vec<Option<TaxonId>>,
-    space_work: Vec<QueryWork>,
     loads: Vec<sched::SubLoad>,
 }
 
@@ -161,23 +160,22 @@ pub struct RunOutput {
     pub report: SimReport,
 }
 
-/// One query's resolved work, before scheduling. The destination
-/// subarray lives in the shard plan, not here.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct QueryWork {
+/// One query's resolved work, as the hot-k-mer cache records it. The
+/// destination subarray lives in the shard plan, not here.
+#[derive(Debug, Clone, Copy)]
+struct QueryWork {
     /// Region-1 rows this lookup activates.
-    pub rows: u32,
+    rows: u32,
     /// Whether it hit (payload retrieval follows).
-    pub hit: bool,
+    hit: bool,
 }
 
 /// One match task's resolved output: the task's contribution to its
 /// subarray's aggregate load, its hits (tagged with match-space ids for
-/// the deterministic scatter), and — only when the run needs per-query
-/// work downstream (Type-1 scheduling, cache fill) — one [`QueryWork`]
-/// per task query in task order. Loads of tasks from the same (split)
-/// shard are *accumulated* by the reduce, so the totals are independent
-/// of how shards were split.
+/// the deterministic scatter), and — only when the cache takes inserts —
+/// one [`QueryWork`] per task query in task order. Loads of tasks from
+/// the same (split) shard are *accumulated* by the reduce, so the totals
+/// are independent of how shards were split.
 struct TaskOutcome {
     subarray: usize,
     load: sched::SubLoad,
@@ -218,8 +216,6 @@ struct Accum<'a> {
     results: &'a mut [Option<TaxonId>],
     /// Aggregate load per occupied subarray.
     loads: &'a mut [sched::SubLoad],
-    /// Per-query work in match space (Type-1 only).
-    work: &'a mut Vec<QueryWork>,
 }
 
 /// Rows activated per resolved lookup, tallied for the
@@ -417,7 +413,6 @@ impl SieveDevice {
             uniq_of,
             planned,
             space_results,
-            space_work,
             loads,
         } = scratch;
         let dedup_on = self.dedup_stage(queries, threads, dedup, uniq, mult, uniq_of);
@@ -459,21 +454,23 @@ impl SieveDevice {
                 &mut results
             },
             loads,
-            work: space_work,
         };
         // The cache serves only the streaming path, and never Type-1
         // (its per-batch ETM recomputes row counts from raw k-mers).
         let mut cache =
             (use_cache && self.config.hot_kmers > 0 && !ctx.type1).then(|| self.cache.lock());
         let inserting = self.plan_stage(&ctx, cache.as_deref_mut(), &mut acc, planned);
-        let outcomes = self.match_stage(&ctx, planned, ctx.type1 || inserting);
+        let outcomes = self.match_stage(&ctx, planned, inserting);
         let inserts = cache.as_deref_mut().filter(|_| inserting);
         self.reduce_stage(&ctx, outcomes, inserts, &mut acc, planned);
         drop(cache);
-        if dedup_on {
+        let space_results = if dedup_on {
             expand_stage(threads, &mut results, space_results, uniq_of);
-        }
-        let report = self.schedule_stage(&ctx, loads, space_work, planned);
+            &space_results[..]
+        } else {
+            &results[..]
+        };
+        let report = self.schedule_stage(&ctx, loads, space_results, planned);
         RunOutput { results, report }
     }
 
@@ -483,6 +480,7 @@ impl SieveDevice {
             DeviceKind::Type1 => sched::simulate_type1(
                 &self.config,
                 &self.layout,
+                &self.keys,
                 &[],
                 None,
                 &ShardPlan::empty(),
@@ -650,9 +648,8 @@ impl SieveDevice {
     }
 
     /// Reduce: accumulates loads per subarray (tasks of a split shard
-    /// sum), scatters hits by id, records per-query work for the Type-1
-    /// scheduler, and feeds `inserts` (the cache, when it takes inserts)
-    /// in task order.
+    /// sum), scatters hits by id, and feeds `inserts` (the cache, when it
+    /// takes inserts) in task order.
     fn reduce_stage(
         &self,
         ctx: &RunCtx<'_>,
@@ -666,11 +663,6 @@ impl SieveDevice {
         let _span = rec.span("device.reduce");
         let _wall = tr.span("device.reduce");
         let tracing = tr.is_enabled();
-        if ctx.type1 {
-            acc.work.clear();
-            acc.work
-                .resize(ctx.space.queries.len(), QueryWork::default());
-        }
         let mut inserted = 0u64;
         let mut reduce_hits = 0u64;
         for (t, outcome) in outcomes.into_iter().enumerate() {
@@ -699,18 +691,10 @@ impl SieveDevice {
             for &(id, taxon) in &outcome.hits {
                 acc.results[id as usize] = Some(taxon);
             }
-            if outcome.work.is_empty() {
-                continue;
-            }
-            let (_, range) = planned.shards.task(t);
-            let task_pairs = &planned.pairs[range];
-            debug_assert_eq!(task_pairs.len(), outcome.work.len());
-            if ctx.type1 {
-                for (&p, &w) in task_pairs.iter().zip(&outcome.work) {
-                    acc.work[p.id() as usize] = w;
-                }
-            }
             if let Some(cache) = inserts.as_deref_mut() {
+                let (_, range) = planned.shards.task(t);
+                let task_pairs = &planned.pairs[range];
+                debug_assert_eq!(task_pairs.len(), outcome.work.len());
                 let mut hit_iter = outcome.hits.iter();
                 for (&p, w) in task_pairs.iter().zip(&outcome.work) {
                     let taxon = if w.hit {
@@ -751,11 +735,12 @@ impl SieveDevice {
 
     /// Schedule: times the merged work on the configured design point,
     /// emits the run's model interval, and advances the model clock.
+    /// Type-1 reads its hits from `results`, the match-space payloads.
     fn schedule_stage(
         &self,
         ctx: &RunCtx<'_>,
         loads: &[sched::SubLoad],
-        work: &[QueryWork],
+        results: &[Option<TaxonId>],
         planned: &PlanScratch,
     ) -> SimReport {
         let tr = trace::global();
@@ -766,7 +751,8 @@ impl SieveDevice {
             DeviceKind::Type1 => sched::simulate_type1(
                 &self.config,
                 &self.layout,
-                work,
+                &self.keys,
+                results,
                 ctx.space.mult,
                 &planned.shards,
                 &planned.pairs,

@@ -19,12 +19,11 @@
 //! the sorted partitions so matching requests do not pile onto one bank.
 
 use sieve_dram::{EnergyLedger, TimePs};
-use sieve_genomics::{Kmer, TaxonId};
+use sieve_genomics::TaxonId;
 
 use crate::config::{DeviceKind, SieveConfig};
-use crate::device::QueryWork;
 use crate::energy_model::ComponentEnergies;
-use crate::engine;
+use crate::engine::{self, KeyTable, SubarrayKeys};
 use crate::etm;
 use crate::layout::{DeviceLayout, SubarrayView};
 use crate::obs;
@@ -293,181 +292,275 @@ pub(crate) fn simulate_type23(config: &SieveConfig, loads: &[SubLoad]) -> SimRep
     )
 }
 
-/// One shard's Type-1 contribution: integer partials whose merge order
-/// cannot affect the totals.
+/// Columns per Type-1 batch: the bank I/O bursts an open row out 64 bits
+/// at a time, and the matcher array compares one burst per `t_ccd`.
+pub(crate) const TYPE1_BATCH_COLS: u32 = 64;
+
+/// The widest Type-1 row [`SieveConfig::validate`] accepts, in columns.
+/// A row of `n` batches gives [`DepthTables`] prefix sums up to
+/// `(n − 1) · 2k`, which must fit their `u16` at k = 32.
+pub(crate) const TYPE1_MAX_ROW_COLS: u32 = 65_536;
+
+const _: () = assert!(
+    (TYPE1_MAX_ROW_COLS / TYPE1_BATCH_COLS - 1) * 2 * 32 <= u16::MAX as u32,
+    "Type-1 depth tables would wrap"
+);
+
+const BATCH: usize = TYPE1_BATCH_COLS as usize;
+
+/// One shard's Type-1 contribution: integer counts whose merge order
+/// cannot affect the totals. Every energy term is a fixed price times
+/// one of them, so [`simulate_type1`] prices the merged totals.
 #[derive(Debug, Clone, Copy, Default)]
 struct Type1Partial {
     subarray: usize,
     busy: TimePs,
     row_activations: u64,
     read_bursts: u64,
-    activation_fj: u128,
-    read_fj: u128,
-    component_fj: u128,
 }
 
-/// The boundary keys of one subarray's 64-column Type-1 batches: the
-/// first and last key of every non-empty batch, in column (= key) order,
-/// and where each batch's ranks start. An 8,192-column row has 128
-/// batches, so the table takes ~4 KB, and it lives as long as one task.
+impl Type1Partial {
+    /// Charges `m` queries that each stream `cost` through Region 1,
+    /// `hits` of which then retrieve a payload (two more activations and
+    /// bursts).
+    fn charge(&mut self, cost: RowCost, m: u64, hits: u64, payload: TimePs) {
+        self.busy += cost.time * m + payload * hits;
+        self.row_activations += cost.rows * m + 2 * hits;
+        self.read_bursts += cost.reads * m + 2 * hits;
+    }
+}
+
+/// One query's Region-1 stream on Type-1: the rows it activates, the
+/// time they take, and the 64-bit batch bursts it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RowCost {
+    rows: u64,
+    time: TimePs,
+    reads: u64,
+}
+
+/// The non-empty batches of a Type-1 subarray's row. Type-1 stores rank
+/// `r` in column `r`, so batch `j` holds ranks `64j..min(64j + 64, len)`
+/// and the batch of insertion rank `ins` is `ins / 64`; debug builds
+/// check that layout once per task.
+fn batch_count(sa: &SubarrayView<'_>, cols_per_row: u32) -> usize {
+    let len = sa.len();
+    debug_assert!(
+        (0..cols_per_row / TYPE1_BATCH_COLS).all(|j| {
+            let start = j as usize * BATCH;
+            sa.ranks_in_cols(j * TYPE1_BATCH_COLS, (j + 1) * TYPE1_BATCH_COLS)
+                == (start.min(len)..(start + BATCH).min(len))
+        }),
+        "Type-1 batch b no longer holds ranks 64b..64b + 64"
+    );
+    len.div_ceil(BATCH)
+}
+
+/// With ETM off no Skip-Bit clears: every non-empty batch streams on
+/// every Region-1 row, whatever the query.
+fn etm_off_cost(config: &SieveConfig, batches: usize) -> RowCost {
+    let timing = &config.timing;
+    let rows = u64::from(config.region1_rows());
+    let batches = batches as u64;
+    let stream = timing.t_rcd + batches * timing.t_ccd + timing.t_rp;
+    RowCost {
+        rows,
+        time: rows * stream.max(timing.row_cycle()),
+        reads: rows * batches,
+    }
+}
+
+/// One subarray's Type-1 batch depths, built once per task (~32 KB at
+/// 128 batches and k = 31, freed with the task), which turn a query's
+/// row stream into four LCPs around its insertion point.
 ///
-/// Because the ranks are sorted, one insertion point per query decides
-/// every batch's max LCP (the nearest-key argument in
-/// [`crate::engine`]): a batch wholly below the query shares the longest
-/// prefix with its last key, a batch wholly above with its first key,
-/// and the batch holding the insertion point with the two keys either
-/// side of it.
-struct BatchBounds<'a> {
-    entries: &'a [(Kmer, TaxonId)],
-    firsts: Vec<u64>,
-    lasts: Vec<u64>,
-    /// `starts[j]..starts[j + 1]` are batch `j`'s ranks (the non-empty
-    /// batches' ranges tile the subarray).
-    starts: Vec<usize>,
+/// A batch stays live while the query still matches one of its keys: for
+/// its max LCP plus one rows. For sorted keys `x ≤ y ≤ z`,
+/// `lcp(x, z) = min(lcp(x, y), lcp(y, z))`, because `x` and `z` sharing a
+/// prefix puts `y` between them under that prefix too. Let `b` be the
+/// batch of the query's insertion point. Every batch `j < b` lies below
+/// the query, so its max LCP is `min(lcp(last_j, last_{b−1}), lo)` with
+/// `lo = lcp(last_{b−1}, q)`, and it is live at depth `t` when `lo ≥ t`
+/// and `lcp(last_j, last_{b−1}) ≥ t`. `below[b][t]` counts the batches
+/// `j < b − 1` meeting the second condition, so the lower batches live at
+/// depth `t` number `[lo ≥ t] · (1 + below[b][t])`, and likewise
+/// `[hi ≥ t] · (1 + above[b][t])` above `b` over the first keys. The ESP
+/// cap only lowers `lo` and `hi`. The tables hold prefix sums over depth,
+/// `Σ_{s<t} below[b][s]`, so one entry gives a query's bursts.
+struct DepthTables<'a> {
+    keys: SubarrayKeys<'a>,
+    /// `bit_len + 1` prefix sums per batch row, `t = 0..=bit_len`.
+    below: Vec<u16>,
+    above: Vec<u16>,
     bit_len: usize,
-    /// The ESP cap on a missing batch's LCP (`bit_len`, a no-op, when
+    /// The ESP cap on a missed batch's LCP (`bit_len`, a no-op, when
     /// there is no override).
     cap: usize,
+    t_open: TimePs,
+    t_ccd: TimePs,
+    row_cycle: TimePs,
 }
 
-impl<'a> BatchBounds<'a> {
-    fn new(sa: &SubarrayView<'a>, config: &SieveConfig) -> Self {
-        let batch_bits = 64u32;
+impl<'a> DepthTables<'a> {
+    /// Builds the tables in `O(batches × 2k)` from the LCPs of
+    /// consecutive boundary keys. `lcp(last_j, last_{b−1})` is the min of
+    /// the consecutive LCPs from `j` to `b − 1`, so `below[b][t]` is
+    /// `below[b − 1][t] + 1` while `t ≤ c = lcp(last_{b−2}, last_{b−1})`
+    /// and 0 beyond: as prefix sums,
+    /// `P_b[t] = P_{b−1}[min(t, c + 1)] + min(t, c + 1)`.
+    fn new(
+        config: &SieveConfig,
+        layout: &DeviceLayout,
+        keys: &'a KeyTable,
+        subarray: usize,
+    ) -> Self {
         let bit_len = config.region1_rows() as usize;
-        let entries = sa.entries();
-        let mut bounds = Self {
-            entries,
-            firsts: Vec::new(),
-            lasts: Vec::new(),
-            starts: vec![0],
-            bit_len,
-            cap: config.esp_override.map_or(bit_len, |esp| esp as usize),
-        };
-        for b in 0..config.geometry.cols_per_row / batch_bits {
-            let range = sa.ranks_in_cols(b * batch_bits, (b + 1) * batch_bits);
-            if !range.is_empty() {
-                bounds.firsts.push(entries[range.start].0.bits());
-                bounds.lasts.push(entries[range.end - 1].0.bits());
-                bounds.starts.push(range.end);
+        let keys = keys.subarray(layout, subarray);
+        let batches = batch_count(&layout.subarray(subarray), config.geometry.cols_per_row);
+        let (sorted, width) = (keys.keys, bit_len + 1);
+        let lcp = |a: u64, b: u64| engine::lcp_bits_u64_swar(a, b, bit_len);
+        let last = |j: usize| sorted[((j + 1) * BATCH).min(sorted.len()) - 1];
+        let first = |j: usize| sorted[j * BATCH];
+        // One row per insertion batch `b = 0..=batches` (`b = batches`
+        // when the query sorts past a full last batch).
+        let mut below = vec![0u16; (batches + 1) * width];
+        for b in 2..=batches {
+            let run = lcp(last(b - 2), last(b - 1)) + 1;
+            let (done, rest) = below.split_at_mut(b * width);
+            let prev = &done[(b - 1) * width..];
+            for (t, sum) in rest[..width].iter_mut().enumerate() {
+                let s = t.min(run);
+                *sum = prev[s] + s as u16;
             }
         }
-        bounds
+        let mut above = vec![0u16; (batches + 1) * width];
+        for b in (0..batches.saturating_sub(2)).rev() {
+            let run = lcp(first(b + 1), first(b + 2)) + 1;
+            let (head, next) = above.split_at_mut((b + 1) * width);
+            for (t, sum) in head[b * width..].iter_mut().enumerate() {
+                let s = t.min(run);
+                *sum = next[s] + s as u16;
+            }
+        }
+        let timing = &config.timing;
+        Self {
+            keys,
+            below,
+            above,
+            bit_len,
+            cap: config.esp_override.map_or(bit_len, |esp| esp as usize),
+            t_open: timing.t_rcd + timing.t_rp,
+            t_ccd: timing.t_ccd,
+            row_cycle: timing.row_cycle(),
+        }
     }
 
-    /// Feeds `each` the max LCP of `query` against every non-empty batch,
-    /// in batch order, ESP-capped unless the batch holds the query: what
-    /// [`engine::max_lcp_in_range`] gives for each batch's ranks.
+    /// The Region-1 stream of `query` with ETM on; `hit` is whether the
+    /// subarray holds it.
     #[inline]
-    fn batch_lcps(&self, query: u64, mut each: impl FnMut(usize)) {
-        let lcp = |key: u64| engine::lcp_bits_u64_swar(key, query, self.bit_len);
-        // The batch holding the insertion point: the first whose last key
-        // is not below the query.
-        let b = self.lasts.partition_point(|&last| last < query);
-        for &last in &self.lasts[..b] {
-            each(lcp(last).min(self.cap));
-        }
-        if b == self.lasts.len() {
-            return;
-        }
-        let (lo, hi) = (self.starts[b], self.starts[b + 1]);
-        let ins = lo + self.entries[lo..hi].partition_point(|(k, _)| k.bits() < query);
-        // `lasts[b] >= query`, so the insertion point has a key above it.
-        let right = self.entries[ins].0.bits();
-        each(if right == query {
-            self.bit_len
+    fn cost(&self, query: u64, hit: bool) -> RowCost {
+        let (keys, bit_len) = (self.keys.keys, self.bit_len);
+        let ins = self.keys.insertion_rank(query);
+        debug_assert_eq!(hit, keys.get(ins) == Some(&query));
+        let b = ins / BATCH;
+        let start = b * BATCH;
+        let lcp = |r: usize| engine::lcp_bits_u64_swar(keys[r], query, bit_len);
+        // `lo`, `hold` and `hi` are the rows batch `b − 1`, batch `b` and
+        // batch `b + 1` stay live (0 if there is no such batch): the max
+        // LCP, ESP-capped on a miss, plus the row the last latch dies on,
+        // so `[lcp ≥ t]` reads `t < rows`.
+        let live_rows = |lcp: usize| (lcp.min(self.cap) + 1).min(bit_len);
+        let lo = if b > 0 { live_rows(lcp(start - 1)) } else { 0 };
+        let hold = if start == keys.len() {
+            0
+        } else if hit {
+            bit_len
         } else {
-            let left = if ins > lo {
-                lcp(self.entries[ins - 1].0.bits())
-            } else {
-                0
+            let left = if ins > start { lcp(ins - 1) } else { 0 };
+            let right = if ins < keys.len() { lcp(ins) } else { 0 };
+            live_rows(left.max(right))
+        };
+        let hi = if start + BATCH < keys.len() {
+            live_rows(lcp(start + BATCH))
+        } else {
+            0
+        };
+        let width = bit_len + 1;
+        let below = &self.below[b * width..][..width];
+        let above = &self.above[b * width..][..width];
+        let rows = lo.max(hold).max(hi);
+        let reads = lo + usize::from(below[lo]) + hold + hi + usize::from(above[hi]);
+        // Batches live on row `t`. It never rises with `t`, so once one
+        // row's stream fits in a row cycle every later row's does too.
+        let live = |t: usize| {
+            let side = |live_rows: usize, sums: &[u16]| {
+                if t < live_rows {
+                    1 + u64::from(sums[t + 1] - sums[t])
+                } else {
+                    0
+                }
             };
-            left.max(lcp(right)).min(self.cap)
-        });
-        for &first in &self.firsts[b + 1..] {
-            each(lcp(first).min(self.cap));
+            side(lo, below) + u64::from(t < hold) + side(hi, above)
+        };
+        let mut time = 0;
+        let mut t = 0;
+        while t < rows {
+            let stream = self.t_open + live(t) * self.t_ccd;
+            if stream <= self.row_cycle {
+                break;
+            }
+            time += stream;
+            t += 1;
+        }
+        RowCost {
+            rows: rows as u64,
+            time: time + (rows - t) as u64 * self.row_cycle,
+            reads: reads as u64,
         }
     }
 }
 
-/// Accounts one task of Type-1 queries against its subarray: the batch
-/// boundary table is built once per task, and the per-query histogram
-/// buffers are reused across the task's queries.
+/// Accounts one task of Type-1 queries against its subarray.
 ///
-/// `work` / `pairs` are in *match space* — unique k-mers when the device
-/// deduplicates, raw queries otherwise — and `mult` carries each entry's
-/// occurrence count (`None` = all 1). `pairs` is the task's slice of the
-/// plan's grouped `(bits, id)` array. Every per-query quantity (stream
-/// time, reads, activations, energies) is a pure function of the k-mer,
-/// so charging it `mult` times is exact, not an approximation, and the
+/// `results` / `pairs` are in *match space* — unique k-mers when the
+/// device deduplicates, raw queries otherwise — and `mult` carries each
+/// entry's occurrence count (`None` = all 1). `pairs` is the task's slice
+/// of the plan's grouped `(bits, id)` array, and `results[id]` is the
+/// match stage's payload for it. Every per-query quantity is a pure
+/// function of the k-mer, so charging it `mult` times is exact, and the
 /// task's integer sums do not depend on the order its queries arrive in.
 fn type1_task(
     config: &SieveConfig,
     layout: &DeviceLayout,
-    work: &[QueryWork],
+    keys: &KeyTable,
+    results: &[Option<TaxonId>],
     mult: Option<&[u32]>,
     subarray: usize,
     pairs: &[Pair],
 ) -> Type1Partial {
-    let comp = ComponentEnergies::paper();
-    let timing = &config.timing;
-    let row_cycle = timing.row_cycle();
-    let bit_len = config.region1_rows() as usize;
-    let bounds = BatchBounds::new(&layout.subarray(subarray), config);
-
+    let payload = payload_time(config);
+    let weight = |pair: &Pair| {
+        let i = pair.id() as usize;
+        let m = mult.map_or(1u64, |m| u64::from(m[i]));
+        (m, u64::from(results[i].is_some()) * m)
+    };
     let mut p = Type1Partial {
         subarray,
         ..Type1Partial::default()
     };
-    let mut alive_rows_hist = vec![0u32; bit_len + 1];
-    let mut live_suffix = vec![0u32; bit_len + 2];
-    for &pair in pairs {
-        let i = pair.id() as usize;
-        let w = &work[i];
-        let m = mult.map_or(1u64, |m| u64::from(m[i]));
-        // Rows each batch stays live: max LCP within the batch + 1
-        // (the batch must be compared on its death row), capped at 2k.
-        // `alive[d]` counts batches live through exactly d rows.
-        alive_rows_hist.fill(0);
-        let mut rows_needed = 0usize;
-        bounds.batch_lcps(pair.key(), |lcp| {
-            let live_rows = (lcp + 1).min(bit_len);
-            alive_rows_hist[live_rows] += 1;
-            rows_needed = rows_needed.max(live_rows);
-        });
-        if !config.etm_enabled {
-            rows_needed = bit_len;
+    if config.etm_enabled {
+        let tables = DepthTables::new(config, layout, keys, subarray);
+        for pair in pairs {
+            let (m, hits) = weight(pair);
+            p.charge(tables.cost(pair.key(), hits > 0), m, hits, payload);
         }
-        // live(t) = batches whose live_rows > t.
-        live_suffix[bit_len + 1] = 0;
-        for d in (0..=bit_len).rev() {
-            live_suffix[d] = live_suffix[d + 1] + alive_rows_hist[d];
-        }
-        let mut query_time = 0u64;
-        let mut query_reads = 0u64;
-        for t in 0..rows_needed {
-            let live = if config.etm_enabled {
-                u64::from(live_suffix[t + 1])
-            } else {
-                // Without skip bits every non-empty batch is streamed.
-                u64::from(live_suffix[0])
-            };
-            let stream = timing.t_rcd + live * timing.t_ccd + timing.t_rp;
-            query_time += stream.max(row_cycle);
-            query_reads += live;
-        }
-        if w.hit {
-            query_time += payload_time(config);
-            query_reads += 2;
-            p.row_activations += 2 * m;
-            p.activation_fj += u128::from(2 * m) * u128::from(config.energy.e_act);
-        }
-        p.row_activations += rows_needed as u64 * m;
-        p.read_bursts += query_reads * m;
-        p.activation_fj += rows_needed as u128 * u128::from(m) * u128::from(config.energy.e_act);
-        p.read_fj += u128::from(query_reads * m) * u128::from(config.energy.e_rd);
-        // Matcher array + registers + SRAM buffer per batch comparison.
-        p.component_fj += u128::from(query_reads * m) * u128::from(comp.t1_batch_fj);
-        p.busy += query_time * m;
+    } else {
+        let (m, hits) = pairs
+            .iter()
+            .map(weight)
+            .fold((0, 0), |(m, h), (dm, dh)| (m + dm, h + dh));
+        let batches = batch_count(&layout.subarray(subarray), config.geometry.cols_per_row);
+        p.charge(etm_off_cost(config, batches), m, hits, payload);
     }
     p
 }
@@ -477,13 +570,14 @@ fn type1_task(
 /// only sums integers per bank, so the report is bit-identical for any
 /// `threads` and for any shard → task split.
 ///
-/// `work` / `mult` are in match space (see [`type1_task`]);
+/// `results` / `mult` are in match space (see [`type1_task`]);
 /// `total_queries` / `total_hits` are the *expanded* batch totals.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_type1(
     config: &SieveConfig,
     layout: &DeviceLayout,
-    work: &[QueryWork],
+    keys: &KeyTable,
+    results: &[Option<TaxonId>],
     mult: Option<&[u32]>,
     plan: &ShardPlan,
     pairs: &[Pair],
@@ -494,7 +588,7 @@ pub(crate) fn simulate_type1(
     let banks = config.geometry.total_banks();
     let partials = par::map_indexed(threads, plan.task_count(), |t| {
         let (subarray, range) = plan.task(t);
-        type1_task(config, layout, work, mult, subarray, &pairs[range])
+        type1_task(config, layout, keys, results, mult, subarray, &pairs[range])
     });
 
     let tr = trace::global();
@@ -514,7 +608,6 @@ pub(crate) fn simulate_type1(
         }
     }
 
-    let mut energy = EnergyLedger::new();
     let mut row_activations = 0u64;
     let mut read_bursts = 0u64;
     let mut bank_busy = vec![0u64; banks];
@@ -522,10 +615,17 @@ pub(crate) fn simulate_type1(
         bank_busy[p.subarray % banks] += p.busy;
         row_activations += p.row_activations;
         read_bursts += p.read_bursts;
-        energy.activation_fj += p.activation_fj;
-        energy.read_fj += p.read_fj;
-        energy.component_fj += p.component_fj;
     }
+    // Each activation, payload rows included, at the row energy; each
+    // burst read out, and through the matcher array, registers and SRAM
+    // buffer as one batch comparison.
+    let reads = u128::from(read_bursts);
+    let energy = EnergyLedger {
+        activation_fj: u128::from(row_activations) * u128::from(config.energy.e_act),
+        read_fj: reads * u128::from(config.energy.e_rd),
+        component_fj: reads * u128::from(ComponentEnergies::paper().t1_batch_fj),
+        ..EnergyLedger::new()
+    };
 
     let ideal = bank_busy
         .into_iter()
@@ -672,14 +772,15 @@ mod tests {
         let ones = u64::MAX >> (64 - 2 * k);
         let mut probes = vec![0, ones];
         for (key, _) in layout.entries().iter().step_by(29) {
-            probes.extend([key.bits().wrapping_sub(1), key.bits(), key.bits() + 1]);
+            let key = key.bits();
+            probes.extend([key.wrapping_sub(1), key, key.wrapping_add(1)]);
         }
         for sa in layout.subarrays() {
             for b in 0..batch_cols {
                 let batch = &sa.entries()[sa.ranks_in_cols(b * 64, (b + 1) * 64)];
                 if let (Some((first, _)), Some((last, _))) = (batch.first(), batch.last()) {
                     let (first, last) = (first.bits(), last.bits());
-                    probes.extend([first.wrapping_sub(1), first, last, last + 1]);
+                    probes.extend([first.wrapping_sub(1), first, last, last.wrapping_add(1)]);
                 }
             }
         }
@@ -687,42 +788,93 @@ mod tests {
         probes
     }
 
-    /// Holds [`BatchBounds::batch_lcps`] to [`engine::max_lcp_in_range`]
-    /// on every non-empty batch of every occupied subarray, without and
-    /// with the ESP cap. Returns how many subarrays have empty batches
-    /// (trailing ones: Type-1 fills a row's columns in rank order).
-    fn assert_batch_lcps_twin_range_search(layout: &DeviceLayout, config: &SieveConfig) -> usize {
-        let bit_len = 2 * layout.k();
+    /// The per-batch cost path [`DepthTables`] replaced, kept as its
+    /// reference: [`engine::max_lcp_in_range`] on every non-empty batch of
+    /// the row, the ESP cap, the live-rows histogram and the full row
+    /// loop.
+    fn reference_cost(sa: &SubarrayView<'_>, config: &SieveConfig, query: Kmer) -> RowCost {
+        let bit_len = config.region1_rows() as usize;
+        let cap = config.esp_override.map_or(bit_len, |esp| esp as usize);
+        // `alive[d]` counts batches live through exactly `d` rows.
+        let mut alive = vec![0u64; bit_len + 1];
+        let mut rows = 0;
+        for b in 0..config.geometry.cols_per_row / 64 {
+            let range = sa.ranks_in_cols(b * 64, (b + 1) * 64);
+            let Some(lcp) = engine::max_lcp_in_range(sa, range, query) else {
+                continue;
+            };
+            let lcp = if lcp < bit_len { lcp.min(cap) } else { lcp };
+            let live_rows = (lcp + 1).min(bit_len);
+            alive[live_rows] += 1;
+            rows = rows.max(live_rows);
+        }
+        if !config.etm_enabled {
+            rows = bit_len;
+        }
+        let timing = &config.timing;
+        let (mut time, mut reads) = (0, 0);
+        for t in 0..rows {
+            let live: u64 = if config.etm_enabled {
+                alive[t + 1..].iter().sum()
+            } else {
+                alive.iter().sum()
+            };
+            time += (timing.t_rcd + live * timing.t_ccd + timing.t_rp).max(timing.row_cycle());
+            reads += live;
+        }
+        RowCost {
+            rows: rows as u64,
+            time,
+            reads,
+        }
+    }
+
+    /// Holds every probe's Type-1 row cost — [`DepthTables::cost`] with
+    /// ETM on, [`etm_off_cost`] with it off — to [`reference_cost`] on
+    /// every occupied subarray, with no ESP cap and with caps of 0, 10
+    /// and 2k − 1. Returns how many subarrays end in empty batches
+    /// (Type-1 fills a row's columns in rank order).
+    fn assert_cost_twins_reference(layout: &DeviceLayout, config: &SieveConfig) -> usize {
+        let keys = KeyTable::new(layout);
         let batch_cols = config.geometry.cols_per_row / 64;
         let probes = batch_probes(layout, batch_cols);
+        let bit_len = config.region1_rows();
         let mut trailing_empty = 0;
         for (s, sa) in layout.subarrays().enumerate() {
-            let batches: Vec<_> = (0..batch_cols)
-                .map(|b| sa.ranks_in_cols(b * 64, (b + 1) * 64))
-                .filter(|range| !range.is_empty())
-                .collect();
-            trailing_empty += usize::from(batches.len() < batch_cols as usize);
-            for esp in [None, Some(10u32)] {
+            let batches = batch_count(&sa, config.geometry.cols_per_row);
+            // `b = ins / 64` rests on rank `r` sitting in column `r`.
+            for b in 0..batch_cols {
+                let start = (64 * b as usize).min(sa.len());
+                let end = (64 * (b as usize + 1)).min(sa.len());
+                assert_eq!(sa.ranks_in_cols(64 * b, 64 * (b + 1)), start..end);
+            }
+            trailing_empty += usize::from(batches < batch_cols as usize);
+            for (etm, esp) in [true, false]
+                .into_iter()
+                .flat_map(|etm| [None, Some(0), Some(10), Some(bit_len - 1)].map(|esp| (etm, esp)))
+            {
                 let config = SieveConfig {
+                    etm_enabled: etm,
                     esp_override: esp,
                     ..config.clone()
                 };
-                let bounds = BatchBounds::new(&sa, &config);
+                let tables = DepthTables::new(&config, layout, &keys, s);
                 for &probe in &probes {
                     let q = Kmer::from_u64(probe, layout.k()).unwrap();
-                    let want: Vec<usize> = batches
-                        .iter()
-                        .map(|range| {
-                            let lcp = engine::max_lcp_in_range(&sa, range.clone(), q).unwrap();
-                            match esp {
-                                Some(esp) if lcp < bit_len => lcp.min(esp as usize),
-                                _ => lcp,
-                            }
-                        })
-                        .collect();
-                    let mut got = Vec::new();
-                    bounds.batch_lcps(probe, |lcp| got.push(lcp));
-                    assert_eq!(got, want, "subarray {s} probe {q} esp {esp:?}");
+                    let hit = sa
+                        .entries()
+                        .binary_search_by_key(&probe, |(k, _)| k.bits())
+                        .is_ok();
+                    let got = if etm {
+                        tables.cost(probe, hit)
+                    } else {
+                        etm_off_cost(&config, batches)
+                    };
+                    assert_eq!(
+                        got,
+                        reference_cost(&sa, &config, q),
+                        "subarray {s} probe {q} etm {etm} esp {esp:?}"
+                    );
                 }
             }
         }
@@ -730,29 +882,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_lcps_twin_range_search_on_full_rows() {
+    fn type1_cost_twins_reference_on_full_rows() {
         // 128 batches per row; the second subarray is partly filled.
         let config = SieveConfig::type1().with_geometry(Geometry::scaled_medium());
         let layout = DeviceLayout::build(dataset().entries, &config).unwrap();
         assert!(layout.occupied_subarrays() >= 2);
-        let trailing_empty = assert_batch_lcps_twin_range_search(&layout, &config);
+        let trailing_empty = assert_cost_twins_reference(&layout, &config);
         assert!(trailing_empty > 0, "no subarray ends in empty batches");
     }
 
     #[test]
-    fn batch_lcps_twin_range_search_on_short_rows() {
+    fn type1_cost_twins_reference_on_short_rows() {
         // 16 batches per row: `scaled_small` at k = 15 (30-bit keys), and
-        // at k = 31 with the rows its Region 2/3 need.
+        // at k = 31 and 32 with the rows their Region 2/3 need.
         let tall = Geometry {
             rows_per_subarray: 512,
             ..Geometry::scaled_small()
         };
-        for (k, geometry) in [(15, Geometry::scaled_small()), (31, tall)] {
+        for (k, geometry) in [(15, Geometry::scaled_small()), (31, tall), (32, tall)] {
             let config = SieveConfig::type1().with_k(k).with_geometry(geometry);
             let ds = synth::make_dataset_with(4, 1200, k, 91);
             let layout = DeviceLayout::build(ds.entries, &config).unwrap();
             assert!(layout.occupied_subarrays() >= 3, "k={k}");
-            let trailing_empty = assert_batch_lcps_twin_range_search(&layout, &config);
+            let trailing_empty = assert_cost_twins_reference(&layout, &config);
             assert!(
                 trailing_empty > 0,
                 "k={k}: no subarray ends in empty batches"

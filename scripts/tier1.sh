@@ -37,14 +37,16 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # overflow checks turn any silent wrap in that algebra into a test
 # failure. The extraction and revcomp twins live in kernel_equivalence,
 # the vote and LCP twins next to their scalar references in sieve-core's
-# host and engine modules, and the Type-1 per-batch LCP twin (LCP from
-# XOR on boundary keys, multiplicity-weighted busy and read sums) in
-# sched. A separate target dir keeps the special RUSTFLAGS from
-# invalidating the main cache.
+# host and engine modules, and the Type-1 per-query cost twin
+# (type1_cost_twins_reference_*: u16 depth-table prefix sums, LCP from
+# XOR on boundary keys, the row-stream sums) in sched, next to the
+# config guard that keeps those prefix sums from wrapping. A separate
+# target dir keeps the special RUSTFLAGS from invalidating the main
+# cache.
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q --test kernel_equivalence
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo test -q -p sieve-core --lib -- host::tests engine::tests sched::tests
+    cargo test -q -p sieve-core --lib -- host::tests engine::tests sched::tests config::tests
 
 echo "== tier1: sievebench tests =="
 # The benchmark is its own package (outside the workspace) built against
