@@ -40,8 +40,8 @@
 //! Flags: `--reads N` and `--reps M` scale the workload down for smoke
 //! runs (defaults 10,000 / 40), `--chunk C` adds one streamed row per
 //! thread count (`classify_stream` with C-read chunks — the pipelined
-//! extractor overlap *and* the cross-chunk hot-k-mer cache, which batch
-//! rows never exercise; rows carry a `chunk` field, 0 = batch),
+//! extractor overlap and the per-chunk device runs, which batch rows
+//! never exercise; rows carry a `chunk` field, 0 = batch),
 //! `--out PATH` redirects the `--json` artifact so quick runs don't
 //! clobber the committed results, and `--trace PATH` captures one traced
 //! streaming run at the highest thread count, writing `PATH.chrome.json`
@@ -157,7 +157,7 @@ fn main() {
 
     // Batch rows first, then (with --chunk) one streamed row per thread
     // count: the streamed cells exercise the pipelined extractor overlap
-    // and the cross-chunk hot-k-mer cache.
+    // and the per-chunk device runs.
     let mut cells: Vec<Cell> = thread_counts
         .iter()
         .enumerate()
@@ -193,7 +193,7 @@ fn main() {
     // drift in the host's clock or scheduler hits every cell equally
     // instead of biasing whichever runs first.
     // Warm-up pass: untimed, and doubles as the bit-identical check —
-    // every cell (parallel, streamed, cached) must match the sequential
+    // every cell (parallel, streamed) must match the sequential
     // batch output exactly.
     let mut reference: Option<Vec<sieve_core::ReadResult>> = None;
     for cell in &cells {

@@ -108,24 +108,6 @@ pub struct SieveConfig {
     /// matched per shard, and reduced deterministically, so the output
     /// is bit-identical for every value (see DESIGN.md §6).
     pub threads: usize,
-    /// Unique-k-mer deduplication in the device front-end (default `true`).
-    /// Real read batches repeat k-mers heavily, so the device plans and
-    /// matches each *distinct* k-mer once and scatters the outcome back to
-    /// every occurrence; timeline and energy accounting charge each
-    /// duplicate the cached outcome's full row count, so results, reports,
-    /// and observability snapshots are bit-identical with the knob off
-    /// (proven by `tests/parallel_determinism.rs`). This too is a
-    /// *simulator* knob, not a modeled device parameter.
-    pub dedup: bool,
-    /// Capacity of the cross-chunk hot-k-mer cache, in entries; `0`
-    /// disables it. Streaming classification (`classify_stream`) sees the
-    /// same hot k-mers chunk after chunk; the cache replays a k-mer's
-    /// per-subarray outcome (destination, rows activated, payload)
-    /// without re-planning or re-matching it, composing with the in-batch
-    /// dedup. Replayed outcomes charge identical modeled quantities, so
-    /// results, reports, and model metrics are bit-identical with the
-    /// cache off. A *simulator* knob, not a modeled device parameter.
-    pub hot_kmers: usize,
 }
 
 impl SieveConfig {
@@ -167,8 +149,6 @@ impl SieveConfig {
             pcie: None,
             esp_override: None,
             threads: 0,
-            dedup: true,
-            hot_kmers: 1 << 18,
         }
     }
 
@@ -214,24 +194,6 @@ impl SieveConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Toggles unique-k-mer deduplication in the device front-end (builder
-    /// style). Output is bit-identical for either value (see
-    /// [`SieveConfig::dedup`]).
-    #[must_use]
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Sets the hot-k-mer cache capacity in entries, `0` to disable
-    /// (builder style). Output is bit-identical for every value (see
-    /// [`SieveConfig::hot_kmers`]).
-    #[must_use]
-    pub fn with_hot_kmers(mut self, hot_kmers: usize) -> Self {
-        self.hot_kmers = hot_kmers;
         self
     }
 
@@ -519,14 +481,10 @@ mod tests {
             .with_geometry(Geometry::scaled_medium())
             .with_k(21)
             .with_etm(false)
-            .with_threads(2)
-            .with_dedup(false)
-            .with_hot_kmers(1024);
+            .with_threads(2);
         assert_eq!(c.k, 21);
         assert!(!c.etm_enabled);
         assert_eq!(c.threads, 2);
-        assert!(!c.dedup);
-        assert_eq!(c.hot_kmers, 1024);
         c.validate().unwrap();
     }
 }

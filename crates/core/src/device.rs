@@ -1,13 +1,11 @@
 //! The public device model: load a reference set, run query batches,
 //! get functional results plus a timing/energy report.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use sieve_genomics::{Kmer, TaxonId};
 
-use crate::cache;
 use crate::config::{DeviceKind, SieveConfig};
-use crate::dedup;
 use crate::engine;
 use crate::error::SieveError;
 use crate::etm;
@@ -22,7 +20,7 @@ use crate::stats::SimReport;
 use crate::trace;
 
 /// Largest batch the pipeline can run: queries are tagged with `u32` ids
-/// end to end (shard order, dedup mapping, host read owners).
+/// end to end (shard order, host read owners).
 const MAX_BATCH: usize = u32::MAX as usize;
 
 /// Queries per block of the blocked match kernel: big enough to amortize
@@ -41,24 +39,14 @@ fn check_batch_len(n: usize) -> Result<(), SieveError> {
     Ok(())
 }
 
-/// Reusable per-run working memory: dedup tables, the plan stage's
-/// buffers, and the match-space result arrays. Checked out of the
-/// device's [`ScratchArena`] at the top of [`SieveDevice::run`] and
-/// returned afterwards, so a streaming host (`classify_stream`) reuses
-/// one allocation set across all its chunks.
+/// Reusable per-run working memory: the plan stage's buffers and the
+/// per-subarray loads. Checked out of the device's [`ScratchArena`] at
+/// the top of [`SieveDevice::run`] and returned afterwards, so a
+/// streaming host (`classify_stream`) reuses one allocation set across
+/// all its chunks.
 #[derive(Debug, Default)]
 struct RunScratch {
-    dedup: dedup::DedupScratch,
-    /// Distinct k-mers of the current batch (dedup on).
-    uniq: Vec<Kmer>,
-    /// `mult[g]` = occurrences of `uniq[g]`.
-    mult: Vec<u32>,
-    /// `uniq_of[i]` = index into `uniq` for query `i`.
-    uniq_of: Vec<u32>,
     planned: PlanScratch,
-    /// Match-space results (dedup on; with dedup off the results scatter
-    /// straight into the output vector).
-    space_results: Vec<Option<TaxonId>>,
     loads: Vec<sched::SubLoad>,
 }
 
@@ -109,48 +97,6 @@ impl Clone for ScratchArena {
     }
 }
 
-/// The device's cross-chunk hot-k-mer cache (see [`crate::cache`]),
-/// engaged only on the streaming path ([`SieveDevice::run_streamed`]).
-#[derive(Debug)]
-struct HotCache {
-    cap: usize,
-    inner: Mutex<cache::KmerCache>,
-}
-
-impl HotCache {
-    fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            inner: Mutex::new(cache::KmerCache::new(cap)),
-        }
-    }
-
-    /// Locks the cache. A run holds the guard across its match fan-out,
-    /// which re-raises a worker's panic on the calling thread, so one
-    /// panic poisons the lock; the next lock then starts over from an
-    /// empty cache instead of trusting (or refusing) the old contents.
-    /// That is always safe: replays are bit-identical to re-matching, so
-    /// an emptied cache only costs speed.
-    fn lock(&self) -> MutexGuard<'_, cache::KmerCache> {
-        self.inner.lock().unwrap_or_else(|poisoned| {
-            let mut guard = poisoned.into_inner();
-            *guard = cache::KmerCache::new(self.cap);
-            self.inner.clear_poison();
-            guard
-        })
-    }
-}
-
-impl Clone for HotCache {
-    /// Cloned devices start with an empty cache of the same capacity:
-    /// contents are a pure acceleration structure (replays are
-    /// bit-identical to re-matching), so there is nothing semantic to
-    /// copy, and sharing would entangle the clones' streams.
-    fn clone(&self) -> Self {
-        Self::new(self.cap)
-    }
-}
-
 /// Functional results and the simulation report of one run.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
@@ -160,62 +106,30 @@ pub struct RunOutput {
     pub report: SimReport,
 }
 
-/// One query's resolved work, as the hot-k-mer cache records it. The
-/// destination subarray lives in the shard plan, not here.
-#[derive(Debug, Clone, Copy)]
-struct QueryWork {
-    /// Region-1 rows this lookup activates.
-    rows: u32,
-    /// Whether it hit (payload retrieval follows).
-    hit: bool,
-}
-
 /// One match task's resolved output: the task's contribution to its
-/// subarray's aggregate load, its hits (tagged with match-space ids for
-/// the deterministic scatter), and — only when the cache takes inserts —
-/// one [`QueryWork`] per task query in task order. Loads of tasks from
-/// the same (split) shard are *accumulated* by the reduce, so the totals
-/// are independent of how shards were split.
+/// subarray's aggregate load and its hits (tagged with query ids for the
+/// deterministic scatter). Loads of tasks from the same (split) shard
+/// are *accumulated* by the reduce, so the totals are independent of how
+/// shards were split.
 struct TaskOutcome {
     subarray: usize,
     load: sched::SubLoad,
     /// Deepest per-query row count in the task (the ETM-termination
     /// depth the trace reports).
     deepest_rows: u32,
-    /// `(match-space id, payload)` per hit, in task order.
+    /// `(query id, payload)` per hit, in task order.
     hits: Vec<(u32, TaxonId)>,
-    /// Per-query work in task order; empty unless requested.
-    work: Vec<QueryWork>,
 }
 
-/// The match space of one run: the distinct k-mers when dedup is on,
-/// each charged once per occurrence through `mult`, else the batch.
-#[derive(Clone, Copy)]
-struct Space<'r> {
-    queries: &'r [Kmer],
-    /// `mult[g]` = occurrences of `queries[g]` (dedup on).
-    mult: Option<&'r [u32]>,
-}
-
-/// What every stage after dedup reads, fixed for the whole run.
+/// What every stage reads, fixed for the whole run.
 struct RunCtx<'r> {
     index: &'r SubarrayIndex,
     threads: usize,
     /// The model clock at the run's start, where its model events land.
     t0: u64,
-    /// Queries in the batch, counting every occurrence.
-    n: usize,
+    /// The batch, in input order.
+    queries: &'r [Kmer],
     type1: bool,
-    space: Space<'r>,
-}
-
-/// Where resolved outcomes accumulate, in match space: cache replays
-/// land here in the plan stage, matched tasks in the reduce.
-struct Accum<'a> {
-    /// Payload per match-space query (`None` = miss).
-    results: &'a mut [Option<TaxonId>],
-    /// Aggregate load per occupied subarray.
-    loads: &'a mut [sched::SubLoad],
 }
 
 /// Rows activated per resolved lookup, tallied for the
@@ -240,13 +154,13 @@ impl RowsTally {
         }
     }
 
-    /// Counts `m` lookups that each activated `rows` rows.
+    /// Counts one lookup that activated `rows` rows.
     #[inline]
-    fn add(&mut self, rows: u32, m: u64) {
+    fn add(&mut self, rows: u32) {
         if self.observing {
             match self.small.get_mut(rows as usize) {
-                Some(slot) => *slot += m,
-                None => self.large.record_n(u64::from(rows), m),
+                Some(slot) => *slot += 1,
+                None => self.large.record(u64::from(rows)),
             }
         }
     }
@@ -287,7 +201,6 @@ pub struct SieveDevice {
     index: Option<SubarrayIndex>,
     keys: engine::KeyTable,
     scratch: ScratchArena,
-    cache: HotCache,
 }
 
 impl SieveDevice {
@@ -302,14 +215,12 @@ impl SieveDevice {
         let layout = DeviceLayout::build(entries, &config)?;
         let index = (!layout.is_empty()).then(|| SubarrayIndex::build(&layout));
         let keys = engine::KeyTable::new(&layout);
-        let hot_kmers = config.hot_kmers;
         Ok(Self {
             config,
             layout,
             index,
             keys,
             scratch: ScratchArena::default(),
-            cache: HotCache::new(hot_kmers),
         })
     }
 
@@ -352,19 +263,17 @@ impl SieveDevice {
         .map(|(_, taxon)| taxon))
     }
 
-    /// Runs a query batch: deduplicates it to distinct k-mers (unless
-    /// [`SieveConfig::dedup`] is off), groups the distinct set into
-    /// per-subarray shards by a counting scatter, resolves the shards —
-    /// split into bounded tasks — functionally on worker threads,
-    /// schedules the merged work on the configured design point with
-    /// every duplicate charged its cached outcome's full cost, and
-    /// scatters results back to all occurrences.
+    /// Runs a query batch: groups the queries into per-subarray shards
+    /// by a counting scatter, resolves the shards — split into bounded
+    /// tasks — functionally on worker threads, and schedules the merged
+    /// work on the configured design point, charging every occurrence of
+    /// a repeated k-mer in full, as the device would. Batches and the
+    /// chunks of a stream (`classify_stream`) both come through here.
     ///
-    /// The dedup → plan → match → reduce structure is deterministic:
+    /// The plan → match → reduce → schedule structure is deterministic:
     /// per-query results are scattered back by input index and every
     /// merged quantity is an integer sum, so the output is bit-identical
-    /// for any [`SieveConfig::threads`] or [`SieveConfig::dedup`]
-    /// setting.
+    /// for any [`SieveConfig::threads`] setting.
     ///
     /// # Errors
     ///
@@ -372,105 +281,39 @@ impl SieveDevice {
     /// the loaded database's, and [`SieveError::BatchTooLarge`] if the
     /// batch exceeds the pipeline's `u32` indexing bound.
     pub fn run(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
-        self.run_checked(queries, false)
-    }
-
-    /// [`Self::run`] with the cross-chunk hot-k-mer cache engaged: repeat
-    /// k-mers replay their cached per-subarray outcome instead of
-    /// re-entering the route/group/match path. Used by the streaming host
-    /// (`classify_stream`), where consecutive chunks share hot k-mers.
-    /// Results and reports are bit-identical to [`Self::run`].
-    pub(crate) fn run_streamed(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
-        self.run_checked(queries, true)
-    }
-
-    fn run_checked(&self, queries: &[Kmer], use_cache: bool) -> Result<RunOutput, SieveError> {
         for q in queries {
             self.check_k(*q)?;
         }
         check_batch_len(queries.len())?;
         let mut scratch = self.scratch.take();
-        let out = self.run_with(queries, &mut scratch, use_cache);
+        let out = self.run_with(queries, &mut scratch);
         self.scratch.put(scratch);
         Ok(out)
     }
 
-    /// One run, stage by stage: dedup → plan (cache probe, pair build,
-    /// route and group) → match → reduce → expand → schedule. Each stage
-    /// is its own function under its own span; this one threads the
-    /// scratch buffers between them.
-    fn run_with(&self, queries: &[Kmer], scratch: &mut RunScratch, use_cache: bool) -> RunOutput {
+    /// One run, stage by stage: plan (pair build, route and group) →
+    /// match → reduce → schedule. Each stage is its own function under
+    /// its own span; this one threads the scratch buffers between them.
+    fn run_with(&self, queries: &[Kmer], scratch: &mut RunScratch) -> RunOutput {
         obs::global().add(obs::CounterId::DeviceRuns, 1);
         let threads = par::effective_threads(self.config.threads);
         let t0 = trace::global().model_ps();
         let Some(index) = &self.index else {
             return self.run_empty(queries, threads, t0);
         };
-        let RunScratch {
-            dedup,
-            uniq,
-            mult,
-            uniq_of,
-            planned,
-            space_results,
-            loads,
-        } = scratch;
-        let dedup_on = self.dedup_stage(queries, threads, dedup, uniq, mult, uniq_of);
+        let RunScratch { planned, loads } = scratch;
         let ctx = RunCtx {
             index,
             threads,
             t0,
-            n: queries.len(),
+            queries,
             type1: matches!(self.config.device, DeviceKind::Type1),
-            space: if dedup_on {
-                Space {
-                    queries: uniq,
-                    mult: Some(mult),
-                }
-            } else {
-                Space {
-                    queries,
-                    mult: None,
-                }
-            },
         };
-
-        let mut results = vec![None; ctx.n];
-        // Loads span every occupied subarray: cache replays may land on
-        // subarrays the current batch's plan never routes to. The
-        // schedulers skip zero-query entries, so the extra length is
-        // inert when the cache is off.
-        loads.clear();
-        loads.resize(index.len(), sched::SubLoad::default());
-        let mut acc = Accum {
-            // A deduplicated run resolves into the distinct k-mers' table
-            // (expanded to every occurrence below), any other straight
-            // into the output.
-            results: if dedup_on {
-                space_results.clear();
-                space_results.resize(ctx.space.queries.len(), None);
-                &mut space_results[..]
-            } else {
-                &mut results
-            },
-            loads,
-        };
-        // The cache serves only the streaming path, and never Type-1
-        // (its per-batch ETM recomputes row counts from raw k-mers).
-        let mut cache =
-            (use_cache && self.config.hot_kmers > 0 && !ctx.type1).then(|| self.cache.lock());
-        let inserting = self.plan_stage(&ctx, cache.as_deref_mut(), &mut acc, planned);
-        let outcomes = self.match_stage(&ctx, planned, inserting);
-        let inserts = cache.as_deref_mut().filter(|_| inserting);
-        self.reduce_stage(&ctx, outcomes, inserts, &mut acc, planned);
-        drop(cache);
-        let space_results = if dedup_on {
-            expand_stage(threads, &mut results, space_results, uniq_of);
-            &space_results[..]
-        } else {
-            &results[..]
-        };
-        let report = self.schedule_stage(&ctx, loads, space_results, planned);
+        self.plan_stage(&ctx, planned);
+        let outcomes = self.match_stage(&ctx, planned);
+        let mut results = vec![None; queries.len()];
+        self.reduce_stage(&ctx, outcomes, &mut results, loads);
+        let report = self.schedule_stage(&ctx, loads, &results, planned);
         RunOutput { results, report }
     }
 
@@ -482,7 +325,6 @@ impl SieveDevice {
                 &self.layout,
                 &self.keys,
                 &[],
-                None,
                 &ShardPlan::empty(),
                 &[],
                 threads,
@@ -507,114 +349,29 @@ impl SieveDevice {
         }
     }
 
-    /// Dedup: collapses the batch to its distinct k-mers. `mult` then
-    /// scales every accounted quantity back to occurrence counts, so the
-    /// run's observable output is identical with the knob off — which is
-    /// also why dedup may veto itself (returning false) when its sample
-    /// probe finds too few duplicates to pay for the build.
-    fn dedup_stage(
-        &self,
-        queries: &[Kmer],
-        threads: usize,
-        scratch: &mut dedup::DedupScratch,
-        uniq: &mut Vec<Kmer>,
-        mult: &mut Vec<u32>,
-        uniq_of: &mut Vec<u32>,
-    ) -> bool {
-        self.config.dedup && !queries.is_empty() && {
-            let _span = obs::global().span("device.dedup");
-            dedup::dedup(queries, threads, scratch, uniq, mult, uniq_of)
-        }
-    }
-
-    /// Plan: decides cache engagement from a strided sample, replays the
-    /// cached queries (their loads and results land in `acc` here, and
-    /// they skip the device stages), builds the `(bits, id)` pairs for
-    /// the rest, and groups them by subarray into the shard plan. Returns
-    /// whether the cache takes inserts from this run's outcomes.
-    fn plan_stage(
-        &self,
-        ctx: &RunCtx<'_>,
-        mut cache: Option<&mut cache::KmerCache>,
-        acc: &mut Accum<'_>,
-        planned: &mut PlanScratch,
-    ) -> bool {
-        let rec = obs::global();
-        let tr = trace::global();
-        let _span = rec.span("device.plan");
-        let _wall = tr.span("device.plan");
-        let space = ctx.space;
-        let engagement = match cache.as_deref_mut() {
-            Some(cache) if !space.queries.is_empty() => {
-                let stride = (space.queries.len() / cache::ENGAGE_SAMPLE).max(1);
-                cache.assess(space.queries.iter().step_by(stride).map(|q| q.bits()))
-            }
-            _ => cache::Engagement::Warm,
-        };
-        let probe = cache
-            .as_deref()
-            .filter(|_| engagement == cache::Engagement::Probe);
-        let mut tally = RowsTally::new();
-        let mut cached = 0u64;
-        // Every query the cache does not replay becomes a `(bits, id)`
-        // pair.
-        let queries = space.queries.iter().enumerate();
+    /// Plan: builds one `(bits, id)` pair per query and groups the pairs
+    /// by subarray into the shard plan.
+    fn plan_stage(&self, ctx: &RunCtx<'_>, planned: &mut PlanScratch) {
+        let _span = obs::global().span("device.plan");
+        let _wall = trace::global().span("device.plan");
+        // One exact-size extend. Pushing each pair instead measured ~1 ms
+        // slower per 700k-pair batch.
         planned.pairs.clear();
-        match probe {
-            // Without replays every query is a pair: one exact-size
-            // extend. Pushing each pair instead measured ~1 ms slower per
-            // 700k-pair batch.
-            None => planned
-                .pairs
-                .extend(queries.map(|(g, q)| Pair::new(q.bits(), g as u32))),
-            Some(cache) => {
-                for (g, q) in queries {
-                    let bits = q.bits();
-                    let Some(e) = cache.get(bits) else {
-                        planned.pairs.push(Pair::new(bits, g as u32));
-                        continue;
-                    };
-                    let m = space.mult.map_or(1, |m| u64::from(m[g]));
-                    let load = &mut acc.loads[e.sub as usize];
-                    load.queries += m;
-                    load.rows += u64::from(e.rows) * m;
-                    load.hits += u64::from(e.taxon.is_some()) * m;
-                    cached += m;
-                    tally.add(e.rows, m);
-                    acc.results[g] = e.taxon;
-                }
-            }
-        }
-        tally.merge();
-        if probe.is_some() {
-            // Weighted (occurrence) counts: identical with dedup on or
-            // off, and across thread counts.
-            let missed = ctx.n as u64 - cached;
-            rec.add(obs::CounterId::CacheHits, cached);
-            rec.add(obs::CounterId::CacheMisses, missed);
-            rec.record(obs::HistId::CacheHitKmers, cached);
-            tr.emit_model("cache.probe", 0, ctx.t0, 0, cached, missed);
-        }
-        rec.add(obs::CounterId::MatchQueries, cached);
-        rec.add(
-            obs::CounterId::MatchHits,
-            acc.loads.iter().map(|l| l.hits).sum::<u64>(),
+        planned.pairs.extend(
+            ctx.queries
+                .iter()
+                .enumerate()
+                .map(|(i, q)| Pair::new(q.bits(), i as u32)),
         );
         planned
             .shards
             .rebuild(ctx.index, &mut planned.pairs, &mut planned.pairs_scratch);
-        cache.is_some_and(|cache| cache.accepts_inserts())
     }
 
     /// Match: resolves every planned task — the pieces of a split shard
     /// included — on the worker threads; outcomes come back in task
     /// order.
-    fn match_stage(
-        &self,
-        ctx: &RunCtx<'_>,
-        planned: &PlanScratch,
-        keep_work: bool,
-    ) -> Vec<TaskOutcome> {
+    fn match_stage(&self, ctx: &RunCtx<'_>, planned: &PlanScratch) -> Vec<TaskOutcome> {
         let _span = obs::global().span("device.match");
         let _wall = trace::global().span("device.match");
         // Row tables: the per-lookup `rows_activated` arithmetic hoisted
@@ -636,36 +393,29 @@ impl SieveDevice {
             .map(|_| etm::RowTable::new(bit_len, etm, flush));
         par::map_indexed(ctx.threads, planned.shards.task_count(), |t| {
             let (subarray, range) = planned.shards.task(t);
-            self.match_pairs(
-                subarray,
-                &planned.pairs[range],
-                ctx.space.mult,
-                &table,
-                esp_table.as_ref(),
-                keep_work,
-            )
+            self.match_pairs(subarray, &planned.pairs[range], &table, esp_table.as_ref())
         })
     }
 
     /// Reduce: accumulates loads per subarray (tasks of a split shard
-    /// sum), scatters hits by id, and feeds `inserts` (the cache, when it
-    /// takes inserts) in task order.
+    /// sum) into `loads` and scatters hits by query id into `results`.
     fn reduce_stage(
         &self,
         ctx: &RunCtx<'_>,
         outcomes: Vec<TaskOutcome>,
-        mut inserts: Option<&mut cache::KmerCache>,
-        acc: &mut Accum<'_>,
-        planned: &PlanScratch,
+        results: &mut [Option<TaxonId>],
+        loads: &mut Vec<sched::SubLoad>,
     ) {
         let rec = obs::global();
         let tr = trace::global();
         let _span = rec.span("device.reduce");
         let _wall = tr.span("device.reduce");
         let tracing = tr.is_enabled();
-        let mut inserted = 0u64;
+        // Indexed by subarray; the schedulers skip zero-query entries.
+        loads.clear();
+        loads.resize(ctx.index.len(), sched::SubLoad::default());
         let mut reduce_hits = 0u64;
-        for (t, outcome) in outcomes.into_iter().enumerate() {
+        for outcome in outcomes {
             reduce_hits += outcome.hits.len() as u64;
             rec.add(obs::CounterId::MatchQueries, outcome.load.queries);
             rec.add(obs::CounterId::MatchHits, outcome.load.hits);
@@ -684,48 +434,25 @@ impl SieveDevice {
                     outcome.load.queries,
                 );
             }
-            let load = &mut acc.loads[outcome.subarray];
+            let load = &mut loads[outcome.subarray];
             load.queries += outcome.load.queries;
             load.rows += outcome.load.rows;
             load.hits += outcome.load.hits;
             for &(id, taxon) in &outcome.hits {
-                acc.results[id as usize] = Some(taxon);
+                results[id as usize] = Some(taxon);
             }
-            if let Some(cache) = inserts.as_deref_mut() {
-                let (_, range) = planned.shards.task(t);
-                let task_pairs = &planned.pairs[range];
-                debug_assert_eq!(task_pairs.len(), outcome.work.len());
-                let mut hit_iter = outcome.hits.iter();
-                for (&p, w) in task_pairs.iter().zip(&outcome.work) {
-                    let taxon = if w.hit {
-                        Some(hit_iter.next().expect("hit per flagged query").1)
-                    } else {
-                        None
-                    };
-                    let entry = cache::Cached {
-                        sub: outcome.subarray as u32,
-                        rows: w.rows,
-                        taxon,
-                    };
-                    inserted += u64::from(cache.insert(p.key(), entry));
-                }
-            }
-        }
-        if inserts.is_some() {
-            rec.add(obs::CounterId::CacheInserts, inserted);
         }
         // Reduce rereads each task's hit list and scatters it into the
         // result table: one read and one write per hit record.
         let hit_bytes = reduce_hits * std::mem::size_of::<(u32, TaxonId)>() as u64;
         prof::record(prof::Phase::DeviceReduce, hit_bytes, hit_bytes, reduce_hits);
         if rec.is_enabled() {
-            // Per-subarray query counts (occurrence-expanded, cache
-            // replays included), recorded in subarray order so the
-            // histogram is independent of the task split and the thread
-            // count. One record per subarray that received queries,
-            // matching the MatchShards counter.
+            // Per-subarray query counts, recorded in subarray order so
+            // the histogram is independent of the task split and the
+            // thread count. One record per subarray that received
+            // queries, matching the MatchShards counter.
             let mut shards = 0u64;
-            for load in acc.loads.iter().filter(|l| l.queries > 0) {
+            for load in loads.iter().filter(|l| l.queries > 0) {
                 shards += 1;
                 rec.record(obs::HistId::ShardQueries, load.queries);
             }
@@ -735,7 +462,7 @@ impl SieveDevice {
 
     /// Schedule: times the merged work on the configured design point,
     /// emits the run's model interval, and advances the model clock.
-    /// Type-1 reads its hits from `results`, the match-space payloads.
+    /// Type-1 reads its hits from `results`, the run's payloads.
     fn schedule_stage(
         &self,
         ctx: &RunCtx<'_>,
@@ -753,11 +480,10 @@ impl SieveDevice {
                 &self.layout,
                 &self.keys,
                 results,
-                ctx.space.mult,
                 &planned.shards,
                 &planned.pairs,
                 ctx.threads,
-                ctx.n as u64,
+                ctx.queries.len() as u64,
                 hits,
             ),
             _ => sched::simulate_type23(&self.config, loads),
@@ -768,7 +494,7 @@ impl SieveDevice {
             0,
             ctx.t0,
             report.makespan_ps,
-            ctx.n as u64,
+            ctx.queries.len() as u64,
             hits,
         );
         tr.advance_model_ps(report.makespan_ps);
@@ -777,23 +503,19 @@ impl SieveDevice {
 
     /// Resolves one match task: looks the task's `(bits, id)` pairs up
     /// in the destination subarray through the key table, in fixed-size
-    /// blocks ([`MATCH_BLOCK`]), producing the task's aggregate load, its
-    /// hits, and (when `keep_work`) per-query work. `mult` (dedup on)
-    /// charges each distinct k-mer's outcome once per occurrence.
+    /// blocks ([`MATCH_BLOCK`]), producing the task's aggregate load and
+    /// its hits.
     fn match_pairs(
         &self,
         subarray: usize,
         task_pairs: &[Pair],
-        mult: Option<&[u32]>,
         table: &etm::RowTable,
         esp_table: Option<&etm::RowTable>,
-        keep_work: bool,
     ) -> TaskOutcome {
         let mut tally = RowsTally::new();
         let mut load = sched::SubLoad::default();
         let mut deepest_rows = 0u32;
         let mut hits = Vec::new();
-        let mut work = Vec::with_capacity(if keep_work { task_pairs.len() } else { 0 });
         let esp = self.config.esp_override.unwrap_or(0) as usize;
         let mut keys = [0u64; MATCH_BLOCK];
         let mut outcomes: Vec<engine::MatchOutcome> = Vec::with_capacity(MATCH_BLOCK);
@@ -810,8 +532,6 @@ impl SieveDevice {
                 &mut outcomes,
             );
             for (&p, outcome) in block.iter().zip(&outcomes) {
-                let id = p.id();
-                let m = mult.map_or(1u64, |m| u64::from(m[id as usize]));
                 let hit = outcome.hit.is_some();
                 let rows = match (esp_table, hit) {
                     // Paper-ESP assumption: a miss terminates after at
@@ -819,16 +539,13 @@ impl SieveDevice {
                     (Some(esp_table), false) => esp_table.rows(outcome.max_lcp.min(esp)),
                     _ => outcome.rows,
                 };
-                load.queries += m;
-                load.rows += u64::from(rows) * m;
-                load.hits += u64::from(hit) * m;
+                load.queries += 1;
+                load.rows += u64::from(rows);
+                load.hits += u64::from(hit);
                 deepest_rows = deepest_rows.max(rows);
-                tally.add(rows, m);
+                tally.add(rows);
                 if let Some((_, taxon)) = outcome.hit {
-                    hits.push((id, taxon));
-                }
-                if keep_work {
-                    work.push(QueryWork { rows, hit });
+                    hits.push((p.id(), taxon));
                 }
             }
         }
@@ -852,7 +569,6 @@ impl SieveDevice {
             load,
             deepest_rows,
             hits,
-            work,
         }
     }
 
@@ -865,27 +581,6 @@ impl SieveDevice {
         }
         Ok(())
     }
-}
-
-/// Expand: scatters each distinct k-mer's result to its occurrences.
-fn expand_stage(
-    threads: usize,
-    results: &mut [Option<TaxonId>],
-    space_results: &[Option<TaxonId>],
-    uniq_of: &[u32],
-) {
-    let _span = obs::global().span("device.expand");
-    let _wall = trace::global().span("device.expand");
-    let chunk = results.len().div_ceil(threads).max(1);
-    let mut items: Vec<(&mut [Option<TaxonId>], &[u32])> = results
-        .chunks_mut(chunk)
-        .zip(uniq_of.chunks(chunk))
-        .collect();
-    par::for_each_mut(threads, &mut items, |(out, uniq_of)| {
-        for (slot, &g) in out.iter_mut().zip(uniq_of.iter()) {
-            *slot = space_results[g as usize];
-        }
-    });
 }
 
 #[cfg(test)]
@@ -989,124 +684,6 @@ mod tests {
         );
         let msg = check_batch_len(MAX_BATCH + 1).unwrap_err().to_string();
         assert!(msg.contains("4294967296"), "{msg}");
-    }
-
-    #[test]
-    fn dedup_on_and_off_produce_identical_output() {
-        let ds = dataset();
-        // Heavy duplication: every probe appears several times.
-        let base = probes(&ds, 40);
-        let mut queries = Vec::new();
-        for _ in 0..3 {
-            queries.extend_from_slice(&base);
-        }
-        for config in [
-            SieveConfig::type1(),
-            SieveConfig::type2(4),
-            SieveConfig::type3(8),
-        ] {
-            let on = device(config.clone().with_dedup(true))
-                .run(&queries)
-                .unwrap();
-            let off = device(config.with_dedup(false)).run(&queries).unwrap();
-            assert_eq!(on.results, off.results);
-            assert_eq!(on.report, off.report);
-        }
-    }
-
-    #[test]
-    fn streamed_cache_replays_are_bit_identical() {
-        let ds = dataset();
-        let queries = probes(&ds, 60);
-        let dev = device(SieveConfig::type3(8));
-        // First streamed run fills the cache; the second replays most of
-        // the batch from it. Both must equal the uncached batch run.
-        let batch = dev.run(&queries).unwrap();
-        let first = dev.run_streamed(&queries).unwrap();
-        let second = dev.run_streamed(&queries).unwrap();
-        assert!(!dev.cache.inner.lock().unwrap().is_empty());
-        for out in [&first, &second] {
-            assert_eq!(out.results, batch.results);
-            assert_eq!(out.report, batch.report);
-        }
-        // The batch API must never touch the cache.
-        let cached = dev.cache.inner.lock().unwrap().len();
-        let _ = dev.run(&queries).unwrap();
-        assert_eq!(dev.cache.inner.lock().unwrap().len(), cached);
-    }
-
-    #[test]
-    fn poisoned_cache_lock_restarts_from_an_empty_cache() {
-        let ds = dataset();
-        let queries = probes(&ds, 60);
-        let dev = device(SieveConfig::type3(8));
-        let batch = dev.run(&queries).unwrap();
-        let _ = dev.run_streamed(&queries).unwrap();
-        // A panic while the guard is held — what a match worker's panic
-        // re-raised on the calling thread does — poisons the lock.
-        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = dev.cache.inner.lock().unwrap();
-            panic!("worker panicked while the cache was held");
-        }));
-        assert!(poisoner.is_err());
-        assert!(dev.cache.inner.is_poisoned());
-        // The next streamed runs recover: the first from an emptied
-        // cache, the second replaying what the first refilled.
-        for _ in 0..2 {
-            let streamed = dev.run_streamed(&queries).unwrap();
-            assert_eq!(streamed.results, batch.results);
-            assert_eq!(streamed.report, batch.report);
-        }
-        assert!(!dev.cache.inner.is_poisoned());
-        assert!(!dev.cache.inner.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_cache_disables_replay() {
-        let ds = dataset();
-        let queries = probes(&ds, 30);
-        let dev = device(SieveConfig::type3(8).with_hot_kmers(0));
-        let batch = dev.run(&queries).unwrap();
-        let streamed = dev.run_streamed(&queries).unwrap();
-        assert_eq!(streamed.results, batch.results);
-        assert_eq!(streamed.report, batch.report);
-        assert!(dev.cache.inner.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn long_period_redundancy_reengages_the_cache() {
-        let dev = device(SieveConfig::type3(8));
-        let batch = |b: u64| -> Vec<Kmer> {
-            (0..2_000u64)
-                .map(|i| Kmer::from_u64(b * 1_000_000 + i, 31).unwrap())
-                .collect()
-        };
-        // Four batches of entirely novel k-mers: every engagement sample
-        // runs cold, so no full probe fires, but the cache keeps warming
-        // (all four batches fit under the warm cap).
-        let mut outputs = Vec::new();
-        for b in 0..4 {
-            outputs.push(dev.run_streamed(&batch(b)).unwrap());
-        }
-        assert!(!dev.cache.inner.lock().unwrap().is_proven());
-        // Batch 0 recurs with a period longer than any fixed strike
-        // budget could tolerate: the sample hits its warmed entries, the
-        // run replays from the cache, and the replay is bit-identical.
-        let replay = dev.run_streamed(&batch(0)).unwrap();
-        assert!(dev.cache.inner.lock().unwrap().is_proven());
-        assert_eq!(replay.results, outputs[0].results);
-        assert_eq!(replay.report, outputs[0].report);
-    }
-
-    #[test]
-    fn cloned_device_starts_with_an_empty_cache() {
-        let ds = dataset();
-        let queries = probes(&ds, 30);
-        let dev = device(SieveConfig::type3(8));
-        let _ = dev.run_streamed(&queries).unwrap();
-        assert!(!dev.cache.inner.lock().unwrap().is_empty());
-        let cloned = dev.clone();
-        assert!(cloned.cache.inner.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -219,17 +219,19 @@ impl HostPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates device errors (k mismatch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_reads == 0`.
+    /// Returns [`SieveError::InvalidConfig`] for `chunk_reads == 0`, and
+    /// propagates device errors (k mismatch).
     pub fn classify_stream(
         &self,
         reads: &[DnaSequence],
         chunk_reads: usize,
     ) -> Result<PipelineOutput, SieveError> {
-        assert!(chunk_reads > 0, "need a positive chunk size");
+        if chunk_reads == 0 {
+            return Err(SieveError::InvalidConfig {
+                field: "chunk_reads",
+                reason: "need a positive chunk size".to_string(),
+            });
+        }
         let rec = obs::global();
         rec.add(obs::CounterId::HostReads, reads.len() as u64);
         let threads = par::effective_threads(self.device.config().threads);
@@ -276,7 +278,7 @@ impl HostPipeline {
             rec.record(obs::HistId::ChunkKmers, kmers.len() as u64);
             let run = {
                 let _wall = trace::span("host.device");
-                self.device.run_streamed(&kmers)?
+                self.device.run(&kmers)?
             };
             all_reads.extend(vote_reads(chunk.len(), &owners, &run.results));
             match merged {
@@ -342,7 +344,7 @@ impl HostPipeline {
                 rec.record(obs::HistId::ChunkKmers, kmers.len() as u64);
                 let run = {
                     let _wall = trace::span("host.device");
-                    self.device.run_streamed(&kmers)?
+                    self.device.run(&kmers)?
                 };
                 all_reads.extend(vote_reads(chunk.len(), &owners, &run.results));
                 match &mut *merged {
@@ -617,25 +619,33 @@ mod tests {
     #[test]
     fn pipelined_stream_is_identical_to_serial() {
         // threads=1 takes the serial path, threads=4 the two-stage
-        // pipeline; output and report must be bit-identical either way,
-        // with dedup on or off.
+        // pipeline; output and report must be bit-identical either way.
         let ds = synth::make_dataset_with(8, 2048, 31, 55);
         let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 11);
-        let host_for = |threads: usize, dedup: bool| {
+        let host_for = |threads: usize| {
             let config = SieveConfig::type3(8)
                 .with_geometry(Geometry::scaled_medium())
-                .with_threads(threads)
-                .with_dedup(dedup);
+                .with_threads(threads);
             HostPipeline::new(SieveDevice::new(config, ds.entries.clone()).unwrap())
         };
-        for dedup in [true, false] {
-            let serial = host_for(1, dedup);
-            let piped = host_for(4, dedup);
-            for chunk in [1usize, 7, 40] {
-                let a = serial.classify_stream(&reads, chunk).unwrap();
-                let b = piped.classify_stream(&reads, chunk).unwrap();
-                assert_eq!(a.reads, b.reads, "chunk {chunk} dedup {dedup}");
-                assert_eq!(a.report, b.report, "chunk {chunk} dedup {dedup}");
+        let serial = host_for(1);
+        let piped = host_for(4);
+        for chunk in [1usize, 7, 40] {
+            let a = serial.classify_stream(&reads, chunk).unwrap();
+            let b = piped.classify_stream(&reads, chunk).unwrap();
+            assert_eq!(a.reads, b.reads, "chunk {chunk}");
+            assert_eq!(a.report, b.report, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn zero_chunk_stream_is_a_typed_error() {
+        let (ds, host) = pipeline();
+        let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 5, 3);
+        for reads in [&reads[..], &[]] {
+            match host.classify_stream(reads, 0) {
+                Err(SieveError::InvalidConfig { field, .. }) => assert_eq!(field, "chunk_reads"),
+                other => panic!("expected a chunk_reads error, got {other:?}"),
             }
         }
     }

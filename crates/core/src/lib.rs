@@ -53,10 +53,8 @@
 mod api;
 pub mod area;
 pub mod bitsim;
-mod cache;
 mod cluster;
 mod config;
-mod dedup;
 mod device;
 pub mod energy_model;
 pub mod engine;

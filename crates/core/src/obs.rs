@@ -79,19 +79,11 @@ pub enum CounterId {
     ClusterDeviceRuns,
     /// `Transport::transfer_ps` invocations.
     TransportTransfers,
-    /// Queries resolved by the cross-chunk hot-k-mer cache (multiplicity
-    /// weighted, like `MatchQueries`).
-    CacheHits,
-    /// Unique k-mers that missed the hot-k-mer cache and went to the
-    /// device stage.
-    CacheMisses,
-    /// Entries inserted into the hot-k-mer cache.
-    CacheInserts,
 }
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [Self; 14] = [
+    pub const ALL: [Self; 11] = [
         Self::HostChunks,
         Self::HostReads,
         Self::HostKmers,
@@ -103,9 +95,6 @@ impl CounterId {
         Self::ClusterRuns,
         Self::ClusterDeviceRuns,
         Self::TransportTransfers,
-        Self::CacheHits,
-        Self::CacheMisses,
-        Self::CacheInserts,
     ];
 
     /// Snapshot/Prometheus name.
@@ -123,9 +112,6 @@ impl CounterId {
             Self::ClusterRuns => "cluster_runs",
             Self::ClusterDeviceRuns => "cluster_device_runs",
             Self::TransportTransfers => "transport_transfers",
-            Self::CacheHits => "cache_hits",
-            Self::CacheMisses => "cache_misses",
-            Self::CacheInserts => "cache_inserts",
         }
     }
 }
@@ -151,14 +137,11 @@ pub enum HistId {
     DispatchStallPs,
     /// Simulated `Transport::transfer_ps` durations, ps.
     TransportTransferPs,
-    /// Cache-resolved queries per device run (how much of each batch the
-    /// hot-k-mer cache short-circuited).
-    CacheHitKmers,
 }
 
 impl HistId {
     /// Every histogram, in snapshot order.
-    pub const ALL: [Self; 8] = [
+    pub const ALL: [Self; 7] = [
         Self::EtmRowsActivated,
         Self::ShardQueries,
         Self::ChunkKmers,
@@ -166,7 +149,6 @@ impl HistId {
         Self::ClusterDeviceMakespanPs,
         Self::DispatchStallPs,
         Self::TransportTransferPs,
-        Self::CacheHitKmers,
     ];
 
     /// Snapshot/Prometheus name.
@@ -180,7 +162,6 @@ impl HistId {
             Self::ClusterDeviceMakespanPs => "cluster_device_makespan_ps",
             Self::DispatchStallPs => "dispatch_stall_ps",
             Self::TransportTransferPs => "transport_transfer_ps",
-            Self::CacheHitKmers => "cache_hit_kmers",
         }
     }
 }

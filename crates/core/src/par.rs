@@ -69,41 +69,6 @@ where
         .collect()
 }
 
-/// Applies `f` to every element of `items` in place, fanning the elements
-/// out over up to `threads` scoped worker threads in contiguous blocks.
-pub(crate) fn for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let block = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks_mut(block)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    for item in chunk {
-                        f(item);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,15 +85,6 @@ mod tests {
     fn map_indexed_handles_empty_and_tiny_inputs() {
         assert_eq!(map_indexed(4, 0, |i| i), Vec::<usize>::new());
         assert_eq!(map_indexed(4, 1, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        for threads in [1, 2, 5, 16] {
-            let mut items: Vec<u32> = (0..23).collect();
-            for_each_mut(threads, &mut items, |x| *x += 100);
-            assert_eq!(items, (100..123).collect::<Vec<u32>>());
-        }
     }
 
     #[test]

@@ -522,28 +522,20 @@ impl<'a> DepthTables<'a> {
 
 /// Accounts one task of Type-1 queries against its subarray.
 ///
-/// `results` / `pairs` are in *match space* — unique k-mers when the
-/// device deduplicates, raw queries otherwise — and `mult` carries each
-/// entry's occurrence count (`None` = all 1). `pairs` is the task's slice
-/// of the plan's grouped `(bits, id)` array, and `results[id]` is the
-/// match stage's payload for it. Every per-query quantity is a pure
-/// function of the k-mer, so charging it `mult` times is exact, and the
-/// task's integer sums do not depend on the order its queries arrive in.
+/// `pairs` is the task's slice of the plan's grouped `(bits, id)` array,
+/// and `results[id]` is the match stage's payload for query `id`. Every
+/// per-query quantity is a pure function of the k-mer, so the task's
+/// integer sums do not depend on the order its queries arrive in.
 fn type1_task(
     config: &SieveConfig,
     layout: &DeviceLayout,
     keys: &KeyTable,
     results: &[Option<TaxonId>],
-    mult: Option<&[u32]>,
     subarray: usize,
     pairs: &[Pair],
 ) -> Type1Partial {
     let payload = payload_time(config);
-    let weight = |pair: &Pair| {
-        let i = pair.id() as usize;
-        let m = mult.map_or(1u64, |m| u64::from(m[i]));
-        (m, u64::from(results[i].is_some()) * m)
-    };
+    let hit = |pair: &Pair| results[pair.id() as usize].is_some();
     let mut p = Type1Partial {
         subarray,
         ..Type1Partial::default()
@@ -551,16 +543,18 @@ fn type1_task(
     if config.etm_enabled {
         let tables = DepthTables::new(config, layout, keys, subarray);
         for pair in pairs {
-            let (m, hits) = weight(pair);
-            p.charge(tables.cost(pair.key(), hits > 0), m, hits, payload);
+            let hit = hit(pair);
+            p.charge(tables.cost(pair.key(), hit), 1, u64::from(hit), payload);
         }
     } else {
-        let (m, hits) = pairs
-            .iter()
-            .map(weight)
-            .fold((0, 0), |(m, h), (dm, dh)| (m + dm, h + dh));
+        let hits = pairs.iter().filter(|pair| hit(pair)).count() as u64;
         let batches = batch_count(&layout.subarray(subarray), config.geometry.cols_per_row);
-        p.charge(etm_off_cost(config, batches), m, hits, payload);
+        p.charge(
+            etm_off_cost(config, batches),
+            pairs.len() as u64,
+            hits,
+            payload,
+        );
     }
     p
 }
@@ -570,15 +564,14 @@ fn type1_task(
 /// only sums integers per bank, so the report is bit-identical for any
 /// `threads` and for any shard → task split.
 ///
-/// `results` / `mult` are in match space (see [`type1_task`]);
-/// `total_queries` / `total_hits` are the *expanded* batch totals.
+/// `results` holds the run's payloads by query id (see [`type1_task`]);
+/// `total_queries` / `total_hits` are the batch totals.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_type1(
     config: &SieveConfig,
     layout: &DeviceLayout,
     keys: &KeyTable,
     results: &[Option<TaxonId>],
-    mult: Option<&[u32]>,
     plan: &ShardPlan,
     pairs: &[Pair],
     threads: usize,
@@ -588,7 +581,7 @@ pub(crate) fn simulate_type1(
     let banks = config.geometry.total_banks();
     let partials = par::map_indexed(threads, plan.task_count(), |t| {
         let (subarray, range) = plan.task(t);
-        type1_task(config, layout, keys, results, mult, subarray, &pairs[range])
+        type1_task(config, layout, keys, results, subarray, &pairs[range])
     });
 
     let tr = trace::global();

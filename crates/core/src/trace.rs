@@ -13,11 +13,11 @@
 //! * **Model time** — events stamped in *simulated picoseconds* on a
 //!   virtual clock ([`Tracer::model_ps`]) that the pipeline advances by
 //!   each run's makespan: shard dispatch, task-split boundaries, batch
-//!   issue, ETM termination depth, Column-Finder drain, dedup
-//!   build/bypass decisions, cluster routing, transport transfers.
-//!   Every model event is emitted from a deterministic point of the
-//!   dedup → plan → match → reduce structure, in deterministic order, so
-//!   the model event stream is **bit-identical across thread counts**
+//!   issue, ETM termination depth, Column-Finder drain, cluster routing,
+//!   transport transfers. Every model event is emitted from a
+//!   deterministic point of the plan → match → reduce → schedule
+//!   structure, in deterministic order, so the model event stream is
+//!   **bit-identical across thread counts**
 //!   (`tests/trace_determinism.rs`), exactly like `obs` snapshots.
 //! * **Wall clock** — [`TraceSpan`] scopes around real pipeline phases
 //!   (plan/match/reduce, `classify_stream` stage overlap), stamped in

@@ -48,10 +48,14 @@ RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q -p sieve-core --lib -- host::tests engine::tests sched::tests config::tests
 
-echo "== tier1: sievebench tests =="
+echo "== tier1: sievebench fmt, clippy and tests =="
 # The benchmark is its own package (outside the workspace) built against
 # the public APIs of core/genomics/dram: its tests catch an API change
-# that would break the benchmark.
+# that would break the benchmark. Being outside the workspace, it is
+# reached by neither `cargo fmt --check` nor `cargo clippy --workspace`
+# above, so it gets the same two gates here.
+cargo fmt --check --manifest-path sievebench/Cargo.toml
+cargo clippy --offline --manifest-path sievebench/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path sievebench/Cargo.toml
 
 echo "== tier1: bench smoke (throughput floors) =="

@@ -204,66 +204,32 @@ fn snapshot_counters_reflect_the_workload() {
     }
 }
 
-/// A duplicate-heavy stream must genuinely engage the hot-k-mer cache
-/// (the grid test in parallel_determinism.rs would otherwise pass
-/// vacuously), replayed chunks must still charge the full modeled
-/// quantities, and the deterministic snapshot of a streamed
+/// A stream that repeats the same reads three times: every chunk charges
+/// its queries in full, and the deterministic snapshot of the streamed
 /// classification — host counters, chunk histograms, device model
-/// metrics — must stay bit-identical across thread counts with the cache
-/// on or off.
+/// metrics — stays bit-identical across thread counts.
 #[test]
-fn cached_streams_engage_and_snapshot_identically() {
+fn repeated_read_streams_snapshot_identically() {
     let _session = RecorderSession::begin();
     let ds = dataset();
     let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
     let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
-    let stream = |threads: usize, hot_kmers: usize| {
-        let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
-        HostPipeline::new(device(config, threads, &ds))
+    let mut outs = Vec::new();
+    let snaps = snapshot_sweep(|threads| {
+        let out = HostPipeline::new(device(SieveConfig::type3(8), threads, &ds))
             .classify_stream(&reads, 10)
-            .unwrap()
-    };
-
-    let out = stream(1, 1 << 18);
-    let on = obs::global().snapshot();
-    assert!(
-        on.counter("cache_hits") > 0,
-        "repeated chunks never engaged the cache"
-    );
-    assert!(on.counter("cache_inserts") > 0);
-    assert!(on
-        .histogram("cache_hit_kmers")
-        .is_some_and(|h| h.count > 0 && h.sum == on.counter("cache_hits")));
-    // Replays charge the same modeled quantities the device stage would
-    // have: the model counters and histograms are cache-oblivious.
-    assert_eq!(on.counter("match_queries"), out.report.queries);
-    assert_eq!(on.counter("match_hits"), out.report.hits);
-
-    obs::global().reset();
-    let off_out = stream(1, 0);
-    let off = obs::global().snapshot();
-    assert_eq!(off_out.report, out.report, "cache changed the report");
-    assert_eq!(off.counter("cache_hits"), 0);
-    assert_eq!(off.counter("cache_inserts"), 0);
-    assert_eq!(off.counter("match_queries"), on.counter("match_queries"));
-    assert_eq!(off.counter("match_hits"), on.counter("match_hits"));
-    for hist in ["etm_rows_activated", "shard_queries"] {
-        let (a, b) = (on.histogram(hist).unwrap(), off.histogram(hist).unwrap());
-        assert_eq!((a.count, a.sum), (b.count, b.sum), "{hist} diverged");
+            .unwrap();
+        outs.push(out.report);
+    });
+    for (i, snap) in snaps.iter().enumerate().skip(1) {
+        assert_eq!(
+            snap, &snaps[0],
+            "threads={}: deterministic snapshot diverged",
+            THREAD_SWEEP[i]
+        );
     }
-
-    for hot_kmers in [0usize, 1 << 18] {
-        let snaps = snapshot_sweep(|threads| {
-            stream(threads, hot_kmers);
-        });
-        for (i, snap) in snaps.iter().enumerate().skip(1) {
-            assert_eq!(
-                snap, &snaps[0],
-                "hot_kmers={hot_kmers} threads={}: deterministic snapshot diverged",
-                THREAD_SWEEP[i]
-            );
-        }
-    }
+    assert_eq!(snaps[0].counter("match_queries"), outs[0].queries);
+    assert_eq!(snaps[0].counter("match_hits"), outs[0].hits);
 }
 
 #[test]
@@ -286,46 +252,6 @@ fn cluster_runs_snapshot_identically_and_record_skew() {
     let skew = snaps[0].histogram("cluster_device_queries").unwrap();
     assert_eq!(skew.count, 3);
     assert_eq!(skew.sum, queries.len() as u64);
-}
-
-/// Dedup must be invisible to the model metrics: duplicate k-mers charge
-/// the cached outcome's row count, so every counter and histogram in the
-/// deterministic snapshot is identical with dedup on or off, at any
-/// thread count.
-#[test]
-fn dedup_modes_snapshot_identically() {
-    let _session = RecorderSession::begin();
-    let ds = dataset();
-    // Heavy forced duplication: stored entries and misses, each ×3.
-    let mut queries: Vec<Kmer> = Vec::new();
-    for i in 0..200u64 {
-        let k = if i % 2 == 0 {
-            ds.entries[(i as usize * 37) % ds.entries.len()].0
-        } else {
-            Kmer::from_u64(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 2, 31).unwrap()
-        };
-        queries.extend([k; 3]);
-    }
-    for config in [SieveConfig::type1(), SieveConfig::type3(8)] {
-        let mut snaps = Vec::new();
-        for dedup in [true, false] {
-            for threads in [1usize, 4] {
-                obs::global().reset();
-                device(config.clone().with_dedup(dedup), threads, &ds)
-                    .run(&queries)
-                    .unwrap();
-                snaps.push((dedup, threads, obs::global().snapshot().deterministic()));
-            }
-        }
-        for (dedup, threads, snap) in &snaps[1..] {
-            assert_eq!(
-                snap,
-                &snaps[0].2,
-                "{} dedup={dedup} threads={threads}: snapshot diverged",
-                config.device.label()
-            );
-        }
-    }
 }
 
 /// The batch `classify_reads` path counts as one host chunk and records

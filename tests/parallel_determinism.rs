@@ -116,69 +116,51 @@ fn degenerate_batches_are_identical_across_thread_counts() {
 
 /// The pipelined stream (threads > 1) must be a pure optimization: for
 /// every chunk size — including the degenerate 1-read chunks and a single
-/// whole-batch chunk — and with dedup on or off, its output is
-/// bit-identical to the serial single-threaded stream at the same chunk
-/// size, and the per-read classifications never depend on chunking.
+/// whole-batch chunk — its output is bit-identical to the serial
+/// single-threaded stream at the same chunk size, and the per-read
+/// classifications never depend on chunking.
 #[test]
 fn pipelined_stream_matches_serial_for_every_chunk_size() {
     let ds = dataset();
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 13);
-    for dedup in [true, false] {
-        let config = SieveConfig::type3(8).with_dedup(dedup);
-        let whole = HostPipeline::new(device(config.clone(), 1, &ds))
-            .classify_reads(&reads)
+    let whole = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
+        .classify_reads(&reads)
+        .unwrap();
+    for chunk in [1usize, 7, reads.len()] {
+        let serial = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
+            .classify_stream(&reads, chunk)
             .unwrap();
-        for chunk in [1usize, 7, reads.len()] {
-            let serial = HostPipeline::new(device(config.clone(), 1, &ds))
+        assert_eq!(
+            serial.reads, whole.reads,
+            "chunk={chunk}: chunking changed classifications"
+        );
+        for threads in &THREAD_SWEEP[1..] {
+            let out = HostPipeline::new(device(SieveConfig::type3(8), *threads, &ds))
                 .classify_stream(&reads, chunk)
                 .unwrap();
-            assert_eq!(
-                serial.reads, whole.reads,
-                "dedup={dedup} chunk={chunk}: chunking changed classifications"
-            );
-            for threads in &THREAD_SWEEP[1..] {
-                let out = HostPipeline::new(device(config.clone(), *threads, &ds))
-                    .classify_stream(&reads, chunk)
-                    .unwrap();
-                assert_same_pipeline(
-                    &out,
-                    &serial,
-                    &format!("dedup={dedup} threads={threads} chunk={chunk}"),
-                );
-            }
+            assert_same_pipeline(&out, &serial, &format!("threads={threads} chunk={chunk}"));
         }
     }
 }
 
-/// The hot-k-mer cache must be a pure optimization: with the cache on or
-/// off and at every thread count, a streamed run's per-read
+/// A stream that repeats the same reads three times, so later chunks
+/// re-present earlier chunks' k-mers: at every thread count its per-read
 /// classifications and full modeled report are bit-identical to the
-/// uncached single-threaded reference. The stream repeats the same reads
-/// three times so later chunks re-present earlier chunks' k-mers and the
-/// cache genuinely engages (the engagement sampler proves it on the
-/// first repeated chunk; device::tests verify the replay path fires on
-/// exactly this shape of stream).
+/// single-threaded run's.
 #[test]
-fn cache_grid_is_bit_identical_across_thread_counts() {
+fn repeated_read_streams_are_bit_identical_across_thread_counts() {
     let ds = dataset();
     let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
     let reads: Vec<DnaSequence> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
     let chunk = 10;
-    let base = HostPipeline::new(device(SieveConfig::type3(8).with_hot_kmers(0), 1, &ds))
+    let base = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
         .classify_stream(&reads, chunk)
         .unwrap();
-    for hot_kmers in [0usize, 1 << 18] {
-        for threads in [1usize, 2, 4] {
-            let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
-            let out = HostPipeline::new(device(config, threads, &ds))
-                .classify_stream(&reads, chunk)
-                .unwrap();
-            assert_same_pipeline(
-                &out,
-                &base,
-                &format!("hot_kmers={hot_kmers} threads={threads}"),
-            );
-        }
+    for threads in [2usize, 4] {
+        let out = HostPipeline::new(device(SieveConfig::type3(8), threads, &ds))
+            .classify_stream(&reads, chunk)
+            .unwrap();
+        assert_same_pipeline(&out, &base, &format!("threads={threads}"));
     }
 }
 
@@ -228,14 +210,12 @@ fn steal_grid_is_bit_identical_across_worker_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Dedup is a pure optimization: matching each distinct k-mer once and
-    /// scattering the cached outcome must be bit-identical — functional
-    /// results and the full timing/energy report — to matching every
-    /// occurrence, for every design point and thread count. Duplicates are
-    /// forced: each drawn k-mer is repeated 1–3× and a stride of stored
-    /// entries guarantees repeated hits too.
+    /// Duplicate-heavy batches run identically — functional results and
+    /// the full timing/energy report — at 4 threads and at 1, on every
+    /// design point. Duplicates are forced: each drawn k-mer is repeated
+    /// 1–3× and a stride of stored entries guarantees repeated hits too.
     #[test]
-    fn dedup_on_matches_dedup_off_with_forced_duplicates(
+    fn forced_duplicates_run_identically_across_thread_counts(
         raw in prop::collection::vec(any::<u64>(), 1..160),
     ) {
         let ds = dataset();
@@ -255,18 +235,12 @@ proptest! {
         let first: Vec<Kmer> = queries.iter().step_by(2).copied().collect();
         queries.extend(first);
         for config in [SieveConfig::type1(), SieveConfig::type2(8), SieveConfig::type3(8)] {
-            for threads in [1usize, 4] {
-                let on = device(config.clone().with_dedup(true), threads, &ds)
-                    .run(&queries)
-                    .unwrap();
-                let off = device(config.clone().with_dedup(false), threads, &ds)
-                    .run(&queries)
-                    .unwrap();
-                prop_assert_eq!(&on.results, &off.results,
-                    "{} threads={}: dedup changed results", config.device.label(), threads);
-                prop_assert_eq!(&on.report, &off.report,
-                    "{} threads={}: dedup changed the report", config.device.label(), threads);
-            }
+            let base = device(config.clone(), 1, &ds).run(&queries).unwrap();
+            let out = device(config.clone(), 4, &ds).run(&queries).unwrap();
+            prop_assert_eq!(&out.results, &base.results,
+                "{}: threads changed results", config.device.label());
+            prop_assert_eq!(&out.report, &base.report,
+                "{}: threads changed the report", config.device.label());
         }
     }
 

@@ -58,13 +58,12 @@ fn dataset() -> synth::SyntheticDataset {
     synth::make_dataset_with(8, 2048, 31, 4242)
 }
 
-/// A Type-3 device over `ds` with dedup off, so every query in a batch
-/// is planned and matched once.
+/// A Type-3 device over `ds`: every query in a batch is planned and
+/// matched once.
 fn device(ds: &synth::SyntheticDataset, threads: usize) -> SieveDevice {
     SieveDevice::new(
         SieveConfig::type3(8)
             .with_geometry(Geometry::scaled_medium())
-            .with_dedup(false)
             .with_threads(threads),
         ds.entries.clone(),
     )

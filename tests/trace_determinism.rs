@@ -1,8 +1,8 @@
 //! Determinism and export contracts of the tracing subsystem (DESIGN.md
 //! §8): the **model-time** event stream — shard dispatch, task splits,
-//! batch issue, ETM termination, CF drain, dedup decisions, cluster hops
-//! — is a pure function of the workload, so its canonical rendering must
-//! be byte-identical across simulator thread counts. Wall-clock spans
+//! batch issue, ETM termination, CF drain, cluster hops — is a pure
+//! function of the workload, so its canonical rendering must be
+//! byte-identical across simulator thread counts. Wall-clock spans
 //! measure the simulator itself and carry no such contract.
 //!
 //! The tracer is process-wide; this file owns it (each integration-test
@@ -73,8 +73,8 @@ fn model_sweep(mut work: impl FnMut(usize)) -> Vec<(String, trace::TraceSnapshot
 }
 
 /// Duplicate-heavy read workload (every read appears twice, so every
-/// k-mer repeats and dedup builds instead of bypassing): exercises dedup,
-/// task splitting, and multi-chunk streaming.
+/// k-mer repeats): exercises task splitting and multi-chunk streaming
+/// with repeated k-mers.
 fn stream_workload(ds: &synth::SyntheticDataset) -> Vec<sieve::genomics::DnaSequence> {
     let (reads, _) = synth::simulate_reads(ds, synth::ReadSimConfig::default(), 30, 7);
     reads.iter().flat_map(|r| [r.clone(), r.clone()]).collect()
@@ -106,7 +106,6 @@ fn stream_model_trace_is_byte_identical_across_thread_counts() {
     }
     // The stream covers every instrumented model layer.
     for name in [
-        "dedup.build",
         "shard.dispatch",
         "task.split",
         "etm.terminate",
@@ -129,47 +128,6 @@ fn stream_model_trace_is_byte_identical_across_thread_counts() {
         .collect();
     assert!(starts.len() >= 2, "expected one device.run per chunk");
     assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
-}
-
-/// The hot-k-mer cache must not leak into the model-time event stream
-/// beyond its own `cache.probe` instants: for each cache setting the
-/// stream is byte-identical across thread counts (the plan's scatter
-/// emits only `wall.*` spans, never model events). The stream repeats its reads
-/// three times so the cache genuinely engages; engagement is visible as
-/// `cache.probe` instants and must appear exactly when the cache is on.
-#[test]
-fn cached_streams_keep_the_model_trace_byte_identical() {
-    let _session = TracerSession::begin();
-    let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
-    let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
-    for hot_kmers in [0usize, 1 << 18] {
-        let runs = model_sweep(|threads| {
-            let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
-            HostPipeline::new(device(config, threads, &ds))
-                .classify_stream(&reads, 10)
-                .unwrap();
-        });
-        let (base_lines, base_snap) = &runs[0];
-        assert!(!base_lines.is_empty());
-        for (i, (lines, _)) in runs.iter().enumerate().skip(1) {
-            assert_eq!(
-                lines, base_lines,
-                "hot_kmers={hot_kmers} threads={}: model stream diverged",
-                THREAD_SWEEP[i]
-            );
-        }
-        let probes = base_snap
-            .model
-            .iter()
-            .filter(|e| e.name == "cache.probe")
-            .count();
-        if hot_kmers > 0 {
-            assert!(probes > 0, "repeated chunks never probed the cache");
-        } else {
-            assert_eq!(probes, 0, "disabled cache must not probe");
-        }
-    }
 }
 
 /// Match tasks run on wall-clock workers but never touch model time, so
