@@ -114,31 +114,30 @@ fn degenerate_batches_are_identical_across_thread_counts() {
     }
 }
 
-/// The pipelined stream (threads > 1) must be a pure optimization: for
-/// every chunk size — including the degenerate 1-read chunks and a single
-/// whole-batch chunk — its output is bit-identical to the serial
-/// single-threaded stream at the same chunk size, and the per-read
-/// classifications never depend on chunking.
+/// For every chunk size — including the degenerate 1-read chunks and a
+/// single whole-batch chunk — a stream at every thread count is
+/// bit-identical to the single-threaded stream at the same chunk size,
+/// and the per-read classifications never depend on chunking.
 #[test]
-fn pipelined_stream_matches_serial_for_every_chunk_size() {
+fn stream_matches_across_thread_counts_for_every_chunk_size() {
     let ds = dataset();
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 13);
     let whole = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
         .classify_reads(&reads)
         .unwrap();
     for chunk in [1usize, 7, reads.len()] {
-        let serial = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
+        let one = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
             .classify_stream(&reads, chunk)
             .unwrap();
         assert_eq!(
-            serial.reads, whole.reads,
+            one.reads, whole.reads,
             "chunk={chunk}: chunking changed classifications"
         );
         for threads in &THREAD_SWEEP[1..] {
             let out = HostPipeline::new(device(SieveConfig::type3(8), *threads, &ds))
                 .classify_stream(&reads, chunk)
                 .unwrap();
-            assert_same_pipeline(&out, &serial, &format!("threads={threads} chunk={chunk}"));
+            assert_same_pipeline(&out, &one, &format!("threads={threads} chunk={chunk}"));
         }
     }
 }
@@ -244,11 +243,11 @@ proptest! {
         }
     }
 
-    /// Random read sets through the stream pipeline: chunk size never
-    /// changes classifications, and the pipelined path never changes
-    /// anything relative to the serial path at the same chunk size.
+    /// Random read sets through the stream: chunk size never changes
+    /// classifications, and the thread count never changes anything
+    /// relative to the single-threaded stream at the same chunk size.
     #[test]
-    fn random_streams_are_chunk_and_pipeline_invariant(
+    fn random_streams_are_chunk_and_thread_count_invariant(
         raw in prop::collection::vec("[ACGTN]{0,120}", 1..12),
     ) {
         let ds = dataset();
@@ -257,15 +256,15 @@ proptest! {
             .classify_reads(&reads)
             .unwrap();
         for chunk in [1usize, 7, reads.len()] {
-            let serial = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
+            let one = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds))
                 .classify_stream(&reads, chunk)
                 .unwrap();
-            prop_assert_eq!(&serial.reads, &whole.reads);
+            prop_assert_eq!(&one.reads, &whole.reads);
             for threads in [2usize, 8] {
                 let out = HostPipeline::new(device(SieveConfig::type3(8), threads, &ds))
                     .classify_stream(&reads, chunk)
                     .unwrap();
-                assert_same_pipeline(&out, &serial, "random stream");
+                assert_same_pipeline(&out, &one, "random stream");
             }
         }
     }
