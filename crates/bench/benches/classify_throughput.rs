@@ -3,15 +3,16 @@
 //! parallel (available cores, and a fixed 4 for comparability across
 //! machines). `cargo bench --bench classify_throughput`.
 //!
-//! For machine-readable numbers (results/BENCH_classify.json), run the
-//! `bench_classify` binary instead.
+//! The repository's benchmark is sievebench (`sievebench/`): seeded,
+//! oracle-checked workloads with end-to-end and per-layer metrics. This
+//! bench is a quick local look at the thread knob, not a gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sieve_core::{HostPipeline, SieveConfig, SieveDevice};
 use sieve_dram::Geometry;
 use sieve_genomics::synth;
 
-fn bench_classify_threads(c: &mut Criterion) {
+fn classify_across_threads(c: &mut Criterion) {
     let ds = synth::make_dataset_with(16, 8192, 31, 31);
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 400, 32);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -43,5 +44,5 @@ fn bench_classify_threads(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_classify_threads);
+criterion_group!(benches, classify_across_threads);
 criterion_main!(benches);

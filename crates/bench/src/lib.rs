@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod machine;
 pub mod runner;
 pub mod table;
 pub mod workloads;

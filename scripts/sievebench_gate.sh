@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Tier-1 benchmark gate over the standard output of one traced sievebench
+# run, read on stdin. sievebench exits 0 even when reads fail, so the gate
+# parses what it printed and fails unless
+#
+#   * its last line, the result line, reads "correct": true and
+#     "failed": 0;
+#   * every workload's bench.coverage is at least 0.95: the pipeline's
+#     top-level spans explain at least 95 % of each traced call;
+#   * every workload's reads_per_s is at least its floor below, about
+#     half what the workload read in 20 s runs on a 2-vCPU Xeon VM when
+#     the floors were set. reads_per_s is on sievebench's reference
+#     clock, which absorbs the host's speed drift.
+#
+# A missing result line, or a workload without a reads_per_s or
+# bench.coverage line, fails too, so the gate cannot pass on empty or
+# truncated output. Each failure names the workload and the metric.
+#
+# Run from the repository root:
+#   cargo run --release --offline --manifest-path sievebench/Cargo.toml -- \
+#       --seconds 2 --trace 1 --seed 1 | ./scripts/sievebench_gate.sh
+set -euo pipefail
+
+awk '
+BEGIN {
+    n = split("mg_batch mg_fastq_stream hot_stream large_ref t1_batch", workloads, " ")
+    floor["mg_batch"] = 175000
+    floor["mg_fastq_stream"] = 170000
+    floor["hot_stream"] = 155000
+    floor["large_ref"] = 139000
+    floor["t1_batch"] = 73000
+    min_coverage = 0.95
+}
+NF { last = $0 }
+NF == 4 && $2 == "reads_per_s" { rps[$1] = $3 }
+NF == 4 && $2 == "bench.coverage" { coverage[$1] = $3 }
+function fail(msg) {
+    print "sievebench gate: FAIL — " msg > "/dev/stderr"
+    bad = 1
+}
+END {
+    if (last !~ /^\{"correct": /) {
+        fail("no result line")
+    } else {
+        if (last !~ /^\{"correct": true, /) fail("result line: correct is not true")
+        if (last !~ /, "failed": 0, /) fail("result line: failed is not 0")
+    }
+    for (i = 1; i <= n; i++) {
+        w = workloads[i]
+        if (!(w in rps)) {
+            fail(w " reads_per_s: missing")
+        } else if (!(rps[w] + 0 >= floor[w])) {
+            fail(w " reads_per_s: " rps[w] " is below its floor of " floor[w])
+        }
+        if (!(w in coverage)) {
+            fail(w " bench.coverage: missing")
+        } else if (!(coverage[w] + 0 >= min_coverage)) {
+            fail(w " bench.coverage: " coverage[w] " is below " min_coverage)
+        }
+        printf "   %-16s reads_per_s %8.0f (floor %6d)  bench.coverage %.4f\n", w, rps[w], floor[w], coverage[w]
+    }
+    if (bad) exit 1
+    print "== sievebench gate: OK =="
+}'
