@@ -121,7 +121,6 @@ impl SieveCluster {
     pub fn run(&self, queries: &[Kmer]) -> Result<ClusterRun, SieveError> {
         let rec = obs::global();
         rec.add(obs::CounterId::ClusterRuns, 1);
-        let _span = rec.span("cluster.run");
         let tr = trace::global();
         let _wall = tr.span("cluster.run");
         // Devices run concurrently *in the model* but sequentially here:

@@ -352,8 +352,7 @@ impl SieveDevice {
     /// Plan: builds one `(bits, id)` pair per query and groups the pairs
     /// by subarray into the shard plan.
     fn plan_stage(&self, ctx: &RunCtx<'_>, planned: &mut PlanScratch) {
-        let _span = obs::global().span("device.plan");
-        let _wall = trace::global().span("device.plan");
+        let _wall = trace::span("device.plan");
         // One exact-size extend. Pushing each pair instead measured ~1 ms
         // slower per 700k-pair batch.
         planned.pairs.clear();
@@ -372,8 +371,7 @@ impl SieveDevice {
     /// included — on the worker threads; outcomes come back in task
     /// order.
     fn match_stage(&self, ctx: &RunCtx<'_>, planned: &PlanScratch) -> Vec<TaskOutcome> {
-        let _span = obs::global().span("device.match");
-        let _wall = trace::global().span("device.match");
+        let _wall = trace::span("device.match");
         // Row tables: the per-lookup `rows_activated` arithmetic hoisted
         // out of the match loop. Type-1 charges no ETM flush (its
         // scheduler recomputes each query's rows from the per-batch skip
@@ -408,7 +406,6 @@ impl SieveDevice {
     ) {
         let rec = obs::global();
         let tr = trace::global();
-        let _span = rec.span("device.reduce");
         let _wall = tr.span("device.reduce");
         let tracing = tr.is_enabled();
         // Indexed by subarray; the schedulers skip zero-query entries.
@@ -471,7 +468,6 @@ impl SieveDevice {
         planned: &PlanScratch,
     ) -> SimReport {
         let tr = trace::global();
-        let _span = obs::global().span("device.schedule");
         let _wall = tr.span("device.schedule");
         let hits: u64 = loads.iter().map(|l| l.hits).sum();
         let report = match self.config.device {

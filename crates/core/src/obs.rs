@@ -1,31 +1,25 @@
 //! Observability for the classification pipeline: lock-free per-stage
-//! counters, fixed-bucket (power-of-two, HDR-style) latency histograms,
-//! a lightweight span API, and exportable [`MetricsSnapshot`]s.
+//! counters, fixed-bucket (power-of-two, HDR-style) histograms, and
+//! exportable [`MetricsSnapshot`]s.
 //!
 //! The pipeline (host → shard workers → engine → reduce → cluster) records
-//! two kinds of metrics:
-//!
-//! * **Model metrics** — counters and histograms over *simulated* quantities
-//!   (queries per shard, ETM rows activated per lookup, dispatch stall in
-//!   model picoseconds). These are pure functions of the workload, so a
-//!   snapshot is **bit-identical across thread counts**: every update is an
-//!   order-independent integer merge (sums into counters and buckets,
-//!   min/max into bounds), exactly like the deterministic timeline reduce
-//!   (DESIGN.md §6/§7). Per-shard work is batched in a [`LocalHistogram`]
-//!   and merged once, so the hot path stays allocation- and contention-free.
-//! * **Wall-clock spans** — [`span`] scopes around real pipeline phases
-//!   (`"plan"`, `"match"`, `"reduce"`, `"host.extract"`, …) whose elapsed
-//!   nanoseconds land in histograms named `wall.<name>.ns`. These measure
-//!   the simulator itself and are inherently non-deterministic;
-//!   [`MetricsSnapshot::deterministic`] filters them out for comparisons.
+//! **model metrics**: counters and histograms over *simulated* quantities
+//! (queries per shard, ETM rows activated per lookup, dispatch stall in
+//! model picoseconds). These are pure functions of the workload, so a
+//! snapshot is **bit-identical across thread counts**: every update is an
+//! order-independent integer merge (sums into counters and buckets,
+//! min/max into bounds), exactly like the deterministic timeline reduce
+//! (DESIGN.md §6/§7). Per-shard work is batched in a [`LocalHistogram`]
+//! and merged once, so the hot path stays allocation- and contention-free.
+//! Wall-clock time is the tracer's alone: each pipeline phase opens one
+//! [`crate::trace::span`].
 //!
 //! Everything hangs off a process-wide [`Recorder`] ([`global`]) that is
 //! **disabled by default**: when disabled, every record path is a single
-//! relaxed load and branch (the no-op fast path), which keeps the metrics
-//! overhead within the ≤ 3 % budget tracked by `bench_classify --json`.
-//! When enabled, the hot counter/histogram paths are striped per thread
-//! (cache-line-aligned stripes, summed at snapshot time) so the overhead
-//! stays flat as workers multiply instead of growing with write-sharing.
+//! relaxed load and branch (the no-op fast path). When enabled, the hot
+//! counter/histogram paths are striped per thread (cache-line-aligned
+//! stripes, summed at snapshot time) so the overhead stays flat as
+//! workers multiply instead of growing with write-sharing.
 //!
 //! # Example
 //!
@@ -42,16 +36,10 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Histogram bucket count: bucket 0 holds zeros, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)` — enough for any `u64`.
 pub const BUCKETS: usize = 64;
-
-/// Maximum distinct span names the global table holds; later names fall
-/// back to no-op spans.
-const MAX_SPANS: usize = 32;
 
 /// Identifiers of the built-in pipeline counters, all **model metrics**:
 /// deterministic functions of the workload.
@@ -404,71 +392,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// An RAII wall-clock scope: on drop, the elapsed nanoseconds land in the
-/// recorder's `wall.<name>.ns` histogram. Inactive (zero-cost drop) when
-/// the recorder is disabled.
-#[derive(Debug)]
-pub struct Span<'a> {
-    active: Option<(Instant, &'a Histogram)>,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some((start, hist)) = self.active.take() {
-            hist.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-}
-
-/// Fixed-capacity name → histogram table for spans. Registration is a
-/// lock-free scan: each slot's name is claimed at most once via
-/// [`OnceLock`], so lookups are wait-free after first use.
-#[derive(Debug)]
-struct SpanTable {
-    names: [OnceLock<&'static str>; MAX_SPANS],
-    hists: [Histogram; MAX_SPANS],
-}
-
-impl SpanTable {
-    const fn new() -> Self {
-        Self {
-            names: [const { OnceLock::new() }; MAX_SPANS],
-            hists: [const { Histogram::new() }; MAX_SPANS],
-        }
-    }
-
-    fn resolve(&self, name: &'static str) -> Option<&Histogram> {
-        for (slot, hist) in self.names.iter().zip(&self.hists) {
-            match slot.get() {
-                Some(&n) if n == name => return Some(hist),
-                Some(_) => continue,
-                None => {
-                    // Claim the empty slot; on a lost race, re-check what
-                    // the winner installed before moving on.
-                    if slot.set(name).is_ok() || slot.get() == Some(&name) {
-                        return Some(hist);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<(String, HistogramSnapshot)>) {
-        for (slot, hist) in self.names.iter().zip(&self.hists) {
-            if let Some(name) = slot.get() {
-                out.push((format!("wall.{name}.ns"), hist.snapshot()));
-            }
-        }
-    }
-
-    fn reset(&self) {
-        for hist in &self.hists {
-            hist.reset();
-        }
-    }
-}
-
 /// Stripe count for the hot counter/histogram paths. A power of two a
 /// little above the thread counts the bench sweeps: enough that workers
 /// land on distinct stripes with high probability, small enough that the
@@ -510,23 +433,20 @@ fn stripe() -> usize {
     })
 }
 
-/// A set of pipeline metrics: the built-in counters and histograms plus
-/// the dynamic span table. The process-wide instance is [`global`]; tests
-/// and tools can own private instances.
+/// A set of pipeline metrics: the built-in counters and histograms. The
+/// process-wide instance is [`global`]; tests and tools can own private
+/// instances.
 ///
-/// Counters and built-in histograms are striped `STRIPES` ways and each
-/// thread records into its own stripe; [`Recorder::snapshot`] sums the
-/// stripes. Every merge is an order-independent integer sum (or min/max),
-/// so the striping is invisible in snapshots — it exists purely to keep
-/// concurrent workers off each other's cache lines. The span table stays
-/// unstriped: spans fire once per pipeline *phase*, not per query, so
-/// they never contend.
+/// Counters and histograms are striped `STRIPES` ways and each thread
+/// records into its own stripe; [`Recorder::snapshot`] sums the stripes.
+/// Every merge is an order-independent integer sum (or min/max), so the
+/// striping is invisible in snapshots — it exists purely to keep
+/// concurrent workers off each other's cache lines.
 #[derive(Debug)]
 pub struct Recorder {
     enabled: AtomicBool,
     counters: [CounterStripe; STRIPES],
     hists: [[Histogram; HistId::ALL.len()]; STRIPES],
-    spans: SpanTable,
 }
 
 impl Recorder {
@@ -537,7 +457,6 @@ impl Recorder {
             enabled: AtomicBool::new(false),
             counters: [const { CounterStripe::new() }; STRIPES],
             hists: [const { [const { Histogram::new() }; HistId::ALL.len()] }; STRIPES],
-            spans: SpanTable::new(),
         }
     }
 
@@ -577,22 +496,8 @@ impl Recorder {
         }
     }
 
-    /// Opens a wall-clock span; the guard records its lifetime into
-    /// `wall.<name>.ns` on drop. Returns an inactive guard while disabled
-    /// (the no-op fast path) or if the span table is full.
-    #[must_use]
-    pub fn span(&self, name: &'static str) -> Span<'_> {
-        if !self.is_enabled() {
-            return Span { active: None };
-        }
-        Span {
-            active: self.spans.resolve(name).map(|hist| (Instant::now(), hist)),
-        }
-    }
-
-    /// A point-in-time copy of every metric, stripes summed. Counters and
-    /// built-in histograms come first in [`CounterId::ALL`]/[`HistId::ALL`]
-    /// order; wall-span histograms (`wall.*`) follow.
+    /// A point-in-time copy of every metric, stripes summed, in
+    /// [`CounterId::ALL`]/[`HistId::ALL`] order.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = CounterId::ALL
@@ -606,7 +511,7 @@ impl Recorder {
                 (id.name().to_string(), total)
             })
             .collect();
-        let mut histograms: Vec<(String, HistogramSnapshot)> = HistId::ALL
+        let histograms = HistId::ALL
             .iter()
             .map(|&id| {
                 let mut merged = HistogramSnapshot::default();
@@ -616,14 +521,13 @@ impl Recorder {
                 (id.name().to_string(), merged)
             })
             .collect();
-        self.spans.snapshot_into(&mut histograms);
         MetricsSnapshot {
             counters,
             histograms,
         }
     }
 
-    /// Zeroes every metric (leaves the enabled flag and span names alone).
+    /// Zeroes every metric (leaves the enabled flag alone).
     pub fn reset(&self) {
         for stripe in &self.counters {
             for c in &stripe.0 {
@@ -635,7 +539,6 @@ impl Recorder {
                 h.reset();
             }
         }
-        self.spans.reset();
     }
 }
 
@@ -654,43 +557,16 @@ pub fn global() -> &'static Recorder {
     &GLOBAL
 }
 
-/// Opens a wall-clock span on the [`global`] recorder.
-///
-/// ```
-/// let _guard = sieve_core::obs::span("match");
-/// // ... phase body; elapsed ns recorded on drop (when enabled) ...
-/// ```
-#[must_use]
-pub fn span(name: &'static str) -> Span<'static> {
-    GLOBAL.span(name)
-}
-
 /// Exportable copy of a [`Recorder`]'s state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` counters, in [`CounterId::ALL`] order.
     pub counters: Vec<(String, u64)>,
-    /// `(name, histogram)` pairs: built-ins first, then `wall.*` spans.
+    /// `(name, histogram)` pairs, in [`HistId::ALL`] order.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
-    /// The deterministic subset: drops the wall-clock span histograms
-    /// (`wall.*`), leaving only model metrics, the part that is
-    /// bit-identical across simulator thread counts.
-    #[must_use]
-    pub fn deterministic(&self) -> Self {
-        Self {
-            counters: self.counters.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(name, _)| !name.starts_with("wall."))
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Value of a counter by name (0 if absent).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
@@ -924,52 +800,25 @@ mod tests {
         let r = Recorder::new();
         r.add(CounterId::MatchQueries, 5);
         r.record(HistId::EtmRowsActivated, 12);
-        {
-            let _s = r.span("noop");
-        }
         let snap = r.snapshot();
         assert_eq!(snap.counter("match_queries"), 0);
         assert_eq!(snap.histogram("etm_rows_activated").unwrap().count, 0);
-        assert!(snap.histogram("wall.noop.ns").is_none());
     }
 
     #[test]
-    fn recorder_enabled_records_counters_hists_and_spans() {
+    fn recorder_enabled_records_counters_and_hists() {
         let r = Recorder::new();
         r.set_enabled(true);
         r.add(CounterId::MatchQueries, 5);
         r.add(CounterId::MatchQueries, 2);
         r.record(HistId::ShardQueries, 40);
-        {
-            let _s = r.span("phase");
-        }
         let snap = r.snapshot();
         assert_eq!(snap.counter("match_queries"), 7);
         assert_eq!(snap.histogram("shard_queries").unwrap().count, 1);
-        assert_eq!(snap.histogram("wall.phase.ns").unwrap().count, 1);
-        // reset zeroes values but keeps the span registered.
         r.reset();
         let snap = r.snapshot();
         assert_eq!(snap.counter("match_queries"), 0);
-        assert_eq!(snap.histogram("wall.phase.ns").unwrap().count, 0);
-    }
-
-    #[test]
-    fn deterministic_view_drops_wall_spans() {
-        let r = Recorder::new();
-        r.set_enabled(true);
-        r.record(HistId::EtmRowsActivated, 3);
-        {
-            let _s = r.span("match");
-        }
-        r.add(CounterId::MatchQueries, 2);
-        let snap = r.snapshot();
-        assert!(snap.histogram("wall.match.ns").is_some());
-        let det = snap.deterministic();
-        assert!(det.histogram("wall.match.ns").is_none());
-        assert!(det.histogram("etm_rows_activated").is_some());
-        // Every counter is a model metric and survives.
-        assert_eq!(det.counters, snap.counters);
+        assert_eq!(snap.histogram("shard_queries").unwrap().count, 0);
     }
 
     #[test]
@@ -1057,19 +906,6 @@ mod tests {
             assert!(v >= last);
             last = v;
         }
-    }
-
-    #[test]
-    fn span_table_handles_many_names() {
-        let r = Recorder::new();
-        r.set_enabled(true);
-        let names: [&'static str; 3] = ["a", "b", "a"];
-        for name in names {
-            let _s = r.span(name);
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram("wall.a.ns").unwrap().count, 2);
-        assert_eq!(snap.histogram("wall.b.ns").unwrap().count, 1);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! bit-identical for every thread count.
 
 use crate::index::SubarrayIndex;
-use crate::obs;
 use crate::prof;
 use crate::trace;
 
@@ -118,7 +117,6 @@ impl ShardPlan {
             return;
         }
         {
-            let _span = obs::span("shard.sort");
             let _wall = trace::span("shard.sort");
             self.group(index, pairs, pairs_scratch);
         }

@@ -224,6 +224,56 @@ fn type1_model_trace_is_byte_identical_across_thread_counts() {
     );
 }
 
+/// The tracer is the pipeline's only wall clock: every instrumented phase
+/// opens exactly one span per call — per chunk for a stream — on every
+/// design point.
+#[test]
+fn every_phase_records_one_wall_span_per_call_for_batches_and_streams() {
+    let _session = TracerSession::begin();
+    let ds = dataset();
+    let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 25, 11);
+    let phases = [
+        "host.extract",
+        "host.device",
+        "host.vote",
+        "device.plan",
+        "device.match",
+        "device.reduce",
+        "device.schedule",
+        "shard.sort",
+    ];
+    for config in [
+        SieveConfig::type1(),
+        SieveConfig::type2(16),
+        SieveConfig::type3(8),
+    ] {
+        let label = config.device.label();
+        let host = HostPipeline::new(device(config, 4, &ds));
+        for chunk in [None, Some(10)] {
+            trace::global().reset();
+            let calls = match chunk {
+                None => {
+                    host.classify_reads(&reads).unwrap();
+                    1
+                }
+                Some(chunk) => {
+                    host.classify_stream(&reads, chunk).unwrap();
+                    reads.len().div_ceil(chunk)
+                }
+            };
+            let wall = trace::global().snapshot().wall;
+            let chunks = chunk.map(|_| "host.chunk");
+            for name in phases.into_iter().chain(chunks) {
+                let spans = wall.iter().filter(|e| e.name == name).count();
+                assert_eq!(
+                    spans, calls,
+                    "{label} chunk={chunk:?}: {name} opened {spans} spans for {calls} calls"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn chrome_export_is_valid_json_with_both_clock_lanes() {
     let _session = TracerSession::begin();
