@@ -95,25 +95,21 @@ fn bench_host_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// The device match kernel against its reference over one grouped
-/// shard: the queries that route to subarray 0, in arrival order, as the
-/// plan's counting scatter leaves them. `per_query_lookup` binary-searches
-/// the subarray per query with rows computed live ([`engine::lookup`]);
-/// `key_table_512` resolves 512-key blocks through the device's
-/// direct-mapped [`engine::KeyTable`] with the precomputed
-/// [`etm::RowTable`] — the shape `device::match_pairs` actually uses.
+/// The device match kernel against its reference over the whole device,
+/// every query in arrival order. `per_query_lookup` routes each query
+/// through the index table ([`SubarrayIndex::locate`]) and binary-searches
+/// its subarray with rows computed live ([`engine::lookup`]);
+/// `key_table_512` runs the device's match pass: a staged
+/// [`engine::KeyTable::ranks`] search over each 512-query block, then
+/// [`engine::KeyTable::resolve`] routes and resolves every query from its
+/// rank with the precomputed [`etm::RowTable`].
 fn bench_match_kernel(c: &mut Criterion) {
     use sieve_core::etm::RowTable;
     use sieve_core::SubarrayIndex;
     const BLOCK: usize = 512;
     let (layout, queries) = setup_layout();
     let index = SubarrayIndex::build(&layout);
-    let shard: Vec<_> = queries
-        .into_iter()
-        .filter(|&q| index.locate(q) == 0)
-        .collect();
-    let keys: Vec<u64> = shard.iter().map(|q| q.bits()).collect();
-    let sa = layout.subarray(0);
+    let keys: Vec<u64> = queries.iter().map(|q| q.bits()).collect();
     let table = engine::KeyTable::new(&layout);
     let rows = RowTable::new(62, true, 1);
     let mut g = c.benchmark_group("match_kernel");
@@ -121,20 +117,23 @@ fn bench_match_kernel(c: &mut Criterion) {
     g.bench_function("per_query_lookup", |b| {
         b.iter(|| {
             let mut total = 0u64;
-            for q in &shard {
+            for q in &queries {
+                let sa = layout.subarray(index.locate(*q));
                 total += u64::from(engine::lookup(&sa, *q, true, 1).rows);
             }
             std::hint::black_box(total)
         });
     });
     g.bench_function("key_table_512", |b| {
-        let mut out = Vec::with_capacity(BLOCK);
+        let mut ranks = [0usize; BLOCK];
         b.iter(|| {
             let mut total = 0u64;
             for block in keys.chunks(BLOCK) {
-                out.clear();
-                table.lookup_block(&layout, 0, block, &rows, &mut out);
-                total += out.iter().map(|o| u64::from(o.rows)).sum::<u64>();
+                let ranks = &mut ranks[..block.len()];
+                table.ranks(block, ranks);
+                for (&key, &g) in block.iter().zip(ranks.iter()) {
+                    total += u64::from(table.resolve(&layout, key, g, &rows).outcome.rows);
+                }
             }
             std::hint::black_box(total)
         });

@@ -101,12 +101,12 @@ pub struct SieveConfig {
     /// where the maximum shared prefix grows as log2 of the database size.
     /// See EXPERIMENTS.md (Figure 13) for the effect of this assumption.
     pub esp_override: Option<u32>,
-    /// Simulator worker threads for sharded runs: `0` (the default) uses
-    /// all available parallelism, `1` runs fully sequentially, `n` uses
-    /// exactly `n` workers. This is a *simulator* knob, not a modeled
-    /// device parameter: queries are sharded by destination subarray,
-    /// matched per shard, and reduced deterministically, so the output
-    /// is bit-identical for every value (see DESIGN.md §6).
+    /// Simulator worker threads: `0` (the default) uses all available
+    /// parallelism, `1` runs fully sequentially, `n` uses exactly `n`
+    /// workers. This is a *simulator* knob, not a modeled device
+    /// parameter: each worker matches one contiguous range of the batch
+    /// and the ranges' integer sums merge, so the output is bit-identical
+    /// for every value (see DESIGN.md §6).
     pub threads: usize,
 }
 

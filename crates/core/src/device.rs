@@ -1,7 +1,14 @@
 //! The public device model: load a reference set, run query batches,
 //! get functional results plus a timing/energy report.
-
-use std::sync::Mutex;
+//!
+//! A run is two stages. The **match** pass walks the batch in arrival
+//! order, 512 queries at a time: a staged search of the device's key
+//! table ([`engine::KeyTable`]) finds every query's rank among all the
+//! reference keys, and that rank routes the query to its subarray,
+//! resolves it there and charges it to the subarray's load. The
+//! **schedule** then times the per-subarray totals on the configured
+//! design point. With `threads > 1` the pass splits the batch into
+//! contiguous ranges, one per worker, and merges their integer sums.
 
 use sieve_genomics::{Kmer, TaxonId};
 
@@ -15,20 +22,19 @@ use crate::obs;
 use crate::par;
 use crate::prof;
 use crate::sched;
-use crate::shard::{Pair, ShardPlan};
 use crate::stats::SimReport;
 use crate::trace;
 
-/// Largest batch the pipeline can run: queries are tagged with `u32` ids
-/// end to end (shard order, host read owners).
+/// Largest batch a run accepts, `u32::MAX` queries; a larger one is a
+/// [`SieveError::BatchTooLarge`].
 const MAX_BATCH: usize = u32::MAX as usize;
 
-/// Queries per block of the blocked match kernel: big enough to amortize
-/// the per-block bookkeeping, small enough that a block of keys plus its
-/// outcomes stays cache-resident.
+/// Queries per block of the match pass: big enough that a block's
+/// searches keep many cache misses in flight, small enough that the
+/// block's keys and ranks stay in L1.
 const MATCH_BLOCK: usize = 512;
 
-/// Checks the `u32` indexing bound without allocating anything.
+/// Checks the batch bound without allocating anything.
 fn check_batch_len(n: usize) -> Result<(), SieveError> {
     if n > MAX_BATCH {
         return Err(SieveError::BatchTooLarge {
@@ -37,64 +43,6 @@ fn check_batch_len(n: usize) -> Result<(), SieveError> {
         });
     }
     Ok(())
-}
-
-/// Reusable per-run working memory: the plan stage's buffers and the
-/// per-subarray loads. Checked out of the device's [`ScratchArena`] at
-/// the top of [`SieveDevice::run`] and returned afterwards, so a
-/// streaming host (`classify_stream`) reuses one allocation set across
-/// all its chunks.
-#[derive(Debug, Default)]
-struct RunScratch {
-    planned: PlanScratch,
-    loads: Vec<sched::SubLoad>,
-}
-
-/// The plan stage's output and working memory: the `(bits, id)` pairs
-/// (grouped by subarray once the stage returns), the scatter's
-/// destination buffer, and the shard plan over the grouped pairs.
-#[derive(Debug, Default)]
-struct PlanScratch {
-    pairs: Vec<Pair>,
-    pairs_scratch: Vec<Pair>,
-    shards: ShardPlan,
-}
-
-/// A mutex-guarded pool of [`RunScratch`] sets. One set per *concurrent*
-/// run: sequential callers (the common case) recycle a single set
-/// indefinitely; concurrent callers each check out their own.
-#[derive(Debug, Default)]
-struct ScratchArena {
-    pool: Mutex<Vec<RunScratch>>,
-}
-
-/// Retain at most this many idle scratch sets.
-const ARENA_CAP: usize = 8;
-
-impl ScratchArena {
-    fn take(&self) -> RunScratch {
-        self.pool
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default()
-    }
-
-    fn put(&self, scratch: RunScratch) {
-        if let Ok(mut pool) = self.pool.lock() {
-            if pool.len() < ARENA_CAP {
-                pool.push(scratch);
-            }
-        }
-    }
-}
-
-impl Clone for ScratchArena {
-    /// Cloned devices start with an empty pool (scratch is plain working
-    /// memory; there is nothing semantic to copy).
-    fn clone(&self) -> Self {
-        Self::default()
-    }
 }
 
 /// Functional results and the simulation report of one run.
@@ -106,24 +54,10 @@ pub struct RunOutput {
     pub report: SimReport,
 }
 
-/// One match task's resolved output: the task's contribution to its
-/// subarray's aggregate load and its hits (tagged with query ids for the
-/// deterministic scatter). Loads of tasks from the same (split) shard
-/// are *accumulated* by the reduce, so the totals are independent of how
-/// shards were split.
-struct TaskOutcome {
-    subarray: usize,
-    load: sched::SubLoad,
-    /// Deepest per-query row count in the task (the ETM-termination
-    /// depth the trace reports).
-    deepest_rows: u32,
-    /// `(query id, payload)` per hit, in task order.
-    hits: Vec<(u32, TaxonId)>,
-}
-
 /// What every stage reads, fixed for the whole run.
 struct RunCtx<'r> {
-    index: &'r SubarrayIndex,
+    /// Occupied subarrays: the length of every per-subarray table.
+    subarrays: usize,
     threads: usize,
     /// The model clock at the run's start, where its model events land.
     t0: u64,
@@ -132,13 +66,45 @@ struct RunCtx<'r> {
     type1: bool,
 }
 
+/// What the match pass hands the schedule: per-subarray sums over the
+/// whole batch, merged from every range's [`Matched`] in range order.
+struct Matched {
+    /// Queries, rows, hits and deepest row count per subarray.
+    loads: Vec<sched::SubLoad>,
+    /// Type-1 with ETM on: each subarray's Region-1 streams, charged
+    /// query by query. Empty otherwise.
+    type1: Vec<sched::Type1Partial>,
+}
+
+impl Matched {
+    /// Zero sums over `subarrays` subarrays.
+    fn new(subarrays: usize) -> Self {
+        Self {
+            loads: vec![sched::SubLoad::default(); subarrays],
+            type1: Vec::new(),
+        }
+    }
+
+    /// Adds the sums of a later range of the same batch.
+    fn absorb(mut self, other: Self) -> Self {
+        for (load, o) in self.loads.iter_mut().zip(&other.loads) {
+            load.absorb(o);
+        }
+        for (p, o) in self.type1.iter_mut().zip(other.type1) {
+            p.absorb(o);
+        }
+        self
+    }
+}
+
 /// Rows activated per resolved lookup, tallied for the
 /// `etm_rows_activated` histogram and merged in one step. Row counts are
 /// small (at most 2k plus flush cycles), so the per-query hot loop bumps
 /// one slot of a direct-indexed count array — or skips entirely while
 /// the recorder is off — and the histogram fallback only serves configs
-/// that exceed the array: the deterministic-reduce shape at ~1 ns per
-/// query.
+/// that exceed the array. Each range of the match pass keeps its own
+/// tally; the merges are integer sums, so the histogram does not depend
+/// on the split.
 struct RowsTally {
     observing: bool,
     small: [u64; 256],
@@ -200,7 +166,6 @@ pub struct SieveDevice {
     layout: DeviceLayout,
     index: Option<SubarrayIndex>,
     keys: engine::KeyTable,
-    scratch: ScratchArena,
 }
 
 impl SieveDevice {
@@ -220,7 +185,6 @@ impl SieveDevice {
             layout,
             index,
             keys,
-            scratch: ScratchArena::default(),
         })
     }
 
@@ -263,74 +227,50 @@ impl SieveDevice {
         .map(|(_, taxon)| taxon))
     }
 
-    /// Runs a query batch: groups the queries into per-subarray shards
-    /// by a counting scatter, resolves the shards — split into bounded
-    /// tasks — functionally on worker threads, and schedules the merged
-    /// work on the configured design point, charging every occurrence of
-    /// a repeated k-mer in full, as the device would. Batches and the
-    /// chunks of a stream (`classify_stream`) both come through here.
+    /// Runs a query batch: routes and matches every query in arrival
+    /// order, then schedules the per-subarray totals on the configured
+    /// design point, charging every occurrence of a repeated k-mer in
+    /// full, as the device would. Batches and the chunks of a stream
+    /// (`classify_stream`) both come through here.
     ///
-    /// The plan → match → reduce → schedule structure is deterministic:
-    /// per-query results are scattered back by input index and every
-    /// merged quantity is an integer sum, so the output is bit-identical
-    /// for any [`SieveConfig::threads`] setting.
+    /// The match → schedule structure is deterministic: each result is
+    /// written at its query's index and every merged quantity is an
+    /// integer sum or max, so the output is bit-identical for any
+    /// [`SieveConfig::threads`] setting.
     ///
     /// # Errors
     ///
     /// Returns [`SieveError::KMismatch`] if any query's k differs from
     /// the loaded database's, and [`SieveError::BatchTooLarge`] if the
-    /// batch exceeds the pipeline's `u32` indexing bound.
+    /// batch holds more than `u32::MAX` queries.
     pub fn run(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
         for q in queries {
             self.check_k(*q)?;
         }
         check_batch_len(queries.len())?;
-        let mut scratch = self.scratch.take();
-        let out = self.run_with(queries, &mut scratch);
-        self.scratch.put(scratch);
-        Ok(out)
-    }
-
-    /// One run, stage by stage: plan (pair build, route and group) →
-    /// match → reduce → schedule. Each stage is its own function under
-    /// its own span; this one threads the scratch buffers between them.
-    fn run_with(&self, queries: &[Kmer], scratch: &mut RunScratch) -> RunOutput {
         obs::global().add(obs::CounterId::DeviceRuns, 1);
         let threads = par::effective_threads(self.config.threads);
         let t0 = trace::global().model_ps();
         let Some(index) = &self.index else {
-            return self.run_empty(queries, threads, t0);
+            return Ok(self.run_empty(queries, t0));
         };
-        let RunScratch { planned, loads } = scratch;
         let ctx = RunCtx {
-            index,
+            subarrays: index.len(),
             threads,
             t0,
             queries,
             type1: matches!(self.config.device, DeviceKind::Type1),
         };
-        self.plan_stage(&ctx, planned);
-        let outcomes = self.match_stage(&ctx, planned);
         let mut results = vec![None; queries.len()];
-        self.reduce_stage(&ctx, outcomes, &mut results, loads);
-        let report = self.schedule_stage(&ctx, loads, &results, planned);
-        RunOutput { results, report }
+        let matched = self.match_stage(&ctx, &mut results);
+        let report = self.schedule_stage(&ctx, &matched);
+        Ok(RunOutput { results, report })
     }
 
     /// A run against an empty device: every query misses in zero time.
-    fn run_empty(&self, queries: &[Kmer], threads: usize, t0: u64) -> RunOutput {
+    fn run_empty(&self, queries: &[Kmer], t0: u64) -> RunOutput {
         let report = match self.config.device {
-            DeviceKind::Type1 => sched::simulate_type1(
-                &self.config,
-                &self.layout,
-                &self.keys,
-                &[],
-                &ShardPlan::empty(),
-                &[],
-                threads,
-                0,
-                0,
-            ),
+            DeviceKind::Type1 => sched::simulate_type1(&self.config, &self.layout, &[], &[]),
             _ => sched::simulate_type23(&self.config, &[]),
         };
         let tr = trace::global();
@@ -349,28 +289,14 @@ impl SieveDevice {
         }
     }
 
-    /// Plan: builds one `(bits, id)` pair per query and groups the pairs
-    /// by subarray into the shard plan.
-    fn plan_stage(&self, ctx: &RunCtx<'_>, planned: &mut PlanScratch) {
-        let _wall = trace::span("device.plan");
-        // One exact-size extend. Pushing each pair instead measured ~1 ms
-        // slower per 700k-pair batch.
-        planned.pairs.clear();
-        planned.pairs.extend(
-            ctx.queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| Pair::new(q.bits(), i as u32)),
-        );
-        planned
-            .shards
-            .rebuild(ctx.index, &mut planned.pairs, &mut planned.pairs_scratch);
-    }
-
-    /// Match: resolves every planned task — the pieces of a split shard
-    /// included — on the worker threads; outcomes come back in task
-    /// order.
-    fn match_stage(&self, ctx: &RunCtx<'_>, planned: &PlanScratch) -> Vec<TaskOutcome> {
+    /// Match: one pass over the batch in arrival order, writing each
+    /// query's payload into `results` and summing its work per subarray.
+    /// With `threads > 1`, each worker takes one contiguous range of the
+    /// batch and its slice of `results`, and the ranges' sums merge in
+    /// range order. Then the run's observations: counters, the
+    /// per-subarray histogram, model events and the traffic charge, all
+    /// from the merged sums, so they do not depend on the split.
+    fn match_stage(&self, ctx: &RunCtx<'_>, results: &mut [Option<TaxonId>]) -> Matched {
         let _wall = trace::span("device.match");
         // Row tables: the per-lookup `rows_activated` arithmetic hoisted
         // out of the match loop. Type-1 charges no ETM flush (its
@@ -389,145 +315,46 @@ impl SieveDevice {
             .config
             .esp_override
             .map(|_| etm::RowTable::new(bit_len, etm, flush));
-        par::map_indexed(ctx.threads, planned.shards.task_count(), |t| {
-            let (subarray, range) = planned.shards.task(t);
-            self.match_pairs(subarray, &planned.pairs[range], &table, esp_table.as_ref())
-        })
+        let ranges = par::map_ranges_mut(ctx.threads, results, |offset, out| {
+            let queries = &ctx.queries[offset..offset + out.len()];
+            self.match_range(ctx, queries, out, &table, esp_table.as_ref())
+        });
+        let matched = ranges
+            .into_iter()
+            .reduce(Matched::absorb)
+            .unwrap_or_else(|| Matched::new(ctx.subarrays));
+        self.observe_match(ctx, &matched);
+        matched
     }
 
-    /// Reduce: accumulates loads per subarray (tasks of a split shard
-    /// sum) into `loads` and scatters hits by query id into `results`.
-    fn reduce_stage(
+    /// Matches one range of the batch: per [`MATCH_BLOCK`] of queries,
+    /// the staged search gives every query's global rank, then each
+    /// query is routed, resolved and accounted from its rank. Writes
+    /// `out[i]` for `queries[i]` and returns the range's sums.
+    fn match_range(
         &self,
         ctx: &RunCtx<'_>,
-        outcomes: Vec<TaskOutcome>,
-        results: &mut [Option<TaxonId>],
-        loads: &mut Vec<sched::SubLoad>,
-    ) {
-        let rec = obs::global();
-        let tr = trace::global();
-        let _wall = tr.span("device.reduce");
-        let tracing = tr.is_enabled();
-        // Indexed by subarray; the schedulers skip zero-query entries.
-        loads.clear();
-        loads.resize(ctx.index.len(), sched::SubLoad::default());
-        let mut reduce_hits = 0u64;
-        for outcome in outcomes {
-            reduce_hits += outcome.hits.len() as u64;
-            rec.add(obs::CounterId::MatchQueries, outcome.load.queries);
-            rec.add(obs::CounterId::MatchHits, outcome.load.hits);
-            if tracing {
-                // Each task's deepest lookup is where ETM let the whole
-                // task stop activating rows — the per-task analogue of
-                // the paper's ~62 → ~10 claim. Tasks are consumed in plan
-                // order, so the stream is identical for every thread
-                // count.
-                tr.emit_model(
-                    "etm.terminate",
-                    outcome.subarray as u32,
-                    ctx.t0,
-                    0,
-                    u64::from(outcome.deepest_rows),
-                    outcome.load.queries,
-                );
-            }
-            let load = &mut loads[outcome.subarray];
-            load.queries += outcome.load.queries;
-            load.rows += outcome.load.rows;
-            load.hits += outcome.load.hits;
-            for &(id, taxon) in &outcome.hits {
-                results[id as usize] = Some(taxon);
-            }
-        }
-        // Reduce rereads each task's hit list and scatters it into the
-        // result table: one read and one write per hit record.
-        let hit_bytes = reduce_hits * std::mem::size_of::<(u32, TaxonId)>() as u64;
-        prof::record(prof::Phase::DeviceReduce, hit_bytes, hit_bytes, reduce_hits);
-        if rec.is_enabled() {
-            // Per-subarray query counts, recorded in subarray order so
-            // the histogram is independent of the task split and the
-            // thread count. One record per subarray that received
-            // queries, matching the MatchShards counter.
-            let mut shards = 0u64;
-            for load in loads.iter().filter(|l| l.queries > 0) {
-                shards += 1;
-                rec.record(obs::HistId::ShardQueries, load.queries);
-            }
-            rec.add(obs::CounterId::MatchShards, shards);
-        }
-    }
-
-    /// Schedule: times the merged work on the configured design point,
-    /// emits the run's model interval, and advances the model clock.
-    /// Type-1 reads its hits from `results`, the run's payloads.
-    fn schedule_stage(
-        &self,
-        ctx: &RunCtx<'_>,
-        loads: &[sched::SubLoad],
-        results: &[Option<TaxonId>],
-        planned: &PlanScratch,
-    ) -> SimReport {
-        let tr = trace::global();
-        let _wall = tr.span("device.schedule");
-        let hits: u64 = loads.iter().map(|l| l.hits).sum();
-        let report = match self.config.device {
-            DeviceKind::Type1 => sched::simulate_type1(
-                &self.config,
-                &self.layout,
-                &self.keys,
-                results,
-                &planned.shards,
-                &planned.pairs,
-                ctx.threads,
-                ctx.queries.len() as u64,
-                hits,
-            ),
-            _ => sched::simulate_type23(&self.config, loads),
-        };
-        debug_assert_eq!(report.hits, hits);
-        tr.emit_model(
-            "device.run",
-            0,
-            ctx.t0,
-            report.makespan_ps,
-            ctx.queries.len() as u64,
-            hits,
-        );
-        tr.advance_model_ps(report.makespan_ps);
-        report
-    }
-
-    /// Resolves one match task: looks the task's `(bits, id)` pairs up
-    /// in the destination subarray through the key table, in fixed-size
-    /// blocks ([`MATCH_BLOCK`]), producing the task's aggregate load and
-    /// its hits.
-    fn match_pairs(
-        &self,
-        subarray: usize,
-        task_pairs: &[Pair],
+        queries: &[Kmer],
+        out: &mut [Option<TaxonId>],
         table: &etm::RowTable,
         esp_table: Option<&etm::RowTable>,
-    ) -> TaskOutcome {
+    ) -> Matched {
+        let mut matched = Matched::new(ctx.subarrays);
+        let mut type1 = (ctx.type1 && self.config.etm_enabled)
+            .then(|| sched::Type1Pass::new(&self.config, &self.layout, &self.keys));
         let mut tally = RowsTally::new();
-        let mut load = sched::SubLoad::default();
-        let mut deepest_rows = 0u32;
-        let mut hits = Vec::new();
         let esp = self.config.esp_override.unwrap_or(0) as usize;
         let mut keys = [0u64; MATCH_BLOCK];
-        let mut outcomes: Vec<engine::MatchOutcome> = Vec::with_capacity(MATCH_BLOCK);
-        for block in task_pairs.chunks(MATCH_BLOCK) {
-            for (key, &p) in keys.iter_mut().zip(block) {
-                *key = p.key();
+        let mut ranks = [0usize; MATCH_BLOCK];
+        for (block, out) in queries.chunks(MATCH_BLOCK).zip(out.chunks_mut(MATCH_BLOCK)) {
+            let (keys, ranks) = (&mut keys[..block.len()], &mut ranks[..block.len()]);
+            for (key, q) in keys.iter_mut().zip(block) {
+                *key = q.bits();
             }
-            outcomes.clear();
-            self.keys.lookup_block(
-                &self.layout,
-                subarray,
-                &keys[..block.len()],
-                table,
-                &mut outcomes,
-            );
-            for (&p, outcome) in block.iter().zip(&outcomes) {
+            self.keys.ranks(keys, ranks);
+            for ((&key, &g), result) in keys.iter().zip(ranks.iter()).zip(out) {
+                let routed = self.keys.resolve(&self.layout, key, g, table);
+                let (sub, outcome) = (routed.subarray, routed.outcome);
                 let hit = outcome.hit.is_some();
                 let rows = match (esp_table, hit) {
                     // Paper-ESP assumption: a miss terminates after at
@@ -535,37 +362,106 @@ impl SieveDevice {
                     (Some(esp_table), false) => esp_table.rows(outcome.max_lcp.min(esp)),
                     _ => outcome.rows,
                 };
+                let load = &mut matched.loads[sub];
                 load.queries += 1;
                 load.rows += u64::from(rows);
                 load.hits += u64::from(hit);
-                deepest_rows = deepest_rows.max(rows);
+                load.deepest_rows = load.deepest_rows.max(rows);
                 tally.add(rows);
-                if let Some((_, taxon)) = outcome.hit {
-                    hits.push((p.id(), taxon));
+                *result = outcome.hit.map(|(_, taxon)| taxon);
+                if let Some(type1) = &mut type1 {
+                    type1.charge(sub, key, routed.rank, hit);
                 }
             }
         }
         tally.merge();
-        // Canonical match traffic (DESIGN.md §10): every task streams its
-        // pairs once, each lookup reads its bucket's two offsets and its
-        // two neighbour keys, and each hit reads its payload and emits
-        // one hit record. The per-task charges sum to the same totals no
-        // matter how the plan split the shard.
+        if let Some(type1) = type1 {
+            matched.type1 = type1.into_partials();
+        }
+        matched
+    }
+
+    /// Records the match pass's observations from its merged sums, in
+    /// subarray order: the match counters, the per-subarray query
+    /// histogram, one `shard.dispatch` and one `etm.terminate` model
+    /// event per subarray that received queries, and the pass's traffic.
+    fn observe_match(&self, ctx: &RunCtx<'_>, matched: &Matched) {
+        let rec = obs::global();
+        let tr = trace::global();
+        let (queries, hits): (u64, u64) = matched
+            .loads
+            .iter()
+            .fold((0, 0), |(q, h), l| (q + l.queries, h + l.hits));
+        rec.add(obs::CounterId::MatchQueries, queries);
+        rec.add(obs::CounterId::MatchHits, hits);
+        let reached = || {
+            matched
+                .loads
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.queries > 0)
+        };
+        if rec.is_enabled() {
+            let mut shards = 0u64;
+            for (_, load) in reached() {
+                shards += 1;
+                rec.record(obs::HistId::ShardQueries, load.queries);
+            }
+            rec.add(obs::CounterId::MatchShards, shards);
+        }
+        if tr.is_enabled() {
+            for (sub, load) in reached() {
+                tr.emit_model("shard.dispatch", sub as u32, ctx.t0, 0, load.queries, 0);
+            }
+            // Each subarray's deepest lookup is where ETM let the whole
+            // subarray stop activating rows — the per-subarray analogue
+            // of the paper's ~62 → ~10 claim.
+            for (sub, load) in reached() {
+                tr.emit_model(
+                    "etm.terminate",
+                    sub as u32,
+                    ctx.t0,
+                    0,
+                    u64::from(load.deepest_rows),
+                    load.queries,
+                );
+            }
+        }
+        // Canonical match traffic (DESIGN.md §10): every query is read
+        // once with the 24 bytes of key table its search must touch (its
+        // bucket's two offsets and its two neighbour keys), every hit
+        // reads its payload, and every query writes its result.
         use std::mem::size_of;
-        let lookup_bytes = size_of::<Pair>() + 2 * size_of::<u32>() + 2 * size_of::<u64>();
-        let (n, h) = (task_pairs.len() as u64, hits.len() as u64);
+        let query_bytes = size_of::<Kmer>() + 2 * size_of::<u32>() + 2 * size_of::<u64>();
         prof::record(
             prof::Phase::DeviceMatch,
-            n * lookup_bytes as u64 + h * size_of::<TaxonId>() as u64,
-            h * size_of::<(u32, TaxonId)>() as u64,
-            n,
+            queries * query_bytes as u64 + hits * size_of::<TaxonId>() as u64,
+            queries * size_of::<Option<TaxonId>>() as u64,
+            queries,
         );
-        TaskOutcome {
-            subarray,
-            load,
-            deepest_rows,
-            hits,
-        }
+    }
+
+    /// Schedule: times the merged work on the configured design point,
+    /// emits the run's model interval, and advances the model clock.
+    fn schedule_stage(&self, ctx: &RunCtx<'_>, matched: &Matched) -> SimReport {
+        let tr = trace::global();
+        let _wall = tr.span("device.schedule");
+        let report = match self.config.device {
+            DeviceKind::Type1 => {
+                sched::simulate_type1(&self.config, &self.layout, &matched.loads, &matched.type1)
+            }
+            _ => sched::simulate_type23(&self.config, &matched.loads),
+        };
+        tr.emit_model(
+            "device.run",
+            0,
+            ctx.t0,
+            report.makespan_ps,
+            ctx.queries.len() as u64,
+            report.hits,
+        );
+        tr.advance_model_ps(report.makespan_ps);
+        report
     }
 
     fn check_k(&self, query: Kmer) -> Result<(), SieveError> {
@@ -683,19 +579,14 @@ mod tests {
     }
 
     #[test]
-    fn scratch_arena_recycles_across_runs() {
+    fn running_a_batch_twice_is_identical() {
         let ds = dataset();
         let dev = device(SieveConfig::type3(8));
         let queries = probes(&ds, 30);
         let first = dev.run(&queries).unwrap();
-        assert_eq!(dev.scratch.pool.lock().unwrap().len(), 1);
         let second = dev.run(&queries).unwrap();
-        assert_eq!(dev.scratch.pool.lock().unwrap().len(), 1);
         assert_eq!(first.results, second.results);
         assert_eq!(first.report, second.report);
-        // Cloning must not share (or copy) pooled scratch.
-        let cloned = dev.clone();
-        assert_eq!(cloned.scratch.pool.lock().unwrap().len(), 0);
     }
 
     #[test]

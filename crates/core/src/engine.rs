@@ -12,6 +12,12 @@
 //! equals the LCP against the range's element(s) nearest the insertion
 //! point. This makes exact functional simulation O(log n) per lookup —
 //! the bit-accurate engine in [`crate::bitsim`] verifies the equivalence.
+//!
+//! [`lookup`] is the per-query reference. The device's match pass uses
+//! [`KeyTable`] instead: a staged search over a block of queries finds
+//! each query's insertion rank among *all* the reference keys, and that
+//! one rank both routes the query to its subarray and names its
+//! neighbours there ([`KeyTable::resolve`]).
 
 use sieve_genomics::{Kmer, TaxonId};
 
@@ -114,13 +120,15 @@ const WINDOW: usize = 4;
 
 /// A sorted `u64` key array with a direct-mapped index over the keys' top
 /// `b` bits, `2^b ≥ n`, so a bucket holds about one key: the search
-/// structure behind both the match stage's [`KeyTable`] and the
-/// planner's routing ([`crate::SubarrayIndex::locate`]).
+/// structure behind both the match pass's [`KeyTable`] and the
+/// reference router [`crate::SubarrayIndex::locate`].
 ///
-/// A search reads its bucket's two `u32` offsets and counts the keys
-/// below the query in a fixed [`WINDOW`] from the bucket's start. The
-/// count is branch-free, so consecutive searches overlap in the
-/// pipeline; only a crowded bucket searches on.
+/// A search reads its bucket's start offset, then counts the keys below
+/// the query in a fixed [`WINDOW`] from there. The count is branch-free;
+/// only a crowded bucket reads its end offset and searches on. The two
+/// reads are two steps, so a block search ([`Self::lower_bounds`]) runs
+/// each as one sweep over the block and the block's cache misses
+/// overlap.
 #[derive(Debug, Clone)]
 pub(crate) struct Bucketed {
     /// The keys in ascending order, then [`WINDOW`] `u64::MAX` sentinels
@@ -178,49 +186,102 @@ impl Bucketed {
         self.keys[i]
     }
 
-    /// The index of the first key `≥ target`.
-    ///
-    /// Forced inline: once the Type-1 scheduler became its third caller
-    /// the compiler outlined it, and the call per query cost sievebench's
-    /// `mg_batch` ~6 % of its `reads_per_s` on a 2-vCPU Xeon VM.
-    #[inline(always)]
+    /// The index of the first key `≥ target`: [`Self::lower_bounds`] on
+    /// one key.
     pub(crate) fn lower_bound(&self, target: u64) -> usize {
-        let bucket = (target >> self.shift) as usize;
-        let (s, e) = (
-            self.starts[bucket] as usize,
-            self.starts[bucket + 1] as usize,
-        );
-        // Keys past the bucket's end sort above the target, so the
-        // window's count is the answer unless the whole window sits
-        // below the target in a bucket that goes on.
+        self.rank_from(target, self.bucket_start(target))
+    }
+
+    /// [`Self::lower_bound`] of every target, staged: one sweep reads
+    /// every target's bucket start, a second counts every target's window
+    /// from it. Each sweep's loads are independent of one another, so the
+    /// cache misses of a whole block are in flight together instead of
+    /// one search's two dependent misses at a time.
+    #[inline]
+    pub(crate) fn lower_bounds(&self, targets: &[u64], out: &mut [usize]) {
+        debug_assert_eq!(targets.len(), out.len());
+        for (rank, &target) in out.iter_mut().zip(targets) {
+            *rank = self.bucket_start(target);
+        }
+        for (rank, &target) in out.iter_mut().zip(targets) {
+            *rank = self.rank_from(target, *rank);
+        }
+    }
+
+    /// The first step of a search: the index of the first key in
+    /// `target`'s bucket (or of the next key above it).
+    #[inline(always)]
+    fn bucket_start(&self, target: u64) -> usize {
+        self.starts[(target >> self.shift) as usize] as usize
+    }
+
+    /// The second step: the first key `≥ target`, given its bucket's
+    /// start `s`. Keys past the bucket's end sort above the target, so
+    /// the window's count is the answer unless the whole window sits
+    /// below the target in a bucket that goes on.
+    #[inline(always)]
+    fn rank_from(&self, target: u64, s: usize) -> usize {
         let ins = s + self.keys[s..s + WINDOW]
             .iter()
             .map(|&k| usize::from(k < target))
             .sum::<usize>();
-        if ins == s + WINDOW && ins < e {
-            ins + self.keys[ins..e].partition_point(|&k| k < target)
-        } else {
-            ins
+        if ins == s + WINDOW {
+            let end = self.starts[(target >> self.shift) as usize + 1] as usize;
+            if ins < end {
+                return ins + self.keys[ins..end].partition_point(|&k| k < target);
+            }
         }
+        ins
     }
 }
 
-/// The match stage's search table over a layout's globally sorted
+/// The occupied subarray a query routes to, from its global insertion
+/// rank `g` among the layout's sorted keys (`refs` per subarray, every
+/// subarray but the last full): on a hit the subarray holding key `g`,
+/// `g / refs`; on a miss the one holding the key just below the query,
+/// `(g − 1) / refs`, and subarray 0 below the first key. That is
+/// [`crate::SubarrayIndex::locate`]'s pick, the largest subarray whose
+/// first key is at most the query.
+#[inline]
+fn route(g: usize, hit: bool, refs: usize) -> usize {
+    if hit || g == 0 {
+        g / refs
+    } else {
+        (g - 1) / refs
+    }
+}
+
+/// One query routed and resolved by [`KeyTable::resolve`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Routed {
+    /// The occupied subarray the query routes to, as
+    /// [`crate::SubarrayIndex::locate`] picks it.
+    pub subarray: usize,
+    /// The query's insertion rank among that subarray's keys (its rank
+    /// on a hit).
+    pub rank: usize,
+    /// The outcome against that subarray, equal to [`lookup`] on it.
+    pub outcome: MatchOutcome,
+}
+
+/// The match pass's search table over a layout's globally sorted
 /// reference keys, built once when a device loads: a packed `u64` copy
 /// of every key, bucketed by its top bits. Host memory: 8 B per
 /// reference k-mer for the keys plus 4–8 B for the bucket offsets.
 ///
-/// A lookup finds the query's insertion point among all the keys, clamps
-/// it to the routed subarray's key range, and takes the max LCP against
-/// the (clamped) neighbours on either side. Clamping the global
-/// insertion point to a contiguous slice of a sorted array gives exactly
-/// the slice-local insertion point, so every outcome equals [`lookup`]
-/// on the same subarray (twin-tested), whatever order the queries arrive
-/// in. The keys are a copy because searching the 24-byte layout entries
-/// instead touches three times the cache lines.
+/// A query's search finds its insertion rank among all the keys
+/// ([`Self::ranks`], a block at a time); that one rank routes it to its
+/// subarray and resolves it against the neighbours inside that subarray
+/// ([`Self::resolve`]), so every outcome equals [`lookup`] on the
+/// subarray [`crate::SubarrayIndex::locate`] picks (twin-tested),
+/// whatever order the queries arrive in. The keys are a copy because
+/// searching the 24-byte layout entries instead touches three times the
+/// cache lines.
 #[derive(Debug, Clone)]
 pub struct KeyTable {
     keys: Bucketed,
+    /// The layout's references per subarray.
+    refs: usize,
 }
 
 impl KeyTable {
@@ -234,89 +295,72 @@ impl KeyTable {
         let keys = layout.entries().iter().map(|(k, _)| k.bits());
         Self {
             keys: Bucketed::new(keys, 2 * layout.k()),
+            refs: layout.refs_per_subarray() as usize,
         }
     }
 
-    /// Looks up a block of queries given as raw packed bits against
-    /// occupied subarray `subarray` of `layout` (the layout the table was
-    /// built from), appending one [`MatchOutcome`] per key to `out`. The
-    /// keys may arrive in any order and must be `2k`-bit packings
-    /// matching `rows.bit_len()`. Each outcome is identical to
-    /// [`lookup`]`(&layout.subarray(subarray), ..)` with the ETM setting
-    /// the row table was built for.
+    /// The staged block search: writes each key's global insertion rank
+    /// (the index of the first reference key `≥` it) to `ranks`. The
+    /// keys are raw `2k`-bit packings in any order.
     ///
     /// # Panics
     ///
-    /// Panics if `subarray` is not an occupied subarray of `layout`.
-    pub fn lookup_block(
-        &self,
-        layout: &DeviceLayout,
-        subarray: usize,
-        keys: &[u64],
-        rows: &RowTable,
-        out: &mut Vec<MatchOutcome>,
-    ) {
-        let entries = layout.subarray(subarray).entries();
-        let sub = self.subarray(layout, subarray);
+    /// Debug builds panic if `ranks` is not as long as `keys`.
+    #[inline]
+    pub fn ranks(&self, keys: &[u64], ranks: &mut [usize]) {
+        self.keys.lower_bounds(keys, ranks);
+    }
+
+    /// Routes `key` by its global insertion rank `g` (from
+    /// [`Self::ranks`]) and resolves it against its subarray of `layout`
+    /// (the layout the table was built from) with the row costs of
+    /// `rows`, whose `bit_len` must be `2k`: a hit when reference `g` is
+    /// the key, else the max LCP against the subarray's keys on either
+    /// side of `g`. No second search.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `g` is not `key`'s rank from [`Self::ranks`].
+    #[inline]
+    #[must_use]
+    pub fn resolve(&self, layout: &DeviceLayout, key: u64, g: usize, rows: &RowTable) -> Routed {
+        let n = self.keys.len();
         let bit_len = rows.bit_len();
         debug_assert_eq!(2 * layout.k(), bit_len, "row table/k mismatch");
-        for &target in keys {
-            let ins = sub.insertion_rank(target);
-            if sub.keys.get(ins) == Some(&target) {
-                out.push(MatchOutcome {
-                    hit: Some((ins, entries[ins].1)),
-                    max_lcp: bit_len,
-                    rows: rows.rows(bit_len),
-                });
-            } else {
-                let lcp = |i: usize| lcp_bits_u64_swar(sub.keys[i], target, bit_len);
-                let left = if ins > 0 { lcp(ins - 1) } else { 0 };
-                let right = if ins < sub.keys.len() { lcp(ins) } else { 0 };
-                let max_lcp = left.max(right);
-                out.push(MatchOutcome {
-                    hit: None,
-                    max_lcp,
-                    rows: rows.rows(max_lcp),
-                });
+        let hit = g < n && self.keys.key(g) == key;
+        let subarray = route(g, hit, self.refs);
+        let base = subarray * self.refs;
+        let rank = g - base;
+        let outcome = if hit {
+            MatchOutcome {
+                hit: Some((rank, layout.entries()[g].1)),
+                max_lcp: bit_len,
+                rows: rows.rows(bit_len),
             }
+        } else {
+            let end = (base + self.refs).min(n);
+            let lcp = |i: usize| lcp_bits_u64_swar(self.keys.key(i), key, bit_len);
+            let left = if g > base { lcp(g - 1) } else { 0 };
+            let right = if g < end { lcp(g) } else { 0 };
+            let max_lcp = left.max(right);
+            MatchOutcome {
+                hit: None,
+                max_lcp,
+                rows: rows.rows(max_lcp),
+            }
+        };
+        Routed {
+            subarray,
+            rank,
+            outcome,
         }
     }
 
-    /// Occupied subarray `subarray`'s part of the table (`layout` is the
-    /// layout the table was built from): its packed keys in rank order,
-    /// and the search for a key's insertion rank among them.
-    pub(crate) fn subarray(&self, layout: &DeviceLayout, subarray: usize) -> SubarrayKeys<'_> {
-        let base = subarray * layout.refs_per_subarray() as usize;
-        let len = layout.subarray(subarray).len();
-        SubarrayKeys {
-            table: &self.keys,
-            base,
-            keys: &self.keys.keys[base..base + len],
-        }
-    }
-}
-
-/// One occupied subarray's part of a [`KeyTable`] (see
-/// [`KeyTable::subarray`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SubarrayKeys<'t> {
-    table: &'t Bucketed,
-    /// The table index of the subarray's first key.
-    base: usize,
-    /// The subarray's keys, indexed by subarray-local rank.
-    pub keys: &'t [u64],
-}
-
-impl SubarrayKeys<'_> {
-    /// The subarray-local rank of the first key `≥ target`, or the key
-    /// count if there is none: the table's global search, clamped to the
-    /// subarray. Clamping the insertion point in a sorted array to a
-    /// contiguous slice of it gives exactly the slice's own insertion
-    /// point.
-    #[inline]
-    pub(crate) fn insertion_rank(&self, target: u64) -> usize {
-        let end = self.base + self.keys.len();
-        self.table.lower_bound(target).clamp(self.base, end) - self.base
+    /// Occupied subarray `subarray`'s packed keys in rank order (`layout`
+    /// is the layout the table was built from).
+    pub(crate) fn subarray_keys(&self, layout: &DeviceLayout, subarray: usize) -> &[u64] {
+        let base = subarray * self.refs;
+        &self.keys.keys[base..base + layout.subarray(subarray).len()]
     }
 }
 
@@ -363,6 +407,7 @@ pub(crate) fn lcp_bits_u64_swar(a: u64, b: u64, bit_len: usize) -> usize {
 mod tests {
     use super::*;
     use crate::config::SieveConfig;
+    use crate::index::SubarrayIndex;
     use sieve_dram::Geometry;
     use sieve_genomics::synth;
 
@@ -460,26 +505,38 @@ mod tests {
         assert_eq!(max_lcp_in_range(&sa, 5..5, probe), None);
     }
 
-    /// Holds [`KeyTable::lookup_block`] to [`lookup`] for every probe
-    /// against every occupied subarray — the one the probe routes to and
-    /// all the others, whose key ranges the clamp must respect — under
-    /// each ETM setting.
-    fn assert_table_twins_lookup(layout: &DeviceLayout, probes: &[Kmer]) {
+    /// Holds the staged search to its references under each ETM setting:
+    /// [`KeyTable::ranks`] over blocks of 1, 7 and 512 probes, so block
+    /// edges fall everywhere, then [`KeyTable::resolve`]. The global rank
+    /// must equal a binary search of all the keys, the routed subarray
+    /// [`SubarrayIndex::locate`], the local rank a binary search of that
+    /// subarray, and the outcome [`lookup`] on it. Every probe arrives
+    /// twice, once in order and once in reverse.
+    fn assert_staged_search_twins_references(layout: &DeviceLayout, probes: &[Kmer]) {
         let table = KeyTable::new(layout);
+        let index = SubarrayIndex::build(layout);
+        let probes: Vec<Kmer> = probes.iter().chain(probes.iter().rev()).copied().collect();
         let keys: Vec<u64> = probes.iter().map(Kmer::bits).collect();
-        for (etm, flush) in [(true, 1), (true, 0), (false, 1)] {
-            let rows = RowTable::new(2 * layout.k(), etm, flush);
-            for s in 0..layout.occupied_subarrays() {
-                let sa = layout.subarray(s);
-                let mut out = Vec::new();
-                table.lookup_block(layout, s, &keys, &rows, &mut out);
-                assert_eq!(out.len(), probes.len());
-                for (probe, got) in probes.iter().zip(&out) {
-                    assert_eq!(
-                        *got,
-                        lookup(&sa, *probe, etm, flush),
-                        "probe {probe} subarray {s} etm={etm} flush={flush}"
-                    );
+        let mut ranks = vec![0; keys.len()];
+        for block in [1, 7, 512] {
+            ranks.fill(usize::MAX);
+            for (keys, ranks) in keys.chunks(block).zip(ranks.chunks_mut(block)) {
+                table.ranks(keys, ranks);
+            }
+            for (etm, flush) in [(true, 1), (true, 0), (false, 1)] {
+                let rows = RowTable::new(2 * layout.k(), etm, flush);
+                for ((probe, &key), &g) in probes.iter().zip(&keys).zip(&ranks) {
+                    let at = format!("probe {probe} block {block} etm={etm} flush={flush}");
+                    let below = |entries: &[(Kmer, TaxonId)]| {
+                        entries.partition_point(|(k, _)| k.bits() < key)
+                    };
+                    assert_eq!(g, below(layout.entries()), "{at}: global rank");
+                    let got = table.resolve(layout, key, g, &rows);
+                    let sub = index.locate(*probe);
+                    assert_eq!(got.subarray, sub, "{at}: routed");
+                    let sa = layout.subarray(sub);
+                    assert_eq!(got.rank, below(sa.entries()), "{at}: local rank");
+                    assert_eq!(got.outcome, lookup(&sa, *probe, etm, flush), "{at}");
                 }
             }
         }
@@ -523,7 +580,28 @@ mod tests {
         assert!(layout.occupied_subarrays() >= 2);
         let (probes, gaps) = twin_probes(&layout);
         assert!(gaps > 0, "no gap between consecutive subarrays to probe");
-        assert_table_twins_lookup(&layout, &probes);
+        assert_staged_search_twins_references(&layout, &probes);
+    }
+
+    #[test]
+    fn key_table_twins_lookup_on_partly_and_wholly_filled_last_subarrays() {
+        // Three subarrays: the last holds a third of its capacity, then
+        // exactly all of it, so a probe above every key routes to a
+        // partial last subarray and to a full one.
+        let ds = synth::make_dataset_with(8, 4096, 31, 23);
+        let config = SieveConfig::type3(4).with_geometry(Geometry::scaled_medium());
+        let refs = config.refs_per_subarray() as usize;
+        let all = DeviceLayout::build(ds.entries, &config).unwrap();
+        assert!(
+            all.len() >= 3 * refs,
+            "too few references for three subarrays"
+        );
+        for len in [2 * refs + refs / 3, 3 * refs] {
+            let layout = DeviceLayout::build(all.entries()[..len].to_vec(), &config).unwrap();
+            assert_eq!(layout.occupied_subarrays(), 3);
+            let (probes, _) = twin_probes(&layout);
+            assert_staged_search_twins_references(&layout, &probes);
+        }
     }
 
     #[test]
@@ -562,7 +640,7 @@ mod tests {
             layout.len()
         );
         let (probes, _) = twin_probes(&layout);
-        assert_table_twins_lookup(&layout, &probes);
+        assert_staged_search_twins_references(&layout, &probes);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! end-to-end time and tracks the host stages for sanity.
 //!
 //! The *simulator's* host work runs its stages one after another: k-mer
-//! extraction fans out over read chunks and the device's match over
-//! shards, and `classify_stream` extracts, runs and votes each chunk in
-//! turn. The modeled overlap is the device makespan the report carries,
-//! not a wall-clock property of the simulator.
+//! extraction fans out over read chunks and the device's match pass over
+//! ranges of the batch, and `classify_stream` extracts, runs and votes
+//! each chunk in turn. Batches, streams and read pairs record the same
+//! counters and open the same `host.*` spans. The modeled overlap is the
+//! device makespan the report carries, not a wall-clock property of the
+//! simulator.
 
 use sieve_genomics::{pack, DnaSequence, Kmer, TaxonId};
 
@@ -26,6 +28,10 @@ use crate::trace;
 
 /// Below this many reads, extraction fan-out costs more than it saves.
 const PARALLEL_EXTRACT_READS: usize = 128;
+
+/// Bytes extraction writes per k-mer: the packed `Kmer` and its `u32`
+/// owner tag (the `host.extract` traffic charge).
+const KMER_RECORD_BYTES: u64 = (std::mem::size_of::<Kmer>() + std::mem::size_of::<u32>()) as u64;
 
 /// Per-read classification assembled from device responses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +125,6 @@ impl HostPipeline {
         } else {
             0
         };
-        let kmer_bytes = (std::mem::size_of::<Kmer>() + std::mem::size_of::<u32>()) as u64;
         let threads = par::effective_threads(self.device.config().threads);
         if threads == 1 || reads.len() < PARALLEL_EXTRACT_READS {
             let mut scratch = pack::Extractor::new();
@@ -128,7 +133,7 @@ impl HostPipeline {
             prof::record(
                 prof::Phase::HostExtract,
                 base_bytes,
-                produced * kmer_bytes,
+                produced * KMER_RECORD_BYTES,
                 produced,
             );
             return;
@@ -164,7 +169,7 @@ impl HostPipeline {
         prof::record(
             prof::Phase::HostExtract,
             base_bytes,
-            produced * kmer_bytes,
+            produced * KMER_RECORD_BYTES,
             produced,
         );
     }
@@ -176,24 +181,35 @@ impl HostPipeline {
     ///
     /// Propagates device errors (k mismatch).
     pub fn classify_reads(&self, reads: &[DnaSequence]) -> Result<PipelineOutput, SieveError> {
-        let rec = obs::global();
-        rec.add(obs::CounterId::HostReads, reads.len() as u64);
+        obs::global().add(obs::CounterId::HostReads, reads.len() as u64);
         let (kmers, owners) = {
             let _wall = trace::span("host.extract");
             self.extract_kmers(reads)
         };
-        // A batch run is one maximal chunk; recording it as such keeps
-        // batch and streaming snapshots comparable.
+        self.run_batch(reads.len(), &kmers, &owners)
+    }
+
+    /// Runs one extracted batch on the device and votes its `n_reads`
+    /// reads, under the `host.device` and `host.vote` spans. A batch run
+    /// is one maximal chunk; recording it as such keeps batch and
+    /// streaming snapshots comparable.
+    fn run_batch(
+        &self,
+        n_reads: usize,
+        kmers: &[Kmer],
+        owners: &[u32],
+    ) -> Result<PipelineOutput, SieveError> {
+        let rec = obs::global();
         rec.add(obs::CounterId::HostChunks, 1);
         rec.add(obs::CounterId::HostKmers, kmers.len() as u64);
         rec.record(obs::HistId::ChunkKmers, kmers.len() as u64);
         let run = {
             let _wall = trace::span("host.device");
-            self.device.run(&kmers)?
+            self.device.run(kmers)?
         };
         let _wall = trace::span("host.vote");
         Ok(PipelineOutput {
-            reads: vote_reads(reads.len(), &owners, &run.results),
+            reads: vote_reads(n_reads, owners, &run.results),
             report: run.report,
         })
     }
@@ -253,19 +269,22 @@ impl HostPipeline {
                 Some(m) => m.accumulate(&run.report),
             }
         }
+        let report = match merged {
+            Some(report) => report,
+            // No reads: synthesize an empty report via an empty run.
+            None => self.device.run(&[])?.report,
+        };
         Ok(PipelineOutput {
             reads: all_reads,
-            report: merged.unwrap_or_else(|| {
-                // No reads: synthesize an empty report via an empty run.
-                self.device.run(&[]).expect("empty run cannot fail").report
-            }),
+            report,
         })
     }
 
     /// Classifies paired-end reads: mate 2 is reverse-complemented onto
     /// the forward strand and both mates' k-mers vote in a single per-pair
     /// histogram — the standard paired-end treatment in Kraken-family
-    /// tools.
+    /// tools. Records what [`Self::classify_reads`] records, each mate
+    /// counting as a read, under the same spans.
     ///
     /// # Errors
     ///
@@ -274,6 +293,17 @@ impl HostPipeline {
         &self,
         pairs: &[(DnaSequence, DnaSequence)],
     ) -> Result<PipelineOutput, SieveError> {
+        obs::global().add(obs::CounterId::HostReads, 2 * pairs.len() as u64);
+        let (kmers, owners) = {
+            let _wall = trace::span("host.extract");
+            self.extract_pairs(pairs)
+        };
+        self.run_batch(pairs.len(), &kmers, &owners)
+    }
+
+    /// Extracts both mates' k-mers of every pair, tagged with the pair's
+    /// index, mate 2 reverse-complemented onto the forward strand.
+    fn extract_pairs(&self, pairs: &[(DnaSequence, DnaSequence)]) -> (Vec<Kmer>, Vec<u32>) {
         let k = self.device.config().k;
         let upper: usize = pairs
             .iter()
@@ -302,11 +332,24 @@ impl HostPipeline {
                 &mut owners,
             );
         }
-        let run = self.device.run(&kmers)?;
-        Ok(PipelineOutput {
-            reads: vote_reads(pairs.len(), &owners, &run.results),
-            report: run.report,
-        })
+        // The same charge as extract_kmers_into's: every mate's bases in,
+        // one record per k-mer out.
+        let base_bytes: u64 = if prof::active() {
+            pairs
+                .iter()
+                .map(|(m1, m2)| (m1.len() + m2.len()) as u64)
+                .sum()
+        } else {
+            0
+        };
+        let produced = kmers.len() as u64;
+        prof::record(
+            prof::Phase::HostExtract,
+            base_bytes,
+            produced * KMER_RECORD_BYTES,
+            produced,
+        );
+        (kmers, owners)
     }
 }
 

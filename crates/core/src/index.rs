@@ -5,6 +5,12 @@
 //! is an 8-byte subarray id plus the integer values of the subarray's first
 //! and last k-mers — the table scales with *capacity*, not with k (the
 //! paper: < 2 MB even for a 500 GB device).
+//!
+//! The simulated device does not search this table per query: its match
+//! pass finds each query's rank among all the reference keys anyway, and
+//! that rank names the same subarray ([`crate::engine::KeyTable::resolve`]).
+//! [`SubarrayIndex::locate`] is the reference that routing is tested
+//! against, and serves [`crate::SieveDevice::lookup`].
 
 use sieve_genomics::Kmer;
 
@@ -74,7 +80,11 @@ impl SubarrayIndex {
     /// `[first, last]` range contains it, or — for queries falling in the
     /// (tiny) gaps between consecutive ranges or outside all ranges — the
     /// nearest preceding range (conservative: the lookup proceeds and
-    /// misses there).
+    /// misses there). That is the largest `i` with `first[i] ≤ query`,
+    /// and subarray 0 below the first range. The device's match pass
+    /// routes by the same rule from a query's rank among all the keys
+    /// ([`crate::engine::KeyTable::resolve`]); this search of the first
+    /// keys is its reference.
     ///
     /// # Panics
     ///
@@ -82,14 +92,7 @@ impl SubarrayIndex {
     #[must_use]
     pub fn locate(&self, query: Kmer) -> usize {
         assert!(!self.is_empty(), "cannot route against an empty index");
-        self.locate_bits(query.bits())
-    }
-
-    /// [`Self::locate`] on a raw packed k-mer, for the planner's scatter.
-    /// The largest `i` with `firsts[i] <= q`; queries below the first
-    /// range route to subarray 0.
-    #[inline]
-    pub(crate) fn locate_bits(&self, q: u64) -> usize {
+        let q = query.bits();
         let i = self.firsts.lower_bound(q);
         if i < self.firsts.len() && self.firsts.key(i) == q {
             i
@@ -175,12 +178,10 @@ mod tests {
     fn table_size_matches_paper_scaling() {
         let (_, index) = setup();
         assert_eq!(index.table_bytes(), index.len() * 24);
-        // Paper: a 500 GB device (≈ 1 M subarrays at 512 KB each) stays
-        // under 2 MB of index. Extrapolate: bytes per subarray is 24,
-        // so 1,048,576 subarrays → 24 MB? No: the paper's table is ~2 MB
-        // because only *occupied* subarrays with 8-byte packed entries are
-        // indexed. Our 24-byte entries over the paper's 65,536 subarrays
-        // (32 GB) are 1.5 MB — same order.
+        // The paper keeps its index under 2 MB by indexing only occupied
+        // subarrays with 8-byte packed entries. Our 24-byte entries over
+        // the paper's 65,536 subarrays (32 GB) come to 1.5 MB, the same
+        // order.
         let paper_32gb_entries = 65_536;
         assert!(paper_32gb_entries * ENTRY_BYTES <= 2 * 1024 * 1024);
     }

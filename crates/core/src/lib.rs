@@ -69,7 +69,6 @@ mod par;
 mod pcie;
 pub mod prof;
 mod sched;
-mod shard;
 mod stats;
 pub mod thermal;
 pub mod trace;

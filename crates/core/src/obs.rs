@@ -2,15 +2,16 @@
 //! counters, fixed-bucket (power-of-two, HDR-style) histograms, and
 //! exportable [`MetricsSnapshot`]s.
 //!
-//! The pipeline (host → shard workers → engine → reduce → cluster) records
+//! The pipeline (host → match pass → schedulers → cluster) records
 //! **model metrics**: counters and histograms over *simulated* quantities
-//! (queries per shard, ETM rows activated per lookup, dispatch stall in
+//! (queries per subarray, ETM rows activated per lookup, dispatch stall in
 //! model picoseconds). These are pure functions of the workload, so a
 //! snapshot is **bit-identical across thread counts**: every update is an
 //! order-independent integer merge (sums into counters and buckets,
-//! min/max into bounds), exactly like the deterministic timeline reduce
-//! (DESIGN.md §6/§7). Per-shard work is batched in a [`LocalHistogram`]
-//! and merged once, so the hot path stays allocation- and contention-free.
+//! min/max into bounds), exactly like the match pass's merge of its
+//! ranges (DESIGN.md §6/§7). A worker's lookups are batched in a
+//! [`LocalHistogram`] and merged once, so the hot path stays allocation-
+//! and contention-free.
 //! Wall-clock time is the tracer's alone: each pipeline phase opens one
 //! [`crate::trace::span`].
 //!
@@ -53,7 +54,7 @@ pub enum CounterId {
     HostKmers,
     /// Device `run` invocations.
     DeviceRuns,
-    /// Shards resolved by the match phase.
+    /// Subarrays that received queries in the match pass.
     MatchShards,
     /// Queries resolved by the match phase.
     MatchQueries,
@@ -112,7 +113,8 @@ pub enum HistId {
     /// Expected Shared Prefix distribution (misses die after ~ESP rows;
     /// hits burn all 2k rows).
     EtmRowsActivated = 0,
-    /// Queries routed to each shard (per-subarray skew).
+    /// Queries routed to each subarray that received any (per-subarray
+    /// skew).
     ShardQueries,
     /// K-mers per `classify_stream` chunk.
     ChunkKmers,
@@ -211,8 +213,8 @@ impl Histogram {
         self.max.fetch_max(value, Relaxed);
     }
 
-    /// Merges a per-shard local histogram in (one atomic op per non-empty
-    /// bucket — the deterministic reduce step).
+    /// Merges a worker's local histogram in (one atomic op per non-empty
+    /// bucket — an order-independent merge).
     pub fn merge_local(&self, local: &LocalHistogram) {
         if local.count == 0 {
             return;
@@ -262,9 +264,9 @@ impl Default for Histogram {
     }
 }
 
-/// A plain (non-atomic) histogram for one worker's shard of the work:
+/// A plain (non-atomic) histogram for one worker's share of the work:
 /// recorded without synchronization, merged once into the shared
-/// [`Histogram`] at reduce time.
+/// [`Histogram`] when the worker finishes.
 #[derive(Debug, Clone)]
 pub struct LocalHistogram {
     buckets: [u64; BUCKETS],

@@ -1,12 +1,13 @@
 //! Scoped-thread fan-out primitives for the parallel simulation core.
 //!
-//! Work is assigned to workers by a fixed rule (round-robin or contiguous
-//! blocks over item index) and results are scattered back by index, so
-//! every helper here is deterministic: the output is a pure function of
-//! the input, independent of thread count and OS scheduling. Combined
-//! with the order-independent (integer sum / max) reductions in the
-//! schedulers, this is what makes `threads = N` bit-identical to
-//! `threads = 1` (see DESIGN.md §6).
+//! Work is assigned to workers by a fixed rule (round-robin over item
+//! index, or one contiguous range of a slice per worker) and outputs
+//! come back in index or range order, so every helper here is
+//! deterministic: the output is a pure function of the input and the
+//! split, independent of OS scheduling. Combined with the
+//! order-independent (integer sum / max) merges of the device's match
+//! pass and the schedulers, this is what makes `threads = N`
+//! bit-identical to `threads = 1` (see DESIGN.md §6).
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -69,6 +70,41 @@ where
         .collect()
 }
 
+/// Splits `data` into up to `threads` contiguous ranges of near-equal
+/// length and calls `f(offset, range)` on each, one scoped worker per
+/// range, where `offset` is the range's start in `data`. Each worker owns
+/// its range mutably; the outputs come back in range order. With one
+/// thread (or at most one item) `f` runs once on the whole slice on the
+/// caller's thread. A panic in `f` is resumed on the caller.
+pub(crate) fn map_ranges_mut<T, R, F>(threads: usize, data: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    let threads = threads.clamp(1, data.len().max(1));
+    if threads == 1 {
+        return vec![f(0, data)];
+    }
+    let len = data.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = data
+            .chunks_mut(len)
+            .enumerate()
+            .map(|(i, range)| scope.spawn(move || f(i * len, range)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,6 +121,32 @@ mod tests {
     fn map_indexed_handles_empty_and_tiny_inputs() {
         assert_eq!(map_indexed(4, 0, |i| i), Vec::<usize>::new());
         assert_eq!(map_indexed(4, 1, |i| i + 10), vec![10]);
+    }
+
+    #[test]
+    fn map_ranges_mut_covers_the_slice_in_order_for_any_thread_count() {
+        for len in [0usize, 1, 7, 37] {
+            for threads in [1, 2, 3, 8, 64] {
+                let mut data = vec![0usize; len];
+                let spans = map_ranges_mut(threads, &mut data, |offset, range| {
+                    for (i, x) in range.iter_mut().enumerate() {
+                        *x = offset + i;
+                    }
+                    (offset, range.len())
+                });
+                assert_eq!(
+                    data,
+                    (0..len).collect::<Vec<_>>(),
+                    "len {len} threads {threads}"
+                );
+                let mut next = 0;
+                for (offset, n) in spans {
+                    assert_eq!(offset, next);
+                    next += n;
+                }
+                assert_eq!(next, len);
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! papers settle with a roofline plot.
 //!
 //! Traffic is recorded **analytically**, as closed forms in
-//! deterministic stream lengths (pairs planned, k-mers extracted, queries
-//! matched, hits produced, transfer sizes) — e.g. the plan's counting
-//! scatter over `n` 12-byte `(bits, id)` pairs reads `24 n` (histogram
-//! scan + scatter read) and writes `12 n`. The
-//! contract mirrors the rest of the obs surface: for a fixed workload, a
+//! deterministic stream lengths (k-mers extracted, queries matched, hits
+//! produced, transfer sizes) — e.g. the match pass over `q` queries with
+//! `h` hits reads `40 q + 4 h` (each 16-byte query, the 24 bytes of key
+//! table its search must touch, each hit's payload) and writes `8 q` (one
+//! result per query). The contract mirrors the rest of the obs surface: for a fixed workload, a
 //! [`ProfSnapshot`] is **bit-identical across thread counts**
 //! (`tests/prof_determinism.rs`). The charges are canonical: they count
 //! the bytes the algorithm must touch, so extra physical traffic (cache
@@ -35,9 +35,9 @@
 //!
 //! obs::global().set_enabled(true);
 //! prof::reset();
-//! prof::record(prof::Phase::ShardSort, 2400, 1200, 100);
+//! prof::record(prof::Phase::DeviceMatch, 4000, 800, 100);
 //! let snap = prof::snapshot();
-//! assert_eq!(snap.traffic(prof::Phase::ShardSort).bytes_read, 2400);
+//! assert_eq!(snap.traffic(prof::Phase::DeviceMatch).bytes_read, 4000);
 //! obs::global().set_enabled(false);
 //! ```
 
@@ -51,39 +51,26 @@ use crate::trace;
 /// span).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// The plan's stable counting scatter by destination subarray: a
-    /// histogram scan reads every pair, then the scatter reads every
-    /// pair again and writes it to its shard.
-    ShardSort = 0,
     /// Read → k-mer extraction on the host.
-    HostExtract,
-    /// Match-phase k-mer stream into the device model (with the key-table
-    /// reads each lookup makes) and hit stream out.
+    HostExtract = 0,
+    /// The match pass: the query stream into the device model (with the
+    /// key-table reads each search makes and each hit's payload) and one
+    /// result per query out.
     DeviceMatch,
-    /// Deterministic task-order reduce of per-task hit streams.
-    DeviceReduce,
     /// Simulated PCIe transfers ([`crate::Transport`]).
     PcieTransfer,
 }
 
 impl Phase {
     /// Every phase, in snapshot order.
-    pub const ALL: [Self; 5] = [
-        Self::ShardSort,
-        Self::HostExtract,
-        Self::DeviceMatch,
-        Self::DeviceReduce,
-        Self::PcieTransfer,
-    ];
+    pub const ALL: [Self; 3] = [Self::HostExtract, Self::DeviceMatch, Self::PcieTransfer];
 
     /// Snapshot name — matches the phase's [`crate::trace`] span name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Self::ShardSort => "shard.sort",
             Self::HostExtract => "host.extract",
             Self::DeviceMatch => "device.match",
-            Self::DeviceReduce => "device.reduce",
             Self::PcieTransfer => "pcie.transfer",
         }
     }
@@ -92,10 +79,8 @@ impl Phase {
     #[must_use]
     pub fn counter_name(self) -> &'static str {
         match self {
-            Self::ShardSort => "prof.shard.sort.bytes",
             Self::HostExtract => "prof.host.extract.bytes",
             Self::DeviceMatch => "prof.device.match.bytes",
-            Self::DeviceReduce => "prof.device.reduce.bytes",
             Self::PcieTransfer => "prof.pcie.transfer.bytes",
         }
     }
@@ -108,8 +93,8 @@ pub struct Traffic {
     pub bytes_read: u64,
     /// Bytes the phase wrote.
     pub bytes_written: u64,
-    /// Work items the bytes amortize over (pairs, k-mers, queries,
-    /// transfers — see each recording site).
+    /// Work items the bytes amortize over (k-mers, queries, transfers —
+    /// see each recording site).
     pub items: u64,
 }
 
@@ -223,8 +208,8 @@ mod tests {
     fn disabled_record_is_a_no_op() {
         // Global recorder and tracer are off in the unit binary, so the
         // global table must stay untouched by record().
-        record(Phase::ShardSort, 10, 20, 30);
-        let t = snapshot().traffic(Phase::ShardSort);
+        record(Phase::DeviceMatch, 10, 20, 30);
+        let t = snapshot().traffic(Phase::DeviceMatch);
         assert_eq!(t, Traffic::default());
     }
 }

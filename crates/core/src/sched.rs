@@ -1,7 +1,9 @@
 //! Timing/energy schedulers for the three design points.
 //!
-//! The schedulers consume resolved per-query work (rows to activate, hit or
-//! miss) and account for where the time goes on each design:
+//! The schedulers consume the device's match pass, summed per subarray:
+//! Type-2/3 its [`SubLoad`]s (queries, rows to activate, hits), Type-1
+//! also the Region-1 streams the pass charged query by query through a
+//! [`Type1Pass`]. They account for where the time goes on each design:
 //!
 //! * **Type-3**: each subarray matches locally; a bank runs up to `salp`
 //!   subarrays concurrently (LPT assignment of subarray loads onto SALP
@@ -19,20 +21,18 @@
 //! the sorted partitions so matching requests do not pile onto one bank.
 
 use sieve_dram::{EnergyLedger, TimePs};
-use sieve_genomics::TaxonId;
 
 use crate::config::{DeviceKind, SieveConfig};
 use crate::energy_model::ComponentEnergies;
-use crate::engine::{self, KeyTable, SubarrayKeys};
+use crate::engine::{self, KeyTable};
 use crate::etm;
 use crate::layout::{DeviceLayout, SubarrayView};
 use crate::obs;
-use crate::par;
-use crate::shard::{Pair, ShardPlan};
 use crate::stats::SimReport;
 use crate::trace;
 
-/// Per-subarray aggregated work, produced shard-by-shard by the matchers.
+/// One subarray's share of a run, summed query by query by the match
+/// pass (and over its ranges, when the pass fans out).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SubLoad {
     /// Queries routed to the subarray.
@@ -41,6 +41,19 @@ pub(crate) struct SubLoad {
     pub rows: u64,
     /// Hits among its queries.
     pub hits: u64,
+    /// The most rows any one of its queries activated: where ETM let the
+    /// subarray's matching stop (the trace's `etm.terminate`).
+    pub deepest_rows: u32,
+}
+
+impl SubLoad {
+    /// Adds `other`'s work (another range of the same batch).
+    pub(crate) fn absorb(&mut self, other: &Self) {
+        self.queries += other.queries;
+        self.rows += other.rows;
+        self.hits += other.hits;
+        self.deepest_rows = self.deepest_rows.max(other.deepest_rows);
+    }
 }
 
 /// Time to retrieve one payload: activate the Region-2 offset row and the
@@ -131,9 +144,9 @@ fn lpt_makespan(mut loads: Vec<TimePs>, slots: usize) -> TimePs {
 }
 
 /// Schedules Type-2/3 work from per-subarray loads (index = occupied
-/// subarray id; unoccupied gaps carry zero queries). The loads table is
-/// built by the sharded matchers; iteration below is in subarray order,
-/// so the schedule is independent of how the shards were executed.
+/// subarray id; subarrays no query reached carry zero queries).
+/// Iteration below is in subarray order, so the schedule is independent
+/// of how the match pass split the batch.
 pub(crate) fn simulate_type23(config: &SieveConfig, loads: &[SubLoad]) -> SimReport {
     let comp = ComponentEnergies::paper();
     let banks = config.geometry.total_banks();
@@ -308,25 +321,29 @@ const _: () = assert!(
 
 const BATCH: usize = TYPE1_BATCH_COLS as usize;
 
-/// One shard's Type-1 contribution: integer counts whose merge order
-/// cannot affect the totals. Every energy term is a fixed price times
-/// one of them, so [`simulate_type1`] prices the merged totals.
+/// One subarray's Type-1 totals: integer sums whose merge order cannot
+/// affect them. Every energy term is a fixed price times one of them,
+/// so [`simulate_type1`] prices the merged totals.
 #[derive(Debug, Clone, Copy, Default)]
-struct Type1Partial {
-    subarray: usize,
+pub(crate) struct Type1Partial {
     busy: TimePs,
     row_activations: u64,
     read_bursts: u64,
 }
 
 impl Type1Partial {
-    /// Charges `m` queries that each stream `cost` through Region 1,
-    /// `hits` of which then retrieve a payload (two more activations and
-    /// bursts).
-    fn charge(&mut self, cost: RowCost, m: u64, hits: u64, payload: TimePs) {
-        self.busy += cost.time * m + payload * hits;
-        self.row_activations += cost.rows * m + 2 * hits;
-        self.read_bursts += cost.reads * m + 2 * hits;
+    /// Charges `m` queries that each stream `cost` through Region 1.
+    fn charge(&mut self, cost: RowCost, m: u64) {
+        self.busy += cost.time * m;
+        self.row_activations += cost.rows * m;
+        self.read_bursts += cost.reads * m;
+    }
+
+    /// Adds `other`'s totals (another range of the same batch).
+    pub(crate) fn absorb(&mut self, other: Self) {
+        self.busy += other.busy;
+        self.row_activations += other.row_activations;
+        self.read_bursts += other.read_bursts;
     }
 }
 
@@ -342,7 +359,7 @@ struct RowCost {
 /// The non-empty batches of a Type-1 subarray's row. Type-1 stores rank
 /// `r` in column `r`, so batch `j` holds ranks `64j..min(64j + 64, len)`
 /// and the batch of insertion rank `ins` is `ins / 64`; debug builds
-/// check that layout once per task.
+/// check that layout each time a subarray's tables are built.
 fn batch_count(sa: &SubarrayView<'_>, cols_per_row: u32) -> usize {
     let len = sa.len();
     debug_assert!(
@@ -370,9 +387,10 @@ fn etm_off_cost(config: &SieveConfig, batches: usize) -> RowCost {
     }
 }
 
-/// One subarray's Type-1 batch depths, built once per task (~32 KB at
-/// 128 batches and k = 31, freed with the task), which turn a query's
-/// row stream into four LCPs around its insertion point.
+/// One subarray's Type-1 batch depths, built when the subarray's first
+/// query arrives (~32 KB at 128 batches and k = 31, freed with the
+/// [`Type1Pass`]), which turn a query's row stream into four LCPs around
+/// its insertion point.
 ///
 /// A batch stays live while the query still matches one of its keys: for
 /// its max LCP plus one rows. For sorted keys `x ≤ y ≤ z`,
@@ -388,7 +406,8 @@ fn etm_off_cost(config: &SieveConfig, batches: usize) -> RowCost {
 /// cap only lowers `lo` and `hi`. The tables hold prefix sums over depth,
 /// `Σ_{s<t} below[b][s]`, so one entry gives a query's bursts.
 struct DepthTables<'a> {
-    keys: SubarrayKeys<'a>,
+    /// The subarray's packed keys, by rank.
+    keys: &'a [u64],
     /// `bit_len + 1` prefix sums per batch row, `t = 0..=bit_len`.
     below: Vec<u16>,
     above: Vec<u16>,
@@ -415,9 +434,9 @@ impl<'a> DepthTables<'a> {
         subarray: usize,
     ) -> Self {
         let bit_len = config.region1_rows() as usize;
-        let keys = keys.subarray(layout, subarray);
+        let keys = keys.subarray_keys(layout, subarray);
         let batches = batch_count(&layout.subarray(subarray), config.geometry.cols_per_row);
-        let (sorted, width) = (keys.keys, bit_len + 1);
+        let (sorted, width) = (keys, bit_len + 1);
         let lcp = |a: u64, b: u64| engine::lcp_bits_u64_swar(a, b, bit_len);
         let last = |j: usize| sorted[((j + 1) * BATCH).min(sorted.len()) - 1];
         let first = |j: usize| sorted[j * BATCH];
@@ -455,12 +474,13 @@ impl<'a> DepthTables<'a> {
         }
     }
 
-    /// The Region-1 stream of `query` with ETM on; `hit` is whether the
+    /// The Region-1 stream of `query` with ETM on, given its insertion
+    /// rank `ins` among the subarray's keys; `hit` is whether the
     /// subarray holds it.
     #[inline]
-    fn cost(&self, query: u64, hit: bool) -> RowCost {
-        let (keys, bit_len) = (self.keys.keys, self.bit_len);
-        let ins = self.keys.insertion_rank(query);
+    fn cost(&self, query: u64, ins: usize, hit: bool) -> RowCost {
+        let (keys, bit_len) = (self.keys, self.bit_len);
+        debug_assert_eq!(ins, keys.partition_point(|&k| k < query));
         debug_assert_eq!(hit, keys.get(ins) == Some(&query));
         let b = ins / BATCH;
         let start = b * BATCH;
@@ -520,92 +540,102 @@ impl<'a> DepthTables<'a> {
     }
 }
 
-/// Accounts one task of Type-1 queries against its subarray.
-///
-/// `pairs` is the task's slice of the plan's grouped `(bits, id)` array,
-/// and `results[id]` is the match stage's payload for query `id`. Every
-/// per-query quantity is a pure function of the k-mer, so the task's
-/// integer sums do not depend on the order its queries arrive in.
-fn type1_task(
-    config: &SieveConfig,
-    layout: &DeviceLayout,
-    keys: &KeyTable,
-    results: &[Option<TaxonId>],
-    subarray: usize,
-    pairs: &[Pair],
-) -> Type1Partial {
-    let payload = payload_time(config);
-    let hit = |pair: &Pair| results[pair.id() as usize].is_some();
-    let mut p = Type1Partial {
-        subarray,
-        ..Type1Partial::default()
-    };
-    if config.etm_enabled {
-        let tables = DepthTables::new(config, layout, keys, subarray);
-        for pair in pairs {
-            let hit = hit(pair);
-            p.charge(tables.cost(pair.key(), hit), 1, u64::from(hit), payload);
+/// The Type-1 side of a match pass over one range of the batch, with
+/// ETM on: each query's Region-1 stream, priced from the rank the pass
+/// already found and summed per subarray. A subarray's [`DepthTables`]
+/// are built when its first query arrives. Every per-query cost is a
+/// pure function of the k-mer, so the sums do not depend on the order
+/// the queries arrive in or on how the batch was split into ranges.
+pub(crate) struct Type1Pass<'a> {
+    config: &'a SieveConfig,
+    layout: &'a DeviceLayout,
+    keys: &'a KeyTable,
+    tables: Vec<Option<DepthTables<'a>>>,
+    partials: Vec<Type1Partial>,
+}
+
+impl<'a> Type1Pass<'a> {
+    /// An empty pass over the occupied subarrays of `layout`, searched
+    /// through `keys` (the table built from it).
+    pub(crate) fn new(
+        config: &'a SieveConfig,
+        layout: &'a DeviceLayout,
+        keys: &'a KeyTable,
+    ) -> Self {
+        let subarrays = layout.occupied_subarrays();
+        Self {
+            config,
+            layout,
+            keys,
+            tables: (0..subarrays).map(|_| None).collect(),
+            partials: vec![Type1Partial::default(); subarrays],
         }
-    } else {
-        let hits = pairs.iter().filter(|pair| hit(pair)).count() as u64;
-        let batches = batch_count(&layout.subarray(subarray), config.geometry.cols_per_row);
-        p.charge(
-            etm_off_cost(config, batches),
-            pairs.len() as u64,
-            hits,
-            payload,
-        );
     }
-    p
+
+    /// Charges `query`, routed to `subarray` at insertion rank `ins`
+    /// among its keys; `hit` is whether the subarray holds it.
+    #[inline]
+    pub(crate) fn charge(&mut self, subarray: usize, query: u64, ins: usize, hit: bool) {
+        let Self {
+            config,
+            layout,
+            keys,
+            tables,
+            partials,
+        } = self;
+        let tables = tables[subarray]
+            .get_or_insert_with(|| DepthTables::new(config, layout, keys, subarray));
+        partials[subarray].charge(tables.cost(query, ins, hit), 1);
+    }
+
+    /// The per-subarray totals (the tables are dropped).
+    pub(crate) fn into_partials(self) -> Vec<Type1Partial> {
+        self.partials
+    }
 }
 
 /// Schedules Type-1 work: per-bank serial matcher array, batch-granular
-/// ETM. The plan's tasks fan out over worker threads; the reduce below
-/// only sums integers per bank, so the report is bit-identical for any
-/// `threads` and for any shard → task split.
-///
-/// `results` holds the run's payloads by query id (see [`type1_task`]);
-/// `total_queries` / `total_hits` are the batch totals.
-#[allow(clippy::too_many_arguments)]
+/// ETM. With ETM on, `partials` holds each subarray's Region-1 streams
+/// as the match pass charged them ([`Type1Pass`]); with it off every
+/// query of a subarray streams the same closed form, priced here from
+/// its `loads` entry, and `partials` is empty. Payloads are priced from
+/// the hits in `loads`. Every total is an integer sum, so the report is
+/// bit-identical for any `threads` and any split of the batch.
 pub(crate) fn simulate_type1(
     config: &SieveConfig,
     layout: &DeviceLayout,
-    keys: &KeyTable,
-    results: &[Option<TaxonId>],
-    plan: &ShardPlan,
-    pairs: &[Pair],
-    threads: usize,
-    total_queries: u64,
-    total_hits: u64,
+    loads: &[SubLoad],
+    partials: &[Type1Partial],
 ) -> SimReport {
     let banks = config.geometry.total_banks();
-    let partials = par::map_indexed(threads, plan.task_count(), |t| {
-        let (subarray, range) = plan.task(t);
-        type1_task(config, layout, keys, results, subarray, &pairs[range])
-    });
-
+    let payload = payload_time(config);
     let tr = trace::global();
-    if tr.is_enabled() {
-        // Per-task Type-1 streaming intervals, in plan-task order (the
-        // partials come back from map_indexed indexed by task id).
-        let ts = tr.model_ps();
-        for p in &partials {
-            tr.emit_model(
-                "t1.stream",
-                p.subarray as u32,
-                ts,
-                p.busy,
-                p.row_activations,
-                p.read_bursts,
-            );
-        }
-    }
-
+    let ts = tr.model_ps();
     let mut row_activations = 0u64;
     let mut read_bursts = 0u64;
     let mut bank_busy = vec![0u64; banks];
-    for p in &partials {
-        bank_busy[p.subarray % banks] += p.busy;
+    for (subarray, l) in loads.iter().enumerate().filter(|(_, l)| l.queries > 0) {
+        let mut p = partials.get(subarray).copied().unwrap_or_default();
+        if !config.etm_enabled {
+            let batches = batch_count(&layout.subarray(subarray), config.geometry.cols_per_row);
+            p.charge(etm_off_cost(config, batches), l.queries);
+        }
+        // A hit then retrieves its payload: two more activations and
+        // bursts.
+        p.busy += payload * l.hits;
+        p.row_activations += 2 * l.hits;
+        p.read_bursts += 2 * l.hits;
+        // One streaming interval per subarray that received queries, in
+        // subarray order.
+        tr.emit_model(
+            "t1.stream",
+            subarray as u32,
+            ts,
+            p.busy,
+            p.row_activations,
+            p.read_bursts,
+        );
+        bank_busy[subarray % banks] += p.busy;
         row_activations += p.row_activations;
         read_bursts += p.read_bursts;
     }
@@ -631,8 +661,8 @@ pub(crate) fn simulate_type1(
         ideal,
         ideal,
         RunTotals {
-            queries: total_queries,
-            hits: total_hits,
+            queries: loads.iter().map(|l| l.queries).sum(),
+            hits: loads.iter().map(|l| l.hits).sum(),
             row_activations,
             write_bursts: 0,
             read_bursts,
@@ -854,12 +884,13 @@ mod tests {
                 let tables = DepthTables::new(&config, layout, &keys, s);
                 for &probe in &probes {
                     let q = Kmer::from_u64(probe, layout.k()).unwrap();
-                    let hit = sa
-                        .entries()
-                        .binary_search_by_key(&probe, |(k, _)| k.bits())
-                        .is_ok();
+                    let (hit, ins) =
+                        match sa.entries().binary_search_by_key(&probe, |(k, _)| k.bits()) {
+                            Ok(rank) => (true, rank),
+                            Err(ins) => (false, ins),
+                        };
                     let got = if etm {
-                        tables.cost(probe, hit)
+                        tables.cost(probe, ins, hit)
                     } else {
                         etm_off_cost(&config, batches)
                     };

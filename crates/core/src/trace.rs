@@ -5,22 +5,23 @@
 //!
 //! Where [`crate::obs`] aggregates (*how much*: counters, histograms),
 //! `trace` keeps the individual events (*what happened when*), so
-//! questions that aggregates cannot answer — which shard serialized the
-//! match phase, which chunk of a stream ran long, where in the batch ETM
+//! questions that aggregates cannot answer — which subarray's work
+//! dominated a run, which chunk of a stream ran long, where ETM
 //! terminated — can be read straight off a timeline. The two domains
 //! are:
 //!
 //! * **Model time** — events stamped in *simulated picoseconds* on a
 //!   virtual clock ([`Tracer::model_ps`]) that the pipeline advances by
-//!   each run's makespan: shard dispatch, task-split boundaries, batch
-//!   issue, ETM termination depth, Column-Finder drain, cluster routing,
-//!   transport transfers. Every model event is emitted from a
-//!   deterministic point of the plan → match → reduce → schedule
-//!   structure, in deterministic order, so the model event stream is
+//!   each run's makespan: per-subarray dispatch and ETM termination
+//!   depth, batch issue, Type-1 streams, Column-Finder drain, cluster
+//!   routing, transport transfers. Every model event is emitted from the
+//!   merged sums of the match → schedule structure, in subarray order,
+//!   so the model event stream is
 //!   **bit-identical across thread counts**
 //!   (`tests/trace_determinism.rs`), exactly like `obs` snapshots.
 //! * **Wall clock** — [`TraceSpan`] scopes around real pipeline phases
-//!   (extract, plan, match, reduce, vote, each `classify_stream` chunk),
+//!   (extract, device, match, schedule, vote, each `classify_stream`
+//!   chunk),
 //!   stamped in nanoseconds since the tracer's epoch on the emitting
 //!   worker's own track. Each phase opens one span, and the tracer is the
 //!   pipeline's only wall clock. These measure the simulator itself and

@@ -27,10 +27,13 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # overflow checks turn any silent wrap in that algebra into a test
 # failure. The extraction and revcomp twins live in kernel_equivalence,
 # the vote and LCP twins next to their scalar references in sieve-core's
-# host and engine modules, and the Type-1 per-query cost twin
-# (type1_cost_twins_reference_*: u16 depth-table prefix sums, LCP from
-# XOR on boundary keys, the row-stream sums) in sched, next to the
-# config guard that keeps those prefix sums from wrapping. A separate
+# host and engine modules, the staged key-table search twin in engine
+# (key_table_twins_lookup*: the global rank, the rank -> subarray
+# arithmetic with its g - 1 at g = 0, and the outcome, held to
+# SubarrayIndex::locate and engine::lookup), and the Type-1 per-query
+# cost twin (type1_cost_twins_reference_*: u16 depth-table prefix sums,
+# LCP from XOR on boundary keys, the row-stream sums) in sched, next to
+# the config guard that keeps those prefix sums from wrapping. A separate
 # target dir keeps the special RUSTFLAGS from invalidating the main
 # cache.
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \

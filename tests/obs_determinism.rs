@@ -100,9 +100,10 @@ fn seeded_device_runs_snapshot_identically_across_thread_counts() {
     }
 }
 
-/// A forced-imbalance batch — nearly every query in one subarray's shard,
-/// split into many match tasks — only moves work between workers, so the
-/// snapshot must be bit-identical across the full thread sweep.
+/// A forced-imbalance batch — nearly every query routed to one subarray,
+/// whose sums every worker's range contributes to — only moves work
+/// between workers, so the snapshot must be bit-identical across the
+/// full thread sweep.
 #[test]
 fn one_giant_shard_snapshots_identically_across_thread_counts() {
     let _session = RecorderSession::begin();

@@ -1,4 +1,4 @@
-//! Determinism of the sharded parallel simulation core (DESIGN.md §6):
+//! Determinism of the parallel simulation core (DESIGN.md §6):
 //! for every `threads` setting — sequential, moderate, oversubscribed —
 //! a run's functional results and its full timing/energy report must be
 //! bit-identical to the sequential run's.
@@ -9,8 +9,7 @@ use sieve::dram::Geometry;
 use sieve::genomics::{synth, DnaSequence, Kmer};
 
 /// Includes 1 (the sequential reference), the container's typical core
-/// counts, and an oversubscribed setting (more workers than shards is
-/// common for small batches).
+/// counts, and an oversubscribed setting (more workers than cores).
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn dataset() -> synth::SyntheticDataset {
@@ -100,8 +99,8 @@ fn seeded_pipeline_is_identical_across_thread_counts() {
 fn degenerate_batches_are_identical_across_thread_counts() {
     let ds = dataset();
     let one = ds.entries[0].0;
-    // Empty batch, single query, and a batch of one repeated k-mer (a
-    // single shard, so every worker but one idles).
+    // Empty batch, single query, and a batch of one repeated k-mer (every
+    // worker's range routes to the same one subarray).
     for queries in [Vec::new(), vec![one], vec![one; 257]] {
         let base = device(SieveConfig::type3(8), 1, &ds).run(&queries).unwrap();
         for threads in &THREAD_SWEEP[1..] {
@@ -164,8 +163,7 @@ fn repeated_read_streams_are_bit_identical_across_thread_counts() {
 }
 
 /// `count` distinct 31-mers sharing their top 10 bits and spread over the
-/// low 40: they all route to one subarray, whose shard the plan splits
-/// into several match tasks.
+/// low 40: they all route to one subarray.
 fn giant_bucket(count: u64) -> Vec<Kmer> {
     (0..count)
         .map(|i| {
@@ -179,14 +177,14 @@ fn giant_bucket(count: u64) -> Vec<Kmer> {
 /// run — functional results and the full modeled report — on three
 /// adversarial batch shapes:
 ///
-/// * `giant` — 20,000 distinct keys in one subarray's shard plus a
-///   spread fringe: at threads > 1 the heavy shard's match tasks spread
-///   over the workers while the fringe's shards stay small;
+/// * `giant` — 20,000 distinct keys routed to one subarray plus a
+///   spread fringe: at threads > 1 every worker's range charges that
+///   subarray, and the ranges' sums for it must merge exactly;
 /// * `narrow` — three distinct keys cycled, so every multi-worker
-///   setting has more workers than occupied buckets;
+///   setting has more workers than subarrays the batch reaches;
 /// * `mixed` — a spread of stored entries, the balanced common case.
 #[test]
-fn steal_grid_is_bit_identical_across_worker_counts() {
+fn skewed_batches_are_bit_identical_across_worker_counts() {
     let ds = dataset();
     let spread: Vec<Kmer> = ds.entries.iter().map(|&(k, _)| k).take(64).collect();
     let mut giant = giant_bucket(20_000);

@@ -1,8 +1,7 @@
 //! Analytic byte-count assertions for the roofline traffic layer
-//! (DESIGN.md §10): the plan's counting scatter and the match stage's
-//! key-table lookups must charge their closed forms on real device
-//! batches, and the host extract phase must charge exactly its k-mer
-//! stream.
+//! (DESIGN.md §10): the device's match pass must charge its closed form
+//! on real device batches at every thread count, and the host extract
+//! phase must charge exactly its k-mer stream.
 //!
 //! The prof table is process-wide (like the recorder); this file owns
 //! both and serializes its tests on a local mutex.
@@ -13,19 +12,27 @@ use sieve::core::{obs, prof, HostPipeline, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, Kmer};
 
-/// Bytes of one planner `(bits, id)` pair: a `u64` key and a `u32` id,
-/// packed.
-const PAIR_BYTES: u64 = 12;
+/// Bytes of one query as the match pass reads it: a 16-byte `Kmer`.
+const QUERY_BYTES: u64 = 16;
 
-/// Bytes one key-table lookup reads besides its pair: its bucket's two
+/// Bytes one key-table search reads besides its query: its bucket's two
 /// `u32` offsets and its two `u64` neighbour keys.
 const LOOKUP_BYTES: u64 = 24;
 
 /// Bytes of one payload (a `u32` taxon id), read once per hit.
 const PAYLOAD_BYTES: u64 = 4;
 
-/// Bytes of one `(id, taxon)` hit record.
-const HIT_BYTES: u64 = 8;
+/// Bytes of one result (an `Option<TaxonId>`), written once per query.
+const RESULT_BYTES: u64 = 8;
+
+/// The match pass's closed form for `q` queries with `h` hits.
+fn match_traffic(q: u64, h: u64) -> prof::Traffic {
+    prof::Traffic {
+        bytes_read: q * (QUERY_BYTES + LOOKUP_BYTES) + h * PAYLOAD_BYTES,
+        bytes_written: q * RESULT_BYTES,
+        items: q,
+    }
+}
 
 /// Serializes tests in this binary around the global recorder + table.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -58,8 +65,7 @@ fn dataset() -> synth::SyntheticDataset {
     synth::make_dataset_with(8, 2048, 31, 4242)
 }
 
-/// A Type-3 device over `ds`: every query in a batch is planned and
-/// matched once.
+/// A Type-3 device over `ds`: every query in a batch is matched once.
 fn device(ds: &synth::SyntheticDataset, threads: usize) -> SieveDevice {
     SieveDevice::new(
         SieveConfig::type3(8)
@@ -79,50 +85,10 @@ fn run_traffic(device: &SieveDevice, queries: &[Kmer]) -> (prof::ProfSnapshot, u
     (prof::snapshot(), out.report.hits)
 }
 
-/// The plan's counting scatter: a histogram scan reads every pair, the
-/// scatter reads and writes every pair once more — on a real read batch
-/// that spans many subarrays, at every thread count, and nothing at all
-/// for an empty batch.
-#[test]
-fn shard_sort_matches_the_closed_form_on_a_pipeline_batch() {
-    let _session = RecorderSession::begin();
-    let ds = dataset();
-    let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 7);
-    let queries: Vec<Kmer> = reads
-        .iter()
-        .flat_map(|r| r.kmers(31).map(|(_, k)| k))
-        .collect();
-    let n = queries.len() as u64;
-    for threads in [1usize, 4] {
-        let (snap, _) = run_traffic(&device(&ds, threads), &queries);
-        assert_eq!(
-            snap.traffic(prof::Phase::ShardSort),
-            prof::Traffic {
-                bytes_read: 2 * n * PAIR_BYTES,
-                bytes_written: n * PAIR_BYTES,
-                items: n
-            },
-            "threads={threads}"
-        );
-        assert!(
-            obs::global()
-                .snapshot()
-                .histogram("shard_queries")
-                .is_some_and(|h| h.count > 1),
-            "the batch must spread over several shards"
-        );
-    }
-    let (snap, _) = run_traffic(&device(&ds, 1), &[]);
-    assert_eq!(
-        snap.traffic(prof::Phase::ShardSort),
-        prof::Traffic::default()
-    );
-}
-
-/// The match stage's reference side: every lookup reads its pair, its
-/// bucket's two offsets and its two neighbour keys; every hit also reads
-/// its payload and writes one hit record. Held on a batch whose hit
-/// count is known before it runs.
+/// The match pass: every query reads itself, its bucket's two offsets
+/// and its two neighbour keys and writes its result; every hit also
+/// reads its payload. Held on a batch whose hit count is known before it
+/// runs, at one thread and at four, and on an empty batch.
 #[test]
 fn device_match_charges_its_lookups_and_payloads() {
     let _session = RecorderSession::begin();
@@ -145,59 +111,55 @@ fn device_match_charges_its_lookups_and_payloads() {
         assert_eq!(hits, h, "threads={threads}");
         assert_eq!(
             snap.traffic(prof::Phase::DeviceMatch),
-            prof::Traffic {
-                bytes_read: n * (PAIR_BYTES + LOOKUP_BYTES) + h * PAYLOAD_BYTES,
-                bytes_written: h * HIT_BYTES,
-                items: n
-            },
+            match_traffic(n, h),
             "threads={threads}"
         );
     }
+    let (snap, _) = run_traffic(&device(&ds, 1), &[]);
+    assert_eq!(
+        snap.traffic(prof::Phase::DeviceMatch),
+        prof::Traffic::default()
+    );
 }
 
 /// Host extract must charge exactly its stream: one byte per input
 /// base read, one `(Kmer, id)` record per produced k-mer written — and
-/// the device phases must satisfy their per-record shapes.
+/// the match pass its closed form over the extracted k-mers, at one
+/// thread and at four.
 #[test]
 fn pipeline_phases_charge_their_streams() {
     let _session = RecorderSession::begin();
     let ds = synth::make_dataset_with(8, 2048, 31, 4242);
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 7);
-    let device = SieveDevice::new(
-        SieveConfig::type3(8)
-            .with_geometry(Geometry::scaled_medium())
-            .with_threads(2),
-        ds.entries.clone(),
-    )
-    .expect("dataset fits the scaled geometry");
-    obs::global().reset();
-    prof::reset();
-    HostPipeline::new(device).classify_reads(&reads).unwrap();
-    let snap = prof::snapshot();
-    let metrics = obs::global().snapshot();
+    for threads in [1usize, 4] {
+        obs::global().reset();
+        prof::reset();
+        let out = HostPipeline::new(device(&ds, threads))
+            .classify_reads(&reads)
+            .unwrap();
+        let snap = prof::snapshot();
+        let metrics = obs::global().snapshot();
 
-    let extract = snap.traffic(prof::Phase::HostExtract);
-    let base_bytes: u64 = reads.iter().map(|r| r.len() as u64).sum();
-    assert_eq!(extract.bytes_read, base_bytes);
-    assert_eq!(extract.items, metrics.counter("host_kmers"));
-    // One 16 B Kmer plus one u32 owner id per extracted k-mer.
-    assert_eq!(extract.bytes_written, extract.items * 20);
+        let extract = snap.traffic(prof::Phase::HostExtract);
+        let base_bytes: u64 = reads.iter().map(|r| r.len() as u64).sum();
+        assert_eq!(extract.bytes_read, base_bytes, "threads={threads}");
+        assert_eq!(extract.items, metrics.counter("host_kmers"));
+        // One 16 B Kmer plus one u32 owner id per extracted k-mer.
+        assert_eq!(extract.bytes_written, extract.items * 20);
 
-    let matched = snap.traffic(prof::Phase::DeviceMatch);
-    assert!(matched.items > 0, "no match tasks ran");
-    let reduce = snap.traffic(prof::Phase::DeviceReduce);
-    assert_eq!(reduce.bytes_read, reduce.bytes_written);
-    // Match writes and reduce moves the same 8 B hit records, one per
-    // matched hit; each of those hits read its payload.
-    assert_eq!(matched.bytes_written, reduce.bytes_written);
-    assert_eq!(reduce.bytes_written, reduce.items * HIT_BYTES);
-    assert_eq!(
-        matched.bytes_read,
-        matched.items * (PAIR_BYTES + LOOKUP_BYTES) + reduce.items * PAYLOAD_BYTES
-    );
-    let sorted = snap.traffic(prof::Phase::ShardSort);
-    assert_eq!(sorted.items, matched.items);
-    assert_eq!(sorted.bytes_read, 2 * sorted.bytes_written);
+        assert!(out.report.hits > 0, "the batch must hit");
+        assert!(
+            metrics
+                .histogram("shard_queries")
+                .is_some_and(|h| h.count > 1),
+            "the batch must spread over several subarrays"
+        );
+        assert_eq!(
+            snap.traffic(prof::Phase::DeviceMatch),
+            match_traffic(extract.items, out.report.hits),
+            "threads={threads}"
+        );
+    }
 }
 
 /// The simulated transport link charges its transfer sizes: one record

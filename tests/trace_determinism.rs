@@ -1,6 +1,6 @@
 //! Determinism and export contracts of the tracing subsystem (DESIGN.md
-//! §8): the **model-time** event stream — shard dispatch, task splits,
-//! batch issue, ETM termination, CF drain, cluster hops — is a pure
+//! §8): the **model-time** event stream — shard dispatch, ETM
+//! termination, batch issue, CF drain, Type-1 streams, cluster hops — is a pure
 //! function of the workload, so its canonical rendering must be
 //! byte-identical across simulator thread counts. Wall-clock spans
 //! measure the simulator itself and carry no such contract.
@@ -73,8 +73,7 @@ fn model_sweep(mut work: impl FnMut(usize)) -> Vec<(String, trace::TraceSnapshot
 }
 
 /// Duplicate-heavy read workload (every read appears twice, so every
-/// k-mer repeats): exercises task splitting and multi-chunk streaming
-/// with repeated k-mers.
+/// k-mer repeats): exercises multi-chunk streaming with repeated k-mers.
 fn stream_workload(ds: &synth::SyntheticDataset) -> Vec<sieve::genomics::DnaSequence> {
     let (reads, _) = synth::simulate_reads(ds, synth::ReadSimConfig::default(), 30, 7);
     reads.iter().flat_map(|r| [r.clone(), r.clone()]).collect()
@@ -107,7 +106,6 @@ fn stream_model_trace_is_byte_identical_across_thread_counts() {
     // The stream covers every instrumented model layer.
     for name in [
         "shard.dispatch",
-        "task.split",
         "etm.terminate",
         "batch.issue",
         "dispatch.stall",
@@ -130,12 +128,12 @@ fn stream_model_trace_is_byte_identical_across_thread_counts() {
     assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
 }
 
-/// Match tasks run on wall-clock workers but never touch model time, so
-/// the canonical model-stream rendering must stay byte-identical across
-/// worker counts {1,2,4,8}, including on a forced-imbalance batch
-/// (nearly every pair in one subarray's shard).
+/// The match pass's ranges run on wall-clock workers but never touch
+/// model time, so the canonical model-stream rendering must stay
+/// byte-identical across worker counts {1,2,4,8}, including on a
+/// forced-imbalance batch (nearly every query routed to one subarray).
 #[test]
-fn steal_grid_keeps_the_model_trace_byte_identical() {
+fn skewed_batch_keeps_the_model_trace_byte_identical_across_worker_counts() {
     let _session = TracerSession::begin();
     let ds = dataset();
     let mut queries: Vec<Kmer> = (0..20_000u64)
@@ -220,27 +218,27 @@ fn type1_model_trace_is_byte_identical_across_thread_counts() {
     }
     assert!(
         runs[0].1.model.iter().any(|e| e.name == "t1.stream"),
-        "Type-1 runs emit per-task streaming intervals"
+        "Type-1 runs emit per-subarray streaming intervals"
     );
 }
 
 /// The tracer is the pipeline's only wall clock: every instrumented phase
 /// opens exactly one span per call — per chunk for a stream — on every
-/// design point.
+/// design point, for single-end batches, streams and read pairs.
 #[test]
 fn every_phase_records_one_wall_span_per_call_for_batches_and_streams() {
     let _session = TracerSession::begin();
     let ds = dataset();
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 25, 11);
+    let (pairs, _) =
+        synth::simulate_paired_reads(&ds, synth::ReadSimConfig::default(), 200, 12, 13);
+    const CHUNK: usize = 10;
     let phases = [
         "host.extract",
         "host.device",
         "host.vote",
-        "device.plan",
         "device.match",
-        "device.reduce",
         "device.schedule",
-        "shard.sort",
     ];
     for config in [
         SieveConfig::type1(),
@@ -249,25 +247,29 @@ fn every_phase_records_one_wall_span_per_call_for_batches_and_streams() {
     ] {
         let label = config.device.label();
         let host = HostPipeline::new(device(config, 4, &ds));
-        for chunk in [None, Some(10)] {
+        for call in ["batch", "stream", "pairs"] {
             trace::global().reset();
-            let calls = match chunk {
-                None => {
+            let calls = match call {
+                "batch" => {
                     host.classify_reads(&reads).unwrap();
                     1
                 }
-                Some(chunk) => {
-                    host.classify_stream(&reads, chunk).unwrap();
-                    reads.len().div_ceil(chunk)
+                "stream" => {
+                    host.classify_stream(&reads, CHUNK).unwrap();
+                    reads.len().div_ceil(CHUNK)
+                }
+                _ => {
+                    host.classify_pairs(&pairs).unwrap();
+                    1
                 }
             };
             let wall = trace::global().snapshot().wall;
-            let chunks = chunk.map(|_| "host.chunk");
+            let chunks = (call == "stream").then_some("host.chunk");
             for name in phases.into_iter().chain(chunks) {
                 let spans = wall.iter().filter(|e| e.name == name).count();
                 assert_eq!(
                     spans, calls,
-                    "{label} chunk={chunk:?}: {name} opened {spans} spans for {calls} calls"
+                    "{label} {call}: {name} opened {spans} spans for {calls} calls"
                 );
             }
         }
