@@ -57,6 +57,8 @@ fn bench_engine_lookup(c: &mut Criterion) {
 /// rolling extraction and the branchless majority vote. Same group as the
 /// match kernel so one `match_kernel` filter covers the host hot path end
 /// to end; `kmer_extraction/rolling_100_reads` is the per-base reference.
+/// `extract` measures the serial, whole-batch `HostPipeline::extract_kmers`
+/// (the classify calls extract the same way, one block at a time).
 fn bench_host_kernels(c: &mut Criterion) {
     use sieve_core::{vote_reads, HostPipeline, SieveDevice};
     use sieve_genomics::TaxonId;
@@ -102,7 +104,9 @@ fn bench_host_kernels(c: &mut Criterion) {
 /// `key_table_512` runs the device's match pass: a staged
 /// [`engine::KeyTable::ranks`] search over each 512-query block, then
 /// [`engine::KeyTable::resolve`] routes and resolves every query from its
-/// rank with the precomputed [`etm::RowTable`].
+/// rank with the precomputed [`etm::RowTable`]. `key_table_512_hits`
+/// runs the same loop over stored keys only, the `hot_stream` shape,
+/// where every query reads its payload from the table's column.
 fn bench_match_kernel(c: &mut Criterion) {
     use sieve_core::etm::RowTable;
     use sieve_core::SubarrayIndex;
@@ -110,8 +114,32 @@ fn bench_match_kernel(c: &mut Criterion) {
     let (layout, queries) = setup_layout();
     let index = SubarrayIndex::build(&layout);
     let keys: Vec<u64> = queries.iter().map(|q| q.bits()).collect();
+    // As many stored keys as there are queries, spread over the whole
+    // table.
+    let step = (layout.len() / keys.len()).max(1);
+    let hits: Vec<u64> = layout
+        .entries()
+        .iter()
+        .step_by(step)
+        .cycle()
+        .take(keys.len())
+        .map(|(k, _)| k.bits())
+        .collect();
     let table = engine::KeyTable::new(&layout);
     let rows = RowTable::new(62, true, 1);
+    let staged = |keys: &[u64]| {
+        let mut ranks = [0usize; BLOCK];
+        let mut total = 0u64;
+        for block in keys.chunks(BLOCK) {
+            let ranks = &mut ranks[..block.len()];
+            table.ranks(block, ranks);
+            for (&key, &g) in block.iter().zip(ranks.iter()) {
+                let outcome = table.resolve(key, g, &rows).outcome;
+                total += u64::from(outcome.rows) + outcome.hit.map_or(0, |(_, t)| u64::from(t.0));
+            }
+        }
+        total
+    };
     let mut g = c.benchmark_group("match_kernel");
     g.throughput(Throughput::Elements(keys.len() as u64));
     g.bench_function("per_query_lookup", |b| {
@@ -125,18 +153,10 @@ fn bench_match_kernel(c: &mut Criterion) {
         });
     });
     g.bench_function("key_table_512", |b| {
-        let mut ranks = [0usize; BLOCK];
-        b.iter(|| {
-            let mut total = 0u64;
-            for block in keys.chunks(BLOCK) {
-                let ranks = &mut ranks[..block.len()];
-                table.ranks(block, ranks);
-                for (&key, &g) in block.iter().zip(ranks.iter()) {
-                    total += u64::from(table.resolve(&layout, key, g, &rows).outcome.rows);
-                }
-            }
-            std::hint::black_box(total)
-        });
+        b.iter(|| std::hint::black_box(staged(&keys)));
+    });
+    g.bench_function("key_table_512_hits", |b| {
+        b.iter(|| std::hint::black_box(staged(&hits)));
     });
     g.finish();
 }

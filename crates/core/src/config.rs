@@ -104,9 +104,10 @@ pub struct SieveConfig {
     /// Simulator worker threads: `0` (the default) uses all available
     /// parallelism, `1` runs fully sequentially, `n` uses exactly `n`
     /// workers. This is a *simulator* knob, not a modeled device
-    /// parameter: each worker matches one contiguous range of the batch
-    /// and the ranges' integer sums merge, so the output is bit-identical
-    /// for every value (see DESIGN.md §6).
+    /// parameter: each worker takes one contiguous range of a call's
+    /// reads (or of a batch's queries) and the ranges' integer sums
+    /// merge, so the output is bit-identical for every value (see
+    /// DESIGN.md §6).
     pub threads: usize,
 }
 

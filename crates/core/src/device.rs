@@ -1,14 +1,18 @@
 //! The public device model: load a reference set, run query batches,
 //! get functional results plus a timing/energy report.
 //!
-//! A run is two stages. The **match** pass walks the batch in arrival
-//! order, 512 queries at a time: a staged search of the device's key
-//! table ([`engine::KeyTable`]) finds every query's rank among all the
+//! A run is two stages. The **match** pass walks the queries in arrival
+//! order, 512 at a time: a staged search of the device's key table
+//! ([`engine::KeyTable`]) finds every query's rank among all the
 //! reference keys, and that rank routes the query to its subarray,
-//! resolves it there and charges it to the subarray's load. The
+//! resolves it there and charges it to the subarray's load. The pass
+//! carries its per-subarray sums from one call to the next, so the host
+//! pipeline matches a run block by block as it extracts it, and
+//! [`SieveDevice::run`] drives the same pass over a whole batch. The
 //! **schedule** then times the per-subarray totals on the configured
-//! design point. With `threads > 1` the pass splits the batch into
-//! contiguous ranges, one per worker, and merges their integer sums.
+//! design point, once per run. With `threads > 1` each worker takes one
+//! contiguous range of the run through its own pass, and the passes'
+//! integer sums merge in range order.
 
 use sieve_genomics::{Kmer, TaxonId};
 
@@ -32,10 +36,10 @@ const MAX_BATCH: usize = u32::MAX as usize;
 /// Queries per block of the match pass: big enough that a block's
 /// searches keep many cache misses in flight, small enough that the
 /// block's keys and ranks stay in L1.
-const MATCH_BLOCK: usize = 512;
+pub(crate) const MATCH_BLOCK: usize = 512;
 
 /// Checks the batch bound without allocating anything.
-fn check_batch_len(n: usize) -> Result<(), SieveError> {
+pub(crate) fn check_batch_len(n: usize) -> Result<(), SieveError> {
     if n > MAX_BATCH {
         return Err(SieveError::BatchTooLarge {
             queries: n,
@@ -54,21 +58,11 @@ pub struct RunOutput {
     pub report: SimReport,
 }
 
-/// What every stage reads, fixed for the whole run.
-struct RunCtx<'r> {
-    /// Occupied subarrays: the length of every per-subarray table.
-    subarrays: usize,
-    threads: usize,
-    /// The model clock at the run's start, where its model events land.
-    t0: u64,
-    /// The batch, in input order.
-    queries: &'r [Kmer],
-    type1: bool,
-}
-
 /// What the match pass hands the schedule: per-subarray sums over the
-/// whole batch, merged from every range's [`Matched`] in range order.
+/// whole run, merged from every worker's [`MatchPass`] in range order.
 struct Matched {
+    /// Queries the run matched (on an empty device, its only sum).
+    queries: u64,
     /// Queries, rows, hits and deepest row count per subarray.
     loads: Vec<sched::SubLoad>,
     /// Type-1 with ETM on: each subarray's Region-1 streams, charged
@@ -77,16 +71,9 @@ struct Matched {
 }
 
 impl Matched {
-    /// Zero sums over `subarrays` subarrays.
-    fn new(subarrays: usize) -> Self {
-        Self {
-            loads: vec![sched::SubLoad::default(); subarrays],
-            type1: Vec::new(),
-        }
-    }
-
-    /// Adds the sums of a later range of the same batch.
+    /// Adds the sums of a later range of the same run.
     fn absorb(mut self, other: Self) -> Self {
+        self.queries += other.queries;
         for (load, o) in self.loads.iter_mut().zip(&other.loads) {
             load.absorb(o);
         }
@@ -139,6 +126,113 @@ impl RowsTally {
             }
             obs::global().merge_local(obs::HistId::EtmRowsActivated, &self.large);
         }
+    }
+}
+
+/// One worker's share of a run's match pass: its row tables, its
+/// per-subarray sums, its Type-1 charges and its row tally, carried from
+/// one [`Self::match_queries`] call to the next, so a run can be matched
+/// block by block as its queries are produced. [`SieveDevice::run`]
+/// drives one pass per range of its batch, and the host pipeline one per
+/// worker over the blocks it extracts; [`SieveDevice::finish_run`]
+/// merges the passes and schedules the run.
+pub(crate) struct MatchPass<'d> {
+    device: &'d SieveDevice,
+    /// The per-lookup `rows_activated` arithmetic, hoisted out of the
+    /// match loop, and its ESP-capped twin for misses.
+    rows: etm::RowTable,
+    esp_rows: Option<etm::RowTable>,
+    matched: Matched,
+    type1: Option<sched::Type1Pass<'d>>,
+    tally: RowsTally,
+}
+
+impl MatchPass<'_> {
+    /// Matches `queries` in arrival order, writing `out[i]` for
+    /// `queries[i]`, and adds their work to the pass's sums: per
+    /// [`MATCH_BLOCK`] of queries, every query's k is checked, the
+    /// staged search gives every query's global rank, then each query is
+    /// routed, resolved and accounted from its rank. On an empty device
+    /// every query misses.
+    ///
+    /// The k check reads each block of queries just before the search
+    /// reads it again, while it is in L1: a separate scan of a host
+    /// block took 0.3–0.5 ms of a ~15 ms `mg_batch` call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SieveError::KMismatch`] if any query's k differs from
+    /// the loaded database's; the pass is then unusable.
+    pub(crate) fn match_queries(
+        &mut self,
+        queries: &[Kmer],
+        out: &mut [Option<TaxonId>],
+    ) -> Result<(), SieveError> {
+        let _wall = trace::span("device.match");
+        debug_assert_eq!(queries.len(), out.len());
+        let Self {
+            device,
+            rows,
+            esp_rows,
+            matched,
+            type1,
+            tally,
+        } = self;
+        matched.queries += queries.len() as u64;
+        if device.index.is_none() {
+            device.check_queries(queries)?;
+            out.fill(None);
+            return Ok(());
+        }
+        let esp = device.config.esp_override.unwrap_or(0) as usize;
+        let mut keys = [0u64; MATCH_BLOCK];
+        let mut ranks = [0usize; MATCH_BLOCK];
+        for (block, out) in queries.chunks(MATCH_BLOCK).zip(out.chunks_mut(MATCH_BLOCK)) {
+            device.check_queries(block)?;
+            let (keys, ranks) = (&mut keys[..block.len()], &mut ranks[..block.len()]);
+            for (key, q) in keys.iter_mut().zip(block) {
+                *key = q.bits();
+            }
+            device.keys.ranks(keys, ranks);
+            for ((&key, &g), result) in keys.iter().zip(ranks.iter()).zip(out) {
+                let routed = device.keys.resolve(key, g, rows);
+                let (sub, outcome) = (routed.subarray, routed.outcome);
+                let hit = outcome.hit.is_some();
+                let rows = match (esp_rows.as_ref(), hit) {
+                    // Paper-ESP assumption: a miss terminates after at
+                    // most `esp` shared bits.
+                    (Some(esp_rows), false) => esp_rows.rows(outcome.max_lcp.min(esp)),
+                    _ => outcome.rows,
+                };
+                let load = &mut matched.loads[sub];
+                load.queries += 1;
+                load.rows += u64::from(rows);
+                load.hits += u64::from(hit);
+                load.deepest_rows = load.deepest_rows.max(rows);
+                tally.add(rows);
+                *result = outcome.hit.map(|(_, taxon)| taxon);
+                if let Some(type1) = type1 {
+                    type1.charge(sub, key, routed.rank, hit);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The pass's sums, its row tally merged into the recorder and its
+    /// Type-1 charges folded into per-subarray partials.
+    fn finish(self) -> Matched {
+        let Self {
+            mut matched,
+            type1,
+            tally,
+            ..
+        } = self;
+        tally.merge();
+        if let Some(type1) = type1 {
+            matched.type1 = type1.into_partials();
+        }
+        matched
     }
 }
 
@@ -230,8 +324,10 @@ impl SieveDevice {
     /// Runs a query batch: routes and matches every query in arrival
     /// order, then schedules the per-subarray totals on the configured
     /// design point, charging every occurrence of a repeated k-mer in
-    /// full, as the device would. Batches and the chunks of a stream
-    /// (`classify_stream`) both come through here.
+    /// full, as the device would. The host pipeline drives the same
+    /// match pass over the blocks it extracts ([`crate::HostPipeline`]),
+    /// so a batch it classifies and the same k-mers run here give one
+    /// report.
     ///
     /// The match → schedule structure is deterministic: each result is
     /// written at its query's index and every merged quantity is an
@@ -244,148 +340,95 @@ impl SieveDevice {
     /// the loaded database's, and [`SieveError::BatchTooLarge`] if the
     /// batch holds more than `u32::MAX` queries.
     pub fn run(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
-        for q in queries {
-            self.check_k(*q)?;
-        }
         check_batch_len(queries.len())?;
-        obs::global().add(obs::CounterId::DeviceRuns, 1);
         let threads = par::effective_threads(self.config.threads);
-        let t0 = trace::global().model_ps();
-        let Some(index) = &self.index else {
-            return Ok(self.run_empty(queries, t0));
-        };
-        let ctx = RunCtx {
-            subarrays: index.len(),
-            threads,
-            t0,
-            queries,
-            type1: matches!(self.config.device, DeviceKind::Type1),
-        };
+        let mut passes: Vec<MatchPass<'_>> = (0..threads).map(|_| self.pass()).collect();
         let mut results = vec![None; queries.len()];
-        let matched = self.match_stage(&ctx, &mut results);
-        let report = self.schedule_stage(&ctx, &matched);
+        let ranges = par::map_ranges_mut(&mut passes, &mut results, |pass, offset, out| {
+            pass.match_queries(&queries[offset..offset + out.len()], out)
+        });
+        ranges.into_iter().collect::<Result<(), _>>()?;
+        let report = self.finish_run(passes);
         Ok(RunOutput { results, report })
     }
 
-    /// A run against an empty device: every query misses in zero time.
-    fn run_empty(&self, queries: &[Kmer], t0: u64) -> RunOutput {
+    /// A fresh match pass over this device, for one worker of one run.
+    pub(crate) fn pass(&self) -> MatchPass<'_> {
+        // Type-1 charges no ETM flush (its scheduler recomputes each
+        // query's rows from the per-batch skip bits, `min(lcp, esp) +
+        // 1`), so both of its tables, the ESP cap's included, are built
+        // with zero flush.
+        let type1 = matches!(self.config.device, DeviceKind::Type1);
+        let bit_len = 2 * self.config.k;
+        let etm = self.config.etm_enabled;
+        let flush = if type1 {
+            0
+        } else {
+            self.config.etm_flush_cycles
+        };
+        MatchPass {
+            device: self,
+            rows: etm::RowTable::new(bit_len, etm, flush),
+            esp_rows: self
+                .config
+                .esp_override
+                .map(|_| etm::RowTable::new(bit_len, etm, flush)),
+            matched: Matched {
+                queries: 0,
+                loads: vec![
+                    sched::SubLoad::default();
+                    self.index.as_ref().map_or(0, SubarrayIndex::len)
+                ],
+                type1: Vec::new(),
+            },
+            type1: (type1 && etm)
+                .then(|| sched::Type1Pass::new(&self.config, &self.layout, &self.keys)),
+            tally: RowsTally::new(),
+        }
+    }
+
+    /// The per-run step, once after a run's last block: merges the run's
+    /// passes in range order, records the run, and schedules it from
+    /// the merged sums. The match observations (counters, the
+    /// per-subarray histogram, model events and the traffic charge) come
+    /// from those sums, so they do not depend on the split. An empty
+    /// device's run takes zero time.
+    pub(crate) fn finish_run<'d>(
+        &'d self,
+        passes: impl IntoIterator<Item = MatchPass<'d>>,
+    ) -> SimReport {
+        let matched = passes
+            .into_iter()
+            .map(MatchPass::finish)
+            .reduce(Matched::absorb)
+            .unwrap_or_else(|| self.pass().finish());
+        obs::global().add(obs::CounterId::DeviceRuns, 1);
+        let t0 = trace::global().model_ps();
+        if self.index.is_none() {
+            return self.run_empty(matched.queries, t0);
+        }
+        self.observe_match(t0, &matched);
+        self.schedule_stage(t0, &matched)
+    }
+
+    /// A run of `queries` queries against an empty device: every query
+    /// misses in zero time.
+    fn run_empty(&self, queries: u64, t0: u64) -> SimReport {
         let report = match self.config.device {
             DeviceKind::Type1 => sched::simulate_type1(&self.config, &self.layout, &[], &[]),
             _ => sched::simulate_type23(&self.config, &[]),
         };
         let tr = trace::global();
-        tr.emit_model(
-            "device.run",
-            0,
-            t0,
-            report.makespan_ps,
-            queries.len() as u64,
-            0,
-        );
+        tr.emit_model("device.run", 0, t0, report.makespan_ps, queries, 0);
         tr.advance_model_ps(report.makespan_ps);
-        RunOutput {
-            results: vec![None; queries.len()],
-            report,
-        }
-    }
-
-    /// Match: one pass over the batch in arrival order, writing each
-    /// query's payload into `results` and summing its work per subarray.
-    /// With `threads > 1`, each worker takes one contiguous range of the
-    /// batch and its slice of `results`, and the ranges' sums merge in
-    /// range order. Then the run's observations: counters, the
-    /// per-subarray histogram, model events and the traffic charge, all
-    /// from the merged sums, so they do not depend on the split.
-    fn match_stage(&self, ctx: &RunCtx<'_>, results: &mut [Option<TaxonId>]) -> Matched {
-        let _wall = trace::span("device.match");
-        // Row tables: the per-lookup `rows_activated` arithmetic hoisted
-        // out of the match loop. Type-1 charges no ETM flush (its
-        // scheduler recomputes each query's rows from the per-batch skip
-        // bits, `min(lcp, esp) + 1`), so both of its tables, the ESP
-        // cap's included, are built with zero flush.
-        let bit_len = 2 * self.config.k;
-        let etm = self.config.etm_enabled;
-        let flush = if ctx.type1 {
-            0
-        } else {
-            self.config.etm_flush_cycles
-        };
-        let table = etm::RowTable::new(bit_len, etm, flush);
-        let esp_table = self
-            .config
-            .esp_override
-            .map(|_| etm::RowTable::new(bit_len, etm, flush));
-        let ranges = par::map_ranges_mut(ctx.threads, results, |offset, out| {
-            let queries = &ctx.queries[offset..offset + out.len()];
-            self.match_range(ctx, queries, out, &table, esp_table.as_ref())
-        });
-        let matched = ranges
-            .into_iter()
-            .reduce(Matched::absorb)
-            .unwrap_or_else(|| Matched::new(ctx.subarrays));
-        self.observe_match(ctx, &matched);
-        matched
-    }
-
-    /// Matches one range of the batch: per [`MATCH_BLOCK`] of queries,
-    /// the staged search gives every query's global rank, then each
-    /// query is routed, resolved and accounted from its rank. Writes
-    /// `out[i]` for `queries[i]` and returns the range's sums.
-    fn match_range(
-        &self,
-        ctx: &RunCtx<'_>,
-        queries: &[Kmer],
-        out: &mut [Option<TaxonId>],
-        table: &etm::RowTable,
-        esp_table: Option<&etm::RowTable>,
-    ) -> Matched {
-        let mut matched = Matched::new(ctx.subarrays);
-        let mut type1 = (ctx.type1 && self.config.etm_enabled)
-            .then(|| sched::Type1Pass::new(&self.config, &self.layout, &self.keys));
-        let mut tally = RowsTally::new();
-        let esp = self.config.esp_override.unwrap_or(0) as usize;
-        let mut keys = [0u64; MATCH_BLOCK];
-        let mut ranks = [0usize; MATCH_BLOCK];
-        for (block, out) in queries.chunks(MATCH_BLOCK).zip(out.chunks_mut(MATCH_BLOCK)) {
-            let (keys, ranks) = (&mut keys[..block.len()], &mut ranks[..block.len()]);
-            for (key, q) in keys.iter_mut().zip(block) {
-                *key = q.bits();
-            }
-            self.keys.ranks(keys, ranks);
-            for ((&key, &g), result) in keys.iter().zip(ranks.iter()).zip(out) {
-                let routed = self.keys.resolve(&self.layout, key, g, table);
-                let (sub, outcome) = (routed.subarray, routed.outcome);
-                let hit = outcome.hit.is_some();
-                let rows = match (esp_table, hit) {
-                    // Paper-ESP assumption: a miss terminates after at
-                    // most `esp` shared bits.
-                    (Some(esp_table), false) => esp_table.rows(outcome.max_lcp.min(esp)),
-                    _ => outcome.rows,
-                };
-                let load = &mut matched.loads[sub];
-                load.queries += 1;
-                load.rows += u64::from(rows);
-                load.hits += u64::from(hit);
-                load.deepest_rows = load.deepest_rows.max(rows);
-                tally.add(rows);
-                *result = outcome.hit.map(|(_, taxon)| taxon);
-                if let Some(type1) = &mut type1 {
-                    type1.charge(sub, key, routed.rank, hit);
-                }
-            }
-        }
-        tally.merge();
-        if let Some(type1) = type1 {
-            matched.type1 = type1.into_partials();
-        }
-        matched
+        report
     }
 
     /// Records the match pass's observations from its merged sums, in
     /// subarray order: the match counters, the per-subarray query
     /// histogram, one `shard.dispatch` and one `etm.terminate` model
     /// event per subarray that received queries, and the pass's traffic.
-    fn observe_match(&self, ctx: &RunCtx<'_>, matched: &Matched) {
+    fn observe_match(&self, t0: u64, matched: &Matched) {
         let rec = obs::global();
         let tr = trace::global();
         let (queries, hits): (u64, u64) = matched
@@ -411,7 +454,7 @@ impl SieveDevice {
         }
         if tr.is_enabled() {
             for (sub, load) in reached() {
-                tr.emit_model("shard.dispatch", sub as u32, ctx.t0, 0, load.queries, 0);
+                tr.emit_model("shard.dispatch", sub as u32, t0, 0, load.queries, 0);
             }
             // Each subarray's deepest lookup is where ETM let the whole
             // subarray stop activating rows — the per-subarray analogue
@@ -420,7 +463,7 @@ impl SieveDevice {
                 tr.emit_model(
                     "etm.terminate",
                     sub as u32,
-                    ctx.t0,
+                    t0,
                     0,
                     u64::from(load.deepest_rows),
                     load.queries,
@@ -443,7 +486,7 @@ impl SieveDevice {
 
     /// Schedule: times the merged work on the configured design point,
     /// emits the run's model interval, and advances the model clock.
-    fn schedule_stage(&self, ctx: &RunCtx<'_>, matched: &Matched) -> SimReport {
+    fn schedule_stage(&self, t0: u64, matched: &Matched) -> SimReport {
         let tr = trace::global();
         let _wall = tr.span("device.schedule");
         let report = match self.config.device {
@@ -455,13 +498,24 @@ impl SieveDevice {
         tr.emit_model(
             "device.run",
             0,
-            ctx.t0,
+            t0,
             report.makespan_ps,
-            ctx.queries.len() as u64,
+            matched.queries,
             report.hits,
         );
         tr.advance_model_ps(report.makespan_ps);
         report
+    }
+
+    /// Checks every query's k against the loaded database's. The scan
+    /// has no early exit, so it vectorizes; only a failing batch looks
+    /// for the first offender.
+    fn check_queries(&self, queries: &[Kmer]) -> Result<(), SieveError> {
+        let k = self.config.k;
+        if queries.iter().fold(false, |bad, q| bad | (q.k() != k)) {
+            return queries.iter().try_for_each(|q| self.check_k(*q));
+        }
+        Ok(())
     }
 
     fn check_k(&self, query: Kmer) -> Result<(), SieveError> {

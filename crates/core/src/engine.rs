@@ -17,7 +17,8 @@
 //! [`KeyTable`] instead: a staged search over a block of queries finds
 //! each query's insertion rank among *all* the reference keys, and that
 //! one rank both routes the query to its subarray and names its
-//! neighbours there ([`KeyTable::resolve`]).
+//! neighbours there ([`KeyTable::resolve`]); a hit reads its payload
+//! from the table's own 4-byte column.
 
 use sieve_genomics::{Kmer, TaxonId};
 
@@ -266,35 +267,46 @@ pub struct Routed {
 
 /// The match pass's search table over a layout's globally sorted
 /// reference keys, built once when a device loads: a packed `u64` copy
-/// of every key, bucketed by its top bits. Host memory: 8 B per
-/// reference k-mer for the keys plus 4–8 B for the bucket offsets.
+/// of every key, bucketed by its top bits, and a column of the keys'
+/// payloads. Host memory: 8 B per reference k-mer for the keys, 4 B for
+/// its payload and 4–8 B for the bucket offsets.
 ///
 /// A query's search finds its insertion rank among all the keys
 /// ([`Self::ranks`], a block at a time); that one rank routes it to its
 /// subarray and resolves it against the neighbours inside that subarray
 /// ([`Self::resolve`]), so every outcome equals [`lookup`] on the
 /// subarray [`crate::SubarrayIndex::locate`] picks (twin-tested),
-/// whatever order the queries arrive in. The keys are a copy because
-/// searching the 24-byte layout entries instead touches three times the
-/// cache lines.
+/// whatever order the queries arrive in. The keys and payloads are
+/// copies because searching the 24-byte layout entries instead touches
+/// three times the cache lines, and a hit that read its payload from
+/// its layout entry would touch a line of 24-byte entries for 4 bytes.
 #[derive(Debug, Clone)]
 pub struct KeyTable {
     keys: Bucketed,
+    /// Reference `g`'s payload at index `g`.
+    taxa: Vec<TaxonId>,
     /// The layout's references per subarray.
     refs: usize,
 }
 
 impl KeyTable {
-    /// Builds the table over `layout`'s entries.
+    /// Builds the table over `layout`'s entries, keys and payloads in
+    /// one pass.
     ///
     /// # Panics
     ///
     /// Panics if the layout holds more than `u32::MAX` references.
     #[must_use]
     pub fn new(layout: &DeviceLayout) -> Self {
-        let keys = layout.entries().iter().map(|(k, _)| k.bits());
+        let mut taxa = Vec::with_capacity(layout.len());
+        let keys = layout.entries().iter().map(|&(k, taxon)| {
+            taxa.push(taxon);
+            k.bits()
+        });
+        let keys = Bucketed::new(keys, 2 * layout.k());
         Self {
-            keys: Bucketed::new(keys, 2 * layout.k()),
+            keys,
+            taxa,
             refs: layout.refs_per_subarray() as usize,
         }
     }
@@ -312,10 +324,10 @@ impl KeyTable {
     }
 
     /// Routes `key` by its global insertion rank `g` (from
-    /// [`Self::ranks`]) and resolves it against its subarray of `layout`
-    /// (the layout the table was built from) with the row costs of
-    /// `rows`, whose `bit_len` must be `2k`: a hit when reference `g` is
-    /// the key, else the max LCP against the subarray's keys on either
+    /// [`Self::ranks`]) and resolves it against its subarray with the row
+    /// costs of `rows`, whose `bit_len` must be `2k`: a hit when
+    /// reference `g` is the key, with the payload from the table's own
+    /// column, else the max LCP against the subarray's keys on either
     /// side of `g`. No second search.
     ///
     /// # Panics
@@ -323,17 +335,16 @@ impl KeyTable {
     /// May panic if `g` is not `key`'s rank from [`Self::ranks`].
     #[inline]
     #[must_use]
-    pub fn resolve(&self, layout: &DeviceLayout, key: u64, g: usize, rows: &RowTable) -> Routed {
+    pub fn resolve(&self, key: u64, g: usize, rows: &RowTable) -> Routed {
         let n = self.keys.len();
         let bit_len = rows.bit_len();
-        debug_assert_eq!(2 * layout.k(), bit_len, "row table/k mismatch");
         let hit = g < n && self.keys.key(g) == key;
         let subarray = route(g, hit, self.refs);
         let base = subarray * self.refs;
         let rank = g - base;
         let outcome = if hit {
             MatchOutcome {
-                hit: Some((rank, layout.entries()[g].1)),
+                hit: Some((rank, self.taxa[g])),
                 max_lcp: bit_len,
                 rows: rows.rows(bit_len),
             }
@@ -531,7 +542,7 @@ mod tests {
                         entries.partition_point(|(k, _)| k.bits() < key)
                     };
                     assert_eq!(g, below(layout.entries()), "{at}: global rank");
-                    let got = table.resolve(layout, key, g, &rows);
+                    let got = table.resolve(key, g, &rows);
                     let sub = index.locate(*probe);
                     assert_eq!(got.subarray, sub, "{at}: routed");
                     let sa = layout.subarray(sub);

@@ -8,17 +8,23 @@
 //! stage; the host model therefore reports the device's makespan as the
 //! end-to-end time and tracks the host stages for sanity.
 //!
-//! The *simulator's* host work runs its stages one after another: k-mer
-//! extraction fans out over read chunks and the device's match pass over
-//! ranges of the batch, and `classify_stream` extracts, runs and votes
-//! each chunk in turn. Batches, streams and read pairs record the same
-//! counters and open the same `host.*` spans. The modeled overlap is the
-//! device makespan the report carries, not a wall-clock property of the
-//! simulator.
+//! The *simulator's* host streams the same way, in blocks: every call
+//! (a batch, each chunk of a stream, a batch of read pairs) is one device
+//! run, taken block by block. A block extracts whole reads into reused
+//! buffers until it holds [`HOST_BLOCK`] k-mers, matches them through
+//! the device's match pass, which carries the run's per-subarray sums
+//! from block to block, and votes its reads; the run is scheduled once,
+//! after the last block. A call therefore holds one block of k-mers, not
+//! the whole batch, and a block's k-mers, owner tags and results stay in
+//! cache from extraction to the vote. With `threads > 1`, a call of at
+//! least [`PARALLEL_READS`] reads splits them into one contiguous range
+//! per worker, each with its own buffers and match pass. The modeled
+//! overlap is the device makespan the report carries, not a wall-clock
+//! property of the simulator.
 
 use sieve_genomics::{pack, DnaSequence, Kmer, TaxonId};
 
-use crate::device::SieveDevice;
+use crate::device::{self, MatchPass, SieveDevice};
 use crate::error::SieveError;
 use crate::obs;
 use crate::par;
@@ -26,15 +32,23 @@ use crate::prof;
 use crate::stats::SimReport;
 use crate::trace;
 
-/// Below this many reads, extraction fan-out costs more than it saves.
-const PARALLEL_EXTRACT_READS: usize = 128;
+/// Below this many reads (or pairs), a call runs on one worker: the
+/// read-range fan-out costs more than it saves.
+const PARALLEL_READS: usize = 128;
+
+/// A block takes whole reads while it holds fewer k-mers than this, so
+/// it never splits a read and holds at most this many plus one read's.
+/// Eight match blocks ([`device::MATCH_BLOCK`]): at 28 B per k-mer (the
+/// k-mer, its owner tag and its result) a block is ~115 KB, which stays
+/// in L2 from extraction through the vote.
+const HOST_BLOCK: usize = 8 * device::MATCH_BLOCK;
 
 /// Bytes extraction writes per k-mer: the packed `Kmer` and its `u32`
 /// owner tag (the `host.extract` traffic charge).
 const KMER_RECORD_BYTES: u64 = (std::mem::size_of::<Kmer>() + std::mem::size_of::<u32>()) as u64;
 
 /// Per-read classification assembled from device responses.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadResult {
     /// Majority taxon over the read's k-mer hits, if any hit.
     pub taxon: Option<TaxonId>,
@@ -51,6 +65,84 @@ pub struct PipelineOutput {
     pub reads: Vec<ReadResult>,
     /// The device's simulation report.
     pub report: SimReport,
+}
+
+/// What one output row of a call is classified from: a read, or a read
+/// pair whose mates vote together.
+trait Unit: Sync {
+    /// Bases scanned.
+    fn bases(&self) -> usize;
+    /// The most k-mers [`Self::extract`] can append (windows containing
+    /// `N` are skipped).
+    fn max_kmers(&self, k: usize) -> usize;
+    /// Appends the unit's k-mers through the SWAR extractor: each read
+    /// is packed to 2 bits per base and its windows come out 32 per
+    /// `u64` ([`pack::Extractor`]). The rolling per-base iterator
+    /// ([`DnaSequence::kmers`]) is its scalar reference;
+    /// `tests/kernel_equivalence.rs` proves the two streams identical.
+    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<Kmer>);
+}
+
+impl Unit for DnaSequence {
+    fn bases(&self) -> usize {
+        self.len()
+    }
+
+    fn max_kmers(&self, k: usize) -> usize {
+        (self.len() + 1).saturating_sub(k)
+    }
+
+    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<Kmer>) {
+        extractor.extract_forward_into(self, k, kmers);
+    }
+}
+
+/// A read pair: mate 1, then mate 2 reverse-complemented onto the
+/// forward strand.
+impl Unit for (DnaSequence, DnaSequence) {
+    fn bases(&self) -> usize {
+        self.0.len() + self.1.len()
+    }
+
+    fn max_kmers(&self, k: usize) -> usize {
+        self.0.max_kmers(k) + self.1.max_kmers(k)
+    }
+
+    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<Kmer>) {
+        self.0.extract(k, extractor, kmers);
+        self.1.reverse_complement().extract(k, extractor, kmers);
+    }
+}
+
+/// One worker's block buffers, reused across the blocks of a call and
+/// the chunks of a stream.
+#[derive(Default)]
+struct Blocks {
+    extractor: pack::Extractor,
+    kmers: Vec<Kmer>,
+    /// Each k-mer's unit, counted from the block's first.
+    owners: Vec<u32>,
+    /// Match results, kept as long as `kmers`' capacity so a block
+    /// never refills it.
+    results: Vec<Option<TaxonId>>,
+    /// The vote's gather of one read's hit taxa.
+    votes: Vec<TaxonId>,
+}
+
+impl Blocks {
+    /// Makes room for `upper` more k-mers. The buffers grow only when
+    /// they would not fit, and then to a whole block plus `upper`, so
+    /// they hold at most [`HOST_BLOCK`] plus the longest unit's k-mers.
+    fn reserve(&mut self, upper: usize) {
+        if self.kmers.len() + upper > self.kmers.capacity() {
+            let cap = HOST_BLOCK + upper;
+            self.kmers.reserve_exact(cap - self.kmers.len());
+            self.owners.reserve_exact(cap - self.owners.len());
+            let cap = self.kmers.capacity();
+            self.results.reserve_exact(cap - self.results.len());
+            self.results.resize(cap, None);
+        }
+    }
 }
 
 /// The host pipeline wrapping a loaded device.
@@ -89,140 +181,45 @@ impl HostPipeline {
         &self.device
     }
 
-    /// Extracts every valid k-mer from `reads`, tagged with its read index.
+    /// Extracts every valid k-mer from `reads`, tagged with its read
+    /// index, in one serial pass: the whole batch that the classify
+    /// calls never materialize. With [`SieveDevice::run`] and
+    /// [`vote_reads`] it composes the reference the block pass is held
+    /// to.
     #[must_use]
     pub fn extract_kmers(&self, reads: &[DnaSequence]) -> (Vec<Kmer>, Vec<u32>) {
-        let mut kmers = Vec::new();
-        let mut owners = Vec::new();
-        self.extract_kmers_into(reads, &mut kmers, &mut owners);
+        let k = self.device.config().k;
+        let upper: usize = reads.iter().map(|r| r.max_kmers(k)).sum();
+        let mut kmers = Vec::with_capacity(upper);
+        let mut owners = Vec::with_capacity(upper);
+        let mut extractor = pack::Extractor::new();
+        for (ri, read) in reads.iter().enumerate() {
+            read.extract(k, &mut extractor, &mut kmers);
+            owners.resize(kmers.len(), ri as u32);
+        }
         (kmers, owners)
     }
 
-    /// Appends `reads`' k-mers and owner tags into caller-owned buffers,
-    /// reserving exact worst-case capacity up front (windows containing
-    /// `N` are skipped, so the reservation is an upper bound).
-    ///
-    /// Large batches fan the extraction out over contiguous read chunks;
-    /// concatenating per-chunk output in chunk order reproduces the
-    /// serial read-by-read order exactly, so the result is independent of
-    /// the thread count.
-    fn extract_kmers_into(
-        &self,
-        reads: &[DnaSequence],
-        kmers: &mut Vec<Kmer>,
-        owners: &mut Vec<u32>,
-    ) {
-        let k = self.device.config().k;
-        let upper: usize = reads.iter().map(|r| (r.len() + 1).saturating_sub(k)).sum();
-        kmers.reserve(upper);
-        owners.reserve(upper);
-        // Extraction traffic: one byte per scanned base in, one packed
-        // k-mer plus its owner tag out — pure functions of the reads, so
-        // the charge is identical for every thread count.
-        let before = kmers.len();
-        let base_bytes: u64 = if prof::active() {
-            reads.iter().map(|r| r.len() as u64).sum()
-        } else {
-            0
-        };
-        let threads = par::effective_threads(self.device.config().threads);
-        if threads == 1 || reads.len() < PARALLEL_EXTRACT_READS {
-            let mut scratch = pack::Extractor::new();
-            extract_reads(reads, 0, k, &mut scratch, kmers, owners);
-            let produced = (kmers.len() - before) as u64;
-            prof::record(
-                prof::Phase::HostExtract,
-                base_bytes,
-                produced * KMER_RECORD_BYTES,
-                produced,
-            );
-            return;
-        }
-        // A few chunks per worker smooths out read-length imbalance.
-        let chunk = reads.len().div_ceil(threads * 4).max(16);
-        let n_chunks = reads.len().div_ceil(chunk);
-        let parts: Vec<(Vec<Kmer>, Vec<u32>)> = par::map_indexed(threads, n_chunks, |c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(reads.len());
-            let cap: usize = reads[lo..hi]
-                .iter()
-                .map(|r| (r.len() + 1).saturating_sub(k))
-                .sum();
-            let mut chunk_kmers = Vec::with_capacity(cap);
-            let mut chunk_owners = Vec::with_capacity(cap);
-            let mut scratch = pack::Extractor::new();
-            extract_reads(
-                &reads[lo..hi],
-                lo as u32,
-                k,
-                &mut scratch,
-                &mut chunk_kmers,
-                &mut chunk_owners,
-            );
-            (chunk_kmers, chunk_owners)
-        });
-        for (chunk_kmers, chunk_owners) in parts {
-            kmers.extend_from_slice(&chunk_kmers);
-            owners.extend_from_slice(&chunk_owners);
-        }
-        let produced = (kmers.len() - before) as u64;
-        prof::record(
-            prof::Phase::HostExtract,
-            base_bytes,
-            produced * KMER_RECORD_BYTES,
-            produced,
-        );
-    }
-
     /// Classifies reads end to end: k-mer generation → device run →
-    /// per-read majority vote (Figure 2's loop).
+    /// per-read majority vote (Figure 2's loop), block by block.
     ///
     /// # Errors
     ///
-    /// Propagates device errors (k mismatch).
+    /// Propagates device errors (k mismatch, a batch of more than
+    /// `u32::MAX` k-mers).
     pub fn classify_reads(&self, reads: &[DnaSequence]) -> Result<PipelineOutput, SieveError> {
         obs::global().add(obs::CounterId::HostReads, reads.len() as u64);
-        let (kmers, owners) = {
-            let _wall = trace::span("host.extract");
-            self.extract_kmers(reads)
-        };
-        self.run_batch(reads.len(), &kmers, &owners)
-    }
-
-    /// Runs one extracted batch on the device and votes its `n_reads`
-    /// reads, under the `host.device` and `host.vote` spans. A batch run
-    /// is one maximal chunk; recording it as such keeps batch and
-    /// streaming snapshots comparable.
-    fn run_batch(
-        &self,
-        n_reads: usize,
-        kmers: &[Kmer],
-        owners: &[u32],
-    ) -> Result<PipelineOutput, SieveError> {
-        let rec = obs::global();
-        rec.add(obs::CounterId::HostChunks, 1);
-        rec.add(obs::CounterId::HostKmers, kmers.len() as u64);
-        rec.record(obs::HistId::ChunkKmers, kmers.len() as u64);
-        let run = {
-            let _wall = trace::span("host.device");
-            self.device.run(kmers)?
-        };
-        let _wall = trace::span("host.vote");
-        Ok(PipelineOutput {
-            reads: vote_reads(n_reads, owners, &run.results),
-            report: run.report,
-        })
+        self.classify_batch(reads)
     }
 
     /// Streaming classification: processes `reads` in chunks of
-    /// `chunk_reads`, bounding host-side memory (k-mer buffers, response
-    /// queues) the way a real driver drains the RRQ. Chunks execute back
-    /// to back on the *modeled* device, so the merged report's makespan
-    /// is the sum. Each chunk is extracted, run and voted before the
-    /// next, with the k-mer and owner buffers reused across chunks so the
-    /// steady state allocates nothing on the host side. Results, reports,
-    /// and deterministic observations are bit-identical for every chunk
-    /// size and thread count.
+    /// `chunk_reads`, each one device run, the way a real driver drains
+    /// the RRQ. Chunks execute back to back on the *modeled* device, so
+    /// the merged report's makespan is the sum. The block buffers are
+    /// reused across chunks, so the steady state allocates nothing on
+    /// the host side. Results, reports, and deterministic observations
+    /// are bit-identical for every thread count, and per-read results
+    /// for every chunk size.
     ///
     /// # Errors
     ///
@@ -239,34 +236,19 @@ impl HostPipeline {
                 reason: "need a positive chunk size".to_string(),
             });
         }
-        let rec = obs::global();
-        rec.add(obs::CounterId::HostReads, reads.len() as u64);
-        let mut all_reads = Vec::with_capacity(reads.len());
+        obs::global().add(obs::CounterId::HostReads, reads.len() as u64);
+        let mut all_reads = vec![ReadResult::default(); reads.len()];
+        let mut workers = self.workers();
         let mut merged: Option<SimReport> = None;
-        let mut kmers = Vec::new();
-        let mut owners = Vec::new();
-        for chunk in reads.chunks(chunk_reads) {
+        for (chunk, out) in reads
+            .chunks(chunk_reads)
+            .zip(all_reads.chunks_mut(chunk_reads))
+        {
             let _wall = trace::span("host.chunk");
-            kmers.clear();
-            owners.clear();
-            {
-                let _wall = trace::span("host.extract");
-                self.extract_kmers_into(chunk, &mut kmers, &mut owners);
-            }
-            rec.add(obs::CounterId::HostChunks, 1);
-            rec.add(obs::CounterId::HostKmers, kmers.len() as u64);
-            rec.record(obs::HistId::ChunkKmers, kmers.len() as u64);
-            let run = {
-                let _wall = trace::span("host.device");
-                self.device.run(&kmers)?
-            };
-            {
-                let _wall = trace::span("host.vote");
-                all_reads.extend(vote_reads(chunk.len(), &owners, &run.results));
-            }
+            let report = self.classify_run(chunk, out, &mut workers)?;
             match &mut merged {
-                None => merged = Some(run.report),
-                Some(m) => m.accumulate(&run.report),
+                None => merged = Some(report),
+                Some(m) => m.accumulate(&report),
             }
         }
         let report = match merged {
@@ -288,88 +270,131 @@ impl HostPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates device errors (k mismatch).
+    /// Propagates device errors (k mismatch, a batch of more than
+    /// `u32::MAX` k-mers).
     pub fn classify_pairs(
         &self,
         pairs: &[(DnaSequence, DnaSequence)],
     ) -> Result<PipelineOutput, SieveError> {
         obs::global().add(obs::CounterId::HostReads, 2 * pairs.len() as u64);
-        let (kmers, owners) = {
-            let _wall = trace::span("host.extract");
-            self.extract_pairs(pairs)
-        };
-        self.run_batch(pairs.len(), &kmers, &owners)
+        self.classify_batch(pairs)
     }
 
-    /// Extracts both mates' k-mers of every pair, tagged with the pair's
-    /// index, mate 2 reverse-complemented onto the forward strand.
-    fn extract_pairs(&self, pairs: &[(DnaSequence, DnaSequence)]) -> (Vec<Kmer>, Vec<u32>) {
-        let k = self.device.config().k;
-        let upper: usize = pairs
-            .iter()
-            .map(|(m1, m2)| (m1.len() + 1).saturating_sub(k) + (m2.len() + 1).saturating_sub(k))
-            .sum();
-        let mut kmers = Vec::with_capacity(upper);
-        let mut owners = Vec::with_capacity(upper);
-        let mut scratch = pack::Extractor::new();
-        for (ri, (m1, m2)) in pairs.iter().enumerate() {
-            let ri = ri as u32;
-            extract_reads(
-                std::slice::from_ref(m1),
-                ri,
-                k,
-                &mut scratch,
-                &mut kmers,
-                &mut owners,
-            );
-            let rc = m2.reverse_complement();
-            extract_reads(
-                std::slice::from_ref(&rc),
-                ri,
-                k,
-                &mut scratch,
-                &mut kmers,
-                &mut owners,
-            );
-        }
-        // The same charge as extract_kmers_into's: every mate's bases in,
-        // one record per k-mer out.
-        let base_bytes: u64 = if prof::active() {
-            pairs
-                .iter()
-                .map(|(m1, m2)| (m1.len() + m2.len()) as u64)
-                .sum()
+    /// Classifies `units` as one run, one result row per unit.
+    fn classify_batch<U: Unit>(&self, units: &[U]) -> Result<PipelineOutput, SieveError> {
+        let mut reads = vec![ReadResult::default(); units.len()];
+        let report = self.classify_run(units, &mut reads, &mut self.workers())?;
+        Ok(PipelineOutput { reads, report })
+    }
+
+    /// One set of block buffers per worker the device's `threads`
+    /// allows; each allocates when its worker first fills a block.
+    fn workers(&self) -> Vec<Blocks> {
+        let threads = par::effective_threads(self.device.config().threads);
+        (0..threads).map(|_| Blocks::default()).collect()
+    }
+
+    /// Classifies `units` as one device run, writing `out[i]` for
+    /// `units[i]`. With more than one worker and at least
+    /// [`PARALLEL_READS`] units, each worker takes one contiguous range
+    /// of them through its own block loop and match pass. Then, from the
+    /// call's totals: the batch bound, the host counters, the extract
+    /// charge (one byte per scanned base in, one packed k-mer plus its
+    /// owner tag out) and the per-run step, which merges the passes in
+    /// range order and schedules the run. Every total is an integer sum,
+    /// so nothing depends on the split.
+    fn classify_run<U: Unit>(
+        &self,
+        units: &[U],
+        out: &mut [ReadResult],
+        workers: &mut [Blocks],
+    ) -> Result<SimReport, SieveError> {
+        let fan_out = if units.len() < PARALLEL_READS {
+            1
         } else {
-            0
+            workers.len()
         };
-        let produced = kmers.len() as u64;
+        let mut passes: Vec<(&mut Blocks, MatchPass<'_>)> = workers[..fan_out]
+            .iter_mut()
+            .map(|blocks| (blocks, self.device.pass()))
+            .collect();
+        let totals = par::map_ranges_mut(&mut passes, out, |(blocks, pass), offset, out| {
+            let units = &units[offset..offset + out.len()];
+            self.classify_blocks(units, out, blocks, pass)
+        });
+        let _wall = trace::span("host.device");
+        let (mut kmers, mut bases) = (0u64, 0u64);
+        for total in totals {
+            let (k, b) = total?;
+            kmers += k;
+            bases += b;
+        }
+        device::check_batch_len(usize::try_from(kmers).unwrap_or(usize::MAX))?;
+        let rec = obs::global();
+        rec.add(obs::CounterId::HostChunks, 1);
+        rec.add(obs::CounterId::HostKmers, kmers);
+        rec.record(obs::HistId::ChunkKmers, kmers);
         prof::record(
             prof::Phase::HostExtract,
-            base_bytes,
-            produced * KMER_RECORD_BYTES,
-            produced,
+            bases,
+            kmers * KMER_RECORD_BYTES,
+            kmers,
         );
-        (kmers, owners)
+        Ok(self
+            .device
+            .finish_run(passes.into_iter().map(|(_, pass)| pass)))
     }
-}
 
-/// Appends the k-mers of `reads` — owner tags starting at `first_owner` —
-/// through the SWAR extractor: each read is packed to 2 bits per base and
-/// its windows come out 32 per `u64` ([`pack::Extractor`], reusing
-/// `scratch` across the whole slice). The rolling per-base iterator
-/// ([`DnaSequence::kmers`]) is its scalar reference;
-/// `tests/kernel_equivalence.rs` proves the two streams identical.
-fn extract_reads(
-    reads: &[DnaSequence],
-    first_owner: u32,
-    k: usize,
-    scratch: &mut pack::Extractor,
-    kmers: &mut Vec<Kmer>,
-    owners: &mut Vec<u32>,
-) {
-    for (ri, read) in reads.iter().enumerate() {
-        let n = scratch.extract_forward_into(read, k, kmers);
-        owners.resize(owners.len() + n, first_owner + ri as u32);
+    /// One worker's block loop over `units`, writing `out[i]` for
+    /// `units[i]`: each block extracts whole units while it holds fewer
+    /// than [`HOST_BLOCK`] k-mers, checks and matches them through
+    /// `pass`, and votes its units. Returns the k-mers and bases it
+    /// took.
+    fn classify_blocks<U: Unit>(
+        &self,
+        units: &[U],
+        out: &mut [ReadResult],
+        blocks: &mut Blocks,
+        pass: &mut MatchPass<'_>,
+    ) -> Result<(u64, u64), SieveError> {
+        let k = self.device.config().k;
+        let (mut kmers, mut bases) = (0u64, 0u64);
+        let mut next = 0;
+        while next < units.len() {
+            let first = next;
+            {
+                let _wall = trace::span("host.extract");
+                blocks.kmers.clear();
+                blocks.owners.clear();
+                while next < units.len() && blocks.kmers.len() < HOST_BLOCK {
+                    let unit = &units[next];
+                    blocks.reserve(unit.max_kmers(k));
+                    unit.extract(k, &mut blocks.extractor, &mut blocks.kmers);
+                    blocks
+                        .owners
+                        .resize(blocks.kmers.len(), (next - first) as u32);
+                    bases += unit.bases() as u64;
+                    next += 1;
+                }
+            }
+            let n = blocks.kmers.len();
+            {
+                let _wall = trace::span("host.device");
+                pass.match_queries(&blocks.kmers, &mut blocks.results[..n])?;
+            }
+            {
+                let _wall = trace::span("host.vote");
+                vote_into(
+                    &blocks.owners,
+                    &blocks.results[..n],
+                    &mut blocks.votes,
+                    &mut out[first..next],
+                    majority_swar,
+                );
+            }
+            kmers += n as u64;
+        }
+        Ok((kmers, bases))
     }
 }
 
@@ -393,23 +418,26 @@ fn extract_reads(
 /// `owners` is not non-decreasing.
 #[must_use]
 pub fn vote_reads(n_reads: usize, owners: &[u32], results: &[Option<TaxonId>]) -> Vec<ReadResult> {
-    vote_with(n_reads, owners, results, majority_swar)
+    let mut out = vec![ReadResult::default(); n_reads];
+    vote_into(owners, results, &mut Vec::new(), &mut out, majority_swar);
+    out
 }
 
-/// [`vote_reads`] with the streak counter as a parameter, so the twin
-/// tests can run the scalar reference through the same gather.
-fn vote_with(
-    n_reads: usize,
+/// [`vote_reads`] into caller-owned rows, one per read of `out` (owner
+/// `i` votes into `out[i]`), gathering through `scratch`, with the
+/// streak counter as a parameter so the twin tests can run the scalar
+/// reference through the same gather.
+fn vote_into(
     owners: &[u32],
     results: &[Option<TaxonId>],
+    scratch: &mut Vec<TaxonId>,
+    out: &mut [ReadResult],
     majority: impl Fn(&[TaxonId]) -> Option<(usize, TaxonId)>,
-) -> Vec<ReadResult> {
+) {
     debug_assert_eq!(owners.len(), results.len());
     debug_assert!(owners.windows(2).all(|w| w[0] <= w[1]));
-    let mut out = Vec::with_capacity(n_reads);
-    let mut scratch: Vec<TaxonId> = Vec::new();
     let mut pos = 0usize;
-    for ri in 0..n_reads {
+    for (ri, row) in out.iter_mut().enumerate() {
         let start = pos;
         while pos < owners.len() && owners[pos] as usize == ri {
             pos += 1;
@@ -417,14 +445,13 @@ fn vote_with(
         scratch.clear();
         scratch.extend(results[start..pos].iter().flatten());
         scratch.sort_unstable();
-        let best = majority(&scratch);
-        out.push(ReadResult {
+        let best = majority(scratch);
+        *row = ReadResult {
             taxon: best.map(|(_, taxon)| taxon),
             hit_kmers: scratch.len(),
             total_kmers: pos - start,
-        });
+        };
     }
-    out
 }
 
 /// The scalar majority reference: scan for streak boundaries, compare
@@ -565,8 +592,9 @@ mod tests {
 
     #[test]
     fn stream_is_identical_across_thread_counts() {
-        // threads=4 fans extraction and matching out within each chunk;
-        // output and report must be bit-identical to threads=1.
+        // Output and report at threads=4 must be bit-identical to
+        // threads=1 (these chunks are below the read-range fan-out;
+        // `block_pass_twins_extract_run_vote` covers it).
         let ds = synth::make_dataset_with(8, 2048, 31, 55);
         let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 11);
         let host_for = |threads: usize| {
@@ -627,6 +655,144 @@ mod tests {
         );
     }
 
+    /// The composition the block pass replaces, and its reference: the
+    /// whole batch extracted ([`HostPipeline::extract_kmers`]), run
+    /// ([`SieveDevice::run`]) and voted ([`vote_reads`]).
+    fn reference(host: &HostPipeline, reads: &[DnaSequence]) -> PipelineOutput {
+        let (kmers, owners) = host.extract_kmers(reads);
+        let run = host.device().run(&kmers).unwrap();
+        PipelineOutput {
+            reads: vote_reads(reads.len(), &owners, &run.results),
+            report: run.report,
+        }
+    }
+
+    /// [`reference`] chunk by chunk, the reports accumulated.
+    fn reference_stream(
+        host: &HostPipeline,
+        reads: &[DnaSequence],
+        chunk: usize,
+    ) -> PipelineOutput {
+        let mut out = reference(host, &reads[..chunk.min(reads.len())]);
+        for chunk in reads.chunks(chunk).skip(1) {
+            let next = reference(host, chunk);
+            out.reads.extend(next.reads);
+            out.report.accumulate(&next.report);
+        }
+        out
+    }
+
+    /// [`reference`] over the pairs' mates as reads, mate 2
+    /// reverse-complemented, with each pair's two owner tags folded
+    /// into one.
+    fn reference_pairs(
+        host: &HostPipeline,
+        pairs: &[(DnaSequence, DnaSequence)],
+    ) -> PipelineOutput {
+        let mates: Vec<DnaSequence> = pairs
+            .iter()
+            .flat_map(|(m1, m2)| [m1.clone(), m2.reverse_complement()])
+            .collect();
+        let (kmers, owners) = host.extract_kmers(&mates);
+        let owners: Vec<u32> = owners.iter().map(|o| o / 2).collect();
+        let run = host.device().run(&kmers).unwrap();
+        PipelineOutput {
+            reads: vote_reads(pairs.len(), &owners, &run.results),
+            report: run.report,
+        }
+    }
+
+    /// Over 1,000 reads whose k-mers put block edges everywhere:
+    /// 100-base reads with `N`s, half of them from the reference; every
+    /// 37th followed by a read of 0, k − 1 or k bases; and one read of
+    /// 5,000 bases, longer than a block, in the middle.
+    fn block_edge_reads(ds: &synth::SyntheticDataset, k: usize) -> Vec<DnaSequence> {
+        let config = synth::ReadSimConfig {
+            read_len: 100,
+            from_reference: 0.5,
+            error_rate: 0.01,
+            n_rate: 0.01,
+        };
+        let (simulated, _) = synth::simulate_reads(ds, config, 1_000, 31);
+        let long: Vec<u8> = simulated[..50]
+            .iter()
+            .flat_map(|r| r.as_bytes().iter().copied())
+            .collect();
+        let mut reads = Vec::new();
+        for (i, read) in simulated.iter().enumerate() {
+            reads.push(read.clone());
+            if i % 37 == 0 {
+                let len = [0, k - 1, k][(i / 37) % 3];
+                reads.push(DnaSequence::from_bytes(&read.as_bytes()[..len]).unwrap());
+            }
+            if i == 500 {
+                reads.push(DnaSequence::from_bytes(&long).unwrap());
+            }
+        }
+        assert!(reads.iter().any(|r| r.as_bytes().contains(&b'N')));
+        reads
+    }
+
+    /// The block pass against its reference, bit for bit in every
+    /// `ReadResult` and the `SimReport`: `classify_reads`,
+    /// `classify_stream` in chunks of 1, 7 and 1,000 and
+    /// `classify_pairs` over [`block_edge_reads`], at one thread and at
+    /// four, on every design point, with ETM off, with an ESP override,
+    /// behind a PCIe link, and on an empty device.
+    #[test]
+    fn block_pass_twins_extract_run_vote() {
+        let ds = synth::make_dataset_with(8, 2048, 31, 55);
+        let reads = block_edge_reads(&ds, 31);
+        let pairs: Vec<(DnaSequence, DnaSequence)> = reads
+            .chunks_exact(2)
+            .map(|p| (p[0].clone(), p[1].clone()))
+            .collect();
+        let entries = || ds.entries.clone();
+        let cases = [
+            (SieveConfig::type1(), entries()),
+            (SieveConfig::type2(8), entries()),
+            (SieveConfig::type3(8), entries()),
+            (SieveConfig::type3(8).with_etm(false), entries()),
+            (SieveConfig::type3(8).with_esp_override(10), entries()),
+            (
+                SieveConfig::type3(8).with_pcie(crate::PcieConfig::gen4_x16()),
+                entries(),
+            ),
+            (SieveConfig::type3(8), Vec::new()),
+        ];
+        for (case, (config, entries)) in cases.into_iter().enumerate() {
+            for threads in [1, 4] {
+                let config = config
+                    .clone()
+                    .with_geometry(Geometry::scaled_medium())
+                    .with_threads(threads);
+                let at = format!("case {case} ({}) threads={threads}", config.device.label());
+                let host = HostPipeline::new(SieveDevice::new(config, entries.clone()).unwrap());
+                let same = |got: PipelineOutput, want: PipelineOutput, call: &str| {
+                    assert_eq!(got.reads, want.reads, "{at} {call}: reads");
+                    assert_eq!(got.report, want.report, "{at} {call}: report");
+                };
+                same(
+                    host.classify_reads(&reads).unwrap(),
+                    reference(&host, &reads),
+                    "classify_reads",
+                );
+                for chunk in [1, 7, 1_000] {
+                    same(
+                        host.classify_stream(&reads, chunk).unwrap(),
+                        reference_stream(&host, &reads, chunk),
+                        &format!("classify_stream chunk {chunk}"),
+                    );
+                }
+                same(
+                    host.classify_pairs(&pairs).unwrap(),
+                    reference_pairs(&host, &pairs),
+                    "classify_pairs",
+                );
+            }
+        }
+    }
+
     #[test]
     fn kmer_extraction_counts() {
         let (_, host) = pipeline();
@@ -665,6 +831,18 @@ mod tests {
             }
         }
         (owners, results)
+    }
+
+    /// [`vote_reads`] with the streak counter `majority`.
+    fn vote_with(
+        n_reads: usize,
+        owners: &[u32],
+        results: &[Option<TaxonId>],
+        majority: fn(&[TaxonId]) -> Option<(usize, TaxonId)>,
+    ) -> Vec<ReadResult> {
+        let mut out = vec![ReadResult::default(); n_reads];
+        vote_into(owners, results, &mut Vec::new(), &mut out, majority);
+        out
     }
 
     #[test]

@@ -46,13 +46,15 @@ pub const BUCKETS: usize = 64;
 /// deterministic functions of the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterId {
-    /// Chunks processed by `classify_stream`.
+    /// Host runs: one per `classify_reads` or `classify_pairs` call and
+    /// one per `classify_stream` chunk.
     HostChunks = 0,
     /// Reads entering the host pipeline.
     HostReads,
     /// K-mers the host extracted and dispatched.
     HostKmers,
-    /// Device `run` invocations.
+    /// Device runs, each scheduled once: `SieveDevice::run` calls and
+    /// host runs.
     DeviceRuns,
     /// Subarrays that received queries in the match pass.
     MatchShards,
@@ -116,7 +118,8 @@ pub enum HistId {
     /// Queries routed to each subarray that received any (per-subarray
     /// skew).
     ShardQueries,
-    /// K-mers per `classify_stream` chunk.
+    /// K-mers per host run (a batch, a batch of pairs, or a
+    /// `classify_stream` chunk).
     ChunkKmers,
     /// Queries routed to each cluster device (per-device skew).
     ClusterDeviceQueries,

@@ -1,10 +1,9 @@
 //! Scoped-thread fan-out primitives for the parallel simulation core.
 //!
-//! Work is assigned to workers by a fixed rule (round-robin over item
-//! index, or one contiguous range of a slice per worker) and outputs
-//! come back in index or range order, so every helper here is
-//! deterministic: the output is a pure function of the input and the
-//! split, independent of OS scheduling. Combined with the
+//! Work is assigned to workers by a fixed rule (one contiguous range of
+//! a slice per worker) and outputs come back in range order, so the
+//! fan-out is deterministic: the output is a pure function of the input
+//! and the split, independent of OS scheduling. Combined with the
 //! order-independent (integer sum / max) merges of the device's match
 //! pass and the schedulers, this is what makes `threads = N`
 //! bit-identical to `threads = 1` (see DESIGN.md §6).
@@ -24,75 +23,37 @@ pub(crate) fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Maps `f` over `0..n`, fanning out over up to `threads` scoped worker
-/// threads, and returns the outputs in index order.
+/// Splits `data` into up to `workers.len()` contiguous ranges of
+/// near-equal length and calls `f(worker, offset, range)` on each, one
+/// scoped thread per range, where range `i` goes to `workers[i]` and
+/// `offset` is the range's start in `data`. Each worker owns its range
+/// mutably; the outputs come back in range order. With one worker (or at
+/// most one item) `f` runs once on the whole slice on the caller's
+/// thread. Workers past the last range are left untouched. A panic in
+/// `f` is resumed on the caller.
 ///
-/// Worker `t` owns indices `t, t + threads, t + 2·threads, …` (round-robin,
-/// so heavy items that cluster in the index space still spread out), and
-/// outputs are scattered back by index; the result is therefore identical
-/// for every thread count. A panic in `f` is resumed on the caller.
-pub(crate) fn map_indexed<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
+/// # Panics
+///
+/// Panics if `workers` is empty.
+pub(crate) fn map_ranges_mut<S, T, R, F>(workers: &mut [S], data: &mut [T], f: F) -> Vec<R>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    (t..n)
-                        .step_by(threads)
-                        .map(|i| (i, f(i)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(results) => {
-                    for (i, value) in results {
-                        out[i] = Some(value);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("every index produced exactly once"))
-        .collect()
-}
-
-/// Splits `data` into up to `threads` contiguous ranges of near-equal
-/// length and calls `f(offset, range)` on each, one scoped worker per
-/// range, where `offset` is the range's start in `data`. Each worker owns
-/// its range mutably; the outputs come back in range order. With one
-/// thread (or at most one item) `f` runs once on the whole slice on the
-/// caller's thread. A panic in `f` is resumed on the caller.
-pub(crate) fn map_ranges_mut<T, R, F>(threads: usize, data: &mut [T], f: F) -> Vec<R>
-where
+    S: Send,
     T: Send,
     R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
+    F: Fn(&mut S, usize, &mut [T]) -> R + Sync,
 {
-    let threads = threads.clamp(1, data.len().max(1));
+    let threads = workers.len().clamp(1, data.len().max(1));
     if threads == 1 {
-        return vec![f(0, data)];
+        return vec![f(&mut workers[0], 0, data)];
     }
     let len = data.len().div_ceil(threads);
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = data
-            .chunks_mut(len)
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .zip(data.chunks_mut(len))
             .enumerate()
-            .map(|(i, range)| scope.spawn(move || f(i * len, range)))
+            .map(|(i, (worker, range))| scope.spawn(move || f(worker, i * len, range)))
             .collect();
         handles
             .into_iter()
@@ -110,30 +71,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_indexed_preserves_order_for_any_thread_count() {
-        let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(map_indexed(threads, 37, |i| i * i), expected);
-        }
-    }
-
-    #[test]
-    fn map_indexed_handles_empty_and_tiny_inputs() {
-        assert_eq!(map_indexed(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(map_indexed(4, 1, |i| i + 10), vec![10]);
-    }
-
-    #[test]
     fn map_ranges_mut_covers_the_slice_in_order_for_any_thread_count() {
         for len in [0usize, 1, 7, 37] {
             for threads in [1, 2, 3, 8, 64] {
                 let mut data = vec![0usize; len];
-                let spans = map_ranges_mut(threads, &mut data, |offset, range| {
+                let mut workers = vec![0usize; threads];
+                let spans = map_ranges_mut(&mut workers, &mut data, |calls, offset, range| {
+                    *calls += 1;
                     for (i, x) in range.iter_mut().enumerate() {
                         *x = offset + i;
                     }
                     (offset, range.len())
                 });
+                assert!(workers.iter().all(|&calls| calls <= 1));
+                assert_eq!(workers.iter().sum::<usize>(), spans.len());
                 assert_eq!(
                     data,
                     (0..len).collect::<Vec<_>>(),

@@ -540,12 +540,12 @@ impl<'a> DepthTables<'a> {
     }
 }
 
-/// The Type-1 side of a match pass over one range of the batch, with
-/// ETM on: each query's Region-1 stream, priced from the rank the pass
-/// already found and summed per subarray. A subarray's [`DepthTables`]
-/// are built when its first query arrives. Every per-query cost is a
-/// pure function of the k-mer, so the sums do not depend on the order
-/// the queries arrive in or on how the batch was split into ranges.
+/// The Type-1 side of one worker's match pass, with ETM on: each
+/// query's Region-1 stream, priced from the rank the pass already found
+/// and summed per subarray. A subarray's [`DepthTables`] are built when
+/// its first query arrives. Every per-query cost is a pure function of
+/// the k-mer, so the sums do not depend on the order the queries arrive
+/// in or on how the run was split between workers.
 pub(crate) struct Type1Pass<'a> {
     config: &'a SieveConfig,
     layout: &'a DeviceLayout,

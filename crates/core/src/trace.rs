@@ -20,7 +20,8 @@
 //!   **bit-identical across thread counts**
 //!   (`tests/trace_determinism.rs`), exactly like `obs` snapshots.
 //! * **Wall clock** — [`TraceSpan`] scopes around real pipeline phases
-//!   (extract, device, match, schedule, vote, each `classify_stream`
+//!   (extract, device, match and vote for each block of a run; one more
+//!   device span and the schedule for each run; each `classify_stream`
 //!   chunk),
 //!   stamped in nanoseconds since the tracer's epoch on the emitting
 //!   worker's own track. Each phase opens one span, and the tracer is the

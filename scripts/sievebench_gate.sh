@@ -10,11 +10,19 @@
 #   * every workload's reads_per_s is at least its floor below, about
 #     half what the workload read in 20 s runs on a 2-vCPU Xeon VM when
 #     the floors were set. reads_per_s is on sievebench's reference
-#     clock, which absorbs the host's speed drift.
+#     clock, which absorbs the host's speed drift;
+#   * every workload's peak_heap_mb is at most its ceiling below: the
+#     host classifies block by block, so a call holds one block of
+#     k-mers besides its per-read output (~0.4-0.6 MB), and
+#     mg_fastq_stream also its parsed reads (~4.3 MB). peak_heap_mb
+#     repeats exactly for a seed at one thread, so this check cannot
+#     flake; a call that materializes its whole batch again (19.84 MB
+#     on mg_batch before the block pass) fails it.
 #
-# A missing result line, or a workload without a reads_per_s or
-# bench.coverage line, fails too, so the gate cannot pass on empty or
-# truncated output. Each failure names the workload and the metric.
+# A missing result line, or a workload without a reads_per_s,
+# bench.coverage or peak_heap_mb line, fails too, so the gate cannot
+# pass on empty or truncated output. Each failure names the workload
+# and the metric.
 #
 # Run from the repository root:
 #   cargo run --release --offline --manifest-path sievebench/Cargo.toml -- \
@@ -29,11 +37,17 @@ BEGIN {
     floor["hot_stream"] = 155000
     floor["large_ref"] = 139000
     floor["t1_batch"] = 73000
+    ceiling["mg_batch"] = "1.0"
+    ceiling["mg_fastq_stream"] = "5.0"
+    ceiling["hot_stream"] = "1.0"
+    ceiling["large_ref"] = "1.0"
+    ceiling["t1_batch"] = "1.0"
     min_coverage = 0.95
 }
 NF { last = $0 }
 NF == 4 && $2 == "reads_per_s" { rps[$1] = $3 }
 NF == 4 && $2 == "bench.coverage" { coverage[$1] = $3 }
+NF == 4 && $2 == "peak_heap_mb" { heap[$1] = $3 }
 function fail(msg) {
     print "sievebench gate: FAIL — " msg > "/dev/stderr"
     bad = 1
@@ -57,7 +71,12 @@ END {
         } else if (!(coverage[w] + 0 >= min_coverage)) {
             fail(w " bench.coverage: " coverage[w] " is below " min_coverage)
         }
-        printf "   %-16s reads_per_s %8.0f (floor %6d)  bench.coverage %.4f\n", w, rps[w], floor[w], coverage[w]
+        if (!(w in heap)) {
+            fail(w " peak_heap_mb: missing")
+        } else if (!(heap[w] + 0 <= ceiling[w] + 0)) {
+            fail(w " peak_heap_mb: " heap[w] " is above its ceiling of " ceiling[w])
+        }
+        printf "   %-16s reads_per_s %8.0f (floor %6d)  bench.coverage %.4f  peak_heap_mb %.2f (ceiling %s)\n", w, rps[w], floor[w], coverage[w], heap[w], ceiling[w]
     }
     if (bad) exit 1
     print "== sievebench gate: OK =="

@@ -27,7 +27,10 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # overflow checks turn any silent wrap in that algebra into a test
 # failure. The extraction and revcomp twins live in kernel_equivalence,
 # the vote and LCP twins next to their scalar references in sieve-core's
-# host and engine modules, the staged key-table search twin in engine
+# host and engine modules, the block-pass twin in host
+# (block_pass_twins_extract_run_vote: classify_reads, classify_stream and
+# classify_pairs, block by block, held bit for bit to extract_kmers ->
+# SieveDevice::run -> vote_reads), the staged key-table search twin in engine
 # (key_table_twins_lookup*: the global rank, the rank -> subarray
 # arithmetic with its g - 1 at g = 0, and the outcome, held to
 # SubarrayIndex::locate and engine::lookup), and the Type-1 per-query
@@ -53,8 +56,9 @@ cargo test --release --offline --manifest-path sievebench/Cargo.toml
 
 echo "== tier1: sievebench gate (2 s traced run) =="
 # One short traced run of every workload: every read must match the
-# oracle, the spans must explain >= 95 % of each call, and reads_per_s
-# must clear a per-workload floor (see scripts/sievebench_gate.sh).
+# oracle, the spans must explain >= 95 % of each call, reads_per_s must
+# clear a per-workload floor and peak_heap_mb stay under a per-workload
+# ceiling (see scripts/sievebench_gate.sh).
 SIEVEBENCH_OUT=target/tier1-sievebench.txt
 cargo run --release --offline --quiet --manifest-path sievebench/Cargo.toml -- \
     --seconds 2 --trace 1 --seed 1 > "$SIEVEBENCH_OUT"

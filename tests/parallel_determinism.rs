@@ -65,33 +65,56 @@ fn seeded_workload_runs_identically_on_every_design() {
     }
 }
 
+/// Every host call, at every thread count, on every design point: 50
+/// reads run on one worker in one block; 640 reads (~45k k-mers, 11
+/// blocks) and their 320 pairs split into one read range per worker, as
+/// do the 300-read chunks of their stream.
 #[test]
 fn seeded_pipeline_is_identical_across_thread_counts() {
     let ds = dataset();
-    let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 50, 23);
-    let (pairs, _) =
-        synth::simulate_paired_reads(&ds, synth::ReadSimConfig::default(), 200, 25, 29);
-    let base = HostPipeline::new(device(SieveConfig::type3(8), 1, &ds));
-    let base_reads = base.classify_reads(&reads).unwrap();
-    let base_stream = base.classify_stream(&reads, 9).unwrap();
-    let base_pairs = base.classify_pairs(&pairs).unwrap();
-    for threads in &THREAD_SWEEP[1..] {
-        let host = HostPipeline::new(device(SieveConfig::type3(8), *threads, &ds));
-        assert_same_pipeline(
-            &host.classify_reads(&reads).unwrap(),
-            &base_reads,
-            "classify_reads",
+    for (n_reads, chunk) in [(50, 9), (640, 300)] {
+        let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), n_reads, 23);
+        let (pairs, _) = synth::simulate_paired_reads(
+            &ds,
+            synth::ReadSimConfig::default(),
+            200,
+            n_reads / 2,
+            29,
         );
-        assert_same_pipeline(
-            &host.classify_stream(&reads, 9).unwrap(),
-            &base_stream,
-            "classify_stream",
-        );
-        assert_same_pipeline(
-            &host.classify_pairs(&pairs).unwrap(),
-            &base_pairs,
-            "classify_pairs",
-        );
+        for config in [
+            SieveConfig::type1(),
+            SieveConfig::type2(8),
+            SieveConfig::type3(8),
+        ] {
+            let base = HostPipeline::new(device(config.clone(), 1, &ds));
+            let base_reads = base.classify_reads(&reads).unwrap();
+            let base_stream = base.classify_stream(&reads, chunk).unwrap();
+            let base_pairs = base.classify_pairs(&pairs).unwrap();
+            for threads in &THREAD_SWEEP[1..] {
+                let host = HostPipeline::new(device(config.clone(), *threads, &ds));
+                let at = |call: &str| {
+                    format!(
+                        "{} {n_reads} reads threads={threads} {call}",
+                        config.device.label()
+                    )
+                };
+                assert_same_pipeline(
+                    &host.classify_reads(&reads).unwrap(),
+                    &base_reads,
+                    &at("classify_reads"),
+                );
+                assert_same_pipeline(
+                    &host.classify_stream(&reads, chunk).unwrap(),
+                    &base_stream,
+                    &at("classify_stream"),
+                );
+                assert_same_pipeline(
+                    &host.classify_pairs(&pairs).unwrap(),
+                    &base_pairs,
+                    &at("classify_pairs"),
+                );
+            }
+        }
     }
 }
 

@@ -226,51 +226,64 @@ fn type1_model_trace_is_byte_identical_across_thread_counts() {
 /// opens exactly one span per call — per chunk for a stream — on every
 /// design point, for single-end batches, streams and read pairs.
 #[test]
-fn every_phase_records_one_wall_span_per_call_for_batches_and_streams() {
+fn every_block_opens_its_phase_spans_and_every_run_schedules_once() {
+    // Each call, and each chunk of a stream, is one run taken in blocks
+    // of whole reads: a block opens one `host.extract`, one
+    // `device.match` and one `host.vote` span and one `host.device`
+    // around its match, and the run one more `host.device` around its
+    // single `device.schedule`. At one thread every run here spans at
+    // least three blocks (~70 k-mers per read, 4,096 per block).
     let _session = TracerSession::begin();
     let ds = dataset();
-    let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 25, 11);
+    let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 400, 11);
     let (pairs, _) =
-        synth::simulate_paired_reads(&ds, synth::ReadSimConfig::default(), 200, 12, 13);
-    const CHUNK: usize = 10;
-    let phases = [
-        "host.extract",
-        "host.device",
-        "host.vote",
-        "device.match",
-        "device.schedule",
-    ];
+        synth::simulate_paired_reads(&ds, synth::ReadSimConfig::default(), 200, 200, 13);
+    const CHUNK: usize = 200;
     for config in [
         SieveConfig::type1(),
         SieveConfig::type2(16),
         SieveConfig::type3(8),
     ] {
         let label = config.device.label();
-        let host = HostPipeline::new(device(config, 4, &ds));
-        for call in ["batch", "stream", "pairs"] {
-            trace::global().reset();
-            let calls = match call {
-                "batch" => {
-                    host.classify_reads(&reads).unwrap();
-                    1
+        for threads in [1, 4] {
+            let host = HostPipeline::new(device(config.clone(), threads, &ds));
+            for call in ["batch", "stream", "pairs"] {
+                trace::global().reset();
+                let runs = match call {
+                    "batch" => {
+                        host.classify_reads(&reads).unwrap();
+                        1
+                    }
+                    "stream" => {
+                        host.classify_stream(&reads, CHUNK).unwrap();
+                        reads.len().div_ceil(CHUNK)
+                    }
+                    _ => {
+                        host.classify_pairs(&pairs).unwrap();
+                        1
+                    }
+                };
+                let wall = trace::global().snapshot().wall;
+                let spans = |name: &str| wall.iter().filter(|e| e.name == name).count();
+                let at = format!("{label} threads={threads} {call}");
+                let blocks = spans("host.extract");
+                let floor = if threads == 1 { 3 * runs } else { runs + 1 };
+                assert!(blocks >= floor, "{at}: {blocks} blocks for {runs} runs");
+                for name in ["device.match", "host.vote"] {
+                    assert_eq!(spans(name), blocks, "{at}: {name} spans");
                 }
-                "stream" => {
-                    host.classify_stream(&reads, CHUNK).unwrap();
-                    reads.len().div_ceil(CHUNK)
-                }
-                _ => {
-                    host.classify_pairs(&pairs).unwrap();
-                    1
-                }
-            };
-            let wall = trace::global().snapshot().wall;
-            let chunks = (call == "stream").then_some("host.chunk");
-            for name in phases.into_iter().chain(chunks) {
-                let spans = wall.iter().filter(|e| e.name == name).count();
                 assert_eq!(
-                    spans, calls,
-                    "{label} {call}: {name} opened {spans} spans for {calls} calls"
+                    spans("host.device"),
+                    blocks + runs,
+                    "{at}: host.device spans"
                 );
+                assert_eq!(
+                    spans("device.schedule"),
+                    runs,
+                    "{at}: device.schedule spans"
+                );
+                let chunks = if call == "stream" { runs } else { 0 };
+                assert_eq!(spans("host.chunk"), chunks, "{at}: host.chunk spans");
             }
         }
     }
