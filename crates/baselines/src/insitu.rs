@@ -200,8 +200,12 @@ mod tests {
     use sieve_core::{SieveConfig, SieveDevice};
     use sieve_genomics::synth;
 
+    fn dataset() -> synth::SyntheticDataset {
+        synth::make_dataset_with(8, 2048, 31, 21)
+    }
+
     fn setup() -> (SieveDevice, Vec<Kmer>) {
-        let ds = synth::make_dataset_with(8, 2048, 31, 21);
+        let ds = dataset();
         let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
         let device = SieveDevice::new(config, ds.entries.clone()).unwrap();
         let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 60, 5);
@@ -243,7 +247,7 @@ mod tests {
             &queries,
         );
 
-        let ds_entries = device.layout().entries().to_vec();
+        let ds_entries = dataset().entries;
         let no_etm = SieveDevice::new(
             SieveConfig::type3(8)
                 .with_geometry(Geometry::scaled_medium())

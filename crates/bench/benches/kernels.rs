@@ -57,16 +57,17 @@ fn bench_engine_lookup(c: &mut Criterion) {
 /// rolling extraction and the branchless majority vote. Same group as the
 /// match kernel so one `match_kernel` filter covers the host hot path end
 /// to end; `kmer_extraction/rolling_100_reads` is the per-base reference.
-/// `extract` measures the serial, whole-batch `HostPipeline::extract_kmers`
-/// (the classify calls extract the same way, one block at a time).
+/// `extract` drives the SWAR extractor ([`pack::Extractor`]) over the
+/// whole batch into one reused word buffer, as the classify calls do one
+/// block at a time.
 fn bench_host_kernels(c: &mut Criterion) {
-    use sieve_core::{vote_reads, HostPipeline, SieveDevice};
-    use sieve_genomics::TaxonId;
+    use sieve_core::vote_reads;
+    use sieve_genomics::{pack, TaxonId};
     let ds = synth::make_dataset_with(2, 2048, 31, 3);
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 100, 4);
     let total: usize = reads.iter().map(|r| r.kmer_count(31)).sum();
-    let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
-    let host = HostPipeline::new(SieveDevice::new(config, ds.entries.clone()).unwrap());
+    let mut extractor = pack::Extractor::new();
+    let mut words = Vec::with_capacity(total);
     // Vote input: the real pipeline shape — owners grouped per read with
     // a mix of misses, unanimous reads, and contested reads.
     let n_reads = 4096usize;
@@ -88,7 +89,13 @@ fn bench_host_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("match_kernel");
     g.throughput(Throughput::Elements(total as u64));
     g.bench_function("extract", |b| {
-        b.iter(|| std::hint::black_box(host.extract_kmers(&reads)).0.len());
+        b.iter(|| {
+            words.clear();
+            for read in &reads {
+                extractor.extract_forward_into(read, 31, &mut words);
+            }
+            std::hint::black_box(&words).len()
+        });
     });
     g.throughput(Throughput::Elements(results.len() as u64));
     g.bench_function("vote", |b| {
@@ -102,11 +109,12 @@ fn bench_host_kernels(c: &mut Criterion) {
 /// through the index table ([`SubarrayIndex::locate`]) and binary-searches
 /// its subarray with rows computed live ([`engine::lookup`]);
 /// `key_table_512` runs the device's match pass: a staged
-/// [`engine::KeyTable::ranks`] search over each 512-query block, then
-/// [`engine::KeyTable::resolve`] routes and resolves every query from its
-/// rank with the precomputed [`etm::RowTable`]. `key_table_512_hits`
-/// runs the same loop over stored keys only, the `hot_stream` shape,
-/// where every query reads its payload from the table's column.
+/// [`DeviceLayout::ranks`] search of the layout's key column over each
+/// 512-query block, then [`DeviceLayout::resolve`] routes and resolves
+/// every query from its rank with the precomputed [`etm::RowTable`].
+/// `key_table_512_hits` runs the same loop over stored keys only, the
+/// `hot_stream` shape, where every query reads its payload from the
+/// layout's payload column.
 fn bench_match_kernel(c: &mut Criterion) {
     use sieve_core::etm::RowTable;
     use sieve_core::SubarrayIndex;
@@ -115,26 +123,23 @@ fn bench_match_kernel(c: &mut Criterion) {
     let index = SubarrayIndex::build(&layout);
     let keys: Vec<u64> = queries.iter().map(|q| q.bits()).collect();
     // As many stored keys as there are queries, spread over the whole
-    // table.
+    // key column.
     let step = (layout.len() / keys.len()).max(1);
-    let hits: Vec<u64> = layout
-        .entries()
-        .iter()
+    let stored: Vec<u64> = layout
+        .subarrays()
+        .flat_map(|sa| sa.keys().iter().copied())
         .step_by(step)
-        .cycle()
-        .take(keys.len())
-        .map(|(k, _)| k.bits())
         .collect();
-    let table = engine::KeyTable::new(&layout);
+    let hits: Vec<u64> = stored.iter().copied().cycle().take(keys.len()).collect();
     let rows = RowTable::new(62, true, 1);
     let staged = |keys: &[u64]| {
         let mut ranks = [0usize; BLOCK];
         let mut total = 0u64;
         for block in keys.chunks(BLOCK) {
             let ranks = &mut ranks[..block.len()];
-            table.ranks(block, ranks);
+            layout.ranks(block, ranks);
             for (&key, &g) in block.iter().zip(ranks.iter()) {
-                let outcome = table.resolve(key, g, &rows).outcome;
+                let outcome = layout.resolve(key, g, &rows).outcome;
                 total += u64::from(outcome.rows) + outcome.hit.map_or(0, |(_, t)| u64::from(t.0));
             }
         }

@@ -43,8 +43,10 @@ fn main() {
         let sub = index.locate(*q);
         let sa = layout.subarray(sub);
         // Pairwise distribution: sample every 16th reference for speed.
-        for (r, _) in sa.entries().iter().step_by(16) {
-            pairwise[r.lcp_bits(q)] += 1;
+        // A pair's LCP is where its 62-bit packings first differ, counted
+        // from the top (62 when they are equal).
+        for &key in sa.keys().iter().step_by(16) {
+            pairwise[(key ^ q.bits()).leading_zeros() as usize - (64 - bit_len)] += 1;
         }
         let outcome = engine::lookup(&sa, *q, true, 1);
         lookup_max[outcome.max_lcp] += 1;

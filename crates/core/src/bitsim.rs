@@ -56,8 +56,9 @@ pub struct BitAccurateSubarray {
 }
 
 impl BitAccurateSubarray {
-    /// Transposes `subarray`'s entries into row-major bit rows of width
-    /// `cols` (the row-buffer width).
+    /// Transposes `subarray`'s keys into row-major bit rows of width
+    /// `cols` (the row-buffer width): row `j` holds bit `j` of every key,
+    /// counted from the key's top (first-base) bit.
     ///
     /// # Panics
     ///
@@ -65,21 +66,18 @@ impl BitAccurateSubarray {
     #[must_use]
     pub fn from_view(subarray: &SubarrayView<'_>, cols: u32) -> Self {
         assert!(!subarray.is_empty(), "cannot materialize an empty subarray");
-        let k = subarray.entries()[0].0.k();
-        let bit_len = 2 * k;
+        let bit_len = 2 * subarray.k();
         let words = (cols as usize).div_ceil(64);
         let mut rows = vec![vec![0u64; words]; bit_len];
         let mut ref_mask = vec![0u64; words];
         let mut rank_of_col = vec![None; cols as usize];
-        let mut taxa = Vec::with_capacity(subarray.len());
-        for (rank, (kmer, taxon)) in subarray.entries().iter().enumerate() {
+        for (rank, &key) in subarray.keys().iter().enumerate() {
             let col = subarray.col_of_rank(rank) as usize;
             assert!(col < cols as usize, "column {col} beyond row width {cols}");
             ref_mask[col / 64] |= 1u64 << (col % 64);
             rank_of_col[col] = Some(rank);
-            taxa.push(*taxon);
             for (j, row) in rows.iter_mut().enumerate() {
-                if kmer.bit(j) {
+                if (key >> (bit_len - 1 - j)) & 1 == 1 {
                     row[col / 64] |= 1u64 << (col % 64);
                 }
             }
@@ -87,7 +85,7 @@ impl BitAccurateSubarray {
         Self {
             rows,
             ref_mask,
-            taxa,
+            taxa: subarray.taxa().to_vec(),
             rank_of_col,
             bit_len,
             cols: cols as usize,
@@ -306,6 +304,11 @@ mod tests {
     use sieve_dram::Geometry;
     use sieve_genomics::synth;
 
+    /// Reference `rank` of `sa` as a k-mer.
+    fn stored(sa: &SubarrayView<'_>, rank: usize) -> Kmer {
+        Kmer::from_u64(sa.keys()[rank], sa.k()).unwrap()
+    }
+
     fn setup() -> (DeviceLayout, u32) {
         let ds = synth::make_dataset_with(4, 1024, 31, 31);
         let config = SieveConfig::type3(4).with_geometry(Geometry::scaled_medium());
@@ -318,8 +321,8 @@ mod tests {
         let (layout, cols) = setup();
         let sa = layout.subarray(0);
         let bits = BitAccurateSubarray::from_view(&sa, cols);
-        for (rank, (kmer, taxon)) in sa.entries().iter().enumerate().step_by(211) {
-            let o = bits.lookup(*kmer, true, 1);
+        for (rank, taxon) in sa.taxa().iter().enumerate().step_by(211) {
+            let o = bits.lookup(stored(&sa, rank), true, 1);
             assert_eq!(o.hit, Some((rank, *taxon)));
         }
     }
@@ -332,12 +335,12 @@ mod tests {
         let mut state = 0xdeadbeefu64;
         for i in 0..300 {
             let probe = if i % 3 == 0 {
-                sa.entries()[(i * 37) % sa.len()].0
+                stored(&sa, (i * 37) % sa.len())
             } else {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                sieve_genomics::Kmer::from_u64(state >> 2, 31).unwrap()
+                Kmer::from_u64(state >> 2, 31).unwrap()
             };
             for etm in [true, false] {
                 let fast = engine::lookup(&sa, probe, etm, 1);
@@ -352,7 +355,7 @@ mod tests {
         let (layout, cols) = setup();
         let sa = layout.subarray(0);
         let bits = BitAccurateSubarray::from_view(&sa, cols);
-        let probe = sa.entries()[5].0.shifted(sieve_genomics::Base::T);
+        let probe = stored(&sa, 5).shifted(sieve_genomics::Base::T);
         let deaths = bits.segment_death_rows(probe, 256);
         assert_eq!(deaths.len(), cols as usize / 256);
         for (s, death) in deaths.iter().enumerate() {
@@ -376,7 +379,7 @@ mod tests {
         let (layout, cols) = setup();
         let sa = layout.subarray(0);
         let bits = BitAccurateSubarray::from_view(&sa, cols);
-        let o = bits.lookup(sa.entries()[0].0, true, 1);
+        let o = bits.lookup(stored(&sa, 0), true, 1);
         let (rank, _) = o.hit.unwrap();
         assert!(sa.rank_of_col(sa.col_of_rank(rank)).is_some());
     }
@@ -387,10 +390,11 @@ mod tests {
         let sa = layout.subarray(0);
         let bits = BitAccurateSubarray::from_view(&sa, cols);
         let faults = FaultModel::default();
-        for (kmer, _) in sa.entries().iter().step_by(301) {
-            let f = bits.lookup_with_faults(*kmer, true, 1, &faults);
+        for rank in (0..sa.len()).step_by(301) {
+            let kmer = stored(&sa, rank);
+            let f = bits.lookup_with_faults(kmer, true, 1, &faults);
             assert!(!f.corrupted);
-            assert_eq!(f.outcome, bits.lookup(*kmer, true, 1));
+            assert_eq!(f.outcome, bits.lookup(kmer, true, 1));
         }
     }
 
@@ -399,7 +403,7 @@ mod tests {
         let (layout, cols) = setup();
         let sa = layout.subarray(0);
         let bits = BitAccurateSubarray::from_view(&sa, cols);
-        let (kmer, _) = sa.entries()[7];
+        let kmer = stored(&sa, 7);
         let match_col = sa.col_of_rank(7);
         let faults = FaultModel {
             stuck_zero_cols: vec![match_col],
@@ -423,7 +427,7 @@ mod tests {
         let (layout, cols) = setup();
         let sa = layout.subarray(0);
         let bits = BitAccurateSubarray::from_view(&sa, cols);
-        let (kmer, taxon) = sa.entries()[50];
+        let (kmer, taxon) = (stored(&sa, 50), sa.taxa()[50]);
         // Stick a latch on a *lower* reference column: CF picks it first.
         let shadow_col = sa.col_of_rank(3);
         let faults = FaultModel {
@@ -436,12 +440,8 @@ mod tests {
         assert_eq!(rank, 3);
         assert_ne!((rank, wrong_taxon), (50, taxon));
         // And it defeats early termination on misses: full rows burned.
-        let miss = sa.entries()[50].0.shifted(sieve_genomics::Base::G);
-        if sa
-            .entries()
-            .binary_search_by_key(&miss.bits(), |(k, _)| k.bits())
-            .is_err()
-        {
+        let miss = kmer.shifted(sieve_genomics::Base::G);
+        if sa.keys().binary_search(&miss.bits()).is_err() {
             let f = bits.lookup_with_faults(miss, true, 1, &faults);
             assert_eq!(f.outcome.rows as usize, 62);
         }
@@ -452,7 +452,7 @@ mod tests {
     fn wrong_k_panics() {
         let (layout, cols) = setup();
         let bits = BitAccurateSubarray::from_view(&layout.subarray(0), cols);
-        let probe = sieve_genomics::Kmer::from_u64(0, 21).unwrap();
+        let probe = Kmer::from_u64(0, 21).unwrap();
         let _ = bits.lookup(probe, true, 1);
     }
 }

@@ -2,13 +2,14 @@
 //! get functional results plus a timing/energy report.
 //!
 //! A run is two stages. The **match** pass walks the queries in arrival
-//! order, 512 at a time: a staged search of the device's key table
-//! ([`engine::KeyTable`]) finds every query's rank among all the
-//! reference keys, and that rank routes the query to its subarray,
-//! resolves it there and charges it to the subarray's load. The pass
-//! carries its per-subarray sums from one call to the next, so the host
-//! pipeline matches a run block by block as it extracts it, and
-//! [`SieveDevice::run`] drives the same pass over a whole batch. The
+//! order, 512 at a time, as bare `2k`-bit words: a staged search of the
+//! layout's key column ([`DeviceLayout::ranks`]) finds every query's
+//! rank among all the reference keys, and that rank routes the query to
+//! its subarray, resolves it there ([`DeviceLayout::resolve`]) and
+//! charges it to the subarray's load. The pass carries its per-subarray
+//! sums from one call to the next, so the host pipeline matches a run
+//! block by block as it extracts it, and [`SieveDevice::run`] drives the
+//! same pass over a whole batch, once it has checked the batch's k. The
 //! **schedule** then times the per-subarray totals on the configured
 //! design point, once per run. With `threads > 1` each worker takes one
 //! contiguous range of the run through its own pass, and the passes'
@@ -35,7 +36,7 @@ const MAX_BATCH: usize = u32::MAX as usize;
 
 /// Queries per block of the match pass: big enough that a block's
 /// searches keep many cache misses in flight, small enough that the
-/// block's keys and ranks stay in L1.
+/// block's words and ranks stay in L1.
 pub(crate) const MATCH_BLOCK: usize = 512;
 
 /// Checks the batch bound without allocating anything.
@@ -131,7 +132,7 @@ impl RowsTally {
 
 /// One worker's share of a run's match pass: its row tables, its
 /// per-subarray sums, its Type-1 charges and its row tally, carried from
-/// one [`Self::match_queries`] call to the next, so a run can be matched
+/// one [`Self::match_keys`] call to the next, so a run can be matched
 /// block by block as its queries are produced. [`SieveDevice::run`]
 /// drives one pass per range of its batch, and the host pipeline one per
 /// worker over the blocks it extracts; [`SieveDevice::finish_run`]
@@ -148,28 +149,15 @@ pub(crate) struct MatchPass<'d> {
 }
 
 impl MatchPass<'_> {
-    /// Matches `queries` in arrival order, writing `out[i]` for
-    /// `queries[i]`, and adds their work to the pass's sums: per
-    /// [`MATCH_BLOCK`] of queries, every query's k is checked, the
-    /// staged search gives every query's global rank, then each query is
-    /// routed, resolved and accounted from its rank. On an empty device
-    /// every query misses.
-    ///
-    /// The k check reads each block of queries just before the search
-    /// reads it again, while it is in L1: a separate scan of a host
-    /// block took 0.3–0.5 ms of a ~15 ms `mg_batch` call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::KMismatch`] if any query's k differs from
-    /// the loaded database's; the pass is then unusable.
-    pub(crate) fn match_queries(
-        &mut self,
-        queries: &[Kmer],
-        out: &mut [Option<TaxonId>],
-    ) -> Result<(), SieveError> {
+    /// Matches `keys`, the `2k`-bit words of the run's queries, in
+    /// arrival order, writing `out[i]` for `keys[i]`, and adds their work
+    /// to the pass's sums: per [`MATCH_BLOCK`] of words, the staged
+    /// search gives every word's global rank, then each word is routed,
+    /// resolved and accounted from its rank. The words are read in
+    /// place. On an empty device every query misses.
+    pub(crate) fn match_keys(&mut self, keys: &[u64], out: &mut [Option<TaxonId>]) {
         let _wall = trace::span("device.match");
-        debug_assert_eq!(queries.len(), out.len());
+        debug_assert_eq!(keys.len(), out.len());
         let Self {
             device,
             rows,
@@ -178,24 +166,19 @@ impl MatchPass<'_> {
             type1,
             tally,
         } = self;
-        matched.queries += queries.len() as u64;
+        matched.queries += keys.len() as u64;
         if device.index.is_none() {
-            device.check_queries(queries)?;
             out.fill(None);
-            return Ok(());
+            return;
         }
+        let layout = &device.layout;
         let esp = device.config.esp_override.unwrap_or(0) as usize;
-        let mut keys = [0u64; MATCH_BLOCK];
         let mut ranks = [0usize; MATCH_BLOCK];
-        for (block, out) in queries.chunks(MATCH_BLOCK).zip(out.chunks_mut(MATCH_BLOCK)) {
-            device.check_queries(block)?;
-            let (keys, ranks) = (&mut keys[..block.len()], &mut ranks[..block.len()]);
-            for (key, q) in keys.iter_mut().zip(block) {
-                *key = q.bits();
-            }
-            device.keys.ranks(keys, ranks);
-            for ((&key, &g), result) in keys.iter().zip(ranks.iter()).zip(out) {
-                let routed = device.keys.resolve(key, g, rows);
+        for (block, out) in keys.chunks(MATCH_BLOCK).zip(out.chunks_mut(MATCH_BLOCK)) {
+            let ranks = &mut ranks[..block.len()];
+            layout.ranks(block, ranks);
+            for ((&key, &g), result) in block.iter().zip(ranks.iter()).zip(out) {
+                let routed = layout.resolve(key, g, rows);
                 let (sub, outcome) = (routed.subarray, routed.outcome);
                 let hit = outcome.hit.is_some();
                 let rows = match (esp_rows.as_ref(), hit) {
@@ -216,7 +199,6 @@ impl MatchPass<'_> {
                 }
             }
         }
-        Ok(())
     }
 
     /// The pass's sums, its row tally merged into the recorder and its
@@ -259,12 +241,11 @@ pub struct SieveDevice {
     config: SieveConfig,
     layout: DeviceLayout,
     index: Option<SubarrayIndex>,
-    keys: engine::KeyTable,
 }
 
 impl SieveDevice {
-    /// Validates `config`, lays out `entries`, and builds the index table
-    /// and the match stage's key table.
+    /// Validates `config`, lays out `entries` in the reference store, and
+    /// builds the index table.
     ///
     /// # Errors
     ///
@@ -273,12 +254,10 @@ impl SieveDevice {
     pub fn new(config: SieveConfig, entries: Vec<(Kmer, TaxonId)>) -> Result<Self, SieveError> {
         let layout = DeviceLayout::build(entries, &config)?;
         let index = (!layout.is_empty()).then(|| SubarrayIndex::build(&layout));
-        let keys = engine::KeyTable::new(&layout);
         Ok(Self {
             config,
             layout,
             index,
-            keys,
         })
     }
 
@@ -321,13 +300,13 @@ impl SieveDevice {
         .map(|(_, taxon)| taxon))
     }
 
-    /// Runs a query batch: routes and matches every query in arrival
-    /// order, then schedules the per-subarray totals on the configured
-    /// design point, charging every occurrence of a repeated k-mer in
-    /// full, as the device would. The host pipeline drives the same
-    /// match pass over the blocks it extracts ([`crate::HostPipeline`]),
-    /// so a batch it classifies and the same k-mers run here give one
-    /// report.
+    /// Runs a query batch: checks every query's k once, routes and
+    /// matches the queries' `2k`-bit words in arrival order, then
+    /// schedules the per-subarray totals on the configured design point,
+    /// charging every occurrence of a repeated k-mer in full, as the
+    /// device would. The host pipeline drives the same match pass over
+    /// the words it extracts ([`crate::HostPipeline`]), so a batch it
+    /// classifies and the same k-mers run here give one report.
     ///
     /// The match → schedule structure is deterministic: each result is
     /// written at its query's index and every merged quantity is an
@@ -341,13 +320,14 @@ impl SieveDevice {
     /// batch holds more than `u32::MAX` queries.
     pub fn run(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
         check_batch_len(queries.len())?;
+        self.check_queries(queries)?;
+        let keys: Vec<u64> = queries.iter().map(Kmer::bits).collect();
         let threads = par::effective_threads(self.config.threads);
         let mut passes: Vec<MatchPass<'_>> = (0..threads).map(|_| self.pass()).collect();
         let mut results = vec![None; queries.len()];
-        let ranges = par::map_ranges_mut(&mut passes, &mut results, |pass, offset, out| {
-            pass.match_queries(&queries[offset..offset + out.len()], out)
+        par::map_ranges_mut(&mut passes, &mut results, |pass, offset, out| {
+            pass.match_keys(&keys[offset..offset + out.len()], out);
         });
-        ranges.into_iter().collect::<Result<(), _>>()?;
         let report = self.finish_run(passes);
         Ok(RunOutput { results, report })
     }
@@ -381,8 +361,7 @@ impl SieveDevice {
                 ],
                 type1: Vec::new(),
             },
-            type1: (type1 && etm)
-                .then(|| sched::Type1Pass::new(&self.config, &self.layout, &self.keys)),
+            type1: (type1 && etm).then(|| sched::Type1Pass::new(&self.config, &self.layout)),
             tally: RowsTally::new(),
         }
     }
@@ -470,12 +449,12 @@ impl SieveDevice {
                 );
             }
         }
-        // Canonical match traffic (DESIGN.md §10): every query is read
-        // once with the 24 bytes of key table its search must touch (its
-        // bucket's two offsets and its two neighbour keys), every hit
+        // Canonical match traffic (DESIGN.md §10): every query's word is
+        // read once with the 24 bytes of key column its search must touch
+        // (its bucket's two offsets and its two neighbour keys), every hit
         // reads its payload, and every query writes its result.
         use std::mem::size_of;
-        let query_bytes = size_of::<Kmer>() + 2 * size_of::<u32>() + 2 * size_of::<u64>();
+        let query_bytes = size_of::<u64>() + 2 * size_of::<u32>() + 2 * size_of::<u64>();
         prof::record(
             prof::Phase::DeviceMatch,
             queries * query_bytes as u64 + hits * size_of::<TaxonId>() as u64,
@@ -507,9 +486,10 @@ impl SieveDevice {
         report
     }
 
-    /// Checks every query's k against the loaded database's. The scan
-    /// has no early exit, so it vectorizes; only a failing batch looks
-    /// for the first offender.
+    /// Checks every query's k against the loaded database's, once per
+    /// batch, where a [`Kmer`] of any k enters. The scan has no early
+    /// exit, so it vectorizes; only a failing batch looks for the first
+    /// offender.
     fn check_queries(&self, queries: &[Kmer]) -> Result<(), SieveError> {
         let k = self.config.k;
         if queries.iter().fold(false, |bad, q| bad | (q.k() != k)) {

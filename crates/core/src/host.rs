@@ -11,16 +11,17 @@
 //! The *simulator's* host streams the same way, in blocks: every call
 //! (a batch, each chunk of a stream, a batch of read pairs) is one device
 //! run, taken block by block. A block extracts whole reads into reused
-//! buffers until it holds [`HOST_BLOCK`] k-mers, matches them through
-//! the device's match pass, which carries the run's per-subarray sums
-//! from block to block, and votes its reads; the run is scheduled once,
-//! after the last block. A call therefore holds one block of k-mers, not
-//! the whole batch, and a block's k-mers, owner tags and results stay in
-//! cache from extraction to the vote. With `threads > 1`, a call of at
-//! least [`PARALLEL_READS`] reads splits them into one contiguous range
-//! per worker, each with its own buffers and match pass. The modeled
-//! overlap is the device makespan the report carries, not a wall-clock
-//! property of the simulator.
+//! buffers until it holds [`HOST_BLOCK`] k-mers, each a bare `2k`-bit
+//! word at the device's k, matches them through the device's match pass,
+//! which carries the run's per-subarray sums from block to block, and
+//! votes its reads; the run is scheduled once, after the last block. A
+//! call therefore holds one block of k-mers, not the whole batch, and a
+//! block's words, owner tags and results stay in cache from extraction
+//! to the vote. With `threads > 1`, a call of at least
+//! [`PARALLEL_READS`] reads splits them into one contiguous range per
+//! worker, each with its own buffers and match pass. The modeled overlap
+//! is the device makespan the report carries, not a wall-clock property
+//! of the simulator.
 
 use sieve_genomics::{pack, DnaSequence, Kmer, TaxonId};
 
@@ -38,14 +39,14 @@ const PARALLEL_READS: usize = 128;
 
 /// A block takes whole reads while it holds fewer k-mers than this, so
 /// it never splits a read and holds at most this many plus one read's.
-/// Eight match blocks ([`device::MATCH_BLOCK`]): at 28 B per k-mer (the
-/// k-mer, its owner tag and its result) a block is ~115 KB, which stays
-/// in L2 from extraction through the vote.
+/// Eight match blocks ([`device::MATCH_BLOCK`]): at 20 B per k-mer (its
+/// word, its owner tag and its result) a block is ~83 KB, which stays in
+/// L2 from extraction through the vote.
 const HOST_BLOCK: usize = 8 * device::MATCH_BLOCK;
 
-/// Bytes extraction writes per k-mer: the packed `Kmer` and its `u32`
-/// owner tag (the `host.extract` traffic charge).
-const KMER_RECORD_BYTES: u64 = (std::mem::size_of::<Kmer>() + std::mem::size_of::<u32>()) as u64;
+/// Bytes extraction writes per k-mer: its `u64` word and its `u32` owner
+/// tag (the `host.extract` traffic charge).
+const KMER_RECORD_BYTES: u64 = (std::mem::size_of::<u64>() + std::mem::size_of::<u32>()) as u64;
 
 /// Per-read classification assembled from device responses.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -75,12 +76,13 @@ trait Unit: Sync {
     /// The most k-mers [`Self::extract`] can append (windows containing
     /// `N` are skipped).
     fn max_kmers(&self, k: usize) -> usize;
-    /// Appends the unit's k-mers through the SWAR extractor: each read
-    /// is packed to 2 bits per base and its windows come out 32 per
-    /// `u64` ([`pack::Extractor`]). The rolling per-base iterator
-    /// ([`DnaSequence::kmers`]) is its scalar reference;
-    /// `tests/kernel_equivalence.rs` proves the two streams identical.
-    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<Kmer>);
+    /// Appends the unit's k-mers as `2k`-bit words through the SWAR
+    /// extractor: each read is packed to 2 bits per base, 32 per `u64`,
+    /// and its windows rolled out of the packing ([`pack::Extractor`]).
+    /// The rolling per-base iterator ([`DnaSequence::kmers`]) is its
+    /// scalar reference; `tests/kernel_equivalence.rs` proves the two
+    /// streams identical.
+    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<u64>);
 }
 
 impl Unit for DnaSequence {
@@ -92,7 +94,7 @@ impl Unit for DnaSequence {
         (self.len() + 1).saturating_sub(k)
     }
 
-    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<Kmer>) {
+    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<u64>) {
         extractor.extract_forward_into(self, k, kmers);
     }
 }
@@ -108,7 +110,7 @@ impl Unit for (DnaSequence, DnaSequence) {
         self.0.max_kmers(k) + self.1.max_kmers(k)
     }
 
-    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<Kmer>) {
+    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<u64>) {
         self.0.extract(k, extractor, kmers);
         self.1.reverse_complement().extract(k, extractor, kmers);
     }
@@ -119,7 +121,8 @@ impl Unit for (DnaSequence, DnaSequence) {
 #[derive(Default)]
 struct Blocks {
     extractor: pack::Extractor,
-    kmers: Vec<Kmer>,
+    /// The block's k-mers as `2k`-bit words.
+    kmers: Vec<u64>,
     /// Each k-mer's unit, counted from the block's first.
     owners: Vec<u32>,
     /// Match results, kept as long as `kmers`' capacity so a block
@@ -182,19 +185,19 @@ impl HostPipeline {
     }
 
     /// Extracts every valid k-mer from `reads`, tagged with its read
-    /// index, in one serial pass: the whole batch that the classify
-    /// calls never materialize. With [`SieveDevice::run`] and
-    /// [`vote_reads`] it composes the reference the block pass is held
-    /// to.
+    /// index, in one serial pass of the rolling per-base iterator
+    /// ([`DnaSequence::kmers`]): the whole batch that the classify calls
+    /// never materialize. With [`SieveDevice::run`] and [`vote_reads`] it
+    /// composes the reference the block pass is held to, so that
+    /// reference also holds the SWAR extractor to its scalar twin.
     #[must_use]
     pub fn extract_kmers(&self, reads: &[DnaSequence]) -> (Vec<Kmer>, Vec<u32>) {
         let k = self.device.config().k;
         let upper: usize = reads.iter().map(|r| r.max_kmers(k)).sum();
         let mut kmers = Vec::with_capacity(upper);
         let mut owners = Vec::with_capacity(upper);
-        let mut extractor = pack::Extractor::new();
         for (ri, read) in reads.iter().enumerate() {
-            read.extract(k, &mut extractor, &mut kmers);
+            kmers.extend(read.kmers(k).map(|(_, kmer)| kmer));
             owners.resize(kmers.len(), ri as u32);
         }
         (kmers, owners)
@@ -205,8 +208,8 @@ impl HostPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates device errors (k mismatch, a batch of more than
-    /// `u32::MAX` k-mers).
+    /// Returns [`SieveError::BatchTooLarge`] for a batch of more than
+    /// `u32::MAX` k-mers.
     pub fn classify_reads(&self, reads: &[DnaSequence]) -> Result<PipelineOutput, SieveError> {
         obs::global().add(obs::CounterId::HostReads, reads.len() as u64);
         self.classify_batch(reads)
@@ -224,7 +227,8 @@ impl HostPipeline {
     /// # Errors
     ///
     /// Returns [`SieveError::InvalidConfig`] for `chunk_reads == 0`, and
-    /// propagates device errors (k mismatch).
+    /// [`SieveError::BatchTooLarge`] for a chunk of more than `u32::MAX`
+    /// k-mers.
     pub fn classify_stream(
         &self,
         reads: &[DnaSequence],
@@ -270,8 +274,8 @@ impl HostPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates device errors (k mismatch, a batch of more than
-    /// `u32::MAX` k-mers).
+    /// Returns [`SieveError::BatchTooLarge`] for a batch of more than
+    /// `u32::MAX` k-mers.
     pub fn classify_pairs(
         &self,
         pairs: &[(DnaSequence, DnaSequence)],
@@ -299,8 +303,8 @@ impl HostPipeline {
     /// [`PARALLEL_READS`] units, each worker takes one contiguous range
     /// of them through its own block loop and match pass. Then, from the
     /// call's totals: the batch bound, the host counters, the extract
-    /// charge (one byte per scanned base in, one packed k-mer plus its
-    /// owner tag out) and the per-run step, which merges the passes in
+    /// charge (one byte per scanned base in, one word plus its owner tag
+    /// out) and the per-run step, which merges the passes in
     /// range order and schedules the run. Every total is an integer sum,
     /// so nothing depends on the split.
     fn classify_run<U: Unit>(
@@ -324,8 +328,7 @@ impl HostPipeline {
         });
         let _wall = trace::span("host.device");
         let (mut kmers, mut bases) = (0u64, 0u64);
-        for total in totals {
-            let (k, b) = total?;
+        for (k, b) in totals {
             kmers += k;
             bases += b;
         }
@@ -347,16 +350,15 @@ impl HostPipeline {
 
     /// One worker's block loop over `units`, writing `out[i]` for
     /// `units[i]`: each block extracts whole units while it holds fewer
-    /// than [`HOST_BLOCK`] k-mers, checks and matches them through
-    /// `pass`, and votes its units. Returns the k-mers and bases it
-    /// took.
+    /// than [`HOST_BLOCK`] k-mers, matches their words through `pass`,
+    /// and votes its units. Returns the k-mers and bases it took.
     fn classify_blocks<U: Unit>(
         &self,
         units: &[U],
         out: &mut [ReadResult],
         blocks: &mut Blocks,
         pass: &mut MatchPass<'_>,
-    ) -> Result<(u64, u64), SieveError> {
+    ) -> (u64, u64) {
         let k = self.device.config().k;
         let (mut kmers, mut bases) = (0u64, 0u64);
         let mut next = 0;
@@ -380,7 +382,7 @@ impl HostPipeline {
             let n = blocks.kmers.len();
             {
                 let _wall = trace::span("host.device");
-                pass.match_queries(&blocks.kmers, &mut blocks.results[..n])?;
+                pass.match_keys(&blocks.kmers, &mut blocks.results[..n]);
             }
             {
                 let _wall = trace::span("host.vote");
@@ -394,7 +396,7 @@ impl HostPipeline {
             }
             kmers += n as u64;
         }
-        Ok((kmers, bases))
+        (kmers, bases)
     }
 }
 

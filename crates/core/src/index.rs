@@ -4,18 +4,19 @@
 //! a query takes one binary search over `(first, last)` ranges. Each entry
 //! is an 8-byte subarray id plus the integer values of the subarray's first
 //! and last k-mers — the table scales with *capacity*, not with k (the
-//! paper: < 2 MB even for a 500 GB device).
+//! paper: < 2 MB even for a 500 GB device). Routing reads only the first
+//! keys, so [`SubarrayIndex`] keeps those alone, and
+//! [`SubarrayIndex::table_bytes`] sizes the paper's table.
 //!
 //! The simulated device does not search this table per query: its match
 //! pass finds each query's rank among all the reference keys anyway, and
-//! that rank names the same subarray ([`crate::engine::KeyTable::resolve`]).
+//! that rank names the same subarray ([`crate::DeviceLayout::resolve`]).
 //! [`SubarrayIndex::locate`] is the reference that routing is tested
 //! against, and serves [`crate::SieveDevice::lookup`].
 
 use sieve_genomics::Kmer;
 
-use crate::engine::Bucketed;
-use crate::layout::DeviceLayout;
+use crate::layout::{Bucketed, DeviceLayout};
 
 /// Bytes per index entry: 8 (subarray id) + 2 × 8 (first/last k-mer).
 pub const ENTRY_BYTES: usize = 24;
@@ -36,7 +37,7 @@ pub const ENTRY_BYTES: usize = 24;
 /// // Every stored k-mer routes to the subarray that stores it.
 /// let (kmer, _) = ds.entries[0];
 /// let sa = index.locate(kmer);
-/// assert!(layout.subarray(sa).entries().iter().any(|(k, _)| *k == kmer));
+/// assert!(layout.subarray(sa).keys().contains(&kmer.bits()));
 /// # Ok::<(), sieve_core::SieveError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -44,33 +45,32 @@ pub struct SubarrayIndex {
     /// First key per occupied subarray, bucketed so routing a query is a
     /// bucket probe instead of a binary search over every range.
     firsts: Bucketed,
-    lasts: Vec<u64>,
 }
 
 impl SubarrayIndex {
     /// Builds the table from a device layout.
     #[must_use]
     pub fn build(layout: &DeviceLayout) -> Self {
-        let firsts: Vec<u64> = layout.subarrays().map(|sa| sa.first().bits()).collect();
+        let firsts: Vec<u64> = layout.subarrays().map(|sa| sa.keys()[0]).collect();
         Self {
             firsts: Bucketed::new(firsts.into_iter(), 2 * layout.k()),
-            lasts: layout.subarrays().map(|sa| sa.last().bits()).collect(),
         }
     }
 
     /// Number of indexed subarrays.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lasts.len()
+        self.firsts.len()
     }
 
     /// Whether the index is empty (no subarray holds data).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lasts.is_empty()
+        self.len() == 0
     }
 
-    /// Host memory the table occupies, bytes.
+    /// Host memory the paper's table takes, bytes: [`ENTRY_BYTES`] per
+    /// occupied subarray.
     #[must_use]
     pub fn table_bytes(&self) -> usize {
         self.len() * ENTRY_BYTES
@@ -83,8 +83,8 @@ impl SubarrayIndex {
     /// misses there). That is the largest `i` with `first[i] ≤ query`,
     /// and subarray 0 below the first range. The device's match pass
     /// routes by the same rule from a query's rank among all the keys
-    /// ([`crate::engine::KeyTable::resolve`]); this search of the first
-    /// keys is its reference.
+    /// ([`crate::DeviceLayout::resolve`]); this search of the first keys
+    /// is its reference.
     ///
     /// # Panics
     ///
@@ -100,18 +100,6 @@ impl SubarrayIndex {
             i.saturating_sub(1)
         }
     }
-
-    /// Whether `query` falls inside the located subarray's `[first, last]`
-    /// range (i.e. the routing could possibly produce a hit).
-    #[must_use]
-    pub fn in_range(&self, query: Kmer) -> bool {
-        if self.is_empty() {
-            return false;
-        }
-        let i = self.locate(query);
-        let q = query.bits();
-        self.firsts.key(i) <= q && q <= self.lasts[i]
-    }
 }
 
 #[cfg(test)]
@@ -120,6 +108,10 @@ mod tests {
     use crate::config::SieveConfig;
     use sieve_dram::Geometry;
     use sieve_genomics::synth;
+
+    fn kmer(key: u64) -> Kmer {
+        Kmer::from_u64(key, 31).unwrap()
+    }
 
     fn setup() -> (DeviceLayout, SubarrayIndex) {
         let ds = synth::make_dataset_with(8, 4096, 31, 7);
@@ -134,9 +126,8 @@ mod tests {
         let (layout, index) = setup();
         assert!(index.len() >= 2, "need multiple subarrays for this test");
         for (i, sa) in layout.subarrays().enumerate() {
-            for (kmer, _) in sa.entries().iter().step_by(503) {
-                assert_eq!(index.locate(*kmer), i);
-                assert!(index.in_range(*kmer));
+            for &key in sa.keys().iter().step_by(503) {
+                assert_eq!(index.locate(kmer(key)), i);
             }
         }
     }
@@ -145,18 +136,16 @@ mod tests {
     fn boundary_kmers_route_correctly() {
         let (layout, index) = setup();
         for (i, sa) in layout.subarrays().enumerate() {
-            assert_eq!(index.locate(sa.first()), i);
-            assert_eq!(index.locate(sa.last()), i);
+            assert_eq!(index.locate(kmer(sa.keys()[0])), i);
+            assert_eq!(index.locate(kmer(sa.keys()[sa.len() - 1])), i);
         }
     }
 
     #[test]
     fn below_first_range_routes_to_subarray_zero() {
         let (layout, index) = setup();
-        let q = Kmer::from_u64(0, 31).unwrap();
-        if q.bits() < layout.subarray(0).first().bits() {
-            assert_eq!(index.locate(q), 0);
-            assert!(!index.in_range(q));
+        if 0 < layout.subarray(0).keys()[0] {
+            assert_eq!(index.locate(kmer(0)), 0);
         }
     }
 
@@ -165,12 +154,11 @@ mod tests {
         let (layout, index) = setup();
         // A value just above subarray 0's last k-mer but below subarray 1's
         // first is in the gap.
-        let last0 = layout.subarray(0).last().bits();
-        let first1 = layout.subarray(1).first().bits();
+        let sa0 = layout.subarray(0);
+        let last0 = sa0.keys()[sa0.len() - 1];
+        let first1 = layout.subarray(1).keys()[0];
         if first1 > last0 + 1 {
-            let gap = Kmer::from_u64(last0 + 1, 31).unwrap();
-            assert_eq!(index.locate(gap), 0);
-            assert!(!index.in_range(gap));
+            assert_eq!(index.locate(kmer(last0 + 1)), 0);
         }
     }
 

@@ -1,4 +1,5 @@
-//! Column-major data layout (§IV-A, Figure 7(e)).
+//! Column-major data layout (§IV-A, Figure 7(e)), and the device's one
+//! reference store.
 //!
 //! Reference k-mers are globally **sorted** and partitioned across
 //! subarrays in order; within a subarray they are transposed onto bitlines,
@@ -12,11 +13,23 @@
 //! ETM segment (a contiguous range of 256 columns) contains a
 //! **contiguous, sorted range of references** — the property that lets the
 //! fast engine compute per-segment and per-batch aliveness by binary search.
+//!
+//! [`DeviceLayout`] holds each reference once, in two columns indexed by
+//! its global rank: its key, the `2k`-bit packing of the k-mer, in a
+//! sorted `u64` column bucketed by its top bits, and its payload in a
+//! [`TaxonId`] column. k is stored once. That is 8 B of key, 4 B of
+//! payload and 4–8 B of bucket offsets per reference. A [`SubarrayView`]
+//! is one subarray's slice of both columns. Queries use the keys'
+//! encoding too: the host hands the match pass bare `2k`-bit words
+//! ([`DeviceLayout::ranks`], [`DeviceLayout::resolve`]), and k is checked
+//! once, where a [`Kmer`] of any k enters ([`crate::SieveDevice::run`]).
 
 use sieve_genomics::{Kmer, TaxonId};
 
 use crate::config::{DeviceKind, SieveConfig};
+use crate::engine::{lcp_bits_u64_swar, MatchOutcome, Routed};
 use crate::error::SieveError;
+use crate::etm::RowTable;
 
 /// How reference and query columns share a pattern group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +76,150 @@ impl GroupShape {
     }
 }
 
-/// The data layout of a whole device: sorted entries partitioned over
-/// subarrays.
+/// Keys a [`Bucketed::lower_bound`] compares from the start of its
+/// bucket before falling back to a binary search of the rest of it.
+const WINDOW: usize = 4;
+
+/// A sorted `u64` key array with a direct-mapped index over the keys' top
+/// `b` bits, `2^b ≥ n`, so a bucket holds about one key: the layout's key
+/// column, and the first-key table behind the reference router
+/// [`crate::SubarrayIndex::locate`].
+///
+/// A search reads its bucket's start offset, then counts the keys below
+/// the query in a fixed [`WINDOW`] from there. The count is branch-free;
+/// only a crowded bucket reads its end offset and searches on. The two
+/// reads are two steps, so a block search ([`Self::lower_bounds`]) runs
+/// each as one sweep over the block and the block's cache misses
+/// overlap.
+#[derive(Debug, Clone)]
+pub(crate) struct Bucketed {
+    /// The keys in ascending order, then [`WINDOW`] `u64::MAX` sentinels
+    /// so no bucket's window runs off the end (a sentinel never counts
+    /// as below a query).
+    keys: Vec<u64>,
+    /// `starts[b]..starts[b + 1]` holds the keys whose top bits are `b`.
+    starts: Vec<u32>,
+    /// Right shift from a key to its bucket.
+    shift: u32,
+}
+
+impl Bucketed {
+    /// Indexes `keys`, which must ascend and be `bit_len`-bit packings:
+    /// one counting pass over the bucket of every key, then an in-place
+    /// prefix sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` keys.
+    pub(crate) fn new(keys: impl ExactSizeIterator<Item = u64>, bit_len: usize) -> Self {
+        let n = keys.len();
+        assert!(u32::try_from(n).is_ok(), "bucket offsets are u32");
+        let mut sorted = Vec::with_capacity(n + WINDOW);
+        sorted.extend(keys);
+        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "keys must ascend");
+        let bit_len = bit_len as u32;
+        let bucket_bits = n.next_power_of_two().trailing_zeros().clamp(1, bit_len);
+        let shift = bit_len - bucket_bits;
+        let mut starts = vec![0u32; (1 << bucket_bits) + 1];
+        for &key in &sorted {
+            starts[(key >> shift) as usize + 1] += 1;
+        }
+        let mut total = 0;
+        for start in &mut starts {
+            total += *start;
+            *start = total;
+        }
+        sorted.extend([u64::MAX; WINDOW]);
+        Self {
+            keys: sorted,
+            starts,
+            shift,
+        }
+    }
+
+    /// Number of keys (sentinels excluded).
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len() - WINDOW
+    }
+
+    /// The keys in ascending order (sentinels excluded).
+    fn keys(&self) -> &[u64] {
+        &self.keys[..self.len()]
+    }
+
+    /// Key `i`.
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> u64 {
+        self.keys[i]
+    }
+
+    /// The index of the first key `≥ target`: [`Self::lower_bounds`] on
+    /// one key.
+    pub(crate) fn lower_bound(&self, target: u64) -> usize {
+        self.rank_from(target, self.bucket_start(target))
+    }
+
+    /// [`Self::lower_bound`] of every target, staged: one sweep reads
+    /// every target's bucket start, a second counts every target's window
+    /// from it. Each sweep's loads are independent of one another, so the
+    /// cache misses of a whole block are in flight together instead of
+    /// one search's two dependent misses at a time.
+    #[inline]
+    fn lower_bounds(&self, targets: &[u64], out: &mut [usize]) {
+        debug_assert_eq!(targets.len(), out.len());
+        for (rank, &target) in out.iter_mut().zip(targets) {
+            *rank = self.bucket_start(target);
+        }
+        for (rank, &target) in out.iter_mut().zip(targets) {
+            *rank = self.rank_from(target, *rank);
+        }
+    }
+
+    /// The first step of a search: the index of the first key in
+    /// `target`'s bucket (or of the next key above it).
+    #[inline(always)]
+    fn bucket_start(&self, target: u64) -> usize {
+        self.starts[(target >> self.shift) as usize] as usize
+    }
+
+    /// The second step: the first key `≥ target`, given its bucket's
+    /// start `s`. Keys past the bucket's end sort above the target, so
+    /// the window's count is the answer unless the whole window sits
+    /// below the target in a bucket that goes on.
+    #[inline(always)]
+    fn rank_from(&self, target: u64, s: usize) -> usize {
+        let ins = s + self.keys[s..s + WINDOW]
+            .iter()
+            .map(|&k| usize::from(k < target))
+            .sum::<usize>();
+        if ins == s + WINDOW {
+            let end = self.starts[(target >> self.shift) as usize + 1] as usize;
+            if ins < end {
+                return ins + self.keys[ins..end].partition_point(|&k| k < target);
+            }
+        }
+        ins
+    }
+}
+
+/// The occupied subarray a query routes to, from its global insertion
+/// rank `g` among the layout's sorted keys (`refs` per subarray, every
+/// subarray but the last full): on a hit the subarray holding key `g`,
+/// `g / refs`; on a miss the one holding the key just below the query,
+/// `(g − 1) / refs`, and subarray 0 below the first key. That is
+/// [`crate::SubarrayIndex::locate`]'s pick, the largest subarray whose
+/// first key is at most the query.
+#[inline]
+fn route(g: usize, hit: bool, refs: usize) -> usize {
+    if hit || g == 0 {
+        g / refs
+    } else {
+        (g - 1) / refs
+    }
+}
+
+/// The data layout of a whole device, and its reference store: the
+/// sorted keys and their payloads, partitioned over subarrays.
 ///
 /// # Example
 ///
@@ -81,7 +236,10 @@ impl GroupShape {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeviceLayout {
-    entries: Vec<(Kmer, TaxonId)>,
+    /// Every reference's key, in ascending order.
+    keys: Bucketed,
+    /// Reference `g`'s payload at index `g`.
+    taxa: Vec<TaxonId>,
     refs_per_subarray: u32,
     group: GroupShape,
     k: usize,
@@ -89,13 +247,19 @@ pub struct DeviceLayout {
 
 impl DeviceLayout {
     /// Partitions `entries` (sorted or not; sorted and deduplicated
-    /// internally) across the device described by `config`.
+    /// internally, keeping the first of equal keys) across the device
+    /// described by `config`. The sorted entries fill the key and payload
+    /// columns in one pass and are then dropped.
     ///
     /// # Errors
     ///
     /// * [`SieveError::InvalidConfig`] if `config` is inconsistent;
     /// * [`SieveError::KMismatch`] if any entry's k differs from `config.k`;
     /// * [`SieveError::CapacityExceeded`] if the set does not fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set holds more than `u32::MAX` references.
     pub fn build(
         mut entries: Vec<(Kmer, TaxonId)>,
         config: &SieveConfig,
@@ -117,6 +281,12 @@ impl DeviceLayout {
                 capacity_kmers: config.capacity_kmers(),
             });
         }
+        let mut taxa = Vec::with_capacity(entries.len());
+        let keys = entries.iter().map(|&(kmer, taxon)| {
+            taxa.push(taxon);
+            kmer.bits()
+        });
+        let keys = Bucketed::new(keys, 2 * config.k);
         let query_cols = match config.device {
             DeviceKind::Type1 => 0,
             _ => config.queries_per_group,
@@ -128,7 +298,8 @@ impl DeviceLayout {
             _ => config.pattern_group_cols,
         };
         Ok(Self {
-            entries,
+            keys,
+            taxa,
             refs_per_subarray: config.refs_per_subarray(),
             group: GroupShape {
                 cols: group_cols,
@@ -147,19 +318,13 @@ impl DeviceLayout {
     /// Total reference k-mers stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.taxa.len()
     }
 
     /// Whether the layout holds no references.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The globally sorted entries.
-    #[must_use]
-    pub fn entries(&self) -> &[(Kmer, TaxonId)] {
-        &self.entries
+        self.taxa.is_empty()
     }
 
     /// Reference capacity of one subarray.
@@ -171,7 +336,7 @@ impl DeviceLayout {
     /// Number of subarrays that hold at least one reference.
     #[must_use]
     pub fn occupied_subarrays(&self) -> usize {
-        self.entries.len().div_ceil(self.refs_per_subarray as usize)
+        self.len().div_ceil(self.refs_per_subarray as usize)
     }
 
     /// The layout view of occupied subarray `index`.
@@ -187,9 +352,11 @@ impl DeviceLayout {
             self.occupied_subarrays()
         );
         let start = index * self.refs_per_subarray as usize;
-        let end = (start + self.refs_per_subarray as usize).min(self.entries.len());
+        let end = (start + self.refs_per_subarray as usize).min(self.len());
         SubarrayView {
-            entries: &self.entries[start..end],
+            keys: &self.keys.keys()[start..end],
+            taxa: &self.taxa[start..end],
+            k: self.k,
             group: self.group,
         }
     }
@@ -198,52 +365,108 @@ impl DeviceLayout {
     pub fn subarrays(&self) -> impl Iterator<Item = SubarrayView<'_>> {
         (0..self.occupied_subarrays()).map(|i| self.subarray(i))
     }
+
+    /// The match pass's staged block search: writes each key's global
+    /// insertion rank (the index of the first reference key `≥` it) to
+    /// `ranks`. The keys are raw `2k`-bit packings in any order.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `ranks` is not as long as `keys`.
+    #[inline]
+    pub fn ranks(&self, keys: &[u64], ranks: &mut [usize]) {
+        self.keys.lower_bounds(keys, ranks);
+    }
+
+    /// Routes `key` by its global insertion rank `g` (from
+    /// [`Self::ranks`]) and resolves it against its subarray with the row
+    /// costs of `rows`, whose `bit_len` must be `2k`: a hit when
+    /// reference `g` is the key, with the payload from the payload
+    /// column, else the max LCP against the subarray's keys on either
+    /// side of `g`. No second search. Every outcome equals
+    /// [`crate::engine::lookup`] on the subarray
+    /// [`crate::SubarrayIndex::locate`] picks (twin-tested), whatever
+    /// order the queries arrive in.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `g` is not `key`'s rank from [`Self::ranks`].
+    #[inline]
+    #[must_use]
+    pub fn resolve(&self, key: u64, g: usize, rows: &RowTable) -> Routed {
+        let n = self.keys.len();
+        let refs = self.refs_per_subarray as usize;
+        let bit_len = rows.bit_len();
+        let hit = g < n && self.keys.key(g) == key;
+        let subarray = route(g, hit, refs);
+        let base = subarray * refs;
+        let rank = g - base;
+        let outcome = if hit {
+            MatchOutcome {
+                hit: Some((rank, self.taxa[g])),
+                max_lcp: bit_len,
+                rows: rows.rows(bit_len),
+            }
+        } else {
+            let end = (base + refs).min(n);
+            let lcp = |i: usize| lcp_bits_u64_swar(self.keys.key(i), key, bit_len);
+            let left = if g > base { lcp(g - 1) } else { 0 };
+            let right = if g < end { lcp(g) } else { 0 };
+            let max_lcp = left.max(right);
+            MatchOutcome {
+                hit: None,
+                max_lcp,
+                rows: rows.rows(max_lcp),
+            }
+        };
+        Routed {
+            subarray,
+            rank,
+            outcome,
+        }
+    }
 }
 
-/// One subarray's slice of the sorted reference set, plus the column math.
+/// One subarray's slices of the layout's key and payload columns, plus k
+/// and the column math.
 #[derive(Debug, Clone, Copy)]
 pub struct SubarrayView<'a> {
-    entries: &'a [(Kmer, TaxonId)],
+    keys: &'a [u64],
+    taxa: &'a [TaxonId],
+    k: usize,
     group: GroupShape,
 }
 
 impl<'a> SubarrayView<'a> {
-    /// This subarray's sorted entries.
+    /// This subarray's keys in ascending order: the `2k`-bit packing of
+    /// the reference with (subarray-local) rank `r` at index `r`.
     #[must_use]
-    pub fn entries(&self) -> &'a [(Kmer, TaxonId)] {
-        self.entries
+    pub fn keys(&self) -> &'a [u64] {
+        self.keys
+    }
+
+    /// This subarray's payloads, by rank.
+    #[must_use]
+    pub fn taxa(&self) -> &'a [TaxonId] {
+        self.taxa
+    }
+
+    /// The k of every stored key.
+    #[must_use]
+    pub fn k(&self) -> usize {
+        self.k
     }
 
     /// References stored here.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Whether the subarray holds no references.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Smallest stored k-mer (the index table's `first` field).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subarray is empty.
-    #[must_use]
-    pub fn first(&self) -> Kmer {
-        self.entries.first().expect("non-empty subarray").0
-    }
-
-    /// Largest stored k-mer (the index table's `last` field).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subarray is empty.
-    #[must_use]
-    pub fn last(&self) -> Kmer {
-        self.entries.last().expect("non-empty subarray").0
+        self.keys.is_empty()
     }
 
     /// The group shape in effect.
@@ -306,6 +529,8 @@ impl<'a> SubarrayView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
+    use crate::index::SubarrayIndex;
     use sieve_dram::Geometry;
     use sieve_genomics::synth;
 
@@ -316,6 +541,19 @@ mod tests {
     fn layout_with(n_entries_hint: usize) -> DeviceLayout {
         let ds = synth::make_dataset_with(8, n_entries_hint / 7, 31, 99);
         DeviceLayout::build(ds.entries, &small_config()).unwrap()
+    }
+
+    /// The layout's references as `(Kmer, TaxonId)` entries, in rank
+    /// order.
+    fn stored(layout: &DeviceLayout) -> Vec<(Kmer, TaxonId)> {
+        let kmer = |key: u64| Kmer::from_u64(key, layout.k()).unwrap();
+        layout
+            .keys
+            .keys()
+            .iter()
+            .zip(&layout.taxa)
+            .map(|(&key, &taxon)| (kmer(key), taxon))
+            .collect()
     }
 
     #[test]
@@ -356,9 +594,21 @@ mod tests {
         entries.reverse(); // unsorted
         let layout = DeviceLayout::build(entries, &small_config()).unwrap();
         assert_eq!(layout.len(), ds.entries.len());
-        for w in layout.entries().windows(2) {
-            assert!(w[0].0.bits() < w[1].0.bits());
-        }
+        let mut want = ds.entries.clone();
+        want.sort_unstable();
+        assert_eq!(stored(&layout), want, "payloads follow their keys");
+    }
+
+    #[test]
+    fn dedup_keeps_the_first_of_equal_keys() {
+        let kmer = Kmer::from_u64(42, 31).unwrap();
+        let other = Kmer::from_u64(7, 31).unwrap();
+        let entries = vec![(kmer, TaxonId(3)), (other, TaxonId(1)), (kmer, TaxonId(5))];
+        let layout = DeviceLayout::build(entries, &small_config()).unwrap();
+        assert_eq!(
+            stored(&layout),
+            vec![(other, TaxonId(1)), (kmer, TaxonId(3))]
+        );
     }
 
     #[test]
@@ -386,6 +636,33 @@ mod tests {
         assert!(matches!(err, SieveError::CapacityExceeded { .. }));
     }
 
+    /// The store's heap, summed column by column: the key column with
+    /// its sentinels, the bucket offsets and the payload column. With
+    /// `2^b` buckets for `n ≤ 2^b` keys, the offsets cost ~8 B per
+    /// reference just above a power of two and ~4 B just below one.
+    #[test]
+    fn store_holds_at_most_20_bytes_per_reference() {
+        use std::mem::size_of;
+        for (n, offsets_per_ref) in [(4_096 + 256, 7.0..8.0), (4_096 - 256, 4.0..4.5)] {
+            let entries = (0..n as u64)
+                .map(|i| (Kmer::from_u64(i << 40, 31).unwrap(), TaxonId(1)))
+                .collect();
+            let layout = DeviceLayout::build(entries, &small_config()).unwrap();
+            assert_eq!(layout.len(), n);
+            let keys = layout.keys.keys.capacity() * size_of::<u64>();
+            let offsets = layout.keys.starts.capacity() * size_of::<u32>();
+            let taxa = layout.taxa.capacity() * size_of::<TaxonId>();
+            let per_ref = |bytes: usize| bytes as f64 / n as f64;
+            assert!(
+                offsets_per_ref.contains(&per_ref(offsets)),
+                "{n} references: offsets take {} B each",
+                per_ref(offsets)
+            );
+            let total = per_ref(keys + offsets + taxa);
+            assert!(total <= 20.0, "{n} references: {total} B each");
+        }
+    }
+
     #[test]
     fn subarrays_partition_in_sorted_order() {
         let layout = layout_with(30_000);
@@ -393,10 +670,12 @@ mod tests {
         let mut prev_last: Option<u64> = None;
         let mut total = 0;
         for sa in layout.subarrays() {
+            assert_eq!(sa.taxa().len(), sa.len());
+            assert_eq!(sa.k(), 31);
             if let Some(prev) = prev_last {
-                assert!(sa.first().bits() > prev, "subarrays out of order");
+                assert!(sa.keys()[0] > prev, "subarrays out of order");
             }
-            prev_last = Some(sa.last().bits());
+            prev_last = sa.keys().last().copied();
             total += sa.len();
         }
         assert_eq!(total, layout.len());
@@ -465,5 +744,139 @@ mod tests {
         let layout = DeviceLayout::build(Vec::new(), &small_config()).unwrap();
         assert!(layout.is_empty());
         assert_eq!(layout.occupied_subarrays(), 0);
+    }
+
+    /// Holds the staged search to its references under each ETM setting:
+    /// [`DeviceLayout::ranks`] over blocks of 1, 7 and 512 probes, so
+    /// block edges fall everywhere, then [`DeviceLayout::resolve`]. The
+    /// global rank must equal a binary search of all the keys, the routed
+    /// subarray [`SubarrayIndex::locate`], the local rank a binary search
+    /// of that subarray, and the outcome [`engine::lookup`] on it. Every
+    /// probe arrives twice, once in order and once in reverse.
+    fn assert_staged_search_twins_references(layout: &DeviceLayout, probes: &[Kmer]) {
+        let index = SubarrayIndex::build(layout);
+        let probes: Vec<Kmer> = probes.iter().chain(probes.iter().rev()).copied().collect();
+        let keys: Vec<u64> = probes.iter().map(Kmer::bits).collect();
+        let mut ranks = vec![0; keys.len()];
+        for block in [1, 7, 512] {
+            ranks.fill(usize::MAX);
+            for (keys, ranks) in keys.chunks(block).zip(ranks.chunks_mut(block)) {
+                layout.ranks(keys, ranks);
+            }
+            for (etm, flush) in [(true, 1), (true, 0), (false, 1)] {
+                let rows = RowTable::new(2 * layout.k(), etm, flush);
+                for ((probe, &key), &g) in probes.iter().zip(&keys).zip(&ranks) {
+                    let at = format!("probe {probe} block {block} etm={etm} flush={flush}");
+                    let below = |keys: &[u64]| keys.partition_point(|&k| k < key);
+                    assert_eq!(g, below(layout.keys.keys()), "{at}: global rank");
+                    let got = layout.resolve(key, g, &rows);
+                    let sub = index.locate(*probe);
+                    assert_eq!(got.subarray, sub, "{at}: routed");
+                    let sa = layout.subarray(sub);
+                    assert_eq!(got.rank, below(sa.keys()), "{at}: local rank");
+                    assert_eq!(got.outcome, engine::lookup(&sa, *probe, etm, flush), "{at}");
+                }
+            }
+        }
+    }
+
+    /// Hits, their ±1 near-misses, the k-mers below the first and above
+    /// the last reference, every subarray's first and last key, and the
+    /// keys just inside each gap between consecutive subarrays.
+    fn twin_probes(layout: &DeviceLayout) -> (Vec<Kmer>, usize) {
+        let k = layout.k();
+        let kmer = |bits: u64| Kmer::from_u64(bits, k).ok();
+        let mut probes: Vec<Kmer> = Vec::new();
+        for &key in layout.keys.keys().iter().step_by(29) {
+            probes.extend(kmer(key));
+            probes.extend(kmer(key.wrapping_add(1)));
+            probes.extend(kmer(key.wrapping_sub(1)));
+        }
+        probes.extend(kmer(0));
+        probes.extend(kmer(u64::MAX >> (64 - 2 * k)));
+        let views: Vec<SubarrayView<'_>> = layout.subarrays().collect();
+        let mut gaps = 0;
+        for (i, sa) in views.iter().enumerate() {
+            let (first, last) = (sa.keys()[0], sa.keys()[sa.len() - 1]);
+            probes.extend(kmer(first));
+            probes.extend(kmer(last));
+            if let Some(next) = views.get(i + 1) {
+                let next_first = next.keys()[0];
+                if next_first - last > 1 {
+                    gaps += 1;
+                    probes.extend(kmer(last + 1));
+                    probes.extend(kmer(next_first - 1));
+                }
+            }
+        }
+        (probes, gaps)
+    }
+
+    #[test]
+    fn staged_search_twins_lookup() {
+        let ds = synth::make_dataset_with(8, 4096, 31, 7);
+        let layout = DeviceLayout::build(ds.entries, &small_config()).unwrap();
+        assert!(layout.occupied_subarrays() >= 2);
+        let (probes, gaps) = twin_probes(&layout);
+        assert!(gaps > 0, "no gap between consecutive subarrays to probe");
+        assert_staged_search_twins_references(&layout, &probes);
+    }
+
+    #[test]
+    fn staged_search_twins_lookup_on_partly_and_wholly_filled_last_subarrays() {
+        // Three subarrays: the last holds a third of its capacity, then
+        // exactly all of it, so a probe above every key routes to a
+        // partial last subarray and to a full one.
+        let ds = synth::make_dataset_with(8, 4096, 31, 23);
+        let config = small_config();
+        let refs = config.refs_per_subarray() as usize;
+        let all = stored(&DeviceLayout::build(ds.entries, &config).unwrap());
+        assert!(
+            all.len() >= 3 * refs,
+            "too few references for three subarrays"
+        );
+        for len in [2 * refs + refs / 3, 3 * refs] {
+            let layout = DeviceLayout::build(all[..len].to_vec(), &config).unwrap();
+            assert_eq!(layout.occupied_subarrays(), 3);
+            let (probes, _) = twin_probes(&layout);
+            assert_staged_search_twins_references(&layout, &probes);
+        }
+    }
+
+    #[test]
+    fn staged_search_twins_lookup_on_a_crowded_bucket() {
+        // Three references in four share their top 20 bits, so one
+        // bucket holds most of the keys and its search is a real binary
+        // search rather than a one-key probe.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let entries: Vec<(Kmer, TaxonId)> = (0..12_000u32)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let bits = if i % 4 == 0 {
+                    x >> 2
+                } else {
+                    (0x2_AAAA << 42) | (x & ((1 << 42) - 1))
+                };
+                (Kmer::from_u64(bits, 31).unwrap(), TaxonId(i % 7))
+            })
+            .collect();
+        let layout = DeviceLayout::build(entries, &small_config()).unwrap();
+        assert!(layout.occupied_subarrays() >= 2);
+        let crowd = layout
+            .keys
+            .starts
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap();
+        assert!(
+            crowd as usize > layout.len() / 2,
+            "the largest bucket holds only {crowd} of {} keys",
+            layout.len()
+        );
+        let (probes, _) = twin_probes(&layout);
+        assert_staged_search_twins_references(&layout, &probes);
     }
 }

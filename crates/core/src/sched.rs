@@ -24,7 +24,7 @@ use sieve_dram::{EnergyLedger, TimePs};
 
 use crate::config::{DeviceKind, SieveConfig};
 use crate::energy_model::ComponentEnergies;
-use crate::engine::{self, KeyTable};
+use crate::engine;
 use crate::etm;
 use crate::layout::{DeviceLayout, SubarrayView};
 use crate::obs;
@@ -427,15 +427,10 @@ impl<'a> DepthTables<'a> {
     /// `below[b − 1][t] + 1` while `t ≤ c = lcp(last_{b−2}, last_{b−1})`
     /// and 0 beyond: as prefix sums,
     /// `P_b[t] = P_{b−1}[min(t, c + 1)] + min(t, c + 1)`.
-    fn new(
-        config: &SieveConfig,
-        layout: &DeviceLayout,
-        keys: &'a KeyTable,
-        subarray: usize,
-    ) -> Self {
+    fn new(config: &SieveConfig, sa: &SubarrayView<'a>) -> Self {
         let bit_len = config.region1_rows() as usize;
-        let keys = keys.subarray_keys(layout, subarray);
-        let batches = batch_count(&layout.subarray(subarray), config.geometry.cols_per_row);
+        let keys = sa.keys();
+        let batches = batch_count(sa, config.geometry.cols_per_row);
         let (sorted, width) = (keys, bit_len + 1);
         let lcp = |a: u64, b: u64| engine::lcp_bits_u64_swar(a, b, bit_len);
         let last = |j: usize| sorted[((j + 1) * BATCH).min(sorted.len()) - 1];
@@ -549,24 +544,17 @@ impl<'a> DepthTables<'a> {
 pub(crate) struct Type1Pass<'a> {
     config: &'a SieveConfig,
     layout: &'a DeviceLayout,
-    keys: &'a KeyTable,
     tables: Vec<Option<DepthTables<'a>>>,
     partials: Vec<Type1Partial>,
 }
 
 impl<'a> Type1Pass<'a> {
-    /// An empty pass over the occupied subarrays of `layout`, searched
-    /// through `keys` (the table built from it).
-    pub(crate) fn new(
-        config: &'a SieveConfig,
-        layout: &'a DeviceLayout,
-        keys: &'a KeyTable,
-    ) -> Self {
+    /// An empty pass over the occupied subarrays of `layout`.
+    pub(crate) fn new(config: &'a SieveConfig, layout: &'a DeviceLayout) -> Self {
         let subarrays = layout.occupied_subarrays();
         Self {
             config,
             layout,
-            keys,
             tables: (0..subarrays).map(|_| None).collect(),
             partials: vec![Type1Partial::default(); subarrays],
         }
@@ -579,12 +567,11 @@ impl<'a> Type1Pass<'a> {
         let Self {
             config,
             layout,
-            keys,
             tables,
             partials,
         } = self;
         let tables = tables[subarray]
-            .get_or_insert_with(|| DepthTables::new(config, layout, keys, subarray));
+            .get_or_insert_with(|| DepthTables::new(config, &layout.subarray(subarray)));
         partials[subarray].charge(tables.cost(query, ins, hit), 1);
     }
 
@@ -794,15 +781,14 @@ mod tests {
         let k = layout.k();
         let ones = u64::MAX >> (64 - 2 * k);
         let mut probes = vec![0, ones];
-        for (key, _) in layout.entries().iter().step_by(29) {
-            let key = key.bits();
+        let keys = layout.subarrays().flat_map(|sa| sa.keys().iter().copied());
+        for key in keys.step_by(29) {
             probes.extend([key.wrapping_sub(1), key, key.wrapping_add(1)]);
         }
         for sa in layout.subarrays() {
             for b in 0..batch_cols {
-                let batch = &sa.entries()[sa.ranks_in_cols(b * 64, (b + 1) * 64)];
-                if let (Some((first, _)), Some((last, _))) = (batch.first(), batch.last()) {
-                    let (first, last) = (first.bits(), last.bits());
+                let batch = &sa.keys()[sa.ranks_in_cols(b * 64, (b + 1) * 64)];
+                if let (Some(&first), Some(&last)) = (batch.first(), batch.last()) {
                     probes.extend([first.wrapping_sub(1), first, last, last.wrapping_add(1)]);
                 }
             }
@@ -858,7 +844,6 @@ mod tests {
     /// and 2k − 1. Returns how many subarrays end in empty batches
     /// (Type-1 fills a row's columns in rank order).
     fn assert_cost_twins_reference(layout: &DeviceLayout, config: &SieveConfig) -> usize {
-        let keys = KeyTable::new(layout);
         let batch_cols = config.geometry.cols_per_row / 64;
         let probes = batch_probes(layout, batch_cols);
         let bit_len = config.region1_rows();
@@ -881,14 +866,13 @@ mod tests {
                     esp_override: esp,
                     ..config.clone()
                 };
-                let tables = DepthTables::new(&config, layout, &keys, s);
+                let tables = DepthTables::new(&config, &sa);
                 for &probe in &probes {
                     let q = Kmer::from_u64(probe, layout.k()).unwrap();
-                    let (hit, ins) =
-                        match sa.entries().binary_search_by_key(&probe, |(k, _)| k.bits()) {
-                            Ok(rank) => (true, rank),
-                            Err(ins) => (false, ins),
-                        };
+                    let (hit, ins) = match sa.keys().binary_search(&probe) {
+                        Ok(rank) => (true, rank),
+                        Err(ins) => (false, ins),
+                    };
                     let got = if etm {
                         tables.cost(probe, ins, hit)
                     } else {

@@ -114,17 +114,6 @@ impl Kmer {
         Ok(Self { bits, k: k as u8 })
     }
 
-    /// Builds a k-mer from pre-validated packed bits — the hot-path
-    /// constructor for [`crate::pack`]'s extractor, which maintains the
-    /// `bits >> 2k == 0` invariant itself.
-    #[inline]
-    #[must_use]
-    pub(crate) fn from_bits_unchecked(bits: u64, k: usize) -> Self {
-        debug_assert!((1..=MAX_K).contains(&k), "k must be in 1..=32");
-        debug_assert!(k == MAX_K || bits >> (2 * k) == 0, "bits above 2k");
-        Self { bits, k: k as u8 }
-    }
-
     /// The k of this k-mer.
     #[must_use]
     pub fn k(&self) -> usize {

@@ -13,15 +13,16 @@
 //! per-base mask is *eroded*: `O(log k)` whole-vector shift-AND rounds
 //! leave bit `i` set iff bits `i..i+k` were all set, so a single `N`
 //! poisons exactly the k windows that cover it. The extractor then rolls
-//! forward and reverse-complement packings across the read with two
-//! shift/OR updates per base and tests one precomputed mask bit per
-//! window.
+//! the forward packing across the read with one shift/OR update per base
+//! and tests one precomputed mask bit per window. It emits each window as
+//! a bare `2k`-bit word, the [`crate::Kmer::bits`] of the k-mer: the device
+//! stores and searches its references in the same encoding.
 //!
-//! Every kernel here has a scalar twin ([`DnaSequence::kmers`] plus
-//! [`Kmer::reverse_complement_scalar`]); `tests/kernel_equivalence.rs`
-//! proves the two paths byte-identical over adversarial inputs.
+//! The extractor has a scalar twin, [`DnaSequence::kmers`];
+//! `tests/kernel_equivalence.rs` proves the two paths identical over
+//! adversarial inputs.
 
-use crate::kmer::{Kmer, MAX_K};
+use crate::kmer::MAX_K;
 use crate::sequence::DnaSequence;
 
 /// 1 for the four unambiguous uppercase bases, 0 for everything else
@@ -184,9 +185,15 @@ impl Extractor {
         Self::default()
     }
 
-    /// Appends every valid forward k-mer of `seq` to `out`, in offset
-    /// order, and returns how many were appended. Byte-identical to
-    /// collecting [`DnaSequence::kmers`].
+    /// Appends every valid forward k-mer of `seq` to `out` as its `2k`-bit
+    /// word, in offset order, and returns how many were appended.
+    /// Identical to collecting the [`crate::Kmer::bits`] of
+    /// [`DnaSequence::kmers`].
+    ///
+    /// The rolling kernel: one shift/OR update per base maintains the
+    /// packing of the current window, and one precomputed mask bit per
+    /// window decides emission. The only data-dependent branch left is
+    /// the emission test itself.
     ///
     /// # Panics
     ///
@@ -195,39 +202,7 @@ impl Extractor {
         &mut self,
         seq: &DnaSequence,
         k: usize,
-        out: &mut Vec<Kmer>,
-    ) -> usize {
-        self.extract_into(seq, k, false, out)
-    }
-
-    /// Appends every valid k-mer of `seq` in canonical form (minimum of
-    /// forward and reverse complement, selected branchlessly), in offset
-    /// order, and returns how many were appended. Byte-identical to
-    /// collecting [`DnaSequence::canonical_kmers`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or greater than 32.
-    pub fn extract_canonical_into(
-        &mut self,
-        seq: &DnaSequence,
-        k: usize,
-        out: &mut Vec<Kmer>,
-    ) -> usize {
-        self.extract_into(seq, k, true, out)
-    }
-
-    /// The rolling kernel: two shift/OR updates per base maintain the
-    /// forward and reverse-complement packings of the current window
-    /// (complementing a code is `code ^ 2` — flip the field's high bit),
-    /// and one precomputed mask bit per window decides emission. The
-    /// only data-dependent branch left is the emission test itself.
-    fn extract_into(
-        &mut self,
-        seq: &DnaSequence,
-        k: usize,
-        canonical: bool,
-        out: &mut Vec<Kmer>,
+        out: &mut Vec<u64>,
     ) -> usize {
         assert!((1..=MAX_K).contains(&k), "k must be in 1..=32");
         if seq.len() < k {
@@ -241,22 +216,15 @@ impl Extractor {
         } else {
             (1u64 << (2 * k)) - 1
         };
-        let top = 2 * (k - 1);
         let mut fwd = 0u64;
-        let mut rc = 0u64;
         for i in 0..k - 1 {
-            let code = self.packed.code(i);
-            fwd = (fwd << 2) | code;
-            rc = (rc >> 2) | ((code ^ 2) << top);
+            fwd = (fwd << 2) | self.packed.code(i);
         }
         for i in k - 1..seq.len() {
-            let code = self.packed.code(i);
-            fwd = ((fwd << 2) | code) & kmask;
-            rc = (rc >> 2) | ((code ^ 2) << top);
+            fwd = ((fwd << 2) | self.packed.code(i)) & kmask;
             let start = i + 1 - k;
             if (self.wmask[start >> 6] >> (start & 63)) & 1 != 0 {
-                let bits = if canonical { fwd.min(rc) } else { fwd };
-                out.push(Kmer::from_bits_unchecked(bits, k));
+                out.push(fwd);
             }
         }
         out.len() - before
@@ -389,6 +357,11 @@ mod tests {
 
     // ---- extractor twins (broad coverage in tests/kernel_equivalence.rs) ----
 
+    /// The words of `seq`'s k-mers through the scalar iterator.
+    fn scalar_words(seq: &DnaSequence, k: usize) -> Vec<u64> {
+        seq.kmers(k).map(|(_, kmer)| kmer.bits()).collect()
+    }
+
     #[test]
     fn forward_extraction_matches_iterator() {
         let s = seq("ACGTACGTTGCANACGTACGAAACCCGGTT");
@@ -396,20 +369,8 @@ mod tests {
         for k in [1usize, 2, 5, 8, 13, 30, 32] {
             let mut swar = Vec::new();
             let n = ex.extract_forward_into(&s, k, &mut swar);
-            let scalar: Vec<Kmer> = s.kmers(k).map(|(_, kmer)| kmer).collect();
+            let scalar = scalar_words(&s, k);
             assert_eq!(n, scalar.len(), "k={k}");
-            assert_eq!(swar, scalar, "k={k}");
-        }
-    }
-
-    #[test]
-    fn canonical_extraction_matches_iterator() {
-        let s = seq("ACGTACGTTGCANACGTACGAAACCCGGTT");
-        let mut ex = Extractor::new();
-        for k in [1usize, 2, 5, 8, 13, 30, 32] {
-            let mut swar = Vec::new();
-            ex.extract_canonical_into(&s, k, &mut swar);
-            let scalar: Vec<Kmer> = s.canonical_kmers(k).map(|(_, kmer)| kmer).collect();
             assert_eq!(swar, scalar, "k={k}");
         }
     }
@@ -423,8 +384,7 @@ mod tests {
         out.clear();
         let n = ex.extract_forward_into(&seq("ACGTACGT"), 4, &mut out);
         assert_eq!(n, 5);
-        let scalar: Vec<Kmer> = seq("ACGTACGT").kmers(4).map(|(_, k)| k).collect();
-        assert_eq!(out, scalar);
+        assert_eq!(out, scalar_words(&seq("ACGTACGT"), 4));
     }
 
     #[test]

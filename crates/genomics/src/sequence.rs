@@ -147,18 +147,6 @@ impl DnaSequence {
         }
     }
 
-    /// Iterator over all valid k-mer windows in canonical form (the
-    /// lexicographic minimum of each window and its reverse complement),
-    /// as `(offset, kmer)` pairs. The scalar twin of
-    /// [`crate::pack::Extractor::extract_canonical_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or greater than 32.
-    pub fn canonical_kmers(&self, k: usize) -> impl Iterator<Item = (usize, Kmer)> + '_ {
-        self.kmers(k).map(|(off, kmer)| (off, kmer.canonical()))
-    }
-
     /// Number of valid k-mers (equals `self.kmers(k).count()` but O(len)).
     #[must_use]
     pub fn kmer_count(&self, k: usize) -> usize {
@@ -322,18 +310,6 @@ mod tests {
             }
             assert_eq!(rolled, naive, "k={k}");
         }
-    }
-
-    #[test]
-    fn canonical_kmers_take_the_smaller_strand() {
-        // "ACGTA": TA's revcomp is TA... use k=2: "AC"(0b0001) vs
-        // revcomp "GT"(0b1110) → AC; "GT" canonicalizes to "AC" too.
-        let s: DnaSequence = "ACGT".parse().unwrap();
-        let canon: Vec<String> = s.canonical_kmers(2).map(|(_, k)| k.to_string()).collect();
-        assert_eq!(canon, vec!["AC", "CG", "AC"]);
-        // Offsets match the forward iterator's.
-        let offs: Vec<usize> = s.canonical_kmers(2).map(|(o, _)| o).collect();
-        assert_eq!(offs, vec![0, 1, 2]);
     }
 
     #[test]

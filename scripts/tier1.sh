@@ -30,10 +30,11 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # host and engine modules, the block-pass twin in host
 # (block_pass_twins_extract_run_vote: classify_reads, classify_stream and
 # classify_pairs, block by block, held bit for bit to extract_kmers ->
-# SieveDevice::run -> vote_reads), the staged key-table search twin in engine
-# (key_table_twins_lookup*: the global rank, the rank -> subarray
-# arithmetic with its g - 1 at g = 0, and the outcome, held to
-# SubarrayIndex::locate and engine::lookup), and the Type-1 per-query
+# SieveDevice::run -> vote_reads), the staged search of the layout's key
+# column in layout (staged_search_twins_lookup*: the global rank, the
+# rank -> subarray arithmetic with its g - 1 at g = 0, and the outcome,
+# held to SubarrayIndex::locate and engine::lookup, next to the store's
+# size bound), and the Type-1 per-query
 # cost twin (type1_cost_twins_reference_*: u16 depth-table prefix sums,
 # LCP from XOR on boundary keys, the row-stream sums) in sched, next to
 # the config guard that keeps those prefix sums from wrapping. A separate
@@ -42,7 +43,7 @@ echo "== tier1: kernel differential suite under overflow checks =="
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q --test kernel_equivalence
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo test -q -p sieve-core --lib -- host::tests engine::tests sched::tests config::tests
+    cargo test -q -p sieve-core --lib -- host::tests engine::tests layout::tests sched::tests config::tests
 
 echo "== tier1: sievebench fmt, clippy and tests =="
 # The benchmark is its own package (outside the workspace) built against

@@ -69,7 +69,8 @@ proptest! {
             // Find the subarray holding it through the sorted partition.
             let mut found = false;
             for sa in layout.subarrays() {
-                if sa.first().bits() <= kmer.bits() && kmer.bits() <= sa.last().bits() {
+                let (first, last) = (sa.keys()[0], sa.keys()[sa.len() - 1]);
+                if first <= kmer.bits() && kmer.bits() <= last {
                     let outcome = engine::lookup(&sa, kmer, true, 1);
                     prop_assert_eq!(outcome.hit.map(|(_, t)| t), Some(taxon));
                     prop_assert_eq!(outcome.rows as usize, kmer.bit_len());
@@ -94,9 +95,9 @@ proptest! {
         let end = (start + len).min(sa.len());
         let q = Kmer::from_u64(qbits, 12).expect("in range");
         let fast = engine::max_lcp_in_range(&sa, start..end, q);
-        let brute = sa.entries()[start..end]
+        let brute = sa.keys()[start..end]
             .iter()
-            .map(|(r, _)| r.lcp_bits(&q))
+            .map(|&key| Kmer::from_u64(key, 12).expect("in range").lcp_bits(&q))
             .max();
         prop_assert_eq!(fast, brute);
     }

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sieve::core::bitsim::{BitAccurateSubarray, FaultModel};
-use sieve::core::{engine, etm, SieveConfig, SieveDevice};
+use sieve::core::{engine, etm, SieveConfig, SieveDevice, SubarrayView};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, Kmer};
 
@@ -25,6 +25,11 @@ fn fixture() -> (SieveDevice, u32) {
         SieveDevice::new(config, ds.entries).expect("dataset fits"),
         cols,
     )
+}
+
+/// Reference `rank` of `sa` as a k-mer.
+fn stored(sa: &SubarrayView<'_>, rank: usize) -> Kmer {
+    Kmer::from_u64(sa.keys()[rank], sa.k()).expect("stored keys are valid")
 }
 
 /// Sampled stored ranks: spread across the subarray, deterministic.
@@ -61,7 +66,7 @@ proptest! {
             ..FaultModel::default()
         };
         for rank in probe_ranks(sa.len(), raw[0]) {
-            let (kmer, taxon) = sa.entries()[rank];
+            let (kmer, taxon) = (stored(&sa, rank), sa.taxa()[rank]);
             let own_col = sa.col_of_rank(rank);
             let healthy = engine::lookup(&sa, kmer, true, FLUSH);
             prop_assert_eq!(healthy.hit, Some((rank, taxon)));
@@ -104,7 +109,7 @@ proptest! {
         // burn the full depth under a stuck-one latch.
         let probes = [
             Kmer::from_u64(probe_bits >> 2, 31).unwrap(),
-            sa.entries()[probe_bits as usize % sa.len()].0,
+            stored(&sa, probe_bits as usize % sa.len()),
         ];
         for probe in probes {
             let f = bits.lookup_with_faults(probe, true, FLUSH, &faults);
@@ -138,7 +143,7 @@ proptest! {
             stuck_one_cols: so.clone(),
         };
         for rank in probe_ranks(sa.len(), 7) {
-            let (kmer, _) = sa.entries()[rank];
+            let kmer = stored(&sa, rank);
             let own_col = sa.col_of_rank(rank);
             let healthy = engine::lookup(&sa, kmer, true, FLUSH);
             // Predicted survivors after all 62 rows.
@@ -147,7 +152,7 @@ proptest! {
                 survivors.push(own_col);
             }
             let predicted_hit = survivors.iter().min().and_then(|&c| {
-                sa.rank_of_col(c).map(|r| (r, sa.entries()[r].1))
+                sa.rank_of_col(c).map(|r| (r, sa.taxa()[r]))
             });
             let f = bits.lookup_with_faults(kmer, true, FLUSH, &faults);
             prop_assert_eq!(f.outcome.hit, predicted_hit, "rank {}: CF must pick the lowest survivor", rank);
@@ -170,7 +175,7 @@ fn empty_fault_model_never_diverges_from_the_fast_engine() {
     let mut state = 0x5eedu64;
     for i in 0..100 {
         let probe = if i % 2 == 0 {
-            sa.entries()[(i * 53) % sa.len()].0
+            stored(&sa, (i * 53) % sa.len())
         } else {
             state = state
                 .wrapping_mul(6364136223846793005)

@@ -12,11 +12,12 @@ use sieve::core::{obs, prof, HostPipeline, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, Kmer};
 
-/// Bytes of one query as the match pass reads it: a 16-byte `Kmer`.
-const QUERY_BYTES: u64 = 16;
+/// Bytes of one query as the match pass reads it: an 8-byte `2k`-bit
+/// word.
+const QUERY_BYTES: u64 = 8;
 
-/// Bytes one key-table search reads besides its query: its bucket's two
-/// `u32` offsets and its two `u64` neighbour keys.
+/// Bytes one search of the layout's key column reads besides its query:
+/// its bucket's two `u32` offsets and its two `u64` neighbour keys.
 const LOOKUP_BYTES: u64 = 24;
 
 /// Bytes of one payload (a `u32` taxon id), read once per hit.
@@ -123,7 +124,7 @@ fn device_match_charges_its_lookups_and_payloads() {
 }
 
 /// Host extract must charge exactly its stream: one byte per input
-/// base read, one `(Kmer, id)` record per produced k-mer written — and
+/// base read, one `(word, id)` record per produced k-mer written — and
 /// the match pass its closed form over the extracted k-mers, at one
 /// thread and at four.
 #[test]
@@ -144,8 +145,8 @@ fn pipeline_phases_charge_their_streams() {
         let base_bytes: u64 = reads.iter().map(|r| r.len() as u64).sum();
         assert_eq!(extract.bytes_read, base_bytes, "threads={threads}");
         assert_eq!(extract.items, metrics.counter("host_kmers"));
-        // One 16 B Kmer plus one u32 owner id per extracted k-mer.
-        assert_eq!(extract.bytes_written, extract.items * 20);
+        // One 8 B word plus one u32 owner id per extracted k-mer.
+        assert_eq!(extract.bytes_written, extract.items * 12);
 
         assert!(out.report.hits > 0, "the batch must hit");
         assert!(
