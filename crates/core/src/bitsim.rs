@@ -19,26 +19,6 @@ use crate::engine::MatchOutcome;
 use crate::etm::rows_activated;
 use crate::layout::SubarrayView;
 
-/// Defective matcher latches for fault-injection studies.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultModel {
-    /// Columns whose latch is stuck at 0 (never reports a match).
-    pub stuck_zero_cols: Vec<u32>,
-    /// Columns whose latch is stuck at 1 (always reports a match).
-    pub stuck_one_cols: Vec<u32>,
-}
-
-/// Outcome of a fault-injected lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultyOutcome {
-    /// What the faulty hardware reports. A stuck-one column that is a
-    /// query slot or unused column yields `hit: None` at full rows — the
-    /// Column Finder lands on a column with no reference rank.
-    pub outcome: MatchOutcome,
-    /// Whether the report differs from the fault-free lookup.
-    pub corrupted: bool,
-}
-
 /// A fully materialized Region 1 of one subarray.
 #[derive(Debug, Clone)]
 pub struct BitAccurateSubarray {
@@ -90,12 +70,6 @@ impl BitAccurateSubarray {
             bit_len,
             cols: cols as usize,
         }
-    }
-
-    /// Row-buffer width in columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Simulates a full lookup: activates rows one by one, updating every
@@ -154,103 +128,6 @@ impl BitAccurateSubarray {
                     rows: activity.rows,
                 }
             }
-        }
-    }
-
-    /// Simulates a lookup with defective matcher latches — the failure
-    /// mode the paper's SPICE validation rules out for healthy parts
-    /// (§V: "the matcher and the link cause no bit flips"), provided here
-    /// to *study* what a defective part would do.
-    ///
-    /// * A **stuck-at-zero** latch can only cause a *false miss* when the
-    ///   true match column is stuck.
-    /// * A **stuck-at-one** latch survives every row; the Column Finder
-    ///   reports the lowest surviving column, so a stuck-one column below
-    ///   the true match shadows it with a **wrong payload** — exactly why
-    ///   a deployment would reserve a known-pattern self-test.
-    ///
-    /// Returns the outcome plus whether it diverges from the fault-free
-    /// lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.k()` differs from the stored k or a fault column
-    /// is out of range.
-    #[must_use]
-    pub fn lookup_with_faults(
-        &self,
-        query: Kmer,
-        etm: bool,
-        flush: u32,
-        faults: &FaultModel,
-    ) -> FaultyOutcome {
-        assert_eq!(query.bit_len(), self.bit_len, "query k mismatch");
-        let mut stuck_zero = vec![0u64; self.ref_mask.len()];
-        let mut stuck_one = vec![0u64; self.ref_mask.len()];
-        for &c in &faults.stuck_zero_cols {
-            assert!((c as usize) < self.cols, "fault column out of range");
-            stuck_zero[c as usize / 64] |= 1 << (c % 64);
-        }
-        for &c in &faults.stuck_one_cols {
-            assert!((c as usize) < self.cols, "fault column out of range");
-            stuck_one[c as usize / 64] |= 1 << (c % 64);
-        }
-
-        let mut latches = self.ref_mask.clone();
-        let mut rows_done = 0usize;
-        let mut all_dead_at = None;
-        for j in 0..self.bit_len {
-            let qbit = if query.bit(j) { u64::MAX } else { 0 };
-            let mut alive = 0u64;
-            for (((latch, row_word), sz), so) in latches
-                .iter_mut()
-                .zip(&self.rows[j])
-                .zip(&stuck_zero)
-                .zip(&stuck_one)
-            {
-                *latch &= !(row_word ^ qbit);
-                *latch &= !sz; // stuck-at-zero never matches
-                *latch |= *so; // stuck-at-one always matches
-                alive |= *latch;
-            }
-            rows_done = j + 1;
-            if alive == 0 {
-                all_dead_at = Some(j);
-                break;
-            }
-        }
-        let _ = rows_done;
-        let healthy = self.lookup(query, etm, flush);
-        let outcome = match all_dead_at {
-            Some(j) => {
-                let activity = rows_activated(j, self.bit_len, etm, flush);
-                MatchOutcome {
-                    hit: None,
-                    max_lcp: j,
-                    rows: activity.rows,
-                }
-            }
-            None => {
-                // Column Finder semantics: lowest surviving column wins.
-                let col = latches
-                    .iter()
-                    .enumerate()
-                    .find_map(|(w, &word)| {
-                        (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
-                    })
-                    .expect("a latch survived");
-                let activity = rows_activated(self.bit_len, self.bit_len, etm, flush);
-                let hit = self.rank_of_col[col].map(|rank| (rank, self.taxa[rank]));
-                MatchOutcome {
-                    hit,
-                    max_lcp: self.bit_len,
-                    rows: activity.rows,
-                }
-            }
-        };
-        FaultyOutcome {
-            corrupted: outcome.hit != healthy.hit,
-            outcome,
         }
     }
 
@@ -382,69 +259,6 @@ mod tests {
         let o = bits.lookup(stored(&sa, 0), true, 1);
         let (rank, _) = o.hit.unwrap();
         assert!(sa.rank_of_col(sa.col_of_rank(rank)).is_some());
-    }
-
-    #[test]
-    fn no_faults_means_no_corruption() {
-        let (layout, cols) = setup();
-        let sa = layout.subarray(0);
-        let bits = BitAccurateSubarray::from_view(&sa, cols);
-        let faults = FaultModel::default();
-        for rank in (0..sa.len()).step_by(301) {
-            let kmer = stored(&sa, rank);
-            let f = bits.lookup_with_faults(kmer, true, 1, &faults);
-            assert!(!f.corrupted);
-            assert_eq!(f.outcome, bits.lookup(kmer, true, 1));
-        }
-    }
-
-    #[test]
-    fn stuck_zero_on_match_column_causes_false_miss() {
-        let (layout, cols) = setup();
-        let sa = layout.subarray(0);
-        let bits = BitAccurateSubarray::from_view(&sa, cols);
-        let kmer = stored(&sa, 7);
-        let match_col = sa.col_of_rank(7);
-        let faults = FaultModel {
-            stuck_zero_cols: vec![match_col],
-            ..FaultModel::default()
-        };
-        let f = bits.lookup_with_faults(kmer, true, 1, &faults);
-        assert!(f.corrupted);
-        assert_eq!(f.outcome.hit, None);
-        // A stuck-zero elsewhere is harmless for this query.
-        let other_col = sa.col_of_rank(100);
-        let harmless = FaultModel {
-            stuck_zero_cols: vec![other_col],
-            ..FaultModel::default()
-        };
-        let f = bits.lookup_with_faults(kmer, true, 1, &harmless);
-        assert!(!f.corrupted);
-    }
-
-    #[test]
-    fn stuck_one_below_match_shadows_payload() {
-        let (layout, cols) = setup();
-        let sa = layout.subarray(0);
-        let bits = BitAccurateSubarray::from_view(&sa, cols);
-        let (kmer, taxon) = (stored(&sa, 50), sa.taxa()[50]);
-        // Stick a latch on a *lower* reference column: CF picks it first.
-        let shadow_col = sa.col_of_rank(3);
-        let faults = FaultModel {
-            stuck_one_cols: vec![shadow_col],
-            ..FaultModel::default()
-        };
-        let f = bits.lookup_with_faults(kmer, true, 1, &faults);
-        assert!(f.corrupted);
-        let (rank, wrong_taxon) = f.outcome.hit.expect("stuck-one survives");
-        assert_eq!(rank, 3);
-        assert_ne!((rank, wrong_taxon), (50, taxon));
-        // And it defeats early termination on misses: full rows burned.
-        let miss = kmer.shifted(sieve_genomics::Base::G);
-        if sa.keys().binary_search(&miss.bits()).is_err() {
-            let f = bits.lookup_with_faults(miss, true, 1, &faults);
-            assert_eq!(f.outcome.rows as usize, 62);
-        }
     }
 
     #[test]

@@ -5,6 +5,9 @@ use sieve_dram::{EnergyParams, Geometry, TimePs, TimingParams};
 use crate::error::SieveError;
 use crate::pcie::PcieConfig;
 
+/// The most simulator worker threads [`SieveConfig::validate`] accepts.
+const MAX_THREADS: usize = 1024;
+
 /// Which of the three Sieve designs to model (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
@@ -102,12 +105,12 @@ pub struct SieveConfig {
     /// See EXPERIMENTS.md (Figure 13) for the effect of this assumption.
     pub esp_override: Option<u32>,
     /// Simulator worker threads: `0` (the default) uses all available
-    /// parallelism, `1` runs fully sequentially, `n` uses exactly `n`
-    /// workers. This is a *simulator* knob, not a modeled device
+    /// parallelism, `1` runs fully sequentially, `n` (at most 1,024) uses
+    /// up to `n` workers. This is a *simulator* knob, not a modeled device
     /// parameter: each worker takes one contiguous range of a call's
-    /// reads (or of a batch's queries) and the ranges' integer sums
-    /// merge, so the output is bit-identical for every value (see
-    /// DESIGN.md §6).
+    /// reads (or of a batch's queries), a call never runs more ranges
+    /// than it has items, and the ranges' integer sums merge, so the
+    /// output is bit-identical for every value (see DESIGN.md §6).
     pub threads: usize,
 }
 
@@ -286,8 +289,15 @@ impl SieveConfig {
     /// Returns [`SieveError::InvalidConfig`] if any derived quantity is
     /// degenerate (k out of range, groups that don't fit, regions exceeding
     /// the subarray, SALP/CB counts exceeding the bank, Type-1 rows that
-    /// are not whole 64-column batches or wider than 65,536 columns).
+    /// are not whole 64-column batches or wider than 65,536 columns, more
+    /// than 1,024 threads).
     pub fn validate(&self) -> Result<(), SieveError> {
+        if self.threads > MAX_THREADS {
+            return Err(SieveError::InvalidConfig {
+                field: "threads",
+                reason: format!("at most {MAX_THREADS} threads, got {}", self.threads),
+            });
+        }
         if self.k == 0 || self.k > 32 {
             return Err(SieveError::InvalidConfig {
                 field: "k",
@@ -474,6 +484,39 @@ mod tests {
         let mut c = SieveConfig::type3(8);
         c.etm_segment_len = 100;
         assert!(c.validate().is_err());
+    }
+
+    /// A thread count past [`MAX_THREADS`] is a typed error, and a run
+    /// builds one match pass per range that runs: a one-query run at the
+    /// bound matches inline on the caller's thread.
+    #[test]
+    fn threads_are_bounded_and_a_one_query_run_runs_inline() {
+        let ds = sieve_genomics::synth::make_dataset_with(2, 1024, 31, 3);
+        let at = |threads| {
+            SieveConfig::type3(8)
+                .with_geometry(Geometry::scaled_medium())
+                .with_threads(threads)
+        };
+        let rejects_threads = |result: Result<(), SieveError>| {
+            matches!(
+                result,
+                Err(SieveError::InvalidConfig {
+                    field: "threads",
+                    ..
+                })
+            )
+        };
+        for threads in [MAX_THREADS + 1, usize::MAX] {
+            assert!(rejects_threads(at(threads).validate()), "{threads}");
+            let device = crate::SieveDevice::new(at(threads), ds.entries.clone());
+            assert!(rejects_threads(device.map(|_| ())), "{threads}");
+        }
+        at(MAX_THREADS).validate().unwrap();
+        let device = crate::SieveDevice::new(at(MAX_THREADS), ds.entries.clone()).unwrap();
+        let (kmer, taxon) = ds.entries[0];
+        let out = device.run(&[kmer]).unwrap();
+        assert_eq!(out.results, vec![Some(taxon)]);
+        assert_eq!(out.report.queries, 1);
     }
 
     #[test]

@@ -322,7 +322,9 @@ impl SieveDevice {
         check_batch_len(queries.len())?;
         self.check_queries(queries)?;
         let keys: Vec<u64> = queries.iter().map(Kmer::bits).collect();
-        let threads = par::effective_threads(self.config.threads);
+        // `map_ranges_mut` runs at most one range per query, so no more
+        // passes than that are built.
+        let threads = par::effective_threads(self.config.threads).min(queries.len().max(1));
         let mut passes: Vec<MatchPass<'_>> = (0..threads).map(|_| self.pass()).collect();
         let mut results = vec![None; queries.len()];
         par::map_ranges_mut(&mut passes, &mut results, |pass, offset, out| {

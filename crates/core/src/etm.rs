@@ -123,16 +123,6 @@ pub fn hit_identify_ps(segments: u32, timing: &TimingParams) -> TimePs {
     TimePs::from(segments) * timing.t_ck
 }
 
-/// Worst-case Column Finder latency, in DRAM clocks: shift up to `segments`
-/// backup segment registers, copy one segment, then shift up to
-/// `segment_len` reserved-segment latches (§IV-A quotes ≤ 1,032 DRAM cycles
-/// for the paper's 32 segments × 256 latches). This is *overlapped* with
-/// the next k-mer and only bounds CF throughput.
-#[must_use]
-pub fn column_finder_worst_clocks(segments: u32, segment_len: u32) -> u64 {
-    u64::from(segments) + 1 + u64::from(segment_len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,15 +196,6 @@ mod tests {
     fn row_table_rejects_oversized_lcp() {
         let table = RowTable::new(62, true, 1);
         let _ = table.rows(63);
-    }
-
-    #[test]
-    fn paper_worst_case_cf_clocks() {
-        // 32 segments, 256-latch segments → 32 + 1 + 256 = 289 shifter
-        // steps; the paper's 1,032-cycle bound includes per-step overheads,
-        // so ours must be comfortably below it.
-        let clocks = column_finder_worst_clocks(32, 256);
-        assert!(clocks <= 1_032, "got {clocks}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! end-to-end time and tracks the host stages for sanity.
 //!
 //! The *simulator's* host streams the same way, in blocks: every call
-//! (a batch, each chunk of a stream, a batch of read pairs) is one device
-//! run, taken block by block. A block extracts whole reads into reused
+//! (a batch, or each chunk of a stream) is one device run, taken block by
+//! block. A block extracts whole reads into reused
 //! buffers until it holds [`HOST_BLOCK`] k-mers, each a bare `2k`-bit
 //! word at the device's k, matches them through the device's match pass,
 //! which carries the run's per-subarray sums from block to block, and
@@ -33,8 +33,8 @@ use crate::prof;
 use crate::stats::SimReport;
 use crate::trace;
 
-/// Below this many reads (or pairs), a call runs on one worker: the
-/// read-range fan-out costs more than it saves.
+/// Below this many reads, a call runs on one worker: the read-range
+/// fan-out costs more than it saves.
 const PARALLEL_READS: usize = 128;
 
 /// A block takes whole reads while it holds fewer k-mers than this, so
@@ -68,52 +68,10 @@ pub struct PipelineOutput {
     pub report: SimReport,
 }
 
-/// What one output row of a call is classified from: a read, or a read
-/// pair whose mates vote together.
-trait Unit: Sync {
-    /// Bases scanned.
-    fn bases(&self) -> usize;
-    /// The most k-mers [`Self::extract`] can append (windows containing
-    /// `N` are skipped).
-    fn max_kmers(&self, k: usize) -> usize;
-    /// Appends the unit's k-mers as `2k`-bit words through the SWAR
-    /// extractor: each read is packed to 2 bits per base, 32 per `u64`,
-    /// and its windows rolled out of the packing ([`pack::Extractor`]).
-    /// The rolling per-base iterator ([`DnaSequence::kmers`]) is its
-    /// scalar reference; `tests/kernel_equivalence.rs` proves the two
-    /// streams identical.
-    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<u64>);
-}
-
-impl Unit for DnaSequence {
-    fn bases(&self) -> usize {
-        self.len()
-    }
-
-    fn max_kmers(&self, k: usize) -> usize {
-        (self.len() + 1).saturating_sub(k)
-    }
-
-    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<u64>) {
-        extractor.extract_forward_into(self, k, kmers);
-    }
-}
-
-/// A read pair: mate 1, then mate 2 reverse-complemented onto the
-/// forward strand.
-impl Unit for (DnaSequence, DnaSequence) {
-    fn bases(&self) -> usize {
-        self.0.len() + self.1.len()
-    }
-
-    fn max_kmers(&self, k: usize) -> usize {
-        self.0.max_kmers(k) + self.1.max_kmers(k)
-    }
-
-    fn extract(&self, k: usize, extractor: &mut pack::Extractor, kmers: &mut Vec<u64>) {
-        self.0.extract(k, extractor, kmers);
-        self.1.reverse_complement().extract(k, extractor, kmers);
-    }
+/// The most k-mers extraction can take from `read` at `k` (windows
+/// containing `N` are skipped).
+fn max_kmers(read: &DnaSequence, k: usize) -> usize {
+    (read.len() + 1).saturating_sub(k)
 }
 
 /// One worker's block buffers, reused across the blocks of a call and
@@ -123,7 +81,7 @@ struct Blocks {
     extractor: pack::Extractor,
     /// The block's k-mers as `2k`-bit words.
     kmers: Vec<u64>,
-    /// Each k-mer's unit, counted from the block's first.
+    /// Each k-mer's read, counted from the block's first.
     owners: Vec<u32>,
     /// Match results, kept as long as `kmers`' capacity so a block
     /// never refills it.
@@ -135,7 +93,7 @@ struct Blocks {
 impl Blocks {
     /// Makes room for `upper` more k-mers. The buffers grow only when
     /// they would not fit, and then to a whole block plus `upper`, so
-    /// they hold at most [`HOST_BLOCK`] plus the longest unit's k-mers.
+    /// they hold at most [`HOST_BLOCK`] plus the longest read's k-mers.
     fn reserve(&mut self, upper: usize) {
         if self.kmers.len() + upper > self.kmers.capacity() {
             let cap = HOST_BLOCK + upper;
@@ -193,7 +151,7 @@ impl HostPipeline {
     #[must_use]
     pub fn extract_kmers(&self, reads: &[DnaSequence]) -> (Vec<Kmer>, Vec<u32>) {
         let k = self.device.config().k;
-        let upper: usize = reads.iter().map(|r| r.max_kmers(k)).sum();
+        let upper: usize = reads.iter().map(|r| max_kmers(r, k)).sum();
         let mut kmers = Vec::with_capacity(upper);
         let mut owners = Vec::with_capacity(upper);
         for (ri, read) in reads.iter().enumerate() {
@@ -212,7 +170,9 @@ impl HostPipeline {
     /// `u32::MAX` k-mers.
     pub fn classify_reads(&self, reads: &[DnaSequence]) -> Result<PipelineOutput, SieveError> {
         obs::global().add(obs::CounterId::HostReads, reads.len() as u64);
-        self.classify_batch(reads)
+        let mut out = vec![ReadResult::default(); reads.len()];
+        let report = self.classify_run(reads, &mut out, &mut self.workers())?;
+        Ok(PipelineOutput { reads: out, report })
     }
 
     /// Streaming classification: processes `reads` in chunks of
@@ -266,31 +226,6 @@ impl HostPipeline {
         })
     }
 
-    /// Classifies paired-end reads: mate 2 is reverse-complemented onto
-    /// the forward strand and both mates' k-mers vote in a single per-pair
-    /// histogram — the standard paired-end treatment in Kraken-family
-    /// tools. Records what [`Self::classify_reads`] records, each mate
-    /// counting as a read, under the same spans.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::BatchTooLarge`] for a batch of more than
-    /// `u32::MAX` k-mers.
-    pub fn classify_pairs(
-        &self,
-        pairs: &[(DnaSequence, DnaSequence)],
-    ) -> Result<PipelineOutput, SieveError> {
-        obs::global().add(obs::CounterId::HostReads, 2 * pairs.len() as u64);
-        self.classify_batch(pairs)
-    }
-
-    /// Classifies `units` as one run, one result row per unit.
-    fn classify_batch<U: Unit>(&self, units: &[U]) -> Result<PipelineOutput, SieveError> {
-        let mut reads = vec![ReadResult::default(); units.len()];
-        let report = self.classify_run(units, &mut reads, &mut self.workers())?;
-        Ok(PipelineOutput { reads, report })
-    }
-
     /// One set of block buffers per worker the device's `threads`
     /// allows; each allocates when its worker first fills a block.
     fn workers(&self) -> Vec<Blocks> {
@@ -298,33 +233,33 @@ impl HostPipeline {
         (0..threads).map(|_| Blocks::default()).collect()
     }
 
-    /// Classifies `units` as one device run, writing `out[i]` for
-    /// `units[i]`. With more than one worker and at least
-    /// [`PARALLEL_READS`] units, each worker takes one contiguous range
+    /// Classifies `reads` as one device run, writing `out[i]` for
+    /// `reads[i]`. With more than one worker and at least
+    /// [`PARALLEL_READS`] reads, each worker takes one contiguous range
     /// of them through its own block loop and match pass. Then, from the
     /// call's totals: the batch bound, the host counters, the extract
     /// charge (one byte per scanned base in, one word plus its owner tag
     /// out) and the per-run step, which merges the passes in
     /// range order and schedules the run. Every total is an integer sum,
     /// so nothing depends on the split.
-    fn classify_run<U: Unit>(
+    fn classify_run(
         &self,
-        units: &[U],
+        reads: &[DnaSequence],
         out: &mut [ReadResult],
         workers: &mut [Blocks],
     ) -> Result<SimReport, SieveError> {
-        let fan_out = if units.len() < PARALLEL_READS {
+        let fan_out = if reads.len() < PARALLEL_READS {
             1
         } else {
-            workers.len()
+            workers.len().min(reads.len())
         };
         let mut passes: Vec<(&mut Blocks, MatchPass<'_>)> = workers[..fan_out]
             .iter_mut()
             .map(|blocks| (blocks, self.device.pass()))
             .collect();
         let totals = par::map_ranges_mut(&mut passes, out, |(blocks, pass), offset, out| {
-            let units = &units[offset..offset + out.len()];
-            self.classify_blocks(units, out, blocks, pass)
+            let reads = &reads[offset..offset + out.len()];
+            self.classify_blocks(reads, out, blocks, pass)
         });
         let _wall = trace::span("host.device");
         let (mut kmers, mut bases) = (0u64, 0u64);
@@ -348,13 +283,19 @@ impl HostPipeline {
             .finish_run(passes.into_iter().map(|(_, pass)| pass)))
     }
 
-    /// One worker's block loop over `units`, writing `out[i]` for
-    /// `units[i]`: each block extracts whole units while it holds fewer
+    /// One worker's block loop over `reads`, writing `out[i]` for
+    /// `reads[i]`: each block extracts whole reads while it holds fewer
     /// than [`HOST_BLOCK`] k-mers, matches their words through `pass`,
-    /// and votes its units. Returns the k-mers and bases it took.
-    fn classify_blocks<U: Unit>(
+    /// and votes its reads. Returns the k-mers and bases it took.
+    ///
+    /// Extraction runs the SWAR extractor: each read is packed to 2 bits
+    /// per base, 32 per `u64`, and its windows rolled out of the packing
+    /// ([`pack::Extractor`]). The rolling per-base iterator
+    /// ([`DnaSequence::kmers`]) is its scalar reference;
+    /// `tests/kernel_equivalence.rs` proves the two streams identical.
+    fn classify_blocks(
         &self,
-        units: &[U],
+        reads: &[DnaSequence],
         out: &mut [ReadResult],
         blocks: &mut Blocks,
         pass: &mut MatchPass<'_>,
@@ -362,20 +303,22 @@ impl HostPipeline {
         let k = self.device.config().k;
         let (mut kmers, mut bases) = (0u64, 0u64);
         let mut next = 0;
-        while next < units.len() {
+        while next < reads.len() {
             let first = next;
             {
                 let _wall = trace::span("host.extract");
                 blocks.kmers.clear();
                 blocks.owners.clear();
-                while next < units.len() && blocks.kmers.len() < HOST_BLOCK {
-                    let unit = &units[next];
-                    blocks.reserve(unit.max_kmers(k));
-                    unit.extract(k, &mut blocks.extractor, &mut blocks.kmers);
+                while next < reads.len() && blocks.kmers.len() < HOST_BLOCK {
+                    let read = &reads[next];
+                    blocks.reserve(max_kmers(read, k));
+                    blocks
+                        .extractor
+                        .extract_forward_into(read, k, &mut blocks.kmers);
                     blocks
                         .owners
                         .resize(blocks.kmers.len(), (next - first) as u32);
-                    bases += unit.bases() as u64;
+                    bases += read.len() as u64;
                     next += 1;
                 }
             }
@@ -627,36 +570,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn paired_classification_beats_single_end() {
-        let (ds, host) = pipeline();
-        let config = synth::ReadSimConfig {
-            read_len: 80,
-            from_reference: 1.0,
-            error_rate: 0.02,
-            n_rate: 0.0,
-        };
-        let (pairs, truth) = synth::simulate_paired_reads(&ds, config, 300, 40, 17);
-        let paired = host.classify_pairs(&pairs).unwrap();
-        // Single-end: mate 1 only.
-        let singles: Vec<_> = pairs.iter().map(|(m1, _)| m1.clone()).collect();
-        let single = host.classify_reads(&singles).unwrap();
-        let correct = |out: &crate::host::PipelineOutput| {
-            out.reads
-                .iter()
-                .zip(&truth)
-                .filter(|(r, t)| r.taxon.is_some() && r.taxon == **t)
-                .count()
-        };
-        // Two mates double the evidence: never worse, usually better.
-        assert!(correct(&paired) >= correct(&single));
-        // And the paired histogram covers both mates' k-mers.
-        assert!(
-            paired.reads[0].total_kmers > single.reads[0].total_kmers,
-            "pairs must contribute more k-mers"
-        );
-    }
-
     /// The composition the block pass replaces, and its reference: the
     /// whole batch extracted ([`HostPipeline::extract_kmers`]), run
     /// ([`SieveDevice::run`]) and voted ([`vote_reads`]).
@@ -682,26 +595,6 @@ mod tests {
             out.report.accumulate(&next.report);
         }
         out
-    }
-
-    /// [`reference`] over the pairs' mates as reads, mate 2
-    /// reverse-complemented, with each pair's two owner tags folded
-    /// into one.
-    fn reference_pairs(
-        host: &HostPipeline,
-        pairs: &[(DnaSequence, DnaSequence)],
-    ) -> PipelineOutput {
-        let mates: Vec<DnaSequence> = pairs
-            .iter()
-            .flat_map(|(m1, m2)| [m1.clone(), m2.reverse_complement()])
-            .collect();
-        let (kmers, owners) = host.extract_kmers(&mates);
-        let owners: Vec<u32> = owners.iter().map(|o| o / 2).collect();
-        let run = host.device().run(&kmers).unwrap();
-        PipelineOutput {
-            reads: vote_reads(pairs.len(), &owners, &run.results),
-            report: run.report,
-        }
     }
 
     /// Over 1,000 reads whose k-mers put block edges everywhere:
@@ -736,19 +629,14 @@ mod tests {
     }
 
     /// The block pass against its reference, bit for bit in every
-    /// `ReadResult` and the `SimReport`: `classify_reads`,
-    /// `classify_stream` in chunks of 1, 7 and 1,000 and
-    /// `classify_pairs` over [`block_edge_reads`], at one thread and at
-    /// four, on every design point, with ETM off, with an ESP override,
+    /// `ReadResult` and the `SimReport`: `classify_reads` and
+    /// `classify_stream` in chunks of 1, 7 and 1,000 over
+    /// [`block_edge_reads`], at one thread and at four, on every design point, with ETM off, with an ESP override,
     /// behind a PCIe link, and on an empty device.
     #[test]
     fn block_pass_twins_extract_run_vote() {
         let ds = synth::make_dataset_with(8, 2048, 31, 55);
         let reads = block_edge_reads(&ds, 31);
-        let pairs: Vec<(DnaSequence, DnaSequence)> = reads
-            .chunks_exact(2)
-            .map(|p| (p[0].clone(), p[1].clone()))
-            .collect();
         let entries = || ds.entries.clone();
         let cases = [
             (SieveConfig::type1(), entries()),
@@ -786,11 +674,6 @@ mod tests {
                         &format!("classify_stream chunk {chunk}"),
                     );
                 }
-                same(
-                    host.classify_pairs(&pairs).unwrap(),
-                    reference_pairs(&host, &pairs),
-                    "classify_pairs",
-                );
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   latch-level engine used as ground truth (their equivalence is
 //!   property-tested);
 //! * [`etm`] — the Early Termination Mechanism row-count model (segmented
-//!   OR pipeline, flush cycles, hit identification, column-finder bounds);
+//!   OR pipeline, flush cycles, hit identification);
 //! * `index` ([`SubarrayIndex`]) — the k-mer → subarray routing table (§IV-D);
 //! * `pcie` ([`PcieConfig`]) — the packet-based host link (§IV-C);
 //! * [`SieveDevice`] — Type-1 (bank-I/O matcher array, batch-granular ETM),
@@ -53,7 +53,6 @@
 mod api;
 pub mod area;
 pub mod bitsim;
-mod cluster;
 mod config;
 mod device;
 pub mod energy_model;
@@ -76,7 +75,6 @@ mod transport;
 pub mod xcheck;
 
 pub use api::SieveApi;
-pub use cluster::{ClusterRun, SieveCluster};
 pub use config::{DeviceKind, SieveConfig};
 pub use device::{RunOutput, SieveDevice};
 pub use error::SieveError;

@@ -2,7 +2,7 @@
 //! counters, fixed-bucket (power-of-two, HDR-style) histograms, and
 //! exportable [`MetricsSnapshot`]s.
 //!
-//! The pipeline (host → match pass → schedulers → cluster) records
+//! The pipeline (host → match pass → schedulers) records
 //! **model metrics**: counters and histograms over *simulated* quantities
 //! (queries per subarray, ETM rows activated per lookup, dispatch stall in
 //! model picoseconds). These are pure functions of the workload, so a
@@ -46,8 +46,8 @@ pub const BUCKETS: usize = 64;
 /// deterministic functions of the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterId {
-    /// Host runs: one per `classify_reads` or `classify_pairs` call and
-    /// one per `classify_stream` chunk.
+    /// Host runs: one per `classify_reads` call and one per
+    /// `classify_stream` chunk.
     HostChunks = 0,
     /// Reads entering the host pipeline.
     HostReads,
@@ -64,17 +64,13 @@ pub enum CounterId {
     MatchHits,
     /// 64-query batches the schedulers accounted for.
     SchedBatches,
-    /// Cluster `run` invocations.
-    ClusterRuns,
-    /// Per-device runs issued by clusters.
-    ClusterDeviceRuns,
     /// `Transport::transfer_ps` invocations.
     TransportTransfers,
 }
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [Self; 11] = [
+    pub const ALL: [Self; 9] = [
         Self::HostChunks,
         Self::HostReads,
         Self::HostKmers,
@@ -83,8 +79,6 @@ impl CounterId {
         Self::MatchQueries,
         Self::MatchHits,
         Self::SchedBatches,
-        Self::ClusterRuns,
-        Self::ClusterDeviceRuns,
         Self::TransportTransfers,
     ];
 
@@ -100,8 +94,6 @@ impl CounterId {
             Self::MatchQueries => "match_queries",
             Self::MatchHits => "match_hits",
             Self::SchedBatches => "sched_batches",
-            Self::ClusterRuns => "cluster_runs",
-            Self::ClusterDeviceRuns => "cluster_device_runs",
             Self::TransportTransfers => "transport_transfers",
         }
     }
@@ -118,13 +110,8 @@ pub enum HistId {
     /// Queries routed to each subarray that received any (per-subarray
     /// skew).
     ShardQueries,
-    /// K-mers per host run (a batch, a batch of pairs, or a
-    /// `classify_stream` chunk).
+    /// K-mers per host run (a batch or a `classify_stream` chunk).
     ChunkKmers,
-    /// Queries routed to each cluster device (per-device skew).
-    ClusterDeviceQueries,
-    /// Per-device makespan within a cluster run, ps (per-device skew).
-    ClusterDeviceMakespanPs,
     /// Simulated transport/dispatch stall per run, ps: how much PCIe
     /// queueing stretched the makespan beyond ideal dispatch.
     DispatchStallPs,
@@ -134,12 +121,10 @@ pub enum HistId {
 
 impl HistId {
     /// Every histogram, in snapshot order.
-    pub const ALL: [Self; 7] = [
+    pub const ALL: [Self; 5] = [
         Self::EtmRowsActivated,
         Self::ShardQueries,
         Self::ChunkKmers,
-        Self::ClusterDeviceQueries,
-        Self::ClusterDeviceMakespanPs,
         Self::DispatchStallPs,
         Self::TransportTransferPs,
     ];
@@ -151,8 +136,6 @@ impl HistId {
             Self::EtmRowsActivated => "etm_rows_activated",
             Self::ShardQueries => "shard_queries",
             Self::ChunkKmers => "chunk_kmers",
-            Self::ClusterDeviceQueries => "cluster_device_queries",
-            Self::ClusterDeviceMakespanPs => "cluster_device_makespan_ps",
             Self::DispatchStallPs => "dispatch_stall_ps",
             Self::TransportTransferPs => "transport_transfer_ps",
         }
@@ -365,16 +348,6 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
         self.count += other.count;
         self.sum += other.sum;
-    }
-
-    /// Mean of recorded values (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Upper bound of the bucket containing the `p`-quantile
@@ -772,7 +745,6 @@ mod tests {
             h.record(v);
         }
         let s = h.snapshot();
-        assert_eq!(s.mean(), 50.5);
         // p50 of 1..=100 is 50; its bucket [32, 64) reports 63.
         assert_eq!(s.percentile(0.5), 63);
         // p100 is clamped to the observed max.
@@ -782,12 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshot_percentile_and_mean_are_zero() {
-        // A histogram that never recorded must report inert statistics —
-        // not NaN from 0/0, not a phantom min/max.
+    fn empty_snapshot_percentile_is_zero() {
+        // A histogram that never recorded must report inert percentiles,
+        // not a phantom min/max.
         let empty = HistogramSnapshot::default();
         assert_eq!(empty.count, 0);
-        assert_eq!(empty.mean(), 0.0);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(empty.percentile(q), 0, "p{q}");
         }
@@ -796,7 +767,7 @@ mod tests {
         h.record(1234);
         h.reset();
         let s = h.snapshot();
-        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.count, 0);
         assert_eq!(s.percentile(0.5), 0);
     }
 

@@ -127,15 +127,6 @@ impl Cell {
 
 static TABLE: [Cell; Phase::ALL.len()] = [const { Cell::new() }; Phase::ALL.len()];
 
-/// Whether traffic recording is live: true while the global
-/// [`crate::obs`] recorder or [`crate::trace`] tracer is enabled. Sites
-/// whose byte counts need a non-trivial computation (e.g. summing read
-/// lengths) check this first; [`record`] itself is always gated.
-#[must_use]
-pub fn active() -> bool {
-    obs::global().is_enabled() || trace::global().is_enabled()
-}
-
 /// Adds one phase's traffic to the global table. No-op unless the global
 /// [`crate::obs`] recorder or [`crate::trace`] tracer is enabled (the
 /// fast path is two relaxed loads). With the tracer on, also emits the

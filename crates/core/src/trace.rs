@@ -13,8 +13,8 @@
 //! * **Model time** — events stamped in *simulated picoseconds* on a
 //!   virtual clock ([`Tracer::model_ps`]) that the pipeline advances by
 //!   each run's makespan: per-subarray dispatch and ETM termination
-//!   depth, batch issue, Type-1 streams, Column-Finder drain, cluster
-//!   routing, transport transfers. Every model event is emitted from the
+//!   depth, batch issue, Type-1 streams, Column-Finder drain, transport
+//!   transfers. Every model event is emitted from the
 //!   merged sums of the match → schedule structure, in subarray order,
 //!   so the model event stream is
 //!   **bit-identical across thread counts**
@@ -68,20 +68,11 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 /// share slots (safe — each slot is individually locked).
 const MAX_WORKERS: usize = 64;
 
-/// Which clock an event was stamped against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Domain {
-    /// Simulated time, picoseconds; deterministic across thread counts.
-    Model,
-    /// Host wall clock, nanoseconds since the tracer's epoch.
-    Wall,
-}
-
 /// One structured trace event.
 ///
 /// `ts`/`dur` are picoseconds for model events and nanoseconds for wall
-/// events; `track` is the lane within the domain (subarray / device id
-/// for model events, worker slot for wall events); `arg`/`arg2` carry
+/// events; `track` is the lane within the domain (subarray id for model
+/// events, worker slot for wall events); `arg`/`arg2` carry
 /// event-specific payloads (query counts, row depths, byte counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -230,15 +221,6 @@ impl Tracer {
     #[must_use]
     pub fn model_ps(&self) -> u64 {
         self.model_ps.load(Relaxed)
-    }
-
-    /// Rewinds/forwards the model clock (used by the cluster, whose
-    /// devices run concurrently *in the model* but sequentially in the
-    /// simulator). No-op while disabled.
-    pub fn set_model_ps(&self, ps: u64) {
-        if self.is_enabled() {
-            self.model_ps.store(ps, Relaxed);
-        }
     }
 
     /// Advances the model clock by `delta_ps` (a completed run's
@@ -670,14 +652,12 @@ mod tests {
     }
 
     #[test]
-    fn model_clock_advances_and_rewinds() {
+    fn model_clock_advances_and_resets() {
         let t = Tracer::new();
         t.set_enabled(true);
         t.advance_model_ps(100);
         t.advance_model_ps(50);
         assert_eq!(t.model_ps(), 150);
-        t.set_model_ps(70);
-        assert_eq!(t.model_ps(), 70);
         t.reset();
         assert_eq!(t.model_ps(), 0);
     }

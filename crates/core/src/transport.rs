@@ -46,12 +46,6 @@ impl Transport {
         Self::Pcie(PcieConfig::gen4_x16())
     }
 
-    /// PCIe 3.0 ×8 (Type-2's minimum).
-    #[must_use]
-    pub fn pcie_gen3_x8() -> Self {
-        Self::Pcie(PcieConfig::gen3_x8())
-    }
-
     /// Display label.
     #[must_use]
     pub fn label(&self) -> &'static str {

@@ -134,7 +134,7 @@ impl AppProfile {
 /// # Panics
 ///
 /// Panics if the dataset's taxonomy is inconsistent with its entries
-/// (cannot happen for datasets built by [`crate::synth::make_dataset`]).
+/// (cannot happen for datasets built by [`crate::synth::make_dataset_with`]).
 #[must_use]
 pub fn profile_app(app: AppKind, dataset: &SyntheticDataset, reads: &[DnaSequence]) -> AppProfile {
     match app {

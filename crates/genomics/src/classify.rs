@@ -24,18 +24,6 @@ pub struct Classification {
     pub histogram: Vec<(TaxonId, usize)>,
 }
 
-impl Classification {
-    /// Fraction of query k-mers that hit, in `[0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.total_kmers == 0 {
-            0.0
-        } else {
-            self.hit_kmers as f64 / self.total_kmers as f64
-        }
-    }
-}
-
 /// Builds the per-taxon hit histogram for a read.
 fn histogram<D: KmerDatabase>(db: &D, read: &DnaSequence) -> (Vec<(TaxonId, usize)>, usize, usize) {
     let mut counts: HashMap<TaxonId, usize> = HashMap::new();
@@ -183,7 +171,7 @@ mod tests {
         let read: DnaSequence = "ACGTA".parse().unwrap();
         let c = ClarkClassifier::new(&db).classify(&read);
         assert_eq!(c.taxon, None);
-        assert_eq!(c.hit_rate(), 0.0);
+        assert_eq!(c.hit_kmers, 0);
     }
 
     #[test]
@@ -231,14 +219,5 @@ mod tests {
         let db = HashDb::from_entries(&entries, 3);
         let read: DnaSequence = "ACG".parse().unwrap();
         assert!(KrakenClassifier::new(&db, &tax).classify(&read).is_err());
-    }
-
-    #[test]
-    fn hit_rate_computation() {
-        let entries = vec![(kmer("ACG"), TaxonId(1))];
-        let db = HashDb::from_entries(&entries, 3);
-        let read: DnaSequence = "ACGT".parse().unwrap(); // kmers ACG, CGT
-        let c = ClarkClassifier::new(&db).classify(&read);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

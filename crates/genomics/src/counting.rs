@@ -3,7 +3,7 @@
 //! Real reference pipelines (Jellyfish/KMC feeding Kraken-style builders)
 //! count k-mers first and drop low-multiplicity ones (sequencing-error
 //! artifacts) before the taxon-labelled set is built. This module provides
-//! that stage plus the k-mer spectrum used to pick thresholds.
+//! the counting stage and the k-mer spectrum used to pick the threshold.
 
 use std::collections::HashMap;
 
@@ -98,20 +98,6 @@ impl KmerCounter {
         out.sort_unstable();
         out
     }
-
-    /// Extracts the distinct k-mers with multiplicity ≥ `min_count`, sorted
-    /// — the error-filtered set DB builders keep.
-    #[must_use]
-    pub fn solid_kmers(&self, min_count: u64) -> Vec<Kmer> {
-        let mut out: Vec<Kmer> = self
-            .counts
-            .iter()
-            .filter(|(_, &c)| c >= min_count)
-            .map(|(&bits, _)| Kmer::from_u64(bits, self.k).expect("counted k-mers are valid"))
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -149,19 +135,6 @@ mod tests {
         assert_eq!(distinct as usize, c.distinct());
         let total: u64 = spectrum.iter().map(|(m, n)| m * n).sum();
         assert_eq!(total, c.total());
-    }
-
-    #[test]
-    fn solid_kmers_filters_and_sorts() {
-        let c = counted("ACGACGACGTTT", 3);
-        let solid = c.solid_kmers(2);
-        // ACG ×3, CGA ×2, GAC ×2 survive; TTT/GTT/CGT ×1 do not.
-        assert_eq!(solid.len(), 3);
-        for w in solid.windows(2) {
-            assert!(w[0] < w[1], "sorted");
-        }
-        assert!(c.solid_kmers(1).len() > solid.len());
-        assert!(c.solid_kmers(100).is_empty());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! (§II): CLARK/LMAT use a **hash table** ([`HashDb`]), simple tools use a
 //! **sorted list** ([`SortedDb`]), and Kraken uses a **hybrid**: k-mers
 //! sharing a *signature* (minimizer) live in one hash bucket that is
-//! searched by binary search ([`HybridDb`]). Sieve itself consumes the
-//! globally sorted entry list (Region-1 layout is built from
-//! [`SortedDb::entries`]).
+//! searched by binary search ([`HybridDb`]). Sieve itself loads the
+//! `(k-mer, taxon)` entry list that [`build_entries`] returns, sorted into
+//! its Region-1 layout.
 
 use std::collections::HashMap;
 
@@ -169,40 +169,10 @@ impl SortedDb {
         Self { entries, k }
     }
 
-    /// The sorted entry slice.
-    #[must_use]
-    pub fn entries(&self) -> &[(Kmer, TaxonId)] {
-        &self.entries
-    }
-
     /// Index of `kmer` if present, else the insertion point.
     pub fn find(&self, kmer: Kmer) -> Result<usize, usize> {
         self.entries
             .binary_search_by_key(&kmer.bits(), |(k, _)| k.bits())
-    }
-
-    /// The longest common prefix, in bits, between `query` and *any* stored
-    /// k-mer. Because entries are sorted, the maximum is achieved by one of
-    /// the two neighbours of the query's insertion point — this identity is
-    /// what makes the fast Sieve engine exact (property-tested against the
-    /// bit-accurate engine in `sieve-core`).
-    ///
-    /// Returns `2k` when the query is present. Returns 0 for an empty db.
-    #[must_use]
-    pub fn max_lcp_bits(&self, query: Kmer) -> usize {
-        match self.find(query) {
-            Ok(_) => query.bit_len(),
-            Err(ins) => {
-                let mut best = 0;
-                if ins > 0 {
-                    best = best.max(self.entries[ins - 1].0.lcp_bits(&query));
-                }
-                if ins < self.entries.len() {
-                    best = best.max(self.entries[ins].0.lcp_bits(&query));
-                }
-                best
-            }
-        }
     }
 }
 
@@ -236,15 +206,15 @@ pub struct HybridDb {
 }
 
 impl HybridDb {
-    /// Builds from entries with minimizer length `m` (Kraken's default
-    /// relationship is m << k; we default to 7 in [`HybridDb::from_entries`]).
+    /// Builds from entries with minimizer length `min(7, k)` (Kraken's
+    /// relationship is m << k).
     ///
     /// # Panics
     ///
-    /// Panics if `m` is 0, greater than k, or entries have inconsistent k.
+    /// Panics if entries have inconsistent k.
     #[must_use]
-    pub fn with_minimizer(entries: &[(Kmer, TaxonId)], k: usize, m: usize) -> Self {
-        assert!(m >= 1 && m <= k, "minimizer length must be in 1..=k");
+    pub fn from_entries(entries: &[(Kmer, TaxonId)], k: usize) -> Self {
+        let m = 7.min(k);
         let mut storage: Vec<(u64, u64, TaxonId)> = entries
             .iter()
             .map(|(kmer, taxon)| {
@@ -272,12 +242,6 @@ impl HybridDb {
         }
     }
 
-    /// Builds with the default minimizer length (7).
-    #[must_use]
-    pub fn from_entries(entries: &[(Kmer, TaxonId)], k: usize) -> Self {
-        Self::with_minimizer(entries, k, 7.min(k))
-    }
-
     /// The signature (minimum m-mer value over all m-windows) of a k-mer.
     #[must_use]
     pub fn signature_of(kmer: Kmer, m: usize) -> u64 {
@@ -294,12 +258,6 @@ impl HybridDb {
     #[must_use]
     pub fn signature(&self, kmer: Kmer) -> u64 {
         Self::signature_of(kmer, self.m)
-    }
-
-    /// The minimizer length.
-    #[must_use]
-    pub fn minimizer_len(&self) -> usize {
-        self.m
     }
 
     /// The `(offset, len)` of the bucket for `signature`, if any — offsets
@@ -428,30 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn max_lcp_bits_is_exact() {
-        let es = entries(6);
-        let sorted = SortedDb::from_entries(es.clone(), 6);
-        // Brute-force comparison over every stored k-mer.
-        for probe in ["AAAAAA", "ACGTAC", "TTTTTT", "GTACGT", "CAACGT"] {
-            let q: Kmer = probe.parse().unwrap();
-            let brute = es.iter().map(|(k, _)| k.lcp_bits(&q)).max().unwrap();
-            assert_eq!(sorted.max_lcp_bits(q), brute, "probe {probe}");
-        }
-    }
-
-    #[test]
-    fn max_lcp_full_length_on_hit() {
-        let es = entries(5);
-        let sorted = SortedDb::from_entries(es.clone(), 5);
-        let present = es[0].0;
-        assert_eq!(sorted.max_lcp_bits(present), 10);
-    }
-
-    #[test]
-    fn empty_db_lcp_is_zero() {
+    fn empty_db_misses() {
         let sorted = SortedDb::from_entries(Vec::new(), 5);
         let q: Kmer = "ACGTA".parse().unwrap();
-        assert_eq!(sorted.max_lcp_bits(q), 0);
         assert_eq!(sorted.get(q), None);
     }
 

@@ -16,7 +16,7 @@ const COMPLEMENT_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
 /// Reverse-complements a low-aligned 2k-bit packing in a handful of
 /// full-width `u64` operations — the SWAR kernel behind
-/// [`Kmer::reverse_complement`] (DESIGN.md §9).
+/// [`Kmer::canonical`] (DESIGN.md §9).
 ///
 /// One XOR complements all 32 base fields (the unused high fields become
 /// garbage, but they land in the discarded low bits after the reversal);
@@ -193,19 +193,10 @@ impl Kmer {
         }
     }
 
-    /// The reverse complement of this k-mer ([`revcomp_bits`], the SWAR
-    /// kernel). Bit-identical to [`Kmer::reverse_complement_scalar`].
-    #[must_use]
-    pub fn reverse_complement(&self) -> Self {
-        Self {
-            bits: revcomp_bits(self.bits, self.k()),
-            k: self.k,
-        }
-    }
-
-    /// The scalar twin of [`Kmer::reverse_complement`]: one
-    /// base-unpack/complement/repack per position. Kept as the readable
-    /// reference the differential tests compare the SWAR kernel against.
+    /// The reverse complement of this k-mer, the scalar twin of
+    /// [`revcomp_bits`]: one base-unpack/complement/repack per position.
+    /// Kept as the readable reference the differential tests compare the
+    /// SWAR kernel against.
     #[must_use]
     pub fn reverse_complement_scalar(&self) -> Self {
         let mut bits = 0u64;
@@ -348,11 +339,12 @@ mod tests {
     #[test]
     fn reverse_complement_and_canonical() {
         let k: Kmer = "AACG".parse().unwrap();
-        assert_eq!(k.reverse_complement().to_string(), "CGTT");
-        assert_eq!(k.reverse_complement().reverse_complement(), k);
+        let rc = Kmer::from_u64(revcomp_bits(k.bits(), 4), 4).unwrap();
+        assert_eq!(rc.to_string(), "CGTT");
+        assert_eq!(revcomp_bits(rc.bits(), 4), k.bits());
         let canon = k.canonical();
         assert!(canon.bits() <= k.bits());
-        assert_eq!(canon, k.reverse_complement().canonical());
+        assert_eq!(canon, rc.canonical());
     }
 
     #[test]
@@ -372,8 +364,8 @@ mod tests {
                 };
                 let kmer = Kmer::from_u64(bits, k).unwrap();
                 assert_eq!(
-                    kmer.reverse_complement(),
-                    kmer.reverse_complement_scalar(),
+                    revcomp_bits(bits, k),
+                    kmer.reverse_complement_scalar().bits(),
                     "revcomp twins disagree at k={k} bits={bits:#x}"
                 );
                 assert_eq!(

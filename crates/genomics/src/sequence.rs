@@ -113,23 +113,6 @@ impl DnaSequence {
         }
     }
 
-    /// The reverse complement (`N` positions stay `N`) — the strand a
-    /// paired-end mate 2 is read from.
-    #[must_use]
-    pub fn reverse_complement(&self) -> DnaSequence {
-        DnaSequence {
-            data: self
-                .data
-                .iter()
-                .rev()
-                .map(|&c| match Base::from_ascii(c) {
-                    Ok(b) => b.complement().to_ascii(),
-                    Err(_) => b'N',
-                })
-                .collect(),
-        }
-    }
-
     /// Iterator over all valid k-mer windows, as `(offset, kmer)` pairs.
     /// Windows containing `N` are skipped. Uses a rolling update, so the
     /// whole scan is O(len).
@@ -333,13 +316,6 @@ mod tests {
     fn slice_extracts_range() {
         let seq: DnaSequence = "ACGTACGT".parse().unwrap();
         assert_eq!(seq.slice(2, 4).to_string(), "GTAC");
-    }
-
-    #[test]
-    fn reverse_complement_involution_and_n() {
-        let seq: DnaSequence = "ACGTN".parse().unwrap();
-        assert_eq!(seq.reverse_complement().to_string(), "NACGT");
-        assert_eq!(seq.reverse_complement().reverse_complement(), seq);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //!
 //! * reference k-mer sets that are sparse in the 4^k space (so the Expected
 //!   Shared Prefix of a random query against the set is tiny — Figure 6),
-//! * query files with the paper's read lengths (92/157/100 bases) and a low
+//! * reads of the paper's query-file lengths (92/157/100 bases) with a low
 //!   (~1 %) k-mer hit rate, the regime the paper reports for real data,
 //! * a taxonomy so classification (hit-majority / LCA) is meaningful.
 //!
-//! Scale: everything is scaled down by a configurable factor (default
-//! 1,000×) from the paper's sizes; DESIGN.md §5 explains why speedup ratios
-//! are scale-invariant in this simulator.
+//! Scale: the reference presets are scaled-down stand-ins
+//! ([`ReferencePreset::dimensions`]), and the query presets divide the
+//! paper's read counts by a caller's factor ([`QueryPreset::scaled_count`]);
+//! DESIGN.md §5 explains why speedup ratios are scale-invariant in this
+//! simulator.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -188,7 +190,9 @@ pub struct SyntheticDataset {
     pub k: usize,
 }
 
-/// Builds a synthetic reference dataset for `preset` with k-mer length `k`.
+/// Builds a synthetic reference dataset of `taxa` genomes of `genome_len`
+/// bases with k-mer length `k` ([`ReferencePreset::dimensions`] gives the
+/// presets' dimensions).
 ///
 /// Genomes are grouped into genera of four species; species within a genus
 /// are 3 %-mutated copies of a genus ancestor, so LCA-based classification
@@ -196,18 +200,8 @@ pub struct SyntheticDataset {
 ///
 /// # Panics
 ///
-/// Panics if `k` is outside `1..=32` (checked by the entry builder).
-#[must_use]
-pub fn make_dataset(preset: ReferencePreset, k: usize, seed: u64) -> SyntheticDataset {
-    let (taxa, genome_len) = preset.dimensions();
-    make_dataset_with(taxa, genome_len, k, seed)
-}
-
-/// Builds a synthetic dataset with explicit dimensions (see [`make_dataset`]).
-///
-/// # Panics
-///
-/// Panics if `taxa` is 0 or `k` invalid.
+/// Panics if `taxa` is 0 or `k` is outside `1..=32` (checked by the entry
+/// builder).
 #[must_use]
 pub fn make_dataset_with(taxa: usize, genome_len: usize, k: usize, seed: u64) -> SyntheticDataset {
     assert!(taxa > 0, "need at least one taxon");
@@ -316,125 +310,6 @@ pub fn simulate_reads(
     (reads, truth)
 }
 
-/// Generates an Illumina-style quality string: high Phred scores early,
-/// degrading toward the 3′ end (the dominant Illumina error pattern).
-#[must_use]
-pub fn quality_string(len: usize, rng: &mut StdRng) -> String {
-    (0..len)
-        .map(|i| {
-            // Mean Phred drifts from ~38 down to ~22 across the read.
-            let mean = 38.0 - 16.0 * i as f64 / len.max(1) as f64;
-            let q = (mean + rng.gen_range(-4.0..4.0)).clamp(2.0, 41.0) as u8;
-            (q + 33) as char // Phred+33
-        })
-        .collect()
-}
-
-/// Per-base error probability from a Phred+33 quality character.
-#[must_use]
-pub fn phred_error_prob(q: char) -> f64 {
-    let phred = (q as u8).saturating_sub(33);
-    10f64.powf(-f64::from(phred) / 10.0)
-}
-
-/// Applies quality-driven substitution errors: each base flips with the
-/// probability its quality character encodes.
-#[must_use]
-pub fn corrupt_by_quality(seq: &DnaSequence, quality: &str, rng: &mut StdRng) -> DnaSequence {
-    assert_eq!(seq.len(), quality.len(), "quality length mismatch");
-    let mut out = DnaSequence::new();
-    for (i, q) in quality.chars().enumerate() {
-        match seq.base(i) {
-            Some(b) if rng.gen_bool(phred_error_prob(q).min(0.75)) => {
-                let mut nb = Base::from_bits(rng.gen_range(0..4u8));
-                while nb == b {
-                    nb = Base::from_bits(rng.gen_range(0..4u8));
-                }
-                out.push(nb);
-            }
-            Some(b) => out.push(b),
-            None => out.push_ambiguous(),
-        }
-    }
-    out
-}
-
-/// Simulates paired-end reads: an insert of `insert_len` is sampled from a
-/// genome; mate 1 reads its 5′ end forward, mate 2 reads its 3′ end on the
-/// reverse-complement strand (standard FR orientation).
-///
-/// Returns `((mate1, mate2) pairs, true origins)`.
-///
-/// # Panics
-///
-/// Panics if `insert_len < config.read_len`, any genome is shorter than
-/// the insert, or `count == 0`.
-#[must_use]
-pub fn simulate_paired_reads(
-    dataset: &SyntheticDataset,
-    config: ReadSimConfig,
-    insert_len: usize,
-    count: usize,
-    seed: u64,
-) -> (Vec<(DnaSequence, DnaSequence)>, Vec<Option<TaxonId>>) {
-    assert!(count > 0, "need at least one pair");
-    assert!(
-        insert_len >= config.read_len,
-        "insert ({insert_len}) must cover a read ({})",
-        config.read_len
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pairs = Vec::with_capacity(count);
-    let mut truth = Vec::with_capacity(count);
-    for _ in 0..count {
-        let (insert, origin) = if rng.gen_bool(config.from_reference) {
-            let (taxon, genome) = &dataset.genomes[rng.gen_range(0..dataset.genomes.len())];
-            assert!(
-                genome.len() >= insert_len,
-                "insert length {insert_len} exceeds genome length {}",
-                genome.len()
-            );
-            let start = rng.gen_range(0..=genome.len() - insert_len);
-            (genome.slice(start, insert_len), Some(*taxon))
-        } else {
-            (random_genome(insert_len, &mut rng), None)
-        };
-        let mate1 = corrupt(
-            &insert.slice(0, config.read_len),
-            config.error_rate,
-            config.n_rate,
-            &mut rng,
-        );
-        let mate2 = corrupt(
-            &insert
-                .slice(insert_len - config.read_len, config.read_len)
-                .reverse_complement(),
-            config.error_rate,
-            config.n_rate,
-            &mut rng,
-        );
-        pairs.push((mate1, mate2));
-        truth.push(origin);
-    }
-    (pairs, truth)
-}
-
-/// Generates a Table II query file (scaled) against `dataset`.
-#[must_use]
-pub fn make_queries(
-    dataset: &SyntheticDataset,
-    preset: QueryPreset,
-    scale_divisor: u64,
-    seed: u64,
-) -> (Vec<DnaSequence>, Vec<Option<TaxonId>>) {
-    let (_, read_len) = preset.paper_dimensions();
-    let config = ReadSimConfig {
-        read_len,
-        ..ReadSimConfig::default()
-    };
-    simulate_reads(dataset, config, preset.scaled_count(scale_divisor), seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,10 +317,11 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = make_dataset(ReferencePreset::MiniKraken4, 11, 42);
-        let b = make_dataset(ReferencePreset::MiniKraken4, 11, 42);
+        let (taxa, len) = ReferencePreset::MiniKraken4.dimensions();
+        let a = make_dataset_with(taxa, len, 11, 42);
+        let b = make_dataset_with(taxa, len, 11, 42);
         assert_eq!(a.entries, b.entries);
-        let c = make_dataset(ReferencePreset::MiniKraken4, 11, 43);
+        let c = make_dataset_with(taxa, len, 11, 43);
         assert_ne!(a.entries, c.entries);
     }
 
@@ -525,77 +401,6 @@ mod tests {
         assert_eq!(QueryPreset::HiSeqAccuracy.scaled_count(1), 10_000);
         // Floor kicks in.
         assert_eq!(QueryPreset::HiSeqAccuracy.scaled_count(u64::MAX), 64);
-    }
-
-    #[test]
-    fn paired_reads_are_fr_oriented() {
-        let ds = make_dataset_with(4, 1024, 13, 3);
-        let config = ReadSimConfig {
-            read_len: 80,
-            from_reference: 1.0,
-            error_rate: 0.0,
-            n_rate: 0.0,
-        };
-        let (pairs, truth) = simulate_paired_reads(&ds, config, 200, 20, 9);
-        assert_eq!(pairs.len(), 20);
-        assert!(truth.iter().all(Option::is_some));
-        // Error-free FR pairs: both mates' k-mers (mate 2 re-complemented)
-        // must hit the origin genome's k-mer set.
-        let db = crate::db::SortedDb::from_entries(ds.entries.clone(), 13);
-        use crate::db::KmerDatabase;
-        for (m1, m2) in &pairs {
-            for (_, k) in m1.kmers(13) {
-                assert!(db.get(k).is_some(), "mate1 k-mer must hit");
-            }
-            for (_, k) in m2.reverse_complement().kmers(13) {
-                assert!(db.get(k).is_some(), "rc(mate2) k-mer must hit");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must cover a read")]
-    fn short_insert_panics() {
-        let ds = make_dataset_with(2, 512, 13, 3);
-        let config = ReadSimConfig {
-            read_len: 80,
-            ..ReadSimConfig::default()
-        };
-        let _ = simulate_paired_reads(&ds, config, 50, 1, 1);
-    }
-
-    #[test]
-    fn quality_degrades_toward_read_end() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let q = quality_string(100, &mut rng);
-        assert_eq!(q.len(), 100);
-        let head: f64 = q.chars().take(20).map(phred_error_prob).sum::<f64>() / 20.0;
-        let tail: f64 = q.chars().rev().take(20).map(phred_error_prob).sum::<f64>() / 20.0;
-        assert!(
-            tail > head,
-            "3' end must be noisier: {head:.5} vs {tail:.5}"
-        );
-        // Phred 40 ('I') ≈ 1e-4.
-        assert!((phred_error_prob('I') - 1e-4).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quality_driven_errors_track_quality() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let g = random_genome(2_000, &mut rng);
-        let perfect = "I".repeat(2_000); // Phred 40 ≈ no errors
-        let awful = "#".repeat(2_000); // Phred 2 ≈ 63 % error
-        let clean = corrupt_by_quality(&g, &perfect, &mut rng);
-        let noisy = corrupt_by_quality(&g, &awful, &mut rng);
-        let diff = |a: &DnaSequence, b: &DnaSequence| {
-            a.as_bytes()
-                .iter()
-                .zip(b.as_bytes())
-                .filter(|(x, y)| x != y)
-                .count()
-        };
-        assert!(diff(&g, &clean) < 5);
-        assert!(diff(&g, &noisy) > 800);
     }
 
     #[test]

@@ -87,16 +87,6 @@ impl Taxonomy {
         Ok(id)
     }
 
-    /// The parent of `taxon` (the root is its own parent).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenomicsError::UnknownTaxon`] if the taxon does not exist.
-    pub fn parent(&self, taxon: TaxonId) -> Result<TaxonId, GenomicsError> {
-        self.check(taxon)?;
-        Ok(TaxonId(self.parent[taxon.0 as usize]))
-    }
-
     /// The name of `taxon`.
     ///
     /// # Errors

@@ -17,6 +17,23 @@ echo "== tier1: cargo test --workspace -q =="
 # under tests/ and every doc-test.
 cargo test --workspace -q
 
+echo "== tier1: examples and sieve-cli (release) =="
+# `cargo test` only compiles the examples, and no test invokes sieve-cli,
+# yet they are the callers of much of the public API (SieveApi, load,
+# thermal, KmerCounter, read_set_stats, fasta/fastq). Run each example and
+# the CLI's three subcommands end to end; any non-zero exit fails here.
+cargo build --release --examples -q
+for example in examples/*.rs; do
+    ./target/release/examples/"$(basename "$example" .rs)" > /dev/null
+done
+CLI_DATA=$(mktemp -d)
+trap 'rm -rf "$CLI_DATA"' EXIT
+./target/release/sieve-cli make-data --out "$CLI_DATA" --taxa 8 --reads 500 > /dev/null
+for subcommand in classify simulate; do
+    ./target/release/sieve-cli "$subcommand" --reference "$CLI_DATA/reference.fasta" \
+        --reads "$CLI_DATA/reads.fastq" > /dev/null
+done
+
 echo "== tier1: rustdoc (-D warnings) =="
 # Broken intra-doc links (e.g. to a deleted or private item) fail here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -28,9 +45,9 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # failure. The extraction and revcomp twins live in kernel_equivalence,
 # the vote and LCP twins next to their scalar references in sieve-core's
 # host and engine modules, the block-pass twin in host
-# (block_pass_twins_extract_run_vote: classify_reads, classify_stream and
-# classify_pairs, block by block, held bit for bit to extract_kmers ->
-# SieveDevice::run -> vote_reads), the staged search of the layout's key
+# (block_pass_twins_extract_run_vote: classify_reads and classify_stream,
+# block by block, held bit for bit to extract_kmers -> SieveDevice::run ->
+# vote_reads), the staged search of the layout's key
 # column in layout (staged_search_twins_lookup*: the global rank, the
 # rank -> subarray arithmetic with its g - 1 at g = 0, and the outcome,
 # held to SubarrayIndex::locate and engine::lookup, next to the store's

@@ -125,22 +125,6 @@ fn oversized_database_is_rejected() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    #[test]
-    fn cluster_sharding_is_functionally_transparent(devices in 1usize..6) {
-        let (ds, queries) = built();
-        let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
-        let single = SieveDevice::new(config.clone(), ds.entries.clone())
-            .expect("fits")
-            .run(&queries)
-            .expect("valid");
-        let cluster = sieve::core::SieveCluster::new(config, devices, ds.entries.clone())
-            .expect("builds");
-        let out = cluster.run(&queries).expect("valid");
-        prop_assert_eq!(out.results, single.results);
-        prop_assert_eq!(out.hits, single.report.hits);
-        prop_assert_eq!(out.device_reports.len(), devices.min(cluster.len()));
-    }
-
     /// Shuffling a batch reorders the queries inside every shard (the
     /// plan keeps arrival order), yet each query's result and the whole
     /// modeled report — Type-1's per-batch ETM included — must come out

@@ -13,7 +13,7 @@
 //! overflow in the SWAR kernels fails loudly.
 
 use proptest::prelude::*;
-use sieve::genomics::{pack, DnaSequence, Kmer};
+use sieve::genomics::{pack, revcomp_bits, Base, DnaSequence, Kmer};
 
 /// The k grid: two odd ks with a middle base (one of them the paper's 31)
 /// and a divisor-of-64 k that keeps windows word-aligned.
@@ -136,7 +136,10 @@ fn extraction_palindromic_windows() {
     for &k in &[16usize, 20, 32] {
         let half = lcg_read(k / 2 + 40, 0, k as u64 * 31);
         let mut bytes = half.as_bytes().to_vec();
-        bytes.extend(half.reverse_complement().as_bytes());
+        bytes.extend(half.as_bytes().iter().rev().map(|&b| {
+            let base = Base::from_ascii(b).expect("no N at density 0");
+            base.complement().to_ascii()
+        }));
         let read = DnaSequence::from_bytes(&bytes).unwrap();
         assert_extract_twins(std::slice::from_ref(&read), k, &format!("palindrome k={k}"));
     }
@@ -229,8 +232,8 @@ fn revcomp_twins_exhaustive_small_k() {
     for k in 1..=11usize {
         for bits in 0..1u64 << (2 * k) {
             let kmer = Kmer::from_u64(bits, k).unwrap();
-            let swar = kmer.reverse_complement();
-            let scalar = kmer.reverse_complement_scalar();
+            let swar = revcomp_bits(bits, k);
+            let scalar = kmer.reverse_complement_scalar().bits();
             assert_eq!(swar, scalar, "revcomp diverged at k={k} bits={bits:#x}");
             assert_eq!(
                 kmer.canonical(),
@@ -251,8 +254,8 @@ fn revcomp_is_an_involution_at_full_width() {
         x ^= x >> 7;
         x ^= x << 17;
         let kmer = Kmer::from_u64(x, 32).unwrap();
-        assert_eq!(kmer.reverse_complement(), kmer.reverse_complement_scalar());
-        assert_eq!(kmer.reverse_complement().reverse_complement(), kmer);
+        assert_eq!(revcomp_bits(x, 32), kmer.reverse_complement_scalar().bits());
+        assert_eq!(revcomp_bits(revcomp_bits(x, 32), 32), x);
     }
 }
 

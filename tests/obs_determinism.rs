@@ -221,28 +221,6 @@ fn repeated_read_streams_snapshot_identically() {
     assert_eq!(snaps[0].counter("match_hits"), outs[0].hits);
 }
 
-#[test]
-fn cluster_runs_snapshot_identically_and_record_skew() {
-    let _session = RecorderSession::begin();
-    let ds = synth::make_dataset_with(16, 4096, 31, 606);
-    let queries: Vec<Kmer> = ds.entries.iter().step_by(29).map(|(k, _)| *k).collect();
-    let config = || SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
-    let snaps = snapshot_sweep(|threads| {
-        let cluster =
-            sieve::core::SieveCluster::new(config().with_threads(threads), 3, ds.entries.clone())
-                .unwrap();
-        cluster.run(&queries).unwrap();
-    });
-    for snap in &snaps[1..] {
-        assert_eq!(snap, &snaps[0], "cluster snapshot diverged");
-    }
-    assert_eq!(snaps[0].counter("cluster_runs"), 1);
-    assert_eq!(snaps[0].counter("cluster_device_runs"), 3);
-    let skew = snaps[0].histogram("cluster_device_queries").unwrap();
-    assert_eq!(skew.count, 3);
-    assert_eq!(skew.sum, queries.len() as u64);
-}
-
 /// The batch `classify_reads` path counts as one host chunk and records
 /// its k-mer total, so batch and stream ingestion share one metric
 /// vocabulary.

@@ -67,20 +67,13 @@ fn seeded_workload_runs_identically_on_every_design() {
 
 /// Every host call, at every thread count, on every design point: 50
 /// reads run on one worker in one block; 640 reads (~45k k-mers, 11
-/// blocks) and their 320 pairs split into one read range per worker, as
-/// do the 300-read chunks of their stream.
+/// blocks) split into one read range per worker, as do the 300-read
+/// chunks of their stream.
 #[test]
 fn seeded_pipeline_is_identical_across_thread_counts() {
     let ds = dataset();
     for (n_reads, chunk) in [(50, 9), (640, 300)] {
         let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), n_reads, 23);
-        let (pairs, _) = synth::simulate_paired_reads(
-            &ds,
-            synth::ReadSimConfig::default(),
-            200,
-            n_reads / 2,
-            29,
-        );
         for config in [
             SieveConfig::type1(),
             SieveConfig::type2(8),
@@ -89,7 +82,6 @@ fn seeded_pipeline_is_identical_across_thread_counts() {
             let base = HostPipeline::new(device(config.clone(), 1, &ds));
             let base_reads = base.classify_reads(&reads).unwrap();
             let base_stream = base.classify_stream(&reads, chunk).unwrap();
-            let base_pairs = base.classify_pairs(&pairs).unwrap();
             for threads in &THREAD_SWEEP[1..] {
                 let host = HostPipeline::new(device(config.clone(), *threads, &ds));
                 let at = |call: &str| {
@@ -107,11 +99,6 @@ fn seeded_pipeline_is_identical_across_thread_counts() {
                     &host.classify_stream(&reads, chunk).unwrap(),
                     &base_stream,
                     &at("classify_stream"),
-                );
-                assert_same_pipeline(
-                    &host.classify_pairs(&pairs).unwrap(),
-                    &base_pairs,
-                    &at("classify_pairs"),
                 );
             }
         }

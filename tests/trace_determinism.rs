@@ -1,7 +1,7 @@
 //! Determinism and export contracts of the tracing subsystem (DESIGN.md
 //! §8): the **model-time** event stream — shard dispatch, ETM
-//! termination, batch issue, CF drain, Type-1 streams, cluster hops — is a pure
-//! function of the workload, so its canonical rendering must be
+//! termination, batch issue, CF drain, Type-1 streams — is a pure function
+//! of the workload, so its canonical rendering must be
 //! byte-identical across simulator thread counts. Wall-clock spans
 //! measure the simulator itself and carry no such contract.
 //!
@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use sieve::core::{trace, HostPipeline, PcieConfig, SieveCluster, SieveConfig, SieveDevice};
+use sieve::core::{trace, HostPipeline, PcieConfig, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, Kmer};
 
@@ -159,47 +159,6 @@ fn skewed_batch_keeps_the_model_trace_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn cluster_model_trace_is_byte_identical_and_devices_share_a_start() {
-    let _session = TracerSession::begin();
-    let ds = synth::make_dataset_with(16, 4096, 31, 606);
-    let queries: Vec<Kmer> = ds.entries.iter().step_by(29).map(|(k, _)| *k).collect();
-    let runs = model_sweep(|threads| {
-        let cluster = SieveCluster::new(
-            SieveConfig::type3(8)
-                .with_geometry(Geometry::scaled_medium())
-                .with_threads(threads),
-            3,
-            ds.entries.clone(),
-        )
-        .unwrap();
-        cluster.run(&queries).unwrap();
-    });
-    for (i, (lines, _)) in runs.iter().enumerate().skip(1) {
-        assert_eq!(
-            lines, &runs[0].0,
-            "threads={}: cluster model stream diverged",
-            THREAD_SWEEP[i]
-        );
-    }
-    let snap = &runs[0].1;
-    // Devices run concurrently in the model: all three cluster.device
-    // intervals start at the same (rewound) timestamp.
-    let devs: Vec<&trace::TraceEvent> = snap
-        .model
-        .iter()
-        .filter(|e| e.name == "cluster.device")
-        .collect();
-    assert_eq!(devs.len(), 3);
-    assert!(
-        devs.iter().all(|e| e.ts == devs[0].ts),
-        "devices must share t0"
-    );
-    // And the final model clock is t0 + the slowest device.
-    let makespan = devs.iter().map(|e| e.dur).max().unwrap();
-    assert_eq!(trace::global().model_ps(), devs[0].ts + makespan);
-}
-
-#[test]
 fn type1_model_trace_is_byte_identical_across_thread_counts() {
     let _session = TracerSession::begin();
     let ds = dataset();
@@ -224,7 +183,7 @@ fn type1_model_trace_is_byte_identical_across_thread_counts() {
 
 /// The tracer is the pipeline's only wall clock: every instrumented phase
 /// opens exactly one span per call — per chunk for a stream — on every
-/// design point, for single-end batches, streams and read pairs.
+/// design point, for batches and streams.
 #[test]
 fn every_block_opens_its_phase_spans_and_every_run_schedules_once() {
     // Each call, and each chunk of a stream, is one run taken in blocks
@@ -236,8 +195,6 @@ fn every_block_opens_its_phase_spans_and_every_run_schedules_once() {
     let _session = TracerSession::begin();
     let ds = dataset();
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 400, 11);
-    let (pairs, _) =
-        synth::simulate_paired_reads(&ds, synth::ReadSimConfig::default(), 200, 200, 13);
     const CHUNK: usize = 200;
     for config in [
         SieveConfig::type1(),
@@ -247,21 +204,14 @@ fn every_block_opens_its_phase_spans_and_every_run_schedules_once() {
         let label = config.device.label();
         for threads in [1, 4] {
             let host = HostPipeline::new(device(config.clone(), threads, &ds));
-            for call in ["batch", "stream", "pairs"] {
+            for call in ["batch", "stream"] {
                 trace::global().reset();
-                let runs = match call {
-                    "batch" => {
-                        host.classify_reads(&reads).unwrap();
-                        1
-                    }
-                    "stream" => {
-                        host.classify_stream(&reads, CHUNK).unwrap();
-                        reads.len().div_ceil(CHUNK)
-                    }
-                    _ => {
-                        host.classify_pairs(&pairs).unwrap();
-                        1
-                    }
+                let runs = if call == "stream" {
+                    host.classify_stream(&reads, CHUNK).unwrap();
+                    reads.len().div_ceil(CHUNK)
+                } else {
+                    host.classify_reads(&reads).unwrap();
+                    1
                 };
                 let wall = trace::global().snapshot().wall;
                 let spans = |name: &str| wall.iter().filter(|e| e.name == name).count();
