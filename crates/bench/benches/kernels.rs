@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot kernels of the simulator:
 //! k-mer extraction, fast-engine lookups, bit-accurate lookups, layout
-//! construction, and the baseline CPU cache walk.
+//! construction, the reference database build, and the baseline CPU cache
+//! walk.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sieve_core::{bitsim::BitAccurateSubarray, engine, DeviceLayout, SieveConfig};
@@ -200,6 +201,30 @@ fn bench_layout_build(c: &mut Criterion) {
     g.finish();
 }
 
+/// The reference database build (`db::build_entries`: extract, sort, fold)
+/// on sievebench's `large_ref` reference: 128 taxa of 7,950 bp, k = 31,
+/// seed 1001 (its seed-1 reference), with the generator's taxonomy, as
+/// its set-up builds it. Throughput counts genome k-mers, the build's
+/// input.
+fn bench_db_build(c: &mut Criterion) {
+    use sieve_genomics::db::{build_entries, DbOptions};
+    let ds = synth::make_dataset_with(128, 7950, 31, 1001);
+    let options = DbOptions {
+        k: 31,
+        ..DbOptions::default()
+    };
+    let words: usize = ds.genomes.iter().map(|(_, g)| g.kmer_count(31)).sum();
+    let mut g = c.benchmark_group("db_build");
+    g.throughput(Throughput::Elements(words as u64));
+    g.bench_function("sort_fold", |b| {
+        b.iter(|| {
+            let entries = build_entries(&ds.genomes, options, Some(&ds.taxonomy)).unwrap();
+            std::hint::black_box(entries.len())
+        });
+    });
+    g.finish();
+}
+
 fn bench_cpu_baseline(c: &mut Criterion) {
     use sieve_baselines::cpu::{run_kmer_matching, CpuConfig};
     use sieve_genomics::db::HybridDb;
@@ -230,6 +255,7 @@ criterion_group!(
     bench_match_kernel,
     bench_bitsim_lookup,
     bench_layout_build,
+    bench_db_build,
     bench_cpu_baseline
 );
 criterion_main!(kernels);

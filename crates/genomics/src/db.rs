@@ -7,11 +7,20 @@
 //! searched by binary search ([`HybridDb`]). Sieve itself loads the
 //! `(k-mer, taxon)` entry list that [`build_entries`] returns, sorted into
 //! its Region-1 layout.
+//!
+//! [`build_entries`] sorts rather than hashes: its output has to come out
+//! sorted anyway, and one sort of a flat vector of 16-byte
+//! `(word, taxon)` pairs streams through memory, where a hash map takes a
+//! cache miss per k-mer and still leaves its contents to sort. On
+//! sievebench's `large_ref` reference (128 genomes of 7,950 bp, 1.01 M
+//! k-mers) the sort-and-fold build takes about a third of the hash
+//! build's time.
 
 use std::collections::HashMap;
 
 use crate::error::GenomicsError;
-use crate::kmer::Kmer;
+use crate::kmer::{canonical_bits, Kmer};
+use crate::pack::Extractor;
 use crate::sequence::DnaSequence;
 use crate::taxonomy::{TaxonId, Taxonomy};
 
@@ -37,10 +46,6 @@ pub struct DbOptions {
     /// Store canonical (min of forward / reverse-complement) k-mers, as
     /// Kraken does.
     pub canonical: bool,
-    /// Keep only k-mers occurring at least this often across all genomes
-    /// (1 keeps everything; >1 drops error/contaminant artifacts, as
-    /// counting-based builders do).
-    pub min_count: u64,
 }
 
 impl Default for DbOptions {
@@ -48,7 +53,6 @@ impl Default for DbOptions {
         Self {
             k: 31,
             canonical: false,
-            min_count: 1,
         }
     }
 }
@@ -57,52 +61,63 @@ impl Default for DbOptions {
 /// genomes. K-mers occurring in several taxa get the LCA of those taxa when
 /// a taxonomy is provided (Kraken's rule), otherwise the smallest taxon id.
 ///
+/// Extract, sort, fold: every genome's `2k`-bit words come out of the SWAR
+/// [`Extractor`] (canonicalized if `options.canonical`) into one
+/// `(word, taxon)` vector, one unstable sort brings equal words together,
+/// and each run of equal words folds into one entry. The LCA and the
+/// minimum are both order-free, so the sort's order within a run cannot
+/// change an entry.
+///
 /// # Errors
 ///
-/// Returns [`GenomicsError::InvalidK`] for unsupported k, or an LCA error if
-/// a genome references a taxon missing from `taxonomy`.
+/// Returns [`GenomicsError::InvalidK`] for unsupported k, or
+/// [`GenomicsError::UnknownTaxon`] for the first genome, in input order,
+/// whose taxon is missing from `taxonomy`.
 pub fn build_entries(
     genomes: &[(TaxonId, DnaSequence)],
     options: DbOptions,
     taxonomy: Option<&Taxonomy>,
 ) -> Result<Vec<(Kmer, TaxonId)>, GenomicsError> {
-    if options.k == 0 || options.k > crate::kmer::MAX_K {
-        return Err(GenomicsError::InvalidK { k: options.k });
+    let k = options.k;
+    if k == 0 || k > crate::kmer::MAX_K {
+        return Err(GenomicsError::InvalidK { k });
     }
-    let mut map: HashMap<u64, (TaxonId, u64)> = HashMap::new();
-    for (taxon, seq) in genomes {
-        for (_, kmer) in seq.kmers(options.k) {
-            let kmer = if options.canonical {
-                kmer.canonical()
-            } else {
-                kmer
-            };
-            match map.entry(kmer.bits()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (prev, count) = *e.get();
-                    let merged = match taxonomy {
-                        Some(t) => t.lca(prev, *taxon)?,
-                        None => prev.min(*taxon),
-                    };
-                    e.insert((merged, count + 1));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((*taxon, 1));
-                }
-            }
+    if let Some(taxonomy) = taxonomy {
+        for (taxon, _) in genomes {
+            taxonomy.check(*taxon)?;
         }
     }
-    let mut entries: Vec<(Kmer, TaxonId)> = map
-        .into_iter()
-        .filter(|(_, (_, count))| *count >= options.min_count.max(1))
-        .map(|(bits, (taxon, _))| {
-            (
-                Kmer::from_u64(bits, options.k).expect("bits came from a valid k-mer"),
-                taxon,
-            )
-        })
-        .collect();
-    entries.sort_by_key(|(k, _)| k.bits());
+    let windows = genomes
+        .iter()
+        .map(|(_, seq)| (seq.len() + 1).saturating_sub(k))
+        .sum();
+    let mut pairs: Vec<(u64, TaxonId)> = Vec::with_capacity(windows);
+    let mut extractor = Extractor::new();
+    let mut words = Vec::new();
+    for (taxon, seq) in genomes {
+        words.clear();
+        extractor.extract_forward_into(seq, k, &mut words);
+        pairs.extend(words.iter().map(|&word| {
+            let word = if options.canonical {
+                canonical_bits(word, k)
+            } else {
+                word
+            };
+            (word, *taxon)
+        }));
+    }
+    pairs.sort_unstable_by_key(|&(word, _)| word);
+    let mut entries = Vec::new();
+    for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+        let (word, first) = run[0];
+        let taxon = run[1..]
+            .iter()
+            .try_fold(first, |acc, &(_, taxon)| match taxonomy {
+                Some(t) => t.lca(acc, taxon),
+                None => Ok(acc.min(taxon)),
+            })?;
+        entries.push((Kmer::from_u64(word, k)?, taxon));
+    }
     Ok(entries)
 }
 
@@ -304,6 +319,7 @@ impl KmerDatabase for HybridDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth;
 
     fn genomes() -> Vec<(TaxonId, DnaSequence)> {
         vec![
@@ -400,7 +416,6 @@ mod tests {
             DbOptions {
                 k: 4,
                 canonical: true,
-                min_count: 1,
             },
             None,
         )
@@ -435,64 +450,148 @@ mod tests {
     }
 
     #[test]
-    fn min_count_filters_rare_kmers() {
-        // Genomes 1 and 2 share every k-mer (count ≥ 2); genome 3's
-        // non-repetitive k-mers are singletons.
-        let genomes: Vec<(TaxonId, DnaSequence)> = vec![
-            (TaxonId(1), "ACGTACGTAC".parse().unwrap()),
-            (TaxonId(2), "ACGTACGTAC".parse().unwrap()),
-            (TaxonId(3), "TACGGCATTG".parse().unwrap()),
-        ];
-        let all = build_entries(
-            &genomes,
-            DbOptions {
-                k: 5,
-                ..DbOptions::default()
-            },
-            None,
-        )
-        .unwrap();
-        let solid = build_entries(
-            &genomes,
-            DbOptions {
-                k: 5,
-                min_count: 2,
-                ..DbOptions::default()
-            },
-            None,
-        )
-        .unwrap();
-        assert!(solid.len() < all.len());
-        // The singleton poly-T k-mer survives only without the filter
-        // (count 6 actually — poly-T k-mer repeats; pick a unique one).
-        let unique: Kmer = "GTACG".parse().unwrap();
-        assert!(all.iter().any(|(k, _)| *k == unique));
-        assert!(
-            solid.iter().any(|(k, _)| *k == unique),
-            "appears in both genomes"
-        );
+    fn invalid_k_rejected() {
+        for k in [0, 33] {
+            assert_eq!(
+                build_entries(
+                    &genomes(),
+                    DbOptions {
+                        k,
+                        ..DbOptions::default()
+                    },
+                    None
+                ),
+                Err(GenomicsError::InvalidK { k })
+            );
+        }
     }
 
     #[test]
-    fn invalid_k_rejected() {
-        assert!(build_entries(
-            &genomes(),
-            DbOptions {
-                k: 0,
-                ..DbOptions::default()
-            },
-            None
-        )
-        .is_err());
-        assert!(build_entries(
-            &genomes(),
-            DbOptions {
-                k: 33,
-                ..DbOptions::default()
-            },
-            None
-        )
-        .is_err());
+    fn unknown_taxon_rejected_whether_or_not_its_kmers_repeat() {
+        let mut tax = Taxonomy::new();
+        let known = tax.add_child(TaxonId::ROOT, "known").unwrap();
+        let options = DbOptions {
+            k: 5,
+            ..DbOptions::default()
+        };
+        let unknown = Err(GenomicsError::UnknownTaxon { taxon: 99 });
+        // Every k-mer of the unknown taxon's genome is unique.
+        let alone = vec![
+            (known, "ACGTACGTAC".parse().unwrap()),
+            (TaxonId(99), "TTGCAATTGC".parse().unwrap()),
+        ];
+        assert_eq!(build_entries(&alone, options, Some(&tax)), unknown);
+        // One k-mer ("ACGTA") is shared with the known taxon's genome.
+        let shared = vec![
+            (known, "ACGTACGTAC".parse().unwrap()),
+            (TaxonId(99), "TTGCAACGTA".parse().unwrap()),
+        ];
+        assert_eq!(build_entries(&shared, options, Some(&tax)), unknown);
+        // The first unknown taxon in input order is the one reported.
+        let two = vec![
+            (TaxonId(99), "ACGTACGTAC".parse().unwrap()),
+            (TaxonId(50), "ACGTACGTAC".parse().unwrap()),
+        ];
+        assert_eq!(build_entries(&two, options, Some(&tax)), unknown);
+        // Without a taxonomy any label is a plain payload.
+        assert!(build_entries(&alone, options, None).is_ok());
+    }
+
+    /// The build this module shipped before the sort-and-fold one: every
+    /// k-mer of the scalar [`DnaSequence::kmers`] walk through a
+    /// `HashMap`, merged on insert, then the map's contents sorted. The
+    /// reference of `sort_build_twins_hash_reference`.
+    fn hash_build(
+        genomes: &[(TaxonId, DnaSequence)],
+        options: DbOptions,
+        taxonomy: Option<&Taxonomy>,
+    ) -> Result<Vec<(Kmer, TaxonId)>, GenomicsError> {
+        use std::collections::hash_map::Entry;
+        let mut map: HashMap<u64, TaxonId> = HashMap::new();
+        for (taxon, seq) in genomes {
+            for (_, kmer) in seq.kmers(options.k) {
+                let kmer = if options.canonical {
+                    kmer.canonical()
+                } else {
+                    kmer
+                };
+                match map.entry(kmer.bits()) {
+                    Entry::Occupied(mut e) => {
+                        let merged = match taxonomy {
+                            Some(t) => t.lca(*e.get(), *taxon)?,
+                            None => (*e.get()).min(*taxon),
+                        };
+                        e.insert(merged);
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(*taxon);
+                    }
+                }
+            }
+        }
+        let mut entries: Vec<(Kmer, TaxonId)> = map
+            .into_iter()
+            .map(|(bits, taxon)| (Kmer::from_u64(bits, options.k).unwrap(), taxon))
+            .collect();
+        entries.sort_by_key(|(k, _)| k.bits());
+        Ok(entries)
+    }
+
+    /// Genome lists of every shape the build must handle, labelled with
+    /// `dataset`'s species: the dataset's own genomes, genomes holding
+    /// `N`s (scattered and in a run longer than k), a genome shorter than
+    /// k, a genome listed twice and under a second taxon, and no genomes
+    /// at all.
+    fn twin_inputs(
+        dataset: &synth::SyntheticDataset,
+        k: usize,
+    ) -> Vec<Vec<(TaxonId, DnaSequence)>> {
+        let species = |i: usize| dataset.genomes[i % dataset.genomes.len()].0;
+        let text = dataset.genomes[0].1.to_string();
+        let scattered: String = text
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if i % 37 == 11 { 'N' } else { c })
+            .collect();
+        let run = format!("{}{}{}", &text[..300], "N".repeat(40), &text[340..]);
+        let short: DnaSequence = text[..k - 1].parse().unwrap();
+        vec![
+            dataset.genomes.clone(),
+            vec![
+                (species(0), scattered.parse().unwrap()),
+                (species(1), run.parse().unwrap()),
+                (species(2), short),
+                dataset.genomes[0].clone(),
+                (species(3), dataset.genomes[0].1.clone()),
+                dataset.genomes[0].clone(),
+            ],
+            Vec::new(),
+        ]
+    }
+
+    #[test]
+    fn sort_build_twins_hash_reference() {
+        for taxa in [1, 4, 16] {
+            let dataset = synth::make_dataset_with(taxa, 2048, 31, 0x5eed + taxa as u64);
+            for k in [1, 5, 16, 31, 32] {
+                for genomes in twin_inputs(&dataset, k) {
+                    for canonical in [false, true] {
+                        for taxonomy in [None, Some(&dataset.taxonomy)] {
+                            let options = DbOptions { k, canonical };
+                            let built = build_entries(&genomes, options, taxonomy).unwrap();
+                            assert_eq!(
+                                built,
+                                hash_build(&genomes, options, taxonomy).unwrap(),
+                                "{taxa} taxa, {} genomes, k {k}, canonical {canonical}, \
+                                 taxonomy {}",
+                                genomes.len(),
+                                taxonomy.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -145,7 +145,8 @@ impl Taxonomy {
         Ok(path)
     }
 
-    fn check(&self, taxon: TaxonId) -> Result<(), GenomicsError> {
+    /// `Ok` if `taxon` exists.
+    pub(crate) fn check(&self, taxon: TaxonId) -> Result<(), GenomicsError> {
         if (taxon.0 as usize) < self.len() {
             Ok(())
         } else {

@@ -17,12 +17,18 @@
 #     mg_fastq_stream also its parsed reads (~4.3 MB). peak_heap_mb
 #     repeats exactly for a seed at one thread, so this check cannot
 #     flake; a call that materializes its whole batch again (19.84 MB
-#     on mg_batch before the block pass) fails it.
+#     on mg_batch before the block pass) fails it;
+#   * every workload's setup_s is at most its ceiling below, about twice
+#     what the sort-and-fold database build read in 2 s traced runs on
+#     a 2-vCPU Xeon VM (~0.006 s on the 16-taxon workloads, ~0.06-0.07 s
+#     on large_ref). setup_s is on the reference clock too. The HashMap
+#     build it replaced read 0.016-0.021 and 0.21 s there, so a return
+#     of a hash build, or of anything as slow, fails it.
 #
 # A missing result line, or a workload without a reads_per_s,
-# bench.coverage or peak_heap_mb line, fails too, so the gate cannot
-# pass on empty or truncated output. Each failure names the workload
-# and the metric.
+# bench.coverage, peak_heap_mb or setup_s line, fails too, so the gate
+# cannot pass on empty or truncated output. Each failure names the
+# workload and the metric.
 #
 # Run from the repository root:
 #   cargo run --release --offline --manifest-path sievebench/Cargo.toml -- \
@@ -42,12 +48,18 @@ BEGIN {
     ceiling["hot_stream"] = "1.0"
     ceiling["large_ref"] = "1.0"
     ceiling["t1_batch"] = "1.0"
+    setup_ceiling["mg_batch"] = "0.013"
+    setup_ceiling["mg_fastq_stream"] = "0.013"
+    setup_ceiling["hot_stream"] = "0.013"
+    setup_ceiling["large_ref"] = "0.14"
+    setup_ceiling["t1_batch"] = "0.013"
     min_coverage = 0.95
 }
 NF { last = $0 }
 NF == 4 && $2 == "reads_per_s" { rps[$1] = $3 }
 NF == 4 && $2 == "bench.coverage" { coverage[$1] = $3 }
 NF == 4 && $2 == "peak_heap_mb" { heap[$1] = $3 }
+NF == 4 && $2 == "setup_s" { setup[$1] = $3 }
 function fail(msg) {
     print "sievebench gate: FAIL — " msg > "/dev/stderr"
     bad = 1
@@ -76,7 +88,12 @@ END {
         } else if (!(heap[w] + 0 <= ceiling[w] + 0)) {
             fail(w " peak_heap_mb: " heap[w] " is above its ceiling of " ceiling[w])
         }
-        printf "   %-16s reads_per_s %8.0f (floor %6d)  bench.coverage %.4f  peak_heap_mb %.2f (ceiling %s)\n", w, rps[w], floor[w], coverage[w], heap[w], ceiling[w]
+        if (!(w in setup)) {
+            fail(w " setup_s: missing")
+        } else if (!(setup[w] + 0 <= setup_ceiling[w] + 0)) {
+            fail(w " setup_s: " setup[w] " is above its ceiling of " setup_ceiling[w])
+        }
+        printf "   %-16s reads_per_s %8.0f (floor %6d)  bench.coverage %.4f  peak_heap_mb %.2f (ceiling %s)  setup_s %.4f (ceiling %s)\n", w, rps[w], floor[w], coverage[w], heap[w], ceiling[w], setup[w], setup_ceiling[w]
     }
     if (bad) exit 1
     print "== sievebench gate: OK =="

@@ -54,13 +54,20 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # size bound), and the Type-1 per-query
 # cost twin (type1_cost_twins_reference_*: u16 depth-table prefix sums,
 # LCP from XOR on boundary keys, the row-stream sums) in sched, next to
-# the config guard that keeps those prefix sums from wrapping. A separate
-# target dir keeps the special RUSTFLAGS from invalidating the main
-# cache.
+# the config guard that keeps those prefix sums from wrapping, and the
+# reference database build in sieve-genomics' db
+# (sort_build_twins_hash_reference: the extract -> sort -> fold build, its
+# Σ(len + 1 - k) pre-sizing and its run folds, held bit for bit to the
+# HashMap build it replaced, with and without a taxonomy, canonical on
+# and off, k in {1, 5, 16, 31, 32}, genomes holding Ns, shorter than k or
+# listed twice, and no genomes). A separate target dir keeps the special
+# RUSTFLAGS from invalidating the main cache.
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q --test kernel_equivalence
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q -p sieve-core --lib -- host::tests engine::tests layout::tests sched::tests config::tests
+RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
+    cargo test -q -p sieve-genomics --lib -- db::tests
 
 echo "== tier1: sievebench fmt, clippy and tests =="
 # The benchmark is its own package (outside the workspace) built against
@@ -75,8 +82,8 @@ cargo test --release --offline --manifest-path sievebench/Cargo.toml
 echo "== tier1: sievebench gate (2 s traced run) =="
 # One short traced run of every workload: every read must match the
 # oracle, the spans must explain >= 95 % of each call, reads_per_s must
-# clear a per-workload floor and peak_heap_mb stay under a per-workload
-# ceiling (see scripts/sievebench_gate.sh).
+# clear a per-workload floor, and peak_heap_mb and setup_s stay under
+# per-workload ceilings (see scripts/sievebench_gate.sh).
 SIEVEBENCH_OUT=target/tier1-sievebench.txt
 cargo run --release --offline --quiet --manifest-path sievebench/Cargo.toml -- \
     --seconds 2 --trace 1 --seed 1 > "$SIEVEBENCH_OUT"
