@@ -19,7 +19,8 @@
 //! * and, crucially, **no early termination** — the column-major layout is
 //!   what makes ETM possible.
 
-use sieve_core::{DeviceLayout, SubarrayIndex};
+use sieve_core::etm::RowTable;
+use sieve_core::DeviceLayout;
 use sieve_dram::{EnergyParams, Geometry, TimePs, TimingParams};
 use sieve_genomics::Kmer;
 
@@ -118,19 +119,19 @@ impl InsituConfig {
 }
 
 /// Runs a query batch on the row-major baseline, using the same layout and
-/// index as the Sieve device under comparison.
+/// routing as the Sieve device under comparison.
 ///
 /// # Panics
 ///
-/// Panics if the layout is empty.
+/// Panics if the layout is empty or a query's k differs from the stored
+/// k.
 #[must_use]
-pub fn run(
-    config: &InsituConfig,
-    layout: &DeviceLayout,
-    index: &SubarrayIndex,
-    queries: &[Kmer],
-) -> BaselineReport {
+pub fn run(config: &InsituConfig, layout: &DeviceLayout, queries: &[Kmer]) -> BaselineReport {
     assert!(!layout.is_empty(), "row-major baseline needs loaded data");
+    assert!(
+        queries.iter().all(|q| q.k() == layout.k()),
+        "query k differs from the stored k"
+    );
     let bit_len = 2 * layout.k() as u32;
     let groups_miss = bit_len.div_ceil(config.rows_per_op);
     // Expected groups scanned on a hit: half of the miss scan.
@@ -144,19 +145,22 @@ pub fn run(
     let mut bank_loads: Vec<Vec<TimePs>> = vec![Vec::new(); banks];
     let mut sub_busy = vec![0u64; layout.occupied_subarrays()];
     let mut energy_fj = 0u128;
-    let mut hits = 0u64;
 
-    for q in queries {
-        let sub = index.locate(*q);
-        let sa = layout.subarray(sub);
-        let hit = sieve_core::engine::lookup(&sa, *q, false, 0).hit.is_some();
+    // Route every query as the device does: by its rank among all the
+    // reference keys. Row-major has no ETM, so only the hit is read.
+    let keys: Vec<u64> = queries.iter().map(Kmer::bits).collect();
+    let mut ranks = vec![0; keys.len()];
+    layout.ranks(&keys, &mut ranks);
+    let rows = RowTable::new(bit_len as usize, false, 0);
+    for (&key, &g) in keys.iter().zip(&ranks) {
+        let routed = layout.resolve(key, g, &rows);
+        let (sub, hit) = (routed.subarray, routed.outcome.hit.is_some());
         let groups = if hit { groups_hit } else { groups_miss };
         let mut t = setup + u64::from(groups) * per_group;
         energy_fj += u128::from(config.writes_per_query) * u128::from(config.energy.e_wr);
         energy_fj += u128::from(groups)
             * (u128::from(config.op_energy_fj()) + 4 * u128::from(config.energy.e_act));
         if hit {
-            hits += 1;
             t += payload;
             energy_fj += 2 * u128::from(config.energy.e_act) + 2 * u128::from(config.energy.e_rd);
         }
@@ -175,7 +179,6 @@ pub fn run(
         .unwrap_or(0);
     // Static energy over the makespan.
     energy_fj += config.energy.static_energy(banks, makespan);
-    let _ = hits;
 
     BaselineReport {
         label: config.kind.label().to_string(),
@@ -223,14 +226,8 @@ mod tests {
     #[test]
     fn computedram_beats_row_major() {
         let (device, queries) = setup();
-        let index = device.index().unwrap();
-        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), index, &queries);
-        let cd = run(
-            &cfg(InsituKind::ComputeDram),
-            device.layout(),
-            index,
-            &queries,
-        );
+        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), &queries);
+        let cd = run(&cfg(InsituKind::ComputeDram), device.layout(), &queries);
         assert!(cd.time_ps < rm.time_ps, "ComputeDRAM must be faster");
     }
 
@@ -238,14 +235,8 @@ mod tests {
     fn figure13_ordering_holds() {
         // Row_Major ⪅ Col_Major(no ETM) < ComputeDRAM < Sieve (with ETM).
         let (device, queries) = setup();
-        let index = device.index().unwrap();
-        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), index, &queries);
-        let cd = run(
-            &cfg(InsituKind::ComputeDram),
-            device.layout(),
-            index,
-            &queries,
-        );
+        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), &queries);
+        let cd = run(&cfg(InsituKind::ComputeDram), device.layout(), &queries);
 
         let ds_entries = dataset().entries;
         let no_etm = SieveDevice::new(
@@ -296,12 +287,10 @@ mod tests {
     #[test]
     fn energy_grows_with_query_count() {
         let (device, queries) = setup();
-        let index = device.index().unwrap();
-        let full = run(&cfg(InsituKind::RowMajor), device.layout(), index, &queries);
+        let full = run(&cfg(InsituKind::RowMajor), device.layout(), &queries);
         let half = run(
             &cfg(InsituKind::RowMajor),
             device.layout(),
-            index,
             &queries[..queries.len() / 2],
         );
         assert!(full.energy_fj > half.energy_fj);

@@ -107,8 +107,10 @@ fn bench_host_kernels(c: &mut Criterion) {
 
 /// The device match kernel against its reference over the whole device,
 /// every query in arrival order. `per_query_lookup` routes each query
-/// through the index table ([`SubarrayIndex::locate`]) and binary-searches
-/// its subarray with rows computed live ([`engine::lookup`]);
+/// the way the paper's host-side index table does, by a binary search of
+/// every subarray's first key for the largest one at most the query, and
+/// binary-searches that subarray with rows computed live
+/// ([`engine::lookup`]);
 /// `key_table_512` runs the device's match pass: a staged
 /// [`DeviceLayout::ranks`] search of the layout's key column over each
 /// 512-query block, then [`DeviceLayout::resolve`] routes and resolves
@@ -118,10 +120,9 @@ fn bench_host_kernels(c: &mut Criterion) {
 /// layout's payload column.
 fn bench_match_kernel(c: &mut Criterion) {
     use sieve_core::etm::RowTable;
-    use sieve_core::SubarrayIndex;
     const BLOCK: usize = 512;
     let (layout, queries) = setup_layout();
-    let index = SubarrayIndex::build(&layout);
+    let firsts: Vec<u64> = layout.subarrays().map(|sa| sa.keys()[0]).collect();
     let keys: Vec<u64> = queries.iter().map(|q| q.bits()).collect();
     // As many stored keys as there are queries, spread over the whole
     // key column.
@@ -152,7 +153,10 @@ fn bench_match_kernel(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0u64;
             for q in &queries {
-                let sa = layout.subarray(index.locate(*q));
+                let sub = firsts
+                    .partition_point(|&first| first <= q.bits())
+                    .saturating_sub(1);
+                let sa = layout.subarray(sub);
                 total += u64::from(engine::lookup(&sa, *q, true, 1).rows);
             }
             std::hint::black_box(total)

@@ -38,10 +38,7 @@ fn main() {
             device.layout().occupied_subarrays().to_string(),
             format!("{:.1}", qps / 1e6),
             format!("{:.2}x", qps / base_qps),
-            format!(
-                "{:.1}",
-                device.index().map_or(0, |i| i.table_bytes()) as f64 / 1024.0
-            ),
+            format!("{:.1}", device.layout().index_table_bytes() as f64 / 1024.0),
         ]);
     }
     t.emit("capacity_scaling");

@@ -18,7 +18,8 @@
 use sieve_bench::runner::bench_geometry;
 use sieve_bench::table::{pct, Table};
 use sieve_bench::workloads::{build, BenchScale, Workload};
-use sieve_core::{engine, DeviceLayout, SieveConfig, SubarrayIndex};
+use sieve_core::etm::RowTable;
+use sieve_core::{DeviceLayout, SieveConfig};
 
 fn main() {
     let built = build(
@@ -31,30 +32,32 @@ fn main() {
     let config = SieveConfig::type3(8).with_geometry(bench_geometry());
     let layout = DeviceLayout::build(built.dataset.entries.clone(), &config)
         .expect("workload fits bench device");
-    let index = SubarrayIndex::build(&layout);
 
     let bit_len = 62usize;
+    let rows = RowTable::new(bit_len, true, 1);
     let mut pairwise = vec![0u64; bit_len + 1];
     let mut lookup_max = vec![0u64; bit_len + 1];
     let mut full_scans = 0u64;
-    let mut lookups = 0u64;
 
-    for q in &built.queries {
-        let sub = index.locate(*q);
-        let sa = layout.subarray(sub);
+    // Route and resolve every query as the device does, from its rank
+    // among all the reference keys.
+    let queries: Vec<u64> = built.queries.iter().map(|q| q.bits()).collect();
+    let mut ranks = vec![0; queries.len()];
+    layout.ranks(&queries, &mut ranks);
+    for (&q, &g) in queries.iter().zip(&ranks) {
+        let routed = layout.resolve(q, g, &rows);
         // Pairwise distribution: sample every 16th reference for speed.
         // A pair's LCP is where its 62-bit packings first differ, counted
         // from the top (62 when they are equal).
-        for &key in sa.keys().iter().step_by(16) {
-            pairwise[(key ^ q.bits()).leading_zeros() as usize - (64 - bit_len)] += 1;
+        for &key in layout.subarray(routed.subarray).keys().iter().step_by(16) {
+            pairwise[(key ^ q).leading_zeros() as usize - (64 - bit_len)] += 1;
         }
-        let outcome = engine::lookup(&sa, *q, true, 1);
-        lookup_max[outcome.max_lcp] += 1;
-        if outcome.rows as usize >= bit_len {
+        lookup_max[routed.outcome.max_lcp] += 1;
+        if routed.outcome.rows as usize >= bit_len {
             full_scans += 1;
         }
-        lookups += 1;
     }
+    let lookups = queries.len() as u64;
 
     let total_pairs: u64 = pairwise.iter().sum();
     let cum = |hist: &[u64], upto: usize| -> f64 {

@@ -9,7 +9,7 @@ use sieve_baselines::insitu::{self, InsituConfig, InsituKind};
 use sieve_bench::runner::{self, bench_geometry, paper_scale_factor};
 use sieve_bench::table::{ratio, Table};
 use sieve_bench::workloads::{build, BenchScale, Workload};
-use sieve_core::SieveConfig;
+use sieve_core::{DeviceLayout, SieveConfig};
 
 fn main() {
     println!("Figure 13: row-major in-situ vs Sieve (speedup over CPU)\n");
@@ -29,27 +29,24 @@ fn main() {
         let sieve = runner::run_sieve(SieveConfig::type3(8), &built);
         let col_no_etm = runner::run_sieve(SieveConfig::type3(8).with_etm(false), &built);
 
-        // Row-major baselines share Sieve's layout, index and parallelism.
-        let device = sieve_core::SieveDevice::new(
-            SieveConfig::type3(8).with_geometry(bench_geometry()),
+        // Row-major baselines share Sieve's layout, routing and parallelism.
+        let layout = DeviceLayout::build(
             built.dataset.entries.clone(),
+            &SieveConfig::type3(8).with_geometry(bench_geometry()),
         )
         .expect("fits");
-        let index = device.index().expect("loaded");
         let scale = paper_scale_factor();
         let speedup = |r: &sieve_baselines::BaselineReport| {
             r.throughput_qps() * scale / cpu.report.throughput_qps()
         };
         let rm = insitu::run(
             &InsituConfig::paper(InsituKind::RowMajor).with_geometry(bench_geometry()),
-            device.layout(),
-            index,
+            &layout,
             &built.queries,
         );
         let cd = insitu::run(
             &InsituConfig::paper(InsituKind::ComputeDram).with_geometry(bench_geometry()),
-            device.layout(),
-            index,
+            &layout,
             &built.queries,
         );
 

@@ -8,6 +8,19 @@ use crate::pcie::PcieConfig;
 /// The most simulator worker threads [`SieveConfig::validate`] accepts.
 const MAX_THREADS: usize = 1024;
 
+/// Query k-mer slots per pattern group (Type-2/3): the chip prefetch
+/// size in bits, 64 in the paper's example, and so the queries one batch
+/// replacement loads into a subarray.
+pub(crate) const QUERIES_PER_GROUP: u32 = 64;
+
+/// Bytes per payload (taxon record) in Region 3. The paper quotes
+/// ~12-byte k-mer records; the model stores 8-byte taxon labels.
+const PAYLOAD_BYTES: u32 = 8;
+
+/// Per-activation energy overhead of the in-buffer matchers for
+/// Type-2/3, percent (the paper measures 6 %, §VI-A).
+pub(crate) const MATCHER_OVERHEAD_PCT: u64 = 6;
+
 /// Which of the three Sieve designs to model (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
@@ -72,12 +85,10 @@ pub struct SieveConfig {
     pub energy: EnergyParams,
     /// K-mer length (the paper uses 31).
     pub k: usize,
-    /// Columns per pattern group (Type-2/3). The paper derives 576 from the
-    /// wire distance a query bit travels in one row cycle.
+    /// Columns per pattern group (Type-2/3), 64 of them query slots. The
+    /// paper derives 576 from the wire distance a query bit travels in one
+    /// row cycle.
     pub pattern_group_cols: u32,
-    /// Query k-mer slots per pattern group (= chip prefetch size in bits,
-    /// 64 in the paper's example).
-    pub queries_per_group: u32,
     /// Latches per ETM segment (256 in the paper).
     pub etm_segment_len: u32,
     /// Whether the Early Termination Mechanism is active.
@@ -85,12 +96,6 @@ pub struct SieveConfig {
     /// Extra row cycles between the functional all-dead row and the ETM
     /// interrupt (the Figure-9 "extra cycle to flush the result").
     pub etm_flush_cycles: u32,
-    /// Bytes per payload (taxon record) in Region 3. The paper quotes
-    /// ~12-byte k-mer records; we default to 8-byte taxon labels.
-    pub payload_bytes: u32,
-    /// Per-activation energy overhead of the in-buffer matchers for
-    /// Type-2/3, percent (the paper measures 6 %).
-    pub matcher_overhead_pct: u64,
     /// Hop delay for Type-2 inter-subarray row relay, ps (~4 ns, ~8× faster
     /// than a full activation, per the SPICE validation in §IV-A).
     pub hop_delay_ps: TimePs,
@@ -143,12 +148,9 @@ impl SieveConfig {
             energy: EnergyParams::ddr4_paper(),
             k: 31,
             pattern_group_cols: 576,
-            queries_per_group: 64,
             etm_segment_len: 256,
             etm_enabled: true,
             etm_flush_cycles: 1,
-            payload_bytes: 8,
-            matcher_overhead_pct: 6,
             hop_delay_ps: 4_000,
             pcie: None,
             esp_override: None,
@@ -204,7 +206,7 @@ impl SieveConfig {
     /// Reference k-mers per pattern group (group minus query slots).
     #[must_use]
     pub fn refs_per_group(&self) -> u32 {
-        self.pattern_group_cols - self.queries_per_group
+        self.pattern_group_cols - QUERIES_PER_GROUP
     }
 
     /// Pattern groups per subarray row.
@@ -240,7 +242,7 @@ impl SieveConfig {
     /// Region-3 rows: payloads, row-major.
     #[must_use]
     pub fn region3_rows(&self) -> u32 {
-        (self.refs_per_subarray() * self.payload_bytes * 8).div_ceil(self.geometry.cols_per_row)
+        (self.refs_per_subarray() * PAYLOAD_BYTES * 8).div_ceil(self.geometry.cols_per_row)
     }
 
     /// ETM segments per row buffer.
@@ -272,7 +274,8 @@ impl SieveConfig {
     ///
     /// This is the **single source** of the batch-setup formula: both the
     /// aggregate scheduler and the event-driven cross-check
-    /// ([`crate::xcheck::setup_per_batch`]) call it, so they cannot drift.
+    /// ([`crate::xcheck::event_driven_type3_makespan`]) call it, so they
+    /// cannot drift.
     #[must_use]
     pub fn batch_setup_ps(&self) -> TimePs {
         u64::from(self.region1_rows())
@@ -304,7 +307,7 @@ impl SieveConfig {
                 reason: format!("k must be in 1..=32, got {}", self.k),
             });
         }
-        if self.pattern_group_cols <= self.queries_per_group {
+        if self.pattern_group_cols <= QUERIES_PER_GROUP {
             return Err(SieveError::InvalidConfig {
                 field: "pattern_group_cols",
                 reason: "group must be larger than its query slots".to_string(),
@@ -391,10 +394,16 @@ mod tests {
     #[test]
     fn paper_defaults_produce_paper_numbers() {
         let c = SieveConfig::type3(8);
+        assert_eq!(
+            (QUERIES_PER_GROUP, PAYLOAD_BYTES, MATCHER_OVERHEAD_PCT),
+            (64, 8, 6)
+        );
         assert_eq!(c.refs_per_group(), 512);
         assert_eq!(c.groups_per_subarray(), 14);
         assert_eq!(c.refs_per_subarray(), 7168);
         assert_eq!(c.region1_rows(), 62);
+        // 7,168 references × 8-byte payloads over 8,192-bit rows.
+        assert_eq!(c.region3_rows(), 56);
         assert_eq!(c.etm_segments(), 32);
         // 14 groups × 62 rows = 868 writes per 64-query batch.
         assert_eq!(c.batch_replacement_writes(), 868);

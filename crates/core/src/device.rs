@@ -15,13 +15,11 @@
 //! contiguous range of the run through its own pass, and the passes'
 //! integer sums merge in range order.
 
-use sieve_genomics::{Kmer, TaxonId};
+use sieve_genomics::{Kmer, TaxonId, MAX_K};
 
 use crate::config::{DeviceKind, SieveConfig};
-use crate::engine;
 use crate::error::SieveError;
 use crate::etm;
-use crate::index::SubarrayIndex;
 use crate::layout::DeviceLayout;
 use crate::obs;
 use crate::par;
@@ -86,25 +84,22 @@ impl Matched {
 }
 
 /// Rows activated per resolved lookup, tallied for the
-/// `etm_rows_activated` histogram and merged in one step. Row counts are
-/// small (at most 2k plus flush cycles), so the per-query hot loop bumps
-/// one slot of a direct-indexed count array — or skips entirely while
-/// the recorder is off — and the histogram fallback only serves configs
-/// that exceed the array. Each range of the match pass keeps its own
-/// tally; the merges are integer sums, so the histogram does not depend
-/// on the split.
+/// `etm_rows_activated` histogram and merged in one step. A lookup
+/// activates at most `2k ≤ 64` rows ([`etm::RowTable`] caps every count
+/// at the bit length), so the per-query hot loop bumps one slot of a
+/// direct-indexed count array — or skips entirely while the recorder is
+/// off. Each range of the match pass keeps its own tally; the merges are
+/// integer sums, so the histogram does not depend on the split.
 struct RowsTally {
     observing: bool,
-    small: [u64; 256],
-    large: obs::LocalHistogram,
+    counts: [u64; 2 * MAX_K + 1],
 }
 
 impl RowsTally {
     fn new() -> Self {
         Self {
             observing: obs::global().is_enabled(),
-            small: [0; 256],
-            large: obs::LocalHistogram::new(),
+            counts: [0; 2 * MAX_K + 1],
         }
     }
 
@@ -112,25 +107,23 @@ impl RowsTally {
     #[inline]
     fn add(&mut self, rows: u32) {
         if self.observing {
-            match self.small.get_mut(rows as usize) {
-                Some(slot) => *slot += 1,
-                None => self.large.record(u64::from(rows)),
-            }
+            self.counts[rows as usize] += 1;
         }
     }
 
     /// Folds the tally into the recorder's histogram.
-    fn merge(mut self) {
+    fn merge(self) {
         if self.observing {
-            for (rows, &c) in self.small.iter().enumerate() {
-                self.large.record_n(rows as u64, c);
+            let mut rows = obs::Histogram::new();
+            for (n, &c) in self.counts.iter().enumerate() {
+                rows.record_n(n as u64, c);
             }
-            obs::global().merge_local(obs::HistId::EtmRowsActivated, &self.large);
+            obs::global().merge(obs::HistId::EtmRowsActivated, &rows);
         }
     }
 }
 
-/// One worker's share of a run's match pass: its row tables, its
+/// One worker's share of a run's match pass: its row table, its
 /// per-subarray sums, its Type-1 charges and its row tally, carried from
 /// one [`Self::match_keys`] call to the next, so a run can be matched
 /// block by block as its queries are produced. [`SieveDevice::run`]
@@ -140,9 +133,8 @@ impl RowsTally {
 pub(crate) struct MatchPass<'d> {
     device: &'d SieveDevice,
     /// The per-lookup `rows_activated` arithmetic, hoisted out of the
-    /// match loop, and its ESP-capped twin for misses.
+    /// match loop.
     rows: etm::RowTable,
-    esp_rows: Option<etm::RowTable>,
     matched: Matched,
     type1: Option<sched::Type1Pass<'d>>,
     tally: RowsTally,
@@ -161,18 +153,17 @@ impl MatchPass<'_> {
         let Self {
             device,
             rows,
-            esp_rows,
             matched,
             type1,
             tally,
         } = self;
         matched.queries += keys.len() as u64;
-        if device.index.is_none() {
+        let layout = &device.layout;
+        if layout.is_empty() {
             out.fill(None);
             return;
         }
-        let layout = &device.layout;
-        let esp = device.config.esp_override.unwrap_or(0) as usize;
+        let esp = device.config.esp_override.map(|bits| bits as usize);
         let mut ranks = [0usize; MATCH_BLOCK];
         for (block, out) in keys.chunks(MATCH_BLOCK).zip(out.chunks_mut(MATCH_BLOCK)) {
             let ranks = &mut ranks[..block.len()];
@@ -181,10 +172,10 @@ impl MatchPass<'_> {
                 let routed = layout.resolve(key, g, rows);
                 let (sub, outcome) = (routed.subarray, routed.outcome);
                 let hit = outcome.hit.is_some();
-                let rows = match (esp_rows.as_ref(), hit) {
+                let rows = match (esp, hit) {
                     // Paper-ESP assumption: a miss terminates after at
                     // most `esp` shared bits.
-                    (Some(esp_rows), false) => esp_rows.rows(outcome.max_lcp.min(esp)),
+                    (Some(esp), false) => rows.rows(outcome.max_lcp.min(esp)),
                     _ => outcome.rows,
                 };
                 let load = &mut matched.loads[sub];
@@ -240,12 +231,10 @@ impl MatchPass<'_> {
 pub struct SieveDevice {
     config: SieveConfig,
     layout: DeviceLayout,
-    index: Option<SubarrayIndex>,
 }
 
 impl SieveDevice {
-    /// Validates `config`, lays out `entries` in the reference store, and
-    /// builds the index table.
+    /// Validates `config` and lays out `entries` in the reference store.
     ///
     /// # Errors
     ///
@@ -253,12 +242,7 @@ impl SieveDevice {
     /// [`DeviceLayout::build`].
     pub fn new(config: SieveConfig, entries: Vec<(Kmer, TaxonId)>) -> Result<Self, SieveError> {
         let layout = DeviceLayout::build(entries, &config)?;
-        let index = (!layout.is_empty()).then(|| SubarrayIndex::build(&layout));
-        Ok(Self {
-            config,
-            layout,
-            index,
-        })
+        Ok(Self { config, layout })
     }
 
     /// The device configuration.
@@ -271,33 +255,6 @@ impl SieveDevice {
     #[must_use]
     pub fn layout(&self) -> &DeviceLayout {
         &self.layout
-    }
-
-    /// The index table, if any data is loaded.
-    #[must_use]
-    pub fn index(&self) -> Option<&SubarrayIndex> {
-        self.index.as_ref()
-    }
-
-    /// Functional-only lookup (no timing), for spot checks and tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::KMismatch`] for a query of the wrong k.
-    pub fn lookup(&self, query: Kmer) -> Result<Option<TaxonId>, SieveError> {
-        self.check_k(query)?;
-        let Some(index) = &self.index else {
-            return Ok(None);
-        };
-        let sa = self.layout.subarray(index.locate(query));
-        Ok(engine::lookup(
-            &sa,
-            query,
-            self.config.etm_enabled,
-            self.config.etm_flush_cycles,
-        )
-        .hit
-        .map(|(_, taxon)| taxon))
     }
 
     /// Runs a query batch: checks every query's k once, routes and
@@ -338,8 +295,8 @@ impl SieveDevice {
     pub(crate) fn pass(&self) -> MatchPass<'_> {
         // Type-1 charges no ETM flush (its scheduler recomputes each
         // query's rows from the per-batch skip bits, `min(lcp, esp) +
-        // 1`), so both of its tables, the ESP cap's included, are built
-        // with zero flush.
+        // 1`), so its table, which the ESP cap reads too, is built with
+        // zero flush.
         let type1 = matches!(self.config.device, DeviceKind::Type1);
         let bit_len = 2 * self.config.k;
         let etm = self.config.etm_enabled;
@@ -351,16 +308,9 @@ impl SieveDevice {
         MatchPass {
             device: self,
             rows: etm::RowTable::new(bit_len, etm, flush),
-            esp_rows: self
-                .config
-                .esp_override
-                .map(|_| etm::RowTable::new(bit_len, etm, flush)),
             matched: Matched {
                 queries: 0,
-                loads: vec![
-                    sched::SubLoad::default();
-                    self.index.as_ref().map_or(0, SubarrayIndex::len)
-                ],
+                loads: vec![sched::SubLoad::default(); self.layout.occupied_subarrays()],
                 type1: Vec::new(),
             },
             type1: (type1 && etm).then(|| sched::Type1Pass::new(&self.config, &self.layout)),
@@ -385,7 +335,7 @@ impl SieveDevice {
             .unwrap_or_else(|| self.pass().finish());
         obs::global().add(obs::CounterId::DeviceRuns, 1);
         let t0 = trace::global().model_ps();
-        if self.index.is_none() {
+        if self.layout.is_empty() {
             return self.run_empty(matched.queries, t0);
         }
         self.observe_match(t0, &matched);
@@ -495,16 +445,10 @@ impl SieveDevice {
     fn check_queries(&self, queries: &[Kmer]) -> Result<(), SieveError> {
         let k = self.config.k;
         if queries.iter().fold(false, |bad, q| bad | (q.k() != k)) {
-            return queries.iter().try_for_each(|q| self.check_k(*q));
-        }
-        Ok(())
-    }
-
-    fn check_k(&self, query: Kmer) -> Result<(), SieveError> {
-        if query.k() != self.config.k {
+            let actual = queries.iter().map(Kmer::k).find(|&actual| actual != k);
             return Err(SieveError::KMismatch {
-                expected: self.config.k,
-                actual: query.k(),
+                expected: k,
+                actual: actual.expect("the scan found a query of another k"),
             });
         }
         Ok(())
@@ -572,7 +516,6 @@ mod tests {
         let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
         let dev = SieveDevice::new(config, Vec::new()).unwrap();
         let q = Kmer::from_u64(123, 31).unwrap();
-        assert_eq!(dev.lookup(q).unwrap(), None);
         let out = dev.run(&[q]).unwrap();
         assert_eq!(out.results, vec![None]);
         assert_eq!(out.report.row_activations, 0);
@@ -582,19 +525,7 @@ mod tests {
     fn k_mismatch_rejected_everywhere() {
         let dev = device(SieveConfig::type3(8));
         let q21 = Kmer::from_u64(5, 21).unwrap();
-        assert!(dev.lookup(q21).is_err());
         assert!(dev.run(&[q21]).is_err());
-    }
-
-    #[test]
-    fn lookup_agrees_with_run() {
-        let ds = dataset();
-        let dev = device(SieveConfig::type3(8));
-        let queries = probes(&ds, 30);
-        let out = dev.run(&queries).unwrap();
-        for (q, r) in queries.iter().zip(&out.results) {
-            assert_eq!(dev.lookup(*q).unwrap(), *r);
-        }
     }
 
     #[test]

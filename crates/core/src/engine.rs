@@ -126,8 +126,8 @@ pub fn max_lcp_in_range(
 /// One query routed and resolved by [`crate::DeviceLayout::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Routed {
-    /// The occupied subarray the query routes to, as
-    /// [`crate::SubarrayIndex::locate`] picks it.
+    /// The occupied subarray the query routes to: the largest whose
+    /// first key is at most the query, and 0 below all of them.
     pub subarray: usize,
     /// The query's insertion rank among that subarray's keys (its rank
     /// on a hit).

@@ -26,7 +26,7 @@
 
 use sieve_genomics::{Kmer, TaxonId};
 
-use crate::config::{DeviceKind, SieveConfig};
+use crate::config::{DeviceKind, SieveConfig, QUERIES_PER_GROUP};
 use crate::engine::{lcp_bits_u64_swar, MatchOutcome, Routed};
 use crate::error::SieveError;
 use crate::etm::RowTable;
@@ -76,14 +76,17 @@ impl GroupShape {
     }
 }
 
-/// Keys a [`Bucketed::lower_bound`] compares from the start of its
-/// bucket before falling back to a binary search of the rest of it.
+/// Bytes per entry of the paper's host-side index table (§IV-D): 8
+/// (subarray id) + 2 × 8 (the subarray's first and last k-mer).
+pub const ENTRY_BYTES: usize = 24;
+
+/// Keys a search compares from the start of its bucket before falling
+/// back to a binary search of the rest of it.
 const WINDOW: usize = 4;
 
 /// A sorted `u64` key array with a direct-mapped index over the keys' top
 /// `b` bits, `2^b ≥ n`, so a bucket holds about one key: the layout's key
-/// column, and the first-key table behind the reference router
-/// [`crate::SubarrayIndex::locate`].
+/// column.
 ///
 /// A search reads its bucket's start offset, then counts the keys below
 /// the query in a fixed [`WINDOW`] from there. The count is branch-free;
@@ -92,7 +95,7 @@ const WINDOW: usize = 4;
 /// each as one sweep over the block and the block's cache misses
 /// overlap.
 #[derive(Debug, Clone)]
-pub(crate) struct Bucketed {
+struct Bucketed {
     /// The keys in ascending order, then [`WINDOW`] `u64::MAX` sentinels
     /// so no bucket's window runs off the end (a sentinel never counts
     /// as below a query).
@@ -111,7 +114,7 @@ impl Bucketed {
     /// # Panics
     ///
     /// Panics if there are more than `u32::MAX` keys.
-    pub(crate) fn new(keys: impl ExactSizeIterator<Item = u64>, bit_len: usize) -> Self {
+    fn new(keys: impl ExactSizeIterator<Item = u64>, bit_len: usize) -> Self {
         let n = keys.len();
         assert!(u32::try_from(n).is_ok(), "bucket offsets are u32");
         let mut sorted = Vec::with_capacity(n + WINDOW);
@@ -138,7 +141,7 @@ impl Bucketed {
     }
 
     /// Number of keys (sentinels excluded).
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.keys.len() - WINDOW
     }
 
@@ -149,21 +152,15 @@ impl Bucketed {
 
     /// Key `i`.
     #[inline]
-    pub(crate) fn key(&self, i: usize) -> u64 {
+    fn key(&self, i: usize) -> u64 {
         self.keys[i]
     }
 
-    /// The index of the first key `≥ target`: [`Self::lower_bounds`] on
-    /// one key.
-    pub(crate) fn lower_bound(&self, target: u64) -> usize {
-        self.rank_from(target, self.bucket_start(target))
-    }
-
-    /// [`Self::lower_bound`] of every target, staged: one sweep reads
-    /// every target's bucket start, a second counts every target's window
-    /// from it. Each sweep's loads are independent of one another, so the
-    /// cache misses of a whole block are in flight together instead of
-    /// one search's two dependent misses at a time.
+    /// The index of the first key `≥` each target, staged: one sweep
+    /// reads every target's bucket start, a second counts every target's
+    /// window from it. Each sweep's loads are independent of one another,
+    /// so the cache misses of a whole block are in flight together
+    /// instead of one search's two dependent misses at a time.
     #[inline]
     fn lower_bounds(&self, targets: &[u64], out: &mut [usize]) {
         debug_assert_eq!(targets.len(), out.len());
@@ -206,9 +203,9 @@ impl Bucketed {
 /// rank `g` among the layout's sorted keys (`refs` per subarray, every
 /// subarray but the last full): on a hit the subarray holding key `g`,
 /// `g / refs`; on a miss the one holding the key just below the query,
-/// `(g − 1) / refs`, and subarray 0 below the first key. That is
-/// [`crate::SubarrayIndex::locate`]'s pick, the largest subarray whose
-/// first key is at most the query.
+/// `(g − 1) / refs`, and subarray 0 below the first key. That is the
+/// pick of the paper's host-side index table (§IV-D), the largest
+/// subarray whose first key is at most the query.
 #[inline]
 fn route(g: usize, hit: bool, refs: usize) -> usize {
     if hit || g == 0 {
@@ -289,7 +286,7 @@ impl DeviceLayout {
         let keys = Bucketed::new(keys, 2 * config.k);
         let query_cols = match config.device {
             DeviceKind::Type1 => 0,
-            _ => config.queries_per_group,
+            _ => QUERIES_PER_GROUP,
         };
         let group_cols = match config.device {
             // Type-1 has no pattern groups; model the whole row as one
@@ -339,6 +336,16 @@ impl DeviceLayout {
         self.len().div_ceil(self.refs_per_subarray as usize)
     }
 
+    /// Host memory the paper's index table takes for this layout, bytes:
+    /// [`ENTRY_BYTES`] per occupied subarray. The table scales with
+    /// capacity, not with k (§IV-D). The simulated match pass routes by
+    /// each query's global rank instead ([`Self::resolve`]), so no such
+    /// table is built.
+    #[must_use]
+    pub fn index_table_bytes(&self) -> usize {
+        self.occupied_subarrays() * ENTRY_BYTES
+    }
+
     /// The layout view of occupied subarray `index`.
     ///
     /// # Panics
@@ -384,9 +391,9 @@ impl DeviceLayout {
     /// reference `g` is the key, with the payload from the payload
     /// column, else the max LCP against the subarray's keys on either
     /// side of `g`. No second search. Every outcome equals
-    /// [`crate::engine::lookup`] on the subarray
-    /// [`crate::SubarrayIndex::locate`] picks (twin-tested), whatever
-    /// order the queries arrive in.
+    /// [`crate::engine::lookup`] on the largest subarray whose first key
+    /// is at most `key` (twin-tested), whatever order the queries arrive
+    /// in.
     ///
     /// # Panics
     ///
@@ -530,7 +537,6 @@ impl<'a> SubarrayView<'a> {
 mod tests {
     use super::*;
     use crate::engine;
-    use crate::index::SubarrayIndex;
     use sieve_dram::Geometry;
     use sieve_genomics::synth;
 
@@ -744,17 +750,44 @@ mod tests {
         let layout = DeviceLayout::build(Vec::new(), &small_config()).unwrap();
         assert!(layout.is_empty());
         assert_eq!(layout.occupied_subarrays(), 0);
+        assert_eq!(layout.index_table_bytes(), 0);
+    }
+
+    #[test]
+    fn index_table_scales_with_occupied_subarrays() {
+        let layout = layout_with(30_000);
+        assert!(layout.occupied_subarrays() >= 2);
+        assert_eq!(
+            layout.index_table_bytes(),
+            layout.occupied_subarrays() * ENTRY_BYTES
+        );
+        // The paper keeps its index under 2 MB by indexing only occupied
+        // subarrays with 8-byte packed entries. Our 24-byte entries over
+        // the paper's 65,536 subarrays (32 GB) come to 1.5 MB, the same
+        // order.
+        let paper_32gb_entries = 65_536;
+        assert!(paper_32gb_entries * ENTRY_BYTES <= 2 * 1024 * 1024);
+    }
+
+    /// The reference router: the paper's host-side index table (§IV-D)
+    /// as a search of every subarray's first key. It picks the largest
+    /// subarray whose first key is at most `query`, and subarray 0 below
+    /// all of them.
+    fn first_key_route(firsts: &[u64], query: u64) -> usize {
+        firsts
+            .partition_point(|&first| first <= query)
+            .saturating_sub(1)
     }
 
     /// Holds the staged search to its references under each ETM setting:
     /// [`DeviceLayout::ranks`] over blocks of 1, 7 and 512 probes, so
     /// block edges fall everywhere, then [`DeviceLayout::resolve`]. The
     /// global rank must equal a binary search of all the keys, the routed
-    /// subarray [`SubarrayIndex::locate`], the local rank a binary search
-    /// of that subarray, and the outcome [`engine::lookup`] on it. Every
+    /// subarray [`first_key_route`], the local rank a binary search of
+    /// that subarray, and the outcome [`engine::lookup`] on it. Every
     /// probe arrives twice, once in order and once in reverse.
     fn assert_staged_search_twins_references(layout: &DeviceLayout, probes: &[Kmer]) {
-        let index = SubarrayIndex::build(layout);
+        let firsts: Vec<u64> = layout.subarrays().map(|sa| sa.keys()[0]).collect();
         let probes: Vec<Kmer> = probes.iter().chain(probes.iter().rev()).copied().collect();
         let keys: Vec<u64> = probes.iter().map(Kmer::bits).collect();
         let mut ranks = vec![0; keys.len()];
@@ -770,7 +803,7 @@ mod tests {
                     let below = |keys: &[u64]| keys.partition_point(|&k| k < key);
                     assert_eq!(g, below(layout.keys.keys()), "{at}: global rank");
                     let got = layout.resolve(key, g, &rows);
-                    let sub = index.locate(*probe);
+                    let sub = first_key_route(&firsts, key);
                     assert_eq!(got.subarray, sub, "{at}: routed");
                     let sa = layout.subarray(sub);
                     assert_eq!(got.rank, below(sa.keys()), "{at}: local rank");

@@ -7,14 +7,15 @@
 //! * `layout` ([`DeviceLayout`]) — the column-major data layout: sorted reference k-mers
 //!   transposed onto bitlines in 576-column pattern groups (512 references,
 //!   64 query slots), with payload offsets and payloads co-located in the
-//!   same subarray (Figure 7(e));
+//!   same subarray (Figure 7(e)); it routes each query to its subarray by
+//!   the query's rank among all the keys, the pick of the paper's k-mer →
+//!   subarray index table (§IV-D);
 //! * [`engine`] / [`bitsim`] — two functionally identical matching engines:
 //!   a fast sorted-LCP engine used by the simulators, and a bit-accurate
 //!   latch-level engine used as ground truth (their equivalence is
 //!   property-tested);
 //! * [`etm`] — the Early Termination Mechanism row-count model (segmented
 //!   OR pipeline, flush cycles, hit identification);
-//! * `index` ([`SubarrayIndex`]) — the k-mer → subarray routing table (§IV-D);
 //! * `pcie` ([`PcieConfig`]) — the packet-based host link (§IV-C);
 //! * [`SieveDevice`] — Type-1 (bank-I/O matcher array, batch-granular ETM),
 //!   Type-2 (compute buffers + LISA-style row relay), and Type-3 (per-row-
@@ -60,7 +61,6 @@ pub mod engine;
 mod error;
 pub mod etm;
 mod host;
-mod index;
 mod layout;
 pub mod load;
 pub mod obs;
@@ -79,8 +79,7 @@ pub use config::{DeviceKind, SieveConfig};
 pub use device::{RunOutput, SieveDevice};
 pub use error::SieveError;
 pub use host::{vote_reads, HostPipeline, PipelineOutput, ReadResult};
-pub use index::{SubarrayIndex, ENTRY_BYTES};
-pub use layout::{DeviceLayout, GroupShape, SubarrayView};
+pub use layout::{DeviceLayout, GroupShape, SubarrayView, ENTRY_BYTES};
 pub use pcie::PcieConfig;
 pub use stats::SimReport;
 pub use transport::Transport;

@@ -1,6 +1,6 @@
-//! Observability for the classification pipeline: lock-free per-stage
-//! counters, fixed-bucket (power-of-two, HDR-style) histograms, and
-//! exportable [`MetricsSnapshot`]s.
+//! Observability for the classification pipeline: per-stage counters,
+//! fixed-bucket (power-of-two, HDR-style) histograms, and exportable
+//! [`MetricsSnapshot`]s.
 //!
 //! The pipeline (host → match pass → schedulers) records
 //! **model metrics**: counters and histograms over *simulated* quantities
@@ -9,18 +9,17 @@
 //! snapshot is **bit-identical across thread counts**: every update is an
 //! order-independent integer merge (sums into counters and buckets,
 //! min/max into bounds), exactly like the match pass's merge of its
-//! ranges (DESIGN.md §6/§7). A worker's lookups are batched in a
-//! [`LocalHistogram`] and merged once, so the hot path stays allocation-
-//! and contention-free.
+//! ranges (DESIGN.md §6/§7). A match range tallies its lookups in a
+//! count array and merges them as one [`Histogram`] when it finishes.
 //! Wall-clock time is the tracer's alone: each pipeline phase opens one
 //! [`crate::trace::span`].
 //!
 //! Everything hangs off a process-wide [`Recorder`] ([`global`]) that is
 //! **disabled by default**: when disabled, every record path is a single
-//! relaxed load and branch (the no-op fast path). When enabled, the hot
-//! counter/histogram paths are striped per thread (cache-line-aligned
-//! stripes, summed at snapshot time) so the overhead stays flat as
-//! workers multiply instead of growing with write-sharing.
+//! relaxed load and branch (the no-op fast path). When enabled, the
+//! metrics are plain integers behind one mutex: the pipeline records on
+//! the caller's thread, once per run, chunk or transfer, so nothing
+//! contends for it.
 //!
 //! # Example
 //!
@@ -36,7 +35,8 @@
 //! assert!(snap.to_prometheus().contains("sieve_etm_rows_activated_count 1"));
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 /// Histogram bucket count: bucket 0 holds zeros, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)` — enough for any `u64`.
@@ -164,19 +164,22 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// A lock-free, mergeable, power-of-two-bucket histogram.
+/// A mergeable, power-of-two-bucket histogram.
 ///
-/// Recording touches one bucket plus sum/min/max with relaxed atomics;
-/// because every operation is an order-independent merge (add, min, max),
-/// concurrent recorders produce the same final state regardless of
-/// interleaving.
-#[derive(Debug)]
+/// Every update is an order-independent merge (counts and sums add,
+/// bounds widen), so the same values recorded in any split and merged in
+/// any order give the same state.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-    /// `u64::MAX` while empty.
-    min: AtomicU64,
-    max: AtomicU64,
+    /// Values recorded.
+    pub count: u64,
+    /// Sum of recorded values.
+    pub sum: u64,
+    /// Smallest recorded value (0 when empty).
+    pub min: u64,
+    /// Largest recorded value (0 when empty).
+    pub max: u64,
+    buckets: [u64; BUCKETS],
 }
 
 impl Histogram {
@@ -184,104 +187,17 @@ impl Histogram {
     #[must_use]
     pub const fn new() -> Self {
         Self {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            buckets: [0; BUCKETS],
         }
     }
 
     /// Records one value.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Relaxed);
-        self.sum.fetch_add(value, Relaxed);
-        self.min.fetch_min(value, Relaxed);
-        self.max.fetch_max(value, Relaxed);
-    }
-
-    /// Merges a worker's local histogram in (one atomic op per non-empty
-    /// bucket — an order-independent merge).
-    pub fn merge_local(&self, local: &LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        for (i, &c) in local.buckets.iter().enumerate() {
-            if c > 0 {
-                self.buckets[i].fetch_add(c, Relaxed);
-            }
-        }
-        self.sum.fetch_add(local.sum, Relaxed);
-        self.min.fetch_min(local.min, Relaxed);
-        self.max.fetch_max(local.max, Relaxed);
-    }
-
-    /// A point-in-time copy.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
-        while buckets.last() == Some(&0) {
-            buckets.pop();
-        }
-        let count = buckets.iter().sum();
-        let min = self.min.load(Relaxed);
-        HistogramSnapshot {
-            count,
-            sum: self.sum.load(Relaxed),
-            min: if count == 0 { 0 } else { min },
-            max: self.max.load(Relaxed),
-            buckets,
-        }
-    }
-
-    /// Clears all state.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Relaxed);
-        }
-        self.sum.store(0, Relaxed);
-        self.min.store(u64::MAX, Relaxed);
-        self.max.store(0, Relaxed);
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A plain (non-atomic) histogram for one worker's share of the work:
-/// recorded without synchronization, merged once into the shared
-/// [`Histogram`] when the worker finishes.
-#[derive(Debug, Clone)]
-pub struct LocalHistogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl LocalHistogram {
-    /// An empty local histogram.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one value (no synchronization).
     pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.record_n(value, 1);
     }
 
     /// Records `value` as if [`Self::record`] were called `n` times —
@@ -293,49 +209,20 @@ impl LocalHistogram {
             return;
         }
         self.buckets[bucket_of(value)] += n;
+        self.min = if self.count == 0 {
+            value
+        } else {
+            self.min.min(value)
+        };
+        self.max = self.max.max(value);
         self.count += n;
         self.sum += value * n;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
     }
 
-    /// Values recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Immutable copy of one histogram's state.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HistogramSnapshot {
-    /// Values recorded.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Smallest recorded value (0 when empty).
-    pub min: u64,
-    /// Largest recorded value (0 when empty).
-    pub max: u64,
-    /// Per-bucket counts, trimmed after the last non-zero bucket; bucket
-    /// `i` covers values up to [`bucket_upper_bound`]`(i)`.
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Merges another snapshot in (counts and sums add, bounds widen).
+    /// Merges another histogram in (counts and sums add, bounds widen).
     pub fn merge(&mut self, other: &Self) {
         if other.count == 0 {
             return;
-        }
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
         }
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
@@ -350,6 +237,18 @@ impl HistogramSnapshot {
         self.sum += other.sum;
     }
 
+    /// Per-bucket counts, trimmed after the last non-zero bucket; bucket
+    /// `i` covers values up to [`bucket_upper_bound`]`(i)`.
+    #[must_use]
+    pub fn buckets(&self) -> &[u64] {
+        let len = self
+            .buckets
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |i| i + 1);
+        &self.buckets[..len]
+    }
+
     /// Upper bound of the bucket containing the `p`-quantile
     /// (`0.0 ≤ p ≤ 1.0`); 0 when empty. An HDR-style estimate: exact to
     /// within the bucket's power-of-two resolution.
@@ -360,7 +259,7 @@ impl HistogramSnapshot {
         }
         let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (i, &c) in self.buckets().iter().enumerate() {
             seen += c;
             if seen >= target {
                 return bucket_upper_bound(i).min(self.max);
@@ -370,61 +269,41 @@ impl HistogramSnapshot {
     }
 }
 
-/// Stripe count for the hot counter/histogram paths. A power of two a
-/// little above the thread counts the bench sweeps: enough that workers
-/// land on distinct stripes with high probability, small enough that the
-/// snapshot merge stays trivial.
-const STRIPES: usize = 8;
-
-/// One stripe of the built-in counters, aligned to its own cache line so
-/// workers on different stripes never write-share a line — the contention
-/// that made obs overhead grow with the thread count when every worker
-/// bumped one shared atomic array.
-#[repr(align(64))]
-#[derive(Debug)]
-struct CounterStripe([AtomicU64; CounterId::ALL.len()]);
-
-impl CounterStripe {
-    const fn new() -> Self {
-        Self([const { AtomicU64::new(0) }; CounterId::ALL.len()])
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-/// This thread's stripe index: assigned round-robin on first use, stable
-/// for the thread's lifetime. Which stripe a worker lands on only affects
-/// *where* its deltas accumulate; the snapshot sums all stripes, so
-/// totals are independent of the assignment.
-fn stripe() -> usize {
-    use std::cell::Cell;
-    use std::sync::atomic::AtomicUsize;
-    static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|slot| {
-        let mut s = slot.get();
-        if s == usize::MAX {
-            s = NEXT_STRIPE.fetch_add(1, Relaxed) % STRIPES;
-            slot.set(s);
+/// The built-in counters and histograms, in [`CounterId::ALL`] and
+/// [`HistId::ALL`] order.
+#[derive(Debug)]
+struct Metrics {
+    counters: [u64; CounterId::ALL.len()],
+    hists: [Histogram; HistId::ALL.len()],
+}
+
+impl Metrics {
+    const fn new() -> Self {
+        Self {
+            counters: [0; CounterId::ALL.len()],
+            hists: [const { Histogram::new() }; HistId::ALL.len()],
         }
-        s
-    })
+    }
 }
 
 /// A set of pipeline metrics: the built-in counters and histograms. The
 /// process-wide instance is [`global`]; tests and tools can own private
 /// instances.
 ///
-/// Counters and histograms are striped `STRIPES` ways and each thread
-/// records into its own stripe; [`Recorder::snapshot`] sums the stripes.
-/// Every merge is an order-independent integer sum (or min/max), so the
-/// striping is invisible in snapshots — it exists purely to keep
-/// concurrent workers off each other's cache lines.
+/// The metrics are plain integers behind one mutex. The pipeline records
+/// on the caller's thread (a run once its ranges merge, a chunk, a
+/// transfer), so the lock is uncontended; it only keeps a recorder
+/// shared across threads sound.
 #[derive(Debug)]
 pub struct Recorder {
     enabled: AtomicBool,
-    counters: [CounterStripe; STRIPES],
-    hists: [[Histogram; HistId::ALL.len()]; STRIPES],
+    metrics: Mutex<Metrics>,
 }
 
 impl Recorder {
@@ -433,8 +312,7 @@ impl Recorder {
     pub const fn new() -> Self {
         Self {
             enabled: AtomicBool::new(false),
-            counters: [const { CounterStripe::new() }; STRIPES],
-            hists: [const { [const { Histogram::new() }; HistId::ALL.len()] }; STRIPES],
+            metrics: Mutex::new(Metrics::new()),
         }
     }
 
@@ -450,73 +328,60 @@ impl Recorder {
         self.enabled.load(Relaxed)
     }
 
-    /// Adds `delta` to a counter in this thread's stripe (no-op while
-    /// disabled).
+    /// The metrics, locked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an update panicked while it held the lock (a count or
+    /// sum that overflowed): that update may be half applied.
+    fn metrics(&self) -> MutexGuard<'_, Metrics> {
+        self.metrics
+            .lock()
+            .expect("an earlier metric update panicked part way through")
+    }
+
+    /// Adds `delta` to a counter (no-op while disabled).
     pub fn add(&self, id: CounterId, delta: u64) {
         if self.is_enabled() {
-            self.counters[stripe()].0[id as usize].fetch_add(delta, Relaxed);
+            self.metrics().counters[id as usize] += delta;
         }
     }
 
-    /// Records `value` into this thread's stripe of a histogram (no-op
-    /// while disabled).
+    /// Records `value` into a histogram (no-op while disabled).
     pub fn record(&self, id: HistId, value: u64) {
         if self.is_enabled() {
-            self.hists[stripe()][id as usize].record(value);
+            self.metrics().hists[id as usize].record(value);
         }
     }
 
-    /// Merges a worker's [`LocalHistogram`] into this thread's stripe of
-    /// a shared histogram (no-op while disabled).
-    pub fn merge_local(&self, id: HistId, local: &LocalHistogram) {
+    /// Merges a caller's [`Histogram`] into a built-in one (no-op while
+    /// disabled).
+    pub fn merge(&self, id: HistId, hist: &Histogram) {
         if self.is_enabled() {
-            self.hists[stripe()][id as usize].merge_local(local);
+            self.metrics().hists[id as usize].merge(hist);
         }
     }
 
-    /// A point-in-time copy of every metric, stripes summed, in
+    /// A point-in-time copy of every metric, in
     /// [`CounterId::ALL`]/[`HistId::ALL`] order.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = CounterId::ALL
-            .iter()
-            .map(|&id| {
-                let total = self
-                    .counters
-                    .iter()
-                    .map(|s| s.0[id as usize].load(Relaxed))
-                    .sum();
-                (id.name().to_string(), total)
-            })
-            .collect();
-        let histograms = HistId::ALL
-            .iter()
-            .map(|&id| {
-                let mut merged = HistogramSnapshot::default();
-                for stripe in &self.hists {
-                    merged.merge(&stripe[id as usize].snapshot());
-                }
-                (id.name().to_string(), merged)
-            })
-            .collect();
+        let metrics = self.metrics();
         MetricsSnapshot {
-            counters,
-            histograms,
+            counters: CounterId::ALL
+                .iter()
+                .map(|&id| (id.name().to_string(), metrics.counters[id as usize]))
+                .collect(),
+            histograms: HistId::ALL
+                .iter()
+                .map(|&id| (id.name().to_string(), metrics.hists[id as usize].clone()))
+                .collect(),
         }
     }
 
     /// Zeroes every metric (leaves the enabled flag alone).
     pub fn reset(&self) {
-        for stripe in &self.counters {
-            for c in &stripe.0 {
-                c.store(0, Relaxed);
-            }
-        }
-        for stripe in &self.hists {
-            for h in stripe {
-                h.reset();
-            }
-        }
+        *self.metrics() = Metrics::new();
     }
 }
 
@@ -541,7 +406,7 @@ pub struct MetricsSnapshot {
     /// `(name, value)` counters, in [`CounterId::ALL`] order.
     pub counters: Vec<(String, u64)>,
     /// `(name, histogram)` pairs, in [`HistId::ALL`] order.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    pub histograms: Vec<(String, Histogram)>,
 }
 
 impl MetricsSnapshot {
@@ -556,28 +421,11 @@ impl MetricsSnapshot {
 
     /// A histogram by name.
     #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// Merges another snapshot in: matching counters/histograms add,
-    /// unmatched entries append.
-    pub fn merge(&mut self, other: &Self) {
-        for (name, value) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += value,
-                None => self.counters.push((name.clone(), *value)),
-            }
-        }
-        for (name, hist) in &other.histograms {
-            match self.histograms.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(hist),
-                None => self.histograms.push((name.clone(), hist.clone())),
-            }
-        }
     }
 
     /// Renders the snapshot as a JSON object (hand-rolled; the workspace
@@ -597,7 +445,7 @@ impl MetricsSnapshot {
             let sep = if first { "" } else { "," };
             first = false;
             let buckets = h
-                .buckets
+                .buckets()
                 .iter()
                 .map(u64::to_string)
                 .collect::<Vec<_>>()
@@ -636,7 +484,7 @@ impl MetricsSnapshot {
             let name = sanitize(name);
             s.push_str(&format!("# TYPE sieve_{name} histogram\n"));
             let mut cumulative = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
+            for (i, &c) in h.buckets().iter().enumerate() {
                 cumulative += c;
                 let le = bucket_upper_bound(i);
                 if le == u64::MAX {
@@ -659,23 +507,27 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// A histogram of `values`, recorded one by one.
+    fn histogram_of(values: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn record_n_is_n_records() {
-        let mut folded = LocalHistogram::new();
-        let mut one_by_one = LocalHistogram::new();
+        let mut folded = Histogram::new();
+        let mut one_by_one = Histogram::new();
         for (value, n) in [(0u64, 3u64), (7, 1), (62, 1000), (1 << 40, 2), (9, 0)] {
             folded.record_n(value, n);
             for _ in 0..n {
                 one_by_one.record(value);
             }
         }
-        let h = Histogram::new();
-        h.merge_local(&folded);
-        let via_folded = h.snapshot();
-        let h = Histogram::new();
-        h.merge_local(&one_by_one);
-        assert_eq!(via_folded, h.snapshot());
-        assert_eq!(via_folded.count, 1006);
+        assert_eq!(folded, one_by_one);
+        assert_eq!(folded.count, 1006);
     }
 
     #[test]
@@ -695,80 +547,59 @@ mod tests {
     }
 
     #[test]
-    fn histogram_records_and_snapshots() {
-        let h = Histogram::new();
-        for v in [0u64, 1, 5, 5, 1024] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 1035);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 1024);
-        assert_eq!(s.buckets[0], 1); // the zero
-        assert_eq!(s.buckets[1], 1); // the one
-        assert_eq!(s.buckets[3], 2); // the fives
-        assert_eq!(s.buckets.len(), bucket_of(1024) + 1); // trimmed
-        h.reset();
-        let empty = h.snapshot();
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.min, 0);
-        assert!(empty.buckets.is_empty());
+    fn histogram_records_and_trims_its_buckets() {
+        let h = histogram_of(&[0, 1, 5, 5, 1024]);
+        assert_eq!(h.count, 5);
+        assert_eq!(h.sum, 1035);
+        assert_eq!(h.min, 0);
+        assert_eq!(h.max, 1024);
+        let buckets = h.buckets();
+        assert_eq!(buckets[0], 1); // the zero
+        assert_eq!(buckets[1], 1); // the one
+        assert_eq!(buckets[3], 2); // the fives
+        assert_eq!(buckets.len(), bucket_of(1024) + 1); // trimmed
+        let empty = Histogram::new();
+        assert_eq!((empty.count, empty.min, empty.max), (0, 0, 0));
+        assert!(empty.buckets().is_empty());
     }
 
     #[test]
-    fn local_merge_is_order_independent() {
-        // Two workers' local histograms merged in either order produce the
-        // same shared state — the deterministic-reduce property.
-        let mut a = LocalHistogram::new();
-        let mut b = LocalHistogram::new();
-        for v in [3u64, 70, 7] {
-            a.record(v);
-        }
-        for v in [900u64, 0, 12] {
-            b.record(v);
-        }
-        let ab = Histogram::new();
-        ab.merge_local(&a);
-        ab.merge_local(&b);
-        let ba = Histogram::new();
-        ba.merge_local(&b);
-        ba.merge_local(&a);
-        assert_eq!(ab.snapshot(), ba.snapshot());
-        assert_eq!(ab.snapshot().count, 6);
+    fn merge_is_order_independent() {
+        // Two ranges' histograms merged in either order produce the same
+        // state — the deterministic-reduce property.
+        let a = histogram_of(&[3, 70, 7]);
+        let b = histogram_of(&[900, 0, 12]);
+        let mut ab = Histogram::new();
+        ab.merge(&a);
+        ab.merge(&b);
+        let mut ba = Histogram::new();
+        ba.merge(&b);
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab, histogram_of(&[3, 70, 7, 900, 0, 12]));
+        assert_eq!(ab.count, 6);
     }
 
     #[test]
     fn percentiles_estimate_within_bucket_resolution() {
-        let h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let h = histogram_of(&(1..=100u64).collect::<Vec<_>>());
         // p50 of 1..=100 is 50; its bucket [32, 64) reports 63.
-        assert_eq!(s.percentile(0.5), 63);
+        assert_eq!(h.percentile(0.5), 63);
         // p100 is clamped to the observed max.
-        assert_eq!(s.percentile(1.0), 100);
-        assert_eq!(s.percentile(0.0), 1);
-        assert_eq!(HistogramSnapshot::default().percentile(0.9), 0);
+        assert_eq!(h.percentile(1.0), 100);
+        assert_eq!(h.percentile(0.0), 1);
+        assert_eq!(Histogram::default().percentile(0.9), 0);
     }
 
     #[test]
-    fn empty_snapshot_percentile_is_zero() {
+    fn empty_histogram_percentile_is_zero() {
         // A histogram that never recorded must report inert percentiles,
         // not a phantom min/max.
-        let empty = HistogramSnapshot::default();
+        let empty = Histogram::new();
         assert_eq!(empty.count, 0);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(empty.percentile(q), 0, "p{q}");
         }
-        // The same holds for a reset (once-used) histogram's snapshot.
-        let h = Histogram::new();
-        h.record(1234);
-        h.reset();
-        let s = h.snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.percentile(0.5), 0);
     }
 
     #[test]
@@ -776,6 +607,7 @@ mod tests {
         let r = Recorder::new();
         r.add(CounterId::MatchQueries, 5);
         r.record(HistId::EtmRowsActivated, 12);
+        r.merge(HistId::EtmRowsActivated, &histogram_of(&[3]));
         let snap = r.snapshot();
         assert_eq!(snap.counter("match_queries"), 0);
         assert_eq!(snap.histogram("etm_rows_activated").unwrap().count, 0);
@@ -798,55 +630,39 @@ mod tests {
     }
 
     #[test]
-    fn striped_updates_sum_in_snapshots() {
-        // Deltas recorded from many threads — each on its own stripe —
-        // must sum to the same totals a single-threaded recorder shows.
+    fn concurrent_updates_sum_in_snapshots() {
+        // Deltas recorded from many threads must sum to the same totals
+        // a single-threaded recorder shows.
+        const THREADS: u64 = 16;
         let r = Recorder::new();
         r.set_enabled(true);
+        // Every thread records only once all have started, so their
+        // updates overlap.
+        let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|scope| {
-            for _ in 0..2 * STRIPES {
+            for _ in 0..THREADS {
                 scope.spawn(|| {
+                    start.wait();
                     r.add(CounterId::MatchQueries, 3);
                     r.record(HistId::ShardQueries, 40);
-                    let mut local = LocalHistogram::new();
-                    local.record(7);
-                    local.record(9);
-                    r.merge_local(HistId::EtmRowsActivated, &local);
+                    r.merge(HistId::EtmRowsActivated, &histogram_of(&[7, 9]));
                 });
             }
         });
         let snap = r.snapshot();
-        assert_eq!(snap.counter("match_queries"), 3 * 2 * STRIPES as u64);
+        assert_eq!(snap.counter("match_queries"), 3 * THREADS);
         let shard = snap.histogram("shard_queries").unwrap();
-        assert_eq!(shard.count, 2 * STRIPES as u64);
-        assert_eq!(shard.sum, 40 * 2 * STRIPES as u64);
+        assert_eq!(shard.count, THREADS);
+        assert_eq!(shard.sum, 40 * THREADS);
         assert_eq!(shard.min, 40);
         assert_eq!(shard.max, 40);
         let etm = snap.histogram("etm_rows_activated").unwrap();
-        assert_eq!(etm.count, 4 * STRIPES as u64);
+        assert_eq!(etm.count, 2 * THREADS);
         assert_eq!(etm.min, 7);
         assert_eq!(etm.max, 9);
         r.reset();
         assert_eq!(r.snapshot().counter("match_queries"), 0);
         assert_eq!(r.snapshot().histogram("shard_queries").unwrap().count, 0);
-    }
-
-    #[test]
-    fn snapshot_merge_adds_and_appends() {
-        let r = Recorder::new();
-        r.set_enabled(true);
-        r.add(CounterId::HostReads, 3);
-        r.record(HistId::ChunkKmers, 100);
-        let mut a = r.snapshot();
-        let b = r.snapshot();
-        a.merge(&b);
-        assert_eq!(a.counter("host_reads"), 6);
-        assert_eq!(a.histogram("chunk_kmers").unwrap().count, 2);
-        assert_eq!(a.histogram("chunk_kmers").unwrap().sum, 200);
-        // Appending a foreign entry.
-        let mut c = MetricsSnapshot::default();
-        c.merge(&a);
-        assert_eq!(c.counter("host_reads"), 6);
     }
 
     #[test]
@@ -892,15 +708,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_merge_handles_empties() {
-        let mut empty = HistogramSnapshot::default();
-        let h = Histogram::new();
-        h.record(9);
-        let full = h.snapshot();
+    fn histogram_merge_handles_empties() {
+        let full = histogram_of(&[9]);
+        let mut empty = Histogram::new();
         empty.merge(&full);
         assert_eq!(empty, full);
         let mut full2 = full.clone();
-        full2.merge(&HistogramSnapshot::default());
+        full2.merge(&Histogram::new());
         assert_eq!(full2, full);
     }
 }

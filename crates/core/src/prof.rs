@@ -13,9 +13,9 @@
 //! Traffic is recorded **analytically**, as closed forms in
 //! deterministic stream lengths (k-mers extracted, queries matched, hits
 //! produced, transfer sizes) — e.g. the match pass over `q` queries with
-//! `h` hits reads `40 q + 4 h` (each 16-byte query, the 24 bytes of key
-//! table its search must touch, each hit's payload) and writes `8 q` (one
-//! result per query). The contract mirrors the rest of the obs surface: for a fixed workload, a
+//! `h` hits reads `32 q + 4 h` (each query's 8-byte word with the 24
+//! bytes of key column its search must touch, and each hit's 4-byte
+//! payload) and writes `8 q` (one result per query). The contract mirrors the rest of the obs surface: for a fixed workload, a
 //! [`ProfSnapshot`] is **bit-identical across thread counts**
 //! (`tests/prof_determinism.rs`). The charges are canonical: they count
 //! the bytes the algorithm must touch, so extra physical traffic (cache

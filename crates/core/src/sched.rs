@@ -22,7 +22,7 @@
 
 use sieve_dram::{EnergyLedger, TimePs};
 
-use crate::config::{DeviceKind, SieveConfig};
+use crate::config::{DeviceKind, SieveConfig, MATCHER_OVERHEAD_PCT, QUERIES_PER_GROUP};
 use crate::energy_model::ComponentEnergies;
 use crate::engine;
 use crate::etm;
@@ -151,11 +151,11 @@ pub(crate) fn simulate_type23(config: &SieveConfig, loads: &[SubLoad]) -> SimRep
     let comp = ComponentEnergies::paper();
     let banks = config.geometry.total_banks();
     let row_cycle = config.timing.row_cycle();
-    let queries_per_batch = u64::from(config.queries_per_group);
+    let queries_per_batch = u64::from(QUERIES_PER_GROUP);
     let writes_per_batch = u64::from(config.batch_replacement_writes());
     // Replacing a 64-query batch opens each Region-1 row once and streams
     // one 64-bit write per pattern group into the query columns; the
-    // shared formula also backs xcheck::setup_per_batch.
+    // shared formula also backs xcheck::event_driven_type3_makespan.
     let setup_per_batch = config.batch_setup_ps();
     let hit_extra =
         etm::hit_identify_ps(config.etm_segments(), &config.timing) + payload_time(config);
@@ -242,8 +242,8 @@ pub(crate) fn simulate_type23(config: &SieveConfig, loads: &[SubLoad]) -> SimRep
         read_bursts += 2 * l.hits;
         energy.activation_fj += u128::from(l.rows) * u128::from(config.energy.e_act);
         // Matcher + ETM overhead per activation (~6 %).
-        energy.component_fj += u128::from(l.rows)
-            * u128::from(config.energy.e_act * config.matcher_overhead_pct / 100);
+        energy.component_fj +=
+            u128::from(l.rows) * u128::from(config.energy.e_act * MATCHER_OVERHEAD_PCT / 100);
         // Type-2 relay: each hop re-fires a set of local sense amplifiers
         // (~1/8 of a full activation, per the tSA ≈ tRAS/8 SPICE result).
         energy.component_fj +=

@@ -17,16 +17,7 @@ use std::collections::BinaryHeap;
 use sieve_dram::trace::CommandTrace;
 use sieve_dram::{BankId, DramCommand, TimePs};
 
-use crate::config::SieveConfig;
-
-/// Time to replace one 64-query batch: every Region-1 row is opened once
-/// and one write per pattern group streams into the query columns.
-/// Delegates to [`SieveConfig::batch_setup_ps`] — the same shared formula
-/// the aggregate scheduler uses, so the two cannot drift.
-#[must_use]
-pub fn setup_per_batch(config: &SieveConfig) -> TimePs {
-    config.batch_setup_ps()
-}
+use crate::config::{SieveConfig, QUERIES_PER_GROUP};
 
 /// One subarray's resolved work for cross-checking: per-query row counts.
 #[derive(Debug, Clone)]
@@ -39,7 +30,9 @@ pub struct SubarrayWork {
 
 /// Event-driven Type-3 makespan: each bank has `salp` tokens; a subarray
 /// acquires a token, runs one 64-query batch (setup writes + row
-/// activations), releases, and re-queues until drained. A subarray is a
+/// activations), releases, and re-queues until drained. A batch's setup
+/// is [`SieveConfig::batch_setup_ps`], the formula the aggregate
+/// scheduler uses, so the two cannot drift. A subarray is a
 /// serial resource (its batches never overlap); token grants prefer the
 /// earliest-startable subarray, tie-broken toward the most remaining work.
 ///
@@ -54,8 +47,8 @@ pub fn event_driven_type3_makespan(
 ) -> TimePs {
     assert!(salp > 0, "need at least one SALP token");
     let row_cycle = config.timing.row_cycle();
-    let setup = setup_per_batch(config);
-    let batch = config.queries_per_group as usize;
+    let setup = config.batch_setup_ps();
+    let batch = QUERIES_PER_GROUP as usize;
 
     let banks: usize = work.iter().map(|w| w.bank + 1).max().unwrap_or(0);
     let mut makespan = 0u64;
@@ -114,7 +107,7 @@ pub fn emit_subarray_trace(config: &SieveConfig, bank: BankId, query_rows: &[u32
     let mut trace = CommandTrace::new();
     let t = &config.timing;
     let mut now: TimePs = 0;
-    for chunk in query_rows.chunks(config.queries_per_group as usize) {
+    for chunk in query_rows.chunks(QUERIES_PER_GROUP as usize) {
         // Batch replacement: open each Region-1 row once, stream one
         // 64-bit write per pattern group into its query columns.
         for _row in 0..config.region1_rows() {
@@ -159,11 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn setup_per_batch_pins_the_shared_scheduler_formula() {
-        // The aggregate scheduler and this cross-check must compute batch
-        // setup from the same expression; both now delegate to
-        // SieveConfig::batch_setup_ps, and this pins the delegation plus
-        // the formula itself across design points and geometries.
+    fn batch_setup_ps_pins_the_shared_formula() {
+        // The aggregate scheduler and this cross-check compute batch
+        // setup from one expression, SieveConfig::batch_setup_ps; this
+        // pins the formula itself across design points and geometries.
         for config in [
             SieveConfig::type1(),
             SieveConfig::type2(16),
@@ -176,7 +168,6 @@ mod tests {
                     + u64::from(config.groups_per_subarray()) * config.timing.t_ccd
                     + config.timing.t_rp)
                     .max(config.timing.row_cycle());
-            assert_eq!(setup_per_batch(&config), expected);
             assert_eq!(config.batch_setup_ps(), expected);
         }
     }
@@ -189,7 +180,7 @@ mod tests {
         let makespan = event_driven_type3_makespan(&config, &work, salp);
         // Lower bound: total bank work / salp; upper: serial bank work.
         let row_cycle = config.timing.row_cycle();
-        let setup = setup_per_batch(&config);
+        let setup = config.batch_setup_ps();
         for b in 0..4usize {
             let total: u64 = work
                 .iter()
@@ -215,7 +206,7 @@ mod tests {
         let event = event_driven_type3_makespan(&config, &work, salp);
         // Aggregate per-bank LPT (mirrors sched::lpt_makespan).
         let row_cycle = config.timing.row_cycle();
-        let setup = setup_per_batch(&config);
+        let setup = config.batch_setup_ps();
         let mut aggregate = 0u64;
         for b in 0..4usize {
             let mut loads: Vec<u64> = work

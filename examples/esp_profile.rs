@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --example esp_profile --release`
 
-use sieve::core::{engine, DeviceLayout, SieveConfig, SubarrayIndex};
+use sieve::core::etm::RowTable;
+use sieve::core::{DeviceLayout, SieveConfig};
 use sieve::dram::Geometry;
 use sieve::genomics::synth;
 
@@ -12,21 +13,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = synth::make_dataset_with(16, 8192, 31, 77);
     let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
     let layout = DeviceLayout::build(dataset.entries.clone(), &config)?;
-    let index = SubarrayIndex::build(&layout);
 
     let (reads, _) = synth::simulate_reads(&dataset, synth::ReadSimConfig::default(), 300, 78);
+    // Route and resolve every query k-mer as the device's match pass
+    // does: a search of all the reference keys gives each query's rank,
+    // which names its subarray and its neighbours there.
+    let keys: Vec<u64> = reads
+        .iter()
+        .flat_map(|r| r.kmers(31).map(|(_, q)| q.bits()))
+        .collect();
+    let mut ranks = vec![0; keys.len()];
+    layout.ranks(&keys, &mut ranks);
+    let table = RowTable::new(62, true, 1);
     let mut rows_hist = vec![0u64; 63];
     let mut total_rows = 0u64;
-    let mut queries = 0u64;
-    for read in &reads {
-        for (_, q) in read.kmers(31) {
-            let sa = layout.subarray(index.locate(q));
-            let outcome = engine::lookup(&sa, q, true, 1);
-            rows_hist[outcome.rows as usize] += 1;
-            total_rows += u64::from(outcome.rows);
-            queries += 1;
-        }
+    for (&key, &g) in keys.iter().zip(&ranks) {
+        let rows = layout.resolve(key, g, &table).outcome.rows;
+        rows_hist[rows as usize] += 1;
+        total_rows += u64::from(rows);
     }
+    let queries = keys.len() as u64;
 
     println!("rows-activated distribution over {queries} lookups (62 = full scan):\n");
     let max = *rows_hist.iter().max().unwrap_or(&1);

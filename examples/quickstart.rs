@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "device: {} | {} occupied subarrays | index table {} bytes",
         device.config().device.label(),
         device.layout().occupied_subarrays(),
-        device.index().map_or(0, |i| i.table_bytes()),
+        device.layout().index_table_bytes(),
     );
 
     // 3. Query it: sequencing reads become streams of k-mers.

@@ -50,8 +50,11 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # vote_reads), the staged search of the layout's key
 # column in layout (staged_search_twins_lookup*: the global rank, the
 # rank -> subarray arithmetic with its g - 1 at g = 0, and the outcome,
-# held to SubarrayIndex::locate and engine::lookup, next to the store's
-# size bound), and the Type-1 per-query
+# held to a test-local first-key search -- the largest subarray whose
+# first key is at most the query -- and engine::lookup, next to the
+# store's size bound), the recorder in obs (obs::tests: its counts and
+# sums are plain u64 additions, so a wrap fails here instead of passing
+# silently), and the Type-1 per-query
 # cost twin (type1_cost_twins_reference_*: u16 depth-table prefix sums,
 # LCP from XOR on boundary keys, the row-stream sums) in sched, next to
 # the config guard that keeps those prefix sums from wrapping, and the
@@ -65,7 +68,7 @@ echo "== tier1: kernel differential suite under overflow checks =="
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q --test kernel_equivalence
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo test -q -p sieve-core --lib -- host::tests engine::tests layout::tests sched::tests config::tests
+    cargo test -q -p sieve-core --lib -- host::tests engine::tests layout::tests sched::tests config::tests obs::tests
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q -p sieve-genomics --lib -- db::tests
 

@@ -17,7 +17,8 @@
 //!     SieveConfig::type3(8).with_geometry(Geometry::scaled_medium()),
 //!     ds.entries.clone(),
 //! )?;
-//! assert!(device.lookup(ds.entries[0].0)?.is_some());
+//! let out = device.run(&[ds.entries[0].0])?;
+//! assert_eq!(out.results, vec![Some(ds.entries[0].1)]);
 //! # Ok::<(), sieve::core::SieveError>(())
 //! ```
 

@@ -1,9 +1,10 @@
 //! Property tests on the core data structures: packed k-mers, LCP algebra,
-//! sequences, databases, the ETM row-count model, and the index table.
+//! sequences, databases, the ETM row-count model, and the layout's rank
+//! router.
 
 use proptest::prelude::*;
-use sieve::core::etm::rows_activated;
-use sieve::core::{DeviceLayout, SieveConfig, SubarrayIndex};
+use sieve::core::etm::{rows_activated, RowTable};
+use sieve::core::{DeviceLayout, SieveConfig};
 use sieve::dram::Geometry;
 use sieve::genomics::db::{HashDb, HybridDb, KmerDatabase, SortedDb};
 use sieve::genomics::{revcomp_bits, Base, DnaSequence, Kmer, TaxonId};
@@ -124,8 +125,11 @@ proptest! {
         }
     }
 
+    /// A stored k-mer's rank among all the keys routes it to the
+    /// subarray that stores it, and resolves it there as a hit with its
+    /// payload.
     #[test]
-    fn index_routes_every_stored_kmer_home(
+    fn rank_routes_every_stored_kmer_home(
         bits in prop::collection::btree_set(0u64..(1 << 30), 600..1500),
     ) {
         let entries: Vec<(Kmer, TaxonId)> = bits
@@ -137,12 +141,17 @@ proptest! {
             .with_geometry(Geometry::scaled_small())
             .with_k(15);
         let layout = DeviceLayout::build(entries.clone(), &config).expect("fits");
-        let index = SubarrayIndex::build(&layout);
-        for (kmer, taxon) in entries.iter().step_by(29) {
-            let sub = index.locate(*kmer);
-            let sa = layout.subarray(sub);
-            let found = sa.keys().binary_search(&kmer.bits()).ok();
-            prop_assert_eq!(found.map(|rank| sa.taxa()[rank]), Some(*taxon));
+        let rows = RowTable::new(2 * layout.k(), true, 1);
+        let stored: Vec<&(Kmer, TaxonId)> = entries.iter().step_by(29).collect();
+        let keys: Vec<u64> = stored.iter().map(|(kmer, _)| kmer.bits()).collect();
+        let mut ranks = vec![0; keys.len()];
+        layout.ranks(&keys, &mut ranks);
+        for ((&&(_, taxon), &key), &g) in stored.iter().zip(&keys).zip(&ranks) {
+            let routed = layout.resolve(key, g, &rows);
+            let sa = layout.subarray(routed.subarray);
+            let found = sa.keys().binary_search(&key).ok();
+            prop_assert_eq!(found.map(|rank| sa.taxa()[rank]), Some(taxon));
+            prop_assert_eq!(routed.outcome.hit, found.map(|rank| (rank, taxon)));
         }
     }
 }

@@ -254,31 +254,29 @@ fn disabled_recorder_observes_nothing() {
     obs::global().set_enabled(true); // session drop expects to disable
 }
 
-/// Builds a histogram snapshot from raw values via the public recording
-/// path (so bucket placement, min/max, and trimming all go through the
-/// production code).
-fn snapshot_of(values: &[u64]) -> obs::HistogramSnapshot {
-    let h = obs::Histogram::new();
+/// Builds a histogram from raw values via the public recording path (so
+/// bucket placement and min/max all go through the production code).
+fn histogram_of(values: &[u64]) -> obs::Histogram {
+    let mut h = obs::Histogram::new();
     for &v in values {
         h.record(v);
     }
-    h.snapshot()
+    h
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `HistogramSnapshot::merge` is the reduce step of every
-    /// deterministic snapshot, so it must behave like multiset union:
-    /// commutative and associative on count/sum/min/max *and* the bucket
-    /// vectors (whose lengths differ when one side saw larger values).
+    /// `Histogram::merge` is the reduce step of every deterministic
+    /// snapshot, so it must behave like multiset union: commutative and
+    /// associative on count/sum/min/max *and* every bucket.
     #[test]
     fn histogram_snapshot_merge_is_commutative_and_associative(
         a in prop::collection::vec(0u64..1u64 << 48, 0..40),
         b in prop::collection::vec(0u64..1u64 << 48, 0..40),
         c in prop::collection::vec(0u64..1u64 << 48, 0..40),
     ) {
-        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
+        let (sa, sb, sc) = (histogram_of(&a), histogram_of(&b), histogram_of(&c));
 
         // Commutativity: a ∪ b == b ∪ a (full struct equality covers
         // count, sum, min, max, and every bucket).
@@ -301,7 +299,7 @@ proptest! {
         let mut all = a.clone();
         all.extend_from_slice(&b);
         all.extend_from_slice(&c);
-        prop_assert_eq!(&ab_c, &snapshot_of(&all));
+        prop_assert_eq!(&ab_c, &histogram_of(&all));
     }
 }
 

@@ -2,7 +2,7 @@
 //! real Type-3 run must agree with the event-driven simulator fed the same
 //! resolved work, and the cadence it assumes must be JEDEC-legal.
 
-use sieve::core::{engine, xcheck, DeviceLayout, SieveConfig, SieveDevice, SubarrayIndex};
+use sieve::core::{engine, xcheck, DeviceLayout, SieveConfig, SieveDevice};
 use sieve::dram::trace::TraceValidator;
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, Kmer};
@@ -18,17 +18,23 @@ fn setup() -> (SieveConfig, synth::SyntheticDataset, Vec<Kmer>) {
     (config, ds, queries)
 }
 
-/// Rebuilds the per-subarray work a run resolves, through public APIs only.
+/// Rebuilds the per-subarray work a run resolves, through public APIs
+/// only and independently of the device's rank router: each query goes to
+/// the largest subarray whose first key is at most it (0 below all of
+/// them), the paper's index-table pick, and [`engine::lookup`] resolves
+/// it there.
 fn resolve_work(
     config: &SieveConfig,
     layout: &DeviceLayout,
-    index: &SubarrayIndex,
     queries: &[Kmer],
 ) -> Vec<xcheck::SubarrayWork> {
     let banks = config.geometry.total_banks();
+    let firsts: Vec<u64> = layout.subarrays().map(|sa| sa.keys()[0]).collect();
     let mut per_sub: Vec<Vec<u32>> = vec![Vec::new(); layout.occupied_subarrays()];
     for q in queries {
-        let sub = index.locate(*q);
+        let sub = firsts
+            .partition_point(|&first| first <= q.bits())
+            .saturating_sub(1);
         let outcome = engine::lookup(
             &layout.subarray(sub),
             *q,
@@ -56,7 +62,7 @@ fn aggregate_makespan_matches_event_driven_ground_truth() {
     // model does not track; keep them out of the comparison noise budget.
     assert!(report.hits < report.queries / 20);
 
-    let work = resolve_work(&config, device.layout(), device.index().unwrap(), &queries);
+    let work = resolve_work(&config, device.layout(), &queries);
     let event = xcheck::event_driven_type3_makespan(&config, &work, 8);
     // The aggregate model adds refresh stretch (~4.7 %) and hit overheads;
     // the event model is batch-granular (can be tighter than whole-subarray
@@ -74,7 +80,7 @@ fn aggregate_makespan_matches_event_driven_ground_truth() {
 fn assumed_cadence_is_timing_legal_for_every_occupied_subarray() {
     let (config, ds, queries) = setup();
     let device = SieveDevice::new(config.clone(), ds.entries.clone()).unwrap();
-    let work = resolve_work(&config, device.layout(), device.index().unwrap(), &queries);
+    let work = resolve_work(&config, device.layout(), &queries);
     let validator = TraceValidator::new(config.timing);
     let mut checked = 0;
     for w in work.iter().filter(|w| !w.query_rows.is_empty()).take(8) {
