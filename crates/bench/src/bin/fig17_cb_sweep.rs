@@ -9,7 +9,7 @@ use sieve_bench::runner;
 use sieve_bench::table::{pct, ratio, Table};
 use sieve_bench::workloads::{build, BenchScale, Workload};
 use sieve_core::area::AreaModel;
-use sieve_core::{DeviceKind, SieveConfig};
+use sieve_core::SieveConfig;
 
 fn main() {
     println!("Figure 17: compute-buffer sweep (averaged over three workloads)\n");
@@ -50,7 +50,6 @@ fn main() {
             energy += run.energy_saving_over(&cpu.report) / builts.len() as f64;
         }
         let overhead = area.overhead(config.device);
-        let _ = matches!(config.device, DeviceKind::Type1);
         t.row([label, ratio(speedup), ratio(energy), pct(overhead)]);
     }
     t.emit("fig17_cb_sweep");

@@ -330,6 +330,9 @@ impl SieveConfig {
                 reason: "segments must evenly divide the row width".to_string(),
             });
         }
+        if let Some(link) = &self.pcie {
+            link.validate()?;
+        }
         let rows_needed = self.region1_rows() + self.region2_rows() + self.region3_rows();
         if rows_needed > self.geometry.rows_per_subarray {
             return Err(SieveError::InvalidConfig {

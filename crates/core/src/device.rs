@@ -23,7 +23,6 @@ use crate::etm;
 use crate::layout::DeviceLayout;
 use crate::obs;
 use crate::par;
-use crate::prof;
 use crate::sched;
 use crate::stats::SimReport;
 use crate::trace;
@@ -320,10 +319,10 @@ impl SieveDevice {
 
     /// The per-run step, once after a run's last block: merges the run's
     /// passes in range order, records the run, and schedules it from
-    /// the merged sums. The match observations (counters, the
-    /// per-subarray histogram, model events and the traffic charge) come
-    /// from those sums, so they do not depend on the split. An empty
-    /// device's run takes zero time.
+    /// the merged sums. The match observations (the hit counter, the
+    /// per-subarray histogram and model events) come from those sums, so
+    /// they do not depend on the split. An empty device's run takes zero
+    /// time.
     pub(crate) fn finish_run<'d>(
         &'d self,
         passes: impl IntoIterator<Item = MatchPass<'d>>,
@@ -356,18 +355,16 @@ impl SieveDevice {
     }
 
     /// Records the match pass's observations from its merged sums, in
-    /// subarray order: the match counters, the per-subarray query
-    /// histogram, one `shard.dispatch` and one `etm.terminate` model
-    /// event per subarray that received queries, and the pass's traffic.
+    /// subarray order: the hit counter, the per-subarray query histogram,
+    /// and one `shard.dispatch` and one `etm.terminate` model event per
+    /// subarray that received queries.
     fn observe_match(&self, t0: u64, matched: &Matched) {
         let rec = obs::global();
         let tr = trace::global();
-        let (queries, hits): (u64, u64) = matched
-            .loads
-            .iter()
-            .fold((0, 0), |(q, h), l| (q + l.queries, h + l.hits));
-        rec.add(obs::CounterId::MatchQueries, queries);
-        rec.add(obs::CounterId::MatchHits, hits);
+        rec.add(
+            obs::CounterId::MatchHits,
+            matched.loads.iter().map(|l| l.hits).sum(),
+        );
         let reached = || {
             matched
                 .loads
@@ -376,12 +373,9 @@ impl SieveDevice {
                 .filter(|(_, l)| l.queries > 0)
         };
         if rec.is_enabled() {
-            let mut shards = 0u64;
             for (_, load) in reached() {
-                shards += 1;
                 rec.record(obs::HistId::ShardQueries, load.queries);
             }
-            rec.add(obs::CounterId::MatchShards, shards);
         }
         if tr.is_enabled() {
             for (sub, load) in reached() {
@@ -401,18 +395,6 @@ impl SieveDevice {
                 );
             }
         }
-        // Canonical match traffic (DESIGN.md §10): every query's word is
-        // read once with the 24 bytes of key column its search must touch
-        // (its bucket's two offsets and its two neighbour keys), every hit
-        // reads its payload, and every query writes its result.
-        use std::mem::size_of;
-        let query_bytes = size_of::<u64>() + 2 * size_of::<u32>() + 2 * size_of::<u64>();
-        prof::record(
-            prof::Phase::DeviceMatch,
-            queries * query_bytes as u64 + hits * size_of::<TaxonId>() as u64,
-            queries * size_of::<Option<TaxonId>>() as u64,
-            queries,
-        );
     }
 
     /// Schedule: times the merged work on the configured design point,

@@ -29,7 +29,6 @@ use crate::device::{self, MatchPass, SieveDevice};
 use crate::error::SieveError;
 use crate::obs;
 use crate::par;
-use crate::prof;
 use crate::stats::SimReport;
 use crate::trace;
 
@@ -43,10 +42,6 @@ const PARALLEL_READS: usize = 128;
 /// word, its owner tag and its result) a block is ~83 KB, which stays in
 /// L2 from extraction through the vote.
 const HOST_BLOCK: usize = 8 * device::MATCH_BLOCK;
-
-/// Bytes extraction writes per k-mer: its `u64` word and its `u32` owner
-/// tag (the `host.extract` traffic charge).
-const KMER_RECORD_BYTES: u64 = (std::mem::size_of::<u64>() + std::mem::size_of::<u32>()) as u64;
 
 /// Per-read classification assembled from device responses.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -237,11 +232,10 @@ impl HostPipeline {
     /// `reads[i]`. With more than one worker and at least
     /// [`PARALLEL_READS`] reads, each worker takes one contiguous range
     /// of them through its own block loop and match pass. Then, from the
-    /// call's totals: the batch bound, the host counters, the extract
-    /// charge (one byte per scanned base in, one word plus its owner tag
-    /// out) and the per-run step, which merges the passes in
-    /// range order and schedules the run. Every total is an integer sum,
-    /// so nothing depends on the split.
+    /// call's totals: the batch bound, the host records (the bases
+    /// scanned and the run's k-mers) and the per-run step, which merges
+    /// the passes in range order and schedules the run. Every total is
+    /// an integer sum, so nothing depends on the split.
     fn classify_run(
         &self,
         reads: &[DnaSequence],
@@ -269,15 +263,8 @@ impl HostPipeline {
         }
         device::check_batch_len(usize::try_from(kmers).unwrap_or(usize::MAX))?;
         let rec = obs::global();
-        rec.add(obs::CounterId::HostChunks, 1);
-        rec.add(obs::CounterId::HostKmers, kmers);
+        rec.add(obs::CounterId::HostBases, bases);
         rec.record(obs::HistId::ChunkKmers, kmers);
-        prof::record(
-            prof::Phase::HostExtract,
-            bases,
-            kmers * KMER_RECORD_BYTES,
-            kmers,
-        );
         Ok(self
             .device
             .finish_run(passes.into_iter().map(|(_, pass)| pass)))

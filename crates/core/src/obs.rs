@@ -28,10 +28,10 @@
 //!
 //! let recorder = obs::Recorder::new();
 //! recorder.set_enabled(true);
-//! recorder.add(obs::CounterId::MatchQueries, 3);
+//! recorder.add(obs::CounterId::MatchHits, 3);
 //! recorder.record(obs::HistId::EtmRowsActivated, 12);
 //! let snap = recorder.snapshot();
-//! assert_eq!(snap.counter("match_queries"), 3);
+//! assert_eq!(snap.counter("match_hits"), 3);
 //! assert!(snap.to_prometheus().contains("sieve_etm_rows_activated_count 1"));
 //! ```
 
@@ -43,58 +43,49 @@ use std::sync::{Mutex, MutexGuard};
 pub const BUCKETS: usize = 64;
 
 /// Identifiers of the built-in pipeline counters, all **model metrics**:
-/// deterministic functions of the workload.
+/// deterministic functions of the workload. A count or sum that a
+/// [`HistId`] histogram already carries is not also a counter: host runs
+/// and their k-mers are `chunk_kmers`' count and sum, reached subarrays
+/// and their queries are `shard_queries`', and transfers are
+/// `transport_transfer_ps`' count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterId {
-    /// Host runs: one per `classify_reads` call and one per
-    /// `classify_stream` chunk.
-    HostChunks = 0,
     /// Reads entering the host pipeline.
-    HostReads,
-    /// K-mers the host extracted and dispatched.
-    HostKmers,
+    HostReads = 0,
+    /// Bases the host scanned for k-mers.
+    HostBases,
     /// Device runs, each scheduled once: `SieveDevice::run` calls and
     /// host runs.
     DeviceRuns,
-    /// Subarrays that received queries in the match pass.
-    MatchShards,
-    /// Queries resolved by the match phase.
-    MatchQueries,
     /// Hits found by the match phase.
     MatchHits,
     /// 64-query batches the schedulers accounted for.
     SchedBatches,
-    /// `Transport::transfer_ps` invocations.
-    TransportTransfers,
+    /// Bytes `Transport::transfer_ps` moved.
+    TransportBytes,
 }
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [Self; 9] = [
-        Self::HostChunks,
+    pub const ALL: [Self; 6] = [
         Self::HostReads,
-        Self::HostKmers,
+        Self::HostBases,
         Self::DeviceRuns,
-        Self::MatchShards,
-        Self::MatchQueries,
         Self::MatchHits,
         Self::SchedBatches,
-        Self::TransportTransfers,
+        Self::TransportBytes,
     ];
 
     /// Snapshot/Prometheus name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Self::HostChunks => "host_chunks",
             Self::HostReads => "host_reads",
-            Self::HostKmers => "host_kmers",
+            Self::HostBases => "host_bases",
             Self::DeviceRuns => "device_runs",
-            Self::MatchShards => "match_shards",
-            Self::MatchQueries => "match_queries",
             Self::MatchHits => "match_hits",
             Self::SchedBatches => "sched_batches",
-            Self::TransportTransfers => "transport_transfers",
+            Self::TransportBytes => "transport_bytes",
         }
     }
 }
@@ -605,11 +596,11 @@ mod tests {
     #[test]
     fn recorder_disabled_is_a_no_op() {
         let r = Recorder::new();
-        r.add(CounterId::MatchQueries, 5);
+        r.add(CounterId::MatchHits, 5);
         r.record(HistId::EtmRowsActivated, 12);
         r.merge(HistId::EtmRowsActivated, &histogram_of(&[3]));
         let snap = r.snapshot();
-        assert_eq!(snap.counter("match_queries"), 0);
+        assert_eq!(snap.counter("match_hits"), 0);
         assert_eq!(snap.histogram("etm_rows_activated").unwrap().count, 0);
     }
 
@@ -617,15 +608,15 @@ mod tests {
     fn recorder_enabled_records_counters_and_hists() {
         let r = Recorder::new();
         r.set_enabled(true);
-        r.add(CounterId::MatchQueries, 5);
-        r.add(CounterId::MatchQueries, 2);
+        r.add(CounterId::MatchHits, 5);
+        r.add(CounterId::MatchHits, 2);
         r.record(HistId::ShardQueries, 40);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("match_queries"), 7);
+        assert_eq!(snap.counter("match_hits"), 7);
         assert_eq!(snap.histogram("shard_queries").unwrap().count, 1);
         r.reset();
         let snap = r.snapshot();
-        assert_eq!(snap.counter("match_queries"), 0);
+        assert_eq!(snap.counter("match_hits"), 0);
         assert_eq!(snap.histogram("shard_queries").unwrap().count, 0);
     }
 
@@ -643,14 +634,14 @@ mod tests {
             for _ in 0..THREADS {
                 scope.spawn(|| {
                     start.wait();
-                    r.add(CounterId::MatchQueries, 3);
+                    r.add(CounterId::MatchHits, 3);
                     r.record(HistId::ShardQueries, 40);
                     r.merge(HistId::EtmRowsActivated, &histogram_of(&[7, 9]));
                 });
             }
         });
         let snap = r.snapshot();
-        assert_eq!(snap.counter("match_queries"), 3 * THREADS);
+        assert_eq!(snap.counter("match_hits"), 3 * THREADS);
         let shard = snap.histogram("shard_queries").unwrap();
         assert_eq!(shard.count, THREADS);
         assert_eq!(shard.sum, 40 * THREADS);
@@ -661,7 +652,7 @@ mod tests {
         assert_eq!(etm.min, 7);
         assert_eq!(etm.max, 9);
         r.reset();
-        assert_eq!(r.snapshot().counter("match_queries"), 0);
+        assert_eq!(r.snapshot().counter("match_hits"), 0);
         assert_eq!(r.snapshot().histogram("shard_queries").unwrap().count, 0);
     }
 

@@ -9,6 +9,15 @@
 
 use sieve_dram::TimePs;
 
+use crate::error::SieveError;
+
+/// Bytes of a packet's header, ahead of its requests.
+const PACKET_HEADER_BYTES: u32 = 16;
+
+/// The slowest link the wire-time formulas accept, bytes per second:
+/// they divide by whole megabytes per second.
+pub(crate) const MIN_BANDWIDTH_BYTES_PER_S: u64 = 1_000_000;
+
 /// PCIe link configuration.
 ///
 /// # Example
@@ -60,7 +69,39 @@ impl PcieConfig {
     /// (4096 − 16) / 12 = 340 requests, the paper's figure.
     #[must_use]
     pub fn requests_per_packet(&self) -> u32 {
-        (self.packet_payload_bytes - 16) / self.request_bytes
+        (self.packet_payload_bytes - PACKET_HEADER_BYTES) / self.request_bytes
+    }
+
+    /// Checks that the link model can time this link: at least 1 MB/s of
+    /// bandwidth, and a packet with room for one non-empty request after
+    /// its 16-byte header.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SieveError::InvalidConfig`] on field `pcie` otherwise.
+    pub fn validate(&self) -> Result<(), SieveError> {
+        let requests = self
+            .packet_payload_bytes
+            .checked_sub(PACKET_HEADER_BYTES)
+            .and_then(|room| room.checked_div(self.request_bytes));
+        let reason = if self.bandwidth_bytes_per_s < MIN_BANDWIDTH_BYTES_PER_S {
+            format!(
+                "bandwidth must be at least {MIN_BANDWIDTH_BYTES_PER_S} B/s, got {}",
+                self.bandwidth_bytes_per_s
+            )
+        } else if requests.unwrap_or(0) == 0 {
+            format!(
+                "a packet must hold its {PACKET_HEADER_BYTES}-byte header and one non-empty \
+                 request, got {}-byte packets of {}-byte requests",
+                self.packet_payload_bytes, self.request_bytes
+            )
+        } else {
+            return Ok(());
+        };
+        Err(SieveError::InvalidConfig {
+            field: "pcie",
+            reason,
+        })
     }
 
     /// Total un-overlapped latency a 64-query batch pays on the PCIe path:

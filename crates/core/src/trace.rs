@@ -133,16 +133,13 @@ impl Ring {
     }
 }
 
-/// One worker slot: separate model, wall, and counter rings, so
-/// wall-span traffic (which varies with the thread count) can never
-/// displace model events (whose retention must stay deterministic), and
-/// counter samples (emitted per traffic update by [`crate::prof`]) can
-/// never displace either.
+/// One worker slot: separate model and wall rings, so wall-span traffic
+/// (which varies with the thread count) can never displace model events
+/// (whose retention must stay deterministic).
 #[derive(Debug)]
 struct WorkerBuf {
     model: Ring,
     wall: Ring,
-    counters: Ring,
 }
 
 impl WorkerBuf {
@@ -150,7 +147,6 @@ impl WorkerBuf {
         Self {
             model: Ring::new(),
             wall: Ring::new(),
-            counters: Ring::new(),
         }
     }
 }
@@ -277,36 +273,6 @@ impl Tracer {
         }
     }
 
-    /// Emits a wall-stamped counter sample (no-op while disabled): one
-    /// point of the named Perfetto counter track, carrying the counter's
-    /// current cumulative `value`. [`crate::prof`] samples each phase's
-    /// cumulative byte total through this, so a loaded trace shows
-    /// bytes-moved ramping alongside the wall spans that moved them.
-    pub fn emit_counter(&self, name: &'static str, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let epoch = *self.epoch.get_or_init(Instant::now);
-        let ts = u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let seq = self.seq.fetch_add(1, Relaxed);
-        let cap = self.capacity.load(Relaxed);
-        let slot = this_slot();
-        if let Ok(mut buf) = self.workers[slot].lock() {
-            buf.counters.push(
-                cap,
-                TraceEvent {
-                    name,
-                    track: slot as u32,
-                    ts,
-                    dur: 0,
-                    arg: value,
-                    arg2: 0,
-                    seq,
-                },
-            );
-        }
-    }
-
     fn emit_wall(&self, name: &'static str, ts: u64, dur: u64) {
         if !self.is_enabled() {
             return;
@@ -330,36 +296,29 @@ impl Tracer {
         }
     }
 
-    /// A point-in-time copy of all three event streams: model events in
+    /// A point-in-time copy of both event streams: model events in
     /// deterministic emission order, wall events grouped by track and
-    /// ordered by start time, counter samples ordered by `(name, ts)` so
-    /// each counter track's samples are contiguous and monotonic.
+    /// ordered by start time.
     #[must_use]
     pub fn snapshot(&self) -> TraceSnapshot {
         let mut model = Vec::new();
         let mut wall = Vec::new();
-        let mut counters = Vec::new();
-        let (mut dropped_model, mut dropped_wall, mut dropped_counters) = (0u64, 0u64, 0u64);
+        let (mut dropped_model, mut dropped_wall) = (0u64, 0u64);
         for worker in &self.workers {
             if let Ok(buf) = worker.lock() {
                 model.extend_from_slice(&buf.model.events);
                 wall.extend_from_slice(&buf.wall.events);
-                counters.extend_from_slice(&buf.counters.events);
                 dropped_model += buf.model.dropped;
                 dropped_wall += buf.wall.dropped;
-                dropped_counters += buf.counters.dropped;
             }
         }
         model.sort_unstable_by_key(|e| e.seq);
         wall.sort_unstable_by_key(|e| (e.track, e.ts, e.seq));
-        counters.sort_unstable_by_key(|e| (e.name, e.ts, e.seq));
         TraceSnapshot {
             model,
             wall,
-            counters,
             dropped_model,
             dropped_wall,
-            dropped_counters,
         }
     }
 
@@ -370,7 +329,6 @@ impl Tracer {
             if let Ok(mut buf) = worker.lock() {
                 buf.model.clear();
                 buf.wall.clear();
-                buf.counters.clear();
             }
         }
         self.seq.store(0, Relaxed);
@@ -429,15 +387,10 @@ pub struct TraceSnapshot {
     pub model: Vec<TraceEvent>,
     /// Wall-clock events, sorted by `(track, ts)`.
     pub wall: Vec<TraceEvent>,
-    /// Counter samples ([`Tracer::emit_counter`]), sorted by
-    /// `(name, ts)`; `arg` carries each sample's cumulative value.
-    pub counters: Vec<TraceEvent>,
     /// Model events displaced by ring overflow.
     pub dropped_model: u64,
     /// Wall events displaced by ring overflow.
     pub dropped_wall: u64,
-    /// Counter samples displaced by ring overflow.
-    pub dropped_counters: u64,
 }
 
 /// Renders picoseconds as Chrome's microsecond `ts` unit without losing
@@ -472,14 +425,10 @@ impl TraceSnapshot {
     /// or `chrome://tracing`). The two clock domains are separate
     /// process lanes: pid 1 = model time (simulated ps rendered as µs),
     /// pid 2 = wall clock. Events with a duration are complete (`"X"`)
-    /// events; zero-duration events are instants (`"i"`); counter
-    /// samples become `"C"` events on the wall lane, which Perfetto
-    /// renders as one value track per counter name (the
-    /// `prof.<phase>.bytes` roofline tracks).
+    /// events; zero-duration events are instants (`"i"`).
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
-        let mut entries: Vec<String> =
-            Vec::with_capacity(self.model.len() + self.wall.len() + self.counters.len() + 8);
+        let mut entries: Vec<String> = Vec::with_capacity(self.model.len() + self.wall.len() + 8);
         for (pid, label) in [
             (1, "model time (simulated, ps)"),
             (2, "wall clock (host, ns)"),
@@ -524,17 +473,6 @@ impl TraceSnapshot {
                     entries.push(format!("{{\"ph\":\"i\",\"s\":\"t\",{common}}}"));
                 }
             }
-        }
-        for e in &self.counters {
-            // Counter tracks are keyed by (pid, name); tid 0 merges every
-            // worker's samples of one counter into a single value track.
-            entries.push(format!(
-                "{{\"ph\":\"C\",\"pid\":2,\"tid\":0,\"name\":\"{}\",\"ts\":{},\
-                 \"args\":{{\"value\":{}}}}}",
-                e.name,
-                ns_as_us(e.ts),
-                e.arg
-            ));
         }
         format!(
             "{{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [\n{}\n]\n}}\n",
@@ -757,56 +695,6 @@ mod tests {
         assert!(folded.contains("wall;worker0;x 10"));
         assert!(folded.contains("wall;worker0;y 10"));
         assert!(!folded.contains("x;y"));
-    }
-
-    #[test]
-    fn counter_samples_land_on_their_own_ring_and_export_as_c_events() {
-        let t = Tracer::new();
-        t.set_enabled(true);
-        t.emit_counter("prof.sort.scatter.bytes", 100);
-        t.emit_counter("prof.sort.scatter.bytes", 250);
-        t.emit_counter("prof.sort.hist.bytes", 40);
-        let snap = t.snapshot();
-        assert_eq!(snap.counters.len(), 3);
-        assert!(snap.model.is_empty() && snap.wall.is_empty());
-        // Samples group by counter name; within one name, time order —
-        // so a track's values read off monotonic.
-        let names: Vec<&str> = snap.counters.iter().map(|e| e.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "prof.sort.hist.bytes",
-                "prof.sort.scatter.bytes",
-                "prof.sort.scatter.bytes"
-            ]
-        );
-        let scatter: Vec<u64> = snap
-            .counters
-            .iter()
-            .filter(|e| e.name == "prof.sort.scatter.bytes")
-            .map(|e| e.arg)
-            .collect();
-        assert_eq!(scatter, vec![100, 250]);
-        let json = snap.to_chrome_json();
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"prof.sort.scatter.bytes\""));
-        assert!(json.contains("\"args\":{\"value\":250}"));
-        t.reset();
-        assert_eq!(t.snapshot(), TraceSnapshot::default());
-    }
-
-    #[test]
-    fn counter_ring_overflow_counts_displacements() {
-        let t = Tracer::new();
-        t.set_enabled(true);
-        t.set_capacity(2);
-        for i in 0..5u64 {
-            t.emit_counter("c", i);
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap.counters.len(), 2);
-        assert_eq!(snap.dropped_counters, 3);
-        assert_eq!(snap.dropped_model, 0);
     }
 
     #[test]

@@ -11,8 +11,7 @@ use sieve_dram::TimePs;
 use crate::config::{DeviceKind, SieveConfig};
 use crate::error::SieveError;
 use crate::obs;
-use crate::pcie::PcieConfig;
-use crate::prof;
+use crate::pcie::{PcieConfig, MIN_BANDWIDTH_BYTES_PER_S};
 use crate::trace;
 
 /// How the Sieve device attaches to the host.
@@ -76,8 +75,24 @@ impl Transport {
     /// # Errors
     ///
     /// Returns [`SieveError::InvalidConfig`] when the transport cannot
-    /// sustain the design point (e.g. Type-2/3 on a DIMM).
+    /// sustain the design point (e.g. Type-2/3 on a DIMM), or for a DIMM
+    /// slower than the transfer model can time.
     pub fn validate(&self, config: &SieveConfig, peak_power_w: f64) -> Result<(), SieveError> {
+        if let Self::Dimm {
+            bandwidth_bytes_per_s,
+            ..
+        } = *self
+        {
+            if bandwidth_bytes_per_s < MIN_BANDWIDTH_BYTES_PER_S {
+                return Err(SieveError::InvalidConfig {
+                    field: "transport",
+                    reason: format!(
+                        "DIMM bandwidth must be at least {MIN_BANDWIDTH_BYTES_PER_S} B/s, \
+                         got {bandwidth_bytes_per_s}"
+                    ),
+                });
+            }
+        }
         let budget = self.power_budget_w(config.geometry.capacity_bytes());
         if peak_power_w > budget {
             return Err(SieveError::InvalidConfig {
@@ -117,11 +132,8 @@ impl Transport {
         };
         let ps = bytes.saturating_mul(1_000_000) / (bw / 1_000_000);
         let rec = obs::global();
-        rec.add(obs::CounterId::TransportTransfers, 1);
+        rec.add(obs::CounterId::TransportBytes, bytes);
         rec.record(obs::HistId::TransportTransferPs, ps);
-        // Roofline charge: the link writes `bytes` to the device; its
-        // "wall" is the model time above, not a host-side span.
-        prof::record(prof::Phase::PcieTransfer, 0, bytes, 1);
         let tr = trace::global();
         tr.emit_model("transport.transfer", 0, tr.model_ps(), ps, bytes, 0);
         ps

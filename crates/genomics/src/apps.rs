@@ -485,19 +485,33 @@ mod tests {
     #[test]
     fn kmer_matching_dominates() {
         // The Figure-1 claim: matching is the largest stage in every app.
+        // One run times each stage once, so one preemption can decide
+        // it: compare each stage's fastest time over several runs.
         let (ds, reads) = setup();
         for app in AppKind::ALL {
-            let p = profile_app(app, &ds, &reads);
-            let matching = p.fraction(Stage::KmerMatching);
-            for (stage, _) in &p.stages {
+            let runs: Vec<AppProfile> = (0..5).map(|_| profile_app(app, &ds, &reads)).collect();
+            let fastest = |stage: Stage| {
+                runs.iter()
+                    .map(|p| {
+                        p.stages
+                            .iter()
+                            .filter(|(s, _)| *s == stage)
+                            .map(|(_, d)| *d)
+                            .sum::<Duration>()
+                    })
+                    .min()
+                    .expect("five runs")
+            };
+            let matching = fastest(Stage::KmerMatching);
+            for (stage, _) in &runs[0].stages {
                 if *stage != Stage::KmerMatching {
                     assert!(
-                        matching >= p.fraction(*stage),
-                        "{:?}: {} ({matching:.3}) not dominant over {:?} ({:.3})",
+                        matching >= fastest(*stage),
+                        "{:?}: {} ({matching:?}) not dominant over {:?} ({:?})",
                         app,
                         Stage::KmerMatching.name(),
                         stage,
-                        p.fraction(*stage)
+                        fastest(*stage)
                     );
                 }
             }

@@ -63,10 +63,12 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # Σ(len + 1 - k) pre-sizing and its run folds, held bit for bit to the
 # HashMap build it replaced, with and without a taxonomy, canonical on
 # and off, k in {1, 5, 16, 31, 32}, genomes holding Ns, shorter than k or
-# listed twice, and no genomes). A separate target dir keeps the special
+# listed twice, and no genomes), and prof_traffic (prof::traffic's closed
+# forms are u64 products of the recorder's counts and sums, held to
+# test-local byte constants). A separate target dir keeps the special
 # RUSTFLAGS from invalidating the main cache.
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo test -q --test kernel_equivalence
+    cargo test -q --test kernel_equivalence --test prof_traffic
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q -p sieve-core --lib -- host::tests engine::tests layout::tests sched::tests config::tests obs::tests
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \

@@ -2,7 +2,7 @@
 //! monotonicity, energy accounting sanity, and failure handling.
 
 use proptest::prelude::*;
-use sieve::core::{SieveConfig, SieveDevice, SieveError};
+use sieve::core::{PcieConfig, SieveApi, SieveConfig, SieveDevice, SieveError, Transport};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, Kmer};
 
@@ -103,11 +103,28 @@ fn energy_ledger_is_complete() {
 #[test]
 fn esp_override_only_reduces_rows_never_changes_results() {
     let (ds, queries) = built();
-    let exact = run(SieveConfig::type3(8), &ds, &queries);
-    let capped = run(SieveConfig::type3(8).with_esp_override(10), &ds, &queries);
-    assert_eq!(exact.results, capped.results);
-    assert!(capped.report.row_activations <= exact.report.row_activations);
-    assert!(capped.report.makespan_ps <= exact.report.makespan_ps);
+    for config in [
+        SieveConfig::type1(),
+        SieveConfig::type2(8),
+        SieveConfig::type3(8),
+    ] {
+        let label = config.device.label();
+        let exact = run(config.clone(), &ds, &queries);
+        let capped = run(config.with_esp_override(10), &ds, &queries);
+        assert_eq!(exact.results, capped.results, "{label}");
+        // The cap charges a miss the rows of at most 10 shared bits, and
+        // this batch holds misses that share more with a reference.
+        assert!(
+            capped.report.row_activations < exact.report.row_activations,
+            "{label}: {} rows capped, {} exact",
+            capped.report.row_activations,
+            exact.report.row_activations
+        );
+        assert!(
+            capped.report.makespan_ps <= exact.report.makespan_ps,
+            "{label}"
+        );
+    }
 }
 
 #[test]
@@ -120,6 +137,65 @@ fn oversized_database_is_rejected() {
     )
     .unwrap_err();
     assert!(matches!(err, SieveError::CapacityExceeded { .. }));
+}
+
+/// A link the transfer and wire-time formulas would divide by zero on,
+/// or whose packet cannot hold its header and one request, is a typed
+/// error wherever it enters: its own check, the device and the deploy.
+#[test]
+fn degenerate_links_are_rejected() {
+    let ds = synth::make_dataset_with(4, 2048, 31, 9);
+    let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
+    let rejects = |want: &str, result: Result<(), SieveError>| matches!(result, Err(SieveError::InvalidConfig { field, .. }) if field == want);
+    let gen4 = PcieConfig::gen4_x16();
+    for link in [
+        PcieConfig {
+            bandwidth_bytes_per_s: 999_999,
+            ..gen4
+        },
+        PcieConfig {
+            request_bytes: 0,
+            ..gen4
+        },
+        PcieConfig {
+            packet_payload_bytes: 8,
+            ..gen4
+        },
+        PcieConfig {
+            packet_payload_bytes: 20,
+            ..gen4
+        },
+    ] {
+        let linked = config.clone().with_pcie(link);
+        assert!(rejects("pcie", link.validate()), "{link:?}");
+        assert!(rejects("pcie", linked.validate()), "{link:?}");
+        let device = SieveDevice::new(linked, ds.entries.clone());
+        assert!(rejects("pcie", device.map(drop)), "{link:?}");
+        let api = SieveApi::deploy(config.clone(), Transport::Pcie(link), ds.entries.clone());
+        assert!(rejects("pcie", api.map(drop)), "{link:?}");
+    }
+    let slow_dimm = Transport::Dimm {
+        power_w_per_gb: 0.37,
+        bandwidth_bytes_per_s: 999_999,
+    };
+    let type1 = SieveConfig::type1().with_geometry(Geometry::scaled_medium());
+    assert!(rejects("transport", slow_dimm.validate(&type1, 0.0)));
+    let api = SieveApi::deploy(type1, slow_dimm, ds.entries.clone());
+    assert!(rejects("transport", api.map(drop)));
+    // The paper's link, and the smallest packet that holds one 12-byte
+    // request, deploy and answer.
+    let one_request = PcieConfig {
+        packet_payload_bytes: 28,
+        ..gen4
+    };
+    assert_eq!(one_request.requests_per_packet(), 1);
+    for link in [gen4, one_request] {
+        link.validate().expect("a sound link passes its check");
+        let mut api = SieveApi::deploy(config.clone(), Transport::Pcie(link), ds.entries.clone())
+            .expect("a sound link deploys");
+        let queries: Vec<Kmer> = ds.entries.iter().take(64).map(|&(k, _)| k).collect();
+        assert_eq!(api.query(&queries).expect("valid batch").report.hits, 64);
+    }
 }
 
 proptest! {

@@ -167,12 +167,14 @@ fn snapshot_counters_reflect_the_workload() {
             let snap = obs::global().snapshot();
             assert_eq!(snap.counter("host_reads"), reads.len() as u64, "{label}");
             assert_eq!(
-                snap.counter("host_chunks"),
-                reads.len().div_ceil(10) as u64,
+                snap.counter("host_bases"),
+                reads.iter().map(|r| r.len() as u64).sum::<u64>(),
                 "{label}"
             );
-            assert_eq!(snap.counter("host_kmers"), out.report.queries, "{label}");
-            assert_eq!(snap.counter("match_queries"), out.report.queries, "{label}");
+            // One chunk_kmers sample per host run, holding its k-mers.
+            let chunks = snap.histogram("chunk_kmers").unwrap();
+            assert_eq!(chunks.count, reads.len().div_ceil(10) as u64, "{label}");
+            assert_eq!(chunks.sum, out.report.queries, "{label}");
             assert_eq!(snap.counter("match_hits"), out.report.hits, "{label}");
             assert_eq!(snap.counter("device_runs"), 3, "{label}");
             // Every resolved query lands in the ETM-depth histogram, and
@@ -185,9 +187,9 @@ fn snapshot_counters_reflect_the_workload() {
                 out.report.row_activations - 2 * out.report.hits,
                 "{label}: ETM histogram mass must equal Region-1 activations"
             );
-            // Shard skew histogram: one sample per resolved shard.
+            // Shard skew histogram: one sample per reached subarray,
+            // holding its queries.
             let shards = snap.histogram("shard_queries").unwrap();
-            assert_eq!(shards.count, snap.counter("match_shards"), "{label}");
             assert_eq!(shards.sum, out.report.queries, "{label}");
         }
     }
@@ -217,7 +219,8 @@ fn repeated_read_streams_snapshot_identically() {
             THREAD_SWEEP[i]
         );
     }
-    assert_eq!(snaps[0].counter("match_queries"), outs[0].queries);
+    let shards = snaps[0].histogram("shard_queries").unwrap();
+    assert_eq!(shards.sum, outs[0].queries);
     assert_eq!(snaps[0].counter("match_hits"), outs[0].hits);
 }
 
@@ -232,7 +235,6 @@ fn batch_classify_records_chunk_metrics() {
     let host = HostPipeline::new(device(SieveConfig::type3(8), 2, &ds));
     let out = host.classify_reads(&reads).unwrap();
     let snap = obs::global().snapshot();
-    assert_eq!(snap.counter("host_chunks"), 1);
     let chunk = snap.histogram("chunk_kmers").unwrap();
     assert_eq!(chunk.count, 1);
     assert_eq!(chunk.sum, out.report.queries);
@@ -249,7 +251,7 @@ fn disabled_recorder_observes_nothing() {
         .unwrap();
     let snap = obs::global().snapshot();
     assert_eq!(snap.counter("host_reads"), 0);
-    assert_eq!(snap.counter("match_queries"), 0);
+    assert_eq!(snap.counter("match_hits"), 0);
     assert!(snap.histogram("etm_rows_activated").unwrap().count == 0);
     obs::global().set_enabled(true); // session drop expects to disable
 }
@@ -333,6 +335,9 @@ proptest! {
                 THREAD_SWEEP[i]
             );
         }
-        prop_assert_eq!(snaps[0].counter("match_queries"), queries.len() as u64);
+        prop_assert_eq!(
+            snaps[0].histogram("shard_queries").unwrap().sum,
+            queries.len() as u64
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! Analytic byte-count assertions for the roofline traffic layer
-//! (DESIGN.md §10): the device's match pass must charge its closed form
-//! on real device batches at every thread count, and the host extract
-//! phase must charge exactly its k-mer stream.
+//! (DESIGN.md §10): [`prof::traffic`], read off the recorder's snapshot,
+//! must give the match pass's closed form on real device batches at
+//! every thread count, the host extract phase exactly its k-mer stream,
+//! and the PCIe link exactly the device image a deploy pushes.
 //!
-//! The prof table is process-wide (like the recorder); this file owns
-//! both and serializes its tests on a local mutex.
+//! The recorder is process-wide; this file owns it and serializes its
+//! tests on a local mutex.
 
 use std::sync::Mutex;
 
@@ -35,7 +36,7 @@ fn match_traffic(q: u64, h: u64) -> prof::Traffic {
     }
 }
 
-/// Serializes tests in this binary around the global recorder + table.
+/// Serializes tests in this binary around the global recorder.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 struct RecorderSession<'a> {
@@ -49,7 +50,6 @@ impl RecorderSession<'_> {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         obs::global().reset();
         obs::global().set_enabled(true);
-        prof::reset();
         Self { _guard: guard }
     }
 }
@@ -58,7 +58,6 @@ impl Drop for RecorderSession<'_> {
     fn drop(&mut self) {
         obs::global().set_enabled(false);
         obs::global().reset();
-        prof::reset();
     }
 }
 
@@ -77,13 +76,18 @@ fn device(ds: &synth::SyntheticDataset, threads: usize) -> SieveDevice {
     .expect("dataset fits the scaled geometry")
 }
 
-/// Runs `queries` on `device` and returns the prof snapshot it recorded
+/// The traffic `phase` moved over the workload the global recorder has
+/// seen since its last reset.
+fn recorded(phase: prof::Phase) -> prof::Traffic {
+    prof::traffic(&obs::global().snapshot(), phase)
+}
+
+/// Runs `queries` on `device` and returns the match traffic it recorded
 /// and the run's hit count.
-fn run_traffic(device: &SieveDevice, queries: &[Kmer]) -> (prof::ProfSnapshot, u64) {
+fn run_traffic(device: &SieveDevice, queries: &[Kmer]) -> (prof::Traffic, u64) {
     obs::global().reset();
-    prof::reset();
     let out = device.run(queries).expect("valid batch");
-    (prof::snapshot(), out.report.hits)
+    (recorded(prof::Phase::DeviceMatch), out.report.hits)
 }
 
 /// The match pass: every query reads itself, its bucket's two offsets
@@ -108,45 +112,40 @@ fn device_match_charges_its_lookups_and_payloads() {
     queries.extend(absent.iter().copied());
     let (n, h) = (queries.len() as u64, stored.len() as u64);
     for threads in [1usize, 4] {
-        let (snap, hits) = run_traffic(&device(&ds, threads), &queries);
+        let (traffic, hits) = run_traffic(&device(&ds, threads), &queries);
         assert_eq!(hits, h, "threads={threads}");
-        assert_eq!(
-            snap.traffic(prof::Phase::DeviceMatch),
-            match_traffic(n, h),
-            "threads={threads}"
-        );
+        assert_eq!(traffic, match_traffic(n, h), "threads={threads}");
     }
-    let (snap, _) = run_traffic(&device(&ds, 1), &[]);
-    assert_eq!(
-        snap.traffic(prof::Phase::DeviceMatch),
-        prof::Traffic::default()
-    );
+    let (traffic, _) = run_traffic(&device(&ds, 1), &[]);
+    assert_eq!(traffic, prof::Traffic::default());
 }
 
-/// Host extract must charge exactly its stream: one byte per input
-/// base read, one `(word, id)` record per produced k-mer written — and
-/// the match pass its closed form over the extracted k-mers, at one
-/// thread and at four.
+/// Host extract must move exactly its stream: one byte per input base
+/// read, one `(word, id)` record per produced k-mer written — and the
+/// match pass its closed form over the extracted k-mers, at one thread
+/// and at four.
 #[test]
 fn pipeline_phases_charge_their_streams() {
     let _session = RecorderSession::begin();
     let ds = synth::make_dataset_with(8, 2048, 31, 4242);
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 40, 7);
+    let base_bytes: u64 = reads.iter().map(|r| r.len() as u64).sum();
+    let kmers: u64 = reads.iter().map(|r| r.kmers(31).count() as u64).sum();
     for threads in [1usize, 4] {
         obs::global().reset();
-        prof::reset();
         let out = HostPipeline::new(device(&ds, threads))
             .classify_reads(&reads)
             .unwrap();
-        let snap = prof::snapshot();
         let metrics = obs::global().snapshot();
 
-        let extract = snap.traffic(prof::Phase::HostExtract);
-        let base_bytes: u64 = reads.iter().map(|r| r.len() as u64).sum();
-        assert_eq!(extract.bytes_read, base_bytes, "threads={threads}");
-        assert_eq!(extract.items, metrics.counter("host_kmers"));
         // One 8 B word plus one u32 owner id per extracted k-mer.
-        assert_eq!(extract.bytes_written, extract.items * 12);
+        let extract = prof::traffic(&metrics, prof::Phase::HostExtract);
+        let expected = prof::Traffic {
+            bytes_read: base_bytes,
+            bytes_written: kmers * 12,
+            items: kmers,
+        };
+        assert_eq!(extract, expected, "threads={threads}");
 
         assert!(out.report.hits > 0, "the batch must hit");
         assert!(
@@ -156,33 +155,35 @@ fn pipeline_phases_charge_their_streams() {
             "the batch must spread over several subarrays"
         );
         assert_eq!(
-            snap.traffic(prof::Phase::DeviceMatch),
-            match_traffic(extract.items, out.report.hits),
+            prof::traffic(&metrics, prof::Phase::DeviceMatch),
+            match_traffic(kmers, out.report.hits),
             "threads={threads}"
         );
     }
 }
 
-/// The simulated transport link charges its transfer sizes: one record
-/// per `transfer_ps` call (the deploy-time image push), bytes written
-/// only (host → device).
+/// The simulated transport link moves its transfer sizes: a deploy
+/// pushes the device image once, host to device, so the link writes
+/// exactly the image's bytes in one transfer and reads nothing.
 #[test]
 fn pcie_transfers_charge_their_sizes() {
     let _session = RecorderSession::begin();
     let ds = synth::make_dataset_with(8, 2048, 31, 4242);
     obs::global().reset();
-    prof::reset();
-    sieve::core::SieveApi::deploy(
+    let api = sieve::core::SieveApi::deploy(
         SieveConfig::type3(8).with_geometry(Geometry::scaled_medium()),
         sieve::core::Transport::pcie_gen4_x16(),
         ds.entries.clone(),
     )
     .expect("type3 deploys on PCIe gen4 x16");
-    let snap = prof::snapshot();
-    let metrics = obs::global().snapshot();
-    let pcie = snap.traffic(prof::Phase::PcieTransfer);
-    assert!(pcie.items > 0, "deploy never pushed the device image");
-    assert_eq!(pcie.items, metrics.counter("transport_transfers"));
-    assert_eq!(pcie.bytes_read, 0);
-    assert!(pcie.bytes_written > 0);
+    let image_bytes = api.load_report().image_bytes;
+    assert!(image_bytes > 0, "deploy pushed an empty image");
+    assert_eq!(
+        recorded(prof::Phase::PcieTransfer),
+        prof::Traffic {
+            bytes_read: 0,
+            bytes_written: image_bytes,
+            items: 1,
+        }
+    );
 }
