@@ -23,12 +23,10 @@ use crate::report::BaselineReport;
 /// Table I workstation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
-    /// Physical cores (Table I: 14).
+    /// Physical cores (Table I: 14). Throughput grants each core 1.2
+    /// lookup streams for SMT, so Table I's 24 hardware threads and its
+    /// 2.8 GHz clock are not parameters.
     pub cores: u32,
-    /// Hardware threads (Table I: 24).
-    pub threads: u32,
-    /// Sustained clock, GHz (2.3–2.8; we use 2.8).
-    pub freq_ghz: f64,
     /// Effective overlapped misses per thread — the paper's MSHR argument:
     /// dependent probes leave little MLP (we model 1.2).
     pub mlp: f64,
@@ -56,8 +54,6 @@ impl CpuConfig {
     pub fn xeon_e5_2658v4() -> Self {
         Self {
             cores: 14,
-            threads: 24,
-            freq_ghz: 2.8,
             mlp: 1.2,
             compute_ns_per_lookup: 12.0,
             power_w: 105.0,

@@ -20,7 +20,7 @@
 //!   what makes ETM possible.
 
 use sieve_core::etm::RowTable;
-use sieve_core::DeviceLayout;
+use sieve_core::{lpt_makespan, DeviceLayout};
 use sieve_dram::{EnergyParams, Geometry, TimePs, TimingParams};
 use sieve_genomics::Kmer;
 
@@ -174,7 +174,7 @@ pub fn run(config: &InsituConfig, layout: &DeviceLayout, queries: &[Kmer]) -> Ba
     }
     let makespan = bank_loads
         .into_iter()
-        .map(|loads| lpt(loads, config.salp as usize))
+        .map(|loads| lpt_makespan(loads, config.salp.max(1) as usize))
         .max()
         .unwrap_or(0);
     // Static energy over the makespan.
@@ -186,15 +186,6 @@ pub fn run(config: &InsituConfig, layout: &DeviceLayout, queries: &[Kmer]) -> Ba
         time_ps: u128::from(makespan),
         energy_fj,
     }
-}
-
-fn lpt(mut loads: Vec<TimePs>, slots: usize) -> TimePs {
-    loads.sort_unstable_by(|a, b| b.cmp(a));
-    let mut bins = vec![0u64; slots.max(1)];
-    for l in loads {
-        *bins.iter_mut().min().expect("nonempty bins") += l;
-    }
-    bins.into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]

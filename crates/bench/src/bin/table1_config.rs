@@ -12,7 +12,7 @@ fn main() {
     t.row(["CPU Model", "Intel(R) Xeon(R) E5-2658 v4 (modelled)"]);
     t.row([
         "Core / Thread / Frequency".to_string(),
-        format!("{} / {} / {:.1} GHz", cpu.cores, cpu.threads, cpu.freq_ghz),
+        format!("{} / 24 / 2.8 GHz", cpu.cores),
     ]);
     t.row(["L1 / L2 / L3", "32 KB / 256 KB / 35 MB"]);
     t.row(["Main Memory", "DDR4-2400, 32 GB, 2 channels, 2 ranks"]);

@@ -77,37 +77,46 @@ impl DeviceKind {
 pub struct SieveConfig {
     /// Which design point.
     pub device: DeviceKind,
-    /// Device geometry (capacity).
+    /// Device geometry (capacity). All three designs.
     pub geometry: Geometry,
-    /// DRAM timing.
+    /// DRAM timing. All three designs.
     pub timing: TimingParams,
-    /// DRAM energy.
+    /// DRAM energy. All three designs.
     pub energy: EnergyParams,
-    /// K-mer length (the paper uses 31).
+    /// K-mer length (the paper uses 31): `2k` Region-1 rows on all three
+    /// designs.
     pub k: usize,
-    /// Columns per pattern group (Type-2/3), 64 of them query slots. The
-    /// paper derives 576 from the wire distance a query bit travels in one
-    /// row cycle.
+    /// Columns per pattern group, 64 of them query slots (Type-2/3 only;
+    /// Type-1 keeps its queries at the bank I/O). It sets a subarray's
+    /// references and a batch replacement's writes. The paper derives 576
+    /// from the wire distance a query bit travels in one row cycle.
     pub pattern_group_cols: u32,
-    /// Latches per ETM segment (256 in the paper).
+    /// Latches per ETM segment (256 in the paper). Type-2/3 only: a hit
+    /// drains one segment register per DRAM clock. Type-1's ETM is its
+    /// per-batch skip bits.
     pub etm_segment_len: u32,
-    /// Whether the Early Termination Mechanism is active.
+    /// Whether the Early Termination Mechanism is active (all three
+    /// designs).
     pub etm_enabled: bool,
     /// Extra row cycles between the functional all-dead row and the ETM
     /// interrupt (the Figure-9 "extra cycle to flush the result").
+    /// Type-2/3 only: Type-1's row table uses zero flush.
     pub etm_flush_cycles: u32,
     /// Hop delay for Type-2 inter-subarray row relay, ps (~4 ns, ~8× faster
-    /// than a full activation, per the SPICE validation in §IV-A).
+    /// than a full activation, per the SPICE validation in §IV-A). Type-2
+    /// only.
     pub hop_delay_ps: TimePs,
     /// PCIe link model; `None` simulates ideal dispatch (requests appear at
-    /// the device with zero transport cost).
+    /// the device with zero transport cost). All three designs; only
+    /// Type-2/3 pay its per-batch dispatch cost.
     pub pcie: Option<PcieConfig>,
     /// Optional Expected-Shared-Prefix cap, in bits: when set, a missing
     /// lookup is assumed to terminate after at most this many shared bits,
     /// as the paper's Figure-6-driven model does (real-data ESP ≈ 10 bits).
     /// `None` (the default) uses the exact last-surviving-latch semantics,
     /// where the maximum shared prefix grows as log2 of the database size.
-    /// See EXPERIMENTS.md (Figure 13) for the effect of this assumption.
+    /// All three designs, with ETM on. See EXPERIMENTS.md (Figure 13) for
+    /// the effect of this assumption.
     pub esp_override: Option<u32>,
     /// Simulator worker threads: `0` (the default) uses all available
     /// parallelism, `1` runs fully sequentially, `n` (at most 1,024) uses
@@ -293,12 +302,20 @@ impl SieveConfig {
     /// degenerate (k out of range, groups that don't fit, regions exceeding
     /// the subarray, SALP/CB counts exceeding the bank, Type-1 rows that
     /// are not whole 64-column batches or wider than 65,536 columns, more
-    /// than 1,024 threads).
+    /// than 1,024 threads, a refresh cycle `t_rfc` no shorter than its
+    /// interval `t_refi`).
     pub fn validate(&self) -> Result<(), SieveError> {
         if self.threads > MAX_THREADS {
             return Err(SieveError::InvalidConfig {
                 field: "threads",
                 reason: format!("at most {MAX_THREADS} threads, got {}", self.threads),
+            });
+        }
+        let TimingParams { t_refi, t_rfc, .. } = self.timing;
+        if t_rfc >= t_refi {
+            return Err(SieveError::InvalidConfig {
+                field: "timing",
+                reason: format!("t_rfc ({t_rfc} ps) must be shorter than t_refi ({t_refi} ps)"),
             });
         }
         if self.k == 0 || self.k > 32 {
@@ -489,6 +506,30 @@ mod tests {
         let mut t3 = t1(131_072, 256);
         t3.device = DeviceKind::Type3 { salp: 8 };
         t3.validate().unwrap();
+    }
+
+    /// The refresh stretch divides by `t_refi − t_rfc`, so a refresh
+    /// cycle that fills its interval is a typed error, not a division by
+    /// zero or a wrap.
+    #[test]
+    fn refresh_that_fills_its_interval_is_rejected() {
+        for (t_refi, t_rfc) in [(0, 0), (350_000, 350_000), (7_800_000, 7_800_001)] {
+            let mut c = SieveConfig::type1();
+            (c.timing.t_refi, c.timing.t_rfc) = (t_refi, t_rfc);
+            assert!(
+                matches!(
+                    c.validate(),
+                    Err(SieveError::InvalidConfig {
+                        field: "timing",
+                        ..
+                    })
+                ),
+                "t_refi {t_refi} t_rfc {t_rfc}"
+            );
+        }
+        let mut c = SieveConfig::type3(8);
+        c.timing.t_rfc = c.timing.t_refi - 1;
+        c.validate().unwrap();
     }
 
     #[test]

@@ -1,19 +1,20 @@
-//! Per-component energy/latency constants (Table III) and the charging
-//! policy the device models apply.
+//! Per-component energy/latency constants (Table III) and the component
+//! energies the device models charge from them.
 //!
 //! The paper extracts these from FreePDK45 + OpenRAM synthesis scaled to
 //! 22 nm; we adopt the published values as model constants (the substitution
-//! DESIGN.md documents). The aggregate per-activation overhead of the
-//! Type-2/3 additions is ~6 % of a row activation (§VI-A), dominated by the
-//! matcher array (78.9 % of the overhead) and ETM (15.8 %).
+//! DESIGN.md documents). Type-2/3 do not charge the matcher array or ETM
+//! rows of the table: they pay the paper's aggregate overhead of the
+//! Type-2/3 additions, ~6 % of a row activation (§VI-A), as
+//! `MATCHER_OVERHEAD_PCT` of `e_act` on each Region-1 matching
+//! activation. From the table they charge `FINDER_FJ` per hit; Type-1
+//! charges `T1_BATCH_FJ` per 64-bit batch comparison.
 
 /// One row of Table III.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentSpec {
     /// Component name as printed in Table III.
     pub name: &'static str,
-    /// Which designs use it (`"T1"` or `"T2/3"`).
-    pub design: &'static str,
     /// Dynamic energy per operation, picojoules.
     pub dynamic_pj: f64,
     /// Static power, microwatts.
@@ -26,49 +27,42 @@ pub struct ComponentSpec {
 pub const TABLE3: [ComponentSpec; 7] = [
     ComponentSpec {
         name: "(T1) 64-bit MA",
-        design: "T1",
         dynamic_pj: 0.867,
         static_uw: 1.4592,
         latency_ns: 0.353,
     },
     ComponentSpec {
         name: "(T1) QR, SkBR, StBR",
-        design: "T1",
         dynamic_pj: 1.92,
         static_uw: 5.28,
         latency_ns: 0.154,
     },
     ComponentSpec {
         name: "(T1) SRAM Buffer",
-        design: "T1",
         dynamic_pj: 5.12,
         static_uw: 4.445,
         latency_ns: 0.177,
     },
     ComponentSpec {
         name: "(T2/3) 8192-bit MA",
-        design: "T2/3",
         dynamic_pj: 181.683,
         static_uw: 0.289,
         latency_ns: 0.535,
     },
     ComponentSpec {
         name: "(T2/3) ETM Segment",
-        design: "T2/3",
         dynamic_pj: 73.5,
         static_uw: 56.185,
         latency_ns: 43.653,
     },
     ComponentSpec {
         name: "(T2/3) Segment Finder",
-        design: "T2/3",
         dynamic_pj: 2.44,
         static_uw: 0.294,
         latency_ns: 0.362,
     },
     ComponentSpec {
         name: "(T2/3) Column Finder",
-        design: "T2/3",
         dynamic_pj: 20.69,
         static_uw: 28.16,
         latency_ns: 0.152,
@@ -81,46 +75,13 @@ pub fn component(name: &str) -> Option<&'static ComponentSpec> {
     TABLE3.iter().find(|c| c.name == name)
 }
 
-/// Per-event component energies charged by the device models, femtojoules.
-///
-/// Derived from [`TABLE3`]:
-/// * Type-2/3 charge `matcher_fj + etm_fj` per row activation (together
-///   ≈ 6 % of a 3.8 nJ activation, with the paper's 78.9 % / 15.8 % split),
-///   plus `finder_fj` once per hit.
-/// * Type-1 charges `t1_batch_fj` per batch comparison (matcher array +
-///   registers + SRAM buffer access).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComponentEnergies {
-    /// Matcher-array energy per row activation, fJ (Type-2/3).
-    pub matcher_fj: u64,
-    /// ETM energy per row activation, fJ (Type-2/3).
-    pub etm_fj: u64,
-    /// Segment finder + column finder energy per hit, fJ (Type-2/3).
-    pub finder_fj: u64,
-    /// Matcher + register + SRAM energy per 64-bit batch comparison, fJ
-    /// (Type-1).
-    pub t1_batch_fj: u64,
-}
+/// Segment finder + column finder energy per Type-2/3 hit, fJ.
+pub(crate) const FINDER_FJ: u64 = ((TABLE3[5].dynamic_pj + TABLE3[6].dynamic_pj) * 1_000.0) as u64;
 
-impl ComponentEnergies {
-    /// The Table III derivation.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            matcher_fj: (TABLE3[3].dynamic_pj * 1_000.0) as u64,
-            etm_fj: (TABLE3[4].dynamic_pj * 1_000.0 / 2.0) as u64,
-            finder_fj: ((TABLE3[5].dynamic_pj + TABLE3[6].dynamic_pj) * 1_000.0) as u64,
-            t1_batch_fj: ((TABLE3[0].dynamic_pj + TABLE3[1].dynamic_pj + TABLE3[2].dynamic_pj)
-                * 1_000.0) as u64,
-        }
-    }
-}
-
-impl Default for ComponentEnergies {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
+/// Matcher array + registers + SRAM buffer energy per Type-1 64-bit batch
+/// comparison, fJ.
+pub(crate) const T1_BATCH_FJ: u64 =
+    ((TABLE3[0].dynamic_pj + TABLE3[1].dynamic_pj + TABLE3[2].dynamic_pj) * 1_000.0) as u64;
 
 #[cfg(test)]
 mod tests {
@@ -152,20 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn charging_policy_derives_from_table() {
-        let e = ComponentEnergies::paper();
-        assert_eq!(e.matcher_fj, 181_683);
-        assert_eq!(e.finder_fj, 23_130);
-        assert_eq!(e.t1_batch_fj, 7_907);
-    }
-
-    #[test]
-    fn matcher_dominates_overhead_split() {
-        // The paper: MA is 78.9 % and ETM 15.8 % of the add-on energy.
-        let e = ComponentEnergies::paper();
-        let total = e.matcher_fj + e.etm_fj;
-        let ma_share = e.matcher_fj as f64 / total as f64;
-        assert!(ma_share > 0.7 && ma_share < 0.9, "MA share {ma_share}");
+    fn charged_energies_derive_from_table() {
+        assert_eq!((FINDER_FJ, T1_BATCH_FJ), (23_130, 7_907));
     }
 
     #[test]

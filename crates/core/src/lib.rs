@@ -81,5 +81,6 @@ pub use error::SieveError;
 pub use host::{vote_reads, HostPipeline, PipelineOutput, ReadResult};
 pub use layout::{DeviceLayout, GroupShape, SubarrayView, ENTRY_BYTES};
 pub use pcie::PcieConfig;
+pub use sched::lpt_makespan;
 pub use stats::SimReport;
 pub use transport::Transport;

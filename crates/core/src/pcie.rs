@@ -1,11 +1,12 @@
 //! PCIe link model for host ↔ Sieve communication (§IV-C).
 //!
 //! Type-2/3 devices use a packet-based protocol: the host packs 12-byte
-//! k-mer requests into 4 KB PCIe packets (340 requests per packet) and keeps
-//! up to `queue_depth` packets in flight. The model exposes, for each
-//! request index, the earliest time it can be dispatched inside the device —
-//! the device simulators use that as a scheduling constraint, so PCIe
-//! overhead emerges as idle time rather than as a fixed tax.
+//! k-mer requests into 4 KB PCIe packets (340 requests per packet) that
+//! stream back to back at wire rate. The schedulers add each 64-query
+//! batch's un-overlapped dispatch cost to its subarray's busy time, and end
+//! the run one link latency after the latest of that busy time, the
+//! arrival of the last request packet and the drain of the responses, so
+//! PCIe overhead shows up as idle time rather than as a fixed tax.
 
 use sieve_dram::TimePs;
 
@@ -40,8 +41,6 @@ pub struct PcieConfig {
     /// Bytes per k-mer request (12 in the paper: pattern, sequence id,
     /// destination subarray id, header).
     pub request_bytes: u32,
-    /// Packets the input queue holds (24 for the 32 GB device).
-    pub queue_depth: u32,
     /// Un-overlapped per-batch dispatch cost, ps: packet formation on the
     /// host, driver/DMA invocation, unpacking and distribution to the
     /// destination bank, and interrupt handling for responses. Charged once
@@ -60,7 +59,6 @@ impl PcieConfig {
             base_latency_ps: 600_000,
             packet_payload_bytes: 4096,
             request_bytes: 12,
-            queue_depth: 24,
             dispatch_latency_ps: 3_000_000,
         }
     }
@@ -121,10 +119,9 @@ impl PcieConfig {
 
     /// Earliest time request `index` is available inside the device, ps.
     ///
-    /// Packets stream back-to-back at wire rate; every request in a packet
-    /// becomes available when its packet fully arrives. The first
-    /// `queue_depth` packets can be pre-buffered during pipeline fill, so
-    /// their arrival is pipelined with transfer.
+    /// Packets stream back-to-back at wire rate from time zero; every
+    /// request in a packet becomes available when its packet fully arrives,
+    /// one link latency later.
     #[must_use]
     pub fn request_ready_ps(&self, index: u64) -> TimePs {
         let packet = index / u64::from(self.requests_per_packet());

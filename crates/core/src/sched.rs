@@ -23,7 +23,7 @@
 use sieve_dram::{EnergyLedger, TimePs};
 
 use crate::config::{DeviceKind, SieveConfig, MATCHER_OVERHEAD_PCT, QUERIES_PER_GROUP};
-use crate::energy_model::ComponentEnergies;
+use crate::energy_model::{FINDER_FJ, T1_BATCH_FJ};
 use crate::engine;
 use crate::etm;
 use crate::layout::{DeviceLayout, SubarrayView};
@@ -127,10 +127,17 @@ fn finalize(
     }
 }
 
-/// Longest-processing-time assignment of loads onto `slots` parallel units;
-/// returns the makespan.
-fn lpt_makespan(mut loads: Vec<TimePs>, slots: usize) -> TimePs {
-    assert!(slots >= 1);
+/// Longest-processing-time assignment of loads onto `slots` parallel
+/// units: largest load first, each onto the first least-loaded unit.
+/// Returns the makespan. Type-3's scheduler packs a bank's subarray loads
+/// onto its `salp` slots with it, and so does the row-major baseline.
+///
+/// # Panics
+///
+/// Panics if `slots` is 0.
+#[must_use]
+pub fn lpt_makespan(mut loads: Vec<TimePs>, slots: usize) -> TimePs {
+    assert!(slots >= 1, "LPT needs at least one slot");
     loads.sort_unstable_by(|a, b| b.cmp(a));
     let mut bins = vec![0u64; slots];
     for load in loads {
@@ -148,7 +155,6 @@ fn lpt_makespan(mut loads: Vec<TimePs>, slots: usize) -> TimePs {
 /// Iteration below is in subarray order, so the schedule is independent
 /// of how the match pass split the batch.
 pub(crate) fn simulate_type23(config: &SieveConfig, loads: &[SubLoad]) -> SimReport {
-    let comp = ComponentEnergies::paper();
     let banks = config.geometry.total_banks();
     let row_cycle = config.timing.row_cycle();
     let queries_per_batch = u64::from(QUERIES_PER_GROUP);
@@ -250,7 +256,7 @@ pub(crate) fn simulate_type23(config: &SieveConfig, loads: &[SubLoad]) -> SimRep
             u128::from(l.rows) * u128::from(hops) * u128::from(config.energy.e_act / 8);
         energy.write_fj += u128::from(batches * writes_per_batch) * u128::from(config.energy.e_wr);
         // Hits: finders + payload rows (plain activations; matchers bypassed).
-        energy.component_fj += u128::from(l.hits) * u128::from(comp.finder_fj);
+        energy.component_fj += u128::from(l.hits) * u128::from(FINDER_FJ);
         energy.activation_fj += u128::from(2 * l.hits) * u128::from(config.energy.e_act);
         energy.read_fj += u128::from(2 * l.hits) * u128::from(config.energy.e_rd);
         row_activations += 2 * l.hits;
@@ -633,7 +639,7 @@ pub(crate) fn simulate_type1(
     let energy = EnergyLedger {
         activation_fj: u128::from(row_activations) * u128::from(config.energy.e_act),
         read_fj: reads * u128::from(config.energy.e_rd),
-        component_fj: reads * u128::from(ComponentEnergies::paper().t1_batch_fj),
+        component_fj: reads * u128::from(T1_BATCH_FJ),
         ..EnergyLedger::new()
     };
 

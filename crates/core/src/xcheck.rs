@@ -204,12 +204,12 @@ mod tests {
         let work = synthetic_work(32, 128);
         let salp = 8usize;
         let event = event_driven_type3_makespan(&config, &work, salp);
-        // Aggregate per-bank LPT (mirrors sched::lpt_makespan).
+        // The aggregate scheduler's per-bank LPT over whole-subarray loads.
         let row_cycle = config.timing.row_cycle();
         let setup = config.batch_setup_ps();
         let mut aggregate = 0u64;
         for b in 0..4usize {
-            let mut loads: Vec<u64> = work
+            let loads: Vec<u64> = work
                 .iter()
                 .filter(|w| w.bank == b)
                 .map(|w| {
@@ -217,12 +217,7 @@ mod tests {
                         + w.query_rows.len().div_ceil(64) as u64 * setup
                 })
                 .collect();
-            loads.sort_unstable_by(|a, b| b.cmp(a));
-            let mut bins = vec![0u64; salp];
-            for l in loads {
-                *bins.iter_mut().min().unwrap() += l;
-            }
-            aggregate = aggregate.max(bins.into_iter().max().unwrap());
+            aggregate = aggregate.max(crate::lpt_makespan(loads, salp));
         }
         assert!(
             event <= aggregate,

@@ -39,11 +39,10 @@ impl SubarrayId {
 ///
 /// The paper's 32 GB reference device is organized as 16 ranks × 8 banks,
 /// each bank holding 512 subarrays of 512 rows × 8,192 columns
-/// (16 × 8 × 512 × 512 × 8,192 bits = 32 GiB). Use
-/// [`Geometry::paper_32gb`] for that preset, or [`Geometry::with_capacity_gb`]
-/// to scale the rank count (the paper scales capacity by adding ranks,
-/// keeping bank/subarray geometry fixed — this is what makes Sieve's
-/// "memory-capacity-proportional performance" linear).
+/// (16 × 8 × 512 × 512 × 8,192 bits = 32 GiB); [`Geometry::paper_32gb`]
+/// is that preset. The paper scales capacity by adding ranks, keeping the
+/// bank and subarray geometry fixed — this is what makes Sieve's
+/// "memory-capacity-proportional performance" linear.
 ///
 /// # Example
 ///
@@ -117,26 +116,6 @@ impl Geometry {
             rows_per_subarray: 512,
             cols_per_row: 8192,
         }
-    }
-
-    /// A Sieve device of `gb` gibibytes, scaled from the paper's geometry by
-    /// varying the rank count (2 GB per rank). This mirrors the 4/8/16/32 GB
-    /// sweep of Figure 16.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError`] if `gb` is not a power of two or below 2.
-    pub fn with_capacity_gb(gb: u32) -> Result<Self, GeometryError> {
-        if gb < 2 || !gb.is_power_of_two() {
-            return Err(GeometryError::NotPowerOfTwo {
-                dimension: "capacity_gb",
-                value: gb,
-            });
-        }
-        Ok(Self {
-            ranks: gb / 2,
-            ..Self::paper_32gb()
-        })
     }
 
     /// A tiny geometry for unit tests and examples:
@@ -251,21 +230,6 @@ mod tests {
         assert_eq!(g.capacity_bytes(), 32 << 30);
         assert_eq!(g.total_banks(), 128);
         assert_eq!(g.total_subarrays(), 128 * 512);
-    }
-
-    #[test]
-    fn capacity_sweep_matches_fig16_sizes() {
-        for gb in [4u32, 8, 16, 32] {
-            let g = Geometry::with_capacity_gb(gb).unwrap();
-            assert_eq!(g.capacity_bytes(), u64::from(gb) << 30, "at {gb} GB");
-        }
-    }
-
-    #[test]
-    fn invalid_capacity_rejected() {
-        assert!(Geometry::with_capacity_gb(0).is_err());
-        assert!(Geometry::with_capacity_gb(3).is_err());
-        assert!(Geometry::with_capacity_gb(1).is_err());
     }
 
     #[test]

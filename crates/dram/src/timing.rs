@@ -36,14 +36,8 @@ pub struct TimingParams {
     pub t_ras: TimePs,
     /// PRE to ACT (row precharge time), ps.
     pub t_rp: TimePs,
-    /// CAS latency (column access), ps.
-    pub t_cl: TimePs,
     /// Column-to-column delay between bursts to the same bank group, ps.
     pub t_ccd: TimePs,
-    /// Duration of one read/write data burst (BL8 on the 64-bit bank I/O), ps.
-    pub t_burst: TimePs,
-    /// Write recovery time, ps.
-    pub t_wr: TimePs,
     /// Four-activation window, ps: at most four row activations may start
     /// within this window on one power-delivery domain. Standard DDR4
     /// enforces it per rank; Sieve's re-engineered power delivery enforces
@@ -67,29 +61,7 @@ impl TimingParams {
             t_rcd: 14_000,
             t_ras: 35_000,
             t_rp: 15_000,
-            t_cl: 14_000,
             t_ccd: 6_000,
-            t_burst: 5_000,
-            t_wr: 15_000,
-            t_faw: 21_000,
-            t_refi: 7_800_000,
-            t_rfc: 350_000,
-        }
-    }
-
-    /// A DDR4-2400 datasheet-flavoured preset (the workstation DRAM in
-    /// Table I), with a slightly tighter row cycle than [`Self::ddr4_paper`].
-    #[must_use]
-    pub fn ddr4_2400() -> Self {
-        Self {
-            t_ck: 833,
-            t_rcd: 13_320,
-            t_ras: 32_000,
-            t_rp: 13_320,
-            t_cl: 13_320,
-            t_ccd: 5_000,
-            t_burst: 3_332,
-            t_wr: 15_000,
             t_faw: 21_000,
             t_refi: 7_800_000,
             t_rfc: 350_000,
@@ -107,10 +79,7 @@ impl TimingParams {
             t_rcd: 14_000,
             t_ras: 28_000,
             t_rp: 14_000,
-            t_cl: 14_000,
             t_ccd: 2_000,
-            t_burst: 2_000,
-            t_wr: 15_000,
             t_faw: 16_000,
             t_refi: 3_900_000,
             t_rfc: 260_000,
@@ -128,10 +97,7 @@ impl TimingParams {
             t_rcd: 30_000,
             t_ras: 80_000,
             t_rp: 20_000,
-            t_cl: 30_000,
             t_ccd: 6_000,
-            t_burst: 5_000,
-            t_wr: 100_000, // NVM writes are expensive
             t_faw: 21_000,
             t_refi: 7_800_000,
             t_rfc: 0, // no refresh
@@ -183,11 +149,25 @@ impl TimingParams {
         self.t_rfc as f64 / self.t_refi as f64
     }
 
-    /// Stretches a busy duration to account for refresh interference.
+    /// Stretches a busy duration to account for refresh interference:
+    /// `busy / (1 - tRFC/tREFI)`, in integer arithmetic. The product
+    /// `busy · tREFI` is taken in `u128`, since in `u64` it wraps once a
+    /// bank is busy for more than ~2.4 s at the DDR4 `tREFI`; a result
+    /// past `u64::MAX` saturates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_rfc >= t_refi`, where refresh leaves no time to work;
+    /// `SieveConfig::validate` rejects such timing.
     #[must_use]
     pub fn with_refresh(&self, busy: TimePs) -> TimePs {
-        // busy / (1 - tRFC/tREFI), in integer arithmetic.
-        busy * self.t_refi / (self.t_refi - self.t_rfc)
+        assert!(
+            self.t_rfc < self.t_refi,
+            "t_rfc must be shorter than t_refi"
+        );
+        let stretched =
+            u128::from(busy) * u128::from(self.t_refi) / u128::from(self.t_refi - self.t_rfc);
+        TimePs::try_from(stretched).unwrap_or(TimePs::MAX)
     }
 
     /// Number of whole DRAM clocks in `dur`, rounding up.
@@ -260,14 +240,21 @@ mod tests {
         assert!((stretched as f64 / busy as f64 - 1.0 / (1.0 - o)).abs() < 1e-3);
     }
 
+    /// An hour of busy time, ~1,500× past where `busy · tREFI` wraps
+    /// `u64`, stretches by `7.8 / 7.45`, floored to the picosecond.
     #[test]
-    fn default_is_paper_preset() {
-        assert_eq!(TimingParams::default(), TimingParams::ddr4_paper());
+    fn refresh_stretch_holds_at_an_hour_of_busy_time() {
+        let hour = 3_600 * 1_000_000_000_000;
+        assert_eq!(
+            TimingParams::ddr4_paper().with_refresh(hour),
+            3_769_127_516_778_523
+        );
+        assert_eq!(TimingParams::nvm_reram().with_refresh(hour), hour);
     }
 
     #[test]
-    fn ddr4_2400_has_tighter_row_cycle() {
-        assert!(TimingParams::ddr4_2400().row_cycle() < TimingParams::ddr4_paper().row_cycle());
+    fn default_is_paper_preset() {
+        assert_eq!(TimingParams::default(), TimingParams::ddr4_paper());
     }
 
     #[test]

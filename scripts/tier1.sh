@@ -14,7 +14,11 @@ cargo build --release
 
 echo "== tier1: cargo test --workspace -q =="
 # The root package is a workspace member, so this runs every test binary
-# under tests/ and every doc-test.
+# under tests/ and every doc-test. The test build checks integer overflow
+# (the dev profile's default; kernel_equivalence's
+# test_builds_check_overflow fails if that ever changes), so a silent wrap
+# in the SWAR kernels' bit algebra, the Type-1 depth tables, the recorder's
+# sums or the traffic closed forms fails here.
 cargo test --workspace -q
 
 echo "== tier1: examples and sieve-cli (release) =="
@@ -37,42 +41,6 @@ done
 echo "== tier1: rustdoc (-D warnings) =="
 # Broken intra-doc links (e.g. to a deleted or private item) fail here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
-
-echo "== tier1: kernel differential suite under overflow checks =="
-# The SWAR kernels and their scalar twins (DESIGN.md §9) lean on
-# wrapping-free bit algebra (LCP-from-XOR, mask erosion, rolling shifts);
-# overflow checks turn any silent wrap in that algebra into a test
-# failure. The extraction and revcomp twins live in kernel_equivalence,
-# the vote and LCP twins next to their scalar references in sieve-core's
-# host and engine modules, the block-pass twin in host
-# (block_pass_twins_extract_run_vote: classify_reads and classify_stream,
-# block by block, held bit for bit to extract_kmers -> SieveDevice::run ->
-# vote_reads), the staged search of the layout's key
-# column in layout (staged_search_twins_lookup*: the global rank, the
-# rank -> subarray arithmetic with its g - 1 at g = 0, and the outcome,
-# held to a test-local first-key search -- the largest subarray whose
-# first key is at most the query -- and engine::lookup, next to the
-# store's size bound), the recorder in obs (obs::tests: its counts and
-# sums are plain u64 additions, so a wrap fails here instead of passing
-# silently), and the Type-1 per-query
-# cost twin (type1_cost_twins_reference_*: u16 depth-table prefix sums,
-# LCP from XOR on boundary keys, the row-stream sums) in sched, next to
-# the config guard that keeps those prefix sums from wrapping, and the
-# reference database build in sieve-genomics' db
-# (sort_build_twins_hash_reference: the extract -> sort -> fold build, its
-# Σ(len + 1 - k) pre-sizing and its run folds, held bit for bit to the
-# HashMap build it replaced, with and without a taxonomy, canonical on
-# and off, k in {1, 5, 16, 31, 32}, genomes holding Ns, shorter than k or
-# listed twice, and no genomes), and prof_traffic (prof::traffic's closed
-# forms are u64 products of the recorder's counts and sums, held to
-# test-local byte constants). A separate target dir keeps the special
-# RUSTFLAGS from invalidating the main cache.
-RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo test -q --test kernel_equivalence --test prof_traffic
-RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo test -q -p sieve-core --lib -- host::tests engine::tests layout::tests sched::tests config::tests obs::tests
-RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo test -q -p sieve-genomics --lib -- db::tests
 
 echo "== tier1: sievebench fmt, clippy and tests =="
 # The benchmark is its own package (outside the workspace) built against

@@ -8,12 +8,25 @@
 //! next to their `#[cfg(test)]` scalar references in sieve-core's
 //! `host.rs` and `engine.rs`.
 //!
-//! tier1.sh additionally runs this binary and those unit tests under
-//! `RUSTFLAGS="-C overflow-checks=on"` so any shift/mask arithmetic
-//! overflow in the SWAR kernels fails loudly.
+//! `cargo test` builds this binary and those unit tests with overflow
+//! checks on (the test profile's default, held by
+//! [`test_builds_check_overflow`]), so any shift/mask arithmetic overflow
+//! in the SWAR kernels fails loudly.
 
 use proptest::prelude::*;
 use sieve::genomics::{pack, revcomp_bits, Base, DnaSequence, Kmer};
+
+/// The twins here and in the crates' unit tests rely on the test build
+/// checking integer overflow; this fails if a profile or `RUSTFLAGS` ever
+/// turns the checks off.
+#[test]
+fn test_builds_check_overflow() {
+    let wrapped = std::panic::catch_unwind(|| std::hint::black_box(u64::MAX) + 1);
+    assert!(
+        wrapped.is_err(),
+        "the test build wraps u64 overflow silently"
+    );
+}
 
 /// The k grid: two odd ks with a middle base (one of them the paper's 31)
 /// and a divisor-of-64 k that keeps windows word-aligned.
