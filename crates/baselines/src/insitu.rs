@@ -123,8 +123,9 @@ impl InsituConfig {
 ///
 /// # Panics
 ///
-/// Panics if the layout is empty or a query's k differs from the stored
-/// k.
+/// Panics if the layout is empty, a query's k differs from the stored
+/// k, or `config.salp` is 0 ([`lpt_makespan`] needs at least one slot
+/// per bank).
 #[must_use]
 pub fn run(config: &InsituConfig, layout: &DeviceLayout, queries: &[Kmer]) -> BaselineReport {
     assert!(!layout.is_empty(), "row-major baseline needs loaded data");
@@ -174,7 +175,7 @@ pub fn run(config: &InsituConfig, layout: &DeviceLayout, queries: &[Kmer]) -> Ba
     }
     let makespan = bank_loads
         .into_iter()
-        .map(|loads| lpt_makespan(loads, config.salp.max(1) as usize))
+        .map(|loads| lpt_makespan(loads, config.salp as usize))
         .max()
         .unwrap_or(0);
     // Static energy over the makespan.
@@ -273,6 +274,19 @@ mod tests {
         // Sieve amortizes 868 writes over 64 queries ≈ 13.6/query.
         let c = InsituConfig::paper(InsituKind::RowMajor);
         assert_eq!(c.writes_per_query, 136);
+    }
+
+    /// A zero SALP degree leaves a bank no slot to run on: it panics even
+    /// when no query reaches a bank.
+    #[test]
+    #[should_panic(expected = "LPT needs at least one slot")]
+    fn zero_salp_is_rejected() {
+        let (device, _) = setup();
+        let config = InsituConfig {
+            salp: 0,
+            ..cfg(InsituKind::RowMajor)
+        };
+        let _ = run(&config, device.layout(), &[]);
     }
 
     #[test]

@@ -20,7 +20,9 @@ fn main() {
         },
     );
     let cpu = runner::run_cpu(&built);
-    let base = runner::run_sieve(SieveConfig::type3(8), &built);
+    // Only the group sweep changes the layout: one load serves the rest.
+    let device = runner::load_sieve(SieveConfig::type3(8), &built);
+    let base = runner::run_loaded(&device, SieveConfig::type3(8), &built);
     let base_speedup = base.speedup_over(&cpu.report);
 
     println!("Ablation: ETM segment length (T3.8SA; affects hit-identify time)\n");
@@ -33,7 +35,7 @@ fn main() {
     for seg in [64u32, 128, 256, 512, 1024] {
         let mut config = SieveConfig::type3(8);
         config.etm_segment_len = seg;
-        let run = runner::run_sieve(config, &built);
+        let run = runner::run_loaded(&device, config, &built);
         let s = run.speedup_over(&cpu.report);
         t.row([
             seg.to_string(),
@@ -49,7 +51,7 @@ fn main() {
     for flush in [0u32, 1, 2, 4, 8] {
         let mut config = SieveConfig::type3(8);
         config.etm_flush_cycles = flush;
-        let run = runner::run_sieve(config, &built);
+        let run = runner::run_loaded(&device, config, &built);
         let s = run.speedup_over(&cpu.report);
         t.row([
             flush.to_string(),
@@ -87,7 +89,7 @@ fn main() {
     for hop_ns in [1u64, 2, 4, 8, 16] {
         let mut config = SieveConfig::type2(16);
         config.hop_delay_ps = hop_ns * 1000;
-        let run = runner::run_sieve(config, &built);
+        let run = runner::run_loaded(&device, config, &built);
         t.row([hop_ns.to_string(), ratio(run.speedup_over(&cpu.report))]);
     }
     t.emit("ablation_hop_delay");

@@ -17,7 +17,6 @@ fn main() {
         "Hit rate",
         "Throughput vs k=31",
     ]);
-    let mut base_qps = None;
     let mut rows = Vec::new();
     for k in [15usize, 21, 25, 31] {
         let ds = synth::make_dataset_with(32, 8192, k, 999);
@@ -35,8 +34,6 @@ fn main() {
         .expect("fits");
         let report = device.run(&queries).expect("valid").report;
         let qps = report.throughput_qps();
-        let base = *base_qps.get_or_insert(qps);
-        let _ = base;
         rows.push((k, report, qps));
     }
     let k31_qps = rows.last().expect("k=31 present").2;

@@ -24,8 +24,10 @@ fn main() {
         let built = build(workload, BenchScale::default());
         let cpu = runner::run_cpu(&built);
         let gpu = runner::run_gpu(&built);
-        let t2 = runner::run_sieve(SieveConfig::type2(16).with_etm(false), &built);
-        let t3 = runner::run_sieve(SieveConfig::type3(8).with_etm(false), &built);
+        // T2.16CB and T3.8SA lay the references out alike.
+        let device = runner::load_sieve(SieveConfig::type3(8), &built);
+        let t2 = runner::run_loaded(&device, SieveConfig::type2(16).with_etm(false), &built);
+        let t3 = runner::run_loaded(&device, SieveConfig::type3(8).with_etm(false), &built);
         t.row([
             workload.name(),
             ratio(t2.speedup_over(&cpu.report)),

@@ -9,7 +9,7 @@ use sieve_baselines::insitu::{self, InsituConfig, InsituKind};
 use sieve_bench::runner::{self, bench_geometry, paper_scale_factor};
 use sieve_bench::table::{ratio, Table};
 use sieve_bench::workloads::{build, BenchScale, Workload};
-use sieve_core::{DeviceLayout, SieveConfig};
+use sieve_core::SieveConfig;
 
 fn main() {
     println!("Figure 13: row-major in-situ vs Sieve (speedup over CPU)\n");
@@ -26,34 +26,32 @@ fn main() {
         let built = build(workload, BenchScale::default());
         let cpu = runner::run_cpu(&built);
 
-        let sieve = runner::run_sieve(SieveConfig::type3(8), &built);
-        let col_no_etm = runner::run_sieve(SieveConfig::type3(8).with_etm(false), &built);
+        // ETM off and the ESP cap leave the layout alone: load once.
+        let device = runner::load_sieve(SieveConfig::type3(8), &built);
+        let sieve = runner::run_loaded(&device, SieveConfig::type3(8), &built);
+        let col_no_etm = runner::run_loaded(&device, SieveConfig::type3(8).with_etm(false), &built);
 
         // Row-major baselines share Sieve's layout, routing and parallelism.
-        let layout = DeviceLayout::build(
-            built.dataset.entries.clone(),
-            &SieveConfig::type3(8).with_geometry(bench_geometry()),
-        )
-        .expect("fits");
+        let layout = device.layout();
         let scale = paper_scale_factor();
         let speedup = |r: &sieve_baselines::BaselineReport| {
             r.throughput_qps() * scale / cpu.report.throughput_qps()
         };
         let rm = insitu::run(
             &InsituConfig::paper(InsituKind::RowMajor).with_geometry(bench_geometry()),
-            &layout,
+            layout,
             &built.queries,
         );
         let cd = insitu::run(
             &InsituConfig::paper(InsituKind::ComputeDram).with_geometry(bench_geometry()),
-            &layout,
+            layout,
             &built.queries,
         );
 
         // Ablation: the paper's Figure-6-driven ESP assumption (misses
         // terminate within ~10 shared bits on real data).
         let sieve_paper_esp =
-            runner::run_sieve(SieveConfig::type3(8).with_esp_override(10), &built);
+            runner::run_loaded(&device, SieveConfig::type3(8).with_esp_override(10), &built);
 
         let etm_gain = sieve.paper_qps / col_no_etm.paper_qps.max(f64::MIN_POSITIVE);
         let etm_gain_esp = sieve_paper_esp.paper_qps / col_no_etm.paper_qps.max(f64::MIN_POSITIVE);

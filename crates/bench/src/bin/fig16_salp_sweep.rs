@@ -42,14 +42,16 @@ fn main() {
                     ..BenchScale::default()
                 },
             );
+            // Every SALP degree lays the references out alike: load once.
+            let device = SieveDevice::new(
+                SieveConfig::type3(1).with_geometry(geometry),
+                built.dataset.entries.clone(),
+            )
+            .expect("fits");
             for (si, salp) in salp_values.iter().enumerate() {
-                let device = SieveDevice::new(
-                    SieveConfig::type3(*salp).with_geometry(geometry),
-                    built.dataset.entries.clone(),
-                )
-                .expect("fits");
-                let report = device.run(&built.queries).expect("valid").report;
-                let clocks = device.config().timing.clocks(report.makespan_ps);
+                let config = SieveConfig::type3(*salp).with_geometry(geometry);
+                let out = device.run_as(&config, &built.queries).expect("valid");
+                let clocks = config.timing.clocks(out.report.makespan_ps);
                 cycles[si][ci] += clocks as f64 / picks.len() as f64;
             }
         }

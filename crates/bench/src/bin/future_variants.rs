@@ -8,14 +8,16 @@
 //!   power, and a *persistent* database — the one-time load cost survives
 //!   power cycles.
 
-use sieve_bench::runner::bench_geometry;
+use sieve_bench::runner;
 use sieve_bench::table::Table;
 use sieve_bench::workloads::{build, BenchScale, Workload};
-use sieve_core::{SieveConfig, SieveDevice};
+use sieve_core::SieveConfig;
 use sieve_dram::{EnergyParams, TimingParams};
 
 fn main() {
     let built = build(Workload::FIG13[0], BenchScale::default());
+    // The presets change timing and energy, not the layout: load once.
+    let device = runner::load_sieve(SieveConfig::type3(8), &built);
     println!("Future-work projection: Type-3 (8 SA) across memory technologies\n");
     let mut t = Table::new([
         "Technology",
@@ -45,11 +47,10 @@ fn main() {
         ),
     ];
     for (label, timing, energy, notes) in variants {
-        let mut config = SieveConfig::type3(8).with_geometry(bench_geometry());
+        let mut config = SieveConfig::type3(8);
         config.timing = timing;
         config.energy = energy;
-        let device = SieveDevice::new(config, built.dataset.entries.clone()).expect("fits");
-        let report = device.run(&built.queries).expect("valid").report;
+        let report = runner::run_loaded(&device, config, &built).report;
         t.row([
             label.to_string(),
             format!("{}", timing.row_cycle() / 1000),

@@ -80,10 +80,27 @@ impl SieveRun {
 /// configuration is invalid — bench binaries treat that as a bug.
 #[must_use]
 pub fn run_sieve(config: SieveConfig, built: &BuiltWorkload) -> SieveRun {
+    run_loaded(&load_sieve(config.clone(), built), config, built)
+}
+
+/// Loads a built workload's references onto a bench device laid out for
+/// `config`, for [`run_loaded`]; panics where [`run_sieve`] does.
+#[must_use]
+pub fn load_sieve(config: SieveConfig, built: &BuiltWorkload) -> SieveDevice {
     let config = config.with_geometry(bench_geometry());
-    let device = SieveDevice::new(config, built.dataset.entries.clone())
-        .expect("bench workload must fit the bench device");
-    let out = device.run(&built.queries).expect("bench queries are valid");
+    SieveDevice::new(config, built.dataset.entries.clone())
+        .expect("bench workload must fit the bench device")
+}
+
+/// Runs `config` over a built workload on a device [`load_sieve`] loaded
+/// with its references ([`SieveDevice::run_as`]); panics if `config` is
+/// invalid or lays them out otherwise.
+#[must_use]
+pub fn run_loaded(device: &SieveDevice, config: SieveConfig, built: &BuiltWorkload) -> SieveRun {
+    let config = config.with_geometry(bench_geometry());
+    let out = device
+        .run_as(&config, &built.queries)
+        .expect("the config shares the loaded device's layout");
     let paper_qps = out.report.throughput_qps() * paper_scale_factor();
     SieveRun {
         report: out.report,

@@ -130,7 +130,9 @@ impl RowsTally {
 /// worker over the blocks it extracts; [`SieveDevice::finish_run`]
 /// merges the passes and schedules the run.
 pub(crate) struct MatchPass<'d> {
-    device: &'d SieveDevice,
+    layout: &'d DeviceLayout,
+    /// The run's ESP cap on a miss's shared prefix, in bits.
+    esp: Option<usize>,
     /// The per-lookup `rows_activated` arithmetic, hoisted out of the
     /// match loop.
     rows: etm::RowTable,
@@ -150,19 +152,20 @@ impl MatchPass<'_> {
         let _wall = trace::span("device.match");
         debug_assert_eq!(keys.len(), out.len());
         let Self {
-            device,
+            layout,
+            esp,
             rows,
             matched,
             type1,
             tally,
         } = self;
+        // Copied out of the pass, so the loop keeps them in registers.
+        let (layout, esp) = (*layout, *esp);
         matched.queries += keys.len() as u64;
-        let layout = &device.layout;
         if layout.is_empty() {
             out.fill(None);
             return;
         }
-        let esp = device.config.esp_override.map(|bits| bits as usize);
         let mut ranks = [0usize; MATCH_BLOCK];
         for (block, out) in keys.chunks(MATCH_BLOCK).zip(out.chunks_mut(MATCH_BLOCK)) {
             let ranks = &mut ranks[..block.len()];
@@ -262,7 +265,8 @@ impl SieveDevice {
     /// charging every occurrence of a repeated k-mer in full, as the
     /// device would. The host pipeline drives the same match pass over
     /// the words it extracts ([`crate::HostPipeline`]), so a batch it
-    /// classifies and the same k-mers run here give one report.
+    /// classifies and the same k-mers run here give one report. This is
+    /// [`Self::run_as`] under the device's own configuration.
     ///
     /// The match → schedule structure is deterministic: each result is
     /// written at its query's index and every merged quantity is an
@@ -275,83 +279,84 @@ impl SieveDevice {
     /// the loaded database's, and [`SieveError::BatchTooLarge`] if the
     /// batch holds more than `u32::MAX` queries.
     pub fn run(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
+        self.run_as(&self.config, queries)
+    }
+
+    /// Runs a query batch on the loaded references under `config` in place
+    /// of the device's own configuration, without loading them again.
+    /// `config` must lay them out as they lie (the same k, references per
+    /// subarray and [`crate::GroupShape`]) and hold them all: Type-2 and
+    /// Type-3 devices of one row and pattern group do, whatever their SALP,
+    /// buffers, timing, energy, ETM, ESP cap or PCIe; Type-1 shares only
+    /// with Type-1. The match and the schedule read `config` alone, so the
+    /// output is a fresh device's [`Self::run`] under `config`, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run`], and [`SieveError::InvalidConfig`] or
+    /// [`SieveError::CapacityExceeded`] for a config that is invalid, lays
+    /// the references out differently or cannot hold them.
+    pub fn run_as(&self, config: &SieveConfig, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
+        self.layout.check_config(config)?;
         check_batch_len(queries.len())?;
         self.check_queries(queries)?;
         let keys: Vec<u64> = queries.iter().map(Kmer::bits).collect();
         // `map_ranges_mut` runs at most one range per query, so no more
         // passes than that are built.
-        let threads = par::effective_threads(self.config.threads).min(queries.len().max(1));
-        let mut passes: Vec<MatchPass<'_>> = (0..threads).map(|_| self.pass()).collect();
+        let threads = par::effective_threads(config.threads).min(queries.len().max(1));
+        let mut passes: Vec<MatchPass<'_>> = (0..threads).map(|_| self.pass(config)).collect();
         let mut results = vec![None; queries.len()];
         par::map_ranges_mut(&mut passes, &mut results, |pass, offset, out| {
             pass.match_keys(&keys[offset..offset + out.len()], out);
         });
-        let report = self.finish_run(passes);
+        let report = self.finish_run(config, passes);
         Ok(RunOutput { results, report })
     }
 
-    /// A fresh match pass over this device, for one worker of one run.
-    pub(crate) fn pass(&self) -> MatchPass<'_> {
+    /// A fresh match pass under `config` (one that
+    /// [`DeviceLayout::check_config`] accepts), for one worker of one run.
+    pub(crate) fn pass<'d>(&'d self, config: &'d SieveConfig) -> MatchPass<'d> {
         // Type-1 charges no ETM flush (its scheduler recomputes each
         // query's rows from the per-batch skip bits, `min(lcp, esp) +
         // 1`), so its table, which the ESP cap reads too, is built with
         // zero flush.
-        let type1 = matches!(self.config.device, DeviceKind::Type1);
-        let bit_len = 2 * self.config.k;
-        let etm = self.config.etm_enabled;
-        let flush = if type1 {
-            0
-        } else {
-            self.config.etm_flush_cycles
-        };
+        let type1 = matches!(config.device, DeviceKind::Type1);
+        let etm = config.etm_enabled;
+        let flush = if type1 { 0 } else { config.etm_flush_cycles };
         MatchPass {
-            device: self,
-            rows: etm::RowTable::new(bit_len, etm, flush),
+            layout: &self.layout,
+            esp: config.esp_override.map(|bits| bits as usize),
+            rows: etm::RowTable::new(2 * config.k, etm, flush),
             matched: Matched {
                 queries: 0,
                 loads: vec![sched::SubLoad::default(); self.layout.occupied_subarrays()],
                 type1: Vec::new(),
             },
-            type1: (type1 && etm).then(|| sched::Type1Pass::new(&self.config, &self.layout)),
+            type1: (type1 && etm).then(|| sched::Type1Pass::new(config, &self.layout)),
             tally: RowsTally::new(),
         }
     }
 
     /// The per-run step, once after a run's last block: merges the run's
-    /// passes in range order, records the run, and schedules it from
-    /// the merged sums. The match observations (the hit counter, the
-    /// per-subarray histogram and model events) come from those sums, so
-    /// they do not depend on the split. An empty device's run takes zero
-    /// time.
+    /// passes in range order, records the run, and schedules it under
+    /// `config`, the passes' own, from the merged sums. The match
+    /// observations (the hit counter, the per-subarray histogram and
+    /// model events) come from those sums, so they do not depend on the
+    /// split. An empty device's run takes zero time.
     pub(crate) fn finish_run<'d>(
         &'d self,
+        config: &'d SieveConfig,
         passes: impl IntoIterator<Item = MatchPass<'d>>,
     ) -> SimReport {
         let matched = passes
             .into_iter()
             .map(MatchPass::finish)
             .reduce(Matched::absorb)
-            .unwrap_or_else(|| self.pass().finish());
+            .unwrap_or_else(|| self.pass(config).finish());
         obs::global().add(obs::CounterId::DeviceRuns, 1);
         let t0 = trace::global().model_ps();
-        if self.layout.is_empty() {
-            return self.run_empty(matched.queries, t0);
-        }
         self.observe_match(t0, &matched);
-        self.schedule_stage(t0, &matched)
-    }
-
-    /// A run of `queries` queries against an empty device: every query
-    /// misses in zero time.
-    fn run_empty(&self, queries: u64, t0: u64) -> SimReport {
-        let report = match self.config.device {
-            DeviceKind::Type1 => sched::simulate_type1(&self.config, &self.layout, &[], &[]),
-            _ => sched::simulate_type23(&self.config, &[]),
-        };
-        let tr = trace::global();
-        tr.emit_model("device.run", 0, t0, report.makespan_ps, queries, 0);
-        tr.advance_model_ps(report.makespan_ps);
-        report
+        self.schedule_stage(config, t0, &matched)
     }
 
     /// Records the match pass's observations from its merged sums, in
@@ -397,16 +402,16 @@ impl SieveDevice {
         }
     }
 
-    /// Schedule: times the merged work on the configured design point,
-    /// emits the run's model interval, and advances the model clock.
-    fn schedule_stage(&self, t0: u64, matched: &Matched) -> SimReport {
+    /// Schedule: times the merged work on `config`'s design point, emits
+    /// the run's model interval, and advances the model clock.
+    fn schedule_stage(&self, config: &SieveConfig, t0: u64, matched: &Matched) -> SimReport {
         let tr = trace::global();
         let _wall = tr.span("device.schedule");
-        let report = match self.config.device {
+        let report = match config.device {
             DeviceKind::Type1 => {
-                sched::simulate_type1(&self.config, &self.layout, &matched.loads, &matched.type1)
+                sched::simulate_type1(config, &self.layout, &matched.loads, &matched.type1)
             }
-            _ => sched::simulate_type23(&self.config, &matched.loads),
+            _ => sched::simulate_type23(config, &matched.loads),
         };
         tr.emit_model(
             "device.run",
@@ -425,7 +430,7 @@ impl SieveDevice {
     /// exit, so it vectorizes; only a failing batch looks for the first
     /// offender.
     fn check_queries(&self, queries: &[Kmer]) -> Result<(), SieveError> {
-        let k = self.config.k;
+        let k = self.layout.k();
         if queries.iter().fold(false, |bad, q| bad | (q.k() != k)) {
             let actual = queries.iter().map(Kmer::k).find(|&actual| actual != k);
             return Err(SieveError::KMismatch {

@@ -247,9 +247,10 @@ impl HostPipeline {
         } else {
             workers.len().min(reads.len())
         };
+        let config = self.device.config();
         let mut passes: Vec<(&mut Blocks, MatchPass<'_>)> = workers[..fan_out]
             .iter_mut()
-            .map(|blocks| (blocks, self.device.pass()))
+            .map(|blocks| (blocks, self.device.pass(config)))
             .collect();
         let totals = par::map_ranges_mut(&mut passes, out, |(blocks, pass), offset, out| {
             let reads = &reads[offset..offset + out.len()];
@@ -267,7 +268,7 @@ impl HostPipeline {
         rec.record(obs::HistId::ChunkKmers, kmers);
         Ok(self
             .device
-            .finish_run(passes.into_iter().map(|(_, pass)| pass)))
+            .finish_run(config, passes.into_iter().map(|(_, pass)| pass)))
     }
 
     /// One worker's block loop over `reads`, writing `out[i]` for

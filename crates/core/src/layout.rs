@@ -215,6 +215,29 @@ fn route(g: usize, hit: bool, refs: usize) -> usize {
     }
 }
 
+/// How `config` lays references out, for both [`DeviceLayout::build`] and
+/// [`DeviceLayout::check_config`]: k, references per subarray and the
+/// group shape (Type-1's whole row is one group of reference columns).
+fn shape(config: &SieveConfig) -> (usize, u32, GroupShape) {
+    let (cols, query_cols) = match config.device {
+        DeviceKind::Type1 => (config.geometry.cols_per_row, 0),
+        _ => (config.pattern_group_cols, QUERIES_PER_GROUP),
+    };
+    let group = GroupShape { cols, query_cols };
+    (config.k, config.refs_per_subarray(), group)
+}
+
+/// Checks that `n` references fit the device `config` describes.
+fn check_capacity(n: usize, config: &SieveConfig) -> Result<(), SieveError> {
+    if n > config.capacity_kmers() {
+        return Err(SieveError::CapacityExceeded {
+            needed_kmers: n,
+            capacity_kmers: config.capacity_kmers(),
+        });
+    }
+    Ok(())
+}
+
 /// The data layout of a whole device, and its reference store: the
 /// sorted keys and their payloads, partitioned over subarrays.
 ///
@@ -272,38 +295,36 @@ impl DeviceLayout {
         }
         entries.sort_by_key(|(k, _)| k.bits());
         entries.dedup_by_key(|(k, _)| k.bits());
-        if entries.len() > config.capacity_kmers() {
-            return Err(SieveError::CapacityExceeded {
-                needed_kmers: entries.len(),
-                capacity_kmers: config.capacity_kmers(),
-            });
-        }
+        check_capacity(entries.len(), config)?;
         let mut taxa = Vec::with_capacity(entries.len());
         let keys = entries.iter().map(|&(kmer, taxon)| {
             taxa.push(taxon);
             kmer.bits()
         });
         let keys = Bucketed::new(keys, 2 * config.k);
-        let query_cols = match config.device {
-            DeviceKind::Type1 => 0,
-            _ => QUERIES_PER_GROUP,
-        };
-        let group_cols = match config.device {
-            // Type-1 has no pattern groups; model the whole row as one
-            // group of reference columns.
-            DeviceKind::Type1 => config.geometry.cols_per_row,
-            _ => config.pattern_group_cols,
-        };
+        let (k, refs_per_subarray, group) = shape(config);
         Ok(Self {
             keys,
             taxa,
-            refs_per_subarray: config.refs_per_subarray(),
-            group: GroupShape {
-                cols: group_cols,
-                query_cols,
-            },
-            k: config.k,
+            refs_per_subarray,
+            group,
+            k,
         })
+    }
+
+    /// Checks that `config` is valid, lays these references out as they
+    /// lie and holds them all, so a run may read it in place of the config
+    /// the layout was built under ([`crate::SieveDevice::run_as`]).
+    pub(crate) fn check_config(&self, config: &SieveConfig) -> Result<(), SieveError> {
+        config.validate()?;
+        let (loaded, wanted) = ((self.k, self.refs_per_subarray, self.group), shape(config));
+        if wanted != loaded {
+            return Err(SieveError::InvalidConfig {
+                field: "layout",
+                reason: format!("(k, refs, group) {wanted:?}; loaded as {loaded:?}"),
+            });
+        }
+        check_capacity(self.len(), config)
     }
 
     /// The k of every stored k-mer.

@@ -23,22 +23,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<10} {:>14} {:>14} {:>10}",
         "design", "throughput", "energy/query", "area"
     );
-    let mut configs = vec![SieveConfig::type1()];
+    // Type-1 has its own layout; every Type-2 and Type-3 point shares one.
+    let load = |config: SieveConfig| {
+        SieveDevice::new(config.with_geometry(geometry), dataset.entries.clone())
+    };
+    let (t1, t23) = (load(SieveConfig::type1())?, load(SieveConfig::type3(1))?);
+    let mut runs = vec![(&t1, SieveConfig::type1())];
     for cb in [1u32, 16, 128] {
-        configs.push(SieveConfig::type2(cb));
+        runs.push((&t23, SieveConfig::type2(cb)));
     }
     for salp in [1u32, 8, 64] {
-        configs.push(SieveConfig::type3(salp));
+        runs.push((&t23, SieveConfig::type3(salp)));
     }
-    for config in configs {
-        let device = SieveDevice::new(config.with_geometry(geometry), dataset.entries.clone())?;
-        let out = device.run(&queries)?;
+    for (device, config) in runs {
+        let config = config.with_geometry(geometry);
+        let out = device.run_as(&config, &queries)?;
         println!(
             "{:<10} {:>11.2} Mq/s {:>11.2} nJ {:>9.2}%",
             out.report.device,
             out.report.throughput_qps() / 1e6,
             out.report.energy_per_query_nj(),
-            100.0 * area.overhead(device.config().device),
+            100.0 * area.overhead(config.device),
         );
     }
     println!("\nThe paper's conclusion: Type-1 is cheap but slow; Type-2 trades hop");

@@ -38,6 +38,15 @@ for subcommand in classify simulate; do
         --reads "$CLI_DATA/reads.fastq" > /dev/null
 done
 
+echo "== tier1: figure and table binaries (release) =="
+# No test runs the 22 binaries under crates/bench/src/bin, so one that
+# panics (say, on a sweep config its device refuses behind an .expect)
+# fails only here. They write their CSVs into a temporary directory, not
+# into results/.
+FIGURES=$(mktemp -d)
+trap 'rm -rf "$CLI_DATA" "$FIGURES"' EXIT
+./scripts/figures.sh "$FIGURES"
+
 echo "== tier1: rustdoc (-D warnings) =="
 # Broken intra-doc links (e.g. to a deleted or private item) fail here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -149,8 +149,11 @@ fn assert_configs_move(rows: &[Row<'_, SieveConfig, Out>]) {
     });
 }
 
-#[test]
-fn sieve_config() {
+/// The [`SieveConfig`] table, handed to `check` with the preset's worker
+/// count, the one inverse row. Both [`sieve_config`] and
+/// [`run_as_twins_a_fresh_device`] read it, so a new field gets a row in
+/// each at once.
+fn with_sieve_config_rows(check: impl FnOnce(&[Row<'_, SieveConfig, Out>], usize)) {
     let SieveConfig {
         device,
         geometry: _,
@@ -173,7 +176,7 @@ fn sieve_config() {
         unreachable!("the Type-2 preset")
     };
     use Out::{Energy, Makespan, Rows, WriteBursts};
-    assert_configs_move(&[
+    let rows: &[Row<'_, SieveConfig, Out>] = &[
         ("device", Makespan, t3(), &|c| c.device = DeviceKind::Type1),
         ("salp", Makespan, t3(), &|c| {
             c.device = DeviceKind::Type3 { salp: salp / 8 }
@@ -212,15 +215,90 @@ fn sieve_config() {
         ("esp_override", Rows, t3(), &|c| {
             c.esp_override = esp_override.or(Some(4))
         }),
-    ]);
+    ];
+    check(rows, threads);
+}
 
-    // The inverse row: the worker count moves nothing.
-    let (device, queries) = load(&t3().with_threads(threads + 1));
-    let sequential = device.run(&queries).unwrap();
-    let (device, _) = load(&t3().with_threads(threads + 3));
-    let parallel = device.run(&queries).unwrap();
-    assert_eq!(sequential.report, parallel.report);
-    assert_eq!(sequential.results, parallel.results);
+#[test]
+fn sieve_config() {
+    with_sieve_config_rows(|rows, threads| {
+        assert_configs_move(rows);
+
+        // The inverse row: the worker count moves nothing.
+        let (device, queries) = load(&t3().with_threads(threads + 1));
+        let sequential = device.run(&queries).unwrap();
+        let (device, _) = load(&t3().with_threads(threads + 3));
+        let parallel = device.run(&queries).unwrap();
+        assert_eq!(sequential.report, parallel.report);
+        assert_eq!(sequential.results, parallel.results);
+    });
+}
+
+/// [`SieveDevice::run_as`] twins a fresh device. Each row of the
+/// [`SieveConfig`] table, the worker count, 512-column pattern groups (16
+/// groups of 448 references keep 7,168 per subarray but change the
+/// `GroupShape`) and a bank of two subarrays (too small for the references
+/// on Type-1, invalid for the SALP and buffer counts of T2.16CB and
+/// T3.8SA) perturb T1, T2.16CB and T3.8SA on [`one_bank`]. When a
+/// fresh device of the perturbed config lays the references out as the
+/// base does (k, references per subarray and group shape), the base's
+/// `run_as` must give the fresh device's results and report bit for bit;
+/// when the fresh load fails or lays them out otherwise, `run_as` must
+/// fail.
+#[test]
+fn run_as_twins_a_fresh_device() {
+    with_sieve_config_rows(|rows, threads| {
+        let more_threads = |c: &mut SieveConfig| c.threads = threads + 3;
+        let narrow_groups = |c: &mut SieveConfig| c.pattern_group_cols = 512;
+        let two_subarrays = |c: &mut SieveConfig| c.geometry.subarrays_per_bank = 2;
+        let cases = rows
+            .iter()
+            .map(|&(field, _, _, perturb)| (field, perturb))
+            .chain([
+                ("threads", &more_threads as &dyn Fn(&mut SieveConfig)),
+                ("pattern_group_cols = 512", &narrow_groups),
+                ("two subarrays", &two_subarrays),
+            ]);
+        let shape = |layout: &DeviceLayout| {
+            let group = layout.subarray(0).group();
+            (layout.k(), layout.refs_per_subarray(), group)
+        };
+        let bases = [SieveConfig::type1().with_geometry(one_bank()), t2(), t3()];
+        let loaded = bases.each_ref().map(load);
+        let (mut shared, mut wrong) = (0, Vec::new());
+        for (field, perturb) in cases {
+            for (base, (device, queries)) in bases.iter().zip(&loaded) {
+                let mut config = base.clone();
+                perturb(&mut config);
+                let got = device.run_as(&config, queries);
+                let fresh = SieveDevice::new(config.clone(), workload(config.k).0)
+                    .ok()
+                    .filter(|fresh| shape(fresh.layout()) == shape(device.layout()));
+                shared += usize::from(fresh.is_some());
+                let why = match (fresh, got) {
+                    (Some(fresh), Ok(got)) => {
+                        let want = fresh.run(queries).unwrap();
+                        (got.results != want.results || got.report != want.report)
+                            .then(|| format!("{:?} for {:?}", got.report, want.report))
+                    }
+                    (Some(_), Err(e)) => Some(format!("refused its own layout: {e}")),
+                    (None, Ok(_)) => Some("ran on another layout".to_string()),
+                    (None, Err(_)) => None,
+                };
+                let at = base.device.label();
+                wrong.extend(why.map(|why| format!("{at} {field}: {why}")));
+            }
+        }
+        assert!(
+            wrong.is_empty(),
+            "run_as differs from a fresh device: {wrong:#?}"
+        );
+        let cases = 3 * (rows.len() + 3);
+        assert!(
+            0 < shared && shared < cases,
+            "{shared} of {cases} cases share a layout"
+        );
+    });
 }
 
 #[test]
