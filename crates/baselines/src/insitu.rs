@@ -20,7 +20,7 @@
 //!   what makes ETM possible.
 
 use sieve_core::etm::RowTable;
-use sieve_core::{lpt_makespan, DeviceLayout};
+use sieve_core::{lpt_makespan, DeviceLayout, SieveError};
 use sieve_dram::{EnergyParams, Geometry, TimePs, TimingParams};
 use sieve_genomics::Kmer;
 
@@ -88,6 +88,22 @@ impl InsituConfig {
         self
     }
 
+    /// Checks the configuration: a bank needs at least one SALP slot to
+    /// run its subarrays on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SieveError::InvalidConfig`] for `salp == 0`.
+    pub fn validate(&self) -> Result<(), SieveError> {
+        if self.salp == 0 {
+            return Err(SieveError::InvalidConfig {
+                field: "salp",
+                reason: "need at least one subarray per bank at a time".to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// Latency of one bulk comparison op, ps.
     #[must_use]
     pub fn op_latency_ps(&self) -> TimePs {
@@ -121,13 +137,21 @@ impl InsituConfig {
 /// Runs a query batch on the row-major baseline, using the same layout and
 /// routing as the Sieve device under comparison.
 ///
+/// # Errors
+///
+/// Returns [`SieveError::InvalidConfig`] if `config` fails
+/// [`InsituConfig::validate`], before any work.
+///
 /// # Panics
 ///
-/// Panics if the layout is empty, a query's k differs from the stored
-/// k, or `config.salp` is 0 ([`lpt_makespan`] needs at least one slot
-/// per bank).
-#[must_use]
-pub fn run(config: &InsituConfig, layout: &DeviceLayout, queries: &[Kmer]) -> BaselineReport {
+/// Panics if the layout is empty or a query's k differs from the stored
+/// k.
+pub fn run(
+    config: &InsituConfig,
+    layout: &DeviceLayout,
+    queries: &[Kmer],
+) -> Result<BaselineReport, SieveError> {
+    config.validate()?;
     assert!(!layout.is_empty(), "row-major baseline needs loaded data");
     assert!(
         queries.iter().all(|q| q.k() == layout.k()),
@@ -181,12 +205,12 @@ pub fn run(config: &InsituConfig, layout: &DeviceLayout, queries: &[Kmer]) -> Ba
     // Static energy over the makespan.
     energy_fj += config.energy.static_energy(banks, makespan);
 
-    BaselineReport {
+    Ok(BaselineReport {
         label: config.kind.label().to_string(),
         queries: queries.len() as u64,
         time_ps: u128::from(makespan),
         energy_fj,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -218,8 +242,8 @@ mod tests {
     #[test]
     fn computedram_beats_row_major() {
         let (device, queries) = setup();
-        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), &queries);
-        let cd = run(&cfg(InsituKind::ComputeDram), device.layout(), &queries);
+        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), &queries).unwrap();
+        let cd = run(&cfg(InsituKind::ComputeDram), device.layout(), &queries).unwrap();
         assert!(cd.time_ps < rm.time_ps, "ComputeDRAM must be faster");
     }
 
@@ -227,8 +251,8 @@ mod tests {
     fn figure13_ordering_holds() {
         // Row_Major ⪅ Col_Major(no ETM) < ComputeDRAM < Sieve (with ETM).
         let (device, queries) = setup();
-        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), &queries);
-        let cd = run(&cfg(InsituKind::ComputeDram), device.layout(), &queries);
+        let rm = run(&cfg(InsituKind::RowMajor), device.layout(), &queries).unwrap();
+        let cd = run(&cfg(InsituKind::ComputeDram), device.layout(), &queries).unwrap();
 
         let ds_entries = dataset().entries;
         let no_etm = SieveDevice::new(
@@ -276,28 +300,34 @@ mod tests {
         assert_eq!(c.writes_per_query, 136);
     }
 
-    /// A zero SALP degree leaves a bank no slot to run on: it panics even
-    /// when no query reaches a bank.
+    /// A zero SALP degree leaves a bank no slot to run on: a typed error,
+    /// with or without queries.
     #[test]
-    #[should_panic(expected = "LPT needs at least one slot")]
     fn zero_salp_is_rejected() {
-        let (device, _) = setup();
+        let (device, queries) = setup();
         let config = InsituConfig {
             salp: 0,
             ..cfg(InsituKind::RowMajor)
         };
-        let _ = run(&config, device.layout(), &[]);
+        for queries in [&queries[..], &[]] {
+            match run(&config, device.layout(), queries) {
+                Err(SieveError::InvalidConfig { field, .. }) => assert_eq!(field, "salp"),
+                other => panic!("expected a salp error, got {other:?}"),
+            }
+        }
+        assert!(InsituConfig { salp: 1, ..config }.validate().is_ok());
     }
 
     #[test]
     fn energy_grows_with_query_count() {
         let (device, queries) = setup();
-        let full = run(&cfg(InsituKind::RowMajor), device.layout(), &queries);
+        let full = run(&cfg(InsituKind::RowMajor), device.layout(), &queries).unwrap();
         let half = run(
             &cfg(InsituKind::RowMajor),
             device.layout(),
             &queries[..queries.len() / 2],
-        );
+        )
+        .unwrap();
         assert!(full.energy_fj > half.energy_fj);
     }
 }

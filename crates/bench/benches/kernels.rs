@@ -54,20 +54,19 @@ fn bench_engine_lookup(c: &mut Criterion) {
     g.finish();
 }
 
-/// The host kernels (DESIGN.md §9) over the same read batch: packed
-/// rolling extraction and the branchless majority vote. Same group as the
-/// match kernel so one `match_kernel` filter covers the host hot path end
-/// to end; `kmer_extraction/rolling_100_reads` is the per-base reference.
-/// `extract` drives the SWAR extractor ([`pack::Extractor`]) over the
-/// whole batch into one reused word buffer, as the classify calls do one
-/// block at a time.
+/// The host kernels (DESIGN.md §9) over the same read batch: byte-rolling
+/// extraction and the branchless majority vote. Same group as the match
+/// kernel so one `match_kernel` filter covers the host hot path end to
+/// end; `kmer_extraction/rolling_100_reads` is the per-base reference.
+/// `extract` rolls the whole batch's words
+/// (`DnaSequence::extract_words_into`) into one reused word buffer, as
+/// the classify calls do one block at a time.
 fn bench_host_kernels(c: &mut Criterion) {
     use sieve_core::vote_reads;
-    use sieve_genomics::{pack, TaxonId};
+    use sieve_genomics::TaxonId;
     let ds = synth::make_dataset_with(2, 2048, 31, 3);
     let (reads, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 100, 4);
     let total: usize = reads.iter().map(|r| r.kmer_count(31)).sum();
-    let mut extractor = pack::Extractor::new();
     let mut words = Vec::with_capacity(total);
     // Vote input: the real pipeline shape — owners grouped per read with
     // a mix of misses, unanimous reads, and contested reads.
@@ -93,7 +92,7 @@ fn bench_host_kernels(c: &mut Criterion) {
         b.iter(|| {
             words.clear();
             for read in &reads {
-                extractor.extract_forward_into(read, 31, &mut words);
+                read.extract_words_into(31, &mut words);
             }
             std::hint::black_box(&words).len()
         });

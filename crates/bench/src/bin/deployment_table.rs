@@ -32,12 +32,11 @@ fn main() {
         // Power at paper scale (the full 32 GB module).
         let peak = SieveApi::peak_power_w(&config);
         let bench_config = config.clone().with_geometry(bench_geometry());
-        let dimm_ok = SieveApi::deploy(
-            bench_config.clone(),
-            Transport::dimm(),
-            built.dataset.entries.clone(),
-        )
-        .is_ok();
+        // The check `deploy` runs before it loads anything; the PCIe
+        // deploy below shows that the layout builds.
+        let dimm_ok = Transport::dimm()
+            .validate(&bench_config, SieveApi::peak_power_w(&bench_config))
+            .is_ok();
         let api = SieveApi::deploy(
             bench_config,
             Transport::pcie_gen4_x16(),

@@ -41,12 +41,14 @@ fn main() {
             &InsituConfig::paper(InsituKind::RowMajor).with_geometry(bench_geometry()),
             layout,
             &built.queries,
-        );
+        )
+        .expect("the paper's row-major config is valid");
         let cd = insitu::run(
             &InsituConfig::paper(InsituKind::ComputeDram).with_geometry(bench_geometry()),
             layout,
             &built.queries,
-        );
+        )
+        .expect("the paper's ComputeDRAM config is valid");
 
         // Ablation: the paper's Figure-6-driven ESP assumption (misses
         // terminate within ~10 shared bits on real data).

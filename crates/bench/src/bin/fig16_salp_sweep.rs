@@ -4,8 +4,10 @@
 //!
 //! Paper shape: cycles fall with more concurrent subarrays and with more
 //! capacity (more banks), and the SALP benefit plateaus after ~8
-//! subarrays. In this scaled run the plateau appears where SALP reaches
-//! the occupied-subarrays-per-bank of the workload.
+//! subarrays. In this scaled run every workload flattens from 16 SA,
+//! also those with more occupied subarrays per bank than that: a bank's
+//! four-activation window (tFAW) caps its activation rate, not the
+//! subarray count (EXPERIMENTS.md, Figure 16).
 
 use sieve_bench::table::Table;
 use sieve_bench::workloads::{build, BenchScale, Workload};

@@ -12,7 +12,8 @@
 //! (a batch, or each chunk of a stream) is one device run, taken block by
 //! block. A block extracts whole reads into reused
 //! buffers until it holds [`HOST_BLOCK`] k-mers, each a bare `2k`-bit
-//! word at the device's k, matches them through the device's match pass,
+//! word at the device's k rolled straight off the read's bytes, matches
+//! them through the device's match pass,
 //! which carries the run's per-subarray sums from block to block, and
 //! votes its reads; the run is scheduled once, after the last block. A
 //! call therefore holds one block of k-mers, not the whole batch, and a
@@ -23,7 +24,7 @@
 //! is the device makespan the report carries, not a wall-clock property
 //! of the simulator.
 
-use sieve_genomics::{pack, DnaSequence, Kmer, TaxonId};
+use sieve_genomics::{DnaSequence, Kmer, TaxonId};
 
 use crate::device::{self, MatchPass, SieveDevice};
 use crate::error::SieveError;
@@ -73,7 +74,6 @@ fn max_kmers(read: &DnaSequence, k: usize) -> usize {
 /// the chunks of a stream.
 #[derive(Default)]
 struct Blocks {
-    extractor: pack::Extractor,
     /// The block's k-mers as `2k`-bit words.
     kmers: Vec<u64>,
     /// Each k-mer's read, counted from the block's first.
@@ -142,7 +142,7 @@ impl HostPipeline {
     /// ([`DnaSequence::kmers`]): the whole batch that the classify calls
     /// never materialize. With [`SieveDevice::run`] and [`vote_reads`] it
     /// composes the reference the block pass is held to, so that
-    /// reference also holds the SWAR extractor to its scalar twin.
+    /// reference also holds the block pass's extractor to the iterator.
     #[must_use]
     pub fn extract_kmers(&self, reads: &[DnaSequence]) -> (Vec<Kmer>, Vec<u32>) {
         let k = self.device.config().k;
@@ -276,10 +276,10 @@ impl HostPipeline {
     /// than [`HOST_BLOCK`] k-mers, matches their words through `pass`,
     /// and votes its reads. Returns the k-mers and bases it took.
     ///
-    /// Extraction runs the SWAR extractor: each read is packed to 2 bits
-    /// per base, 32 per `u64`, and its windows rolled out of the packing
-    /// ([`pack::Extractor`]). The rolling per-base iterator
-    /// ([`DnaSequence::kmers`]) is its scalar reference;
+    /// Extraction rolls each read's words straight off its bytes, one
+    /// shift, OR and mask per base, with a run counter that an `N`
+    /// resets ([`DnaSequence::extract_words_into`]). The rolling per-base
+    /// iterator ([`DnaSequence::kmers`]) is its reference;
     /// `tests/kernel_equivalence.rs` proves the two streams identical.
     fn classify_blocks(
         &self,
@@ -300,9 +300,7 @@ impl HostPipeline {
                 while next < reads.len() && blocks.kmers.len() < HOST_BLOCK {
                     let read = &reads[next];
                     blocks.reserve(max_kmers(read, k));
-                    blocks
-                        .extractor
-                        .extract_forward_into(read, k, &mut blocks.kmers);
+                    read.extract_words_into(k, &mut blocks.kmers);
                     blocks
                         .owners
                         .resize(blocks.kmers.len(), (next - first) as u32);

@@ -20,7 +20,6 @@ use std::collections::HashMap;
 
 use crate::error::GenomicsError;
 use crate::kmer::{canonical_bits, Kmer};
-use crate::pack::Extractor;
 use crate::sequence::DnaSequence;
 use crate::taxonomy::{TaxonId, Taxonomy};
 
@@ -61,12 +60,12 @@ impl Default for DbOptions {
 /// genomes. K-mers occurring in several taxa get the LCA of those taxa when
 /// a taxonomy is provided (Kraken's rule), otherwise the smallest taxon id.
 ///
-/// Extract, sort, fold: every genome's `2k`-bit words come out of the SWAR
-/// [`Extractor`] (canonicalized if `options.canonical`) into one
-/// `(word, taxon)` vector, one unstable sort brings equal words together,
-/// and each run of equal words folds into one entry. The LCA and the
-/// minimum are both order-free, so the sort's order within a run cannot
-/// change an entry.
+/// Extract, sort, fold: every genome's `2k`-bit words come out of
+/// [`DnaSequence::extract_words_into`] (canonicalized if
+/// `options.canonical`) into one `(word, taxon)` vector, one unstable sort
+/// brings equal words together, and each run of equal words folds into
+/// one entry. The LCA and the minimum are both order-free, so the sort's
+/// order within a run cannot change an entry.
 ///
 /// # Errors
 ///
@@ -92,11 +91,10 @@ pub fn build_entries(
         .map(|(_, seq)| (seq.len() + 1).saturating_sub(k))
         .sum();
     let mut pairs: Vec<(u64, TaxonId)> = Vec::with_capacity(windows);
-    let mut extractor = Extractor::new();
     let mut words = Vec::new();
     for (taxon, seq) in genomes {
         words.clear();
-        extractor.extract_forward_into(seq, k, &mut words);
+        seq.extract_words_into(k, &mut words);
         pairs.extend(words.iter().map(|&word| {
             let word = if options.canonical {
                 canonical_bits(word, k)

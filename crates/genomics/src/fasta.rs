@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 use crate::error::GenomicsError;
-use crate::sequence::DnaSequence;
+use crate::sequence::{check_alphabet, DnaSequence};
 
 /// One FASTA record: a header line and a sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct FastaRecord {
 pub fn parse(text: &str) -> Result<Vec<FastaRecord>, GenomicsError> {
     fn finish(
         id: String,
-        body: &[u8],
+        body: Vec<u8>,
         start: usize,
         records: &mut Vec<FastaRecord>,
     ) -> Result<(), GenomicsError> {
@@ -47,14 +47,10 @@ pub fn parse(text: &str) -> Result<Vec<FastaRecord>, GenomicsError> {
                 reason: format!("record `{id}` has an empty sequence"),
             });
         }
-        let sequence = DnaSequence::from_bytes(body).map_err(|e| match e {
-            GenomicsError::InvalidBase { byte } => GenomicsError::MalformedFasta {
-                line: start,
-                reason: format!("invalid sequence byte 0x{byte:02x}"),
-            },
-            other => other,
-        })?;
-        records.push(FastaRecord { id, sequence });
+        records.push(FastaRecord {
+            id,
+            sequence: DnaSequence::from_checked(body),
+        });
         Ok(())
     }
 
@@ -68,7 +64,7 @@ pub fn parse(text: &str) -> Result<Vec<FastaRecord>, GenomicsError> {
         }
         if let Some(header) = line.strip_prefix('>') {
             if let Some((id, body, start)) = current.take() {
-                finish(id, &body, start, &mut records)?;
+                finish(id, body, start, &mut records)?;
             }
             current = Some((header.trim().to_string(), Vec::new(), lineno));
         } else {
@@ -78,19 +74,19 @@ pub fn parse(text: &str) -> Result<Vec<FastaRecord>, GenomicsError> {
                     reason: "sequence data before any `>` header".to_string(),
                 });
             };
-            // Validate eagerly so the error carries the right line number.
-            DnaSequence::from_bytes(line.as_bytes()).map_err(|e| match e {
-                GenomicsError::InvalidBase { byte } => GenomicsError::MalformedFasta {
+            // Checked in place, so the error carries the line's number
+            // and the body is built once, from checked lines.
+            if let Err(GenomicsError::InvalidBase { byte }) = check_alphabet(line.as_bytes()) {
+                return Err(GenomicsError::MalformedFasta {
                     line: lineno,
                     reason: format!("invalid sequence byte 0x{byte:02x}"),
-                },
-                other => other,
-            })?;
+                });
+            }
             body.extend_from_slice(line.as_bytes());
         }
     }
     if let Some((id, body, start)) = current.take() {
-        finish(id, &body, start, &mut records)?;
+        finish(id, body, start, &mut records)?;
     }
     Ok(records)
 }
@@ -148,6 +144,22 @@ mod tests {
     fn invalid_byte_rejected_with_line() {
         let err = parse(">x\nAC!T\n").unwrap_err();
         assert!(err.to_string().contains("line 2"));
+        // On a record's third sequence line, after a valid record.
+        let err = parse(">w\nAC\n>x\nACGT\nacgt\nAC!T\nACGT\n").unwrap_err();
+        assert_eq!(
+            err,
+            GenomicsError::MalformedFasta {
+                line: 6,
+                reason: "invalid sequence byte 0x21".to_string(),
+            }
+        );
+    }
+
+    #[test]
+    fn multiline_lowercase_body_is_one_upper_case_sequence() {
+        let rs = parse(">x\nacgt\nNNac\n\n>y\nt\n").unwrap();
+        assert_eq!(rs[0].sequence.as_bytes(), b"ACGTNNAC");
+        assert_eq!(rs[1].sequence.as_bytes(), b"T");
     }
 
     #[test]

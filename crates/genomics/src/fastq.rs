@@ -22,6 +22,11 @@ pub struct FastqRecord {
 
 /// Parses FASTQ text (strict 4-line records).
 ///
+/// The text is walked once, line by line, into a vector allocated at its
+/// final size, so the call holds nothing beyond what it returns. Blank
+/// lines between records are skipped, and line ends may be `\n` or
+/// `\r\n`.
+///
 /// # Errors
 ///
 /// Returns [`GenomicsError::MalformedFastq`] on truncated records, missing
@@ -38,60 +43,67 @@ pub struct FastqRecord {
 /// # Ok::<(), sieve_genomics::GenomicsError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Vec<FastqRecord>, GenomicsError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut records = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        if lines[i].trim().is_empty() {
-            i += 1;
+    let malformed = |line: usize, reason: String| GenomicsError::MalformedFastq { line, reason };
+    let mut records = Vec::with_capacity(count_records(text));
+    let mut lines = text.lines();
+    // The 1-based number of the line `lines` returned last.
+    let mut line = 0;
+    while let Some(header) = lines.next() {
+        line += 1;
+        if header.trim().is_empty() {
             continue;
         }
-        if i + 3 >= lines.len() {
-            return Err(GenomicsError::MalformedFastq {
-                line: i + 1,
-                reason: "truncated record (need 4 lines)".to_string(),
-            });
-        }
-        let id = lines[i]
+        let (Some(seq), Some(plus), Some(quality)) = (lines.next(), lines.next(), lines.next())
+        else {
+            return Err(malformed(
+                line,
+                "truncated record (need 4 lines)".to_string(),
+            ));
+        };
+        let id = header
             .strip_prefix('@')
-            .ok_or_else(|| GenomicsError::MalformedFastq {
-                line: i + 1,
-                reason: "expected `@` header".to_string(),
-            })?
+            .ok_or_else(|| malformed(line, "expected `@` header".to_string()))?
             .trim()
             .to_string();
-        let sequence =
-            DnaSequence::from_bytes(lines[i + 1].trim_end().as_bytes()).map_err(|e| {
-                GenomicsError::MalformedFastq {
-                    line: i + 2,
-                    reason: e.to_string(),
-                }
-            })?;
-        if !lines[i + 2].starts_with('+') {
-            return Err(GenomicsError::MalformedFastq {
-                line: i + 3,
-                reason: "expected `+` separator".to_string(),
-            });
+        let sequence = DnaSequence::from_bytes(seq.trim_end().as_bytes())
+            .map_err(|e| malformed(line + 1, e.to_string()))?;
+        if !plus.starts_with('+') {
+            return Err(malformed(line + 2, "expected `+` separator".to_string()));
         }
-        let quality = lines[i + 3].trim_end().to_string();
+        let quality = quality.trim_end();
         if quality.len() != sequence.len() {
-            return Err(GenomicsError::MalformedFastq {
-                line: i + 4,
-                reason: format!(
+            return Err(malformed(
+                line + 3,
+                format!(
                     "quality length {} != sequence length {}",
                     quality.len(),
                     sequence.len()
                 ),
-            });
+            ));
         }
         records.push(FastqRecord {
             id,
             sequence,
-            quality,
+            quality: quality.to_string(),
         });
-        i += 4;
+        line += 3;
     }
     Ok(records)
+}
+
+/// The number of records [`parse`] returns for `text` when it parses:
+/// records start at the first non-blank line and at the first non-blank
+/// line after each record's four.
+fn count_records(text: &str) -> usize {
+    let mut lines = text.lines();
+    let mut records = 0;
+    while let Some(header) = lines.next() {
+        if !header.trim().is_empty() {
+            records += 1;
+            lines.nth(2);
+        }
+    }
+    records
 }
 
 /// Serializes records to FASTQ text.
@@ -144,6 +156,37 @@ mod tests {
             quality: "IIII#".into(),
         }];
         assert_eq!(parse(&write(&records)).unwrap(), records);
+    }
+
+    #[test]
+    fn errors_keep_their_line_numbers() {
+        let good = "\n@a\nAC\n+\nII\n\n";
+        for (bad, line, reason) in [
+            ("@b\nAC\n+\n", 7, "truncated"),
+            ("b\nAC\n+\nII\n", 7, "`@` header"),
+            ("@b\nAX\n+\nII\n", 8, "0x58"),
+            ("@b\nAC\n-\nII\n", 9, "`+` separator"),
+            ("@b\nAC\n+\nI\n", 10, "quality length"),
+        ] {
+            let err = parse(&format!("{good}{bad}")).unwrap_err();
+            assert!(
+                matches!(&err, GenomicsError::MalformedFastq { line: at, reason: why }
+                    if *at == line && why.contains(reason)),
+                "{bad:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn records_fill_their_vector_exactly() {
+        // Blank lines, CRLF ends and an empty read between records.
+        let text = "\r\n@a\r\nACGT\r\n+\r\nIIII\r\n\r\n\n@e\n\n+\n\n\n@b\nTT\n+\nII";
+        let rs = parse(text).unwrap();
+        assert_eq!(rs.len(), 3);
+        assert_eq!(rs.capacity(), 3);
+        assert_eq!(rs[0].quality, "IIII");
+        assert!(rs[1].sequence.is_empty());
+        assert_eq!(rs[2].sequence.to_string(), "TT");
     }
 
     #[test]

@@ -52,7 +52,6 @@ mod error;
 pub mod fasta;
 pub mod fastq;
 mod kmer;
-pub mod pack;
 mod sequence;
 pub mod stats;
 pub mod synth;

@@ -5,7 +5,37 @@ use std::str::FromStr;
 
 use crate::base::Base;
 use crate::error::GenomicsError;
-use crate::kmer::Kmer;
+use crate::kmer::{Kmer, MAX_K};
+
+/// Whether `byte` is in the sequence alphabet, case-insensitive `ACGTN`.
+/// Setting bit 5 folds an ASCII capital onto its lower case and maps no
+/// other byte onto a letter, so one OR and five compares decide it.
+const fn is_sequence_byte(byte: u8) -> bool {
+    matches!(byte | 0x20, b'a' | b'c' | b'g' | b't' | b'n')
+}
+
+/// Checks `bytes` against the sequence alphabet, case-insensitive
+/// `ACGTN`, in place. The scan has no early exit, so it vectorizes; only
+/// failing input looks for the first offender.
+///
+/// # Errors
+///
+/// Returns [`GenomicsError::InvalidBase`] with the first byte outside the
+/// alphabet, upper-cased.
+pub(crate) fn check_alphabet(bytes: &[u8]) -> Result<(), GenomicsError> {
+    if bytes
+        .iter()
+        .fold(false, |bad, &b| bad | !is_sequence_byte(b))
+    {
+        let byte = bytes.iter().copied().find(|&b| !is_sequence_byte(b));
+        return Err(GenomicsError::InvalidBase {
+            byte: byte
+                .expect("the scan found a byte outside the alphabet")
+                .to_ascii_uppercase(),
+        });
+    }
+    Ok(())
+}
 
 /// A DNA sequence stored as validated ASCII (`ACGT` plus the ambiguity code
 /// `N`).
@@ -44,15 +74,18 @@ impl DnaSequence {
     ///
     /// Returns [`GenomicsError::InvalidBase`] on any other byte.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, GenomicsError> {
-        let mut data = Vec::with_capacity(bytes.len());
-        for &b in bytes {
-            let up = b.to_ascii_uppercase();
-            match up {
-                b'A' | b'C' | b'G' | b'T' | b'N' => data.push(up),
-                other => return Err(GenomicsError::InvalidBase { byte: other }),
-            }
-        }
-        Ok(Self { data })
+        check_alphabet(bytes)?;
+        Ok(Self {
+            data: bytes.to_ascii_uppercase(),
+        })
+    }
+
+    /// Takes bytes that passed [`check_alphabet`] as a sequence, upper-cased
+    /// in place and trimmed to their length.
+    pub(crate) fn from_checked(mut data: Vec<u8>) -> Self {
+        data.make_ascii_uppercase();
+        data.shrink_to_fit();
+        Self { data }
     }
 
     /// Builds a pure-ACGT sequence from bases.
@@ -121,13 +154,43 @@ impl DnaSequence {
     ///
     /// Panics if `k` is 0 or greater than 32.
     pub fn kmers(&self, k: usize) -> Kmers<'_> {
-        assert!((1..=crate::kmer::MAX_K).contains(&k), "k must be in 1..=32");
+        assert!((1..=MAX_K).contains(&k), "k must be in 1..=32");
         Kmers {
             seq: &self.data,
             k,
             pos: 0,
             current: None,
         }
+    }
+
+    /// Appends the `2k`-bit word ([`Kmer::bits`]) of every valid k-mer
+    /// window to `out`, in offset order, and returns how many it
+    /// appended: the words of [`DnaSequence::kmers`], its reference.
+    ///
+    /// One pass over the bytes. Each byte rolls into the window's word
+    /// through the ASCII identity `(byte >> 1) & 3`, which maps `A/C/G/T`
+    /// to the paper's `00/01/11/10` codes, and extends the run of bases
+    /// since the last `N`. An `N` rolls in a garbage code and restarts the
+    /// run, and a window is emitted once the run covers all k of its
+    /// bases, so exactly the k windows that hold an `N` are skipped. A
+    /// sequence holds only `ACGTN`, so no other byte needs a case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is 0 or greater than 32.
+    pub fn extract_words_into(&self, k: usize, out: &mut Vec<u64>) -> usize {
+        assert!((1..=MAX_K).contains(&k), "k must be in 1..=32");
+        let mask = u64::MAX >> (64 - 2 * k);
+        let before = out.len();
+        let (mut word, mut run) = (0u64, 0usize);
+        for &b in &self.data {
+            word = ((word << 2) | u64::from((b >> 1) & 3)) & mask;
+            run = if b == b'N' { 0 } else { run + 1 };
+            if run >= k {
+                out.push(word);
+            }
+        }
+        out.len() - before
     }
 
     /// Number of valid k-mers (equals `self.kmers(k).count()` but O(len)).
@@ -234,6 +297,53 @@ mod tests {
     fn parse_validates_alphabet() {
         assert!("ACGTN".parse::<DnaSequence>().is_ok());
         assert!("ACGU".parse::<DnaSequence>().is_err());
+    }
+
+    #[test]
+    fn alphabet_is_acgtn_in_either_case() {
+        for byte in 0..=u8::MAX {
+            let want = matches!(byte.to_ascii_uppercase(), b'A' | b'C' | b'G' | b'T' | b'N');
+            let got = DnaSequence::from_bytes(&[b'A', byte]).is_ok();
+            assert_eq!(got, want, "byte {byte:#04x}");
+        }
+        assert_eq!(
+            DnaSequence::from_bytes(b"acgtn").unwrap().as_bytes(),
+            b"ACGTN"
+        );
+    }
+
+    #[test]
+    fn invalid_base_names_the_first_offender_upper_cased() {
+        assert_eq!(
+            DnaSequence::from_bytes(b"acgnxu"),
+            Err(GenomicsError::InvalidBase { byte: b'X' })
+        );
+        // Past the scan's vector width, in the last position.
+        let mut long = vec![b'a'; 1000];
+        long.push(b'!');
+        assert_eq!(
+            DnaSequence::from_bytes(&long),
+            Err(GenomicsError::InvalidBase { byte: b'!' })
+        );
+    }
+
+    #[test]
+    fn golden_words() {
+        // A=00 C=01 G=11 T=10, first base in the high bits:
+        // "ACGT" is 0b00_01_11_10.
+        let seq: DnaSequence = "ACGTNAC".parse().unwrap();
+        let mut out = vec![7];
+        assert_eq!(seq.extract_words_into(4, &mut out), 1);
+        assert_eq!(out, [7, 0b0001_1110]);
+        assert_eq!(seq.extract_words_into(2, &mut out), 4);
+        assert_eq!(out[2..], [0b0001, 0b0111, 0b1110, 0b0001]);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be in 1..=32")]
+    fn zero_k_extraction_panics() {
+        let seq: DnaSequence = "ACGT".parse().unwrap();
+        seq.extract_words_into(0, &mut Vec::new());
     }
 
     #[test]

@@ -14,10 +14,13 @@
 #   * every workload's peak_heap_mb is at most its ceiling below: the
 #     host classifies block by block, so a call holds one block of
 #     k-mers besides its per-read output (~0.4-0.6 MB), and
-#     mg_fastq_stream also its parsed reads (~4.3 MB). peak_heap_mb
-#     repeats exactly for a seed at one thread, so this check cannot
-#     flake; a call that materializes its whole batch again (19.84 MB
-#     on mg_batch before the block pass) fails it;
+#     mg_fastq_stream also its parsed reads (~2.8 MB: the records
+#     fastq::parse returns, in a vector allocated once at its final
+#     size). peak_heap_mb repeats exactly for a seed at one thread, so
+#     this check cannot flake; a call that materializes its whole batch
+#     again (19.84 MB on mg_batch before the block pass), or a parse
+#     that indexes its lines first (4.31 MB on mg_fastq_stream), fails
+#     it;
 #   * every workload's setup_s is at most its ceiling below, about twice
 #     what the sort-and-fold database build read in 2 s traced runs on
 #     a 2-vCPU Xeon VM (~0.006 s on the 16-taxon workloads, ~0.06-0.07 s
@@ -44,7 +47,7 @@ BEGIN {
     floor["large_ref"] = 139000
     floor["t1_batch"] = 73000
     ceiling["mg_batch"] = "1.0"
-    ceiling["mg_fastq_stream"] = "5.0"
+    ceiling["mg_fastq_stream"] = "3.0"
     ceiling["hot_stream"] = "1.0"
     ceiling["large_ref"] = "1.0"
     ceiling["t1_batch"] = "1.0"

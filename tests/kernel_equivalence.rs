@@ -1,20 +1,20 @@
 //! Differential harness for the host extraction kernels (DESIGN.md §9):
-//! the SWAR k-mer extraction and the word-level revcomp/canonical kernels
-//! must be identical to their scalar references on *every* input,
+//! the byte-rolling k-mer extraction and the word-level revcomp/canonical
+//! kernels must be identical to their scalar references on *every* input,
 //! not just typical reads. This file drives both implementations over
-//! adversarial grids (N-density sweeps, reads straddling the 32-base word
-//! boundary, palindromes, empty and sub-k reads) and over seeded random
-//! inputs. The vote and LCP twins are crate-private, so their tests sit
-//! next to their `#[cfg(test)]` scalar references in sieve-core's
-//! `host.rs` and `engine.rs`.
+//! adversarial grids (N-density sweeps, an `N` at every offset,
+//! palindromes, empty and sub-k reads, k from 1 to 32) and over seeded
+//! random inputs. The vote and LCP twins are crate-private, so their
+//! tests sit next to their `#[cfg(test)]` scalar references in
+//! sieve-core's `host.rs` and `engine.rs`.
 //!
 //! `cargo test` builds this binary and those unit tests with overflow
 //! checks on (the test profile's default, held by
 //! [`test_builds_check_overflow`]), so any shift/mask arithmetic overflow
-//! in the SWAR kernels fails loudly.
+//! in the kernels fails loudly.
 
 use proptest::prelude::*;
-use sieve::genomics::{pack, revcomp_bits, Base, DnaSequence, Kmer};
+use sieve::genomics::{revcomp_bits, Base, DnaSequence, Kmer};
 
 /// The twins here and in the crates' unit tests rely on the test build
 /// checking integer overflow; this fails if a profile or `RUSTFLAGS` ever
@@ -28,9 +28,10 @@ fn test_builds_check_overflow() {
     );
 }
 
-/// The k grid: two odd ks with a middle base (one of them the paper's 31)
-/// and a divisor-of-64 k that keeps windows word-aligned.
-const KS: [usize; 3] = [15, 21, 31];
+/// The k grid: both ends of the supported range (k = 32 leaves the word
+/// no spare bits), and three odd ks with a middle base, one of them the
+/// paper's 31.
+const KS: [usize; 5] = [1, 15, 21, 31, 32];
 
 /// N-density sweep, in percent.
 const DENSITIES: [u32; 4] = [0, 1, 50, 100];
@@ -59,9 +60,9 @@ fn lcg_read(len: usize, n_percent: u32, seed: u64) -> DnaSequence {
     s.parse().expect("alphabet is ACGTN")
 }
 
-/// The scalar reference extraction: the rolling per-base iterator, read
-/// by read, each k-mer as its `2k`-bit word.
-fn scalar_extract(reads: &[DnaSequence], k: usize) -> (Vec<u64>, Vec<u32>) {
+/// The reference extraction: the rolling per-base iterator, read by read,
+/// each k-mer as its `2k`-bit word.
+fn reference_extract(reads: &[DnaSequence], k: usize) -> (Vec<u64>, Vec<u32>) {
     let mut kmers = Vec::new();
     let mut owners = Vec::new();
     for (ri, read) in reads.iter().enumerate() {
@@ -73,14 +74,14 @@ fn scalar_extract(reads: &[DnaSequence], k: usize) -> (Vec<u64>, Vec<u32>) {
     (kmers, owners)
 }
 
-/// The SWAR extraction driven directly through `pack::Extractor`, with
-/// owner tags assigned the same way the pipeline does.
-fn swar_extract(reads: &[DnaSequence], k: usize) -> (Vec<u64>, Vec<u32>) {
+/// The byte-rolling extraction the pipeline runs
+/// (`DnaSequence::extract_words_into`), with owner tags assigned the same
+/// way the pipeline does.
+fn rolled_extract(reads: &[DnaSequence], k: usize) -> (Vec<u64>, Vec<u32>) {
     let mut kmers = Vec::new();
     let mut owners = Vec::new();
-    let mut ex = pack::Extractor::new();
     for (ri, read) in reads.iter().enumerate() {
-        let n = ex.extract_forward_into(read, k, &mut kmers);
+        let n = read.extract_words_into(k, &mut kmers);
         owners.resize(owners.len() + n, ri as u32);
     }
     (kmers, owners)
@@ -89,9 +90,9 @@ fn swar_extract(reads: &[DnaSequence], k: usize) -> (Vec<u64>, Vec<u32>) {
 /// Asserts both extraction twins agree on `reads`: the word stream and
 /// the owner tags.
 fn assert_extract_twins(reads: &[DnaSequence], k: usize, label: &str) {
-    let scalar = scalar_extract(reads, k);
-    let swar = swar_extract(reads, k);
-    assert_eq!(swar, scalar, "forward extraction diverged: {label}");
+    let reference = reference_extract(reads, k);
+    let rolled = rolled_extract(reads, k);
+    assert_eq!(rolled, reference, "forward extraction diverged: {label}");
 }
 
 // ---------------------------------------------------------------------
@@ -100,10 +101,10 @@ fn assert_extract_twins(reads: &[DnaSequence], k: usize, label: &str) {
 
 #[test]
 fn extraction_grid_densities_and_lengths() {
-    // The satellite grid: N densities × read lengths around k and the
-    // 32-base word boundary × the k grid, single reads and batches.
+    // N densities × read lengths around k × the k grid, single reads and
+    // batches.
     for &k in &KS {
-        let lens = [0, 1, k - 1, k, k + 1, 31, 32, 33, 1000];
+        let lens = [0, 1, k - 1, k, k + 1, 1000];
         for &density in &DENSITIES {
             let mut batch = Vec::new();
             for (i, &len) in lens.iter().enumerate() {
@@ -124,10 +125,10 @@ fn extraction_grid_densities_and_lengths() {
 
 #[test]
 fn extraction_n_at_every_offset_mod_32() {
-    // A single N walked across a 100-base read hits every offset mod 32,
-    // in particular the 31/32/33 word-boundary cluster; windows covering
-    // the N must vanish identically in both twins.
-    for &k in &[15usize, 31] {
+    // A single N walked across a 100-base read, at every offset: the
+    // windows covering the N must vanish identically in both twins, also
+    // where the N is a read's first or last base.
+    for &k in &KS {
         let clean = lcg_read(100, 0, 0xBEEF ^ k as u64);
         for off in 0..clean.len() {
             let mut bytes = clean.as_bytes().to_vec();
@@ -161,7 +162,7 @@ fn extraction_palindromic_windows() {
 #[test]
 fn extraction_homopolymers_and_max_k() {
     // Homopolymers stress the all-equal compare paths; k=32 exercises the
-    // no-spare-bits masks (kmask == u64::MAX, shift-by-zero realignment).
+    // no-spare-bits mask (u64::MAX, a shift by zero).
     for base in ["A", "C", "G", "T"] {
         let read: DnaSequence = base.repeat(200).parse().unwrap();
         for &k in &[15usize, 31, 32] {
@@ -186,14 +187,14 @@ fn regression_all_n_read() {
     for &k in &KS {
         let read: DnaSequence = "N".repeat(64).parse().unwrap();
         assert_extract_twins(std::slice::from_ref(&read), k, "all-N");
-        assert_eq!(swar_extract(std::slice::from_ref(&read), k).0, vec![]);
+        assert_eq!(rolled_extract(std::slice::from_ref(&read), k).0, vec![]);
     }
 }
 
 #[test]
 fn regression_n_straddles_word_boundary() {
-    // 31 bases + N + 31 bases: the N sits at packed-word offset 31; the
-    // two flanks each emit exactly one 31-mer.
+    // 31 bases + N + 31 bases: the N restarts the run one base short of
+    // a second 31-mer; the two flanks each emit exactly one.
     let read: DnaSequence = format!(
         "{}N{}",
         "ACGTACG".repeat(5).get(0..31).unwrap(),
@@ -202,7 +203,7 @@ fn regression_n_straddles_word_boundary() {
     .parse()
     .unwrap();
     assert_extract_twins(std::slice::from_ref(&read), 31, "N at word boundary");
-    assert_eq!(swar_extract(std::slice::from_ref(&read), 31).0.len(), 2);
+    assert_eq!(rolled_extract(std::slice::from_ref(&read), 31).0.len(), 2);
 }
 
 #[test]
@@ -215,7 +216,7 @@ fn regression_one_base_reads_and_empty_batch() {
         assert_extract_twins(&reads, k, "1-base reads");
     }
     // k=1: every valid base is its own window.
-    let (kmers, owners) = swar_extract(&reads, 1);
+    let (kmers, owners) = rolled_extract(&reads, 1);
     assert_eq!(kmers.len(), 4);
     assert_eq!(owners, vec![0, 1, 2, 3]);
     assert_extract_twins(&reads, 1, "1-base reads, k=1");
@@ -228,7 +229,7 @@ fn regression_alternating_n() {
     let read: DnaSequence = "AN".repeat(50).parse().unwrap();
     for &k in &[2usize, 15, 31] {
         assert_extract_twins(std::slice::from_ref(&read), k, "alternating N");
-        assert!(swar_extract(std::slice::from_ref(&read), k).0.is_empty());
+        assert!(rolled_extract(std::slice::from_ref(&read), k).0.is_empty());
     }
 }
 
@@ -283,12 +284,10 @@ proptest! {
     #[test]
     fn prop_extract_twins_agree(
         raw in prop::collection::vec("[ACGTN]{0,120}", 0..10),
-        k in prop::sample::select(vec![15usize, 21, 31, 32]),
+        k in prop::sample::select(KS.to_vec()),
     ) {
         let reads: Vec<DnaSequence> = raw.iter().map(|s| s.parse().unwrap()).collect();
-        let scalar = scalar_extract(&reads, k);
-        let swar = swar_extract(&reads, k);
-        prop_assert_eq!(swar, scalar);
+        prop_assert_eq!(rolled_extract(&reads, k), reference_extract(&reads, k));
     }
 
     /// The density sweep as a property: exact N fraction and length drawn
@@ -302,7 +301,7 @@ proptest! {
         let read = lcg_read(len, density, seed);
         for &k in &KS {
             let reads = std::slice::from_ref(&read);
-            prop_assert_eq!(swar_extract(reads, k), scalar_extract(reads, k),
+            prop_assert_eq!(rolled_extract(reads, k), reference_extract(reads, k),
                 "k={} len={} density={}% seed={:#x}", k, len, density, seed);
         }
     }

@@ -134,7 +134,9 @@ impl Out {
                     energy: config.energy,
                     ..InsituConfig::paper(InsituKind::RowMajor)
                 };
-                insitu::run(&row_major, device.layout(), &queries).energy_fj
+                insitu::run(&row_major, device.layout(), &queries)
+                    .expect("a valid row-major config")
+                    .energy_fj
             }
         }
     }
@@ -636,7 +638,9 @@ fn insitu_config() {
                 c.writes_per_query = 2 * writes_per_query
             }),
         ],
-        |config, metric| metric.of(&insitu::run(config, device.layout(), &queries)),
+        |config, metric| {
+            metric.of(&insitu::run(config, device.layout(), &queries).expect("a valid config"))
+        },
     );
 }
 
