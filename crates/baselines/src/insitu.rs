@@ -135,28 +135,32 @@ impl InsituConfig {
 }
 
 /// Runs a query batch on the row-major baseline, using the same layout and
-/// routing as the Sieve device under comparison.
+/// routing as the Sieve device under comparison. As on an empty Sieve
+/// device, an empty layout misses every query, here in zero time and zero
+/// energy.
 ///
 /// # Errors
 ///
 /// Returns [`SieveError::InvalidConfig`] if `config` fails
-/// [`InsituConfig::validate`], before any work.
-///
-/// # Panics
-///
-/// Panics if the layout is empty or a query's k differs from the stored
-/// k.
+/// [`InsituConfig::validate`], and [`SieveError::KMismatch`] if a query's
+/// k differs from the stored k ([`DeviceLayout::check_queries`]), both
+/// before any work.
 pub fn run(
     config: &InsituConfig,
     layout: &DeviceLayout,
     queries: &[Kmer],
 ) -> Result<BaselineReport, SieveError> {
     config.validate()?;
-    assert!(!layout.is_empty(), "row-major baseline needs loaded data");
-    assert!(
-        queries.iter().all(|q| q.k() == layout.k()),
-        "query k differs from the stored k"
-    );
+    layout.check_queries(queries)?;
+    let mut report = BaselineReport {
+        label: config.kind.label().to_string(),
+        queries: queries.len() as u64,
+        time_ps: 0,
+        energy_fj: 0,
+    };
+    if layout.is_empty() {
+        return Ok(report);
+    }
     let bit_len = 2 * layout.k() as u32;
     let groups_miss = bit_len.div_ceil(config.rows_per_op);
     // Expected groups scanned on a hit: half of the miss scan.
@@ -204,13 +208,9 @@ pub fn run(
         .unwrap_or(0);
     // Static energy over the makespan.
     energy_fj += config.energy.static_energy(banks, makespan);
-
-    Ok(BaselineReport {
-        label: config.kind.label().to_string(),
-        queries: queries.len() as u64,
-        time_ps: u128::from(makespan),
-        energy_fj,
-    })
+    report.time_ps = u128::from(makespan);
+    report.energy_fj = energy_fj;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -316,6 +316,39 @@ mod tests {
             }
         }
         assert!(InsituConfig { salp: 1, ..config }.validate().is_ok());
+    }
+
+    /// A batch holding a query of another k is a typed error naming the
+    /// first offender, as on the Sieve device.
+    #[test]
+    fn k_mismatch_is_rejected() {
+        let (device, mut queries) = setup();
+        queries.insert(3, Kmer::from_u64(5, 21).unwrap());
+        queries.push(Kmer::from_u64(5, 15).unwrap());
+        let err = run(&cfg(InsituKind::RowMajor), device.layout(), &queries);
+        let expected = SieveError::KMismatch {
+            expected: 31,
+            actual: 21,
+        };
+        assert_eq!(err.unwrap_err(), expected);
+        assert_eq!(device.run(&queries).unwrap_err(), expected);
+    }
+
+    /// An empty layout misses every query in zero time and zero energy,
+    /// as an empty Sieve device's run takes zero time.
+    #[test]
+    fn empty_layout_misses_everything_at_no_cost() {
+        let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
+        let device = SieveDevice::new(config, Vec::new()).unwrap();
+        let queries = [Kmer::from_u64(123, 31).unwrap(); 3];
+        for kind in [InsituKind::RowMajor, InsituKind::ComputeDram] {
+            let report = run(&cfg(kind), device.layout(), &queries).unwrap();
+            assert_eq!(
+                (report.queries, report.time_ps, report.energy_fj),
+                (3, 0, 0)
+            );
+        }
+        assert_eq!(device.run(&queries).unwrap().report.makespan_ps, 0);
     }
 
     #[test]

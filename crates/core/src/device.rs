@@ -299,7 +299,7 @@ impl SieveDevice {
     pub fn run_as(&self, config: &SieveConfig, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
         self.layout.check_config(config)?;
         check_batch_len(queries.len())?;
-        self.check_queries(queries)?;
+        self.layout.check_queries(queries)?;
         let keys: Vec<u64> = queries.iter().map(Kmer::bits).collect();
         // `map_ranges_mut` runs at most one range per query, so no more
         // passes than that are built.
@@ -423,22 +423,6 @@ impl SieveDevice {
         );
         tr.advance_model_ps(report.makespan_ps);
         report
-    }
-
-    /// Checks every query's k against the loaded database's, once per
-    /// batch, where a [`Kmer`] of any k enters. The scan has no early
-    /// exit, so it vectorizes; only a failing batch looks for the first
-    /// offender.
-    fn check_queries(&self, queries: &[Kmer]) -> Result<(), SieveError> {
-        let k = self.layout.k();
-        if queries.iter().fold(false, |bad, q| bad | (q.k() != k)) {
-            let actual = queries.iter().map(Kmer::k).find(|&actual| actual != k);
-            return Err(SieveError::KMismatch {
-                expected: k,
-                actual: actual.expect("the scan found a query of another k"),
-            });
-        }
-        Ok(())
     }
 }
 

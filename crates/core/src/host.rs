@@ -584,9 +584,9 @@ mod tests {
     }
 
     /// Over 1,000 reads whose k-mers put block edges everywhere:
-    /// 100-base reads with `N`s, half of them from the reference; every
-    /// 37th followed by a read of 0, k − 1 or k bases; and one read of
-    /// 5,000 bases, longer than a block, in the middle.
+    /// 100-base reads, half of them from the reference (only those carry
+    /// `N`s); every 37th followed by a read of 0, k − 1 or k bases; and one
+    /// read of 5,000 bases, longer than a block, in the middle.
     fn block_edge_reads(ds: &synth::SyntheticDataset, k: usize) -> Vec<DnaSequence> {
         let config = synth::ReadSimConfig {
             read_len: 100,

@@ -22,7 +22,7 @@
 //! is one subarray's slice of both columns. Queries use the keys'
 //! encoding too: the host hands the match pass bare `2k`-bit words
 //! ([`DeviceLayout::ranks`], [`DeviceLayout::resolve`]), and k is checked
-//! once, where a [`Kmer`] of any k enters ([`crate::SieveDevice::run`]).
+//! once, where a [`Kmer`] of any k enters ([`DeviceLayout::check_queries`]).
 
 use sieve_genomics::{Kmer, TaxonId};
 
@@ -325,6 +325,26 @@ impl DeviceLayout {
             });
         }
         check_capacity(self.len(), config)
+    }
+
+    /// Checks every query's k against the stored k, once per batch, where
+    /// a [`Kmer`] of any k enters. The scan has no early exit, so it
+    /// vectorizes; only a failing batch looks for the first offender.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SieveError::KMismatch`] naming the first query of
+    /// another k.
+    pub fn check_queries(&self, queries: &[Kmer]) -> Result<(), SieveError> {
+        let k = self.k;
+        if queries.iter().fold(false, |bad, q| bad | (q.k() != k)) {
+            let actual = queries.iter().map(Kmer::k).find(|&actual| actual != k);
+            return Err(SieveError::KMismatch {
+                expected: k,
+                actual: actual.expect("the scan found a query of another k"),
+            });
+        }
+        Ok(())
     }
 
     /// The k of every stored k-mer.

@@ -16,7 +16,8 @@
 //! * [`db`] — the three reference-database organizations of §II
 //!   (hash table, sorted list, Kraken-style signature-bucket hybrid);
 //! * [`synth`] — seeded synthetic stand-ins for the paper's datasets
-//!   (Table II query files, MiniKraken/NCBI references);
+//!   (Table II query files, MiniKraken/NCBI references), all drawn from
+//!   [`rng::Xoshiro256pp`];
 //! * [`classify`] — CLARK-style majority and Kraken-style path-weight
 //!   classification (Figure 3);
 //! * [`apps`] — the six instrumented pipelines of Figure 1.
@@ -52,6 +53,7 @@ mod error;
 pub mod fasta;
 pub mod fastq;
 mod kmer;
+pub mod rng;
 mod sequence;
 pub mod stats;
 pub mod synth;

@@ -156,8 +156,7 @@ mod tests {
 
     #[test]
     fn random_genomes_are_near_half_gc() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut rng = crate::rng::Xoshiro256pp::seed_from_u64(5);
         let g = crate::synth::random_genome(20_000, &mut rng);
         let s = sequence_stats(&g);
         assert!((s.gc_content - 0.5).abs() < 0.02, "{}", s.gc_content);

@@ -18,38 +18,43 @@
 //! DESIGN.md §5 explains why speedup ratios are scale-invariant in this
 //! simulator.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::base::Base;
 use crate::db::{build_entries, DbOptions};
 use crate::kmer::Kmer;
+use crate::rng::Xoshiro256pp;
 use crate::sequence::DnaSequence;
 use crate::taxonomy::{TaxonId, Taxonomy};
 
 /// Generates a uniformly random genome of `len` bases.
 #[must_use]
-pub fn random_genome(len: usize, rng: &mut StdRng) -> DnaSequence {
-    (0..len)
-        .map(|_| Base::from_bits(rng.gen_range(0..4u8)))
-        .collect()
+pub(crate) fn random_genome(len: usize, rng: &mut Xoshiro256pp) -> DnaSequence {
+    (0..len).map(|_| random_base(rng)).collect()
+}
+
+fn random_base(rng: &mut Xoshiro256pp) -> Base {
+    Base::from_bits(rng.below(4) as u8)
 }
 
 /// Applies substitution errors at `rate` and turns a small fraction of
 /// positions into `N`, mimicking Illumina base-calling artifacts.
 #[must_use]
-pub fn corrupt(seq: &DnaSequence, rate: f64, n_rate: f64, rng: &mut StdRng) -> DnaSequence {
+pub(crate) fn corrupt(
+    seq: &DnaSequence,
+    rate: f64,
+    n_rate: f64,
+    rng: &mut Xoshiro256pp,
+) -> DnaSequence {
     let mut out = DnaSequence::new();
     for i in 0..seq.len() {
-        if rng.gen_bool(n_rate) {
+        if rng.chance(n_rate) {
             out.push_ambiguous();
         } else {
             match seq.base(i) {
-                Some(b) if rng.gen_bool(rate) => {
+                Some(b) if rng.chance(rate) => {
                     // Substitute with a different base.
-                    let mut nb = Base::from_bits(rng.gen_range(0..4u8));
+                    let mut nb = random_base(rng);
                     while nb == b {
-                        nb = Base::from_bits(rng.gen_range(0..4u8));
+                        nb = random_base(rng);
                     }
                     out.push(nb);
                 }
@@ -205,7 +210,7 @@ pub struct SyntheticDataset {
 #[must_use]
 pub fn make_dataset_with(taxa: usize, genome_len: usize, k: usize, seed: u64) -> SyntheticDataset {
     assert!(taxa > 0, "need at least one taxon");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut taxonomy = Taxonomy::new();
     let mut genomes = Vec::with_capacity(taxa);
     let genera = taxa.div_ceil(4);
@@ -252,7 +257,8 @@ pub struct ReadSimConfig {
     pub from_reference: f64,
     /// Per-base substitution error rate for sampled reads.
     pub error_rate: f64,
-    /// Per-base probability of an `N` call.
+    /// Per-base probability of an `N` call in a sampled read. Novel reads
+    /// never carry an `N`.
     pub n_rate: f64,
 }
 
@@ -272,6 +278,10 @@ impl Default for ReadSimConfig {
 
 /// Simulates a set of reads against `dataset`'s genomes.
 ///
+/// Each read is sampled from a genome with probability
+/// `config.from_reference`, and then carries substitutions at
+/// `config.error_rate` and `N` calls at `config.n_rate` per base; every
+/// other read is novel: uniformly random `ACGT` bases, with neither.
 /// Returns `(reads, true_taxa)` where `true_taxa[i]` is `Some(taxon)` for
 /// reads sampled from a genome and `None` for random (novel) reads.
 ///
@@ -286,19 +296,20 @@ pub fn simulate_reads(
     seed: u64,
 ) -> (Vec<DnaSequence>, Vec<Option<TaxonId>>) {
     assert!(count > 0, "need at least one read");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut reads = Vec::with_capacity(count);
     let mut truth = Vec::with_capacity(count);
     for _ in 0..count {
-        if rng.gen_bool(config.from_reference) {
-            let (taxon, genome) = &dataset.genomes[rng.gen_range(0..dataset.genomes.len())];
+        if rng.chance(config.from_reference) {
+            let (taxon, genome) =
+                &dataset.genomes[rng.below(dataset.genomes.len() as u64) as usize];
             assert!(
                 genome.len() >= config.read_len,
                 "read length {} exceeds genome length {}",
                 config.read_len,
                 genome.len()
             );
-            let start = rng.gen_range(0..=genome.len() - config.read_len);
+            let start = rng.below((genome.len() - config.read_len + 1) as u64) as usize;
             let window = genome.slice(start, config.read_len);
             reads.push(corrupt(&window, config.error_rate, config.n_rate, &mut rng));
             truth.push(Some(*taxon));
@@ -405,7 +416,7 @@ mod tests {
 
     #[test]
     fn corrupt_preserves_length() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Xoshiro256pp::seed_from_u64(1);
         let g = random_genome(500, &mut rng);
         let c = corrupt(&g, 0.5, 0.01, &mut rng);
         assert_eq!(c.len(), g.len());

@@ -42,10 +42,14 @@ echo "== tier1: figure and table binaries (release) =="
 # No test runs the 22 binaries under crates/bench/src/bin, so one that
 # panics (say, on a sweep config its device refuses behind an .expect)
 # fails only here. They write their CSVs into a temporary directory, not
-# into results/.
+# into results/, and results_gate.sh then fails on any committed file in
+# results/ that the rerun does not reproduce (fig01_breakdown on its App
+# and Reads classified columns only; its shares are wall-clock), and on a
+# rerun CSV that results/ lacks.
 FIGURES=$(mktemp -d)
 trap 'rm -rf "$CLI_DATA" "$FIGURES"' EXIT
 ./scripts/figures.sh "$FIGURES"
+./scripts/results_gate.sh "$FIGURES"
 
 echo "== tier1: rustdoc (-D warnings) =="
 # Broken intra-doc links (e.g. to a deleted or private item) fail here.
