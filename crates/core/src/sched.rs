@@ -394,9 +394,9 @@ fn etm_off_cost(config: &SieveConfig, batches: usize) -> RowCost {
 }
 
 /// One subarray's Type-1 batch depths, built when the subarray's first
-/// query arrives (~32 KB at 128 batches and k = 31, freed with the
-/// [`Type1Pass`]), which turn a query's row stream into four LCPs around
-/// its insertion point.
+/// query arrives and freed with the [`Type1Pass`], which turn a query's
+/// row stream into four LCPs around its insertion point and a closed
+/// form.
 ///
 /// A batch stays live while the query still matches one of its keys: for
 /// its max LCP plus one rows. For sorted keys `x ≤ y ≤ z`,
@@ -405,18 +405,37 @@ fn etm_off_cost(config: &SieveConfig, batches: usize) -> RowCost {
 /// batch of the query's insertion point. Every batch `j < b` lies below
 /// the query, so its max LCP is `min(lcp(last_j, last_{b−1}), lo)` with
 /// `lo = lcp(last_{b−1}, q)`, and it is live at depth `t` when `lo ≥ t`
-/// and `lcp(last_j, last_{b−1}) ≥ t`. `below[b][t]` counts the batches
+/// and `lcp(last_j, last_{b−1}) ≥ t`. `B_b[t]` counts the batches
 /// `j < b − 1` meeting the second condition, so the lower batches live at
-/// depth `t` number `[lo ≥ t] · (1 + below[b][t])`, and likewise
-/// `[hi ≥ t] · (1 + above[b][t])` above `b` over the first keys. The ESP
-/// cap only lowers `lo` and `hi`. The tables hold prefix sums over depth,
-/// `Σ_{s<t} below[b][s]`, so one entry gives a query's bursts.
+/// depth `t` number `[lo ≥ t] · (1 + B_b[t])`, and likewise
+/// `[hi ≥ t] · (1 + A_b[t])` above `b` over the first keys. The ESP cap
+/// only lowers `lo` and `hi`.
+///
+/// Per batch row, each side keeps the prefix sums over depth
+/// `Σ_{s<t} B_b[s]`, so one entry gives a query's bursts, and the step
+/// depths `d[j] = #{t : 1 + B_b[t] ≥ j}` for `j = 1..=m`, from which
+/// [`Self::cost`] finds the rows whose stream overruns a row cycle.
+/// `B_b[t]` is 0 from the row's boundary run
+/// `lcp(last_{b−2}, last_{b−1}) + 1` on, so its sums are constant from
+/// that column: they are stored `D + 1` columns wide, `D` the
+/// subarray's longest boundary run, and a deeper column reads column `D`
+/// (~7.7 KB in all at 128 batches, `D` = 12 and `m` = 4; sums a column
+/// per depth, `2k + 1` = 63 wide, would take 32.5 KB).
 struct DepthTables<'a> {
     /// The subarray's packed keys, by rank.
     keys: &'a [u64],
-    /// `bit_len + 1` prefix sums per batch row, `t = 0..=bit_len`.
+    /// `width` prefix sums per batch row, `t = 0..width`.
     below: Vec<u16>,
     above: Vec<u16>,
+    /// `D + 1`.
+    width: usize,
+    /// `m` step depths per batch row, `d[1..=m]`.
+    below_steps: Vec<u8>,
+    above_steps: Vec<u8>,
+    /// A row whose stream has `m` or more live batches overruns a row
+    /// cycle (capped at the row's batch count plus one, which no row
+    /// reaches).
+    m: usize,
     bit_len: usize,
     /// The ESP cap on a missed batch's LCP (`bit_len`, a no-op, when
     /// there is no override).
@@ -426,58 +445,126 @@ struct DepthTables<'a> {
     row_cycle: TimePs,
 }
 
+/// One side's [`DepthTables`] over `rows` batch rows: `width` prefix sums
+/// and `m` step depths per row. `chain` yields `(row, from, run)` in build
+/// order: `row` counts row `from`'s batches plus one while `t < run`, and
+/// none beyond. Rows it does not yield count no batch.
+fn side_tables(
+    rows: usize,
+    width: usize,
+    m: usize,
+    bit_len: usize,
+    chain: impl Iterator<Item = (usize, usize, usize)>,
+) -> (Vec<u16>, Vec<u8>) {
+    let mut sums = vec![0u16; rows * width];
+    for (row, from, run) in chain {
+        for t in 0..width {
+            let s = t.min(run);
+            sums[row * width + t] = sums[from * width + s] + s as u16;
+        }
+    }
+    let mut steps = vec![0u8; rows * m];
+    if m == 0 {
+        return (sums, steps);
+    }
+    for (sums, steps) in sums.chunks_exact(width).zip(steps.chunks_exact_mut(m)) {
+        // `1 + B[t]`: 1 from column `D` on, so every row has one live
+        // batch and `d[j ≥ 2]` ends by column `D`. It never rises with
+        // `t`, so `d[j]` is where it first falls below `j`, and falls
+        // with `j`.
+        let live = |t: usize| 1 + usize::from(sums[t + 1] - sums[t]);
+        steps[0] = bit_len as u8;
+        let mut t = width - 1;
+        for (j, d) in (2..).zip(&mut steps[1..]) {
+            while t > 0 && live(t - 1) < j {
+                t -= 1;
+            }
+            *d = t as u8;
+        }
+    }
+    (sums, steps)
+}
+
 impl<'a> DepthTables<'a> {
-    /// Builds the tables in `O(batches × 2k)` from the LCPs of
+    /// Builds the tables in `O(batches × (D + m))` from the LCPs of
     /// consecutive boundary keys. `lcp(last_j, last_{b−1})` is the min of
-    /// the consecutive LCPs from `j` to `b − 1`, so `below[b][t]` is
-    /// `below[b − 1][t] + 1` while `t ≤ c = lcp(last_{b−2}, last_{b−1})`
-    /// and 0 beyond: as prefix sums,
-    /// `P_b[t] = P_{b−1}[min(t, c + 1)] + min(t, c + 1)`.
+    /// the consecutive LCPs from `j` to `b − 1`, so with the boundary run
+    /// `run = lcp(last_{b−2}, last_{b−1}) + 1`, `B_b[t]` is
+    /// `B_{b−1}[t] + 1` while `t < run` and 0 beyond: as prefix sums,
+    /// `P_b[t] = P_{b−1}[min(t, run)] + min(t, run)`. The step depths are
+    /// read off each row of sums.
     fn new(config: &SieveConfig, sa: &SubarrayView<'a>) -> Self {
         let bit_len = config.region1_rows() as usize;
         let keys = sa.keys();
         let batches = batch_count(sa, config.geometry.cols_per_row);
-        let (sorted, width) = (keys, bit_len + 1);
         let lcp = |a: u64, b: u64| engine::lcp_bits_u64_swar(a, b, bit_len);
-        let last = |j: usize| sorted[((j + 1) * BATCH).min(sorted.len()) - 1];
-        let first = |j: usize| sorted[j * BATCH];
+        let last = |j: usize| keys[((j + 1) * BATCH).min(keys.len()) - 1];
+        let first = |j: usize| keys[j * BATCH];
         // One row per insertion batch `b = 0..=batches` (`b = batches`
         // when the query sorts past a full last batch).
-        let mut below = vec![0u16; (batches + 1) * width];
-        for b in 2..=batches {
-            let run = lcp(last(b - 2), last(b - 1)) + 1;
-            let (done, rest) = below.split_at_mut(b * width);
-            let prev = &done[(b - 1) * width..];
-            for (t, sum) in rest[..width].iter_mut().enumerate() {
-                let s = t.min(run);
-                *sum = prev[s] + s as u16;
-            }
-        }
-        let mut above = vec![0u16; (batches + 1) * width];
-        for b in (0..batches.saturating_sub(2)).rev() {
-            let run = lcp(first(b + 1), first(b + 2)) + 1;
-            let (head, next) = above.split_at_mut((b + 1) * width);
-            for (t, sum) in head[b * width..].iter_mut().enumerate() {
-                let s = t.min(run);
-                *sum = next[s] + s as u16;
-            }
-        }
+        let below_chain = (2..=batches).map(|b| (b, b - 1, lcp(last(b - 2), last(b - 1)) + 1));
+        let above_chain = (0..batches.saturating_sub(2))
+            .rev()
+            .map(|b| (b, b + 1, lcp(first(b + 1), first(b + 2)) + 1));
+        let depth = below_chain
+            .clone()
+            .chain(above_chain.clone())
+            .map(|(_, _, run)| run)
+            .max()
+            .unwrap_or(0);
         let timing = &config.timing;
+        let (t_open, t_ccd, row_cycle) =
+            (timing.t_rcd + timing.t_rp, timing.t_ccd, timing.row_cycle());
+        // Row `t` overruns when `t_open + live(t)·t_ccd > row_cycle`. No
+        // row has `batches + 1` live batches, so that caps `m`, and it
+        // stands for "never" when `t_ccd` is 0.
+        let most = batches as u64 + 1;
+        let m = if t_open > row_cycle {
+            0
+        } else {
+            (row_cycle - t_open)
+                .checked_div(t_ccd)
+                .map_or(most, |fits| (fits + 1).min(most))
+        } as usize;
+        let (width, rows) = (depth + 1, batches + 1);
+        let (below, below_steps) = side_tables(rows, width, m, bit_len, below_chain);
+        let (above, above_steps) = side_tables(rows, width, m, bit_len, above_chain);
         Self {
             keys,
             below,
             above,
+            width,
+            below_steps,
+            above_steps,
+            m,
             bit_len,
             cap: config.esp_override.map_or(bit_len, |esp| esp as usize),
-            t_open: timing.t_rcd + timing.t_rp,
-            t_ccd: timing.t_ccd,
-            row_cycle: timing.row_cycle(),
+            t_open,
+            t_ccd,
+            row_cycle,
         }
     }
 
     /// The Region-1 stream of `query` with ETM on, given its insertion
     /// rank `ins` among the subarray's keys; `hit` is whether the
     /// subarray holds it.
+    ///
+    /// Row `t` reads `live(t)` bursts and takes
+    /// `max(t_open + live(t)·t_ccd, row_cycle)`. `live(t)` never rises
+    /// with `t`, so the rows that overrun a row cycle, those with
+    /// `live(t) ≥ m`, are a prefix of length `cut`, and the stream takes
+    /// `cut·t_open + t_ccd·L(cut) + (rows − cut)·row_cycle` with
+    /// `L(x) = Σ_{t<x} live(t)` read from the prefix sums. Below `b`,
+    /// `Σ_{j=1..=m} [t < min(lo, d_B[j])]` is the side's live batches on
+    /// row `t` capped at `m`, and likewise above, so `live(t) ≥ m`
+    /// exactly when at least `m` members of
+    /// `{a_1..a_m, hold, c_1..c_m}` exceed `t`, with `a_i = min(lo, d_B[i])`
+    /// and `c_j = min(hi, d_A[j])`: `cut` is the multiset's `m`-th largest.
+    /// Both lists fall with their index, so with `a_0 = c_0 = ∞` the
+    /// `k`-th largest of the two is `x_k = max_{i+j=k} min(a_i, c_j)`, and
+    /// `cut = max(min(hold, x_{m−1}), x_m)`. (A bisection over the sums
+    /// finds the same `cut` without the step depths, but measured slower;
+    /// DESIGN.md §6, *Type-1 schedule*.)
     #[inline]
     fn cost(&self, query: u64, ins: usize, hit: bool) -> RowCost {
         let (keys, bit_len) = (self.keys, self.bit_len);
@@ -506,37 +593,44 @@ impl<'a> DepthTables<'a> {
         } else {
             0
         };
-        let width = bit_len + 1;
+        let (width, m) = (self.width, self.m);
         let below = &self.below[b * width..][..width];
         let above = &self.above[b * width..][..width];
-        let rows = lo.max(hold).max(hi);
-        let reads = lo + usize::from(below[lo]) + hold + hi + usize::from(above[hi]);
-        // Batches live on row `t`. It never rises with `t`, so once one
-        // row's stream fits in a row cycle every later row's does too.
-        let live = |t: usize| {
-            let side = |live_rows: usize, sums: &[u16]| {
-                if t < live_rows {
-                    1 + u64::from(sums[t + 1] - sums[t])
-                } else {
-                    0
-                }
-            };
-            side(lo, below) + u64::from(t < hold) + side(hi, above)
+        // `L(x)`; a column past `D` reads column `D`.
+        let bursts = |x: usize| {
+            let (l, h) = (x.min(lo), x.min(hi));
+            l + usize::from(below[l.min(width - 1)])
+                + x.min(hold)
+                + h
+                + usize::from(above[h.min(width - 1)])
         };
-        let mut time = 0;
-        let mut t = 0;
-        while t < rows {
-            let stream = self.t_open + live(t) * self.t_ccd;
-            if stream <= self.row_cycle {
-                break;
-            }
-            time += stream;
-            t += 1;
-        }
+        let rows = lo.max(hold).max(hi);
+        let cut = if m == 0 {
+            rows
+        } else {
+            let below_steps = &self.below_steps[b * m..][..m];
+            let above_steps = &self.above_steps[b * m..][..m];
+            let a = |d: &u8| lo.min(usize::from(*d));
+            let c = |d: &u8| hi.min(usize::from(*d));
+            // `x_k` for `k = 1..=m`: its two ends pair `a_k` and `c_k`
+            // with an infinite `c_0` and `a_0`.
+            let x = |k: usize| {
+                let (below, above) = (&below_steps[..k], &above_steps[..k]);
+                let ends = a(&below[k - 1]).max(c(&above[k - 1]));
+                below[..k - 1]
+                    .iter()
+                    .zip(above[..k - 1].iter().rev())
+                    .fold(ends, |x, (p, q)| x.max(a(p).min(c(q))))
+            };
+            let x_prev = if m > 1 { x(m - 1) } else { usize::MAX };
+            hold.min(x_prev).max(x(m))
+        };
         RowCost {
             rows: rows as u64,
-            time: time + (rows - t) as u64 * self.row_cycle,
-            reads: reads as u64,
+            time: cut as u64 * self.t_open
+                + self.t_ccd * bursts(cut) as u64
+                + (rows - cut) as u64 * self.row_cycle,
+            reads: bursts(rows) as u64,
         }
     }
 }
@@ -568,7 +662,11 @@ impl<'a> Type1Pass<'a> {
 
     /// Charges `query`, routed to `subarray` at insertion rank `ins`
     /// among its keys; `hit` is whether the subarray holds it.
-    #[inline]
+    ///
+    /// Kept out of line: inlined, the pricing bloats the match loop that
+    /// every design point shares, and slowed Type-3 batches by ~3–5 %
+    /// (DESIGN.md §6, *Type-1 schedule*).
+    #[inline(never)]
     pub(crate) fn charge(&mut self, subarray: usize, query: u64, ins: usize, hit: bool) {
         let Self {
             config,
@@ -667,7 +765,7 @@ pub(crate) fn simulate_type1(
 mod tests {
     use super::*;
     use crate::device::SieveDevice;
-    use sieve_dram::Geometry;
+    use sieve_dram::{Geometry, TimingParams};
     use sieve_genomics::{synth, Kmer};
 
     fn dataset() -> synth::SyntheticDataset {
@@ -803,29 +901,34 @@ mod tests {
         probes
     }
 
-    /// The per-batch cost path [`DepthTables`] replaced, kept as its
-    /// reference: [`engine::max_lcp_in_range`] on every non-empty batch of
-    /// the row, the ESP cap, the live-rows histogram and the full row
-    /// loop.
-    fn reference_cost(sa: &SubarrayView<'_>, config: &SieveConfig, query: Kmer) -> RowCost {
+    /// The per-batch half of the cost path [`DepthTables`] replaced, kept
+    /// with [`reference_cost`] as its reference:
+    /// [`engine::max_lcp_in_range`] on every non-empty batch of the row and
+    /// the ESP cap, as a live-rows histogram. `alive[d]` counts the batches
+    /// live through exactly `d` rows.
+    fn reference_alive(sa: &SubarrayView<'_>, config: &SieveConfig, query: Kmer) -> Vec<u64> {
         let bit_len = config.region1_rows() as usize;
         let cap = config.esp_override.map_or(bit_len, |esp| esp as usize);
-        // `alive[d]` counts batches live through exactly `d` rows.
         let mut alive = vec![0u64; bit_len + 1];
-        let mut rows = 0;
         for b in 0..config.geometry.cols_per_row / 64 {
             let range = sa.ranks_in_cols(b * 64, (b + 1) * 64);
             let Some(lcp) = engine::max_lcp_in_range(sa, range, query) else {
                 continue;
             };
             let lcp = if lcp < bit_len { lcp.min(cap) } else { lcp };
-            let live_rows = (lcp + 1).min(bit_len);
-            alive[live_rows] += 1;
-            rows = rows.max(live_rows);
+            alive[(lcp + 1).min(bit_len)] += 1;
         }
-        if !config.etm_enabled {
-            rows = bit_len;
-        }
+        alive
+    }
+
+    /// The reference's row half: every row's stream, one row at a time,
+    /// from [`reference_alive`]'s histogram.
+    fn reference_cost(config: &SieveConfig, alive: &[u64]) -> RowCost {
+        let rows = if config.etm_enabled {
+            alive.iter().rposition(|&n| n > 0).unwrap_or(0)
+        } else {
+            config.region1_rows() as usize
+        };
         let timing = &config.timing;
         let (mut time, mut reads) = (0, 0);
         for t in 0..rows {
@@ -844,11 +947,36 @@ mod tests {
         }
     }
 
+    /// The timings the twins run under, each with the overrun threshold
+    /// `m` it gives before the cap at a row's batch count plus one:
+    /// DDR4 paper timing (4), HBM2 (8) and ReRAM (9); `t_ccd` = 0, where
+    /// no row overruns; a `t_ras` short enough that
+    /// `t_rcd + t_rp > row_cycle`, where every row does (0); and
+    /// `t_ccd` = 1 ps, where the cap binds.
+    fn twin_timings() -> [(TimingParams, usize); 6] {
+        let ddr4 = TimingParams::ddr4_paper();
+        [
+            (ddr4, 4),
+            (TimingParams::hbm2(), 8),
+            (TimingParams::nvm_reram(), 9),
+            (TimingParams { t_ccd: 0, ..ddr4 }, usize::MAX),
+            (
+                TimingParams {
+                    t_ras: 10_000,
+                    ..ddr4
+                },
+                0,
+            ),
+            (TimingParams { t_ccd: 1, ..ddr4 }, 21_001),
+        ]
+    }
+
     /// Holds every probe's Type-1 row cost — [`DepthTables::cost`] with
     /// ETM on, [`etm_off_cost`] with it off — to [`reference_cost`] on
-    /// every occupied subarray, with no ESP cap and with caps of 0, 10
-    /// and 2k − 1. Returns how many subarrays end in empty batches
-    /// (Type-1 fills a row's columns in rank order).
+    /// every occupied subarray, under each of [`twin_timings`], with no
+    /// ESP cap and with caps of 0, 10 and 2k − 1. Returns how many
+    /// subarrays end in empty batches (Type-1 fills a row's columns in
+    /// rank order).
     fn assert_cost_twins_reference(layout: &DeviceLayout, config: &SieveConfig) -> usize {
         let batch_cols = config.geometry.cols_per_row / 64;
         let probes = batch_probes(layout, batch_cols);
@@ -863,32 +991,53 @@ mod tests {
                 assert_eq!(sa.ranks_in_cols(64 * b, 64 * (b + 1)), start..end);
             }
             trailing_empty += usize::from(batches < batch_cols as usize);
-            for (etm, esp) in [true, false]
+            let caps = [None, Some(0), Some(10), Some(bit_len - 1)];
+            let cases: Vec<(SieveConfig, DepthTables<'_>)> = twin_timings()
                 .into_iter()
-                .flat_map(|etm| [None, Some(0), Some(10), Some(bit_len - 1)].map(|esp| (etm, esp)))
-            {
-                let config = SieveConfig {
-                    etm_enabled: etm,
-                    esp_override: esp,
-                    ..config.clone()
+                .flat_map(|(timing, m)| {
+                    [true, false].into_iter().flat_map(move |etm| {
+                        caps.map(|esp_override| (timing, m, etm, esp_override))
+                    })
+                })
+                .map(|(timing, m, etm_enabled, esp_override)| {
+                    let config = SieveConfig {
+                        etm_enabled,
+                        esp_override,
+                        timing,
+                        ..config.clone()
+                    };
+                    let tables = DepthTables::new(&config, &sa);
+                    assert_eq!(tables.m, m.min(batches + 1), "subarray {s} {timing:?}");
+                    (config, tables)
+                })
+                .collect();
+            for &probe in &probes {
+                let q = Kmer::from_u64(probe, layout.k()).unwrap();
+                let (hit, ins) = match sa.keys().binary_search(&probe) {
+                    Ok(rank) => (true, rank),
+                    Err(ins) => (false, ins),
                 };
-                let tables = DepthTables::new(&config, &sa);
-                for &probe in &probes {
-                    let q = Kmer::from_u64(probe, layout.k()).unwrap();
-                    let (hit, ins) = match sa.keys().binary_search(&probe) {
-                        Ok(rank) => (true, rank),
-                        Err(ins) => (false, ins),
+                for esp in caps {
+                    // The histogram depends on the ESP cap alone.
+                    let capped = SieveConfig {
+                        esp_override: esp,
+                        ..config.clone()
                     };
-                    let got = if etm {
-                        tables.cost(probe, ins, hit)
-                    } else {
-                        etm_off_cost(&config, batches)
-                    };
-                    assert_eq!(
-                        got,
-                        reference_cost(&sa, &config, q),
-                        "subarray {s} probe {q} etm {etm} esp {esp:?}"
-                    );
+                    let alive = reference_alive(&sa, &capped, q);
+                    for (config, tables) in cases.iter().filter(|(c, _)| c.esp_override == esp) {
+                        let got = if config.etm_enabled {
+                            tables.cost(probe, ins, hit)
+                        } else {
+                            etm_off_cost(config, batches)
+                        };
+                        assert_eq!(
+                            got,
+                            reference_cost(config, &alive),
+                            "subarray {s} probe {q} etm {} esp {esp:?} {:?}",
+                            config.etm_enabled,
+                            config.timing,
+                        );
+                    }
                 }
             }
         }
@@ -923,6 +1072,42 @@ mod tests {
                 trailing_empty > 0,
                 "k={k}: no subarray ends in empty batches"
             );
+        }
+    }
+
+    #[test]
+    fn type1_tables_are_cut_to_the_longest_boundary_run() {
+        // Each subarray's sums are `D + 1` columns wide, `D` the longest
+        // boundary run: one plus the LCP of two consecutive batches' last
+        // keys, or of two consecutive first keys above batch 0. On these
+        // layouts that is narrower than a column per depth, `2k + 1`.
+        let tall = Geometry {
+            rows_per_subarray: 512,
+            ..Geometry::scaled_small()
+        };
+        for (k, geometry, seed) in [
+            (31, Geometry::scaled_medium(), 77),
+            (15, Geometry::scaled_small(), 91),
+            (32, tall, 91),
+        ] {
+            let config = SieveConfig::type1().with_k(k).with_geometry(geometry);
+            let ds = synth::make_dataset_with(8, 2048, k, seed);
+            let layout = DeviceLayout::build(ds.entries, &config).unwrap();
+            let bit_len = config.region1_rows() as usize;
+            for sa in layout.subarrays() {
+                let batches: Vec<&[u64]> = sa.keys().chunks(64).collect();
+                let lcp = |a: u64, b: u64| engine::lcp_bits_u64_swar(a, b, bit_len);
+                let lasts = batches
+                    .windows(2)
+                    .map(|w| lcp(w[0][w[0].len() - 1], w[1][w[1].len() - 1]));
+                let firsts = batches.windows(2).skip(1).map(|w| lcp(w[0][0], w[1][0]));
+                let depth = lasts.chain(firsts).map(|l| l + 1).max().unwrap_or(0);
+                let tables = DepthTables::new(&config, &sa);
+                assert_eq!(tables.width, depth + 1, "k={k}");
+                assert_eq!(tables.below.len(), (batches.len() + 1) * (depth + 1));
+                assert_eq!(tables.above.len(), tables.below.len());
+                assert!(tables.width < bit_len + 1, "k={k}: D = {depth}");
+            }
         }
     }
 

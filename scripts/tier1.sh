@@ -21,6 +21,12 @@ echo "== tier1: cargo test --workspace -q =="
 # sums or the traffic closed forms fails here.
 cargo test --workspace -q
 
+echo "== tier1: mutation checks (scripts/mutants.sh) =="
+# Every recorded mutant in scripts/mutants.txt is applied to a copy of
+# the tree (target/mutants) and the tests it names must fail; a survivor,
+# or a snippet that no longer occurs exactly once, fails here (~15 s).
+./scripts/mutants.sh
+
 echo "== tier1: examples and sieve-cli (release) =="
 # `cargo test` only compiles the examples, and no test invokes sieve-cli,
 # yet they are the callers of much of the public API (SieveApi, load,
